@@ -9,8 +9,10 @@
 // --policy restricts the final comparison table to one method, named by its
 // policy-registry key (--help lists them); by default every method is shown.
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "common/flags.h"
 #include "common/stats.h"
@@ -103,12 +105,14 @@ int main(int argc, char** argv) {
   }
   core::TrainedMethods& trained = *trained_or;
 
-  std::printf("online learning: ddpg mean reward (first 50 epochs) %.3f -> "
-              "(last 50) %.3f\n",
-              Mean({trained.ddpg_online.rewards.begin(),
-                    trained.ddpg_online.rewards.begin() + 50}),
-              Mean({trained.ddpg_online.rewards.end() - 50,
-                    trained.ddpg_online.rewards.end()}));
+  // Mean reward over the first and last (up to) 50 epochs; a run with
+  // fewer epochs averages all of them in both.
+  const std::vector<double>& rewards = trained.ddpg_online.rewards;
+  const int window = static_cast<int>(std::min<size_t>(50, rewards.size()));
+  std::printf("online learning: ddpg mean reward (first %d epochs) %.3f -> "
+              "(last %d) %.3f\n",
+              window, Mean({rewards.begin(), rewards.begin() + window}),
+              window, Mean({rewards.end() - window, rewards.end()}));
 
   struct Row {
     const char* key;  // policy-registry key; matched against --policy

@@ -16,6 +16,14 @@ constexpr uint64_t kMatrixA = 0xb5026f5aa96619e9ull;
 constexpr uint64_t kLowerMask = (uint64_t{1} << 31) - 1;  // low r bits
 constexpr uint64_t kUpperMask = ~kLowerMask;
 constexpr uint64_t kInitMultiplier = 6364136223846793005ull;
+
+// One twist step: new word i from words i, i+1 and i+m (indices mod n).
+// The matrix term is selected by a mask, not a branch: y's low bit is a
+// coin flip, so a branch would mispredict on half the words.
+inline uint64_t TwistWord(uint64_t word, uint64_t next, uint64_t far) {
+  const uint64_t y = (word & kUpperMask) | (next & kLowerMask);
+  return far ^ (y >> 1) ^ ((uint64_t{0} - (y & 1)) & kMatrixA);
+}
 }  // namespace
 
 void Mt19937_64::seed(uint64_t seed_value) {
@@ -29,12 +37,17 @@ void Mt19937_64::seed(uint64_t seed_value) {
 }
 
 void Mt19937_64::Twist() {
-  for (int i = 0; i < kN; ++i) {
-    const uint64_t y =
-        (state_[i] & kUpperMask) | (state_[(i + 1) % kN] & kLowerMask);
-    state_[i] =
-        state_[(i + kM) % kN] ^ (y >> 1) ^ ((y & 1) ? kMatrixA : 0);
+  // The recurrence updates in place, so word i + m - n is read after it was
+  // rewritten; splitting the loop where (i + m) and then (i + 1) wrap keeps
+  // exactly that order without a modulo per word.
+  int i = 0;
+  for (; i < kN - kM; ++i) {
+    state_[i] = TwistWord(state_[i], state_[i + 1], state_[i + kM]);
   }
+  for (; i < kN - 1; ++i) {
+    state_[i] = TwistWord(state_[i], state_[i + 1], state_[i + kM - kN]);
+  }
+  state_[kN - 1] = TwistWord(state_[kN - 1], state_[0], state_[kM - 1]);
   position_ = 0;
 }
 
@@ -146,16 +159,13 @@ Status Rng::DeserializeState(const std::string& text) {
   return Status::OK();
 }
 
-double Rng::LogNormalMeanCv(double mean, double cv) {
-  DRLSTREAM_CHECK_GT(mean, 0.0);
+LogNormalLaw::LogNormalLaw(double mean_value, double cv)
+    : mean(mean_value), constant(cv == 0.0) {
+  DRLSTREAM_CHECK_GT(mean_value, 0.0);
   DRLSTREAM_CHECK_GE(cv, 0.0);
-  if (cv == 0.0) return mean;
-  // For LogNormal(mu, sigma): mean = exp(mu + sigma^2/2),
-  // cv^2 = exp(sigma^2) - 1.
   const double sigma2 = std::log(1.0 + cv * cv);
-  const double mu = std::log(mean) - 0.5 * sigma2;
-  std::lognormal_distribution<double> dist(mu, std::sqrt(sigma2));
-  return dist(engine_);
+  mu = std::log(mean_value) - 0.5 * sigma2;
+  sigma = std::sqrt(sigma2);
 }
 
 std::vector<int> Rng::SampleWithoutReplacement(int n, int k) {

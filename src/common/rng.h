@@ -57,6 +57,21 @@ class Mt19937_64 {
   int position_ = kStateSize;
 };
 
+/// A log-normal law given by the mean and coefficient of variation of the
+/// resulting distribution, with the underlying normal's (mu, sigma) derived
+/// once: mean = exp(mu + sigma^2/2) and cv^2 = exp(sigma^2) - 1. Callers that
+/// draw many times from one law (the simulator's per-tuple service times)
+/// skip two logs and a sqrt per draw.
+struct LogNormalLaw {
+  /// Requires mean > 0 and cv >= 0 (checked).
+  LogNormalLaw(double mean, double cv);
+
+  double mean;
+  bool constant;  // cv == 0: every draw is `mean` and consumes no randomness
+  double mu;
+  double sigma;
+};
+
 /// Seeded pseudo-random number generator used everywhere in the library so
 /// that experiments are reproducible. Wraps a mersenne twister with the
 /// distributions the simulator and agents need.
@@ -98,9 +113,22 @@ class Rng {
     return dist(engine_);
   }
 
+  /// Log-normal: exp of a Gaussian(mu, sigma) draw.
+  double LogNormal(double mu, double sigma) {
+    std::lognormal_distribution<double> dist(mu, sigma);
+    return dist(engine_);
+  }
+
   /// Log-normal parameterized by the mean and coefficient of variation of
   /// the *resulting* distribution (convenient for service times).
-  double LogNormalMeanCv(double mean, double cv);
+  double LogNormalMeanCv(double mean, double cv) {
+    return LogNormalMeanCv(LogNormalLaw(mean, cv));
+  }
+  /// One draw from a law derived ahead of time; the same value and engine
+  /// advance as LogNormalMeanCv(law.mean, cv).
+  double LogNormalMeanCv(const LogNormalLaw& law) {
+    return law.constant ? law.mean : LogNormal(law.mu, law.sigma);
+  }
 
   /// Poisson with the given mean (>= 0); returns 0 for mean 0.
   int Poisson(double mean) {

@@ -62,6 +62,16 @@ const char* FaultInstantName(FaultType type) {
 
 }  // namespace
 
+void IntFifo::Grow() {
+  std::vector<int> bigger(std::max<size_t>(8, 2 * ring_.size()));
+  const size_t count = size();
+  for (size_t i = 0; i < count; ++i) bigger[i] = (*this)[i];
+  ring_.swap(bigger);
+  mask_ = ring_.size() - 1;
+  head_ = 0;
+  tail_ = count;
+}
+
 ClusterSim::ClusterSim(const topo::ClusterConfig& cluster, SimOptions options)
     : cluster_(cluster), options_(options), rng_(options.seed),
       use_heap_(options.event_engine == EventEngine::kHeap) {
@@ -118,6 +128,11 @@ StatusOr<int> ClusterSim::AddTenant(const topo::Topology* topology,
   state.exec_base = static_cast<int>(executors_.size());
   state.num_executors = topology->num_executors();
   state.rate_multiplier.assign(topology->num_components(), 1.0);
+  state.service.reserve(topology->num_components());
+  for (int c = 0; c < topology->num_components(); ++c) {
+    const topo::Component& comp = topology->component(c);
+    state.service.emplace_back(comp.service_mean_ms, comp.service_cv);
+  }
   state.window_component_proc.assign(topology->num_components(),
                                      RunningStats());
   state.window_edge_transfer.assign(topology->edges().size(), RunningStats());
@@ -204,7 +219,9 @@ Status ClusterSim::RemoveTenant(int tenant) {
   // events become no-ops through the tenant-active guard.
   for (int i = 0; i < t.num_executors; ++i) {
     ExecutorState& exec = executors_[t.exec_base + i];
-    for (int slot : exec.queue) FreeTupleSlot(slot);
+    for (size_t q = 0; q < exec.queue.size(); ++q) {
+      FreeTupleSlot(exec.queue[q]);
+    }
     exec.queue.clear();
     exec.busy = false;
     exec.serving_machine = -1;
@@ -214,12 +231,9 @@ Status ClusterSim::RemoveTenant(int tenant) {
   }
 
   // Forget the tenant's in-flight roots (the job is gone; nothing to ack).
-  std::vector<uint64_t> gone;
-  for (const auto& [root_id, root] : roots_) {
-    if (root.tenant == tenant) gone.push_back(root_id);
+  for (uint32_t slot = 0; slot < roots_.size(); ++slot) {
+    if (roots_[slot].live && roots_[slot].tenant == tenant) ReleaseRoot(slot);
   }
-  for (uint64_t root_id : gone) roots_.erase(root_id);
-  t.inflight_roots = 0;
   return Status::OK();
 }
 
@@ -682,12 +696,7 @@ void ClusterSim::HandleSpoutEmit(int executor) {
     return;
   }
 
-  const topo::Component& comp = tenant.topology->component(exec.component);
-  const uint64_t root_id = next_root_id_++;
-  RootState root;
-  root.tenant = exec.tenant;
-  root.emit_ms = now_ms_;
-  root.spout_executor = executor;
+  const uint64_t root_id = AllocRoot(exec.tenant);
   ++counters_.roots_emitted;
   ++tenant.counters.roots_emitted;
 
@@ -720,9 +729,8 @@ void ClusterSim::HandleSpoutEmit(int executor) {
       ++children;
     }
   }
-  (void)comp;
-  root.pending = children;
   if (children == 0) {
+    ReleaseRoot(static_cast<uint32_t>(root_id));
     window_latency_.Add(service);
     tenant.window_latency.Add(service);
     ++counters_.roots_completed;
@@ -731,8 +739,7 @@ void ClusterSim::HandleSpoutEmit(int executor) {
     tenant.latency_metric->Record(service);
     return;
   }
-  roots_.emplace(root_id, root);
-  ++tenant.inflight_roots;
+  roots_[static_cast<uint32_t>(root_id)].pending = children;
 }
 
 void ClusterSim::HandleArrive(int tuple_slot) {
@@ -949,11 +956,11 @@ void ClusterSim::FinishService(int executor) {
   const int children =
       EmitDownstream(executor, root_id, exec.current.data, &outputs, now_ms_);
 
-  auto it = roots_.find(root_id);
-  if (it != roots_.end()) {  // May have been failed by the timeout sweep.
-    it->second.pending += children - 1;
-    if (it->second.pending == 0) {
-      CompleteRoot(root_id, it->second.tenant, now_ms_ - it->second.emit_ms);
+  RootState* root = FindRoot(root_id);
+  if (root != nullptr) {  // May have been failed by the timeout sweep.
+    root->pending += children - 1;
+    if (root->pending == 0) {
+      CompleteRoot(static_cast<uint32_t>(root_id), now_ms_ - root->emit_ms);
     }
   }
   StartServiceIfIdle(executor);
@@ -964,19 +971,20 @@ void ClusterSim::HandleMachineCompletion(int machine, int version) {
   if (version != m.completion_version) return;  // Stale event.
   AdvanceMachine(machine);
   // Pull out every executor that has finished its work.
-  std::vector<int> finished;
+  finished_.clear();
   for (size_t i = m.active.size(); i-- > 0;) {
     const int e = m.active[i];
     if (executors_[e].remaining_work_ms <= 1e-9) {
-      finished.push_back(e);
+      finished_.push_back(e);
       m.active.erase(m.active.begin() + i);
     }
   }
   // FinishService may start new services on this machine (re-scheduling the
   // next completion); process completions oldest-scheduled-first for
-  // determinism.
-  for (size_t i = finished.size(); i-- > 0;) {
-    FinishService(finished[i]);
+  // determinism. No handler it reaches re-enters this one, so finished_
+  // stays intact while it is walked.
+  for (size_t i = finished_.size(); i-- > 0;) {
+    FinishService(finished_[i]);
   }
   ScheduleNextCompletion(machine);
 }
@@ -1115,13 +1123,14 @@ void ClusterSim::HandleResume(int executor) {
 }
 
 void ClusterSim::HandleTimeoutSweep() {
-  std::vector<uint64_t> expired;
-  for (const auto& [root_id, root] : roots_) {
-    if (now_ms_ - root.emit_ms > cluster_.ack_timeout_ms) {
-      expired.push_back(root_id);
+  // Failing a root only bumps counters and frees its slot, so the walk
+  // order cannot change the outcome.
+  for (uint32_t slot = 0; slot < roots_.size(); ++slot) {
+    const RootState& root = roots_[slot];
+    if (root.live && now_ms_ - root.emit_ms > cluster_.ack_timeout_ms) {
+      FailRoot(slot);
     }
   }
-  for (uint64_t root_id : expired) FailRoot(root_id);
   Schedule(now_ms_ + 1000.0, EventType::kTimeoutSweep, -1, -1);
 }
 
@@ -1191,8 +1200,8 @@ void ClusterSim::CrashMachine(int machine) {
   // worker loss surfaces — so root conservation holds per tenant.
   for (auto& exec : executors_) {
     if (exec.machine != machine) continue;
-    for (int slot : exec.queue) {
-      FreeTupleSlot(slot);
+    for (size_t q = 0; q < exec.queue.size(); ++q) {
+      FreeTupleSlot(exec.queue[q]);
       ++counters_.tuples_dropped;
       ++tenants_[exec.tenant].counters.tuples_dropped;
       Metrics().tuples_dropped->Add(1);
@@ -1223,34 +1232,63 @@ void ClusterSim::RecoverMachine(int machine) {
   }
 }
 
-void ClusterSim::CompleteRoot(uint64_t root_id, int tenant,
-                              double latency_ms) {
-  TenantState& t = tenants_[tenant];
+uint64_t ClusterSim::AllocRoot(int tenant) {
+  uint32_t slot;
+  if (!free_roots_.empty()) {
+    slot = free_roots_.back();
+    free_roots_.pop_back();
+  } else {
+    slot = static_cast<uint32_t>(roots_.size());
+    roots_.emplace_back();
+  }
+  RootState& root = roots_[slot];
+  root.emit_ms = now_ms_;
+  root.tenant = tenant;
+  root.pending = 0;
+  root.live = true;
+  ++live_roots_;
+  ++tenants_[tenant].inflight_roots;
+  return (uint64_t{root.generation} << 32) | slot;
+}
+
+ClusterSim::RootState* ClusterSim::FindRoot(uint64_t root_id) {
+  RootState& root = roots_[static_cast<uint32_t>(root_id)];
+  return root.live && root.generation == (root_id >> 32) ? &root : nullptr;
+}
+
+void ClusterSim::ReleaseRoot(uint32_t slot) {
+  RootState& root = roots_[slot];
+  root.live = false;
+  --live_roots_;
+  --tenants_[root.tenant].inflight_roots;
+  if (root.generation == std::numeric_limits<uint32_t>::max()) return;
+  ++root.generation;
+  free_roots_.push_back(slot);
+}
+
+void ClusterSim::CompleteRoot(uint32_t slot, double latency_ms) {
+  TenantState& t = tenants_[roots_[slot].tenant];
   window_latency_.Add(latency_ms);
   t.window_latency.Add(latency_ms);
   ++counters_.roots_completed;
   ++t.counters.roots_completed;
   Metrics().tuple_latency_ms->Record(latency_ms);
   t.latency_metric->Record(latency_ms);
-  roots_.erase(root_id);
-  --t.inflight_roots;
+  ReleaseRoot(slot);
 }
 
-void ClusterSim::FailRoot(uint64_t root_id) {
+void ClusterSim::FailRoot(uint32_t slot) {
   // The data source replays failed tuples (Storm's at-least-once recovery);
   // in-flight children of the failed tree are processed but no longer
   // tracked. Replay happens through the regular emission stream: dropping
   // the root here and counting the failure models the latency impact
   // (the replayed tuple re-enters as a fresh root).
-  const auto it = roots_.find(root_id);
-  if (it == roots_.end()) return;
-  TenantState& t = tenants_[it->second.tenant];
+  TenantState& t = tenants_[roots_[slot].tenant];
   ++counters_.roots_failed;
   ++t.counters.roots_failed;
   Metrics().roots_failed->Add(1);
   t.roots_failed_metric->Add(1);
-  roots_.erase(it);
-  --t.inflight_roots;
+  ReleaseRoot(slot);
 }
 
 double ClusterSim::WarmupFactor() const {
@@ -1260,10 +1298,8 @@ double ClusterSim::WarmupFactor() const {
 }
 
 double ClusterSim::SampleServiceWork(int executor) {
-  ExecutorState& exec = executors_[executor];
-  const topo::Component& comp =
-      tenants_[exec.tenant].topology->component(exec.component);
-  return rng_.LogNormalMeanCv(comp.service_mean_ms, comp.service_cv) *
+  const ExecutorState& exec = executors_[executor];
+  return rng_.LogNormalMeanCv(tenants_[exec.tenant].service[exec.component]) *
          WarmupFactor();
 }
 

@@ -1,11 +1,10 @@
 #ifndef DRLSTREAM_SIM_CLUSTER_SIM_H_
 #define DRLSTREAM_SIM_CLUSTER_SIM_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
@@ -76,6 +75,35 @@ struct SimCounters {
   double energy_joules = 0.0;
 };
 
+/// FIFO of ints in a grow-only power-of-two ring. Once it has reached its
+/// peak depth, pushes and pops never touch the heap; libstdc++'s std::deque
+/// allocates and frees a 512-byte block every 128 ints pushed, and holds
+/// its map and one block even while empty. The simulator queues tuple
+/// slots per executor in it.
+class IntFifo {
+ public:
+  bool empty() const { return head_ == tail_; }
+  size_t size() const { return tail_ - head_; }
+  int front() const { return ring_[head_ & mask_]; }
+  /// The i-th element from the front; requires i < size().
+  int operator[](size_t i) const { return ring_[(head_ + i) & mask_]; }
+  void push_back(int value) {
+    if (size() == ring_.size()) Grow();
+    ring_[tail_++ & mask_] = value;
+  }
+  void pop_front() { ++head_; }
+  /// Empties the queue; the ring keeps its capacity.
+  void clear() { head_ = tail_ = 0; }
+
+ private:
+  void Grow();
+
+  std::vector<int> ring_;  // power-of-two size once allocated
+  size_t mask_ = 0;        // ring_.size() - 1
+  size_t head_ = 0;        // pops so far; the front is ring_[head_ & mask_]
+  size_t tail_ = 0;        // pushes so far
+};
+
 /// Shared-cluster discrete-event simulator: one set of machines (cores,
 /// serialized NIC uplinks, fault plan, one event queue and clock) hosting
 /// any number of tenant topologies whose executors contend for the shared
@@ -113,6 +141,8 @@ class ClusterSim {
   /// before Start begin emitting at Start (in registration order, matching
   /// the historical single-topology init); tenants added after Start begin
   /// emitting immediately (a streaming job arrival). Returns the tenant id.
+  /// Component service-time parameters are read here, once; the topology
+  /// and workload must outlive the simulator.
   StatusOr<int> AddTenant(const topo::Topology* topology,
                           const topo::Workload* workload,
                           const sched::Schedule& initial);
@@ -175,7 +205,7 @@ class ClusterSim {
 
   const SimCounters& counters() const { return counters_; }
   const SimCounters& TenantCounters(int tenant) const;
-  int inflight_roots() const { return static_cast<int>(roots_.size()); }
+  int inflight_roots() const { return live_roots_; }
   int TenantInflightRoots(int tenant) const;
 
   /// Current queue depth of each executor (diagnostics / load-aware tests):
@@ -258,7 +288,7 @@ class ClusterSim {
     int serving_machine = -1;  // machine executing its current tuple
     double remaining_work_ms = 0.0;  // CPU time left for the current tuple
     double paused_until_ms = -1.0;
-    std::deque<int> queue;  // tuple slots
+    IntFifo queue;  // tuple slots
     std::unique_ptr<topo::Udf> udf;          // bolts, functional mode
     std::unique_ptr<topo::SpoutSource> source;  // spouts, functional mode
     TupleInstance current;  // tuple being served
@@ -292,11 +322,16 @@ class ClusterSim {
     double dwell_ms[4] = {0.0, 0.0, 0.0, 0.0};  // active/idle/sleep/down
   };
 
+  /// One slot of `roots_`. A root's id is (generation << 32) | slot, and
+  /// the slot's generation advances when the root completes or fails, so a
+  /// late child of a failed root never matches a newer root in the same
+  /// slot.
   struct RootState {
-    int tenant = 0;
-    int pending = 0;
     double emit_ms = 0.0;
-    int spout_executor = -1;  // flat executor id
+    int tenant = 0;
+    int pending = 0;  // child tuples not yet processed
+    uint32_t generation = 0;
+    bool live = false;
   };
 
   struct TenantState {
@@ -308,6 +343,8 @@ class ClusterSim {
     /// Generator multiplier per component (spout entries are the ones
     /// consulted); all 1.0 when no generator is installed.
     std::vector<double> rate_multiplier;
+    /// Service-time law per component, derived at AddTenant.
+    std::vector<LogNormalLaw> service;
     /// Time of the next pending rate-change op (+inf when none).
     double next_rate_change_ms = std::numeric_limits<double>::infinity();
     /// Invalidates stale kRateChange events after a generator swap.
@@ -418,8 +455,16 @@ class ClusterSim {
   /// local-or-shuffle routing.
   void RebuildLocalTargets(int tenant);
 
-  void CompleteRoot(uint64_t root_id, int tenant, double latency_ms);
-  void FailRoot(uint64_t root_id);
+  /// Takes a free `roots_` slot for a root of `tenant` emitted now (pending
+  /// 0), counts it in flight, and returns its id.
+  uint64_t AllocRoot(int tenant);
+  /// The live root `root_id` names, or nullptr once it completed or failed.
+  RootState* FindRoot(uint64_t root_id);
+  /// Ends a root's flight and frees its slot; a slot whose generation would
+  /// wrap is retired instead, so no root id is ever issued twice.
+  void ReleaseRoot(uint32_t slot);
+  void CompleteRoot(uint32_t slot, double latency_ms);
+  void FailRoot(uint32_t slot);
 
   double SampleServiceWork(int executor);
   double WarmupFactor() const;
@@ -444,7 +489,12 @@ class ClusterSim {
   std::vector<TenantState> tenants_;
   std::vector<ExecutorState> executors_;
   std::vector<MachineState> machines_;
-  std::unordered_map<uint64_t, RootState> roots_;
+  /// In-flight roots, indexed by the low half of their id.
+  std::vector<RootState> roots_;
+  std::vector<uint32_t> free_roots_;
+  int live_roots_ = 0;
+  /// HandleMachineCompletion's finished executors (kept for its capacity).
+  std::vector<int> finished_;
 
   CalendarEventQueue calendar_events_;
   BinaryHeapEventQueue heap_events_;
@@ -454,7 +504,6 @@ class ClusterSim {
 
   double now_ms_ = 0.0;
   uint64_t next_seq_ = 0;
-  uint64_t next_root_id_ = 1;
   bool initialized_ = false;
 
   RunningStats window_latency_;

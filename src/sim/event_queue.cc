@@ -48,7 +48,7 @@ CalendarEventQueue::CalendarEventQueue() {
 }
 
 size_t CalendarEventQueue::FindMinBucketSparse() const {
-  const size_t n = buckets_.size();
+  const size_t n = num_buckets();
   size_t best = n;
   for (size_t i = 0; i < n; ++i) {
     if (buckets_[i].empty()) continue;
@@ -66,14 +66,17 @@ size_t CalendarEventQueue::FindMinBucketSparse() const {
 void CalendarEventQueue::Resize(size_t new_bucket_count) {
   new_bucket_count = std::max(new_bucket_count, kMinBuckets);
   resize_tmp_.clear();
-  for (std::vector<Event>& bucket : buckets_) {
-    resize_tmp_.insert(resize_tmp_.end(), bucket.begin(), bucket.end());
-    bucket.clear();
+  for (size_t b = 0; b < num_buckets(); ++b) {
+    resize_tmp_.insert(resize_tmp_.end(), buckets_[b].begin(),
+                       buckets_[b].end());
+    buckets_[b].clear();
   }
   std::sort(resize_tmp_.begin(), resize_tmp_.end(), EventEarlier);
   width_ = WidthFor(resize_tmp_, width_);
   inv_width_ = 1.0 / width_;
-  buckets_.resize(new_bucket_count);
+  // Grow-only storage: a shrink keeps the buckets past the new table (and
+  // their capacity) for the next grow instead of freeing them.
+  if (new_bucket_count > buckets_.size()) buckets_.resize(new_bucket_count);
   mask_ = new_bucket_count - 1;
   min_valid_ = false;
   // Distribute latest-first so every bucket comes out sorted latest-first.

@@ -101,7 +101,8 @@ class BinaryHeapEventQueue final : public EventQueue {
 /// 2*nbuckets] (quarter-occupancy shrink = hysteresis against resize
 /// thrash), re-deriving the width from the median nonzero gap of the
 /// resident events — after warmup at a steady event population, pushes and
-/// pops allocate nothing (bucket capacity is retained).
+/// pops allocate nothing (bucket capacity is retained, also for buckets a
+/// shrink leaves beyond the live table, which the next grow reuses).
 class CalendarEventQueue final : public EventQueue {
  public:
   CalendarEventQueue();
@@ -121,7 +122,7 @@ class CalendarEventQueue final : public EventQueue {
     ++size_;
     min_valid_ = false;
     if (size_ == 1 || vb < scan_vb_) scan_vb_ = vb;
-    if (size_ > 2 * buckets_.size()) Resize(2 * buckets_.size());
+    if (size_ > 2 * num_buckets()) Resize(2 * num_buckets());
   }
 
   const Event& Top() const override { return buckets_[FindMinBucket()].back(); }
@@ -136,8 +137,8 @@ class CalendarEventQueue final : public EventQueue {
     // Shrink only below quarter occupancy: a population oscillating around
     // the grow threshold must not thrash resizes (grow is at 2x buckets,
     // so after halving the count sits safely inside [n/4, 2n]).
-    if (size_ < buckets_.size() / 4 && buckets_.size() > kMinBuckets) {
-      Resize(buckets_.size() / 2);
+    if (size_ < num_buckets() / 4 && num_buckets() > kMinBuckets) {
+      Resize(num_buckets() / 2);
     }
   }
 
@@ -146,6 +147,9 @@ class CalendarEventQueue final : public EventQueue {
 
  private:
   static constexpr size_t kMinBuckets = 8;
+
+  /// Live table size; buckets_ may hold more (empty) buckets past it.
+  size_t num_buckets() const { return mask_ + 1; }
 
   long long VirtualBucket(double time_ms) const {
     return static_cast<long long>(time_ms * inv_width_);
@@ -156,7 +160,7 @@ class CalendarEventQueue final : public EventQueue {
   size_t FindMinBucket() const {
     DRLSTREAM_CHECK_GT(size_, 0u);
     if (min_valid_) return cached_min_bucket_;
-    const size_t n = buckets_.size();
+    const size_t n = num_buckets();
     // Fast path: walk one year of virtual buckets from the scan cursor.
     // The cursor invariant (no pending event has vb < scan_vb_) plus the
     // monotonicity of VirtualBucket mean the first head event whose vb
@@ -179,9 +183,10 @@ class CalendarEventQueue final : public EventQueue {
   size_t FindMinBucketSparse() const;
   void Resize(size_t new_bucket_count);
 
-  std::vector<std::vector<Event>> buckets_;  // each sorted latest-first
+  /// The first num_buckets() form the table, each sorted latest-first.
+  std::vector<std::vector<Event>> buckets_;
   size_t size_ = 0;
-  size_t mask_ = 0;        // buckets_.size() - 1 (power-of-two table)
+  size_t mask_ = 0;        // num_buckets() - 1 (power-of-two table)
   double width_ = 1.0;
   double inv_width_ = 1.0;
   /// Year-scan cursor: the next pop starts at virtual bucket scan_vb_.

@@ -1,9 +1,12 @@
-// Steady-state allocation regression tests for the decision path. This
-// binary links common/alloc_hooks.cc (counting operator new), so the
-// thread-local counters observe every heap allocation the agents make.
-// After a warmup that sizes the per-agent workspaces, SelectActionInto and
-// GreedyActionInto must allocate NOTHING — the control loop calls them once
-// per scheduling decision and the paper's 20-minute runs make thousands.
+// Steady-state allocation regression tests for the decision path and the
+// simulator. This binary links common/alloc_hooks.cc (counting operator
+// new), so the thread-local counters observe every heap allocation the
+// agents and the simulator make. After a warmup that sizes the per-agent
+// workspaces, SelectActionInto and GreedyActionInto must allocate NOTHING —
+// the control loop calls them once per scheduling decision and the paper's
+// 20-minute runs make thousands. The simulator's event loop, which runs
+// every offline sample and online epoch, must stay (almost) off the heap
+// once its queues, pools and tables have grown to their working size.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +18,9 @@
 #include "rl/dqn_agent.h"
 #include "rl/policy.h"
 #include "rl/state.h"
+#include "sched/scheduler.h"
+#include "sim/simulator.h"
+#include "topo/apps.h"
 
 namespace drlstream {
 namespace {
@@ -100,6 +106,46 @@ TEST(AllocTest, DqnGreedyActionIntoIsAllocationFreeAfterWarmup) {
     ASSERT_TRUE(agent.GreedyActionInto(state, &out).ok());
   });
   EXPECT_EQ(allocs, 0u);
+}
+
+/// Runs `app` (seed 7, round-robin) for two simulated seconds of warm-up;
+/// the simulated second after that must make fewer than one allocation per
+/// 1000 events processed. What remains is growth (a queue or bucket
+/// reaching a new peak depth), not per-event traffic.
+void ExpectSteadySimSecondOffTheHeap(const topo::App& app,
+                                     long long min_events) {
+  topo::ClusterConfig cluster;
+  sched::RoundRobinScheduler scheduler;
+  sched::SchedulingContext context;
+  context.topology = &app.topology;
+  context.cluster = &cluster;
+  context.spout_rates =
+      app.workload.RatesVector(app.topology.SpoutComponents(), 0.0);
+  auto schedule = scheduler.ComputeSchedule(context);
+  ASSERT_TRUE(schedule.ok());
+  sim::SimOptions options;
+  options.seed = 7;
+  sim::Simulator simulator(&app.topology, &app.workload, cluster, options);
+  ASSERT_TRUE(simulator.Init(*schedule).ok());
+  simulator.RunFor(2000.0);
+  const long long events_before = simulator.counters().events_processed;
+  const AllocCounters before = ReadAllocCounters();
+  simulator.RunFor(1000.0);
+  const size_t allocations = AllocDelta(before).allocations;
+  const long long events =
+      simulator.counters().events_processed - events_before;
+  EXPECT_GT(events, min_events);
+  EXPECT_LT(static_cast<long long>(allocations) * 1000, events)
+      << allocations << " allocations for " << events << " events";
+}
+
+TEST(AllocTest, SimulatorWordCountSteadyStateStaysOffTheHeap) {
+  ExpectSteadySimSecondOffTheHeap(topo::BuildWordCount(), 100000);
+}
+
+TEST(AllocTest, SimulatorCqLargeSteadyStateStaysOffTheHeap) {
+  ExpectSteadySimSecondOffTheHeap(
+      topo::BuildContinuousQueries(topo::Scale::kLarge), 10000);
 }
 
 }  // namespace

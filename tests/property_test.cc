@@ -5,6 +5,7 @@
 
 #include <fstream>
 #include <numeric>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -91,6 +92,13 @@ struct AppCase {
   bool functional;
 };
 
+// Prints a case as "<app>_<mode>", which ctest uses as the test's name.
+// Without it gtest dumps the struct's raw bytes, the string's heap pointer
+// included, and the name changes with every build.
+void PrintTo(const AppCase& app_case, std::ostream* os) {
+  *os << app_case.name << (app_case.functional ? "_functional" : "_timing");
+}
+
 class ApplicationSmokeTest : public testing::TestWithParam<AppCase> {
  protected:
   topo::App Build() {
@@ -141,11 +149,7 @@ INSTANTIATE_TEST_SUITE_P(
     testing::Values(AppCase{"cq_small", false}, AppCase{"cq_small", true},
                     AppCase{"cq_medium", false}, AppCase{"cq_large", false},
                     AppCase{"log", false}, AppCase{"log", true},
-                    AppCase{"wc", false}, AppCase{"wc", true}),
-    [](const testing::TestParamInfo<AppCase>& info) {
-      return info.param.name +
-             (info.param.functional ? "_functional" : "_timing");
-    });
+                    AppCase{"wc", false}, AppCase{"wc", true}));
 
 // ---------------------------------------------------------------------------
 // K-NN solver invariants across a size sweep.

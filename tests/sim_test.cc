@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <deque>
+
 #include "common/rng.h"
 #include "sched/schedule.h"
 #include "sched/scheduler.h"
@@ -213,6 +215,31 @@ TEST(SimulatorTest, OverloadedExecutorBacklogsAndThrottles) {
   EXPECT_LE(simulator.inflight_roots(), 500);
 }
 
+// Executor queues are IntFifo rings: growth must unroll a wrapped ring in
+// FIFO order.
+TEST(IntFifoTest, GrowingAWrappedRingKeepsFifoOrder) {
+  IntFifo fifo;
+  std::deque<int> reference;
+  int next = 0;
+  for (int round = 0; round < 100; ++round) {
+    for (int i = 0; i < 3; ++i) {
+      fifo.push_back(next);
+      reference.push_back(next++);
+    }
+    ASSERT_EQ(fifo.front(), reference.front());
+    fifo.pop_front();
+    reference.pop_front();
+    ASSERT_EQ(fifo.size(), reference.size());
+    for (size_t i = 0; i < reference.size(); ++i) {
+      ASSERT_EQ(fifo[i], reference[i]) << "round " << round;
+    }
+  }
+  fifo.clear();
+  EXPECT_TRUE(fifo.empty());
+  fifo.push_back(7);
+  EXPECT_EQ(fifo.front(), 7);
+}
+
 TEST(SimulatorTest, ProcessorSharingConservesMachineCapacity) {
   // 4 executors of deterministic 1ms service on one 2-core machine, fed
   // 2800 tuples/s: combined throughput must approach the machine capacity
@@ -370,6 +397,17 @@ TEST(SimulatorTest, AckTimeoutFailsStuckTuples) {
   ASSERT_TRUE(simulator.Init(AllOnMachine(topology, 0, 4)).ok());
   simulator.RunFor(10000.0);
   EXPECT_GT(simulator.counters().roots_failed, 100);
+  // Exact trajectory. Roots that time out still have children queued at
+  // the bolt, and the processing of such a child looks up a root id whose
+  // slot a newer root may hold by then: were the stale id to match it, that
+  // root would complete early and every value below would move.
+  const SimCounters& counters = simulator.counters();
+  EXPECT_EQ(counters.roots_emitted, 7951);
+  EXPECT_EQ(counters.roots_completed, 609);
+  EXPECT_EQ(counters.roots_failed, 5730);
+  EXPECT_EQ(counters.tuples_processed, 1999);
+  EXPECT_EQ(simulator.inflight_roots(), 1612);
+  EXPECT_EQ(simulator.WindowAvgLatencyMs(), 1156.0247953517055);
 }
 
 // ---------------------------------------------------------------------------
