@@ -5,8 +5,8 @@
 
 #include "common/alloc_hooks.h"
 #include "sched/scheduler.h"
+#include "sim/cluster_sim.h"
 #include "sim/faults.h"
-#include "sim/simulator.h"
 #include "topo/apps.h"
 
 using namespace drlstream;
@@ -40,8 +40,10 @@ void RunSim(benchmark::State& state, topo::App app,
     sim::SimOptions options;
     options.seed = 7;
     options.event_engine = engine;
-    sim::Simulator simulator(&app.topology, &app.workload, cluster, options);
-    auto st = simulator.Init(*schedule);
+    sim::ClusterSim simulator(cluster, options);
+    Status st = simulator.AddTenant(&app.topology, &app.workload, *schedule)
+                    .status();
+    if (st.ok()) st = simulator.Start();
     if (!st.ok()) state.SkipWithError(st.ToString().c_str());
     simulator.RunFor(1000.0);  // one simulated second
     events += simulator.counters().events_processed;
@@ -102,10 +104,13 @@ static void BM_SimFaultReplay(benchmark::State& state) {
   for (auto _ : state) {
     sim::SimOptions options;
     options.seed = 7;
-    sim::Simulator simulator(&app.topology, &app.workload, cluster, options);
-    auto install = simulator.InstallFaultPlan(plan);
-    if (!install.ok()) state.SkipWithError(install.ToString().c_str());
-    auto st = simulator.Init(*schedule);
+    sim::ClusterSim simulator(cluster, options);
+    Status st = simulator.InstallFaultPlan(plan);
+    if (st.ok()) {
+      st = simulator.AddTenant(&app.topology, &app.workload, *schedule)
+               .status();
+    }
+    if (st.ok()) st = simulator.Start();
     if (!st.ok()) state.SkipWithError(st.ToString().c_str());
     simulator.RunFor(1000.0);  // one simulated second
     events += simulator.counters().events_processed;

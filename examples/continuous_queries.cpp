@@ -11,7 +11,7 @@
 
 #include "common/flags.h"
 #include "sched/scheduler.h"
-#include "sim/simulator.h"
+#include "sim/cluster_sim.h"
 #include "topo/apps.h"
 
 using namespace drlstream;
@@ -47,8 +47,7 @@ int main(int argc, char** argv) {
   sim::SimOptions sim_options;
   sim_options.functional = true;
   sim_options.seed = static_cast<uint64_t>(flags.GetInt("seed", 5));
-  sim::Simulator simulator(&app.topology, &app.workload, cluster,
-                           sim_options);
+  sim::ClusterSim simulator(cluster, sim_options);
   sched::RoundRobinScheduler scheduler(/*workers_per_machine=*/1);
   sched::SchedulingContext context;
   context.topology = &app.topology;
@@ -60,7 +59,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", schedule.status().ToString().c_str());
     return 1;
   }
-  if (auto st = simulator.Init(*schedule); !st.ok()) {
+  Status st = simulator.AddTenant(&app.topology, &app.workload, *schedule)
+                  .status();
+  if (st.ok()) st = simulator.Start();
+  if (!st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
     return 1;
   }
@@ -77,13 +79,13 @@ int main(int argc, char** argv) {
               simulator.WindowAvgLatencyMs());
 
   std::printf("\nper-component mean processing delay (queue + service):\n");
-  const std::vector<double> proc = simulator.WindowComponentProcMs();
+  const std::vector<double> proc = simulator.TenantWindowComponentProcMs(0);
   for (int c = 0; c < app.topology.num_components(); ++c) {
     std::printf("  %-8s %.3f ms\n", app.topology.component(c).name.c_str(),
                 proc[c]);
   }
   std::printf("\nper-edge mean transfer delay:\n");
-  const std::vector<double> transfer = simulator.WindowEdgeTransferMs();
+  const std::vector<double> transfer = simulator.TenantWindowEdgeTransferMs(0);
   for (size_t e = 0; e < app.topology.edges().size(); ++e) {
     const topo::StreamEdge& edge = app.topology.edges()[e];
     std::printf("  %s -> %s: %.3f ms\n",

@@ -13,7 +13,7 @@
 #include "core/offline.h"
 #include "sched/model_based.h"
 #include "sched/scheduler.h"
-#include "sim/simulator.h"
+#include "sim/cluster_sim.h"
 #include "topo/apps.h"
 
 using namespace drlstream;
@@ -27,8 +27,11 @@ double Measure(const topo::App& app, const topo::ClusterConfig& cluster,
   sim::SimOptions options;
   options.functional = true;
   options.seed = seed;
-  sim::Simulator simulator(&app.topology, &app.workload, cluster, options);
-  if (auto st = simulator.Init(schedule); !st.ok()) {
+  sim::ClusterSim simulator(cluster, options);
+  Status st = simulator.AddTenant(&app.topology, &app.workload, schedule)
+                  .status();
+  if (st.ok()) st = simulator.Start();
+  if (!st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
     return -1.0;
   }

@@ -12,7 +12,7 @@
 
 #include "common/flags.h"
 #include "sched/scheduler.h"
-#include "sim/simulator.h"
+#include "sim/cluster_sim.h"
 #include "topo/apps.h"
 
 using namespace drlstream;
@@ -36,8 +36,7 @@ int main(int argc, char** argv) {
   sim::SimOptions sim_options;
   sim_options.functional = true;
   sim_options.seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
-  sim::Simulator simulator(&app.topology, &app.workload, cluster,
-                           sim_options);
+  sim::ClusterSim simulator(cluster, sim_options);
 
   // Deploy with one worker process per machine (the paper's constraint).
   sched::RoundRobinScheduler scheduler(/*workers_per_machine=*/1);
@@ -51,7 +50,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", schedule.status().ToString().c_str());
     return 1;
   }
-  if (auto st = simulator.Init(*schedule); !st.ok()) {
+  Status st = simulator.AddTenant(&app.topology, &app.workload, *schedule)
+                  .status();
+  if (st.ok()) st = simulator.Start();
+  if (!st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
     return 1;
   }

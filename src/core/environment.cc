@@ -25,7 +25,7 @@ Status SchedulingEnvironment::SetWorkloadGenerator(
     const workload::WorkloadGenerator* generator) {
   generator_ = generator;
   if (simulator_ != nullptr) {
-    return simulator_->SetWorkloadGenerator(generator);
+    return simulator_->SetTenantWorkloadGenerator(0, generator);
   }
   return Status::OK();
 }
@@ -33,15 +33,20 @@ Status SchedulingEnvironment::SetWorkloadGenerator(
 Status SchedulingEnvironment::Reset(const sched::Schedule& initial) {
   sim::SimOptions options = sim_options_;
   options.seed = next_sim_seed_++;
-  simulator_ = std::make_unique<sim::Simulator>(topology_, &workload_,
-                                                cluster_, options);
+  simulator_.reset();
+  auto simulator = std::make_unique<sim::ClusterSim>(cluster_, options);
   if (!fault_plan_.empty()) {
-    DRLSTREAM_RETURN_NOT_OK(simulator_->InstallFaultPlan(fault_plan_));
+    DRLSTREAM_RETURN_NOT_OK(simulator->InstallFaultPlan(fault_plan_));
   }
+  DRLSTREAM_RETURN_NOT_OK(
+      simulator->AddTenant(topology_, &workload_, initial).status());
   if (generator_ != nullptr) {
-    DRLSTREAM_RETURN_NOT_OK(simulator_->SetWorkloadGenerator(generator_));
+    DRLSTREAM_RETURN_NOT_OK(
+        simulator->SetTenantWorkloadGenerator(0, generator_));
   }
-  return simulator_->Init(initial);
+  DRLSTREAM_RETURN_NOT_OK(simulator->Start());
+  simulator_ = std::move(simulator);
+  return Status::OK();
 }
 
 StatusOr<double> SchedulingEnvironment::DeployAndMeasure(
@@ -51,7 +56,7 @@ StatusOr<double> SchedulingEnvironment::DeployAndMeasure(
   }
   const double joules_before = simulator_->TotalJoules();
   const double measure_start_ms = simulator_->now_ms();
-  DRLSTREAM_RETURN_NOT_OK(simulator_->Migrate(schedule));
+  DRLSTREAM_RETURN_NOT_OK(simulator_->Migrate(0, schedule));
   simulator_->RunFor(measurement_.stabilize_ms);
 
   double weighted_sum = 0.0;
@@ -65,8 +70,10 @@ StatusOr<double> SchedulingEnvironment::DeployAndMeasure(
         static_cast<double>(simulator_->window_latency().count());
     weighted_sum += simulator_->WindowAvgLatencyMs() * count;
     total_count += count;
-    const std::vector<double> proc = simulator_->WindowComponentProcMs();
-    const std::vector<double> edges = simulator_->WindowEdgeTransferMs();
+    const std::vector<double> proc =
+        simulator_->TenantWindowComponentProcMs(0);
+    const std::vector<double> edges =
+        simulator_->TenantWindowEdgeTransferMs(0);
     for (size_t i = 0; i < proc.size(); ++i) proc_acc[i] += proc[i];
     for (size_t i = 0; i < edges.size(); ++i) edge_acc[i] += edges[i];
   }
@@ -94,12 +101,12 @@ StatusOr<double> SchedulingEnvironment::DeployAndMeasure(
 rl::State SchedulingEnvironment::CurrentState() const {
   DRLSTREAM_CHECK(simulator_ != nullptr);
   rl::State state;
-  state.assignments = simulator_->schedule().assignments();
+  state.assignments = simulator_->TenantSchedule(0).assignments();
   // With a generator installed the agent observes the modulated (effective)
   // rates; without one this is exactly the historical workload read.
   state.spout_rates =
       generator_ != nullptr
-          ? simulator_->EffectiveSpoutRates()
+          ? simulator_->TenantEffectiveSpoutRates(0)
           : workload_.RatesVector(topology_->SpoutComponents(),
                                   simulator_->now_ms());
   if (!fault_plan_.empty()) {
@@ -122,7 +129,7 @@ void SchedulingEnvironment::SetWorkloadFactor(double factor) {
 
 const sched::Schedule& SchedulingEnvironment::current_schedule() const {
   DRLSTREAM_CHECK(simulator_ != nullptr);
-  return simulator_->schedule();
+  return simulator_->TenantSchedule(0);
 }
 
 }  // namespace drlstream::core

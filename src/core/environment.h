@@ -7,7 +7,8 @@
 #include "common/status.h"
 #include "rl/state.h"
 #include "sched/schedule.h"
-#include "sim/simulator.h"
+#include "sim/cluster_sim.h"
+#include "sim/faults.h"
 #include "topo/apps.h"
 #include "topo/cluster.h"
 #include "topo/topology.h"
@@ -31,7 +32,8 @@ struct MeasurementConfig {
 /// the paper's DRL agent has to Storm — deploy a scheduling solution, wait,
 /// and read back the measured average tuple processing time (negated as the
 /// reward). Also exposes the detailed per-component statistics the
-/// model-based baseline trains on.
+/// model-based baseline trains on. The topology runs as tenant 0 of a
+/// private ClusterSim.
 class SchedulingEnvironment {
  public:
   SchedulingEnvironment(const topo::Topology* topology,
@@ -50,7 +52,7 @@ class SchedulingEnvironment {
   Status SetWorkloadGenerator(const workload::WorkloadGenerator* generator);
 
   /// Starts a fresh simulator with `initial` deployed (and the installed
-  /// fault plan, if any).
+  /// fault plan, if any). On failure the environment is left un-reset.
   Status Reset(const sched::Schedule& initial);
 
   /// Deploys `schedule` (incremental migration), waits for stabilization,
@@ -83,7 +85,9 @@ class SchedulingEnvironment {
   /// energy term of the reward: reward = -latency - lambda * power.
   double last_avg_power_watts() const { return last_avg_power_watts_; }
 
-  sim::Simulator* simulator() { return simulator_.get(); }
+  /// The live simulator (null before a successful Reset); the topology is
+  /// its tenant 0.
+  sim::ClusterSim* simulator() { return simulator_.get(); }
   const topo::Topology& topology() const { return *topology_; }
   const topo::ClusterConfig& cluster() const { return cluster_; }
   const topo::Workload& workload() const { return workload_; }
@@ -99,7 +103,7 @@ class SchedulingEnvironment {
   MeasurementConfig measurement_;
   sim::FaultPlan fault_plan_;
   const workload::WorkloadGenerator* generator_ = nullptr;
-  std::unique_ptr<sim::Simulator> simulator_;
+  std::unique_ptr<sim::ClusterSim> simulator_;
   std::vector<double> last_component_proc_;
   std::vector<double> last_edge_transfer_;
   double last_avg_power_watts_ = 0.0;

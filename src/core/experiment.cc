@@ -8,7 +8,6 @@
 #include "common/stats.h"
 #include "core/offline.h"
 #include "core/scenario.h"
-#include "sim/simulator.h"
 #include "workload/generator.h"
 
 namespace drlstream::core {
@@ -158,6 +157,40 @@ StatusOr<TrainedMethods> TrainAllMethods(const topo::Topology* topology,
   return out;
 }
 
+StatusOr<std::unique_ptr<sim::ClusterSim>> StartSeriesSimulator(
+    const topo::Topology& topology, const topo::Workload& workload,
+    const topo::ClusterConfig& cluster, const SeriesOptions& options,
+    const sim::FaultPlan& plan, const workload::WorkloadGenerator* generator) {
+  sim::SimOptions sim_options;
+  sim_options.seed = options.seed;
+  sim_options.functional = options.functional;
+  sim_options.warmup_extra = options.warmup_extra;
+  sim_options.warmup_tau_ms = options.warmup_tau_min * options.minute_ms;
+  sim_options.event_engine = options.event_engine;
+  auto simulator = std::make_unique<sim::ClusterSim>(cluster, sim_options);
+  if (!plan.empty()) DRLSTREAM_RETURN_NOT_OK(simulator->InstallFaultPlan(plan));
+
+  // The system was running under the default (round-robin, multi-process)
+  // deployment before the scheduler under test takes over.
+  sched::RoundRobinScheduler default_scheduler;
+  sched::SchedulingContext default_context;
+  default_context.topology = &topology;
+  default_context.cluster = &cluster;
+  default_context.spout_rates =
+      workload.RatesVector(topology.SpoutComponents(), 0.0);
+  DRLSTREAM_ASSIGN_OR_RETURN(
+      const sched::Schedule previous,
+      default_scheduler.ComputeSchedule(default_context));
+  DRLSTREAM_RETURN_NOT_OK(
+      simulator->AddTenant(&topology, &workload, previous).status());
+  if (generator != nullptr) {
+    DRLSTREAM_RETURN_NOT_OK(
+        simulator->SetTenantWorkloadGenerator(0, generator));
+  }
+  DRLSTREAM_RETURN_NOT_OK(simulator->Start());
+  return simulator;
+}
+
 StatusOr<std::vector<double>> MeasureLatencySeries(
     const topo::Topology& topology, const topo::Workload& workload,
     const topo::ClusterConfig& cluster, const sched::Schedule& schedule,
@@ -168,35 +201,21 @@ StatusOr<std::vector<double>> MeasureLatencySeries(
   if (options.measure_window_ms > options.minute_ms) {
     return Status::InvalidArgument("measure window exceeds the minute");
   }
-  sim::SimOptions sim_options;
-  sim_options.seed = options.seed;
-  sim_options.functional = options.functional;
-  sim_options.warmup_extra = options.warmup_extra;
-  sim_options.warmup_tau_ms = options.warmup_tau_min * options.minute_ms;
-  sim_options.event_engine = options.event_engine;
-
-  sim::Simulator simulator(&topology, &workload, cluster, sim_options);
-  // The system was running under the default (round-robin, multi-process)
-  // deployment; the solution under test is deployed at reported time 0.
-  sched::RoundRobinScheduler default_scheduler;
-  sched::SchedulingContext default_context;
-  default_context.topology = &topology;
-  default_context.cluster = &cluster;
-  default_context.spout_rates =
-      workload.RatesVector(topology.SpoutComponents(), 0.0);
-  DRLSTREAM_ASSIGN_OR_RETURN(sched::Schedule previous,
-                             default_scheduler.ComputeSchedule(default_context));
-  DRLSTREAM_RETURN_NOT_OK(simulator.Init(previous));
-  simulator.RunFor(options.pre_roll_ms);
-  DRLSTREAM_RETURN_NOT_OK(simulator.Migrate(schedule));
+  // The solution under test is deployed at reported time 0.
+  DRLSTREAM_ASSIGN_OR_RETURN(
+      const std::unique_ptr<sim::ClusterSim> simulator,
+      StartSeriesSimulator(topology, workload, cluster, options,
+                           sim::FaultPlan(), nullptr));
+  simulator->RunFor(options.pre_roll_ms);
+  DRLSTREAM_RETURN_NOT_OK(simulator->Migrate(0, schedule));
 
   std::vector<double> series;
   series.reserve(options.points);
   for (int p = 0; p < options.points; ++p) {
-    simulator.RunFor(options.minute_ms - options.measure_window_ms);
-    simulator.ResetWindow();
-    simulator.RunFor(options.measure_window_ms);
-    series.push_back(simulator.WindowAvgLatencyMs());
+    simulator->RunFor(options.minute_ms - options.measure_window_ms);
+    simulator->ResetWindow();
+    simulator->RunFor(options.measure_window_ms);
+    series.push_back(simulator->WindowAvgLatencyMs());
   }
   return series;
 }
@@ -280,26 +299,10 @@ StatusOr<FaultRunResult> MeasureFaultSeries(const topo::Topology& topology,
   const double total_end_ms =
       series_opts.pre_roll_ms + series_opts.points * series_opts.minute_ms;
 
-  sim::SimOptions sim_options;
-  sim_options.seed = series_opts.seed;
-  sim_options.functional = series_opts.functional;
-  sim_options.warmup_extra = series_opts.warmup_extra;
-  sim_options.warmup_tau_ms =
-      series_opts.warmup_tau_min * series_opts.minute_ms;
-  sim_options.event_engine = series_opts.event_engine;
-
-  sim::Simulator simulator(&topology, &workload, cluster, sim_options);
-  DRLSTREAM_RETURN_NOT_OK(simulator.InstallFaultPlan(options.plan));
-  sched::RoundRobinScheduler default_scheduler;
-  sched::SchedulingContext default_context;
-  default_context.topology = &topology;
-  default_context.cluster = &cluster;
-  default_context.spout_rates =
-      workload.RatesVector(topology.SpoutComponents(), 0.0);
   DRLSTREAM_ASSIGN_OR_RETURN(
-      sched::Schedule previous,
-      default_scheduler.ComputeSchedule(default_context));
-  DRLSTREAM_RETURN_NOT_OK(simulator.Init(previous));
+      const std::unique_ptr<sim::ClusterSim> simulator,
+      StartSeriesSimulator(topology, workload, cluster, series_opts,
+                           options.plan, nullptr));
 
   FaultRunResult result;
   result.timeline = options.plan.events();
@@ -349,10 +352,10 @@ StatusOr<FaultRunResult> MeasureFaultSeries(const topo::Topology& topology,
     context.topology = &topology;
     context.cluster = &cluster;
     context.spout_rates =
-        workload.RatesVector(topology.SpoutComponents(), simulator.now_ms());
-    const sched::Schedule current = simulator.schedule();
+        workload.RatesVector(topology.SpoutComponents(), simulator->now_ms());
+    const sched::Schedule current = simulator->TenantSchedule(0);
     context.current = &current;
-    const std::vector<uint8_t> mask = simulator.MachineUpMask();
+    const std::vector<uint8_t> mask = simulator->MachineUpMask();
     const bool degraded = topo::AliveCount(mask) < cluster.num_machines;
     if (degraded) context.machine_up = mask;
     StatusOr<sched::Schedule> next_or = scheduler->ComputeSchedule(context);
@@ -365,7 +368,7 @@ StatusOr<FaultRunResult> MeasureFaultSeries(const topo::Topology& topology,
     }
     if (degraded) next = sched::RepairToAliveMachines(next, mask);
     const int moved = next.DiffCount(current);
-    if (moved > 0) DRLSTREAM_RETURN_NOT_OK(simulator.Migrate(next));
+    if (moved > 0) DRLSTREAM_RETURN_NOT_OK(simulator->Migrate(0, next));
     return moved;
   };
 
@@ -378,13 +381,13 @@ StatusOr<FaultRunResult> MeasureFaultSeries(const topo::Topology& topology,
   phase.start_ms = 0.0;
   double phase_sum = 0.0;
   long long phase_count = 0;
-  sim::SimCounters phase_base = simulator.counters();
+  sim::SimCounters phase_base = simulator->counters();
 
   const auto close_phase = [&](double end_ms) {
     phase.end_ms = end_ms;
     phase.avg_latency_ms =
         phase_count > 0 ? phase_sum / static_cast<double>(phase_count) : 0.0;
-    const sim::SimCounters& c = simulator.counters();
+    const sim::SimCounters& c = simulator->counters();
     phase.roots_completed = c.roots_completed - phase_base.roots_completed;
     phase.roots_failed = c.roots_failed - phase_base.roots_failed;
     phase.tuples_dropped = c.tuples_dropped - phase_base.tuples_dropped;
@@ -397,25 +400,25 @@ StatusOr<FaultRunResult> MeasureFaultSeries(const topo::Topology& topology,
     phase.start_ms = start_ms;
     phase.executors_moved = executors_moved;
     phase.dead_machines =
-        cluster.num_machines - topo::AliveCount(simulator.MachineUpMask());
+        cluster.num_machines - topo::AliveCount(simulator->MachineUpMask());
     phase_sum = 0.0;
     phase_count = 0;
-    phase_base = simulator.counters();
+    phase_base = simulator->counters();
   };
 
-  simulator.ResetWindow();
+  simulator->ResetWindow();
   for (const Boundary& boundary : boundaries) {
-    simulator.RunUntil(boundary.time_ms);
+    simulator->RunUntil(boundary.time_ms);
     const long long seg_count =
-        static_cast<long long>(simulator.window_latency().count());
-    const double seg_sum = simulator.WindowAvgLatencyMs() * seg_count;
+        static_cast<long long>(simulator->window_latency().count());
+    const double seg_sum = simulator->WindowAvgLatencyMs() * seg_count;
     phase_sum += seg_sum;
     phase_count += seg_count;
     if (boundary.time_ms > series_opts.pre_roll_ms) {
       point_sum += seg_sum;
       point_count += seg_count;
     }
-    simulator.ResetWindow();
+    simulator->ResetWindow();
 
     switch (boundary.kind) {
       case BoundaryKind::kPreRollEnd: {
@@ -446,7 +449,7 @@ StatusOr<FaultRunResult> MeasureFaultSeries(const topo::Topology& topology,
           phase.executors_moved += moved;
           phase.dead_machines =
               cluster.num_machines -
-              topo::AliveCount(simulator.MachineUpMask());
+              topo::AliveCount(simulator->MachineUpMask());
         } else {
           close_phase(boundary.time_ms);
           open_phase(boundary.time_ms, label, moved);
@@ -457,10 +460,10 @@ StatusOr<FaultRunResult> MeasureFaultSeries(const topo::Topology& topology,
   }
   close_phase(total_end_ms);
 
-  result.final_counters = simulator.counters();
-  result.final_machine_up = simulator.MachineUpMask();
-  result.final_machine_executors = simulator.MachineExecutorCounts();
-  result.executors_on_dead_machines = simulator.ExecutorsOnDeadMachines();
+  result.final_counters = simulator->counters();
+  result.final_machine_up = simulator->MachineUpMask();
+  result.final_machine_executors = simulator->MachineExecutorCounts();
+  result.executors_on_dead_machines = simulator->ExecutorsOnDeadMachines();
   if (obs::MetricsEnabled()) {
     result.metrics = obs::MetricsRegistry::Get().Snapshot();
   }

@@ -101,6 +101,15 @@ struct SeriesOptions {
   sim::EventEngine event_engine = sim::EventEngine::kCalendar;
 };
 
+/// Starts the simulator a series runs on, seeded and warmed up as `options`
+/// says: `topology` is tenant 0 under the default round-robin deployment the
+/// system ran before the solution under test, with `plan` (may be empty)
+/// and `generator` (may be null) installed.
+StatusOr<std::unique_ptr<sim::ClusterSim>> StartSeriesSimulator(
+    const topo::Topology& topology, const topo::Workload& workload,
+    const topo::ClusterConfig& cluster, const SeriesOptions& options,
+    const sim::FaultPlan& plan, const workload::WorkloadGenerator* generator);
+
 /// Deploys `schedule` on a freshly started system (previously running the
 /// default round-robin deployment) and returns the per-minute average tuple
 /// processing time series, ms.

@@ -42,6 +42,12 @@ const OnlineMetrics& Metrics() {
   return metrics;
 }
 
+/// Degradation bounds for failed action selection: up to kMaxActionRetries
+/// re-attempts, retry k after a simulated-time backoff of
+/// k * kActionRetryBackoffMs, then fall back to the current schedule.
+constexpr int kMaxActionRetries = 3;
+constexpr double kActionRetryBackoffMs = 500.0;
+
 /// Counts the executors `action` places on dead machines and, when there
 /// are any, repairs the action onto live machines. Returns the number of
 /// orphans repaired (0 leaves the action untouched).
@@ -63,9 +69,6 @@ StatusOr<OnlineResult> RunOnline(rl::Policy* policy,
   if (options.epochs <= 0) {
     return Status::InvalidArgument("epochs must be positive");
   }
-  if (options.max_action_retries < 0 || options.action_retry_backoff_ms < 0) {
-    return Status::InvalidArgument("retry policy must be non-negative");
-  }
   if (options.energy_lambda < 0.0) {
     return Status::InvalidArgument("energy_lambda must be non-negative");
   }
@@ -77,8 +80,9 @@ StatusOr<OnlineResult> RunOnline(rl::Policy* policy,
   OnlineResult result;
   result.rewards.reserve(options.epochs);
 
-  // Best solution measured during learning; a practical controller deploys
-  // the policy's final solution only if it does not regress against this.
+  // Best solution measured during learning, ranked by measured (uncapped)
+  // latency; a practical controller deploys the policy's final solution
+  // only if it does not regress against this.
   sched::Schedule best_seen(env->num_executors(), env->num_machines());
   double best_seen_latency = std::numeric_limits<double>::infinity();
 
@@ -90,13 +94,13 @@ StatusOr<OnlineResult> RunOnline(rl::Policy* policy,
     StatusOr<rl::PolicyAction> action_or =
         policy->SelectAction(state, epsilon.Value(t), &rng);
     int retries = 0;
-    while (!action_or.ok() && retries < options.max_action_retries) {
+    while (!action_or.ok() && retries < kMaxActionRetries) {
       ++retries;
       DRLSTREAM_LOG(kWarning)
           << policy->name() << " action selection failed ("
           << action_or.status().ToString() << "); retry " << retries << "/"
-          << options.max_action_retries << " after backoff";
-      env->simulator()->RunFor(options.action_retry_backoff_ms * retries);
+          << kMaxActionRetries << " after backoff";
+      env->simulator()->RunFor(kActionRetryBackoffMs * retries);
       state = env->CurrentState();
       action_or = policy->SelectAction(state, epsilon.Value(t), &rng);
     }
@@ -127,15 +131,15 @@ StatusOr<OnlineResult> RunOnline(rl::Policy* policy,
       DRLSTREAM_ASSIGN_OR_RETURN(latency, env->DeployAndMeasure(action));
     }
     Metrics().epochs->Add(1);
-    latency = std::min(latency, options.reward_cap_ms);
     Metrics().epoch_latency_ms->Record(latency);
     if (latency < best_seen_latency) {
       best_seen_latency = latency;
       best_seen = action;
     }
-    // The lambda == 0 branch keeps the reward arithmetic bit-identical to
-    // the historical -latency path (no `- 0.0 * power` rounding).
-    double reward = -latency;
+    // The cap bounds the reward only. The lambda == 0 branch keeps the
+    // reward arithmetic bit-identical to the historical -latency path (no
+    // `- 0.0 * power` rounding).
+    double reward = -std::min(latency, options.reward_cap_ms);
     if (options.energy_lambda != 0.0) {
       reward -= options.energy_lambda * env->last_avg_power_watts();
     }

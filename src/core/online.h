@@ -51,13 +51,6 @@ struct OnlineOptions {
   /// Gradient updates per decision epoch (the paper performs one; more
   /// updates per epoch speed up convergence on the freshly collected data).
   int train_steps_per_epoch = 1;
-  /// Degradation bounds for failed action selection: up to
-  /// `max_action_retries` re-attempts, retry k after a simulated-time
-  /// backoff of k * `action_retry_backoff_ms`, then fall back to the
-  /// current schedule. Networked runs (ctrl::MasterClient) tune these to
-  /// the agent's RPC deadline.
-  int max_action_retries = 3;
-  double action_retry_backoff_ms = 500.0;
   /// Weight of the energy term in the reward:
   ///   reward = -latency - energy_lambda * avg_power_watts.
   /// 0 (the default) reproduces the paper's pure-latency reward exactly.
@@ -68,12 +61,16 @@ struct OnlineOptions {
 /// The online deep learning control loop (Algorithm 1 lines 5-19), generic
 /// over the policy: per decision epoch, select an action with exploration,
 /// deploy it, observe the reward, store the transition, and train on a
-/// minibatch. Action-selection failures degrade (bounded retries with
-/// backoff, then fall back to the current schedule) and proposed actions are
-/// repaired off dead machines before deployment, so the run survives machine
-/// failures; every such event is tallied in OnlineResult::disruptions. The
-/// run ends by deploying the policy's FinalSchedule and keeping it only if
-/// it does not regress against the best schedule measured during learning.
+/// minibatch. Action-selection failures degrade (up to 3 retries, retry k
+/// after k * 500 ms of simulated time, then fall back to the current
+/// schedule) and proposed actions are repaired off dead machines before
+/// deployment, so the run survives machine failures; every such event is
+/// tallied in OnlineResult::disruptions. The run ends by deploying the
+/// policy's FinalSchedule and keeping it only if its measured latency does
+/// not regress against the best schedule measured during learning. The run
+/// continues on `env`'s live simulator, so calling RunOnline again with
+/// another policy hot-swaps the scheduling algorithm without restarting the
+/// stream system (design feature 4 of Section 3.1).
 StatusOr<OnlineResult> RunOnline(rl::Policy* policy,
                                  SchedulingEnvironment* env,
                                  const OnlineOptions& options);

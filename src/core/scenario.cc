@@ -49,31 +49,12 @@ StatusOr<ScenarioRunResult> MeasureScenarioSeries(
     generator = owned.get();
   }
 
-  sim::SimOptions sim_options;
-  sim_options.seed = series_opts.seed;
-  sim_options.functional = series_opts.functional;
-  sim_options.warmup_extra = series_opts.warmup_extra;
-  sim_options.warmup_tau_ms = series_opts.warmup_tau_min *
-                              series_opts.minute_ms;
-  sim_options.event_engine = series_opts.event_engine;
-
-  sim::Simulator simulator(&topology, &workload, cluster, sim_options);
-  if (generator != nullptr) {
-    DRLSTREAM_RETURN_NOT_OK(simulator.SetWorkloadGenerator(generator));
-  }
-  // The system starts under the default (round-robin) deployment; the
-  // scheduler under test takes over at reported time 0.
-  sched::RoundRobinScheduler default_scheduler;
-  sched::SchedulingContext default_context;
-  default_context.topology = &topology;
-  default_context.cluster = &cluster;
-  default_context.spout_rates =
-      workload.RatesVector(topology.SpoutComponents(), 0.0);
+  // The scheduler under test takes over at reported time 0.
   DRLSTREAM_ASSIGN_OR_RETURN(
-      sched::Schedule previous,
-      default_scheduler.ComputeSchedule(default_context));
-  DRLSTREAM_RETURN_NOT_OK(simulator.Init(previous));
-  simulator.RunFor(series_opts.pre_roll_ms);
+      const std::unique_ptr<sim::ClusterSim> simulator,
+      StartSeriesSimulator(topology, workload, cluster, series_opts,
+                           sim::FaultPlan(), generator));
+  simulator->RunFor(series_opts.pre_roll_ms);
 
   ScenarioRunResult result;
   result.scheduler = scheduler->name();
@@ -81,7 +62,7 @@ StatusOr<ScenarioRunResult> MeasureScenarioSeries(
   result.points.reserve(series_opts.points);
   result.series.reserve(series_opts.points);
   const std::vector<int> spouts = topology.SpoutComponents();
-  double joules_at_point = simulator.TotalJoules();
+  double joules_at_point = simulator->TotalJoules();
 
   for (int p = 0; p < series_opts.points; ++p) {
     // The scheduler observes the generator-modulated rates and may adjust
@@ -89,45 +70,45 @@ StatusOr<ScenarioRunResult> MeasureScenarioSeries(
     sched::SchedulingContext context;
     context.topology = &topology;
     context.cluster = &cluster;
-    context.spout_rates = simulator.EffectiveSpoutRates();
-    const sched::Schedule current = simulator.schedule();
+    context.spout_rates = simulator->TenantEffectiveSpoutRates(0);
+    const sched::Schedule current = simulator->TenantSchedule(0);
     context.current = &current;
     DRLSTREAM_ASSIGN_OR_RETURN(sched::Schedule next,
                                scheduler->ComputeSchedule(context));
     ScenarioPointStats point;
     point.executors_moved = next.DiffCount(current);
     if (point.executors_moved > 0) {
-      DRLSTREAM_RETURN_NOT_OK(simulator.Migrate(next));
+      DRLSTREAM_RETURN_NOT_OK(simulator->Migrate(0, next));
     }
-    simulator.RunFor(series_opts.minute_ms - series_opts.measure_window_ms);
-    simulator.ResetWindow();
-    simulator.RunFor(series_opts.measure_window_ms);
+    simulator->RunFor(series_opts.minute_ms - series_opts.measure_window_ms);
+    simulator->ResetWindow();
+    simulator->RunFor(series_opts.measure_window_ms);
 
-    point.time_ms = simulator.now_ms();
-    point.avg_latency_ms = simulator.WindowAvgLatencyMs();
+    point.time_ms = simulator->now_ms();
+    point.avg_latency_ms = simulator->WindowAvgLatencyMs();
     if (generator != nullptr && !spouts.empty()) {
       double sum = 0.0;
       for (int component : spouts) {
-        sum += simulator.cluster_sim()->TenantRateMultiplier(0, component);
+        sum += simulator->TenantRateMultiplier(0, component);
       }
       point.rate_multiplier = sum / static_cast<double>(spouts.size());
     }
-    const double joules_now = simulator.TotalJoules();
+    const double joules_now = simulator->TotalJoules();
     point.joules = joules_now - joules_at_point;
     point.avg_power_watts = point.joules / (series_opts.minute_ms / 1000.0);
     joules_at_point = joules_now;
     for (int m = 0; m < cluster.num_machines; ++m) {
-      if (simulator.cluster_sim()->MachineAsleep(m)) ++point.machines_asleep;
+      if (simulator->MachineAsleep(m)) ++point.machines_asleep;
     }
     result.series.push_back(point.avg_latency_ms);
     result.points.push_back(point);
   }
 
-  result.total_joules = simulator.TotalJoules();
-  const double total_ms = simulator.now_ms();
+  result.total_joules = simulator->TotalJoules();
+  const double total_ms = simulator->now_ms();
   result.avg_power_watts =
       total_ms > 0.0 ? result.total_joules / (total_ms / 1000.0) : 0.0;
-  result.final_counters = simulator.counters();
+  result.final_counters = simulator->counters();
   return result;
 }
 

@@ -113,11 +113,10 @@ class IntFifo {
 /// tuple-level mechanics (processor sharing, routing, acking, timeouts,
 /// migration, faults) run through one event loop.
 ///
-/// A single-tenant ClusterSim is bit-identical to the historical
-/// `sim::Simulator` (which is now a thin façade over this class): the event
-/// schedule order, RNG draw sequence, counters, and window statistics all
-/// match exactly. Guarded by the single-tenant goldens in
-/// tests/multi_tenant_test.cc and the policy equivalence suite.
+/// A single-topology run is tenant 0, set up in this order: construct,
+/// InstallFaultPlan, AddTenant, SetTenantWorkloadGenerator(0, ...), Start.
+/// Its event order, RNG draw sequence, counters and window statistics are
+/// pinned bit for bit by the policy equivalence and fault suites.
 ///
 /// Executor ids: each tenant's executors are numbered [0, n_t) against its
 /// own topology (tenant-scoped ids, as in `sched::Schedule`); internally

@@ -11,7 +11,7 @@
 
 namespace drlstream::sim {
 
-/// Kinds of simulator events (see Simulator's handlers).
+/// Kinds of simulator events (see ClusterSim's handlers).
 enum class EventType : uint8_t {
   kSpoutEmit,
   kArrive,

@@ -19,7 +19,7 @@
 #include "rl/policy.h"
 #include "rl/state.h"
 #include "sched/scheduler.h"
-#include "sim/simulator.h"
+#include "sim/cluster_sim.h"
 #include "topo/apps.h"
 
 namespace drlstream {
@@ -125,8 +125,10 @@ void ExpectSteadySimSecondOffTheHeap(const topo::App& app,
   ASSERT_TRUE(schedule.ok());
   sim::SimOptions options;
   options.seed = 7;
-  sim::Simulator simulator(&app.topology, &app.workload, cluster, options);
-  ASSERT_TRUE(simulator.Init(*schedule).ok());
+  sim::ClusterSim simulator(cluster, options);
+  ASSERT_TRUE(
+      simulator.AddTenant(&app.topology, &app.workload, *schedule).ok());
+  ASSERT_TRUE(simulator.Start().ok());
   simulator.RunFor(2000.0);
   const long long events_before = simulator.counters().events_processed;
   const AllocCounters before = ReadAllocCounters();

@@ -201,6 +201,88 @@ TEST(DrlSchedulerTest, DqnPolicyRollsOutMoves) {
 }
 
 // ---------------------------------------------------------------------------
+// Online control loop
+// ---------------------------------------------------------------------------
+
+/// Explores one packing (every executor on machine 0) and ends with a
+/// spread schedule (executor i on machine i % M).
+class PackThenSpreadPolicy : public rl::Policy {
+ public:
+  PackThenSpreadPolicy(int num_executors, int num_machines)
+      : packed_(num_executors, num_machines),
+        spread_(num_executors, num_machines) {
+    for (int i = 0; i < num_executors; ++i) {
+      packed_.Assign(i, 0);
+      spread_.Assign(i, i % num_machines);
+    }
+  }
+
+  std::string name() const override { return "pack-then-spread"; }
+  StatusOr<rl::PolicyAction> SelectAction(const rl::State& state,
+                                          double epsilon,
+                                          Rng* rng) const override {
+    (void)state;
+    (void)epsilon;
+    (void)rng;
+    return rl::PolicyAction(packed_);
+  }
+  StatusOr<sched::Schedule> GreedyAction(
+      const rl::State& state) const override {
+    (void)state;
+    return spread_;
+  }
+
+  const sched::Schedule& packed() const { return packed_; }
+  const sched::Schedule& spread() const { return spread_; }
+
+ private:
+  sched::Schedule packed_;
+  sched::Schedule spread_;
+};
+
+/// Latency of `schedule` deployed alone on a fresh environment.
+double MeasureAlone(const topo::App& app, const topo::ClusterConfig& cluster,
+                    const sched::Schedule& schedule) {
+  sim::SimOptions sim_options;
+  sim_options.seed = 3;
+  SchedulingEnvironment env(&app.topology, app.workload, cluster,
+                            sim_options, MeasurementConfig{});
+  EXPECT_TRUE(env.Reset(schedule).ok());
+  StatusOr<double> latency = env.DeployAndMeasure(schedule);
+  EXPECT_TRUE(latency.ok());
+  return latency.ok() ? *latency : 0.0;
+}
+
+// The reward cap must not leak into the final pick: when every epoch
+// measured above the cap, the final schedule is kept if its measured
+// latency beats the best epoch's, not the cap.
+TEST(OnlineTest, FinalPickComparesUncappedLatencies) {
+  topo::App app = topo::BuildContinuousQueries(topo::Scale::kSmall);
+  topo::ClusterConfig cluster;
+  PackThenSpreadPolicy policy(app.topology.num_executors(),
+                              cluster.num_machines);
+  sim::SimOptions sim_options;
+  sim_options.seed = 3;
+  SchedulingEnvironment env(&app.topology, app.workload, cluster,
+                            sim_options, MeasurementConfig{});
+  ASSERT_TRUE(env.Reset(policy.spread()).ok());
+
+  OnlineOptions options;
+  options.epochs = 3;
+  auto result = RunOnline(&policy, &env, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  // Every epoch measured the packing above the cap.
+  for (double reward : result->rewards) {
+    EXPECT_EQ(reward, -options.reward_cap_ms);
+  }
+  EXPECT_EQ(result->final_schedule.assignments(),
+            policy.spread().assignments());
+  // Measured alone, the kept schedule is the faster one by far.
+  EXPECT_LT(MeasureAlone(app, cluster, policy.spread()) * 10.0,
+            MeasureAlone(app, cluster, policy.packed()));
+}
+
+// ---------------------------------------------------------------------------
 // Series measurement
 // ---------------------------------------------------------------------------
 

@@ -11,9 +11,9 @@
 
 #include "common/rng.h"
 #include "sched/scheduler.h"
+#include "sim/cluster_sim.h"
 #include "sim/event_queue.h"
 #include "sim/faults.h"
-#include "sim/simulator.h"
 #include "topo/apps.h"
 
 namespace drlstream::sim {
@@ -123,8 +123,8 @@ TEST(CalendarQueueTest, SingleEventAndRepushAfterEmpty) {
 
 /// Runs one simulated second of word count under the given engine and
 /// returns the simulator for counter comparison.
-std::unique_ptr<Simulator> RunWordCount(EventEngine engine,
-                                        const FaultPlan* plan) {
+std::unique_ptr<ClusterSim> RunWordCount(EventEngine engine,
+                                         const FaultPlan* plan) {
   static topo::App app = topo::BuildWordCount();
   topo::ClusterConfig cluster;
   sched::RoundRobinScheduler scheduler;
@@ -139,17 +139,18 @@ std::unique_ptr<Simulator> RunWordCount(EventEngine engine,
   SimOptions options;
   options.seed = 7;
   options.event_engine = engine;
-  auto simulator = std::make_unique<Simulator>(&app.topology, &app.workload,
-                                               cluster, options);
+  auto simulator = std::make_unique<ClusterSim>(cluster, options);
   if (plan != nullptr) {
     EXPECT_TRUE(simulator->InstallFaultPlan(*plan).ok());
   }
-  EXPECT_TRUE(simulator->Init(*schedule).ok());
+  EXPECT_TRUE(
+      simulator->AddTenant(&app.topology, &app.workload, *schedule).ok());
+  EXPECT_TRUE(simulator->Start().ok());
   simulator->RunFor(1000.0);
   return simulator;
 }
 
-void ExpectIdenticalRuns(const Simulator& a, const Simulator& b) {
+void ExpectIdenticalRuns(const ClusterSim& a, const ClusterSim& b) {
   const SimCounters& ca = a.counters();
   const SimCounters& cb = b.counters();
   EXPECT_EQ(ca.events_processed, cb.events_processed);

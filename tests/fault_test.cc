@@ -1,18 +1,19 @@
 // Fault-injection coverage: FaultPlan parsing/validation, the
 // crash -> recover machine lifecycle, straggler window arithmetic, orphan
-// repair, controller degradation, and bit-identical replay of a
+// repair, control-loop degradation, and bit-identical replay of a
 // (seed, plan) pair at any thread-pool size.
 
 #include <gtest/gtest.h>
 
 #include "common/thread_pool.h"
-#include "core/controller.h"
 #include "core/environment.h"
 #include "core/experiment.h"
+#include "core/online.h"
+#include "rl/policy_registry.h"
 #include "sched/schedule.h"
 #include "sched/scheduler.h"
+#include "sim/cluster_sim.h"
 #include "sim/faults.h"
-#include "sim/simulator.h"
 #include "topo/apps.h"
 
 namespace drlstream {
@@ -186,7 +187,7 @@ TEST(FaultSimTest, InstallRejectsInvalidPlanAndLateInstall) {
   topo::Topology topology = ChainTopology(1, 2, 0.5);
   topo::Workload workload = ChainWorkload(200.0);
   topo::ClusterConfig cluster = TestCluster();
-  sim::Simulator simulator(&topology, &workload, cluster, sim::SimOptions{});
+  sim::ClusterSim simulator(cluster, sim::SimOptions{});
 
   sim::FaultPlan bad;
   bad.AddCrash(100.0, 99);
@@ -197,7 +198,8 @@ TEST(FaultSimTest, InstallRejectsInvalidPlanAndLateInstall) {
   EXPECT_TRUE(simulator.InstallFaultPlan(good).ok());
 
   sched::Schedule schedule(topology.num_executors(), cluster.num_machines);
-  ASSERT_TRUE(simulator.Init(schedule).ok());
+  ASSERT_TRUE(simulator.AddTenant(&topology, &workload, schedule).ok());
+  ASSERT_TRUE(simulator.Start().ok());
   // Installing after Init is a precondition failure.
   EXPECT_EQ(simulator.InstallFaultPlan(good).code(),
             StatusCode::kFailedPrecondition);
@@ -215,14 +217,15 @@ TEST(FaultSimTest, CrashStopsServiceRecoveryResumesIt) {
 
   sim::SimOptions options;
   options.seed = 11;
-  sim::Simulator simulator(&topology, &workload, cluster, options);
+  sim::ClusterSim simulator(cluster, options);
   ASSERT_TRUE(simulator.InstallFaultPlan(plan).ok());
   // Spout on machine 0, both bolts on machine 1 (the one that crashes).
   sched::Schedule schedule(3, cluster.num_machines);
   schedule.Assign(0, 0);
   schedule.Assign(1, 1);
   schedule.Assign(2, 1);
-  ASSERT_TRUE(simulator.Init(schedule).ok());
+  ASSERT_TRUE(simulator.AddTenant(&topology, &workload, schedule).ok());
+  ASSERT_TRUE(simulator.Start().ok());
 
   simulator.RunFor(1900.0);
   EXPECT_TRUE(simulator.MachineUp(1));
@@ -272,13 +275,14 @@ TEST(FaultSimTest, SpoutOnCrashedMachineStopsEmitting) {
 
   sim::SimOptions options;
   options.seed = 3;
-  sim::Simulator simulator(&topology, &workload, cluster, options);
+  sim::ClusterSim simulator(cluster, options);
   ASSERT_TRUE(simulator.InstallFaultPlan(plan).ok());
   // Spout on machine 0 (crashes), bolt on machine 1.
   sched::Schedule schedule(2, cluster.num_machines);
   schedule.Assign(0, 0);
   schedule.Assign(1, 1);
-  ASSERT_TRUE(simulator.Init(schedule).ok());
+  ASSERT_TRUE(simulator.AddTenant(&topology, &workload, schedule).ok());
+  ASSERT_TRUE(simulator.Start().ok());
 
   simulator.RunFor(990.0);
   const long long emitted_before = simulator.counters().roots_emitted;
@@ -303,12 +307,13 @@ TEST(FaultSimTest, StragglerSlowsServiceOnlyInsideWindow) {
 
   sim::SimOptions options;
   options.seed = 21;
-  sim::Simulator simulator(&topology, &workload, cluster, options);
+  sim::ClusterSim simulator(cluster, options);
   ASSERT_TRUE(simulator.InstallFaultPlan(plan).ok());
   sched::Schedule schedule(2, cluster.num_machines);
   schedule.Assign(0, 0);
   schedule.Assign(1, 1);  // The bolt lives on the straggling machine.
-  ASSERT_TRUE(simulator.Init(schedule).ok());
+  ASSERT_TRUE(simulator.AddTenant(&topology, &workload, schedule).ok());
+  ASSERT_TRUE(simulator.Start().ok());
 
   EXPECT_DOUBLE_EQ(simulator.MachineHealths()[1].speed_factor, 1.0);
   simulator.ResetWindow();
@@ -345,12 +350,13 @@ TEST(FaultSimTest, LinkSpikeAddsRemoteLatencyInsideWindow) {
 
   sim::SimOptions options;
   options.seed = 9;
-  sim::Simulator simulator(&topology, &workload, cluster, options);
+  sim::ClusterSim simulator(cluster, options);
   ASSERT_TRUE(simulator.InstallFaultPlan(plan).ok());
   sched::Schedule schedule(2, cluster.num_machines);
   schedule.Assign(0, 0);
   schedule.Assign(1, 1);  // Every spout->bolt hop crosses the spiked link.
-  ASSERT_TRUE(simulator.Init(schedule).ok());
+  ASSERT_TRUE(simulator.AddTenant(&topology, &workload, schedule).ok());
+  ASSERT_TRUE(simulator.Start().ok());
 
   simulator.ResetWindow();
   simulator.RunFor(2000.0);
@@ -376,10 +382,11 @@ TEST(FaultSimTest, SpoutShockScalesArrivals) {
 
   sim::SimOptions options;
   options.seed = 17;
-  sim::Simulator simulator(&topology, &workload, cluster, options);
+  sim::ClusterSim simulator(cluster, options);
   ASSERT_TRUE(simulator.InstallFaultPlan(plan).ok());
   sched::Schedule schedule(3, cluster.num_machines);
-  ASSERT_TRUE(simulator.Init(schedule).ok());
+  ASSERT_TRUE(simulator.AddTenant(&topology, &workload, schedule).ok());
+  ASSERT_TRUE(simulator.Start().ok());
 
   simulator.RunFor(2000.0);
   const long long before = simulator.counters().roots_emitted;
@@ -420,7 +427,7 @@ TEST(FaultSchedTest, RepairMovesOrphansToLeastLoadedAliveMachine) {
 }
 
 // ---------------------------------------------------------------------------
-// Controller degradation: crash mid-run, the loop keeps stepping and no
+// Control-loop degradation: crash mid-run, the loop keeps stepping and no
 // executor stays deployed on the dead machine.
 // ---------------------------------------------------------------------------
 
@@ -446,17 +453,22 @@ TEST(FaultControlTest, ControllerReschedulesOrphansAfterCrash) {
   for (int i = 0; i < topology.num_executors(); ++i) initial.Assign(i, 2);
   ASSERT_TRUE(env.Reset(initial).ok());
 
-  core::Controller controller(&env);
-  controller.SwapScheduler(std::make_unique<sched::RoundRobinScheduler>());
+  rl::PolicyContext context;
+  context.topology = &topology;
+  context.cluster = &cluster;
+  auto round_robin = rl::PolicyRegistry::Get().Create("round-robin", context);
+  ASSERT_TRUE(round_robin.ok());
+  core::OnlineOptions online;
+  online.epochs = 4;
 
-  // The crash hits while the early steps measure; once a step observes the
-  // dead machine it must repair without aborting, after which nothing is
-  // ever deployed to machine 2 again.
+  // The crash hits while the early epochs measure; once an epoch observes
+  // the dead machine it must repair without aborting, after which nothing
+  // is ever deployed to machine 2 again.
+  auto run = core::RunOnline(round_robin->get(), &env, online);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
   bool saw_dead = false;
-  for (int step = 0; step < 4; ++step) {
-    auto decision = controller.Step();
-    ASSERT_TRUE(decision.ok()) << decision.status().ToString();
-    saw_dead = saw_dead || decision->dead_machines == 1;
+  for (const core::DisruptionRecord& record : run->disruptions) {
+    saw_dead = saw_dead || record.dead_machines == 1;
   }
   EXPECT_TRUE(saw_dead);
   EXPECT_GT(env.simulator()->now_ms(), 1500.0);

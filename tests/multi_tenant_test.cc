@@ -1,10 +1,10 @@
-// Multi-tenant shared-cluster simulator coverage: the single-tenant golden
-// (the Simulator façade and a one-tenant ClusterSim must match the same
-// trajectory bit for bit, at several thread counts and on both event
-// engines), per-tenant root conservation under machine crashes, and
-// determinism of tenant add/remove mid-run. The pre-refactor goldens
-// themselves are held by the untouched policy-equivalence and fault suites,
-// which pin the trajectory bytes the façade must keep producing.
+// Multi-tenant shared-cluster simulator coverage: the single-tenant views
+// (a one-tenant ClusterSim's tenant-0 statistics must equal its cluster-wide
+// ones bit for bit, and replay identically at several thread counts and on
+// both event engines), per-tenant root conservation under machine crashes,
+// and determinism of tenant add/remove mid-run. The single-topology goldens
+// themselves are held by the policy-equivalence and fault suites, which pin
+// the trajectory bytes tenant 0 must keep producing.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +15,6 @@
 #include "sched/schedule.h"
 #include "sim/cluster_sim.h"
 #include "sim/faults.h"
-#include "sim/simulator.h"
 #include "topo/cluster.h"
 #include "topo/topology.h"
 #include "topo/workload.h"
@@ -102,16 +101,30 @@ TenantSnapshot SnapshotTenant(const ClusterSim& sim, int tenant) {
 }
 
 // ---------------------------------------------------------------------------
-// Single-tenant golden: façade == one-tenant ClusterSim, bit for bit
+// Single-tenant views: tenant 0 == cluster-wide, bit for bit
 // ---------------------------------------------------------------------------
 
-TEST(MultiTenantTest, SingleTenantFacadeMatchesClusterSimBitwise) {
+/// What one epoch of the single-tenant run observes; compared with EXPECT_EQ
+/// across thread counts and engines (the contract is bit-identity).
+struct EpochViews {
+  double window_latency = 0.0;
+  std::vector<double> component_proc;
+  std::vector<double> edge_transfer;
+  std::vector<int> queue_depths;
+  int inflight = 0;
+
+  bool operator==(const EpochViews&) const = default;
+};
+
+TEST(MultiTenantTest, SingleTenantViewsMatchClusterWideBitwise) {
   const topo::Topology topology = ChainTopology(2, 3, 0.2);
   const topo::Workload workload = ChainWorkload(400.0);
   const topo::ClusterConfig cluster = TestCluster();
   const sched::Schedule initial = SpreadSchedule(topology, 4);
   sched::Schedule moved = SpreadSchedule(topology, 4, 1);
 
+  std::vector<EpochViews> reference;
+  SimCounters reference_counters;
   for (int threads : {1, 2, 4}) {
     SetGlobalThreadCount(threads);
     for (EventEngine engine : {EventEngine::kCalendar, EventEngine::kHeap}) {
@@ -119,46 +132,61 @@ TEST(MultiTenantTest, SingleTenantFacadeMatchesClusterSimBitwise) {
       options.seed = 17;
       options.event_engine = engine;
 
-      Simulator facade(&topology, &workload, cluster, options);
-      ASSERT_TRUE(facade.Init(initial).ok());
-      ClusterSim direct(cluster, options);
-      ASSERT_TRUE(direct.AddTenant(&topology, &workload, initial).ok());
-      ASSERT_TRUE(direct.Start().ok());
+      ClusterSim sim(cluster, options);
+      ASSERT_TRUE(sim.AddTenant(&topology, &workload, initial).ok());
+      ASSERT_TRUE(sim.Start().ok());
 
-      // Identical trajectory on both: run, measure, migrate, repeat.
+      // Run, measure, migrate, repeat; every tenant-0 view must equal its
+      // cluster-wide counterpart.
+      std::vector<EpochViews> epochs;
       for (int epoch = 0; epoch < 3; ++epoch) {
-        facade.RunFor(700.0);
-        direct.RunFor(700.0);
-        EXPECT_EQ(facade.WindowAvgLatencyMs(),
-                  direct.TenantWindowAvgLatencyMs(0));
-        EXPECT_EQ(facade.WindowAvgLatencyMs(), direct.WindowAvgLatencyMs());
-        EXPECT_EQ(facade.WindowComponentProcMs(),
-                  direct.TenantWindowComponentProcMs(0));
-        EXPECT_EQ(facade.WindowEdgeTransferMs(),
-                  direct.TenantWindowEdgeTransferMs(0));
-        EXPECT_EQ(facade.ExecutorQueueDepths(), direct.ExecutorQueueDepths());
-        EXPECT_EQ(facade.inflight_roots(), direct.inflight_roots());
-        facade.ResetWindow();
-        direct.ResetWindow();
-        ASSERT_TRUE(facade.Migrate(epoch % 2 == 0 ? moved : initial).ok());
-        ASSERT_TRUE(direct.Migrate(0, epoch % 2 == 0 ? moved : initial).ok());
+        sim.RunFor(700.0);
+        EpochViews views;
+        views.window_latency = sim.TenantWindowAvgLatencyMs(0);
+        EXPECT_EQ(views.window_latency, sim.WindowAvgLatencyMs());
+        EXPECT_EQ(sim.tenant_window_latency(0).count(),
+                  sim.window_latency().count());
+        views.component_proc = sim.TenantWindowComponentProcMs(0);
+        views.edge_transfer = sim.TenantWindowEdgeTransferMs(0);
+        views.queue_depths = sim.TenantExecutorQueueDepths(0);
+        EXPECT_EQ(views.queue_depths, sim.ExecutorQueueDepths());
+        views.inflight = sim.TenantInflightRoots(0);
+        EXPECT_EQ(views.inflight, sim.inflight_roots());
+        epochs.push_back(views);
+        sim.ResetWindow();
+        ASSERT_TRUE(sim.Migrate(0, epoch % 2 == 0 ? moved : initial).ok());
       }
-      const SimCounters& a = facade.counters();
-      const SimCounters& b = direct.counters();
-      EXPECT_EQ(a.events_processed, b.events_processed);
-      EXPECT_EQ(a.roots_emitted, b.roots_emitted);
-      EXPECT_EQ(a.roots_completed, b.roots_completed);
-      EXPECT_EQ(a.roots_failed, b.roots_failed);
-      EXPECT_EQ(a.tuples_processed, b.tuples_processed);
-      EXPECT_EQ(a.local_transfers, b.local_transfers);
-      EXPECT_EQ(a.remote_transfers, b.remote_transfers);
-      EXPECT_EQ(a.migrations, b.migrations);
-      // The tenant view of a single-tenant run carries the same root and
-      // tuple accounting (events/faults are cluster-level by design).
-      const SimCounters& t = direct.TenantCounters(0);
+      // The tenant view of a single-tenant run carries the same root,
+      // tuple and migration accounting (events/faults are cluster-level by
+      // design).
+      const SimCounters& b = sim.counters();
+      const SimCounters& t = sim.TenantCounters(0);
       EXPECT_EQ(t.roots_emitted, b.roots_emitted);
       EXPECT_EQ(t.roots_completed, b.roots_completed);
+      EXPECT_EQ(t.roots_failed, b.roots_failed);
       EXPECT_EQ(t.tuples_processed, b.tuples_processed);
+      EXPECT_EQ(t.local_transfers, b.local_transfers);
+      EXPECT_EQ(t.remote_transfers, b.remote_transfers);
+      EXPECT_EQ(t.migrations, b.migrations);
+
+      // Every thread count and engine replays the first run exactly.
+      if (reference.empty()) {
+        reference = epochs;
+        reference_counters = b;
+        continue;
+      }
+      EXPECT_TRUE(epochs == reference)
+          << "threads=" << threads
+          << " heap=" << (engine == EventEngine::kHeap);
+      const SimCounters& r = reference_counters;
+      EXPECT_EQ(b.events_processed, r.events_processed);
+      EXPECT_EQ(b.roots_emitted, r.roots_emitted);
+      EXPECT_EQ(b.roots_completed, r.roots_completed);
+      EXPECT_EQ(b.roots_failed, r.roots_failed);
+      EXPECT_EQ(b.tuples_processed, r.tuples_processed);
+      EXPECT_EQ(b.local_transfers, r.local_transfers);
+      EXPECT_EQ(b.remote_transfers, r.remote_transfers);
+      EXPECT_EQ(b.migrations, r.migrations);
     }
   }
   SetGlobalThreadCount(0);

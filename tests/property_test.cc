@@ -12,13 +12,14 @@
 
 #include "common/rng.h"
 #include "core/artifacts.h"
-#include "core/controller.h"
 #include "core/experiment.h"
+#include "core/online.h"
 #include "miqp/knn_solver.h"
+#include "rl/policy_registry.h"
 #include "sched/model_based.h"
 #include "sched/scheduler.h"
+#include "sim/cluster_sim.h"
 #include "sim/faults.h"
-#include "sim/simulator.h"
 #include "topo/apps.h"
 
 namespace drlstream {
@@ -61,12 +62,13 @@ TEST_P(GroupingConservationTest, RootsAreConserved) {
   cluster.num_machines = 4;
   sim::SimOptions options;
   options.seed = 17;
-  sim::Simulator simulator(&topology, &workload, cluster, options);
+  sim::ClusterSim simulator(cluster, options);
   sched::Schedule schedule(topology.num_executors(), 4);
   for (int i = 0; i < topology.num_executors(); ++i) {
     schedule.Assign(i, i % 4);
   }
-  ASSERT_TRUE(simulator.Init(schedule).ok());
+  ASSERT_TRUE(simulator.AddTenant(&topology, &workload, schedule).ok());
+  ASSERT_TRUE(simulator.Start().ok());
   simulator.RunFor(3000.0);
 
   const sim::SimCounters& counters = simulator.counters();
@@ -126,7 +128,7 @@ TEST_P(ApplicationSmokeTest, RunsAndCompletesTuples) {
   sim::SimOptions options;
   options.functional = GetParam().functional;
   options.seed = 29;
-  sim::Simulator simulator(&app.topology, &app.workload, cluster, options);
+  sim::ClusterSim simulator(cluster, options);
   sched::RoundRobinScheduler scheduler(1);
   sched::SchedulingContext context;
   context.topology = &app.topology;
@@ -135,7 +137,9 @@ TEST_P(ApplicationSmokeTest, RunsAndCompletesTuples) {
       app.workload.RatesVector(app.topology.SpoutComponents(), 0.0);
   auto schedule = scheduler.ComputeSchedule(context);
   ASSERT_TRUE(schedule.ok());
-  ASSERT_TRUE(simulator.Init(*schedule).ok());
+  ASSERT_TRUE(
+      simulator.AddTenant(&app.topology, &app.workload, *schedule).ok());
+  ASSERT_TRUE(simulator.Start().ok());
   simulator.RunFor(2000.0);
   EXPECT_GT(simulator.counters().roots_completed, 50);
   EXPECT_GT(simulator.WindowAvgLatencyMs(), 0.0);
@@ -214,13 +218,15 @@ TEST_P(ConcentrationTest, FewerMachinesMeansFewerRemoteTransfers) {
   auto remote_fraction = [&](int machines) {
     sim::SimOptions options;
     options.seed = 31;
-    sim::Simulator simulator(&app.topology, &app.workload, cluster, options);
+    sim::ClusterSim simulator(cluster, options);
     sched::Schedule schedule(app.topology.num_executors(),
                              cluster.num_machines);
     for (int i = 0; i < app.topology.num_executors(); ++i) {
       schedule.Assign(i, i % machines);
     }
-    EXPECT_TRUE(simulator.Init(schedule).ok());
+    EXPECT_TRUE(
+        simulator.AddTenant(&app.topology, &app.workload, schedule).ok());
+    EXPECT_TRUE(simulator.Start().ok());
     simulator.RunFor(2000.0);
     return simulator.RemoteTransferFraction();
   };
@@ -260,10 +266,11 @@ TEST_P(FlowLinearityTest, FlowsScaleLinearlyWithRates) {
 INSTANTIATE_TEST_SUITE_P(Apps, FlowLinearityTest, testing::Values(0, 1, 2));
 
 // ---------------------------------------------------------------------------
-// Controller (Fig. 1 control loop) with hot swapping.
+// The control loop (Fig. 1) with hot swapping: RunOnline drives a registry
+// policy, and a second call on the live environment swaps in another one.
 // ---------------------------------------------------------------------------
 
-TEST(ControllerTest, RunsEpochsAndRecordsDatabase) {
+TEST(ControlLoopTest, RunsEpochsAndHotSwapsPolicies) {
   topo::App app = topo::BuildContinuousQueries(topo::Scale::kSmall);
   app.workload.ScaleAllRates(0.5);
   topo::ClusterConfig cluster;
@@ -276,35 +283,46 @@ TEST(ControllerTest, RunsEpochsAndRecordsDatabase) {
   core::SchedulingEnvironment env(&app.topology, app.workload, cluster,
                                   sim_options, measure);
   Rng rng(1);
-  ASSERT_TRUE(env.Reset(sched::Schedule::Random(20, 10, &rng)).ok());
+  const sched::Schedule initial = sched::Schedule::Random(20, 10, &rng);
+  ASSERT_TRUE(env.Reset(initial).ok());
 
-  core::Controller controller(&env);
-  // No scheduler installed yet.
-  EXPECT_EQ(controller.Step().status().code(),
-            StatusCode::kFailedPrecondition);
+  rl::PolicyContext context;
+  context.topology = &app.topology;
+  context.cluster = &cluster;
+  auto round_robin = rl::PolicyRegistry::Get().Create("round-robin", context);
+  ASSERT_TRUE(round_robin.ok());
+  EXPECT_EQ((*round_robin)->name(), "Default");
 
-  EXPECT_EQ(controller.SwapScheduler(
-                std::make_unique<sched::RoundRobinScheduler>()),
-            "");
-  ASSERT_TRUE(controller.Run(3).ok());
-  EXPECT_EQ(controller.history().size(), 3u);
-  EXPECT_EQ(controller.database().size(), 3u);
-  EXPECT_EQ(controller.history()[0].scheduler_name, "Default");
-  EXPECT_GT(controller.history()[0].measured_latency_ms, 0.0);
-  // After the first deployment the solution is stable: no further moves.
-  EXPECT_EQ(controller.history()[1].executors_moved, 0);
+  core::OnlineOptions options;
+  options.epochs = 0;
+  EXPECT_EQ(core::RunOnline(round_robin->get(), &env, options).status().code(),
+            StatusCode::kInvalidArgument);
+
+  options.epochs = 3;
+  auto first = core::RunOnline(round_robin->get(), &env, options);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(first->rewards.size(), 3u);
+  EXPECT_LT(first->rewards[0], 0.0);  // -measured latency
+  // After the first deployment the solution is stable: every later epoch
+  // and the final deployment moved nothing.
+  EXPECT_EQ(env.simulator()->counters().migrations,
+            initial.DiffCount(first->final_schedule));
+  EXPECT_EQ(env.current_schedule().DiffCount(first->final_schedule), 0);
 
   // Hot swap to another algorithm mid-run: the stream system keeps running.
   const double before_swap = env.simulator()->now_ms();
-  EXPECT_EQ(controller.SwapScheduler(
-                std::make_unique<sched::RoundRobinScheduler>(1)),
-            "Default");
-  ASSERT_TRUE(controller.Run(2).ok());
-  EXPECT_EQ(controller.history().size(), 5u);
+  const long long migrations_before = env.simulator()->counters().migrations;
+  context.round_robin_workers_per_machine = 1;
+  auto one_worker = rl::PolicyRegistry::Get().Create("round-robin", context);
+  ASSERT_TRUE(one_worker.ok());
+  options.epochs = 2;
+  auto second = core::RunOnline(one_worker->get(), &env, options);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(second->rewards.size(), 2u);
   EXPECT_GT(env.simulator()->now_ms(), before_swap);
   // The new algorithm's first decision re-assigned executors (different
   // process layout) without restarting the simulator.
-  EXPECT_GT(controller.history()[3].executors_moved, 0);
+  EXPECT_GT(env.simulator()->counters().migrations, migrations_before);
 }
 
 // ---------------------------------------------------------------------------
@@ -314,11 +332,11 @@ TEST(ControllerTest, RunsEpochsAndRecordsDatabase) {
 TEST(DiagnosticsTest, MachineCountsMatchSchedule) {
   topo::App app = topo::BuildContinuousQueries(topo::Scale::kSmall);
   topo::ClusterConfig cluster;
-  sim::Simulator simulator(&app.topology, &app.workload, cluster,
-                           sim::SimOptions{});
+  sim::ClusterSim simulator(cluster, sim::SimOptions{});
   sched::Schedule schedule(20, 10);
   for (int i = 0; i < 20; ++i) schedule.Assign(i, i < 12 ? 0 : 5);
-  ASSERT_TRUE(simulator.Init(schedule).ok());
+  ASSERT_TRUE(simulator.AddTenant(&app.topology, &app.workload, schedule).ok());
+  ASSERT_TRUE(simulator.Start().ok());
   const std::vector<int> counts = simulator.MachineExecutorCounts();
   EXPECT_EQ(counts[0], 12);
   EXPECT_EQ(counts[5], 8);

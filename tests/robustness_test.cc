@@ -5,12 +5,12 @@
 
 #include "common/logging.h"
 #include "common/rng.h"
-#include "core/controller.h"
 #include "core/environment.h"
+#include "core/online.h"
+#include "rl/policy_registry.h"
 #include "sched/schedule.h"
-#include "sched/scheduler.h"
+#include "sim/cluster_sim.h"
 #include "sim/faults.h"
-#include "sim/simulator.h"
 #include "topo/apps.h"
 
 namespace drlstream {
@@ -44,9 +44,10 @@ TEST(RobustnessTest, ZeroRateWorkloadProducesNothingAndSurvives) {
   topo::Workload workload;
   workload.SetBaseRate(0, 0.0);
   topo::ClusterConfig cluster;
-  sim::Simulator simulator(&topology, &workload, cluster, sim::SimOptions{});
+  sim::ClusterSim simulator(cluster, sim::SimOptions{});
   sched::Schedule schedule(3, cluster.num_machines);
-  ASSERT_TRUE(simulator.Init(schedule).ok());
+  ASSERT_TRUE(simulator.AddTenant(&topology, &workload, schedule).ok());
+  ASSERT_TRUE(simulator.Start().ok());
   simulator.RunFor(5000.0);
   EXPECT_EQ(simulator.counters().roots_emitted, 0);
   EXPECT_DOUBLE_EQ(simulator.WindowAvgLatencyMs(), 0.0);
@@ -60,9 +61,10 @@ TEST(RobustnessTest, RateTurnsOnMidRun) {
   workload.AddRateChange({1000.0, 1e-9});
   workload.AddRateChange({3000.0, 1.0});
   topo::ClusterConfig cluster;
-  sim::Simulator simulator(&topology, &workload, cluster, sim::SimOptions{});
+  sim::ClusterSim simulator(cluster, sim::SimOptions{});
   sched::Schedule schedule(3, cluster.num_machines);
-  ASSERT_TRUE(simulator.Init(schedule).ok());
+  ASSERT_TRUE(simulator.AddTenant(&topology, &workload, schedule).ok());
+  ASSERT_TRUE(simulator.Start().ok());
   simulator.RunFor(2900.0);
   const long long quiet = simulator.counters().roots_emitted;
   simulator.RunFor(3000.0);
@@ -83,10 +85,11 @@ TEST(RobustnessTest, RecoversAfterOverloadBurst) {
   cluster.ack_timeout_ms = 1500.0;
   sim::SimOptions options;
   options.max_inflight_roots = 2000;
-  sim::Simulator simulator(&topology, &workload, cluster, options);
+  sim::ClusterSim simulator(cluster, options);
   sched::Schedule schedule(3, cluster.num_machines);
   for (int i = 0; i < 3; ++i) schedule.Assign(i, i % 2);
-  ASSERT_TRUE(simulator.Init(schedule).ok());
+  ASSERT_TRUE(simulator.AddTenant(&topology, &workload, schedule).ok());
+  ASSERT_TRUE(simulator.Start().ok());
 
   simulator.RunFor(3000.0);  // Overloaded phase.
   EXPECT_LE(simulator.inflight_roots(), options.max_inflight_roots);
@@ -113,15 +116,16 @@ TEST(RobustnessTest, SurvivesMigrationEveryFewHundredMs) {
   cluster.migration_pause_ms = 200.0;
   sim::SimOptions options;
   options.seed = 77;
-  sim::Simulator simulator(&app.topology, &app.workload, cluster, options);
+  sim::ClusterSim simulator(cluster, options);
   Rng rng(3);
   sched::Schedule schedule = sched::Schedule::RandomPacked(20, 10, 4, &rng);
-  ASSERT_TRUE(simulator.Init(schedule).ok());
+  ASSERT_TRUE(simulator.AddTenant(&app.topology, &app.workload, schedule).ok());
+  ASSERT_TRUE(simulator.Start().ok());
   for (int round = 0; round < 20; ++round) {
     simulator.RunFor(300.0);
     schedule = sched::Schedule::RandomPacked(20, 10, rng.UniformInt(3, 6),
                                              &rng);
-    ASSERT_TRUE(simulator.Migrate(schedule).ok());
+    ASSERT_TRUE(simulator.Migrate(0, schedule).ok());
   }
   simulator.RunFor(5000.0);
   // Conservation still holds after the storm.
@@ -140,14 +144,15 @@ TEST(RobustnessTest, MigrationOfBusyExecutorFinishesItsTuple) {
   topo::ClusterConfig cluster;
   sim::SimOptions options;
   options.seed = 5;
-  sim::Simulator simulator(&topology, &workload, cluster, options);
+  sim::ClusterSim simulator(cluster, options);
   sched::Schedule schedule(3, cluster.num_machines);
-  ASSERT_TRUE(simulator.Init(schedule).ok());
+  ASSERT_TRUE(simulator.AddTenant(&topology, &workload, schedule).ok());
+  ASSERT_TRUE(simulator.Start().ok());
   simulator.RunFor(60.0);  // A tuple is likely mid-service now.
   sched::Schedule moved = schedule;
   moved.Assign(1, 5);
   moved.Assign(2, 5);
-  ASSERT_TRUE(simulator.Migrate(moved).ok());
+  ASSERT_TRUE(simulator.Migrate(0, moved).ok());
   simulator.RunFor(10000.0);
   // Nothing deadlocks: tuples still complete after the move.
   EXPECT_GT(simulator.counters().roots_completed, 50);
@@ -277,17 +282,24 @@ TEST(RobustnessTest, ChaosRandomFaultPlansNeverAbortAndConserveTuples) {
                                                   &init_rng))
                     .ok());
 
-    core::Controller controller(&env);
-    controller.SwapScheduler(std::make_unique<sched::RoundRobinScheduler>());
+    rl::PolicyContext context;
+    context.topology = &topology;
+    context.cluster = &cluster;
+    auto round_robin =
+        rl::PolicyRegistry::Get().Create("round-robin", context);
+    ASSERT_TRUE(round_robin.ok());
+    core::OnlineOptions online;
+    online.epochs = 1;
 
-    // Step until simulated time covers the whole plan. Every step is a
-    // checkpoint: it must succeed, and the tuple ledger must balance.
+    // Run one-epoch control loops until simulated time covers the whole
+    // plan. Every call is a checkpoint: it must succeed, and the tuple
+    // ledger must balance.
     while (env.simulator()->now_ms() < horizon_ms) {
-      auto decision = controller.Step();
-      ASSERT_TRUE(decision.ok())
+      auto run = core::RunOnline(round_robin->get(), &env, online);
+      ASSERT_TRUE(run.ok())
           << "trial " << trial << " aborted at "
           << env.simulator()->now_ms() << " ms: "
-          << decision.status().ToString() << "\nplan:\n" << plan.ToCsv();
+          << run.status().ToString() << "\nplan:\n" << plan.ToCsv();
       const sim::SimCounters& c = env.simulator()->counters();
       ASSERT_EQ(c.roots_emitted,
                 c.roots_completed + c.roots_failed +
@@ -296,9 +308,9 @@ TEST(RobustnessTest, ChaosRandomFaultPlansNeverAbortAndConserveTuples) {
           << " ms\nplan:\n" << plan.ToCsv();
     }
 
-    // One settling step after the last fault: whatever the plan left dead,
+    // One settling call after the last fault: whatever the plan left dead,
     // nothing may still be scheduled on it.
-    auto settle = controller.Step();
+    auto settle = core::RunOnline(round_robin->get(), &env, online);
     ASSERT_TRUE(settle.ok()) << settle.status().ToString();
     EXPECT_EQ(env.simulator()->ExecutorsOnDeadMachines(), 0)
         << "trial " << trial << "\nplan:\n" << plan.ToCsv();

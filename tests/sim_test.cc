@@ -5,7 +5,7 @@
 #include "common/rng.h"
 #include "sched/schedule.h"
 #include "sched/scheduler.h"
-#include "sim/simulator.h"
+#include "sim/cluster_sim.h"
 #include "topo/apps.h"
 
 namespace drlstream::sim {
@@ -66,30 +66,34 @@ TEST(SimulatorTest, InitValidatesSchedule) {
   topo::Topology topology = ChainTopology(1, 1, 0.1);
   topo::Workload workload = ChainWorkload(100.0);
   topo::ClusterConfig cluster = TestCluster();
-  Simulator simulator(&topology, &workload, cluster, SimOptions{});
+  ClusterSim simulator(cluster, SimOptions{});
   // Wrong machine count.
   sched::Schedule bad(topology.num_executors(), 7);
-  EXPECT_FALSE(simulator.Init(bad).ok());
+  EXPECT_FALSE(simulator.AddTenant(&topology, &workload, bad).ok());
   sched::Schedule good(topology.num_executors(), cluster.num_machines);
-  EXPECT_TRUE(simulator.Init(good).ok());
-  // Double init rejected.
-  EXPECT_EQ(simulator.Init(good).code(), StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(simulator.AddTenant(&topology, &workload, good).ok());
+  EXPECT_TRUE(simulator.Start().ok());
+  // Double start rejected.
+  EXPECT_EQ(simulator.Start().code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(SimulatorTest, MigrateRequiresInit) {
   topo::Topology topology = ChainTopology(1, 1, 0.1);
   topo::Workload workload = ChainWorkload(100.0);
-  Simulator simulator(&topology, &workload, TestCluster(), SimOptions{});
+  ClusterSim simulator(TestCluster(), SimOptions{});
   sched::Schedule s(topology.num_executors(), 4);
-  EXPECT_EQ(simulator.Migrate(s).code(), StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(simulator.AddTenant(&topology, &workload, s).ok());
+  EXPECT_EQ(simulator.Migrate(0, s).code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(SimulatorTest, TuplesFlowAndComplete) {
   topo::Topology topology = ChainTopology(2, 3, 0.1);
   topo::Workload workload = ChainWorkload(500.0);
-  Simulator simulator(&topology, &workload, TestCluster(), SimOptions{});
+  ClusterSim simulator(TestCluster(), SimOptions{});
   ASSERT_TRUE(
-      simulator.Init(AllOnMachine(topology, 0, 4)).ok());
+      simulator.AddTenant(&topology, &workload, AllOnMachine(topology, 0, 4))
+          .ok());
+  ASSERT_TRUE(simulator.Start().ok());
   simulator.RunFor(2000.0);
   const SimCounters& counters = simulator.counters();
   EXPECT_GT(counters.roots_emitted, 1500);  // ~1000/s for 2s.
@@ -102,8 +106,11 @@ TEST(SimulatorTest, TuplesFlowAndComplete) {
 TEST(SimulatorTest, EmissionRateMatchesWorkload) {
   topo::Topology topology = ChainTopology(2, 2, 0.05);
   topo::Workload workload = ChainWorkload(400.0);  // 800/s total.
-  Simulator simulator(&topology, &workload, TestCluster(), SimOptions{});
-  ASSERT_TRUE(simulator.Init(AllOnMachine(topology, 0, 4)).ok());
+  ClusterSim simulator(TestCluster(), SimOptions{});
+  ASSERT_TRUE(
+      simulator.AddTenant(&topology, &workload, AllOnMachine(topology, 0, 4))
+          .ok());
+  ASSERT_TRUE(simulator.Start().ok());
   simulator.RunFor(5000.0);
   const double rate =
       simulator.counters().roots_emitted / 5.0;  // per second
@@ -116,8 +123,11 @@ TEST(SimulatorTest, DeterministicForSameSeed) {
   auto run = [&](uint64_t seed) {
     SimOptions options;
     options.seed = seed;
-    Simulator simulator(&topology, &workload, TestCluster(), options);
-    EXPECT_TRUE(simulator.Init(AllOnMachine(topology, 1, 4)).ok());
+    ClusterSim simulator(TestCluster(), options);
+    EXPECT_TRUE(
+        simulator.AddTenant(&topology, &workload, AllOnMachine(topology, 1, 4))
+            .ok());
+    EXPECT_TRUE(simulator.Start().ok());
     simulator.RunFor(1000.0);
     return std::make_pair(simulator.counters().roots_completed,
                           simulator.WindowAvgLatencyMs());
@@ -142,11 +152,12 @@ TEST(SimulatorTest, RemoteHopsCostMoreThanLocal) {
   auto latency_for = [&](int bolt_machine) {
     SimOptions options;
     options.seed = 5;
-    Simulator simulator(&topology, &workload, cluster, options);
+    ClusterSim simulator(cluster, options);
     sched::Schedule schedule(2, 4);
     schedule.Assign(0, 0);
     schedule.Assign(1, bolt_machine);
-    EXPECT_TRUE(simulator.Init(schedule).ok());
+    EXPECT_TRUE(simulator.AddTenant(&topology, &workload, schedule).ok());
+    EXPECT_TRUE(simulator.Start().ok());
     simulator.RunFor(1000.0);
     simulator.ResetWindow();
     simulator.RunFor(3000.0);
@@ -166,11 +177,12 @@ TEST(SimulatorTest, InterProcessHopCostsBetweenLocalAndRemote) {
   auto latency_for = [&](int machine, int process) {
     SimOptions options;
     options.seed = 6;
-    Simulator simulator(&topology, &workload, cluster, options);
+    ClusterSim simulator(cluster, options);
     sched::Schedule schedule(2, 4);
     schedule.Assign(1, machine);
     schedule.AssignProcess(1, process);
-    EXPECT_TRUE(simulator.Init(schedule).ok());
+    EXPECT_TRUE(simulator.AddTenant(&topology, &workload, schedule).ok());
+    EXPECT_TRUE(simulator.Start().ok());
     simulator.RunFor(1000.0);
     simulator.ResetWindow();
     simulator.RunFor(3000.0);
@@ -190,8 +202,11 @@ TEST(SimulatorTest, QueueingDelayGrowsWithUtilization) {
     topo::Workload workload = ChainWorkload(rate);
     SimOptions options;
     options.seed = 7;
-    Simulator simulator(&topology, &workload, TestCluster(), options);
-    EXPECT_TRUE(simulator.Init(AllOnMachine(topology, 0, 4)).ok());
+    ClusterSim simulator(TestCluster(), options);
+    EXPECT_TRUE(
+        simulator.AddTenant(&topology, &workload, AllOnMachine(topology, 0, 4))
+            .ok());
+    EXPECT_TRUE(simulator.Start().ok());
     simulator.RunFor(2000.0);
     simulator.ResetWindow();
     simulator.RunFor(5000.0);
@@ -208,8 +223,11 @@ TEST(SimulatorTest, OverloadedExecutorBacklogsAndThrottles) {
   topo::Workload workload = ChainWorkload(4000.0);
   SimOptions options;
   options.max_inflight_roots = 500;
-  Simulator simulator(&topology, &workload, TestCluster(), options);
-  ASSERT_TRUE(simulator.Init(AllOnMachine(topology, 0, 4)).ok());
+  ClusterSim simulator(TestCluster(), options);
+  ASSERT_TRUE(
+      simulator.AddTenant(&topology, &workload, AllOnMachine(topology, 0, 4))
+          .ok());
+  ASSERT_TRUE(simulator.Start().ok());
   simulator.RunFor(5000.0);
   EXPECT_GT(simulator.counters().roots_throttled, 0);
   EXPECT_LE(simulator.inflight_roots(), 500);
@@ -248,11 +266,12 @@ TEST(SimulatorTest, ProcessorSharingConservesMachineCapacity) {
   topo::Workload workload = ChainWorkload(2800.0);
   SimOptions options;
   options.max_inflight_roots = 3000;
-  Simulator simulator(&topology, &workload, TestCluster(), options);
+  ClusterSim simulator(TestCluster(), options);
   sched::Schedule schedule(5, 4);
   schedule.Assign(0, 1);  // Spout elsewhere so it does not use bolt cores.
   for (int i = 1; i <= 4; ++i) schedule.Assign(i, 0);
-  ASSERT_TRUE(simulator.Init(schedule).ok());
+  ASSERT_TRUE(simulator.AddTenant(&topology, &workload, schedule).ok());
+  ASSERT_TRUE(simulator.Start().ok());
   simulator.RunFor(6000.0);
   const double processed_per_s =
       simulator.counters().tuples_processed / 6.0;
@@ -285,12 +304,13 @@ topo::Topology GroupedTopology(topo::Grouping grouping, int bolts) {
 TEST(SimulatorTest, GlobalGroupingSendsEverythingToFirstExecutor) {
   topo::Topology topology = GroupedTopology(topo::Grouping::kGlobal, 4);
   topo::Workload workload = ChainWorkload(500.0);
-  Simulator simulator(&topology, &workload, TestCluster(), SimOptions{});
+  ClusterSim simulator(TestCluster(), SimOptions{});
   // Spread bolts over machines; the designated target is executor 1
   // (first bolt executor), so all tuples land on its machine.
   sched::Schedule schedule(5, 4);
   for (int i = 0; i < 5; ++i) schedule.Assign(i, i % 4);
-  ASSERT_TRUE(simulator.Init(schedule).ok());
+  ASSERT_TRUE(simulator.AddTenant(&topology, &workload, schedule).ok());
+  ASSERT_TRUE(simulator.Start().ok());
   simulator.RunFor(2000.0);
   // Every emitted root was processed exactly once by the bolt.
   EXPECT_EQ(simulator.counters().tuples_processed,
@@ -301,8 +321,11 @@ TEST(SimulatorTest, GlobalGroupingSendsEverythingToFirstExecutor) {
 TEST(SimulatorTest, AllGroupingBroadcastsToEveryExecutor) {
   topo::Topology topology = GroupedTopology(topo::Grouping::kAll, 4);
   topo::Workload workload = ChainWorkload(200.0);
-  Simulator simulator(&topology, &workload, TestCluster(), SimOptions{});
-  ASSERT_TRUE(simulator.Init(AllOnMachine(topology, 0, 4)).ok());
+  ClusterSim simulator(TestCluster(), SimOptions{});
+  ASSERT_TRUE(
+      simulator.AddTenant(&topology, &workload, AllOnMachine(topology, 0, 4))
+          .ok());
+  ASSERT_TRUE(simulator.Start().ok());
   simulator.RunFor(2000.0);
   const SimCounters& counters = simulator.counters();
   // Each root fans out to all 4 bolt executors.
@@ -318,13 +341,14 @@ TEST(SimulatorTest, ShuffleSpillsWhenLocalTargetOverloaded) {
   topo::Workload workload = ChainWorkload(1500.0);
   SimOptions options;
   options.seed = 9;
-  Simulator simulator(&topology, &workload, TestCluster(), options);
+  ClusterSim simulator(TestCluster(), options);
   sched::Schedule schedule(4, 4);
   schedule.Assign(0, 0);  // spout
   schedule.Assign(1, 0);  // one local bolt
   schedule.Assign(2, 1);
   schedule.Assign(3, 2);
-  ASSERT_TRUE(simulator.Init(schedule).ok());
+  ASSERT_TRUE(simulator.AddTenant(&topology, &workload, schedule).ok());
+  ASSERT_TRUE(simulator.Start().ok());
   simulator.RunFor(4000.0);
   // Remote transfers happen (spill) and the system keeps up overall.
   EXPECT_GT(simulator.counters().remote_transfers, 500);
@@ -343,10 +367,11 @@ TEST(SimulatorTest, MigrationMovesOnlyChangedExecutorsAndSpikes) {
   options.seed = 11;
   topo::ClusterConfig cluster = TestCluster();
   cluster.migration_pause_ms = 500.0;
-  Simulator simulator(&topology, &workload, cluster, options);
+  ClusterSim simulator(cluster, options);
   sched::Schedule before(8, 4);
   for (int i = 0; i < 8; ++i) before.Assign(i, i % 4);
-  ASSERT_TRUE(simulator.Init(before).ok());
+  ASSERT_TRUE(simulator.AddTenant(&topology, &workload, before).ok());
+  ASSERT_TRUE(simulator.Start().ok());
   simulator.RunFor(2000.0);
   simulator.ResetWindow();
   simulator.RunFor(1000.0);
@@ -355,7 +380,7 @@ TEST(SimulatorTest, MigrationMovesOnlyChangedExecutorsAndSpikes) {
   sched::Schedule after = before;
   after.Assign(2, 0);
   after.Assign(3, 0);
-  ASSERT_TRUE(simulator.Migrate(after).ok());
+  ASSERT_TRUE(simulator.Migrate(0, after).ok());
   EXPECT_EQ(simulator.counters().migrations, 2);
 
   // During the pause the moved executors' queues back up: transient spike.
@@ -374,11 +399,12 @@ TEST(SimulatorTest, MigrationMovesOnlyChangedExecutorsAndSpikes) {
 TEST(SimulatorTest, MigrateToSameScheduleIsNoOp) {
   topo::Topology topology = ChainTopology(1, 2, 0.1);
   topo::Workload workload = ChainWorkload(300.0);
-  Simulator simulator(&topology, &workload, TestCluster(), SimOptions{});
+  ClusterSim simulator(TestCluster(), SimOptions{});
   sched::Schedule schedule = AllOnMachine(topology, 2, 4);
-  ASSERT_TRUE(simulator.Init(schedule).ok());
+  ASSERT_TRUE(simulator.AddTenant(&topology, &workload, schedule).ok());
+  ASSERT_TRUE(simulator.Start().ok());
   simulator.RunFor(500.0);
-  ASSERT_TRUE(simulator.Migrate(schedule).ok());
+  ASSERT_TRUE(simulator.Migrate(0, schedule).ok());
   EXPECT_EQ(simulator.counters().migrations, 0);
 }
 
@@ -393,8 +419,11 @@ TEST(SimulatorTest, AckTimeoutFailsStuckTuples) {
   cluster.ack_timeout_ms = 2000.0;
   SimOptions options;
   options.max_inflight_roots = 100000;
-  Simulator simulator(&topology, &workload, cluster, options);
-  ASSERT_TRUE(simulator.Init(AllOnMachine(topology, 0, 4)).ok());
+  ClusterSim simulator(cluster, options);
+  ASSERT_TRUE(
+      simulator.AddTenant(&topology, &workload, AllOnMachine(topology, 0, 4))
+          .ok());
+  ASSERT_TRUE(simulator.Start().ok());
   simulator.RunFor(10000.0);
   EXPECT_GT(simulator.counters().roots_failed, 100);
   // Exact trajectory. Roots that time out still have children queued at
@@ -418,8 +447,11 @@ TEST(SimulatorTest, RateChangeIncreasesThroughput) {
   topo::Topology topology = ChainTopology(2, 4, 0.05);
   topo::Workload workload = ChainWorkload(200.0);
   workload.AddRateChange({3000.0, 2.0});
-  Simulator simulator(&topology, &workload, TestCluster(), SimOptions{});
-  ASSERT_TRUE(simulator.Init(AllOnMachine(topology, 0, 4)).ok());
+  ClusterSim simulator(TestCluster(), SimOptions{});
+  ASSERT_TRUE(
+      simulator.AddTenant(&topology, &workload, AllOnMachine(topology, 0, 4))
+          .ok());
+  ASSERT_TRUE(simulator.Start().ok());
   simulator.RunFor(3000.0);
   const long long before = simulator.counters().roots_emitted;
   simulator.RunFor(3000.0);
@@ -434,8 +466,11 @@ TEST(SimulatorTest, WarmupInflationDecaysOverTime) {
   options.seed = 13;
   options.warmup_extra = 1.0;       // Services start 2x slower...
   options.warmup_tau_ms = 2000.0;   // ...and relax quickly.
-  Simulator simulator(&topology, &workload, TestCluster(), options);
-  ASSERT_TRUE(simulator.Init(AllOnMachine(topology, 0, 4)).ok());
+  ClusterSim simulator(TestCluster(), options);
+  ASSERT_TRUE(
+      simulator.AddTenant(&topology, &workload, AllOnMachine(topology, 0, 4))
+          .ok());
+  ASSERT_TRUE(simulator.Start().ok());
   simulator.ResetWindow();
   simulator.RunFor(1000.0);
   const double early = simulator.WindowAvgLatencyMs();
@@ -460,7 +495,7 @@ TEST(SimulatorFunctionalTest, WordCountProducesRealCounts) {
   options.seed = 21;
   // Modest rate for test speed.
   app.workload.ScaleAllRates(0.2);
-  Simulator simulator(&app.topology, &app.workload, cluster, options);
+  ClusterSim simulator(cluster, options);
   sched::RoundRobinScheduler scheduler(1);
   sched::SchedulingContext context;
   context.topology = &app.topology;
@@ -469,7 +504,9 @@ TEST(SimulatorFunctionalTest, WordCountProducesRealCounts) {
       app.workload.RatesVector(app.topology.SpoutComponents(), 0.0);
   auto schedule = scheduler.ComputeSchedule(context);
   ASSERT_TRUE(schedule.ok());
-  ASSERT_TRUE(simulator.Init(*schedule).ok());
+  ASSERT_TRUE(
+      simulator.AddTenant(&app.topology, &app.workload, *schedule).ok());
+  ASSERT_TRUE(simulator.Start().ok());
   simulator.RunFor(3000.0);
   // The word "alice" appears in the input text and must reach the database.
   EXPECT_GT(app.sink->Get("word_counts", "alice"), 0);
@@ -487,7 +524,7 @@ TEST(SimulatorFunctionalTest, LogPipelineStoresIndexAndCounts) {
   options.functional = true;
   options.seed = 22;
   app.workload.ScaleAllRates(0.3);
-  Simulator simulator(&app.topology, &app.workload, cluster, options);
+  ClusterSim simulator(cluster, options);
   sched::RoundRobinScheduler scheduler(1);
   sched::SchedulingContext context;
   context.topology = &app.topology;
@@ -496,7 +533,9 @@ TEST(SimulatorFunctionalTest, LogPipelineStoresIndexAndCounts) {
       app.workload.RatesVector(app.topology.SpoutComponents(), 0.0);
   auto schedule = scheduler.ComputeSchedule(context);
   ASSERT_TRUE(schedule.ok());
-  ASSERT_TRUE(simulator.Init(*schedule).ok());
+  ASSERT_TRUE(
+      simulator.AddTenant(&app.topology, &app.workload, *schedule).ok());
+  ASSERT_TRUE(simulator.Start().ok());
   simulator.RunFor(3000.0);
   // Both database collections (via the indexer and the counter paths)
   // received records.
@@ -514,10 +553,13 @@ TEST(SimulatorFunctionalTest, ContinuousQueriesWriteMatches) {
   options.functional = true;
   options.seed = 23;
   app.workload.ScaleAllRates(0.3);
-  Simulator simulator(&app.topology, &app.workload, cluster, options);
-  ASSERT_TRUE(
-      simulator.Init(AllOnMachine(app.topology, 0, cluster.num_machines))
-          .ok());
+  ClusterSim simulator(cluster, options);
+  ASSERT_TRUE(simulator
+                  .AddTenant(&app.topology, &app.workload,
+                             AllOnMachine(app.topology, 0,
+                                          cluster.num_machines))
+                  .ok());
+  ASSERT_TRUE(simulator.Start().ok());
   simulator.RunFor(3000.0);
   // Matching records were "written to the output file".
   EXPECT_GT(app.sink->TotalRecords(), 100);

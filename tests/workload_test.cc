@@ -23,7 +23,7 @@
 #include "core/experiment.h"
 #include "core/online.h"
 #include "rl/policy_registry.h"
-#include "sim/simulator.h"
+#include "sim/cluster_sim.h"
 #include "topo/apps.h"
 #include "workload/generator.h"
 #include "workload/registry.h"
@@ -210,15 +210,16 @@ RunSignature RunSim(const WorkloadGenerator* generator,
   sim::SimOptions options;
   options.seed = 99;
   options.event_engine = engine;
-  sim::Simulator simulator(&app.topology, &app.workload, cluster, options);
-  if (generator != nullptr) {
-    EXPECT_TRUE(simulator.SetWorkloadGenerator(generator).ok());
-  }
+  sim::ClusterSim simulator(cluster, options);
   const int n = app.topology.num_executors();
   const int m = cluster.num_machines;
   sched::Schedule schedule(n, m);
   for (int i = 0; i < n; ++i) schedule.Assign(i, i % m);
-  EXPECT_TRUE(simulator.Init(schedule).ok());
+  EXPECT_TRUE(simulator.AddTenant(&app.topology, &app.workload, schedule).ok());
+  if (generator != nullptr) {
+    EXPECT_TRUE(simulator.SetTenantWorkloadGenerator(0, generator).ok());
+  }
+  EXPECT_TRUE(simulator.Start().ok());
   simulator.RunFor(2500.0);
   simulator.ResetWindow();
   simulator.RunFor(1500.0);
@@ -301,20 +302,21 @@ TEST(EnergyTest, DwellTimesWattageEqualsReportedJoules) {
   cluster.machine.sleep_after_idle_ms = 1000.0;
   sim::SimOptions options;
   options.seed = 3;
-  sim::Simulator simulator(&app.topology, &app.workload, cluster, options);
+  sim::ClusterSim simulator(cluster, options);
   const int n = app.topology.num_executors();
   const int m = cluster.num_machines;
   // Pack onto 3 machines so the rest idle into deep sleep.
   sched::Schedule schedule(n, m);
   for (int i = 0; i < n; ++i) schedule.Assign(i, i % 3);
-  ASSERT_TRUE(simulator.Init(schedule).ok());
+  ASSERT_TRUE(simulator.AddTenant(&app.topology, &app.workload, schedule).ok());
+  ASSERT_TRUE(simulator.Start().ok());
   simulator.RunFor(6000.0);
 
   const topo::MachineSpec& spec = cluster.machine;
   double machine_sum = 0.0;
   int asleep = 0;
   for (int machine = 0; machine < m; ++machine) {
-    const auto b = simulator.cluster_sim()->MachineEnergy(machine);
+    const auto b = simulator.MachineEnergy(machine);
     const double expected = (b.active_ms * spec.active_watts +
                              b.idle_ms * spec.idle_watts +
                              (b.sleep_ms + b.down_ms) * spec.sleep_watts) /
@@ -340,13 +342,15 @@ TEST(EnergyTest, ConsolidationDrawsFewerJoulesThanSpreading) {
     cluster.machine.sleep_after_idle_ms = 500.0;
     sim::SimOptions options;
     options.seed = 4;
-    sim::Simulator simulator(&app.topology, &app.workload, cluster, options);
+    sim::ClusterSim simulator(cluster, options);
     sched::Schedule schedule(app.topology.num_executors(),
                              cluster.num_machines);
     for (int i = 0; i < schedule.num_executors(); ++i) {
       schedule.Assign(i, i % spread_over);
     }
-    EXPECT_TRUE(simulator.Init(schedule).ok());
+    EXPECT_TRUE(
+        simulator.AddTenant(&app.topology, &app.workload, schedule).ok());
+    EXPECT_TRUE(simulator.Start().ok());
     simulator.RunFor(8000.0);
     return simulator.TotalJoules();
   };
@@ -357,15 +361,16 @@ TEST(EnergyTest, DefaultSpecDisablesSleep) {
   topo::App app = topo::BuildContinuousQueries(topo::Scale::kSmall);
   topo::ClusterConfig cluster;  // sleep_after_idle_ms < 0: sleeping disabled
   sim::SimOptions options;
-  sim::Simulator simulator(&app.topology, &app.workload, cluster, options);
+  sim::ClusterSim simulator(cluster, options);
   sched::Schedule schedule(app.topology.num_executors(),
                            cluster.num_machines);
   for (int i = 0; i < schedule.num_executors(); ++i) schedule.Assign(i, 0);
-  ASSERT_TRUE(simulator.Init(schedule).ok());
+  ASSERT_TRUE(simulator.AddTenant(&app.topology, &app.workload, schedule).ok());
+  ASSERT_TRUE(simulator.Start().ok());
   simulator.RunFor(5000.0);
   for (int machine = 0; machine < cluster.num_machines; ++machine) {
-    EXPECT_FALSE(simulator.cluster_sim()->MachineAsleep(machine)) << machine;
-    EXPECT_EQ(simulator.cluster_sim()->MachineEnergy(machine).sleep_ms, 0.0);
+    EXPECT_FALSE(simulator.MachineAsleep(machine)) << machine;
+    EXPECT_EQ(simulator.MachineEnergy(machine).sleep_ms, 0.0);
   }
 }
 
