@@ -283,7 +283,6 @@ Status KnnActionSolver::SolveInto(
   while (static_cast<int>(result->actions.size()) < count) {
     result->actions.emplace_back(n, m);
   }
-  result->squared_distances.clear();
   for (int c = 0; c < count; ++c) {
     const Partial& partial = ws->best[c];
     sched::Schedule& action = result->actions[c];
@@ -298,7 +297,6 @@ Status KnnActionSolver::SolveInto(
       const KnnWorkspace::DevNode& dev = ws->dev_arena[node];
       action.Assign(dev.row, row_opts(dev.row)[dev.option].machine);
     }
-    result->squared_distances.push_back(ActionDistanceSquared(action, proto));
   }
   return Status::OK();
 }
@@ -337,8 +335,6 @@ StatusOr<KnnResult> SolveKnnBranchAndBound(
       auto action_or =
           sched::Schedule::FromAssignments(node.machines, num_machines);
       DRLSTREAM_CHECK(action_or.ok());
-      result.squared_distances.push_back(
-          ActionDistanceSquared(*action_or, proto));
       result.actions.push_back(std::move(*action_or));
       continue;
     }

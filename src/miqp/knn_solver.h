@@ -10,10 +10,9 @@
 namespace drlstream::miqp {
 
 /// K nearest feasible actions to a proto-action, ascending by squared
-/// euclidean distance.
+/// euclidean distance (ActionDistanceSquared gives an action's distance).
 struct KnnResult {
   std::vector<sched::Schedule> actions;
-  std::vector<double> squared_distances;
 };
 
 /// Reusable scratch for SolveInto: every intermediate of the fold lives in

@@ -42,6 +42,10 @@ const SimMetrics& Metrics() {
 /// Dwell bucket indices of MachineState::dwell_ms.
 enum PowerState { kPowerActive = 0, kPowerIdle, kPowerSleep, kPowerDown };
 
+/// Completion-lane entry of a machine with nothing in service.
+constexpr double kIdleCompletionMs = std::numeric_limits<double>::infinity();
+constexpr uint64_t kIdleCompletionSeq = std::numeric_limits<uint64_t>::max();
+
 /// Trace-instant label; distinct from FaultTypeName (faults.h) which feeds
 /// the CSV/JSON artifacts.
 const char* FaultInstantName(FaultType type) {
@@ -77,6 +81,8 @@ ClusterSim::ClusterSim(const topo::ClusterConfig& cluster, SimOptions options)
       use_heap_(options.event_engine == EventEngine::kHeap) {
   DRLSTREAM_CHECK(cluster.Validate().ok());
   machines_.resize(cluster_.num_machines);
+  completion_ms_.assign(cluster_.num_machines, kIdleCompletionMs);
+  completion_seq_.assign(cluster_.num_machines, kIdleCompletionSeq);
 }
 
 ClusterSim::~ClusterSim() = default;
@@ -338,8 +344,24 @@ void ClusterSim::RebuildLocalTargets(int tenant) {
 
 void ClusterSim::RunUntil(double time_ms) {
   DRLSTREAM_CHECK(initialized_);
-  while (!EventsEmpty() && EventsTop().time_ms <= time_ms) {
-    const Event event = EventsTop();
+  while (true) {
+    // The next event is the earlier, in EventEarlier order, of the queue's
+    // top and the earliest live completion. An idle lane entry sorts after
+    // every queued event, so it is only ever first with the queue empty,
+    // and it never dispatches.
+    const int machine = EarliestCompletion();
+    const double completion = completion_ms_[machine];
+    const Event* top = EventsEmpty() ? nullptr : &EventsTop();
+    if (top == nullptr || KeyEarlier(completion, completion_seq_[machine],
+                                     top->time_ms, top->seq)) {
+      if (completion > time_ms || completion == kIdleCompletionMs) break;
+      now_ms_ = std::max(now_ms_, completion);
+      ++counters_.events_processed;
+      HandleMachineCompletion(machine);
+      continue;
+    }
+    const Event event = *top;
+    if (event.time_ms > time_ms) break;
     EventsPop();
     now_ms_ = std::max(now_ms_, event.time_ms);
     ++counters_.events_processed;
@@ -355,9 +377,6 @@ void ClusterSim::RunUntil(double time_ms) {
         break;
       case EventType::kArrive:
         HandleArrive(event.tuple_slot);
-        break;
-      case EventType::kMachineCompletion:
-        HandleMachineCompletion(event.executor, event.tuple_slot);
         break;
       case EventType::kResume:
         HandleResume(event.executor);
@@ -857,6 +876,9 @@ double ClusterSim::TotalJoules() {
     SettleEnergy(machine);
   }
   Metrics().energy_joules->Set(counters_.energy_joules);
+  for (const TenantState& t : tenants_) {
+    t.energy_metric->Set(t.counters.energy_joules);
+  }
   return counters_.energy_joules;
 }
 
@@ -874,12 +896,8 @@ ClusterSim::MachinePowerBreakdown ClusterSim::MachineEnergy(int machine) {
 }
 
 double ClusterSim::TenantJoules(int tenant) {
-  for (int machine = 0; machine < cluster_.num_machines; ++machine) {
-    SettleEnergy(machine);
-  }
-  TenantState& t = tenants_[tenant];
-  t.energy_metric->Set(t.counters.energy_joules);
-  return t.counters.energy_joules;
+  TotalJoules();
+  return tenants_[tenant].counters.energy_joules;
 }
 
 void ClusterSim::AdvanceMachine(int machine) {
@@ -904,9 +922,11 @@ void ClusterSim::AdvanceMachine(int machine) {
 }
 
 void ClusterSim::ScheduleNextCompletion(int machine) {
-  MachineState& m = machines_[machine];
-  ++m.completion_version;
-  if (m.active.empty()) return;
+  const MachineState& m = machines_[machine];
+  if (m.active.empty()) {
+    SetCompletion(machine, kIdleCompletionMs, kIdleCompletionSeq);
+    return;
+  }
   const double rate = std::min(
       1.0, static_cast<double>(cluster_.cores_per_machine) /
                static_cast<double>(m.active.size())) /
@@ -915,8 +935,44 @@ void ClusterSim::ScheduleNextCompletion(int machine) {
   for (int e : m.active) {
     min_remaining = std::min(min_remaining, executors_[e].remaining_work_ms);
   }
-  Schedule(now_ms_ + min_remaining / rate, EventType::kMachineCompletion,
-           machine, m.completion_version);
+  // Like a queued event, the completion takes the next seq, which orders
+  // it against queued events of the same time.
+  SetCompletion(machine, now_ms_ + min_remaining / rate, next_seq_++);
+}
+
+void ClusterSim::SetCompletion(int machine, double time_ms, uint64_t seq) {
+  completion_ms_[machine] = time_ms;
+  completion_seq_[machine] = seq;
+  if (lane_stale_) return;
+  if (machine == lane_min_) {
+    lane_stale_ = true;  // The earliest entry moved; rescan on demand.
+  } else if (KeyEarlier(time_ms, seq, completion_ms_[lane_min_],
+                        completion_seq_[lane_min_])) {
+    lane_min_ = machine;
+  }
+}
+
+int ClusterSim::EarliestCompletion() {
+  if (!lane_stale_) return lane_min_;
+  // A (time, seq) minimum, written as selects, over the two contiguous
+  // arrays: a few dozen machines scan faster than a tree of keys is kept
+  // up to date.
+  const double* times = completion_ms_.data();
+  const uint64_t* seqs = completion_seq_.data();
+  const int n = static_cast<int>(completion_ms_.size());
+  int best = 0;
+  double best_time = times[0];
+  uint64_t best_seq = seqs[0];
+  for (int m = 1; m < n; ++m) {
+    const bool earlier = (times[m] < best_time) |
+                         ((times[m] == best_time) & (seqs[m] < best_seq));
+    best = earlier ? m : best;
+    best_time = earlier ? times[m] : best_time;
+    best_seq = earlier ? seqs[m] : best_seq;
+  }
+  lane_min_ = best;
+  lane_stale_ = false;
+  return best;
 }
 
 void ClusterSim::StartServiceIfIdle(int executor) {
@@ -966,9 +1022,8 @@ void ClusterSim::FinishService(int executor) {
   StartServiceIfIdle(executor);
 }
 
-void ClusterSim::HandleMachineCompletion(int machine, int version) {
+void ClusterSim::HandleMachineCompletion(int machine) {
   MachineState& m = machines_[machine];
-  if (version != m.completion_version) return;  // Stale event.
   AdvanceMachine(machine);
   // Pull out every executor that has finished its work.
   finished_.clear();
@@ -1193,7 +1248,7 @@ void ClusterSim::CrashMachine(int machine) {
     Metrics().tuples_dropped->Add(1);
     tenants_[exec.tenant].tuples_dropped_metric->Add(1);
   }
-  ScheduleNextCompletion(machine);  // Bumps the version; no event (empty).
+  ScheduleNextCompletion(machine);  // Idles the machine's lane entry.
 
   // Queued tuples of executors hosted here are lost with the worker. Their
   // roots stay pending and fail via the ack timeout — exactly how a Storm

@@ -50,7 +50,8 @@ struct SimOptions {
 
 /// Aggregate counters exposed for tests/benches. Kept both cluster-wide and
 /// per tenant; `events_processed` and `faults_applied` are properties of the
-/// shared substrate and stay zero in per-tenant views.
+/// shared substrate and stay zero in per-tenant views. `events_processed`
+/// counts dispatched events: queued events plus live service completions.
 struct SimCounters {
   long long events_processed = 0;
   long long roots_emitted = 0;
@@ -230,7 +231,8 @@ class ClusterSim {
     bool asleep = false;
   };
 
-  /// Total joules drawn by the cluster so far (settles all machines).
+  /// Total joules drawn by the cluster so far (settles all machines and
+  /// sets the cluster's and every tenant's energy gauge).
   double TotalJoules();
   MachinePowerBreakdown MachineEnergy(int machine);
   /// Dynamic energy attributed to one tenant: (active - idle) watts split
@@ -301,7 +303,6 @@ class ClusterSim {
   struct MachineState {
     std::vector<int> active;   // executors currently executing a tuple
     double last_update_ms = 0.0;
-    int completion_version = 0;  // invalidates stale completion events
     double nic_free_ms = 0.0;    // uplink serialized-transmit horizon
     topo::MachineHealth health;  // fault-injection state (up/straggler/link)
 
@@ -410,7 +411,7 @@ class ClusterSim {
   /// boundaries (event tuple_slot == 1 marks a re-sample-only wakeup).
   void ScheduleNextSpoutEmit(int executor);
   void HandleArrive(int tuple_slot);
-  void HandleMachineCompletion(int machine, int version);
+  void HandleMachineCompletion(int machine);
   void HandleResume(int executor);
   void HandleTimeoutSweep();
   /// Applies fault-plan event `plan_index` (`window_end` marks the closing
@@ -431,8 +432,16 @@ class ClusterSim {
   /// UnhostExecutor restarts the idle clock when a machine empties.
   void HostExecutor(int machine);
   void UnhostExecutor(int machine);
-  /// Re-schedules the machine's next service-completion event.
+  /// Re-schedules the machine's next service completion: rewrites its
+  /// completion-lane entry in place (idle when nothing is in service).
   void ScheduleNextCompletion(int machine);
+  /// Writes `machine`'s completion-lane entry, keeping the cached earliest
+  /// entry valid unless the entry that changed was the earliest.
+  void SetCompletion(int machine, double time_ms, uint64_t seq);
+  /// The machine whose live completion comes first in EventEarlier order,
+  /// rescanning the lane when the cached one changed. With every machine
+  /// idle it names an idle machine.
+  int EarliestCompletion();
   /// Completes the tuple `executor` was running (emit downstream, ack
   /// bookkeeping) and pulls its next queued tuple if any.
   void FinishService(int executor);
@@ -498,6 +507,17 @@ class ClusterSim {
   CalendarEventQueue calendar_events_;
   BinaryHeapEventQueue heap_events_;
   bool use_heap_ = false;
+  /// The completion lane: each machine's one pending service completion,
+  /// kept out of the event queue. completion_ms_[m] is when machine m's
+  /// next executor finishes (+inf while it serves nothing) and
+  /// completion_seq_[m] its tie-breaking seq (UINT64_MAX while idle, so an
+  /// idle entry sorts after every queued event). RunUntil dispatches the
+  /// earliest entry when it precedes the queue's top.
+  std::vector<double> completion_ms_;
+  std::vector<uint64_t> completion_seq_;
+  /// Machine holding the earliest lane entry; valid while !lane_stale_.
+  int lane_min_ = 0;
+  bool lane_stale_ = true;
   std::vector<TupleInstance> tuple_pool_;
   std::vector<int> free_slots_;
 

@@ -11,11 +11,12 @@
 
 namespace drlstream::sim {
 
-/// Kinds of simulator events (see ClusterSim's handlers).
+/// Kinds of queued simulator events (see ClusterSim's handlers). Service
+/// completions are not queued: ClusterSim keeps one live completion per
+/// machine in its completion lane and merges it with the queue's top.
 enum class EventType : uint8_t {
   kSpoutEmit,
   kArrive,
-  kMachineCompletion,
   kResume,
   kTimeoutSweep,
   kFault,
@@ -26,19 +27,25 @@ struct Event {
   double time_ms;
   uint64_t seq;  // tie-breaker for determinism
   EventType type;
-  int executor;    // kSpoutEmit / kResume; machine for kMachineCompletion;
-                   // fault-plan event index for kFault; tenant for
-                   // kRateChange
-  int tuple_slot;  // kArrive; version for kMachineCompletion; 1 marks the
-                   // end of a fault window for kFault
+  int executor;    // kSpoutEmit / kResume; fault-plan event index for
+                   // kFault; tenant for kRateChange
+  int tuple_slot;  // kArrive; generator version for kRateChange; 1 marks a
+                   // re-sample-only kSpoutEmit and the end of a fault
+                   // window for kFault
 };
+
+/// Ascending (time_ms, seq) order on bare keys.
+inline bool KeyEarlier(double a_ms, uint64_t a_seq, double b_ms,
+                       uint64_t b_seq) {
+  if (a_ms != b_ms) return a_ms < b_ms;
+  return a_seq < b_seq;
+}
 
 /// Total order events are dispatched in: ascending (time_ms, seq). Every
 /// event carries a unique seq, so the order is strict and every engine pops
 /// the exact same sequence.
 inline bool EventEarlier(const Event& a, const Event& b) {
-  if (a.time_ms != b.time_ms) return a.time_ms < b.time_ms;
-  return a.seq < b.seq;
+  return KeyEarlier(a.time_ms, a.seq, b.time_ms, b.seq);
 }
 
 struct EventLater {

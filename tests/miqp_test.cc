@@ -36,6 +36,16 @@ std::vector<double> BruteForceDistances(const std::vector<double>& proto,
   return distances;
 }
 
+/// Squared distance from `proto` of each returned action, in rank order.
+std::vector<double> Distances(const KnnResult& result,
+                              const std::vector<double>& proto) {
+  std::vector<double> distances;
+  for (const sched::Schedule& action : result.actions) {
+    distances.push_back(ActionDistanceSquared(action, proto));
+  }
+  return distances;
+}
+
 // ---------------------------------------------------------------------------
 // 1-NN: per-row argmax property
 // ---------------------------------------------------------------------------
@@ -80,10 +90,10 @@ TEST_P(KnnExactnessTest, MatchesBruteForceDistances) {
   ASSERT_TRUE(result.ok());
   const std::vector<double> expected =
       BruteForceDistances(proto, param.n, param.m, param.k);
-  ASSERT_EQ(result->squared_distances.size(), expected.size());
+  const std::vector<double> distances = Distances(*result, proto);
+  ASSERT_EQ(distances.size(), expected.size());
   for (size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_NEAR(result->squared_distances[i], expected[i], 1e-9)
-        << "rank " << i;
+    EXPECT_NEAR(distances[i], expected[i], 1e-9) << "rank " << i;
   }
 }
 
@@ -96,10 +106,11 @@ TEST_P(KnnExactnessTest, MatchesBranchAndBound) {
   auto oracle = SolveKnnBranchAndBound(proto, param.n, param.m, param.k);
   ASSERT_TRUE(fast.ok());
   ASSERT_TRUE(oracle.ok());
-  ASSERT_EQ(fast->squared_distances.size(), oracle->squared_distances.size());
-  for (size_t i = 0; i < fast->squared_distances.size(); ++i) {
-    EXPECT_NEAR(fast->squared_distances[i], oracle->squared_distances[i],
-                1e-9);
+  const std::vector<double> fast_distances = Distances(*fast, proto);
+  const std::vector<double> oracle_distances = Distances(*oracle, proto);
+  ASSERT_EQ(fast_distances.size(), oracle_distances.size());
+  for (size_t i = 0; i < fast_distances.size(); ++i) {
+    EXPECT_NEAR(fast_distances[i], oracle_distances[i], 1e-9);
   }
 }
 
@@ -120,16 +131,13 @@ TEST(KnnSolverTest, ResultsSortedDistinctAndFeasible) {
   auto result = solver.Solve(proto, 32);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->actions.size(), 32u);
+  const std::vector<double> distances = Distances(*result, proto);
   std::set<std::string> seen;
   for (size_t i = 0; i < result->actions.size(); ++i) {
     // Sorted ascending.
     if (i > 0) {
-      EXPECT_GE(result->squared_distances[i],
-                result->squared_distances[i - 1] - 1e-12);
+      EXPECT_GE(distances[i], distances[i - 1] - 1e-12);
     }
-    // Distance matches a recomputation.
-    EXPECT_NEAR(result->squared_distances[i],
-                ActionDistanceSquared(result->actions[i], proto), 1e-9);
     // All actions distinct.
     EXPECT_TRUE(seen.insert(result->actions[i].ToString()).second);
   }
@@ -149,13 +157,15 @@ TEST(KnnSolverTest, FeasibleProtoReturnsItselfFirst) {
   Rng rng(9);
   auto schedule = sched::Schedule::FromAssignments({1, 0, 2, 1}, 3);
   KnnActionSolver solver(4, 3);
-  auto result = solver.Solve(schedule->ToOneHot(), 3);
+  const std::vector<double> proto = schedule->ToOneHot();
+  auto result = solver.Solve(proto, 3);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->actions[0].assignments(), schedule->assignments());
-  EXPECT_NEAR(result->squared_distances[0], 0.0, 1e-12);
+  const std::vector<double> distances = Distances(*result, proto);
+  EXPECT_NEAR(distances[0], 0.0, 1e-12);
   // The 2nd/3rd neighbors differ in exactly one row: distance 2.
-  EXPECT_NEAR(result->squared_distances[1], 2.0, 1e-12);
-  EXPECT_NEAR(result->squared_distances[2], 2.0, 1e-12);
+  EXPECT_NEAR(distances[1], 2.0, 1e-12);
+  EXPECT_NEAR(distances[2], 2.0, 1e-12);
 }
 
 TEST(KnnSolverTest, RejectsBadInput) {
@@ -187,13 +197,13 @@ TEST(BranchAndBoundTest, HandlesTiesConsistently) {
   auto result = SolveKnnBranchAndBound(proto, n, m, 4);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->actions.size(), 4u);
-  for (double d : result->squared_distances) {
+  for (double d : Distances(*result, proto)) {
     EXPECT_NEAR(d, static_cast<double>(n), 1e-12);
   }
   KnnActionSolver solver(n, m);
   auto fast = solver.Solve(proto, 4);
   ASSERT_TRUE(fast.ok());
-  for (double d : fast->squared_distances) {
+  for (double d : Distances(*fast, proto)) {
     EXPECT_NEAR(d, static_cast<double>(n), 1e-12);
   }
 }
@@ -296,11 +306,12 @@ TEST(KnnSolverTest, NullMaskIsAllMachines) {
   ASSERT_TRUE(plain.ok());
   ASSERT_TRUE(masked.ok());
   ASSERT_EQ(plain->actions.size(), masked->actions.size());
+  const std::vector<double> plain_distances = Distances(*plain, proto);
+  const std::vector<double> masked_distances = Distances(*masked, proto);
   for (size_t a = 0; a < plain->actions.size(); ++a) {
     EXPECT_EQ(plain->actions[a].assignments(),
               masked->actions[a].assignments());
-    EXPECT_DOUBLE_EQ(plain->squared_distances[a],
-                     masked->squared_distances[a]);
+    EXPECT_DOUBLE_EQ(plain_distances[a], masked_distances[a]);
   }
 }
 

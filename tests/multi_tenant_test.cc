@@ -396,5 +396,30 @@ TEST(MultiTenantTest, TenantLabelledMetricsAreRegistered) {
   EXPECT_EQ(parts.labels[0].second, "1");
 }
 
+TEST(MultiTenantTest, TotalJoulesPushesTenantEnergyGauges) {
+  // A run that only reads the cluster total (as the control loop does for
+  // its energy term) still exports every tenant's share.
+  const bool metrics_were_enabled = obs::MetricsEnabled();
+  obs::SetMetricsEnabled(true);
+  obs::MetricsRegistry::Get().ResetValues();
+  const topo::Topology topology = ChainTopology(1, 2, 0.2);
+  const topo::Workload workload = ChainWorkload(300.0);
+  SimOptions options;
+  options.seed = 53;
+  ClusterSim sim(TestCluster(), options);
+  ASSERT_TRUE(
+      sim.AddTenant(&topology, &workload, SpreadSchedule(topology, 4)).ok());
+  ASSERT_TRUE(sim.Start().ok());
+  sim.RunFor(1500.0);
+  sim.TotalJoules();
+  const obs::MetricsSnapshot snapshot = obs::MetricsRegistry::Get().Snapshot();
+  obs::SetMetricsEnabled(metrics_were_enabled);
+
+  const auto gauge = snapshot.gauges.find("sim.energy_joules#tenant=0");
+  ASSERT_NE(gauge, snapshot.gauges.end());
+  EXPECT_EQ(gauge->second, sim.TenantCounters(0).energy_joules);
+  EXPECT_GT(gauge->second, 0.0);
+}
+
 }  // namespace
 }  // namespace drlstream::sim
