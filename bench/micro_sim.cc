@@ -23,8 +23,7 @@ void ReportAllocs(benchmark::State& state, const AllocCounters& delta) {
       static_cast<double>(delta.bytes), benchmark::Counter::kAvgIterations);
 }
 
-void RunSim(benchmark::State& state, topo::App app,
-            sim::EventEngine engine = sim::EventEngine::kCalendar) {
+void RunSim(benchmark::State& state, topo::App app) {
   topo::ClusterConfig cluster;
   sched::RoundRobinScheduler scheduler;
   sched::SchedulingContext context;
@@ -39,7 +38,6 @@ void RunSim(benchmark::State& state, topo::App app,
   for (auto _ : state) {
     sim::SimOptions options;
     options.seed = 7;
-    options.event_engine = engine;
     sim::ClusterSim simulator(cluster, options);
     Status st = simulator.AddTenant(&app.topology, &app.workload, *schedule)
                     .status();
@@ -69,13 +67,6 @@ static void BM_SimWordCount(benchmark::State& state) {
   RunSim(state, topo::BuildWordCount());
 }
 BENCHMARK(BM_SimWordCount)->Unit(benchmark::kMillisecond);
-
-// Same replay on the reference binary-heap engine: the gap against
-// BM_SimWordCount is the calendar queue's contribution.
-static void BM_SimWordCountHeapEngine(benchmark::State& state) {
-  RunSim(state, topo::BuildWordCount(), sim::EventEngine::kHeap);
-}
-BENCHMARK(BM_SimWordCountHeapEngine)->Unit(benchmark::kMillisecond);
 
 // Fault-injection overhead: the same one-second replay with a FaultPlan
 // installed. Arg(0) is an *empty* plan — the fast path every healthy run

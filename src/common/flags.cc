@@ -1,7 +1,9 @@
 #include "common/flags.h"
 
+#include <charconv>
 #include <cstdlib>
 #include <string>
+#include <system_error>
 
 #include "common/logging.h"
 #include "common/simd.h"
@@ -28,6 +30,28 @@ StatusOr<Flags> Flags::Parse(int argc, char** argv) {
       flags.values_[arg] = "true";  // Bare flag, e.g. --verbose.
     }
   }
+  // Reject an illegal value of a flag ApplyProcessFlags applies. The
+  // --threads cap keeps a typo from asking for thousands of threads.
+  auto illegal = [&flags](const std::string& key, const char* expected) {
+    return Status::InvalidArgument("--" + key + "=" + flags.values_[key] +
+                                   ": expected " + expected);
+  };
+  if (flags.Has("threads")) {
+    const std::string& text = flags.values_["threads"];
+    const char* const end = text.data() + text.size();
+    int threads = 0;
+    const auto [stop, error] = std::from_chars(text.data(), end, threads);
+    if (error != std::errc() || stop != end || threads < 1 || threads > 256) {
+      return illegal("threads", "a whole number in [1, 256]");
+    }
+  }
+  LogLevel level = LogLevel::kInfo;
+  if (flags.Has("log-level") &&
+      !ParseLogLevel(flags.values_["log-level"], &level)) {
+    return illegal("log-level", "debug|info|warning|error");
+  }
+  const std::string simd = flags.GetString("simd", "auto");
+  if (simd != "auto" && simd != "off") return illegal("simd", "auto|off");
   return flags;
 }
 
@@ -98,31 +122,18 @@ void RegisterObsExitHandler() {
 }  // namespace
 
 void ApplyProcessFlags(const Flags& flags) {
+  // Flags::Parse has validated these three values.
   if (flags.Has("threads")) {
     SetGlobalThreadCount(flags.GetInt("threads", GlobalThreadCount()));
   }
   if (flags.Has("log-level")) {
-    const std::string name = flags.GetString("log-level", "info");
     LogLevel level = GetLogLevel();
-    if (ParseLogLevel(name, &level)) {
-      SetLogLevel(level);
-    } else {
-      DRLSTREAM_LOG(kWarning)
-          << "unknown --log-level '" << name
-          << "' (expected debug|info|warning|error); keeping current level";
-    }
+    ParseLogLevel(flags.GetString("log-level", "info"), &level);
+    SetLogLevel(level);
   }
-
   if (flags.Has("simd")) {
-    const std::string mode = flags.GetString("simd", "auto");
-    if (mode == "off") {
-      SetSimdMode(SimdMode::kOff);
-    } else if (mode == "auto") {
-      SetSimdMode(SimdMode::kAuto);
-    } else {
-      DRLSTREAM_LOG(kWarning) << "unknown --simd '" << mode
-                              << "' (expected auto|off); keeping current mode";
-    }
+    SetSimdMode(flags.GetString("simd", "auto") == "off" ? SimdMode::kOff
+                                                         : SimdMode::kAuto);
   }
 
   const bool trace = flags.Has("trace-out");

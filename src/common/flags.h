@@ -19,8 +19,11 @@ namespace drlstream {
 /// entries (with a did-you-mean suggestion), and `--help` lists them.
 class Flags {
  public:
-  /// Parses argv; returns InvalidArgument on malformed input
-  /// (non `--key=value` / `--key value` arguments).
+  /// Parses argv; returns InvalidArgument on malformed input (non
+  /// `--key=value` / `--key value` arguments) and on an illegal value of a
+  /// process flag (see ApplyProcessFlags): a --threads that is not a
+  /// base-10 integer in [1, 256], a --log-level other than
+  /// debug|info|warning|error, or a --simd other than auto|off.
   static StatusOr<Flags> Parse(int argc, char** argv);
 
   bool Has(const std::string& key) const;
@@ -36,7 +39,8 @@ class Flags {
 
 /// Applies process-wide flags shared by every binary:
 ///   --threads=N        sizes the global thread pool (common/thread_pool.h)
-///                      used by the agents' parallel target evaluation.
+///                      used by the agents' parallel target evaluation;
+///                      N in [1, 256].
 ///   --log-level=L      minimum log level emitted to stderr
 ///                      (debug|info|warning|error, see common/logging.h).
 ///   --metrics          enables the obs metrics registry; a Prometheus text

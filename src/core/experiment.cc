@@ -166,7 +166,6 @@ StatusOr<std::unique_ptr<sim::ClusterSim>> StartSeriesSimulator(
   sim_options.functional = options.functional;
   sim_options.warmup_extra = options.warmup_extra;
   sim_options.warmup_tau_ms = options.warmup_tau_min * options.minute_ms;
-  sim_options.event_engine = options.event_engine;
   auto simulator = std::make_unique<sim::ClusterSim>(cluster, sim_options);
   if (!plan.empty()) DRLSTREAM_RETURN_NOT_OK(simulator->InstallFaultPlan(plan));
 

@@ -95,10 +95,6 @@ struct SeriesOptions {
   double pre_roll_ms = 2000.0;
   uint64_t seed = 5;
   bool functional = false;
-  /// Simulator event engine. Both engines replay the same trajectory
-  /// bit-identically (sim/event_queue.h); kHeap exists for the calendar
-  /// queue's order-equivalence property tests.
-  sim::EventEngine event_engine = sim::EventEngine::kCalendar;
 };
 
 /// Starts the simulator a series runs on, seeded and warmed up as `options`

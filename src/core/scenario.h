@@ -56,7 +56,7 @@ struct ScenarioRunResult {
 /// Runs `scheduler` adaptively (re-computing its solution each reported
 /// minute, observing the generator-modulated rates) under the scenario and
 /// returns the latency *and* energy series. Deterministic for a fixed
-/// (seed, spec) pair at any thread count and on both event engines.
+/// (seed, spec) pair at any thread count.
 StatusOr<ScenarioRunResult> MeasureScenarioSeries(
     const topo::Topology& topology, const topo::Workload& workload,
     const topo::ClusterConfig& cluster, sched::Scheduler* scheduler,

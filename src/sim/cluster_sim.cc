@@ -77,8 +77,7 @@ void IntFifo::Grow() {
 }
 
 ClusterSim::ClusterSim(const topo::ClusterConfig& cluster, SimOptions options)
-    : cluster_(cluster), options_(options), rng_(options.seed),
-      use_heap_(options.event_engine == EventEngine::kHeap) {
+    : cluster_(cluster), options_(options), rng_(options.seed) {
   DRLSTREAM_CHECK(cluster.Validate().ok());
   machines_.resize(cluster_.num_machines);
   completion_ms_.assign(cluster_.num_machines, kIdleCompletionMs);
@@ -351,7 +350,7 @@ void ClusterSim::RunUntil(double time_ms) {
     // and it never dispatches.
     const int machine = EarliestCompletion();
     const double completion = completion_ms_[machine];
-    const Event* top = EventsEmpty() ? nullptr : &EventsTop();
+    const Event* top = events_.empty() ? nullptr : &events_.top();
     if (top == nullptr || KeyEarlier(completion, completion_seq_[machine],
                                      top->time_ms, top->seq)) {
       if (completion > time_ms || completion == kIdleCompletionMs) break;
@@ -362,7 +361,7 @@ void ClusterSim::RunUntil(double time_ms) {
     }
     const Event event = *top;
     if (event.time_ms > time_ms) break;
-    EventsPop();
+    events_.pop();
     now_ms_ = std::max(now_ms_, event.time_ms);
     ++counters_.events_processed;
     switch (event.type) {
@@ -418,10 +417,6 @@ bool ClusterSim::TenantActive(int tenant) const {
 
 const sched::Schedule& ClusterSim::TenantSchedule(int tenant) const {
   return *tenants_[tenant].schedule;
-}
-
-const topo::Topology* ClusterSim::TenantTopology(int tenant) const {
-  return tenants_[tenant].topology;
 }
 
 double ClusterSim::TenantWindowAvgLatencyMs(int tenant) const {
@@ -497,15 +492,6 @@ std::vector<int> ClusterSim::MachineExecutorCounts() const {
   return counts;
 }
 
-std::vector<int> ClusterSim::TenantMachineExecutorCounts(int tenant) const {
-  const TenantState& t = tenants_[tenant];
-  std::vector<int> counts(cluster_.num_machines, 0);
-  for (int i = 0; i < t.num_executors; ++i) {
-    ++counts[executors_[t.exec_base + i].machine];
-  }
-  return counts;
-}
-
 bool ClusterSim::MachineUp(int machine) const {
   return machines_[machine].health.up;
 }
@@ -535,23 +521,13 @@ int ClusterSim::ExecutorsOnDeadMachines() const {
   return count;
 }
 
-int ClusterSim::TenantExecutorsOnDeadMachines(int tenant) const {
-  const TenantState& t = tenants_[tenant];
-  if (!t.active) return 0;
-  int count = 0;
-  for (int i = 0; i < t.num_executors; ++i) {
-    if (!machines_[executors_[t.exec_base + i].machine].health.up) ++count;
-  }
-  return count;
-}
-
 // ---------------------------------------------------------------------------
 // Event plumbing.
 // ---------------------------------------------------------------------------
 
 void ClusterSim::Schedule(double time_ms, EventType type, int executor,
                           int tuple_slot) {
-  EventsPush(Event{time_ms, next_seq_++, type, executor, tuple_slot});
+  events_.push(Event{time_ms, next_seq_++, type, executor, tuple_slot});
 }
 
 int ClusterSim::AllocTupleSlot() {
@@ -671,11 +647,6 @@ Status ClusterSim::SetTenantWorkloadGenerator(
   // mid-run install takes effect immediately.
   if (initialized_ && gen != nullptr) PrimeTenantGenerator(tenant);
   return Status::OK();
-}
-
-const workload::WorkloadGenerator* ClusterSim::TenantWorkloadGenerator(
-    int tenant) const {
-  return tenants_[tenant].generator;
 }
 
 std::vector<double> ClusterSim::TenantEffectiveSpoutRates(int tenant) const {

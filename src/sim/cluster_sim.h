@@ -42,10 +42,6 @@ struct SimOptions {
   /// overload; with a single tenant this is exactly the historical
   /// cluster-wide guard).
   int max_inflight_roots = 100000;
-  /// Pending-event engine (sim/event_queue.h). Both engines dispatch the
-  /// exact same event sequence; kHeap is kept as the reference for the
-  /// calendar queue's order-equivalence property tests.
-  EventEngine event_engine = EventEngine::kCalendar;
 };
 
 /// Aggregate counters exposed for tests/benches. Kept both cluster-wide and
@@ -135,7 +131,6 @@ class ClusterSim {
   /// Must be called before Start; events fire at their absolute simulated
   /// times, so a fixed (seed, plan) pair replays bit-identically.
   Status InstallFaultPlan(const FaultPlan& plan);
-  const FaultPlan& fault_plan() const { return fault_plan_; }
 
   /// Registers a tenant topology with its initial schedule. Tenants added
   /// before Start begin emitting at Start (in registration order, matching
@@ -156,8 +151,6 @@ class ClusterSim {
   /// trajectory bit for bit.
   Status SetTenantWorkloadGenerator(int tenant,
                                     const workload::WorkloadGenerator* gen);
-  const workload::WorkloadGenerator* TenantWorkloadGenerator(
-      int tenant) const;
 
   /// Retires a tenant mid-run (job departure): queued and in-flight tuples
   /// are drained, its executors release their machines, and its pending
@@ -187,7 +180,6 @@ class ClusterSim {
   int num_active_tenants() const;
   bool TenantActive(int tenant) const;
   const sched::Schedule& TenantSchedule(int tenant) const;
-  const topo::Topology* TenantTopology(int tenant) const;
 
   /// ---- Measurement windows (the framework's statistics collection) -------
   /// Clears windowed statistics — cluster-wide and per tenant.
@@ -217,7 +209,6 @@ class ClusterSim {
   double RemoteTransferFraction() const;
   /// Executors of active tenants hosted per machine.
   std::vector<int> MachineExecutorCounts() const;
-  std::vector<int> TenantMachineExecutorCounts(int tenant) const;
 
   /// ---- Energy accounting (topo::MachineSpec power model) -----------------
   /// Per-machine dwell/energy ledger. `asleep` reflects the deep-sleep
@@ -262,11 +253,10 @@ class ClusterSim {
   /// Executors (of active tenants) whose current assignment targets a down
   /// machine (should be zero once a reschedule settles).
   int ExecutorsOnDeadMachines() const;
-  int TenantExecutorsOnDeadMachines(int tenant) const;
 
  private:
-  // Event, EventType and the dispatch order live in sim/event_queue.h,
-  // shared with the pluggable event engines.
+  // Event, EventType, the dispatch order and the EventQueue live in
+  // sim/event_queue.h.
 
   /// An in-flight tuple instance headed to (or queued at) an executor.
   struct TupleInstance {
@@ -375,30 +365,6 @@ class ClusterSim {
   int AllocTupleSlot();
   void FreeTupleSlot(int slot);
 
-  /// Pending-event accessors. Both engines are concrete members selected
-  /// by one predictable branch, so the event loop pays no virtual dispatch
-  /// on its hottest operations.
-  bool EventsEmpty() const {
-    return use_heap_ ? heap_events_.Empty() : calendar_events_.Empty();
-  }
-  const Event& EventsTop() const {
-    return use_heap_ ? heap_events_.Top() : calendar_events_.Top();
-  }
-  void EventsPop() {
-    if (use_heap_) {
-      heap_events_.Pop();
-    } else {
-      calendar_events_.Pop();
-    }
-  }
-  void EventsPush(const Event& event) {
-    if (use_heap_) {
-      heap_events_.Push(event);
-    } else {
-      calendar_events_.Push(event);
-    }
-  }
-
   void HandleSpoutEmit(int executor);
   /// Re-reads the tenant's generator multipliers at now and arms the next
   /// kRateChange event (`version` guards against stale events after a
@@ -504,9 +470,7 @@ class ClusterSim {
   /// HandleMachineCompletion's finished executors (kept for its capacity).
   std::vector<int> finished_;
 
-  CalendarEventQueue calendar_events_;
-  BinaryHeapEventQueue heap_events_;
-  bool use_heap_ = false;
+  EventQueue events_;
   /// The completion lane: each machine's one pending service completion,
   /// kept out of the event queue. completion_ms_[m] is when machine m's
   /// next executor finishes (+inf while it serves nothing) and

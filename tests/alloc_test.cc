@@ -110,8 +110,8 @@ TEST(AllocTest, DqnGreedyActionIntoIsAllocationFreeAfterWarmup) {
 
 /// Runs `app` (seed 7, round-robin) for two simulated seconds of warm-up;
 /// the simulated second after that must make fewer than one allocation per
-/// 1000 events processed. What remains is growth (a queue or bucket
-/// reaching a new peak depth), not per-event traffic.
+/// 1000 events processed. What remains is growth (the event heap or an
+/// executor queue reaching a new peak depth), not per-event traffic.
 void ExpectSteadySimSecondOffTheHeap(const topo::App& app,
                                      long long min_events) {
   topo::ClusterConfig cluster;

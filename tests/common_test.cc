@@ -428,5 +428,22 @@ TEST(FlagsTest, BoolParsing) {
   EXPECT_FALSE(flags->GetBool("d", true));
 }
 
+// Parse-only: nothing here applies a flag, so no thread pool is built.
+TEST(FlagsTest, RejectsBadProcessFlagValues) {
+  for (const char* arg :
+       {"--threads=abc", "--threads=0", "--threads=-2", "--threads=4x",
+        "--threads=257", "--log-level=loud", "--simd=avx512"}) {
+    const char* argv[] = {"prog", arg};
+    auto flags = Flags::Parse(2, const_cast<char**>(argv));
+    ASSERT_FALSE(flags.ok()) << arg;
+    EXPECT_EQ(flags.status().code(), StatusCode::kInvalidArgument) << arg;
+  }
+  const char* argv[] = {"prog", "--threads=256", "--log-level=warning",
+                        "--simd=off"};
+  auto flags = Flags::Parse(4, const_cast<char**>(argv));
+  ASSERT_TRUE(flags.ok()) << flags.status().ToString();
+  EXPECT_EQ(flags->GetInt("threads", 0), 256);
+}
+
 }  // namespace
 }  // namespace drlstream

@@ -1,10 +1,10 @@
 // Multi-tenant shared-cluster simulator coverage: the single-tenant views
 // (a one-tenant ClusterSim's tenant-0 statistics must equal its cluster-wide
-// ones bit for bit, and replay identically at several thread counts and on
-// both event engines), per-tenant root conservation under machine crashes,
-// and determinism of tenant add/remove mid-run. The single-topology goldens
-// themselves are held by the policy-equivalence and fault suites, which pin
-// the trajectory bytes tenant 0 must keep producing.
+// ones bit for bit, and replay identically at several thread counts),
+// per-tenant root conservation under machine crashes, and determinism of
+// tenant add/remove mid-run. The single-topology goldens themselves are held
+// by the policy-equivalence and fault suites, which pin the trajectory bytes
+// tenant 0 must keep producing.
 
 #include <gtest/gtest.h>
 
@@ -105,7 +105,7 @@ TenantSnapshot SnapshotTenant(const ClusterSim& sim, int tenant) {
 // ---------------------------------------------------------------------------
 
 /// What one epoch of the single-tenant run observes; compared with EXPECT_EQ
-/// across thread counts and engines (the contract is bit-identity).
+/// across thread counts (the contract is bit-identity).
 struct EpochViews {
   double window_latency = 0.0;
   std::vector<double> component_proc;
@@ -127,67 +127,61 @@ TEST(MultiTenantTest, SingleTenantViewsMatchClusterWideBitwise) {
   SimCounters reference_counters;
   for (int threads : {1, 2, 4}) {
     SetGlobalThreadCount(threads);
-    for (EventEngine engine : {EventEngine::kCalendar, EventEngine::kHeap}) {
-      SimOptions options;
-      options.seed = 17;
-      options.event_engine = engine;
+    SimOptions options;
+    options.seed = 17;
 
-      ClusterSim sim(cluster, options);
-      ASSERT_TRUE(sim.AddTenant(&topology, &workload, initial).ok());
-      ASSERT_TRUE(sim.Start().ok());
+    ClusterSim sim(cluster, options);
+    ASSERT_TRUE(sim.AddTenant(&topology, &workload, initial).ok());
+    ASSERT_TRUE(sim.Start().ok());
 
-      // Run, measure, migrate, repeat; every tenant-0 view must equal its
-      // cluster-wide counterpart.
-      std::vector<EpochViews> epochs;
-      for (int epoch = 0; epoch < 3; ++epoch) {
-        sim.RunFor(700.0);
-        EpochViews views;
-        views.window_latency = sim.TenantWindowAvgLatencyMs(0);
-        EXPECT_EQ(views.window_latency, sim.WindowAvgLatencyMs());
-        EXPECT_EQ(sim.tenant_window_latency(0).count(),
-                  sim.window_latency().count());
-        views.component_proc = sim.TenantWindowComponentProcMs(0);
-        views.edge_transfer = sim.TenantWindowEdgeTransferMs(0);
-        views.queue_depths = sim.TenantExecutorQueueDepths(0);
-        EXPECT_EQ(views.queue_depths, sim.ExecutorQueueDepths());
-        views.inflight = sim.TenantInflightRoots(0);
-        EXPECT_EQ(views.inflight, sim.inflight_roots());
-        epochs.push_back(views);
-        sim.ResetWindow();
-        ASSERT_TRUE(sim.Migrate(0, epoch % 2 == 0 ? moved : initial).ok());
-      }
-      // The tenant view of a single-tenant run carries the same root,
-      // tuple and migration accounting (events/faults are cluster-level by
-      // design).
-      const SimCounters& b = sim.counters();
-      const SimCounters& t = sim.TenantCounters(0);
-      EXPECT_EQ(t.roots_emitted, b.roots_emitted);
-      EXPECT_EQ(t.roots_completed, b.roots_completed);
-      EXPECT_EQ(t.roots_failed, b.roots_failed);
-      EXPECT_EQ(t.tuples_processed, b.tuples_processed);
-      EXPECT_EQ(t.local_transfers, b.local_transfers);
-      EXPECT_EQ(t.remote_transfers, b.remote_transfers);
-      EXPECT_EQ(t.migrations, b.migrations);
-
-      // Every thread count and engine replays the first run exactly.
-      if (reference.empty()) {
-        reference = epochs;
-        reference_counters = b;
-        continue;
-      }
-      EXPECT_TRUE(epochs == reference)
-          << "threads=" << threads
-          << " heap=" << (engine == EventEngine::kHeap);
-      const SimCounters& r = reference_counters;
-      EXPECT_EQ(b.events_processed, r.events_processed);
-      EXPECT_EQ(b.roots_emitted, r.roots_emitted);
-      EXPECT_EQ(b.roots_completed, r.roots_completed);
-      EXPECT_EQ(b.roots_failed, r.roots_failed);
-      EXPECT_EQ(b.tuples_processed, r.tuples_processed);
-      EXPECT_EQ(b.local_transfers, r.local_transfers);
-      EXPECT_EQ(b.remote_transfers, r.remote_transfers);
-      EXPECT_EQ(b.migrations, r.migrations);
+    // Run, measure, migrate, repeat; every tenant-0 view must equal its
+    // cluster-wide counterpart.
+    std::vector<EpochViews> epochs;
+    for (int epoch = 0; epoch < 3; ++epoch) {
+      sim.RunFor(700.0);
+      EpochViews views;
+      views.window_latency = sim.TenantWindowAvgLatencyMs(0);
+      EXPECT_EQ(views.window_latency, sim.WindowAvgLatencyMs());
+      EXPECT_EQ(sim.tenant_window_latency(0).count(),
+                sim.window_latency().count());
+      views.component_proc = sim.TenantWindowComponentProcMs(0);
+      views.edge_transfer = sim.TenantWindowEdgeTransferMs(0);
+      views.queue_depths = sim.TenantExecutorQueueDepths(0);
+      EXPECT_EQ(views.queue_depths, sim.ExecutorQueueDepths());
+      views.inflight = sim.TenantInflightRoots(0);
+      EXPECT_EQ(views.inflight, sim.inflight_roots());
+      epochs.push_back(views);
+      sim.ResetWindow();
+      ASSERT_TRUE(sim.Migrate(0, epoch % 2 == 0 ? moved : initial).ok());
     }
+    // The tenant view of a single-tenant run carries the same root, tuple
+    // and migration accounting (events/faults are cluster-level by design).
+    const SimCounters& b = sim.counters();
+    const SimCounters& t = sim.TenantCounters(0);
+    EXPECT_EQ(t.roots_emitted, b.roots_emitted);
+    EXPECT_EQ(t.roots_completed, b.roots_completed);
+    EXPECT_EQ(t.roots_failed, b.roots_failed);
+    EXPECT_EQ(t.tuples_processed, b.tuples_processed);
+    EXPECT_EQ(t.local_transfers, b.local_transfers);
+    EXPECT_EQ(t.remote_transfers, b.remote_transfers);
+    EXPECT_EQ(t.migrations, b.migrations);
+
+    // Every thread count replays the first run exactly.
+    if (reference.empty()) {
+      reference = epochs;
+      reference_counters = b;
+      continue;
+    }
+    EXPECT_TRUE(epochs == reference) << "threads=" << threads;
+    const SimCounters& r = reference_counters;
+    EXPECT_EQ(b.events_processed, r.events_processed);
+    EXPECT_EQ(b.roots_emitted, r.roots_emitted);
+    EXPECT_EQ(b.roots_completed, r.roots_completed);
+    EXPECT_EQ(b.roots_failed, r.roots_failed);
+    EXPECT_EQ(b.tuples_processed, r.tuples_processed);
+    EXPECT_EQ(b.local_transfers, r.local_transfers);
+    EXPECT_EQ(b.remote_transfers, r.remote_transfers);
+    EXPECT_EQ(b.migrations, r.migrations);
   }
   SetGlobalThreadCount(0);
 }
@@ -266,7 +260,7 @@ TEST(MultiTenantTest, PerTenantRootConservationUnderCrashes) {
 // ---------------------------------------------------------------------------
 
 /// One scripted add/remove scenario; returns every tenant's final snapshot.
-std::vector<TenantSnapshot> RunAddRemoveScenario(EventEngine engine) {
+std::vector<TenantSnapshot> RunAddRemoveScenario() {
   static const topo::Topology chain_a = ChainTopology(1, 2, 0.3);
   static const topo::Topology chain_b = ChainTopology(2, 2, 0.2);
   static const topo::Topology chain_c = ChainTopology(1, 1, 0.5);
@@ -277,7 +271,6 @@ std::vector<TenantSnapshot> RunAddRemoveScenario(EventEngine engine) {
 
   SimOptions options;
   options.seed = 31;
-  options.event_engine = engine;
   ClusterSim sim(cluster, options);
   EXPECT_TRUE(sim.AddTenant(&chain_a, &load_a, SpreadSchedule(chain_a, 4)).ok());
   EXPECT_TRUE(
@@ -301,22 +294,19 @@ std::vector<TenantSnapshot> RunAddRemoveScenario(EventEngine engine) {
 }
 
 TEST(MultiTenantTest, AddRemoveMidRunIsDeterministicAcrossThreadCounts) {
-  for (EventEngine engine : {EventEngine::kCalendar, EventEngine::kHeap}) {
-    SetGlobalThreadCount(1);
-    const std::vector<TenantSnapshot> baseline = RunAddRemoveScenario(engine);
-    ASSERT_EQ(baseline.size(), 3u);
-    // The departed tenant froze with clean books; the arrival kept running.
-    EXPECT_EQ(baseline[0].inflight, 0);
-    EXPECT_GT(baseline[2].counters.roots_completed, 0);
-    for (int threads : {1, 2, 4}) {
-      SetGlobalThreadCount(threads);
-      const std::vector<TenantSnapshot> rerun = RunAddRemoveScenario(engine);
-      ASSERT_EQ(rerun.size(), baseline.size());
-      for (size_t t = 0; t < baseline.size(); ++t) {
-        EXPECT_TRUE(rerun[t] == baseline[t])
-            << "engine " << static_cast<int>(engine) << " threads " << threads
-            << " tenant " << t;
-      }
+  SetGlobalThreadCount(1);
+  const std::vector<TenantSnapshot> baseline = RunAddRemoveScenario();
+  ASSERT_EQ(baseline.size(), 3u);
+  // The departed tenant froze with clean books; the arrival kept running.
+  EXPECT_EQ(baseline[0].inflight, 0);
+  EXPECT_GT(baseline[2].counters.roots_completed, 0);
+  for (int threads : {1, 2, 4}) {
+    SetGlobalThreadCount(threads);
+    const std::vector<TenantSnapshot> rerun = RunAddRemoveScenario();
+    ASSERT_EQ(rerun.size(), baseline.size());
+    for (size_t t = 0; t < baseline.size(); ++t) {
+      EXPECT_TRUE(rerun[t] == baseline[t])
+          << "threads " << threads << " tenant " << t;
     }
   }
   SetGlobalThreadCount(0);

@@ -3,23 +3,17 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <numeric>
 #include <ostream>
-#include <sstream>
 #include <string>
-#include <utility>
 
 #include "common/rng.h"
-#include "core/artifacts.h"
-#include "core/experiment.h"
 #include "core/online.h"
 #include "miqp/knn_solver.h"
 #include "rl/policy_registry.h"
 #include "sched/model_based.h"
 #include "sched/scheduler.h"
 #include "sim/cluster_sim.h"
-#include "sim/faults.h"
 #include "topo/apps.h"
 
 namespace drlstream {
@@ -343,101 +337,6 @@ TEST(DiagnosticsTest, MachineCountsMatchSchedule) {
   EXPECT_EQ(std::accumulate(counts.begin(), counts.end(), 0), 20);
   EXPECT_EQ(simulator.ExecutorQueueDepths().size(), 20u);
   EXPECT_DOUBLE_EQ(simulator.RemoteTransferFraction(), 0.0);
-}
-
-// ---------------------------------------------------------------------------
-// Event-engine equivalence under chaos: random fault plans replayed with the
-// calendar queue and the reference binary heap must produce bit-identical
-// runs — same latency series, same counters, and byte-identical
-// SaveFaultRunJson artifacts.
-// ---------------------------------------------------------------------------
-
-sim::FaultPlan ChaosFaultPlan(Rng* rng, double horizon_ms) {
-  sim::FaultPlan plan;
-  for (int machine = 1; machine <= 3; ++machine) {
-    if (rng->Uniform(0.0, 1.0) < 0.6) {
-      const double crash_ms = rng->Uniform(0.1, 0.5) * horizon_ms;
-      plan.AddCrash(crash_ms, machine);
-      if (rng->Uniform(0.0, 1.0) < 0.7) {
-        plan.AddRecover(crash_ms + rng->Uniform(0.1, 0.4) * horizon_ms,
-                        machine);
-      }
-    } else if (rng->Uniform(0.0, 1.0) < 0.5) {
-      const double start_ms = rng->Uniform(0.05, 0.6) * horizon_ms;
-      if (rng->Uniform(0.0, 1.0) < 0.5) {
-        plan.AddStraggler(start_ms, machine, rng->Uniform(1.5, 5.0),
-                          rng->Uniform(0.05, 0.3) * horizon_ms);
-      } else {
-        plan.AddLinkSpike(start_ms, machine, rng->Uniform(1.0, 20.0),
-                          rng->Uniform(0.05, 0.3) * horizon_ms);
-      }
-    }
-  }
-  if (rng->Uniform(0.0, 1.0) < 0.5) {
-    plan.AddSpoutShock(rng->Uniform(0.2, 0.8) * horizon_ms,
-                       rng->Uniform(0.5, 2.0));
-  }
-  return plan;
-}
-
-std::string ReadFileOrDie(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
-TEST(EventEngineChaosTest, FaultReplaysAreBitIdenticalAcrossEngines) {
-  Rng rng(4242);
-  topo::App app = topo::BuildWordCount();
-  topo::ClusterConfig cluster;
-  for (int trial = 0; trial < 4; ++trial) {
-    core::FaultSeriesOptions options;
-    options.series.points = 4;
-    options.series.minute_ms = 1000.0;
-    options.series.measure_window_ms = 500.0;
-    options.series.pre_roll_ms = 500.0;
-    options.series.seed = 900 + trial;
-    const double horizon_ms = options.series.pre_roll_ms +
-                              options.series.points * options.series.minute_ms;
-    options.plan = ChaosFaultPlan(&rng, horizon_ms);
-    ASSERT_TRUE(options.plan.Validate(cluster.num_machines).ok())
-        << options.plan.ToCsv();
-
-    core::FaultRunResult results[2];
-    std::string json[2];
-    const sim::EventEngine engines[2] = {sim::EventEngine::kCalendar,
-                                         sim::EventEngine::kHeap};
-    for (int e = 0; e < 2; ++e) {
-      options.series.event_engine = engines[e];
-      sched::RoundRobinScheduler scheduler;
-      auto result = core::MeasureFaultSeries(app.topology, app.workload,
-                                             cluster, &scheduler, options);
-      ASSERT_TRUE(result.ok())
-          << "trial " << trial << ": " << result.status().ToString();
-      results[e] = *std::move(result);
-      const std::string path = testing::TempDir() + "/event_engine_chaos_" +
-                               std::to_string(trial) + "_" +
-                               std::to_string(e) + ".json";
-      ASSERT_TRUE(
-          core::SaveFaultRunJson(path, "round_robin", results[e]).ok());
-      json[e] = ReadFileOrDie(path);
-    }
-
-    // Bit-identical series, counters and artifact (EXPECT_EQ throughout).
-    EXPECT_EQ(results[0].series, results[1].series) << "trial " << trial;
-    EXPECT_EQ(results[0].final_counters.events_processed,
-              results[1].final_counters.events_processed)
-        << "trial " << trial;
-    EXPECT_EQ(results[0].final_counters.roots_completed,
-              results[1].final_counters.roots_completed);
-    EXPECT_EQ(results[0].final_counters.migrations,
-              results[1].final_counters.migrations);
-    EXPECT_EQ(results[0].final_machine_up, results[1].final_machine_up);
-    EXPECT_EQ(json[0], json[1]) << "trial " << trial
-                                << "\nplan:\n" << options.plan.ToCsv();
-  }
 }
 
 }  // namespace

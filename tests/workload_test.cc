@@ -1,6 +1,6 @@
 // Workload-scenario engine + energy model coverage:
 //  * generator op streams are deterministic and bit-identical at any thread
-//    count and on both event engines;
+//    count;
 //  * the `constant` generator (factor 1) reproduces the generator-free
 //    trajectory bit-identically (the new modulation path is free when
 //    unused);
@@ -203,13 +203,12 @@ struct RunSignature {
 };
 
 RunSignature RunSim(const WorkloadGenerator* generator,
-                    sim::EventEngine engine, double sleep_after_idle_ms) {
+                    double sleep_after_idle_ms) {
   topo::App app = topo::BuildContinuousQueries(topo::Scale::kSmall);
   topo::ClusterConfig cluster;
   cluster.machine.sleep_after_idle_ms = sleep_after_idle_ms;
   sim::SimOptions options;
   options.seed = 99;
-  options.event_engine = engine;
   sim::ClusterSim simulator(cluster, options);
   const int n = app.topology.num_executors();
   const int m = cluster.num_machines;
@@ -239,7 +238,7 @@ class WorkloadSimTest : public testing::Test {
   void TearDown() override { SetGlobalThreadCount(0); }
 };
 
-TEST_F(WorkloadSimTest, DiurnalRunIsBitIdenticalAcrossThreadsAndEngines) {
+TEST_F(WorkloadSimTest, DiurnalRunIsBitIdenticalAcrossThreads) {
   workload::DiurnalConfig config;
   config.period_ms = 2000.0;
   config.amplitude = 0.5;
@@ -249,19 +248,12 @@ TEST_F(WorkloadSimTest, DiurnalRunIsBitIdenticalAcrossThreadsAndEngines) {
   ASSERT_TRUE(generator.ok());
 
   SetGlobalThreadCount(1);
-  const RunSignature golden =
-      RunSim(generator->get(), sim::EventEngine::kCalendar, -1.0);
+  const RunSignature golden = RunSim(generator->get(), -1.0);
   EXPECT_GT(golden.roots_completed, 0);
   for (int threads : {1, 2, 4}) {
     SetGlobalThreadCount(threads);
-    for (sim::EventEngine engine :
-         {sim::EventEngine::kCalendar, sim::EventEngine::kHeap}) {
-      const RunSignature run = RunSim(generator->get(), engine, -1.0);
-      EXPECT_TRUE(run == golden)
-          << "threads=" << threads
-          << " engine=" << (engine == sim::EventEngine::kHeap ? "heap"
-                                                              : "calendar");
-    }
+    const RunSignature run = RunSim(generator->get(), -1.0);
+    EXPECT_TRUE(run == golden) << "threads=" << threads;
   }
 }
 
@@ -270,15 +262,9 @@ TEST_F(WorkloadSimTest, ConstantFactorOneIsBitIdenticalToNoGenerator) {
   ASSERT_TRUE(constant.ok());
   for (int threads : {1, 2, 4}) {
     SetGlobalThreadCount(threads);
-    for (sim::EventEngine engine :
-         {sim::EventEngine::kCalendar, sim::EventEngine::kHeap}) {
-      const RunSignature plain = RunSim(nullptr, engine, -1.0);
-      const RunSignature modulated = RunSim(constant->get(), engine, -1.0);
-      EXPECT_TRUE(plain == modulated)
-          << "threads=" << threads
-          << " engine=" << (engine == sim::EventEngine::kHeap ? "heap"
-                                                              : "calendar");
-    }
+    const RunSignature plain = RunSim(nullptr, -1.0);
+    const RunSignature modulated = RunSim(constant->get(), -1.0);
+    EXPECT_TRUE(plain == modulated) << "threads=" << threads;
   }
 }
 
@@ -286,9 +272,8 @@ TEST_F(WorkloadSimTest, GeneratorActuallyModulatesThroughput) {
   SetGlobalThreadCount(1);
   auto surge = workload::MakeConstant(2.0);
   ASSERT_TRUE(surge.ok());
-  const RunSignature plain = RunSim(nullptr, sim::EventEngine::kCalendar, -1.0);
-  const RunSignature doubled =
-      RunSim(surge->get(), sim::EventEngine::kCalendar, -1.0);
+  const RunSignature plain = RunSim(nullptr, -1.0);
+  const RunSignature doubled = RunSim(surge->get(), -1.0);
   // Twice the arrival rate must emit measurably more roots.
   EXPECT_GT(doubled.roots_emitted, plain.roots_emitted * 3 / 2);
 }
