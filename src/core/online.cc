@@ -19,6 +19,7 @@ namespace {
 struct OnlineMetrics {
   obs::Histogram* epoch_latency_ms;
   obs::Histogram* deploy_us;
+  obs::Histogram* train_loss;  // TrainStep()'s critic / Q minibatch loss
   obs::Counter* epochs;
   obs::Counter* disruptions;
   obs::Counter* action_retries;
@@ -32,6 +33,7 @@ const OnlineMetrics& Metrics() {
     return OnlineMetrics{
         reg.histogram("online.epoch_latency_ms"),
         reg.histogram("phase.deploy_us"),
+        reg.histogram("online.train_loss"),
         reg.counter("online.epochs"),
         reg.counter("online.disruptions"),
         reg.counter("online.action_retries"),
@@ -151,7 +153,8 @@ StatusOr<OnlineResult> RunOnline(rl::Policy* policy,
     transition.next_state = env->CurrentState();
     policy->Observe(std::move(transition));
     for (int u = 0; u < options.train_steps_per_epoch; ++u) {
-      policy->TrainStep();
+      const double loss = policy->TrainStep();
+      if (policy->trainable()) Metrics().train_loss->Record(loss);
     }
     result.rewards.push_back(reward);
   }

@@ -30,10 +30,12 @@ const MiqpMetrics& Metrics() {
   return metrics;
 }
 
-/// Per-row option: assigning the row's executor to `machine` costs `cost`.
-struct RowOption {
-  double cost;
-  int machine;
+using RowOption = KnnWorkspace::RowOption;
+
+/// The total order of a row's options: ascending cost, then machine.
+constexpr auto kOptionBefore = [](const RowOption& a, const RowOption& b) {
+  if (a.cost != b.cost) return a.cost < b.cost;
+  return a.machine < b.machine;
 };
 
 /// Sorted (ascending cost, then machine) options for every row. Disallowed
@@ -52,11 +54,7 @@ std::vector<std::vector<RowOption>> BuildRowOptions(
       if (machine_allowed != nullptr && !(*machine_allowed)[j]) continue;
       rows[i].push_back(RowOption{norm_sq + 1.0 - 2.0 * row[j], j});
     }
-    std::sort(rows[i].begin(), rows[i].end(),
-              [](const RowOption& a, const RowOption& b) {
-                if (a.cost != b.cost) return a.cost < b.cost;
-                return a.machine < b.machine;
-              });
+    std::sort(rows[i].begin(), rows[i].end(), kOptionBefore);
   }
   return rows;
 }
@@ -181,7 +179,6 @@ Status KnnActionSolver::SolveInto(
     const std::vector<uint8_t>* machine_allowed, KnnWorkspace* ws,
     KnnResult* result) const {
   using Partial = KnnWorkspace::Partial;
-  using RowOption = KnnWorkspace::RowOption;
   Metrics().solves->Add(1);
   const Status args_ok =
       CheckArgs(proto, num_executors_, num_machines_, k, machine_allowed);
@@ -194,11 +191,15 @@ Status KnnActionSolver::SolveInto(
   const int allowed = AllowedCount(m, machine_allowed);
   k = CapK(k, n, allowed);
 
-  // Per-row options sorted by (ascending cost, then machine), with
+  // Per-row options in (ascending cost, then machine) order, with
   // disallowed machines excluded up front so the feasible set itself — not
   // a post-hoc filter — respects the mask. The mask is column-wise, so
   // every row has exactly `allowed` options and the lists flatten to one
-  // row-major array.
+  // row-major array. Only a row's two cheapest options are placed here
+  // (the 1-NN and the row's cheapest deviation); the rest of a row is
+  // sorted when the fold below reaches it, which on a typical solve is a
+  // small fraction of the rows. The order is total (machines are distinct
+  // and costs finite), so a row reads exactly as a full sort would leave it.
   ws->options.resize(static_cast<size_t>(n) * allowed);
   for (int i = 0; i < n; ++i) {
     const double* row = proto.data() + static_cast<size_t>(i) * m;
@@ -210,11 +211,13 @@ Status KnnActionSolver::SolveInto(
       if (machine_allowed != nullptr && !(*machine_allowed)[j]) continue;
       opts[count++] = RowOption{norm_sq + 1.0 - 2.0 * row[j], j};
     }
-    std::sort(opts, opts + allowed,
-              [](const RowOption& a, const RowOption& b) {
-                if (a.cost != b.cost) return a.cost < b.cost;
-                return a.machine < b.machine;
-              });
+    for (int front = 0; front < std::min(2, allowed - 1); ++front) {
+      int least = front;
+      for (int o = front + 1; o < allowed; ++o) {
+        if (kOptionBefore(opts[o], opts[least])) least = o;
+      }
+      std::swap(opts[front], opts[least]);
+    }
   }
   const auto row_opts = [&](int i) {
     return ws->options.data() + static_cast<size_t>(i) * allowed;
@@ -248,13 +251,14 @@ Status KnnActionSolver::SolveInto(
     const bool full = static_cast<int>(best.size()) >= k;
     const double bound = full ? best.back().excess
                               : std::numeric_limits<double>::infinity();
-    const RowOption* opts = row_opts(i);
+    RowOption* opts = row_opts(i);
     const double min_dev = opts[1].cost - opts[0].cost;
     if (full && min_dev >= bound) {
       // No deviation in this (or any later, by the sort) row can enter the
       // top k; all remaining rows stay at their best option.
       break;
     }
+    std::sort(opts + 2, opts + allowed, kOptionBefore);
     merged.clear();
     for (const Partial& partial : best) {
       merged.push_back(partial);  // Option 0: unchanged.
@@ -283,16 +287,19 @@ Status KnnActionSolver::SolveInto(
   while (static_cast<int>(result->actions.size()) < count) {
     result->actions.emplace_back(n, m);
   }
-  for (int c = 0; c < count; ++c) {
-    const Partial& partial = ws->best[c];
+  // Every action is the 1-NN (each row's cheapest option) plus its chain
+  // of deviations. actions[0] is the 1-NN itself: the zero-excess root
+  // leads every merge and no deviation sorts ahead of it, so its chain is
+  // empty. Build it once and copy it into each other action.
+  sched::Schedule& nearest = result->actions[0];
+  nearest.Reset(n, m);
+  for (int i = 0; i < n; ++i) nearest.Assign(i, row_opts(i)[0].machine);
+  for (int c = 1; c < count; ++c) {
     sched::Schedule& action = result->actions[c];
-    action.Reset(n, m);
-    for (int i = 0; i < n; ++i) {
-      action.Assign(i, row_opts(i)[0].machine);
-    }
+    action = nearest;
     // Rows are distinct within a chain, so walking it parent-first or
     // child-first assigns the same machines.
-    for (int node = partial.dev_head; node >= 0;
+    for (int node = ws->best[c].dev_head; node >= 0;
          node = ws->dev_arena[node].parent) {
       const KnnWorkspace::DevNode& dev = ws->dev_arena[node];
       action.Assign(dev.row, row_opts(dev.row)[dev.option].machine);

@@ -40,7 +40,9 @@ struct KnnWorkspace {
     int parent;
   };
 
-  std::vector<RowOption> options;  // flattened, row-major
+  /// Flattened, row-major. A row's first two entries are its two cheapest
+  /// options; the rest are sorted only once the fold reaches the row.
+  std::vector<RowOption> options;
   std::vector<int> row_order;
   std::vector<Partial> best;
   std::vector<Partial> merged;
@@ -78,7 +80,7 @@ class KnnActionSolver {
 
   /// Allocation-free variant of Solve: scratch comes from `ws` and the
   /// result is written into `*result`, reusing both objects' storage (the
-  /// result's Schedules are Reset in place). After warmup at a fixed
+  /// result's Schedules are overwritten in place). After warmup at a fixed
   /// problem shape, steady-state calls perform zero heap allocations.
   /// Results are bit-identical to Solve(). Not thread-safe per
   /// (ws, result) pair; concurrent callers use distinct pairs.

@@ -38,6 +38,44 @@ double DotAvx2(const double* a, const double* b, int k) {
   return ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + tail;
 }
 
+void Dot4Avx2(const double* const a[4], const double* b, int k,
+              double out[4]) {
+  // Register r holds DotAvx2(a[r], b, k)'s four lanes; the shared b load
+  // feeds all four chains.
+  const double* a0 = a[0];
+  const double* a1 = a[1];
+  const double* a2 = a[2];
+  const double* a3 = a[3];
+  __m256d acc0 = _mm256_setzero_pd();
+  __m256d acc1 = _mm256_setzero_pd();
+  __m256d acc2 = _mm256_setzero_pd();
+  __m256d acc3 = _mm256_setzero_pd();
+  int i = 0;
+  for (; i + 4 <= k; i += 4) {
+    const __m256d vb = _mm256_loadu_pd(b + i);
+    acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(_mm256_loadu_pd(a0 + i), vb));
+    acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(_mm256_loadu_pd(a1 + i), vb));
+    acc2 = _mm256_add_pd(acc2, _mm256_mul_pd(_mm256_loadu_pd(a2 + i), vb));
+    acc3 = _mm256_add_pd(acc3, _mm256_mul_pd(_mm256_loadu_pd(a3 + i), vb));
+  }
+  double tails[4];
+  for (int r = 0; r < 4; ++r) {
+    double tail = 0.0;
+    for (int t = i; t < k; ++t) tail += a[r][t] * b[t];
+    tails[r] = tail;
+  }
+  // The scalar fold's tree for all four rows at once. hadd pairs lanes
+  // (0,1) and (2,3) of two registers; the 128-bit halves then line up each
+  // row's (acc0+acc1) with its (acc2+acc3). IEEE addition commutes, so
+  // every sum rounds as in DotAvx2's ((l0+l1)+(l2+l3))+tail.
+  const __m256d h01 = _mm256_hadd_pd(acc0, acc1);  // r0 01, r1 01, r0 23, r1 23
+  const __m256d h23 = _mm256_hadd_pd(acc2, acc3);  // r2 01, r3 01, r2 23, r3 23
+  const __m256d pairs01 = _mm256_permute2f128_pd(h01, h23, 0x20);
+  const __m256d pairs23 = _mm256_permute2f128_pd(h01, h23, 0x31);
+  const __m256d sums = _mm256_add_pd(pairs01, pairs23);  // rows 0, 1, 2, 3
+  _mm256_storeu_pd(out, _mm256_add_pd(sums, _mm256_loadu_pd(tails)));
+}
+
 void AxpyAvx2(double* y, const double* x, double a, int k) {
   const __m256d va = _mm256_set1_pd(a);
   int i = 0;
@@ -48,13 +86,36 @@ void AxpyAvx2(double* y, const double* x, double a, int k) {
   for (; i < k; ++i) y[i] += a * x[i];
 }
 
-void VecAddAvx2(double* y, const double* x, int k) {
+void SumRowsAvx2(double* z, const double* base, const double* const* rows,
+                 int count, int k) {
+  // Blocks of 32 elements keep eight accumulators in registers while every
+  // row streams past; each element still receives base and then the rows
+  // in ascending order, one add at a time, as in the scalar kernel.
+  constexpr int kRegs = 8;
   int i = 0;
-  for (; i + 4 <= k; i += 4) {
-    _mm256_storeu_pd(
-        y + i, _mm256_add_pd(_mm256_loadu_pd(y + i), _mm256_loadu_pd(x + i)));
+  for (; i + 4 * kRegs <= k; i += 4 * kRegs) {
+    __m256d sums[kRegs];
+    for (int q = 0; q < kRegs; ++q) sums[q] = _mm256_loadu_pd(base + i + 4 * q);
+    for (int r = 0; r < count; ++r) {
+      const double* row = rows[r] + i;
+      for (int q = 0; q < kRegs; ++q) {
+        sums[q] = _mm256_add_pd(sums[q], _mm256_loadu_pd(row + 4 * q));
+      }
+    }
+    for (int q = 0; q < kRegs; ++q) _mm256_storeu_pd(z + i + 4 * q, sums[q]);
   }
-  for (; i < k; ++i) y[i] += x[i];
+  for (; i + 4 <= k; i += 4) {
+    __m256d s = _mm256_loadu_pd(base + i);
+    for (int r = 0; r < count; ++r) {
+      s = _mm256_add_pd(s, _mm256_loadu_pd(rows[r] + i));
+    }
+    _mm256_storeu_pd(z + i, s);
+  }
+  for (; i < k; ++i) {
+    double s = base[i];
+    for (int r = 0; r < count; ++r) s += rows[r][i];
+    z[i] = s;
+  }
 }
 
 #else  // !defined(__AVX2__)
@@ -69,7 +130,15 @@ void AxpyAvx2(double* y, const double* x, double a, int k) {
   AxpyScalar(y, x, a, k);
 }
 
-void VecAddAvx2(double* y, const double* x, int k) { VecAddScalar(y, x, k); }
+void Dot4Avx2(const double* const a[4], const double* b, int k,
+              double out[4]) {
+  Dot4Scalar(a, b, k, out);
+}
+
+void SumRowsAvx2(double* z, const double* base, const double* const* rows,
+                 int count, int k) {
+  SumRowsScalar(z, base, rows, count, k);
+}
 
 #endif  // defined(__AVX2__)
 

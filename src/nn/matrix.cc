@@ -27,16 +27,23 @@ void Matrix::Scale(double scale) {
 // a purely elementwise inner loop. A single serial fold could not be
 // vectorized without reassociation (which -ffast-math would do
 // non-deterministically), so the widened fold order is fixed once in the
-// kernel layer and every path shares it.
+// kernel layer and every path shares it. Blocks of four outputs go through
+// Dot4, whose four chains each equal one Dot bitwise, so the blocking
+// changes latency, never a sum.
 
 void Matrix::MatVec(const std::vector<double>& x,
                     std::vector<double>* y) const {
   DRLSTREAM_CHECK_EQ(static_cast<int>(x.size()), cols_);
   const kernels::DotFn dot = kernels::ResolveDot();
-  y->assign(rows_, 0.0);
-  for (int r = 0; r < rows_; ++r) {
-    (*y)[r] = dot(row(r), x.data(), cols_);
+  const kernels::Dot4Fn dot4 = kernels::ResolveDot4();
+  y->resize(rows_);
+  int r = 0;
+  for (; r + 4 <= rows_; r += 4) {
+    const double* const block[4] = {row(r), row(r + 1), row(r + 2),
+                                    row(r + 3)};
+    dot4(block, x.data(), cols_, y->data() + r);
   }
+  for (; r < rows_; ++r) (*y)[r] = dot(row(r), x.data(), cols_);
 }
 
 void Matrix::MatTVec(const std::vector<double>& x,
@@ -105,10 +112,20 @@ void MatTMul(const Matrix& a, const Matrix& b, Matrix* c) {
   DRLSTREAM_CHECK_EQ(a.cols(), b.cols());
   const int n = a.rows(), k = a.cols(), m = b.rows();
   const kernels::DotFn dot = kernels::ResolveDot();
+  const kernels::Dot4Fn dot4 = kernels::ResolveDot4();
   c->Resize(n, m);
   for (int i0 = 0; i0 < n; i0 += kRowBlock) {
     const int i1 = std::min(n, i0 + kRowBlock);
-    for (int j = 0; j < m; ++j) {
+    // Four b rows at a time against each a row: Dot4 forms b_j[t] * a_i[t]
+    // where Dot forms a_i[t] * b_j[t], which IEEE multiplication makes the
+    // same product, so c(i, j) == Dot(a.row(i), b.row(j), k) bitwise.
+    int j = 0;
+    for (; j + 4 <= m; j += 4) {
+      const double* const b_rows[4] = {b.row(j), b.row(j + 1), b.row(j + 2),
+                                       b.row(j + 3)};
+      for (int i = i0; i < i1; ++i) dot4(b_rows, a.row(i), k, c->row(i) + j);
+    }
+    for (; j < m; ++j) {
       const double* b_row = b.row(j);
       for (int i = i0; i < i1; ++i) {
         c->row(i)[j] = dot(a.row(i), b_row, k);

@@ -24,6 +24,7 @@ struct DdpgMetrics {
   obs::Histogram* critic_update_us;
   obs::Histogram* actor_update_us;
   obs::Histogram* soft_update_us;
+  obs::Histogram* chosen_rank;
   obs::Counter* knn_failures;
 };
 
@@ -39,6 +40,7 @@ const DdpgMetrics& Metrics() {
         reg.histogram("rl.ddpg.critic_update_us"),
         reg.histogram("rl.ddpg.actor_update_us"),
         reg.histogram("rl.ddpg.soft_update_us"),
+        reg.histogram("rl.ddpg.chosen_rank"),
         reg.counter("rl.ddpg.knn_failures"),
     };
   }();
@@ -128,27 +130,53 @@ void DdpgAgent::CandidateQValuesFromZ(
     std::vector<double>* q_out) const {
   const nn::Linear& first = critic.layer(0);
   const int h = first.out_dim();
+  const int n = encoder_.num_executors();
   const int m = encoder_.num_machines();
   const int count = static_cast<int>(actions.size());
-  const nn::kernels::VecAddFn vec_add = nn::kernels::ResolveVecAdd();
-  // First layer: one gather-accumulate per candidate, landing in a batch
-  // matrix. Each row repeats the single-candidate arithmetic exactly
-  // (copy the shared state pre-activation, add one weight column per
-  // executor in executor order, activate), so a row's bits do not depend
-  // on the batch size.
+  if (count == 0) return;
+  const nn::kernels::SumRowsFn sum_rows = nn::kernels::ResolveSumRows();
+  // One-hot action: each executor contributes the weight column of its
+  // machine, stored transposed in the cache so the gather is contiguous.
+  const auto column = [&](int executor, int machine) {
+    return cache.action_cols.row(static_cast<size_t>(executor) * m + machine);
+  };
+  // First layer: row c of batch_x is z_state plus candidate c's N columns,
+  // added in executor order, then activated. A candidate agrees with
+  // candidate 0 up to its first differing executor d, so its sum after d
+  // executors is candidate 0's. Walking the candidates by ascending d, one
+  // running prefix of candidate 0's sum advances to each d, and each
+  // candidate adds only its own columns from d on: every element receives
+  // the same adds in the same order as a full per-candidate sum, so a
+  // row's bits depend neither on the batch nor on the sharing.
+  const std::vector<int>& nearest = actions[0].assignments();
+  std::vector<std::pair<int, int>>& order = scratch->order;
+  order.clear();
+  for (int c = 0; c < count; ++c) {
+    const std::vector<int>& assignments = actions[c].assignments();
+    int d = 0;
+    while (d < n && assignments[d] == nearest[d]) ++d;
+    order.emplace_back(d, c);
+  }
+  std::sort(order.begin(), order.end());
+  scratch->prefix.assign(z_state, z_state + h);
+  scratch->columns.resize(n);
+  double* prefix = scratch->prefix.data();
+  const double** columns = scratch->columns.data();
   nn::Matrix& batch_x = scratch->batch_x;
   batch_x.Resize(count, h);
-  for (int c = 0; c < count; ++c) {
-    const sched::Schedule& action = actions[c];
-    double* z = batch_x.row(c);
-    std::copy(z_state, z_state + h, z);
-    // One-hot action: each executor row contributes one weight column,
-    // stored transposed in the cache so the gather is contiguous.
-    for (int i = 0; i < action.num_executors(); ++i) {
-      const double* col = cache.action_cols.row(
-          static_cast<size_t>(i) * m + action.MachineOf(i));
-      vec_add(z, col, h);
+  int summed = 0;  // executors already in the prefix
+  for (const auto& [d, c] : order) {
+    if (d > summed) {
+      for (int i = summed; i < d; ++i) {
+        columns[i - summed] = column(i, nearest[i]);
+      }
+      sum_rows(prefix, prefix, columns, d - summed, h);
+      summed = d;
     }
+    const std::vector<int>& assignments = actions[c].assignments();
+    for (int i = d; i < n; ++i) columns[i - d] = column(i, assignments[i]);
+    double* z = batch_x.row(c);
+    sum_rows(z, prefix, columns, n - d, h);
     for (int r = 0; r < h; ++r) {
       z[r] = nn::ApplyActivation(first.activation, z[r]);
     }
@@ -260,6 +288,9 @@ Status DdpgAgent::DecideFromProto(const State& state, double epsilon,
   for (size_t c = 1; c < ws.q_values.size(); ++c) {
     if (ws.q_values[c] > ws.q_values[best]) best = static_cast<int>(c);
   }
+  // The winner's index in K-NN distance order: a critic that always picks
+  // rank 0 makes the K candidates buy nothing over the 1-NN.
+  Metrics().chosen_rank->Record(best);
   out->schedule = ws.candidates.actions[best];
   out->schedule.set_tenant(state.tenant);
   out->move_index = -1;

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -152,12 +153,19 @@ class DdpgAgent : public Policy {
   /// Reusable buffers for scoring one candidate set (CandidateQValuesFromZ):
   /// batch_x holds one first-layer activation row per candidate, batch_y
   /// the alternating upper-layer outputs (the two ping-pong through the
-  /// tiny GEMMs). Matrix::Resize only reallocates on growth, so a scratch
-  /// sized once for the largest candidate set never allocates again. One
-  /// scratch per concurrent scorer.
+  /// tiny GEMMs). prefix, columns and order serve the prefix-shared
+  /// first-layer gather: O(h + N + K) in all, so one scratch per parallel
+  /// target slot stays small. Matrix::Resize and the vectors only
+  /// reallocate on growth, so a scratch sized once for the largest
+  /// candidate set never allocates again. One scratch per concurrent
+  /// scorer.
   struct ScoreScratch {
     nn::Matrix batch_x;
     nn::Matrix batch_y;
+    std::vector<double> prefix;  // h: candidate 0's running first-layer sum
+    std::vector<const double*> columns;  // N: weight columns still to add
+    /// (first executor where the candidate leaves candidate 0, candidate).
+    std::vector<std::pair<int, int>> order;
   };
 
   /// Everything one decision (SelectActionInto / GreedyActionInto) needs,

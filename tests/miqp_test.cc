@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "miqp/knn_solver.h"
@@ -312,6 +315,136 @@ TEST(KnnSolverTest, NullMaskIsAllMachines) {
     EXPECT_EQ(plain->actions[a].assignments(),
               masked->actions[a].assignments());
     EXPECT_DOUBLE_EQ(plain_distances[a], masked_distances[a]);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Exact-sequence goldens: every returned assignment in rank order, not only
+// the distances, on tie-heavy protos. With entries in {0, 0.5, 1} many
+// options cost the same, so the (cost, machine) tie-break decides the ranks
+// and these pin it. One workspace and one result serve every case in turn,
+// so shape changes between solves are covered too. Recorded from the solver
+// that fully sorted every row's options before folding.
+// ---------------------------------------------------------------------------
+
+std::vector<double> TieProto(int n, int m, Rng* rng) {
+  std::vector<double> proto(static_cast<size_t>(n) * m);
+  for (double& v : proto) v = 0.5 * rng->UniformInt(0, 2);
+  return proto;
+}
+
+/// One string per action, one digit per executor: "0312" puts executor 0
+/// on machine 0, executor 1 on machine 3, and so on.
+std::vector<std::string> Sequence(const KnnResult& result) {
+  std::vector<std::string> sequence;
+  for (const sched::Schedule& action : result.actions) {
+    std::string digits;
+    for (int machine : action.assignments()) {
+      digits.push_back(static_cast<char>('0' + machine));
+    }
+    sequence.push_back(digits);
+  }
+  return sequence;
+}
+
+/// FNV-1a over every assignment of every action, in rank order.
+uint64_t SequenceHash(const KnnResult& result) {
+  uint64_t hash = 14695981039346656037ull;
+  for (const sched::Schedule& action : result.actions) {
+    for (int machine : action.assignments()) {
+      hash ^= static_cast<uint64_t>(machine);
+      hash *= 1099511628211ull;
+    }
+    hash ^= 0xffu;  // action separator
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
+
+struct SequenceCase {
+  int n;
+  int m;
+  std::vector<uint8_t> mask;  // empty = every machine allowed
+  int k;
+  uint64_t seed;
+};
+
+Status SolveCase(const SequenceCase& c, KnnWorkspace* ws, KnnResult* result) {
+  Rng rng(c.seed);
+  const std::vector<double> proto = TieProto(c.n, c.m, &rng);
+  KnnActionSolver solver(c.n, c.m);
+  return solver.SolveInto(proto, c.k, c.mask.empty() ? nullptr : &c.mask, ws,
+                          result);
+}
+
+TEST(KnnSequenceGoldenTest, SmallTieHeavyInstancesGiveExactSequences) {
+  struct Golden {
+    SequenceCase c;
+    std::vector<std::string> want;
+  };
+  const std::vector<Golden> goldens = {
+      // No mask, k below M^N = 256.
+      {{4, 4, {}, 10, 1},
+       {"2100", "2110", "2130", "2120", "0100", "1100", "3100", "0110",
+        "1110", "3110"}},
+      // One machine left: k above M'^N = 1.
+      {{4, 4, {0, 1, 0, 0}, 5, 2}, {"1111"}},
+      // Two machines left: k below and above M'^N = 16.
+      {{4, 4, {1, 0, 0, 1}, 6, 3},
+       {"0000", "3000", "0300", "3300", "0030", "3030"}},
+      {{4, 4, {1, 0, 0, 1}, 20, 4},
+       {"0003", "0303", "0033", "0000", "0333", "0300", "0030", "3003",
+        "0330", "3303", "3033", "3000", "3333", "3300", "3030", "3330"}},
+      // M - 1 machines left: k below and above M'^N = 27.
+      {{3, 4, {1, 1, 0, 1}, 10, 5},
+       {"030", "330", "033", "333", "130", "031", "331", "000", "010",
+        "300"}},
+      {{3, 4, {1, 1, 0, 1}, 40, 6},
+       {"003", "303", "033", "333", "103", "013", "313", "133", "001",
+        "301", "031", "331", "113", "000", "300", "030", "330", "101",
+        "011", "311", "131", "100", "010", "310", "130", "111", "110"}},
+      // k equal to M^N: the whole action space, in rank order.
+      {{2, 3, {}, 9, 7},
+       {"00", "10", "20", "01", "02", "11", "12", "21", "22"}},
+  };
+  KnnWorkspace ws;
+  KnnResult result;
+  for (const Golden& golden : goldens) {
+    const SequenceCase& c = golden.c;
+    ASSERT_TRUE(SolveCase(c, &ws, &result).ok());
+    EXPECT_EQ(Sequence(result), golden.want)
+        << "n=" << c.n << " m=" << c.m << " k=" << c.k << " seed=" << c.seed;
+  }
+}
+
+TEST(KnnSequenceGoldenTest, CqLargeShapeTieHeavySequencesMatchHashes) {
+  // N = 100, M = 10 (the CQ-large agent's action shape), K = 32 and K above
+  // M'^N for the one- and two-machine masks.
+  struct Golden {
+    SequenceCase c;
+    size_t count;
+    uint64_t hash;
+  };
+  const std::vector<uint8_t> all_but_one = {1, 1, 1, 1, 0, 1, 1, 1, 1, 1};
+  const std::vector<uint8_t> two = {0, 0, 1, 0, 0, 0, 0, 1, 0, 0};
+  const std::vector<uint8_t> one = {0, 0, 0, 0, 0, 0, 0, 0, 1, 0};
+  const std::vector<Golden> goldens = {
+      {{100, 10, {}, 32, 11}, 32, 0x61d6ef4e29dbf305ull},
+      {{100, 10, {}, 1, 12}, 1, 0x0f5a257e12e1e912ull},
+      {{100, 10, all_but_one, 32, 13}, 32, 0x32035bd76c8b57a7ull},
+      {{100, 10, two, 32, 14}, 32, 0x49b7df97b586a2b5ull},
+      {{5, 10, two, 40, 15}, 32, 0x9558d73ba4d20561ull},
+      {{100, 10, one, 32, 16}, 1, 0x4c45c67ee577447eull},
+      {{100, 10, {}, 200, 17}, 200, 0xc071f64a1dc481d6ull},
+  };
+  KnnWorkspace ws;
+  KnnResult result;
+  for (const Golden& golden : goldens) {
+    const SequenceCase& c = golden.c;
+    ASSERT_TRUE(SolveCase(c, &ws, &result).ok());
+    EXPECT_EQ(result.actions.size(), golden.count) << "seed=" << c.seed;
+    EXPECT_EQ(SequenceHash(result), golden.hash)
+        << "seed=" << c.seed << " got 0x" << std::hex << SequenceHash(result);
   }
 }
 

@@ -14,6 +14,7 @@
 #include "core/environment.h"
 #include "core/experiment.h"
 #include "core/online.h"
+#include "obs/metrics.h"
 #include "rl/policy_registry.h"
 #include "topo/apps.h"
 
@@ -119,6 +120,45 @@ TEST_F(PolicyEquivalenceTest, DqnMatchesPreRefactorGoldensAtAnyThreadCount) {
   for (int threads : {1, 2, 4}) {
     SetGlobalThreadCount(threads);
     ExpectGolden(RunPolicy("dqn"), want_rewards, want_final, threads);
+  }
+}
+
+// Learning-health metrics at the argmax: the chosen candidate's rank in
+// K-NN distance order and the loss each TrainStep returns are deterministic
+// values, so their histograms must export identically at every thread
+// count. The golden run makes 6 epoch decisions plus the final greedy one
+// and one training step per epoch.
+TEST_F(PolicyEquivalenceTest, DdpgLearningHealthMetricsAreThreadInvariant) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Get();
+  const bool metrics_were_enabled = obs::MetricsEnabled();
+  obs::SetMetricsEnabled(true);
+  std::vector<obs::HistogramSnapshot> ranks;
+  std::vector<obs::HistogramSnapshot> losses;
+  for (int threads : {1, 2, 4}) {
+    SetGlobalThreadCount(threads);
+    registry.ResetValues();
+    RunPolicy("ddpg");
+    obs::MetricsSnapshot snapshot = registry.Snapshot();
+    EXPECT_EQ(snapshot.counters["online.action_retries"], 0);
+    ranks.push_back(snapshot.histograms["rl.ddpg.chosen_rank"]);
+    losses.push_back(snapshot.histograms["online.train_loss"]);
+  }
+  obs::SetMetricsEnabled(metrics_were_enabled);
+  registry.ResetValues();
+
+  EXPECT_EQ(ranks[0].count, 7);
+  EXPECT_EQ(losses[0].count, 6);
+  EXPECT_GT(losses[0].sum, 0.0);
+  for (size_t i = 1; i < ranks.size(); ++i) {
+    EXPECT_EQ(ranks[i].count, ranks[0].count) << "run " << i;
+    EXPECT_EQ(ranks[i].sum, ranks[0].sum) << "run " << i;
+    EXPECT_EQ(ranks[i].max, ranks[0].max) << "run " << i;
+    EXPECT_EQ(ranks[i].buckets, ranks[0].buckets) << "run " << i;
+    EXPECT_EQ(losses[i].count, losses[0].count) << "run " << i;
+    EXPECT_EQ(losses[i].sum, losses[0].sum) << "run " << i;
+    EXPECT_EQ(losses[i].min, losses[0].min) << "run " << i;
+    EXPECT_EQ(losses[i].max, losses[0].max) << "run " << i;
+    EXPECT_EQ(losses[i].buckets, losses[0].buckets) << "run " << i;
   }
 }
 

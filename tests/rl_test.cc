@@ -1,17 +1,22 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <set>
 
 #include "common/rng.h"
+#include "common/simd.h"
 #include "common/thread_pool.h"
+#include "core/experiment.h"
 #include "rl/ddpg_agent.h"
 #include "rl/dqn_agent.h"
 #include "rl/exploration.h"
 #include "rl/replay_buffer.h"
 #include "rl/state.h"
 #include "rl/transition_db.h"
+#include "topo/apps.h"
 
 namespace drlstream::rl {
 namespace {
@@ -555,6 +560,113 @@ TEST(DdpgAgentTest, PretrainOfflineFillsReplay) {
   }
   agent.PretrainOffline(db, 5);
   EXPECT_EQ(agent.replay().size(), 10u);
+}
+
+// ---------------------------------------------------------------------------
+// Bit-level golden on the paper's CQ-large agent shape (N = 100, M = 10,
+// K = 32). The policy-equivalence goldens pin rewards and final schedules,
+// which a one-ulp drift in a Q value that flips no argmax leaves intact;
+// this one hashes the bit patterns of every training loss and of both
+// networks' final weights, so it also pins every target Q the critic
+// trained on.
+// ---------------------------------------------------------------------------
+
+/// FNV-1a over 64-bit words.
+class Fnv64 {
+ public:
+  void Add(uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ ^= (word >> (8 * byte)) & 0xffu;
+      hash_ *= 1099511628211ull;
+    }
+  }
+  void AddDouble(double value) { Add(std::bit_cast<uint64_t>(value)); }
+  uint64_t value() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 14695981039346656037ull;
+};
+
+void HashNetwork(const nn::Mlp& net, Fnv64* hash) {
+  for (int l = 0; l < net.num_layers(); ++l) {
+    const nn::Linear& layer = net.layer(l);
+    for (size_t p = 0; p < layer.weights.size(); ++p) {
+      hash->AddDouble(layer.weights.data()[p]);
+    }
+    for (double b : layer.bias) hash->AddDouble(b);
+  }
+}
+
+/// Every seventh decision sees one machine down, so masked K-NN solves run
+/// in the decision loop and (through the next states) in the targets.
+std::vector<uint8_t> GoldenMask(int decision, int m) {
+  if (decision % 7 != 3) return {};
+  std::vector<uint8_t> mask(m, 1);
+  mask[decision % m] = 0;
+  return mask;
+}
+
+/// 300 closed-loop decisions at epsilon 0.5 (each next state is the chosen
+/// schedule), then 20 training steps on the replay those decisions filled,
+/// with seeded rewards. Returns one hash over every chosen assignment,
+/// every loss and the final weights of actor and critic.
+uint64_t CqLargeGoldenHash(SimdMode mode, int threads) {
+  const SimdMode saved_mode = GetSimdMode();
+  SetSimdMode(mode);
+  SetGlobalThreadCount(threads);
+  const topo::App app = topo::BuildContinuousQueries(topo::Scale::kLarge);
+  const int n = app.topology.num_executors();
+  const int m = 10;
+  const StateEncoder encoder(
+      n, m, app.topology.num_spouts(),
+      core::NominalSpoutRate(app.topology, app.workload));
+  DdpgConfig config;
+  config.knn_k = 32;
+  config.minibatch_size = 16;
+  config.seed = 1;
+  DdpgAgent agent(encoder, config);
+
+  Rng rng(1);
+  Fnv64 hash;
+  State state;
+  state.assignments = sched::Schedule::Random(n, m, &rng).assignments();
+  state.spout_rates =
+      app.workload.RatesVector(app.topology.SpoutComponents(), 0.0);
+  PolicyAction action;
+  for (int decision = 0; decision < 300; ++decision) {
+    state.machine_up = GoldenMask(decision, m);
+    EXPECT_TRUE(agent.SelectActionInto(state, 0.5, &rng, &action).ok());
+    for (int machine : action.schedule.assignments()) hash.Add(machine);
+    Transition t;
+    t.state = state;
+    t.action_assignments = action.schedule.assignments();
+    t.next_state = state;
+    t.next_state.assignments = t.action_assignments;
+    t.next_state.machine_up = GoldenMask(decision + 1, m);
+    t.reward = rng.Uniform(-3.0, 0.0);
+    agent.Observe(std::move(t));
+    state.assignments = action.schedule.assignments();
+  }
+  for (int step = 0; step < 20; ++step) hash.AddDouble(agent.TrainStep());
+  HashNetwork(agent.actor(), &hash);
+  HashNetwork(agent.critic(), &hash);
+  SetSimdMode(saved_mode);
+  return hash.value();
+}
+
+TEST(DdpgGoldenTest, CqLargeDecisionsAndTrainingAreBitExact) {
+  // Recorded before candidate scoring shared the 1-NN's prefix and before
+  // Dot4 and SumRows existed; those must reproduce it bit for bit.
+  constexpr uint64_t kGolden = 0x60761638e9930779ull;
+  for (SimdMode mode : {SimdMode::kOff, SimdMode::kAuto}) {
+    for (int threads : {1, 2, 4}) {
+      const uint64_t hash = CqLargeGoldenHash(mode, threads);
+      EXPECT_EQ(hash, kGolden)
+          << "simd=" << (mode == SimdMode::kOff ? "off" : "auto")
+          << " threads=" << threads << " got 0x" << std::hex << hash;
+    }
+  }
+  SetGlobalThreadCount(0);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -55,7 +56,7 @@ TEST(SimdKernelTest, DotBitIdenticalToScalarAtEveryLength) {
   }
 }
 
-TEST(SimdKernelTest, AxpyAndVecAddBitIdenticalToScalar) {
+TEST(SimdKernelTest, AxpyBitIdenticalToScalar) {
   if (!Avx2Available()) GTEST_SKIP() << "AVX2 unavailable on this host";
   Rng rng(12);
   for (int n : {0, 1, 3, 4, 7, 16, 33, 64, 70}) {
@@ -65,11 +66,78 @@ TEST(SimdKernelTest, AxpyAndVecAddBitIdenticalToScalar) {
     nn::kernels::AxpyScalar(y_scalar.data(), x.data(), 0.37, n);
     nn::kernels::AxpyAvx2(y_avx.data(), x.data(), 0.37, n);
     EXPECT_EQ(y_scalar, y_avx) << "axpy n=" << n;
+  }
+}
 
-    y_avx = y_scalar;
-    nn::kernels::VecAddScalar(y_scalar.data(), x.data(), n);
-    nn::kernels::VecAddAvx2(y_avx.data(), x.data(), n);
-    EXPECT_EQ(y_scalar, y_avx) << "vecadd n=" << n;
+/// Lengths around every tail case of the four-lane folds and the 32-wide
+/// SumRows blocks, plus the critic's state (~1000) and state+action
+/// (~2000) widths at CQ-large scale.
+constexpr int kKernelLengths[] = {0,  1,  3,  4,  5,  15,   16,  17,
+                                  31, 33, 64, 65, 1001, 2010};
+
+TEST(SimdKernelTest, Dot4EqualsFourDotsInBothModes) {
+  Rng rng(13);
+  for (int k : kKernelLengths) {
+    std::vector<std::vector<double>> a;
+    for (int r = 0; r < 4; ++r) a.push_back(RandomVec(k, &rng));
+    const std::vector<double> b = RandomVec(k, &rng);
+    const double* const rows[4] = {a[0].data(), a[1].data(), a[2].data(),
+                                   a[3].data()};
+    double scalar[4];
+    nn::kernels::Dot4Scalar(rows, b.data(), k, scalar);
+    for (int r = 0; r < 4; ++r) {
+      EXPECT_EQ(scalar[r], nn::kernels::DotScalar(rows[r], b.data(), k))
+          << "k=" << k << " row " << r;
+    }
+    if (!Avx2Available()) continue;
+    double simd[4];
+    nn::kernels::Dot4Avx2(rows, b.data(), k, simd);
+    for (int r = 0; r < 4; ++r) {
+      EXPECT_EQ(simd[r], nn::kernels::DotAvx2(rows[r], b.data(), k))
+          << "k=" << k << " row " << r;
+      EXPECT_EQ(simd[r], scalar[r]) << "k=" << k << " row " << r;
+    }
+  }
+}
+
+/// base + rows[0] + ... + rows[count - 1], one elementwise pass per row in
+/// ascending row order: the sum SumRows must reproduce bitwise.
+std::vector<double> SequentialSum(const std::vector<double>& base,
+                                  const std::vector<std::vector<double>>& rows,
+                                  int count) {
+  std::vector<double> z = base;
+  for (int r = 0; r < count; ++r) {
+    for (size_t i = 0; i < z.size(); ++i) z[i] += rows[r][i];
+  }
+  return z;
+}
+
+TEST(SimdKernelTest, SumRowsEqualsSequentialSumInBothModes) {
+  Rng rng(14);
+  std::vector<nn::kernels::SumRowsFn> kernels = {nn::kernels::SumRowsScalar};
+  if (Avx2Available()) kernels.push_back(nn::kernels::SumRowsAvx2);
+  for (int k : kKernelLengths) {
+    const std::vector<double> base = RandomVec(k, &rng);
+    std::vector<std::vector<double>> rows;
+    std::vector<const double*> row_ptrs;
+    for (int r = 0; r < 5; ++r) {
+      // Mixed magnitudes, so a reordered add would round differently.
+      std::vector<double> row = RandomVec(k, &rng);
+      for (double& v : row) v *= r % 2 == 0 ? 1e-3 : 1e5;
+      rows.push_back(std::move(row));
+      row_ptrs.push_back(rows.back().data());
+    }
+    for (int count = 0; count <= 5; ++count) {
+      const std::vector<double> want = SequentialSum(base, rows, count);
+      for (nn::kernels::SumRowsFn sum_rows : kernels) {
+        std::vector<double> z(k, 0.0);
+        sum_rows(z.data(), base.data(), row_ptrs.data(), count, k);
+        EXPECT_EQ(z, want) << "k=" << k << " count=" << count;
+        std::vector<double> in_place = base;  // z aliases base
+        sum_rows(in_place.data(), in_place.data(), row_ptrs.data(), count, k);
+        EXPECT_EQ(in_place, want) << "k=" << k << " count=" << count;
+      }
+    }
   }
 }
 
@@ -77,8 +145,9 @@ TEST(SimdDispatchTest, OffModeAlwaysResolvesScalar) {
   ScopedSimdMode off(SimdMode::kOff);
   EXPECT_FALSE(nn::kernels::SimdActive());
   EXPECT_EQ(nn::kernels::ResolveDot(), &nn::kernels::DotScalar);
+  EXPECT_EQ(nn::kernels::ResolveDot4(), &nn::kernels::Dot4Scalar);
   EXPECT_EQ(nn::kernels::ResolveAxpy(), &nn::kernels::AxpyScalar);
-  EXPECT_EQ(nn::kernels::ResolveVecAdd(), &nn::kernels::VecAddScalar);
+  EXPECT_EQ(nn::kernels::ResolveSumRows(), &nn::kernels::SumRowsScalar);
 }
 
 TEST(SimdDispatchTest, AutoModeResolvesAvx2WhenAvailable) {
@@ -90,8 +159,9 @@ TEST(SimdDispatchTest, AutoModeResolvesAvx2WhenAvailable) {
   }
   EXPECT_TRUE(nn::kernels::SimdActive());
   EXPECT_EQ(nn::kernels::ResolveDot(), &nn::kernels::DotAvx2);
+  EXPECT_EQ(nn::kernels::ResolveDot4(), &nn::kernels::Dot4Avx2);
   EXPECT_EQ(nn::kernels::ResolveAxpy(), &nn::kernels::AxpyAvx2);
-  EXPECT_EQ(nn::kernels::ResolveVecAdd(), &nn::kernels::VecAddAvx2);
+  EXPECT_EQ(nn::kernels::ResolveSumRows(), &nn::kernels::SumRowsAvx2);
 }
 
 TEST(SimdDispatchTest, ModeFlipTakesEffectImmediately) {
@@ -147,6 +217,49 @@ TEST(SimdMatrixTest, AllMatrixKernelsBitIdenticalAcrossModes) {
   }
   for (int i = 0; i < scalar.outer.rows() * scalar.outer.cols(); ++i) {
     ASSERT_EQ(scalar.outer.data()[i], simd.outer.data()[i]) << i;
+  }
+}
+
+TEST(SimdMatrixTest, MatVecAndMatTMulEqualPerRowDotInBothModes) {
+  // MatVec and MatTMul run four rows per Dot4 call and the rest through
+  // Dot; 1, 3, 5 and 33 rows cover no block, blocks plus a remainder, and
+  // several blocks. Every output must equal the plain per-row Dot.
+  for (SimdMode mode : {SimdMode::kOff, SimdMode::kAuto}) {
+    ScopedSimdMode scoped(mode);
+    const nn::kernels::DotFn dot = nn::kernels::ResolveDot();
+    Rng rng(15);
+    for (int rows : {1, 3, 5, 33}) {
+      for (int k : {1, 7, 64, 65}) {
+        nn::Matrix w(rows, k);
+        for (size_t i = 0; i < w.size(); ++i) {
+          w.data()[i] = rng.Uniform(-1.0, 1.0);
+        }
+        const std::vector<double> x = RandomVec(k, &rng);
+        std::vector<double> y;
+        w.MatVec(x, &y);
+        ASSERT_EQ(y.size(), static_cast<size_t>(rows));
+        for (int r = 0; r < rows; ++r) {
+          EXPECT_EQ(y[r], dot(w.row(r), x.data(), k))
+              << "MatVec rows=" << rows << " k=" << k << " r=" << r;
+        }
+        // a has 9 rows: one full kRowBlock of 8 plus one.
+        nn::Matrix a(9, k);
+        for (size_t i = 0; i < a.size(); ++i) {
+          a.data()[i] = rng.Uniform(-1.0, 1.0);
+        }
+        nn::Matrix c;
+        nn::MatTMul(a, w, &c);
+        ASSERT_EQ(c.rows(), 9);
+        ASSERT_EQ(c.cols(), rows);
+        for (int i = 0; i < 9; ++i) {
+          for (int j = 0; j < rows; ++j) {
+            EXPECT_EQ(c.row(i)[j], dot(a.row(i), w.row(j), k))
+                << "MatTMul b rows=" << rows << " k=" << k << " (" << i
+                << ", " << j << ")";
+          }
+        }
+      }
+    }
   }
 }
 
