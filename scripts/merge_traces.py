@@ -26,8 +26,8 @@ process_name metadata, so Perfetto shows four labelled tracks on one
 clock.
 
 --check additionally joins client RPC spans against server handler spans
-on (trace_id, span_id == parent_span) — the identifiers propagated in the
-v3 wire envelope — and verifies that, after alignment, every matched
+on (trace_id, span_id == parent_span) — the identifiers propagated in
+every frame's trace envelope — and verifies that, after alignment, every matched
 client span encloses its server span (client send happens-before server
 receive; server reply happens-before client decode).  Exits non-zero on
 any violation, making it usable as an acceptance gate.
@@ -198,7 +198,7 @@ def main():
         matched, violations = check_enclosure(client_events, shifted)
         if matched == 0:
             print("check: no (trace_id, span_id) joins found — were both "
-                  "sides traced with a v3 connection?", file=sys.stderr)
+                  "sides run with --trace-out?", file=sys.stderr)
             return 1
         for v in violations:
             print(f"check: VIOLATION: {v}", file=sys.stderr)

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 
 namespace drlstream {
@@ -88,30 +87,6 @@ uint64_t ReadU64Le(const char* p) {
   return value;
 }
 
-// The standard textual token sequence std::mt19937_64's operator<< emits:
-// the 312 state words then the draw position, space separated. Accepted so
-// a peer still speaking the old wire format interoperates.
-bool ParseDecimalTokens(const std::string& text, Mt19937_64* engine) {
-  Mt19937_64 restored{Mt19937_64::Uninitialized{}};
-  const char* p = text.c_str();
-  for (int i = 0; i <= kN; ++i) {
-    char* end = nullptr;
-    const unsigned long long value = std::strtoull(p, &end, 10);
-    if (end == p) return false;
-    if (i < kN) {
-      restored.mutable_state()[i] = value;
-    } else {
-      if (value > static_cast<unsigned long long>(kN)) return false;
-      restored.set_position(static_cast<int>(value));
-    }
-    p = end;
-  }
-  while (*p == ' ' || *p == '\n') ++p;
-  if (*p != '\0') return false;
-  *engine = restored;
-  return true;
-}
-
 }  // namespace
 
 std::string Rng::SerializeState() const {
@@ -133,11 +108,8 @@ void Rng::SerializeStateTo(std::string* out) const {
 }
 
 Status Rng::DeserializeState(const std::string& text) {
-  if (text.compare(0, kBinPrefixLen, kBinPrefix) != 0) {
-    if (ParseDecimalTokens(text, &engine_)) return Status::OK();
-    return Status::InvalidArgument("rng: malformed engine state");
-  }
-  if (text.size() != kBinSize) {
+  if (text.size() != kBinSize ||
+      text.compare(0, kBinPrefixLen, kBinPrefix) != 0) {
     return Status::InvalidArgument("rng: malformed engine state");
   }
   // Validate everything before touching engine_ (the error contract says

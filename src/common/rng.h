@@ -18,7 +18,8 @@ namespace drlstream {
 /// through iostream decimal tokens, which costs ~40us to round-trip; the
 /// control plane serializes the exploration RNG into every kExplore
 /// GetSchedule RPC, so that cost dominated the per-request budget. Owning
-/// the words makes (de)serialization a fixed-width hex scan. Equality with
+/// the words makes (de)serialization a copy of 312 little-endian u64s and
+/// the draw position (Rng::SerializeState's "b1:" layout). Equality with
 /// std::mt19937_64 draw-for-draw is pinned by common_test.
 class Mt19937_64 {
  public:
@@ -174,10 +175,8 @@ class Rng {
   /// Appends SerializeState() to `out` — encoders that already own a
   /// growing buffer skip the intermediate string.
   void SerializeStateTo(std::string* out) const;
-  /// Restores the state written by SerializeState; also accepts the
-  /// standard mersenne-twister textual token sequence (what std::mt19937_64
-  /// operator<< emits — the pre-hex wire format). InvalidArgument on
-  /// malformed input (the previous state is left untouched).
+  /// Restores the state written by SerializeState. InvalidArgument on any
+  /// other input (the previous state is left untouched).
   Status DeserializeState(const std::string& text);
 
  private:

@@ -156,7 +156,6 @@ struct AgentServer::GetItem {
   std::string reply;        // fully framed response, when `ready`
   bool ready = false;       // reply decided without consulting the policy
   net::TraceContext trace;  // request envelope, echoed on the reply
-  uint16_t version = net::kWireVersion;  // request frame's wire version
   double recv_us = 0.0;     // receive stamp (0 when obs was off)
   int batch_width = 1;      // fused GEMM width this item was served in
 };
@@ -168,10 +167,10 @@ namespace {
 /// schedule, so it skips the payload-into-frame copy EncodeFrame makes.
 std::string FrameGetScheduleReply(const Status& status,
                                   const GetScheduleResponse& body,
-                                  uint16_t version, net::TraceContext trace) {
+                                  net::TraceContext trace) {
   net::WireWriter writer;
-  const size_t frame_start = net::BeginFrameAs(
-      net::MsgType::kGetScheduleResponse, version, trace, &writer);
+  const size_t frame_start =
+      net::BeginFrame(net::MsgType::kGetScheduleResponse, trace, &writer);
   EncodeGetScheduleResponseTo(status, body, &writer);
   net::EndFrame(frame_start, &writer);
   return writer.Release();
@@ -339,21 +338,6 @@ void AgentServer::PumpSession(Session* session, std::vector<WorkItem>* work,
       work->push_back(WorkItem{session, net::Frame{}, true, frame.status()});
       break;
     }
-    if (frame->version > options_.max_wire_version) {
-      // Mimic an older binary exactly: reject before looking at the body,
-      // poison the stream, and name the ceiling so a newer client can
-      // redo its Hello at the lower version.
-      session->rx_poisoned = true;
-      work->push_back(WorkItem{
-          session, net::Frame{}, true,
-          Status::InvalidArgument(
-              "wire: unsupported protocol version " +
-              std::to_string(frame->version) + " (speaking " +
-              std::to_string(net::kWireMinVersion) + ".." +
-              std::to_string(options_.max_wire_version) + ")")});
-      break;
-    }
-    session->wire_version = frame->version;
     WorkItem item{session, std::move(*frame), false, Status::OK()};
     if (stamp) {
       item.recv_us = obs::Tracer::Get().NowUs();
@@ -458,22 +442,20 @@ void AgentServer::FlushGetBatch(std::vector<GetItem>* batch) {
           break;
       }
       if (!schedule.ok()) {
-        item.reply = FrameGetScheduleReply(schedule.status(), {}, item.version,
-                                           item.trace);
+        item.reply = FrameGetScheduleReply(schedule.status(), {}, item.trace);
       } else if (schedule->num_executors() != base_executors ||
                  schedule->num_machines() != item.req.num_machines) {
         item.reply = FrameGetScheduleReply(
             Status::Internal("agent: policy schedule dimensions do not "
                              "match the request state"),
-            {}, item.version, item.trace);
+            {}, item.trace);
       } else if (explore) {
         // The hot path: diff + advanced RNG, encoded straight into the
         // frame buffer (no GetScheduleResponse body, no 2.5 KiB rng_state
         // string). Byte-identical to the generic encoder.
         net::WireWriter writer;
-        const size_t frame_start = net::BeginFrameAs(
-            net::MsgType::kGetScheduleResponse, item.version, item.trace,
-            &writer);
+        const size_t frame_start = net::BeginFrame(
+            net::MsgType::kGetScheduleResponse, item.trace, &writer);
         EncodeExploreScheduleResponseTo(
             MakeScheduleDiffFromState(item.req.state, *schedule),
             item.action.move_index, item.rng, &writer);
@@ -482,8 +464,7 @@ void AgentServer::FlushGetBatch(std::vector<GetItem>* batch) {
       } else {
         GetScheduleResponse body;
         body.diff = MakeScheduleDiffFromState(item.req.state, *schedule);
-        item.reply = FrameGetScheduleReply(Status::OK(), body, item.version,
-                                           item.trace);
+        item.reply = FrameGetScheduleReply(Status::OK(), body, item.trace);
       }
     }
     item.session->stats.bytes_out += static_cast<int64_t>(item.reply.size());
@@ -520,8 +501,7 @@ void AgentServer::HandleHello(Session* session, const net::Frame& frame) {
   StatusOr<HelloRequest> request = DecodeHelloRequest(frame.payload);
   if (!request.ok()) {
     AppendReply(session, net::MsgType::kHelloResponse,
-                EncodeHelloResponse(request.status(), {}), frame.version,
-                frame.trace);
+                EncodeHelloResponse(request.status(), {}), frame.trace);
     return;
   }
   session->stats.client_name = request->client_name;
@@ -533,8 +513,7 @@ void AgentServer::HandleHello(Session* session, const net::Frame& frame) {
         rl::PolicyRegistry::Get().Create(key, *context_);
     if (!created.ok()) {
       AppendReply(session, net::MsgType::kHelloResponse,
-                  EncodeHelloResponse(created.status(), {}), frame.version,
-                  frame.trace);
+                  EncodeHelloResponse(created.status(), {}), frame.trace);
       return;
     }
     session->owned_policy = std::move(*created);
@@ -550,8 +529,7 @@ void AgentServer::HandleHello(Session* session, const net::Frame& frame) {
   body.trainable = session->policy->trainable();
   body.session_id = session->id;
   AppendReply(session, net::MsgType::kHelloResponse,
-              EncodeHelloResponse(Status::OK(), body), frame.version,
-              frame.trace);
+              EncodeHelloResponse(Status::OK(), body), frame.trace);
 }
 
 void AgentServer::HandleSingle(Session* session, const net::Frame& frame,
@@ -579,18 +557,19 @@ void AgentServer::HandleSingle(Session* session, const net::Frame& frame,
     case net::MsgType::kPing: {
       // The Pong echoes the token back, stamped with the server's receive
       // and transmit times (tracer-epoch us) so the client can estimate
-      // the clock offset. A payload the extended decoder rejects is echoed
-      // verbatim, exactly as before.
-      reply_type = net::MsgType::kPong;
+      // the clock offset. A Pong has no status field, so an undecodable
+      // Ping gets the generic error reply.
       StatusOr<PingMessage> ping = DecodePingMessage(frame.payload);
-      if (ping.ok()) {
-        ping->server_recv_us =
-            recv_us > 0.0 ? recv_us : obs::Tracer::Get().NowUs();
-        ping->server_send_us = obs::Tracer::Get().NowUs();
-        reply = EncodePingMessage(*ping);
-      } else {
-        reply = frame.payload;
+      if (!ping.ok()) {
+        reply_type = net::MsgType::kErrorResponse;
+        reply = EncodeErrorResponse(ping.status());
+        break;
       }
+      reply_type = net::MsgType::kPong;
+      ping->server_recv_us =
+          recv_us > 0.0 ? recv_us : obs::Tracer::Get().NowUs();
+      ping->server_send_us = obs::Tracer::Get().NowUs();
+      reply = EncodePingMessage(*ping);
       break;
     }
     case net::MsgType::kObserveRequest: {
@@ -655,7 +634,7 @@ void AgentServer::HandleSingle(Session* session, const net::Frame& frame,
           net::MsgTypeName(frame.type)));
       break;
   }
-  AppendReply(session, reply_type, reply, frame.version, frame.trace);
+  AppendReply(session, reply_type, reply, frame.trace);
   metrics.request_us->Record(static_cast<double>(ElapsedUs(start)));
   if (timing) {
     const double end_us = obs::Tracer::Get().NowUs();
@@ -680,11 +659,9 @@ void AgentServer::ProcessWork(std::vector<WorkItem>* work) {
     if (item.is_rx_error) {
       FlushGetBatch(&batch);  // keep outbox append order
       metrics.errors->Add();
-      // No decoded frame to echo an envelope from: reply at the session's
-      // last good wire version with a zero trace context.
+      // No decoded frame to echo an envelope from: reply with zeros.
       AppendReply(session, net::MsgType::kErrorResponse,
-                  EncodeErrorResponse(item.rx_error), session->wire_version,
-                  net::TraceContext{});
+                  EncodeErrorResponse(item.rx_error), net::TraceContext{});
       session->draining = true;
       continue;
     }
@@ -717,26 +694,22 @@ void AgentServer::ProcessWork(std::vector<WorkItem>* work) {
       GetItem get;
       get.session = session;
       get.trace = frame.trace;
-      get.version = frame.version;
       get.recv_us = item.recv_us;
       StatusOr<GetScheduleRequest> request =
           DecodeGetScheduleRequest(frame.payload);
       if (!request.ok()) {
         get.ready = true;
-        get.reply = FrameGetScheduleReply(request.status(), {}, get.version,
-                                          get.trace);
+        get.reply = FrameGetScheduleReply(request.status(), {}, get.trace);
       } else {
         get.req = std::move(*request);
         if (session->policy == nullptr) {
           get.ready = true;
-          get.reply = FrameGetScheduleReply(NoPolicyBound(), {}, get.version,
-                                            get.trace);
+          get.reply = FrameGetScheduleReply(NoPolicyBound(), {}, get.trace);
         } else if (get.req.mode == ScheduleMode::kExplore) {
           Status restored = get.rng.DeserializeState(get.req.rng_state);
           if (!restored.ok()) {
             get.ready = true;
-            get.reply = FrameGetScheduleReply(restored, {}, get.version,
-                                              get.trace);
+            get.reply = FrameGetScheduleReply(restored, {}, get.trace);
           }
         }
       }
@@ -752,11 +725,9 @@ void AgentServer::ProcessWork(std::vector<WorkItem>* work) {
 }
 
 void AgentServer::AppendReply(Session* session, net::MsgType type,
-                              std::string_view payload, uint16_t version,
+                              std::string_view payload,
                               net::TraceContext trace) {
-  std::string reply = version >= net::kWireVersionV3
-                          ? net::EncodeFrameV3(type, trace, payload)
-                          : net::EncodeFrame(type, payload);
+  std::string reply = net::EncodeFrame(type, payload, trace);
   session->stats.bytes_out += static_cast<int64_t>(reply.size());
   SessionAggMetrics::Get().bytes_out->Add(static_cast<int64_t>(reply.size()));
   session->outbox.push_back(std::move(reply));
@@ -830,8 +801,7 @@ std::string AgentServer::StatuszJson() const {
     else if (session.draining) state = "draining";
     out << "{\"id\": " << id << ", \"client\": \""
         << JsonEscape(stats.client_name) << "\", \"policy_key\": \""
-        << JsonEscape(stats.policy_key) << "\", \"wire_version\": "
-        << session.wire_version << ", \"state\": \"" << state
+        << JsonEscape(stats.policy_key) << "\", \"state\": \"" << state
         << "\", \"requests\": " << stats.requests
         << ", \"get_schedules\": " << stats.get_schedules
         << ", \"observes\": " << stats.observes

@@ -55,12 +55,6 @@ struct AgentServerOptions {
   /// (call BindHttp before starting the loop to learn which).
   int http_port = -1;
   std::string http_host = "127.0.0.1";
-  /// Highest wire protocol version this server admits. Frames above it are
-  /// answered with a kErrorResponse naming the version and the session is
-  /// poisoned — exactly how a genuinely older binary reacts — so tests can
-  /// pin the MasterClient's v3 -> v2 Hello downgrade against a "v2-only"
-  /// server without an old build.
-  uint16_t max_wire_version = net::kWireMaxVersion;
 };
 
 /// Serves rl::Policy instances over Transports: the DRL agent side of the
@@ -187,7 +181,6 @@ class AgentServer {
     std::unique_ptr<net::Transport> owned;   // owner otherwise
     rl::Policy* policy = nullptr;            // shared, or owned_policy.get()
     std::unique_ptr<rl::Policy> owned_policy;  // registry mode, post-Hello
-    uint16_t wire_version = net::kWireVersion;  // last request frame's
     SessionStats stats;
     // Encoded reply frames awaiting flush. Kept frame-granular (not one
     // concatenated byte string) because message-oriented transports
@@ -234,11 +227,10 @@ class AgentServer {
   void HandleSingle(Session* session, const net::Frame& frame,
                     double recv_us);
   void HandleHello(Session* session, const net::Frame& frame);
-  /// Frames a reply echoing the request's wire version and trace envelope
-  /// (zeros + v2 for replies without a triggering frame).
+  /// Frames a reply echoing the request's trace envelope (zeros for
+  /// replies without a decoded request frame).
   void AppendReply(Session* session, net::MsgType type,
-                   std::string_view payload, uint16_t version,
-                   net::TraceContext trace);
+                   std::string_view payload, net::TraceContext trace);
   void FlushOutbox(Session* session);
   void ReapDeadSessions();
   void CloseSession(Session* session);

@@ -49,14 +49,6 @@ std::string ClientSpanArgs(net::TraceContext trace, uint64_t session_id) {
          ", \"session\": " + std::to_string(session_id) + "}";
 }
 
-/// Frames a request at the session's negotiated wire version.
-std::string FrameRequest(net::MsgType type, uint16_t version,
-                         net::TraceContext trace, const std::string& payload) {
-  return version >= net::kWireVersionV3
-             ? net::EncodeFrameV3(type, trace, payload)
-             : net::EncodeFrame(type, payload);
-}
-
 }  // namespace
 
 MasterClient::MasterClient(std::unique_ptr<net::Transport> transport,
@@ -89,38 +81,28 @@ void MasterClient::DropConnectionLocked() const {
     transport_.reset();
   }
   handshaken_ = false;
-  wire_version_ = 0;  // re-negotiated on the next Hello (version_cap_ stays)
 }
 
-uint16_t MasterClient::HandshakeVersionLocked() const {
-  if (options_.wire_version != 0) return options_.wire_version;
-  if (version_cap_ != 0) return version_cap_;
-  return obs::TraceEnabled() ? net::kWireVersionV3 : net::kWireVersion;
+net::TraceContext MasterClient::NewSpanLocked() const {
+  if (trace_id_ == 0) trace_id_ = obs::NewSpanId();
+  return net::TraceContext{trace_id_, obs::NewSpanId()};
 }
 
-Status MasterClient::HelloLocked(uint16_t version) const {
+Status MasterClient::HelloLocked() const {
   HelloRequest request;
   request.client_name = options_.client_name;
   request.policy_key = options_.policy_key;
   const bool tracing = obs::TraceEnabled();
-  net::TraceContext trace;
-  if (version >= net::kWireVersionV3) {
-    if (trace_id_ == 0) trace_id_ = obs::NewSpanId();
-    trace.trace_id = trace_id_;
-    trace.span_id = obs::NewSpanId();
-  }
+  const net::TraceContext trace =
+      tracing ? NewSpanLocked() : net::TraceContext{};
   const double start_us = tracing ? obs::Tracer::Get().NowUs() : 0.0;
-  DRLSTREAM_RETURN_NOT_OK(
-      transport_->Send(FrameRequest(net::MsgType::kHelloRequest, version,
-                                    trace, EncodeHelloRequest(request))));
+  DRLSTREAM_RETURN_NOT_OK(transport_->Send(net::EncodeFrame(
+      net::MsgType::kHelloRequest, EncodeHelloRequest(request), trace)));
   DRLSTREAM_ASSIGN_OR_RETURN(std::string raw,
                              transport_->Recv(options_.rpc_deadline_ms));
   DRLSTREAM_ASSIGN_OR_RETURN(net::Frame frame,
                              net::DecodeFrame(std::move(raw)));
   if (frame.type == net::MsgType::kErrorResponse) {
-    // Surface the server's own words: a version rejection ("unsupported
-    // protocol version ...") triggers the auto-downgrade in
-    // EnsureConnectedLocked.
     return DecodeErrorResponse(frame.payload);
   }
   if (frame.type != net::MsgType::kHelloResponse) {
@@ -129,7 +111,6 @@ Status MasterClient::HelloLocked(uint16_t version) const {
   }
   DRLSTREAM_ASSIGN_OR_RETURN(hello_, DecodeHelloResponse(frame.payload));
   handshaken_ = true;
-  wire_version_ = version;
   if (tracing) {
     obs::Tracer::Get().AddWallSpan("rpc.Hello", start_us,
                                    obs::Tracer::Get().NowUs(),
@@ -139,56 +120,33 @@ Status MasterClient::HelloLocked(uint16_t version) const {
 }
 
 Status MasterClient::EnsureConnectedLocked() const {
-  // Two passes at most: the second exists solely for the v3 -> v2
-  // downgrade, which must redial (a rejecting server poisons the session).
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    if (!transport_) {
-      if (!owns_endpoint_) {
-        return Status::Unavailable(
-            "ctrl: agent connection closed (transport-wrapping client cannot "
-            "reconnect)");
-      }
-      DRLSTREAM_ASSIGN_OR_RETURN(
-          transport_,
-          net::TcpConnect(host_, port_, options_.connect_timeout_ms));
-      ClientMetrics::Get().reconnects->Add();
+  if (!transport_) {
+    if (!owns_endpoint_) {
+      return Status::Unavailable(
+          "ctrl: agent connection closed (transport-wrapping client cannot "
+          "reconnect)");
     }
-    if (handshaken_) return Status::OK();
-    const uint16_t version = HandshakeVersionLocked();
-    Status hello = HelloLocked(version);
-    if (hello.ok()) return Status::OK();
-    const bool version_rejected =
-        hello.message().find("unsupported protocol version") !=
-        std::string::npos;
-    if (attempt == 0 && version_rejected && options_.wire_version == 0 &&
-        version >= net::kWireVersionV3 && owns_endpoint_) {
-      version_cap_ = net::kWireVersion;
-      DropConnectionLocked();
-      continue;
-    }
-    return hello;
+    DRLSTREAM_ASSIGN_OR_RETURN(
+        transport_, net::TcpConnect(host_, port_, options_.connect_timeout_ms));
+    ClientMetrics::Get().reconnects->Add();
   }
-  return Status::Internal("ctrl: handshake retry exhausted");
+  if (handshaken_) return Status::OK();
+  return HelloLocked();
 }
 
 StatusOr<std::string> MasterClient::CallOnceLocked(
     net::MsgType request_type, const std::string& payload,
     net::MsgType response_type) const {
-  const uint16_t version =
-      wire_version_ != 0 ? wire_version_ : net::kWireVersion;
   const bool tracing = obs::TraceEnabled();
-  net::TraceContext trace;
-  if (version >= net::kWireVersionV3) {
-    if (trace_id_ == 0) trace_id_ = obs::NewSpanId();
-    trace.trace_id = trace_id_;
-    trace.span_id = obs::NewSpanId();
-  }
+  const net::TraceContext trace =
+      tracing ? NewSpanLocked() : net::TraceContext{};
   const double start_us = tracing ? obs::Tracer::Get().NowUs() : 0.0;
-  DRLSTREAM_RETURN_NOT_OK(transport_->Send(
-      FrameRequest(request_type, version, trace, payload)));
+  DRLSTREAM_RETURN_NOT_OK(
+      transport_->Send(net::EncodeFrame(request_type, payload, trace)));
   DRLSTREAM_ASSIGN_OR_RETURN(std::string raw,
                              transport_->Recv(options_.rpc_deadline_ms));
-  DRLSTREAM_ASSIGN_OR_RETURN(net::Frame frame, net::DecodeFrame(raw));
+  DRLSTREAM_ASSIGN_OR_RETURN(net::Frame frame,
+                             net::DecodeFrame(std::move(raw)));
   if (tracing) {
     obs::Tracer::Get().AddWallSpan(
         std::string("rpc.") + net::MsgTypeName(request_type), start_us,
@@ -329,7 +287,7 @@ StatusOr<double> MasterClient::EstimatedClockOffsetUs() const {
 
 uint16_t MasterClient::wire_version() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return wire_version_;
+  return handshaken_ ? net::kWireVersion : 0;
 }
 
 Status MasterClient::StartHeartbeat() {

@@ -10,6 +10,7 @@
 #include "common/status.h"
 #include "ctrl/messages.h"
 #include "net/transport.h"
+#include "net/wire.h"
 #include "rl/policy.h"
 
 namespace drlstream::ctrl {
@@ -39,13 +40,6 @@ struct MasterClientOptions {
   /// state alone only determines N). 0 = take machine_up.size() from each
   /// state, which is only set under fault injection.
   int num_machines = 0;
-  /// Wire protocol version to speak. 0 = auto: v3 (trace-context envelope)
-  /// when tracing is enabled at handshake time, with an automatic
-  /// downgrade-and-reconnect to v2 when the server rejects v3 — the
-  /// rejection is remembered, so later reconnects go straight to v2. An
-  /// explicit 2 or 3 pins the version (no downgrade; a v2-only server then
-  /// fails the handshake).
-  uint16_t wire_version = 0;
 };
 
 /// The master's stub for a remote agent: an rl::Policy whose every entry
@@ -94,7 +88,7 @@ class MasterClient : public rl::Policy {
   /// a Ping has completed against a stamping server.
   StatusOr<double> EstimatedClockOffsetUs() const;
 
-  /// The wire version negotiated at the Hello handshake (0 before Connect).
+  /// net::kWireVersion once the Hello handshake has completed, 0 before.
   uint16_t wire_version() const;
 
   /// Starts/stops the background heartbeat thread
@@ -130,13 +124,11 @@ class MasterClient : public rl::Policy {
                                        const std::string& payload,
                                        net::MsgType response_type) const;
   Status EnsureConnectedLocked() const;
-  /// The Hello round-trip at `version`; on success records the negotiated
-  /// session version. An ErrorResponse surfaces as its decoded status (so
-  /// the caller can spot a version rejection).
-  Status HelloLocked(uint16_t version) const;
-  /// The version the next handshake should attempt (explicit option, else
-  /// sticky downgrade cap, else v3-when-tracing auto).
-  uint16_t HandshakeVersionLocked() const;
+  /// The Hello round-trip. An ErrorResponse surfaces as its decoded status.
+  Status HelloLocked() const;
+  /// A traced request's envelope: a fresh span id under this client's
+  /// trace id. Untraced requests send a zero envelope instead.
+  net::TraceContext NewSpanLocked() const;
   void DropConnectionLocked() const;
   StatusOr<GetScheduleResponse> GetSchedule(GetScheduleRequest request) const;
   int NumMachinesFor(const rl::State& state) const;
@@ -153,12 +145,6 @@ class MasterClient : public rl::Policy {
   mutable bool handshaken_ = false;
   mutable HelloResponse hello_;
   uint64_t ping_token_ = 0;
-  /// Negotiated at Hello (0 before/between connections). RPCs frame at
-  /// this version; v3 frames carry a fresh span id per call.
-  mutable uint16_t wire_version_ = 0;
-  /// Sticky auto-mode downgrade: once a server rejects v3 this pins later
-  /// handshakes (survives DropConnectionLocked on purpose).
-  mutable uint16_t version_cap_ = 0;
   /// Lazily minted trace id labeling every RPC span from this client.
   mutable uint64_t trace_id_ = 0;
   // Minimum-RTT clock-offset estimate from Pong timestamps.

@@ -355,9 +355,7 @@ StatusOr<PingMessage> DecodePingMessage(std::string_view payload) {
   PingMessage msg;
   DRLSTREAM_RETURN_NOT_OK(reader.ReadU64(&msg.token));
   // All fields are mandatory (every strict prefix must fail, like the rest
-  // of the protocol). A pre-timestamp peer's token-only Ping fails here on
-  // purpose: the server then falls back to echoing the payload verbatim —
-  // exactly the old Pong — so the token round-trip still works.
+  // of the protocol).
   DRLSTREAM_RETURN_NOT_OK(reader.ReadDouble(&msg.server_recv_us));
   DRLSTREAM_RETURN_NOT_OK(reader.ReadDouble(&msg.server_send_us));
   return Finish(reader, std::move(msg));

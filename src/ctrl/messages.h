@@ -135,8 +135,7 @@ struct PingMessage {
   /// them before echoing, which lets the client form an NTP-style
   /// clock-offset estimate: with the client's send/recv stamps t0/t3 and
   /// these as t1/t2, offset = ((t1 - t0) + (t2 - t3)) / 2 estimates
-  /// server_clock - client_clock (see scripts/merge_traces.py). A legacy
-  /// 8-byte Ping payload (token only) still decodes, with both stamps 0.
+  /// server_clock - client_clock (see scripts/merge_traces.py).
   double server_recv_us = 0.0;
   double server_send_us = 0.0;
 };

@@ -270,28 +270,13 @@ Status WireReader::ExpectFullyConsumed() const {
 
 /// ---- Framing -----------------------------------------------------------
 
-std::string EncodeFrame(MsgType type, std::string_view payload) {
-  WireWriter writer;
-  writer.Reserve(kFrameHeaderBytes + payload.size());
-  writer.PutU32(kWireMagic);
-  writer.PutU16(kWireVersion);
-  writer.PutU16(static_cast<uint16_t>(type));
-  writer.PutU32(static_cast<uint32_t>(payload.size()));
-  writer.PutBytes(payload.data(), payload.size());
-  return writer.Release();
-}
-
-std::string EncodeFrameV3(MsgType type, const TraceContext& trace,
-                          std::string_view payload) {
+std::string EncodeFrame(MsgType type, std::string_view payload,
+                        const TraceContext& trace) {
   WireWriter writer;
   writer.Reserve(kFrameHeaderBytes + kTraceEnvelopeBytes + payload.size());
-  writer.PutU32(kWireMagic);
-  writer.PutU16(kWireVersionV3);
-  writer.PutU16(static_cast<uint16_t>(type));
-  writer.PutU32(static_cast<uint32_t>(kTraceEnvelopeBytes + payload.size()));
-  writer.PutU64(trace.trace_id);
-  writer.PutU64(trace.span_id);
+  const size_t frame_start = BeginFrame(type, trace, &writer);
   writer.PutBytes(payload.data(), payload.size());
+  EndFrame(frame_start, &writer);
   return writer.Release();
 }
 
@@ -308,11 +293,10 @@ StatusOr<FrameHeader> ParseFrameHeader(std::string_view bytes) {
   if (magic != kWireMagic) {
     return Status::InvalidArgument("wire: bad frame magic");
   }
-  if (version < kWireMinVersion || version > kWireMaxVersion) {
+  if (version != kWireVersion) {
     return Status::InvalidArgument(
         "wire: unsupported protocol version " + std::to_string(version) +
-        " (speaking " + std::to_string(kWireMinVersion) + ".." +
-        std::to_string(kWireMaxVersion) + ")");
+        " (speaking " + std::to_string(kWireVersion) + ")");
   }
   if (!IsKnownMsgType(raw_type)) {
     return Status::InvalidArgument("wire: unknown message type " +
@@ -323,21 +307,18 @@ StatusOr<FrameHeader> ParseFrameHeader(std::string_view bytes) {
                               std::to_string(payload_size) +
                               " bytes exceeds the frame cap");
   }
-  if (version >= kWireVersionV3 && payload_size < kTraceEnvelopeBytes) {
+  if (payload_size < kTraceEnvelopeBytes) {
     return Status::InvalidArgument(
-        "wire: v3 payload of " + std::to_string(payload_size) +
+        "wire: payload of " + std::to_string(payload_size) +
         " bytes is smaller than the trace envelope");
   }
   FrameHeader header;
-  header.version = version;
   header.type = static_cast<MsgType>(raw_type);
   header.payload_size = payload_size;
   return header;
 }
 
-namespace {
-
-StatusOr<FrameHeader> ValidateWholeFrame(std::string_view bytes) {
+StatusOr<Frame> DecodeFrame(std::string bytes) {
   DRLSTREAM_ASSIGN_OR_RETURN(const FrameHeader header,
                              ParseFrameHeader(bytes));
   if (bytes.size() != kFrameHeaderBytes + header.payload_size) {
@@ -346,65 +327,22 @@ StatusOr<FrameHeader> ValidateWholeFrame(std::string_view bytes) {
         std::to_string(header.payload_size) + " payload bytes, buffer has " +
         std::to_string(bytes.size() - kFrameHeaderBytes) + ")");
   }
-  return header;
-}
-
-}  // namespace
-
-namespace {
-
-// Fills Frame.version/trace from the header and reports how many payload
-// bytes belong to the envelope (0 for v2) so both DecodeFrame flavors can
-// strip it the same way.
-size_t StripEnvelope(const FrameHeader& header, std::string_view bytes,
-                     Frame* frame) {
-  frame->type = header.type;
-  frame->version = header.version;
-  if (header.version < kWireVersionV3) return 0;
-  frame->trace.trace_id = LoadU64Le(bytes.data() + kFrameHeaderBytes);
-  frame->trace.span_id = LoadU64Le(bytes.data() + kFrameHeaderBytes + 8);
-  return kTraceEnvelopeBytes;
-}
-
-}  // namespace
-
-StatusOr<Frame> DecodeFrame(std::string_view bytes) {
-  DRLSTREAM_ASSIGN_OR_RETURN(const FrameHeader header,
-                             ValidateWholeFrame(bytes));
   Frame frame;
-  const size_t envelope = StripEnvelope(header, bytes, &frame);
-  frame.payload.assign(bytes.data() + kFrameHeaderBytes + envelope,
-                       header.payload_size - envelope);
-  return frame;
-}
-
-StatusOr<Frame> DecodeFrame(std::string&& bytes) {
-  DRLSTREAM_ASSIGN_OR_RETURN(const FrameHeader header,
-                             ValidateWholeFrame(bytes));
-  Frame frame;
-  const size_t envelope = StripEnvelope(header, bytes, &frame);
-  bytes.erase(0, kFrameHeaderBytes + envelope);  // memmove, no allocation
+  frame.type = header.type;
+  frame.trace.trace_id = LoadU64Le(bytes.data() + kFrameHeaderBytes);
+  frame.trace.span_id = LoadU64Le(bytes.data() + kFrameHeaderBytes + 8);
+  bytes.erase(0, kFrameHeaderBytes + kTraceEnvelopeBytes);  // memmove only
   frame.payload = std::move(bytes);
   return frame;
 }
 
-size_t BeginFrame(MsgType type, WireWriter* writer) {
+size_t BeginFrame(MsgType type, const TraceContext& trace,
+                  WireWriter* writer) {
   const size_t frame_start = writer->size();
   writer->PutU32(kWireMagic);
   writer->PutU16(kWireVersion);
   writer->PutU16(static_cast<uint16_t>(type));
-  writer->PutU32(0);  // payload length; patched by EndFrame
-  return frame_start;
-}
-
-size_t BeginFrameAs(MsgType type, uint16_t version, const TraceContext& trace,
-                    WireWriter* writer) {
-  if (version < kWireVersionV3) return BeginFrame(type, writer);
-  const size_t frame_start = writer->size();
-  writer->PutU32(kWireMagic);
-  writer->PutU16(kWireVersionV3);
-  writer->PutU16(static_cast<uint16_t>(type));
-  writer->PutU32(0);  // payload length (incl. envelope); patched by EndFrame
+  writer->PutU32(0);  // payload length (envelope included); see EndFrame
   writer->PutU64(trace.trace_id);
   writer->PutU64(trace.span_id);
   return frame_start;

@@ -20,9 +20,11 @@ namespace drlstream::net {
 ///   4       2     protocol version, little-endian (kWireVersion)
 ///   6       2     message type, little-endian (MsgType)
 ///   8       4     payload length, little-endian (<= kMaxPayloadBytes)
-///   12      n     payload
+///   12      16    trace envelope: trace id, span id (little-endian u64s)
+///   28      n-16  message body
 ///
-/// All multi-byte integers are explicit little-endian; doubles travel as
+/// The payload length counts the envelope, so it is at least 16. All
+/// multi-byte integers are explicit little-endian; doubles travel as
 /// their IEEE-754 bit pattern in a little-endian u64, so values round-trip
 /// bit-exactly (the loopback end-to-end test relies on this). Decoding is
 /// defensive end to end: truncated, oversized, or garbage input produces a
@@ -31,23 +33,17 @@ namespace drlstream::net {
 
 /// "DRLS" when the u32 is written little-endian.
 inline constexpr uint32_t kWireMagic = 0x534C5244u;
-/// v2: Hello carries the requested policy key (request) and the assigned
-/// session id (response) for the multi-session server.
-inline constexpr uint16_t kWireVersion = 2;
-/// v3: the first 16 payload bytes are a trace envelope (trace id + span id,
-/// both little-endian u64) used for cross-process trace propagation; the
-/// message body follows. A v2 frame is the same bytes minus the envelope,
-/// so v2 peers and v2 frames are unaffected. Servers echo a request's
-/// version and envelope verbatim on the reply, which keeps reply bytes a
-/// pure function of request bytes (the batching parity tests rely on it).
-inline constexpr uint16_t kWireVersionV3 = 3;
-/// Versions ParseFrameHeader accepts; anything outside is rejected before
-/// the payload is read (and, for a Hello, answered with kErrorResponse so
-/// a newer client can downgrade — see ctrl::MasterClient).
-inline constexpr uint16_t kWireMinVersion = kWireVersion;
-inline constexpr uint16_t kWireMaxVersion = kWireVersionV3;
+/// The one protocol version. Both peers ship from this repository, so
+/// there is nothing to negotiate: a header carrying any other version is
+/// rejected before the payload is read. The envelope is zeros unless the
+/// sender is tracing. Servers echo a request's envelope verbatim on the
+/// reply, which keeps reply bytes a pure function of request bytes (the
+/// batching parity tests rely on it).
+inline constexpr uint16_t kWireVersion = 3;
+/// Alias of kWireVersion that perfbench/serve_ddpg.cc still reads.
+inline constexpr uint16_t kWireVersionV3 = kWireVersion;
 inline constexpr size_t kFrameHeaderBytes = 12;
-/// Size of the v3 trace envelope at the start of a v3 payload.
+/// Size of the trace envelope at the start of every payload.
 inline constexpr size_t kTraceEnvelopeBytes = 16;
 /// Hard cap on a frame payload: a header claiming more is rejected before
 /// any allocation. Generously above the largest real message (a Transition
@@ -160,14 +156,14 @@ class WireReader {
 /// ---- Framing -----------------------------------------------------------
 
 struct FrameHeader {
-  uint16_t version = 0;
   MsgType type = MsgType::kErrorResponse;
+  /// Envelope + body bytes.
   uint32_t payload_size = 0;
 };
 
-/// The v3 trace envelope: which distributed trace a request belongs to and
-/// which client-side span is its parent. {0, 0} means "no trace" — a v3
-/// frame may legitimately carry it (tracing disabled at the sender).
+/// The trace envelope: which distributed trace a request belongs to and
+/// which client-side span is its parent. {0, 0} means "no trace" (tracing
+/// disabled at the sender).
 struct TraceContext {
   uint64_t trace_id = 0;
   uint64_t span_id = 0;
@@ -175,44 +171,34 @@ struct TraceContext {
 
 struct Frame {
   MsgType type = MsgType::kErrorResponse;
-  /// Protocol version the frame arrived with; replies should echo it.
-  uint16_t version = kWireVersion;
-  /// Trace envelope (zeros for v2 frames).
   TraceContext trace;
-  /// Message body with the v3 envelope (if any) already stripped.
+  /// Message body with the envelope already stripped.
   std::string payload;
 };
 
-/// One complete frame: header + payload.
-std::string EncodeFrame(MsgType type, std::string_view payload);
-/// One complete v3 frame: header + trace envelope + payload.
-std::string EncodeFrameV3(MsgType type, const TraceContext& trace,
-                          std::string_view payload);
+/// One complete frame: header + trace envelope + payload.
+std::string EncodeFrame(MsgType type, std::string_view payload,
+                        const TraceContext& trace = {});
 
 /// In-place framing for hot-path encoders: BeginFrame emits the header
-/// with a zero payload length into `writer`, the caller appends the
-/// payload through the same writer, and EndFrame patches the real length
-/// in. Equivalent to EncodeFrame(type, payload) minus the payload copy.
-/// BeginFrame returns the frame's start offset; pass it to EndFrame.
-size_t BeginFrame(MsgType type, WireWriter* writer);
-/// BeginFrame for a reply that must echo the request's version and trace
-/// envelope: emits a v2 header (version == kWireVersion) or a v3 header
-/// plus envelope (version == kWireVersionV3). EndFrame closes both.
-size_t BeginFrameAs(MsgType type, uint16_t version, const TraceContext& trace,
-                    WireWriter* writer);
+/// (with a zero payload length) and the trace envelope into `writer`, the
+/// caller appends the body through the same writer, and EndFrame patches
+/// the real length in. Equivalent to EncodeFrame(type, body, trace) minus
+/// the body copy. BeginFrame returns the frame's start offset; pass it to
+/// EndFrame.
+size_t BeginFrame(MsgType type, const TraceContext& trace,
+                  WireWriter* writer);
 void EndFrame(size_t frame_start, WireWriter* writer);
 
 /// Parses and validates the 12-byte header (magic, version, known type,
-/// payload cap). `bytes` may be longer than the header.
+/// payload length between the envelope size and the cap). `bytes` may be
+/// longer than the header.
 StatusOr<FrameHeader> ParseFrameHeader(std::string_view bytes);
 
 /// Decodes a buffer that must hold exactly one frame (header validation
 /// plus an exact length match — both truncated and over-long buffers are
-/// errors).
-StatusOr<Frame> DecodeFrame(std::string_view bytes);
-/// Same, for callers that own the buffer: the payload reuses it (one
-/// memmove instead of an allocation + copy).
-StatusOr<Frame> DecodeFrame(std::string&& bytes);
+/// errors). The payload reuses the buffer: one memmove, no allocation.
+StatusOr<Frame> DecodeFrame(std::string bytes);
 
 }  // namespace drlstream::net
 

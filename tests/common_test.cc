@@ -189,18 +189,19 @@ TEST(Mt19937Test, SerializedStateRoundTripsMidTwist) {
   }
 }
 
-TEST(Mt19937Test, AcceptsTheLegacyDecimalTokenFormat) {
-  // The pre-binary wire format was the textual token sequence that
-  // std::mt19937_64 operator<< emits (312 state words + position). Old
-  // serialized states must keep restoring, to the same stream.
+TEST(Mt19937Test, RejectsTheLegacyDecimalTokenFormat) {
+  // The textual token sequence std::mt19937_64 operator<< emits (312 state
+  // words + position) was the state format before "b1:". It is refused
+  // now, and the refusal leaves the engine as it was.
   std::mt19937_64 reference(20240808);
   for (int i = 0; i < 7; ++i) (void)reference();  // non-trivial position
   std::ostringstream out;
   out << reference;
-  Rng restored = Rng::Unseeded();
-  ASSERT_TRUE(restored.DeserializeState(out.str()).ok());
+  Rng rng(11);
+  Rng untouched(11);
+  EXPECT_FALSE(rng.DeserializeState(out.str()).ok());
   for (int i = 0; i < 2000; ++i) {
-    ASSERT_EQ(restored.engine()(), reference()) << "draw " << i;
+    ASSERT_EQ(rng.engine()(), untouched.engine()()) << "draw " << i;
   }
 }
 

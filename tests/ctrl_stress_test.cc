@@ -238,7 +238,7 @@ TEST(CtrlStressTest, ServedTogetherIsBitIdenticalToServedAlone) {
   SetGlobalThreadCount(0);
 }
 
-std::string MakeExploreFrame(int master, int step, bool v3 = false) {
+std::string MakeExploreFrame(int master, int step, bool traced = false) {
   GetScheduleRequest request;
   request.mode = ScheduleMode::kExplore;
   request.num_machines = kNumMachines;
@@ -246,17 +246,15 @@ std::string MakeExploreFrame(int master, int step, bool v3 = false) {
   request.epsilon = 0.25;
   Rng rng(9000 + master * 100 + step);
   request.rng_state = rng.SerializeState();
-  const std::string payload = EncodeGetScheduleRequest(request);
-  if (v3) {
+  net::TraceContext trace;
+  if (traced) {
     // Fixed per-request ids, so repeated runs produce identical frames and
     // reply bytes (which echo the envelope) can be compared byte for byte.
-    const net::TraceContext trace{
-        0xABC0000u + static_cast<uint64_t>(master),
-        0xDEF0000u + static_cast<uint64_t>(master * 100 + step)};
-    return net::EncodeFrameV3(net::MsgType::kGetScheduleRequest, trace,
-                              payload);
+    trace.trace_id = 0xABC0000u + static_cast<uint64_t>(master);
+    trace.span_id = 0xDEF0000u + static_cast<uint64_t>(master * 100 + step);
   }
-  return net::EncodeFrame(net::MsgType::kGetScheduleRequest, payload);
+  return net::EncodeFrame(net::MsgType::kGetScheduleRequest,
+                          EncodeGetScheduleRequest(request), trace);
 }
 
 /// Collects the raw reply bytes each master receives from a shared-policy
@@ -265,7 +263,7 @@ std::string MakeExploreFrame(int master, int step, bool v3 = false) {
 /// form in the first loop iterations.
 std::vector<std::vector<std::string>> ServeRawWindows(
     const rl::PolicyContext& context, bool batch_inference, int masters,
-    int window, bool v3 = false) {
+    int window, bool traced = false) {
   rl::DqnAgent policy(*context.encoder, context.dqn);
   AgentServerOptions options = FastOptions();
   options.batch_inference = batch_inference;
@@ -279,7 +277,7 @@ std::vector<std::vector<std::string>> ServeRawWindows(
   for (int i = 0; i < masters; ++i) {
     for (int step = 0; step < window; ++step) {
       EXPECT_TRUE(ends[static_cast<size_t>(i)]
-                      ->Send(MakeExploreFrame(i, step, v3))
+                      ->Send(MakeExploreFrame(i, step, traced))
                       .ok());
     }
   }
@@ -343,9 +341,9 @@ class ScopedObs {
 
 TEST(CtrlStressTest, BatchedParityHoldsWithTracingAndV3Envelopes) {
   // The tracing instrumentation must be a pure observer: with metrics +
-  // tracing enabled and every request carrying a v3 trace envelope, the
-  // reply bytes (which echo that envelope) must still be byte-identical
-  // between batched and sequential serving.
+  // tracing enabled and every request carrying a non-zero trace envelope,
+  // the reply bytes (which echo that envelope) must still be
+  // byte-identical between batched and sequential serving.
   ScopedObs obs(/*metrics=*/true, /*trace=*/true);
   constexpr int kMasters = 8;
   constexpr int kWindow = 6;
@@ -353,22 +351,21 @@ TEST(CtrlStressTest, BatchedParityHoldsWithTracingAndV3Envelopes) {
   rl::PolicyContext context = DqnContext(&encoder);
   SetGlobalThreadCount(2);
   const auto batched =
-      ServeRawWindows(context, true, kMasters, kWindow, /*v3=*/true);
+      ServeRawWindows(context, true, kMasters, kWindow, /*traced=*/true);
   const auto sequential =
-      ServeRawWindows(context, false, kMasters, kWindow, /*v3=*/true);
+      ServeRawWindows(context, false, kMasters, kWindow, /*traced=*/true);
   ASSERT_EQ(batched.size(), sequential.size());
   for (int i = 0; i < kMasters; ++i) {
     EXPECT_EQ(batched[static_cast<size_t>(i)],
               sequential[static_cast<size_t>(i)])
         << "master " << i;
   }
-  // Every reply came back as a v3 frame echoing the request's envelope.
+  // Every reply echoed its request's envelope.
   for (int i = 0; i < kMasters; ++i) {
     for (int step = 0; step < kWindow; ++step) {
-      auto frame = net::DecodeFrame(std::string_view(
-          batched[static_cast<size_t>(i)][static_cast<size_t>(step)]));
+      auto frame = net::DecodeFrame(
+          batched[static_cast<size_t>(i)][static_cast<size_t>(step)]);
       ASSERT_TRUE(frame.ok());
-      EXPECT_EQ(frame->version, net::kWireVersionV3);
       EXPECT_EQ(frame->trace.trace_id,
                 0xABC0000u + static_cast<uint64_t>(i));
       EXPECT_EQ(frame->trace.span_id,

@@ -574,8 +574,6 @@ TEST(TracePropagationTest, ClientAndServerSpansShareTheTraceId) {
     options.num_machines = 3;
     MasterClient client(agent.TakeClientEnd(), options);
     ASSERT_TRUE(client.Connect().ok());
-    // Tracing was on at the handshake, so auto mode negotiated v3.
-    EXPECT_EQ(client.wire_version(), net::kWireVersionV3);
     Rng rng(5);
     ASSERT_TRUE(client.SelectAction(SmallState(), 0.5, &rng).ok());
     EXPECT_TRUE(client.Ping().ok());
@@ -596,65 +594,124 @@ TEST(TracePropagationTest, ClientAndServerSpansShareTheTraceId) {
   obs::Tracer::Get().ResetForTest();
 }
 
-TEST(TracePropagationTest, TracingOffKeepsV2FramesAndZeroEnvelopes) {
-  ScopedObs obs(/*metrics=*/false, /*trace=*/false);
-  FakePolicy policy(3);
-  LoopbackAgent agent(&policy);
-  MasterClientOptions options;
-  options.num_machines = 3;
-  MasterClient client(agent.TakeClientEnd(), options);
-  ASSERT_TRUE(client.Connect().ok());
-  EXPECT_EQ(client.wire_version(), net::kWireVersion);
-  Rng rng(5);
-  EXPECT_TRUE(client.SelectAction(SmallState(), 0.5, &rng).ok());
+/// Checks one raw request frame as it reached the server: version 3 in
+/// the header and an all-zero trace envelope.
+void ExpectUntracedFrame(const std::string& raw, net::MsgType type) {
+  ASSERT_GE(raw.size(), net::kFrameHeaderBytes + net::kTraceEnvelopeBytes);
+  EXPECT_EQ(raw.substr(4, 2), std::string("\x03\x00", 2))
+      << net::MsgTypeName(type);
+  EXPECT_EQ(raw.substr(net::kFrameHeaderBytes, net::kTraceEnvelopeBytes),
+            std::string(net::kTraceEnvelopeBytes, '\0'))
+      << net::MsgTypeName(type);
+  auto frame = net::DecodeFrame(raw);
+  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+  EXPECT_EQ(frame->type, type);
 }
 
-TEST(TracePropagationTest, ClientDowngradesToV2AgainstAV2OnlyServer) {
-  // Tracing on -> the client's first Hello goes out at v3. The server is
-  // pinned to v2, rejects it exactly like an old binary would, and the
-  // client redials at v2 — transparently, inside Connect().
-  ScopedObs obs(/*metrics=*/false, /*trace=*/true);
+TEST(TracePropagationTest, TracingOffKeepsV2FramesAndZeroEnvelopes) {
+  // With tracing off the client still speaks the one protocol version;
+  // only the envelope's ids are zero. This test plays the server by hand
+  // on the far end of a loopback pair, so it sees the bytes as sent.
+  ScopedObs obs(/*metrics=*/false, /*trace=*/false);
+  auto [client_end, server_end] = net::MakeLoopbackPair();
+  MasterClientOptions options;
+  options.num_machines = 3;
+  MasterClient client(std::move(client_end), options);
+  EXPECT_EQ(client.wire_version(), 0);
+  Status selected;
+  std::thread master([&client, &selected] {
+    Rng rng(5);
+    selected = client.SelectAction(SmallState(), 0.5, &rng).status();
+  });
+  // Closing our end fails any RPC still waiting, so the master thread
+  // always finishes, even when an assertion below returns early.
+  struct JoinOnExit {
+    net::Transport* end;
+    std::thread* thread;
+    ~JoinOnExit() {
+      end->Close();
+      if (thread->joinable()) thread->join();
+    }
+  } join_on_exit{server_end.get(), &master};
+
+  StatusOr<std::string> hello = server_end->Recv(10000);
+  ASSERT_TRUE(hello.ok()) << hello.status().ToString();
+  ExpectUntracedFrame(*hello, net::MsgType::kHelloRequest);
+  HelloResponse body;
+  body.policy_name = "hand-played";
+  body.session_id = 1;
+  ASSERT_TRUE(server_end
+                  ->Send(net::EncodeFrame(
+                      net::MsgType::kHelloResponse,
+                      EncodeHelloResponse(Status::OK(), body)))
+                  .ok());
+
+  StatusOr<std::string> get = server_end->Recv(10000);
+  ASSERT_TRUE(get.ok()) << get.status().ToString();
+  ExpectUntracedFrame(*get, net::MsgType::kGetScheduleRequest);
+  ASSERT_TRUE(server_end
+                  ->Send(net::EncodeFrame(
+                      net::MsgType::kGetScheduleResponse,
+                      EncodeGetScheduleResponse(
+                          Status::Unavailable("hand-played: no policy"), {})))
+                  .ok());
+  master.join();
+  EXPECT_EQ(selected.code(), StatusCode::kUnavailable) << selected.ToString();
+  EXPECT_EQ(client.wire_version(), net::kWireVersion);
+}
+
+TEST(WireVersionTest, V2HelloIsRefusedByNameAndTheServerServesOn) {
   auto listener_or = net::TcpListener::Bind("127.0.0.1", 0);
   ASSERT_TRUE(listener_or.ok()) << listener_or.status().ToString();
   net::TcpListener* listener = listener_or->get();
   FakePolicy policy(3);
-  AgentServerOptions server_options;
-  server_options.max_wire_version = net::kWireVersion;
-  AgentServer server(&policy, server_options);
+  AgentServer server(&policy, {});
   std::thread server_thread([&] {
     Status served = server.ServeTcp(listener);
     EXPECT_TRUE(served.ok()) << served.ToString();
   });
 
   {
+    // A Hello in the old v2 layout: version 2, no trace envelope.
+    HelloRequest request;
+    request.client_name = "v2-master";
+    const std::string body = EncodeHelloRequest(request);
+    net::WireWriter v2;
+    v2.PutU32(net::kWireMagic);
+    v2.PutU16(2);
+    v2.PutU16(static_cast<uint16_t>(net::MsgType::kHelloRequest));
+    v2.PutU32(static_cast<uint32_t>(body.size()));
+    v2.PutBytes(body.data(), body.size());
+    auto conn = net::TcpConnect("127.0.0.1", listener->port(), 2000);
+    ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+    ASSERT_TRUE((*conn)->Send(v2.buffer()).ok());
+    StatusOr<std::string> reply = (*conn)->Recv(10000);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    auto frame = net::DecodeFrame(std::move(*reply));
+    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    EXPECT_EQ(frame->type, net::MsgType::kErrorResponse);
+    const Status refused = DecodeErrorResponse(frame->payload);
+    EXPECT_FALSE(refused.ok());
+    EXPECT_NE(refused.message().find("unsupported protocol version 2"),
+              std::string::npos)
+        << refused.ToString();
+    (*conn)->Close();
+  }
+  {
+    // A fresh session on the same server is served as usual.
     MasterClientOptions options;
     options.num_machines = 3;
     MasterClient client("127.0.0.1", listener->port(), options);
     ASSERT_TRUE(client.Connect().ok());
-    EXPECT_EQ(client.wire_version(), net::kWireVersion);
     Rng rng(5);
     EXPECT_TRUE(client.SelectAction(SmallState(), 0.5, &rng).ok());
     EXPECT_TRUE(client.Ping().ok());
     client.Shutdown();
   }
-  {
-    // An explicitly pinned v3 client must fail loudly instead (no silent
-    // downgrade when the caller demanded the envelope).
-    MasterClientOptions options;
-    options.num_machines = 3;
-    options.wire_version = net::kWireVersionV3;
-    MasterClient client("127.0.0.1", listener->port(), options);
-    Status connected = client.Connect();
-    ASSERT_FALSE(connected.ok());
-    EXPECT_NE(connected.message().find("unsupported protocol version"),
-              std::string::npos)
-        << connected.ToString();
-  }
 
   server.Stop();
   listener->Close();
   server_thread.join();
-  obs::Tracer::Get().ResetForTest();
 }
 
 TEST(ClockOffsetTest, PingEstimatesAnOffsetNearZeroInProcess) {

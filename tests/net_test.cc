@@ -155,11 +155,14 @@ TEST(WirePrimitiveTest, TrailingBytesAreAnError) {
 
 TEST(FrameTest, RoundTrips) {
   const std::string frame = EncodeFrame(MsgType::kPing, "payload!");
-  ASSERT_EQ(frame.size(), kFrameHeaderBytes + 8);
+  ASSERT_EQ(frame.size(), kFrameHeaderBytes + kTraceEnvelopeBytes + 8);
   auto decoded = DecodeFrame(frame);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->type, MsgType::kPing);
   EXPECT_EQ(decoded->payload, "payload!");
+  // No trace given: the envelope is present and all zeros.
+  EXPECT_EQ(decoded->trace.trace_id, 0u);
+  EXPECT_EQ(decoded->trace.span_id, 0u);
 }
 
 TEST(FrameTest, RejectsBadMagicVersionTypeAndLength) {
@@ -169,13 +172,13 @@ TEST(FrameTest, RejectsBadMagicVersionTypeAndLength) {
   bad_magic[0] = 'X';
   EXPECT_FALSE(DecodeFrame(bad_magic).ok());
 
-  std::string bad_version = good;
-  bad_version[4] = static_cast<char>(kWireMaxVersion + 1);
-  EXPECT_FALSE(DecodeFrame(bad_version).ok());
+  std::string above = good;
+  above[4] = static_cast<char>(kWireVersion + 1);
+  EXPECT_FALSE(DecodeFrame(above).ok());
 
-  std::string below_min = good;
-  below_min[4] = static_cast<char>(kWireMinVersion - 1);
-  EXPECT_FALSE(DecodeFrame(below_min).ok());
+  std::string below = good;
+  below[4] = static_cast<char>(kWireVersion - 1);
+  EXPECT_FALSE(DecodeFrame(below).ok());
 
   std::string bad_type = good;
   bad_type[6] = static_cast<char>(0xEE);
@@ -183,7 +186,7 @@ TEST(FrameTest, RejectsBadMagicVersionTypeAndLength) {
   EXPECT_FALSE(DecodeFrame(bad_type).ok());
 
   std::string bad_length = good;
-  bad_length[8] = static_cast<char>(2);  // claims 2 payload bytes, has 1
+  bad_length[8] = static_cast<char>(18);  // claims 18 payload bytes, has 17
   EXPECT_FALSE(DecodeFrame(bad_length).ok());
 
   // Oversized claim: rejected by the header check before any allocation.
@@ -193,20 +196,20 @@ TEST(FrameTest, RejectsBadMagicVersionTypeAndLength) {
   EXPECT_FALSE(ParseFrameHeader(oversized).ok());
 
   for (size_t len = 0; len < good.size(); ++len) {
-    EXPECT_FALSE(DecodeFrame(std::string_view(good).substr(0, len)).ok())
+    EXPECT_FALSE(DecodeFrame(good.substr(0, len)).ok())
         << "prefix of length " << len << " decoded";
   }
 }
 
 TEST(FrameTest, MoveDecodeMatchesCopyDecode) {
   const std::string frame = EncodeFrame(MsgType::kObserveRequest, "abc123");
-  auto by_view = DecodeFrame(std::string_view(frame));
+  auto by_copy = DecodeFrame(frame);
   std::string owned = frame;
   auto by_move = DecodeFrame(std::move(owned));
-  ASSERT_TRUE(by_view.ok());
+  ASSERT_TRUE(by_copy.ok());
   ASSERT_TRUE(by_move.ok());
-  EXPECT_EQ(by_move->type, by_view->type);
-  EXPECT_EQ(by_move->payload, by_view->payload);
+  EXPECT_EQ(by_move->type, by_copy->type);
+  EXPECT_EQ(by_move->payload, by_copy->payload);
 
   std::string truncated = frame.substr(0, frame.size() - 1);
   EXPECT_FALSE(DecodeFrame(std::move(truncated)).ok());
@@ -214,75 +217,87 @@ TEST(FrameTest, MoveDecodeMatchesCopyDecode) {
 
 TEST(FrameTest, InPlaceFramingMatchesEncodeFrame) {
   const std::string payload("in-place \x01\x00\xFF payload", 20);
+  const TraceContext trace{42, 7};
   WireWriter writer;
   writer.PutU8(0x7F);  // pre-existing writer content must be preserved
-  const size_t frame_start = BeginFrame(MsgType::kTrainStepRequest, &writer);
+  const size_t frame_start =
+      BeginFrame(MsgType::kTrainStepRequest, trace, &writer);
   writer.PutBytes(payload.data(), payload.size());
   EndFrame(frame_start, &writer);
   EXPECT_EQ(writer.buffer()[0], 0x7F);
   EXPECT_EQ(writer.buffer().substr(1),
-            EncodeFrame(MsgType::kTrainStepRequest, payload));
+            EncodeFrame(MsgType::kTrainStepRequest, payload, trace));
 }
 
-/// ---- v3 trace-context envelope -------------------------------------------
+/// ---- Trace-context envelope ----------------------------------------------
 
 TEST(FrameV3Test, RoundTripsTraceContextAndStripsEnvelope) {
   const TraceContext trace{0x0123456789ABCDEFull, 0xFEDCBA9876543210ull};
-  const std::string frame = EncodeFrameV3(MsgType::kPing, trace, "payload!");
+  const std::string frame = EncodeFrame(MsgType::kPing, "payload!", trace);
   ASSERT_EQ(frame.size(), kFrameHeaderBytes + kTraceEnvelopeBytes + 8);
 
-  auto by_view = DecodeFrame(std::string_view(frame));
-  ASSERT_TRUE(by_view.ok());
-  EXPECT_EQ(by_view->version, kWireVersionV3);
-  EXPECT_EQ(by_view->trace.trace_id, trace.trace_id);
-  EXPECT_EQ(by_view->trace.span_id, trace.span_id);
-  EXPECT_EQ(by_view->payload, "payload!");
+  auto by_copy = DecodeFrame(frame);
+  ASSERT_TRUE(by_copy.ok());
+  EXPECT_EQ(by_copy->trace.trace_id, trace.trace_id);
+  EXPECT_EQ(by_copy->trace.span_id, trace.span_id);
+  EXPECT_EQ(by_copy->payload, "payload!");
 
   std::string owned = frame;
   auto by_move = DecodeFrame(std::move(owned));
   ASSERT_TRUE(by_move.ok());
-  EXPECT_EQ(by_move->version, kWireVersionV3);
   EXPECT_EQ(by_move->trace.trace_id, trace.trace_id);
   EXPECT_EQ(by_move->trace.span_id, trace.span_id);
   EXPECT_EQ(by_move->payload, "payload!");
 }
 
-TEST(FrameV3Test, V2FramesDecodeWithZeroTraceContext) {
-  auto decoded = DecodeFrame(EncodeFrame(MsgType::kPing, "x"));
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->version, kWireVersion);
-  EXPECT_EQ(decoded->trace.trace_id, 0u);
-  EXPECT_EQ(decoded->trace.span_id, 0u);
+TEST(FrameV3Test, BytesMatchTheRecordedVersion3Golden) {
+  // Recorded from the version-3 encoder of the two-layout protocol (v2 had
+  // no envelope). Frames must stay byte-identical to it: header, both ids
+  // little-endian, then the body.
+  const std::string frame =
+      EncodeFrame(MsgType::kPing, "payload!",
+                  TraceContext{0x0123456789ABCDEFull, 0xFEDCBA9876543210ull});
+  static constexpr char kGoldenHex[] =
+      "44524C53" "0300" "0300" "18000000"    // magic, version, type, length
+      "EFCDAB8967452301" "1032547698BADCFE"  // trace id, span id
+      "7061796C6F616421";                    // "payload!"
+  std::string hex;
+  for (unsigned char c : frame) {
+    static constexpr char kDigits[] = "0123456789ABCDEF";
+    hex += kDigits[c >> 4];
+    hex += kDigits[c & 0xF];
+  }
+  EXPECT_EQ(hex, kGoldenHex);
 }
 
-TEST(FrameV3Test, BeginFrameAsMatchesBothEncoders) {
-  const TraceContext trace{42, 7};
-  const std::string payload = "abc";
-  {
-    WireWriter writer;
-    const size_t start =
-        BeginFrameAs(MsgType::kObserveRequest, kWireVersionV3, trace, &writer);
-    writer.PutBytes(payload.data(), payload.size());
-    EndFrame(start, &writer);
-    EXPECT_EQ(writer.buffer(),
-              EncodeFrameV3(MsgType::kObserveRequest, trace, payload));
+TEST(FrameV3Test, OtherVersionsAreRejectedByName) {
+  // Version 2 (and, for the same reason, a future 4) is refused at the
+  // header, before the payload is read, with the version in the message.
+  for (uint16_t version : {uint16_t{2}, uint16_t{4}}) {
+    std::string frame = EncodeFrame(MsgType::kHelloRequest, "body");
+    frame[4] = static_cast<char>(version);
+    auto header = ParseFrameHeader(frame);
+    ASSERT_FALSE(header.ok()) << "version " << version;
+    EXPECT_NE(header.status().message().find(
+                  "unsupported protocol version " + std::to_string(version)),
+              std::string::npos)
+        << header.status().ToString();
+    EXPECT_FALSE(DecodeFrame(frame).ok()) << "version " << version;
   }
-  {
-    // Below v3, BeginFrameAs emits a plain v2 frame: no envelope, and the
-    // trace context is ignored (replies to v2 peers stay byte-identical).
-    WireWriter writer;
-    const size_t start =
-        BeginFrameAs(MsgType::kObserveRequest, kWireVersion, trace, &writer);
-    writer.PutBytes(payload.data(), payload.size());
-    EndFrame(start, &writer);
-    EXPECT_EQ(writer.buffer(), EncodeFrame(MsgType::kObserveRequest, payload));
-  }
+  // A genuine v2 frame (no envelope) fails the same way.
+  WireWriter v2;
+  v2.PutU32(kWireMagic);
+  v2.PutU16(2);
+  v2.PutU16(static_cast<uint16_t>(MsgType::kPing));
+  v2.PutU32(1);
+  v2.PutU8(0);
+  EXPECT_FALSE(DecodeFrame(v2.Release()).ok());
 }
 
 TEST(FrameV3Test, EnvelopeShorterThanDeclaredIsRejected) {
-  // A v3 header whose payload_size cannot even hold the 16-byte envelope
-  // must be rejected at the header check (no over-read into the ids).
-  std::string frame = EncodeFrameV3(MsgType::kPing, TraceContext{1, 2}, "");
+  // A header whose payload_size cannot even hold the 16-byte envelope must
+  // be rejected at the header check (no over-read into the ids).
+  std::string frame = EncodeFrame(MsgType::kPing, "", TraceContext{1, 2});
   const uint32_t claimed = kTraceEnvelopeBytes - 8;
   std::memcpy(&frame[8], &claimed, sizeof(claimed));
   frame.resize(kFrameHeaderBytes + claimed);
@@ -292,9 +307,9 @@ TEST(FrameV3Test, EnvelopeShorterThanDeclaredIsRejected) {
 
 TEST(FrameV3Test, EveryStrictPrefixFails) {
   const std::string frame =
-      EncodeFrameV3(MsgType::kPing, TraceContext{11, 22}, "xy");
+      EncodeFrame(MsgType::kPing, "xy", TraceContext{11, 22});
   for (size_t len = 0; len < frame.size(); ++len) {
-    EXPECT_FALSE(DecodeFrame(std::string_view(frame).substr(0, len)).ok())
+    EXPECT_FALSE(DecodeFrame(frame.substr(0, len)).ok())
         << "prefix of length " << len << " decoded";
   }
 }
@@ -670,9 +685,11 @@ TEST_F(ServerFuzzTest, StructuredMutationsNeverCrashOrStallTheServer) {
     const std::string frame = EncodeFrame(c.type, c.payload);
     std::vector<std::string> mutations;
 
-    // Truncations: every header field boundary plus seeded payload cuts.
+    // Truncations: every header and envelope field boundary plus seeded
+    // payload cuts.
     for (size_t cut : {size_t{0}, size_t{1}, size_t{4}, size_t{6}, size_t{8},
-                       size_t{11}, kFrameHeaderBytes}) {
+                       size_t{11}, kFrameHeaderBytes, kFrameHeaderBytes + 8,
+                       kFrameHeaderBytes + kTraceEnvelopeBytes}) {
       if (cut < frame.size()) mutations.push_back(frame.substr(0, cut));
     }
     for (int i = 0; i < 3; ++i) {
@@ -681,12 +698,12 @@ TEST_F(ServerFuzzTest, StructuredMutationsNeverCrashOrStallTheServer) {
       mutations.push_back(frame.substr(0, cut));
     }
 
-    // Length-field lies: the u32 at offset 8 misstates the payload size —
-    // one high, one low, zero, and beyond the hard cap.
-    const uint32_t actual = static_cast<uint32_t>(c.payload.size());
+    // Length-field lies: the u32 at offset 8 misstates the payload size
+    // (envelope included) — one high, one low, zero, and beyond the cap.
+    const uint32_t actual =
+        static_cast<uint32_t>(frame.size() - kFrameHeaderBytes);
     for (uint32_t lie :
-         {actual + 1, actual > 0 ? actual - 1 : actual + 2, uint32_t{0},
-          kMaxPayloadBytes + 1}) {
+         {actual + 1, actual - 1, uint32_t{0}, kMaxPayloadBytes + 1}) {
       std::string lied = frame;
       std::memcpy(&lied[8], &lie, sizeof(lie));
       mutations.push_back(std::move(lied));
@@ -715,6 +732,39 @@ TEST_F(ServerFuzzTest, StructuredMutationsNeverCrashOrStallTheServer) {
     }
   }
   ExpectAlive();
+}
+
+TEST_F(ServerFuzzTest, UndecodablePingGetsAnErrorReplyAndSessionLives) {
+  // A token-only Ping payload fails the strict decode. A Pong has no
+  // status field, so the server answers with the generic error reply, and
+  // the same session goes on to answer a valid Ping.
+  auto client = Connect();
+  WireWriter token_only;
+  token_only.PutU64(7);
+  ASSERT_TRUE(
+      client->Send(EncodeFrame(MsgType::kPing, token_only.buffer())).ok());
+  StatusOr<std::string> reply = client->Recv(10000);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  auto error = DecodeFrame(std::move(*reply));
+  ASSERT_TRUE(error.ok());
+  EXPECT_EQ(error->type, MsgType::kErrorResponse);
+  EXPECT_FALSE(drlstream::ctrl::DecodeErrorResponse(error->payload).ok());
+
+  drlstream::ctrl::PingMessage ping;
+  ping.token = 8;
+  ASSERT_TRUE(client
+                  ->Send(EncodeFrame(MsgType::kPing,
+                                     drlstream::ctrl::EncodePingMessage(ping)))
+                  .ok());
+  reply = client->Recv(10000);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  auto pong = DecodeFrame(std::move(*reply));
+  ASSERT_TRUE(pong.ok());
+  ASSERT_EQ(pong->type, MsgType::kPong);
+  auto decoded = drlstream::ctrl::DecodePingMessage(pong->payload);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded->token, 8u);
+  client->Close();
 }
 
 /// Interleaved partial frames across two TCP sessions: each session's byte

@@ -72,7 +72,9 @@ TEST(GeneratorTest, DiurnalOpStreamIsDeterministic) {
   // Op times are strictly increasing and MultiplierAt changes exactly at
   // the op boundaries (piecewise constant in between).
   for (size_t i = 0; i < ops_a.size(); ++i) {
-    if (i > 0) EXPECT_GT(ops_a[i].time_ms, ops_a[i - 1].time_ms);
+    if (i > 0) {
+      EXPECT_GT(ops_a[i].time_ms, ops_a[i - 1].time_ms);
+    }
     const double at = (*a)->MultiplierAt(0, 0, ops_a[i].time_ms);
     EXPECT_EQ(at, ops_a[i].multiplier) << i;
     const double halfway = ops_a[i].time_ms +
