@@ -2,6 +2,7 @@
 #define DRLSTREAM_COMMON_RNG_H_
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <random>
 #include <string>
@@ -11,6 +12,26 @@
 #include "common/status.h"
 
 namespace drlstream {
+
+/// splitmix64's increment: 2^64 over the golden ratio, odd.
+inline constexpr uint64_t kSplitMix64Gamma = 0x9e3779b97f4a7c15ULL;
+
+/// splitmix64's output function (Steele, Lea and Flood 2014): a bijective
+/// mix of one 64-bit word in which every input bit reaches every output
+/// bit. The one copy of it in the library: the workload generators' jitter
+/// hash, trace span ids and the simulator's random streams all go through
+/// it.
+constexpr uint64_t SplitMix64Finalize(uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
+/// A stateless 64-bit hash: the first output of a splitmix64 stream whose
+/// counter starts at `x`.
+constexpr uint64_t SplitMix64Hash(uint64_t x) {
+  return SplitMix64Finalize(x + kSplitMix64Gamma);
+}
 
 /// Bit-exact reimplementation of std::mt19937_64 (the standard pins the
 /// mersenne_twister_engine algorithm, single-value seeding included) with
@@ -73,9 +94,96 @@ struct LogNormalLaw {
   double sigma;
 };
 
-/// Seeded pseudo-random number generator used everywhere in the library so
-/// that experiments are reproducible. Wraps a mersenne twister with the
-/// distributions the simulator and agents need.
+/// A splitmix64 random stream: a 64-bit counter advanced by
+/// kSplitMix64Gamma per draw and passed through SplitMix64Finalize on the
+/// way out. The state is one word (plus the polar method's spare normal),
+/// a draw costs a few multiplies, and independent streams come from
+/// hashing a key into the starting counter: the simulator derives one per
+/// (seed, tenant, executor, purpose). The distributions are written out
+/// here rather than taken from <random>, whose distribution objects the
+/// simulator would rebuild per draw and whose algorithms differ between
+/// standard libraries.
+class SplitMix64 {
+ public:
+  explicit SplitMix64(uint64_t state = 0) : state_(state) {}
+
+  uint64_t Next() {
+    state_ += kSplitMix64Gamma;
+    return SplitMix64Finalize(state_);
+  }
+
+  /// Uniform double in [0, 1), from the top 53 bits of one draw.
+  double Unit() { return static_cast<double>(Next() >> 11) * 0x1.0p-53; }
+
+  /// Uniform integer in [0, n) for n >= 1, without modulo bias: Lemire's
+  /// multiply-shift on the top 32 bits of a draw, redrawing the rare
+  /// values that would favour low results.
+  uint32_t Below(uint32_t n) {
+    uint64_t m = (Next() >> 32) * n;
+    if (static_cast<uint32_t>(m) < n) {
+      const uint32_t threshold = (0u - n) % n;
+      while (static_cast<uint32_t>(m) < threshold) m = (Next() >> 32) * n;
+    }
+    return static_cast<uint32_t>(m >> 32);
+  }
+
+  /// Exponential with the given rate (> 0): -ln(U) / rate with U uniform in
+  /// (0, 1], so the result is finite.
+  double Exponential(double rate) {
+    const double u = static_cast<double>((Next() >> 11) + 1) * 0x1.0p-53;
+    return -std::log(u) / rate;
+  }
+
+  /// Poisson by Knuth's product of uniforms: the number of uniforms whose
+  /// running product stays above exp(-mean), taken precomputed as
+  /// `exp_neg_mean`. Costs mean + 1 draws on average; a mean of 0
+  /// (exp_neg_mean == 1) returns 0 without drawing.
+  int Poisson(double exp_neg_mean) {
+    if (exp_neg_mean >= 1.0) return 0;
+    int k = 0;
+    for (double product = Unit(); product > exp_neg_mean; product *= Unit()) {
+      ++k;
+    }
+    return k;
+  }
+
+  /// Standard normal by Marsaglia's polar method. Each accepted pair of
+  /// uniforms yields two independent normals; the second is kept and
+  /// returned by the next call.
+  double Normal() {
+    if (has_spare_) {
+      has_spare_ = false;
+      return spare_;
+    }
+    double u, v, s;
+    do {
+      u = 2.0 * Unit() - 1.0;
+      v = 2.0 * Unit() - 1.0;
+      s = u * u + v * v;
+    } while (s >= 1.0 || s == 0.0);
+    const double scale = std::sqrt(-2.0 * std::log(s) / s);
+    spare_ = v * scale;
+    has_spare_ = true;
+    return u * scale;
+  }
+
+  /// One draw from `law`: exp(mu + sigma * Normal()), or the law's mean
+  /// without drawing when its cv is 0.
+  double LogNormal(const LogNormalLaw& law) {
+    return law.constant ? law.mean : std::exp(law.mu + law.sigma * Normal());
+  }
+
+ private:
+  uint64_t state_;
+  double spare_ = 0.0;
+  bool has_spare_ = false;
+};
+
+/// Seeded pseudo-random number generator for the agents, network weight
+/// initialisation, the control plane's exploration RNG and functional-mode
+/// payloads, so that experiments are reproducible. Wraps a mersenne twister
+/// with the distributions those need; the simulator's timing draws come
+/// from SplitMix64 streams instead.
 class Rng {
  public:
   explicit Rng(uint64_t seed) : engine_(seed) {}
@@ -103,39 +211,6 @@ class Rng {
   /// Gaussian with the given mean and standard deviation.
   double Gaussian(double mean, double stddev) {
     std::normal_distribution<double> dist(mean, stddev);
-    return dist(engine_);
-  }
-
-  /// Exponential with the given rate (events per unit time); returns an
-  /// inter-arrival time. Rate must be positive.
-  double Exponential(double rate) {
-    DRLSTREAM_CHECK_GT(rate, 0.0);
-    std::exponential_distribution<double> dist(rate);
-    return dist(engine_);
-  }
-
-  /// Log-normal: exp of a Gaussian(mu, sigma) draw.
-  double LogNormal(double mu, double sigma) {
-    std::lognormal_distribution<double> dist(mu, sigma);
-    return dist(engine_);
-  }
-
-  /// Log-normal parameterized by the mean and coefficient of variation of
-  /// the *resulting* distribution (convenient for service times).
-  double LogNormalMeanCv(double mean, double cv) {
-    return LogNormalMeanCv(LogNormalLaw(mean, cv));
-  }
-  /// One draw from a law derived ahead of time; the same value and engine
-  /// advance as LogNormalMeanCv(law.mean, cv).
-  double LogNormalMeanCv(const LogNormalLaw& law) {
-    return law.constant ? law.mean : LogNormal(law.mu, law.sigma);
-  }
-
-  /// Poisson with the given mean (>= 0); returns 0 for mean 0.
-  int Poisson(double mean) {
-    DRLSTREAM_CHECK_GE(mean, 0.0);
-    if (mean == 0.0) return 0;
-    std::poisson_distribution<int> dist(mean);
     return dist(engine_);
   }
 

@@ -39,8 +39,8 @@ obs::Histogram* PoolTaskWaitUs() {
 ThreadPool::ThreadPool(int num_threads)
     : num_threads_(std::max(1, num_threads)) {
   workers_.reserve(num_threads_ - 1);
-  for (int i = 0; i < num_threads_ - 1; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+  for (int worker = 1; worker < num_threads_; ++worker) {
+    workers_.emplace_back([this, worker] { WorkerLoop(worker); });
   }
 }
 
@@ -53,7 +53,7 @@ ThreadPool::~ThreadPool() {
   for (std::thread& worker : workers_) worker.join();
 }
 
-void ThreadPool::WorkerLoop() {
+void ThreadPool::WorkerLoop(int worker) {
   uint64_t last_generation = 0;
   while (true) {
     std::shared_ptr<Job> job;
@@ -72,15 +72,15 @@ void ThreadPool::WorkerLoop() {
       PoolTaskWaitUs()->Record(
           static_cast<double>(SteadyNowUs() - job->post_time_us));
     }
-    RunJob(job.get());
+    RunJob(job.get(), worker);
   }
 }
 
-void ThreadPool::RunJob(Job* job) {
+void ThreadPool::RunJob(Job* job, int worker) {
   int done = 0;
   int i;
   while ((i = job->next.fetch_add(1, std::memory_order_relaxed)) < job->n) {
-    (*job->fn)(i);
+    (*job->fn)(i, worker);
     ++done;
   }
   if (done > 0 &&
@@ -91,12 +91,13 @@ void ThreadPool::RunJob(Job* job) {
   }
 }
 
-void ThreadPool::ParallelFor(int n, const std::function<void(int)>& fn) {
+void ThreadPool::ParallelFor(int n,
+                             const std::function<void(int, int)>& fn) {
   if (n <= 0) return;
   const bool metrics = obs::MetricsEnabled();
   if (metrics) PoolJobs()->Add(1);
   if (num_threads_ == 1 || n == 1) {
-    for (int i = 0; i < n; ++i) fn(i);
+    for (int i = 0; i < n; ++i) fn(i, 0);
     return;
   }
   auto job = std::make_shared<Job>();
@@ -113,7 +114,7 @@ void ThreadPool::ParallelFor(int n, const std::function<void(int)>& fn) {
     ++job_generation_;
   }
   job_ready_.notify_all();
-  RunJob(job.get());
+  RunJob(job.get(), 0);
   {
     std::unique_lock<std::mutex> lock(mutex_);
     job_done_.wait(lock, [&] {

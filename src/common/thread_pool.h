@@ -15,12 +15,17 @@ namespace drlstream {
 /// training hot path (e.g. the per-transition target computation of
 /// DdpgAgent::TrainStep).
 ///
-/// Determinism contract: ParallelFor(n, fn) invokes fn(i) exactly once for
-/// every i in [0, n). Workers race only for *which* index they run next;
-/// as long as fn(i) writes exclusively to slot i of its output (no shared
-/// accumulators, no shared RNG), the results are bit-identical for every
-/// thread count, including 1. All code in this repository that uses the
-/// pool follows this slot-per-index discipline.
+/// Determinism contract: ParallelFor(n, fn) invokes fn(i, worker) exactly
+/// once for every i in [0, n). Workers race only for *which* index they run
+/// next; as long as fn(i, ...) writes exclusively to slot i of its output
+/// (no shared accumulators, no shared RNG), the results are bit-identical
+/// for every thread count, including 1. All code in this repository that
+/// uses the pool follows this slot-per-index discipline.
+///
+/// `worker` names the thread running the call, in [0, num_threads()); the
+/// caller of ParallelFor is worker 0. No two calls running at the same time
+/// share a worker index, so fn may keep one scratch per worker instead of
+/// one per index (scratch contents must not carry into the results).
 ///
 /// ParallelFor is not reentrant: fn must not call ParallelFor on the same
 /// pool.
@@ -37,16 +42,16 @@ class ThreadPool {
 
   int num_threads() const { return num_threads_; }
 
-  /// Runs fn(i) for every i in [0, n), distributing indices across the
-  /// pool. Blocks until all n invocations completed. fn must not throw.
-  void ParallelFor(int n, const std::function<void(int)>& fn);
+  /// Runs fn(i, worker) for every i in [0, n), distributing indices across
+  /// the pool. Blocks until all n invocations completed. fn must not throw.
+  void ParallelFor(int n, const std::function<void(int, int)>& fn);
 
  private:
   /// One ParallelFor invocation. Each job owns its counters so a worker
   /// that wakes late (holding a stale job) can never touch a newer job's
   /// state: its `next` is already exhausted, so it no-ops.
   struct Job {
-    const std::function<void(int)>* fn = nullptr;
+    const std::function<void(int, int)>* fn = nullptr;
     int n = 0;
     std::atomic<int> next{0};
     std::atomic<int> remaining{0};
@@ -55,9 +60,10 @@ class ThreadPool {
     int64_t post_time_us = 0;
   };
 
-  void WorkerLoop();
-  /// Pulls indices from `job` until it is exhausted.
-  void RunJob(Job* job);
+  /// Background worker `worker` (in [1, num_threads())).
+  void WorkerLoop(int worker);
+  /// Pulls indices from `job` until it is exhausted, as `worker`.
+  void RunJob(Job* job, int worker);
 
   const int num_threads_;
   std::vector<std::thread> workers_;

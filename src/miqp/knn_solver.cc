@@ -133,35 +133,17 @@ KnnActionSolver::KnnActionSolver(int num_executors, int num_machines)
 
 namespace {
 
-/// Stable sort of partials by ascending excess, using caller-owned scratch
-/// instead of std::stable_sort's internal temporary buffer. Stability makes
-/// the output ordering unique, so this matches std::stable_sort exactly.
-void StableSortByExcess(std::vector<KnnWorkspace::Partial>* v,
-                        std::vector<KnnWorkspace::Partial>* tmp) {
-  using Partial = KnnWorkspace::Partial;
-  const size_t n = v->size();
-  if (n < 2) return;
-  tmp->resize(n);
-  std::vector<Partial>* src = v;
-  std::vector<Partial>* dst = tmp;
-  for (size_t width = 1; width < n; width *= 2) {
-    for (size_t lo = 0; lo < n; lo += 2 * width) {
-      const size_t mid = std::min(lo + width, n);
-      const size_t hi = std::min(lo + 2 * width, n);
-      size_t a = lo, b = mid, out = lo;
-      while (a < mid && b < hi) {
-        // Take from the right run only on strict less-than: equal keys keep
-        // left-run (original) order.
-        (*dst)[out++] = ((*src)[b].excess < (*src)[a].excess) ? (*src)[b++]
-                                                              : (*src)[a++];
-      }
-      while (a < mid) (*dst)[out++] = (*src)[a++];
-      while (b < hi) (*dst)[out++] = (*src)[b++];
-    }
-    std::swap(src, dst);
-  }
-  if (src != v) v->assign(src->begin(), src->end());
-}
+/// The frontier heap's order, as a "comes later" test for the std heap
+/// algorithms: ascending excess, then partial, then option. Together with
+/// taking an unchanged partial before any deviation of equal excess, this is
+/// the order a stable sort by excess gives the list of every unchanged
+/// partial followed by every partial's deviations in option order.
+constexpr auto kDeviationLater = [](const KnnWorkspace::Deviation& a,
+                                    const KnnWorkspace::Deviation& b) {
+  if (a.excess != b.excess) return a.excess > b.excess;
+  if (a.partial != b.partial) return a.partial > b.partial;
+  return a.option > b.option;
+};
 
 }  // namespace
 
@@ -242,13 +224,26 @@ Status KnnActionSolver::SolveInto(
                      row_opts(b)[1].cost - row_opts(b)[0].cost;
             });
 
+  // A fold keeps the k smallest of the kept partials (unchanged, already
+  // sorted) and every partial's deviations (each list sorted, since the
+  // row's options are). It draws them in order by a k-way merge: the
+  // unchanged list is read in place, and a small heap holds each deviation
+  // list's next entry. Partial p's first deviation enters only once partial
+  // p - 1's has been taken (its excess is no smaller), so the heap holds at
+  // most k + 1 entries. Only taken deviations get a dev_arena node; every
+  // fold takes at most k - 1 (the zero-excess root is always kept), so the
+  // reserves below make steady-state solves allocation-free.
   ws->dev_arena.clear();
+  ws->dev_arena.reserve(ws->row_order.size() * static_cast<size_t>(k - 1));
+  ws->frontier.reserve(static_cast<size_t>(k) + 1);
   ws->best.clear();
   ws->best.push_back(Partial{0.0, -1});
   for (int i : ws->row_order) {
     std::vector<Partial>& best = ws->best;
     std::vector<Partial>& merged = ws->merged;
-    const bool full = static_cast<int>(best.size()) >= k;
+    std::vector<KnnWorkspace::Deviation>& frontier = ws->frontier;
+    const int kept = static_cast<int>(best.size());
+    const bool full = kept >= k;
     const double bound = full ? best.back().excess
                               : std::numeric_limits<double>::infinity();
     RowOption* opts = row_opts(i);
@@ -259,23 +254,39 @@ Status KnnActionSolver::SolveInto(
       break;
     }
     std::sort(opts + 2, opts + allowed, kOptionBefore);
-    merged.clear();
-    for (const Partial& partial : best) {
-      merged.push_back(partial);  // Option 0: unchanged.
-    }
     const int max_opt = std::min(allowed - 1, k);
-    for (const Partial& partial : best) {
-      for (int o = 1; o <= max_opt; ++o) {
-        const double excess = partial.excess + opts[o].cost - opts[0].cost;
-        if (full && excess >= bound) break;  // Options sorted ascending.
-        ws->dev_arena.push_back(
-            KnnWorkspace::DevNode{i, o, partial.dev_head});
-        merged.push_back(
-            Partial{excess, static_cast<int>(ws->dev_arena.size()) - 1});
+    const auto deviation = [&](int p, int o) {
+      return KnnWorkspace::Deviation{
+          best[p].excess + opts[o].cost - opts[0].cost, p, o};
+    };
+    const auto push = [&](const KnnWorkspace::Deviation& d) {
+      frontier.push_back(d);
+      std::push_heap(frontier.begin(), frontier.end(), kDeviationLater);
+    };
+    merged.clear();
+    frontier.clear();
+    push(deviation(0, 1));
+    int unchanged = 0;  // next kept partial not yet taken unchanged
+    while (static_cast<int>(merged.size()) < k &&
+           (unchanged < kept || !frontier.empty())) {
+      if (unchanged < kept &&
+          (frontier.empty() ||
+           best[unchanged].excess <= frontier.front().excess)) {
+        merged.push_back(best[unchanged++]);  // Option 0: unchanged.
+        continue;
+      }
+      std::pop_heap(frontier.begin(), frontier.end(), kDeviationLater);
+      const KnnWorkspace::Deviation d = frontier.back();
+      frontier.pop_back();
+      ws->dev_arena.push_back(
+          KnnWorkspace::DevNode{i, d.option, best[d.partial].dev_head});
+      merged.push_back(
+          Partial{d.excess, static_cast<int>(ws->dev_arena.size()) - 1});
+      if (d.option < max_opt) push(deviation(d.partial, d.option + 1));
+      if (d.option == 1 && d.partial + 1 < kept) {
+        push(deviation(d.partial + 1, 1));
       }
     }
-    StableSortByExcess(&merged, &ws->sort_tmp);
-    if (merged.size() > static_cast<size_t>(k)) merged.resize(k);
     std::swap(best, merged);
   }
 

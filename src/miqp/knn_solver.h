@@ -18,7 +18,7 @@ struct KnnResult {
 /// Reusable scratch for SolveInto: every intermediate of the fold lives in
 /// flat arrays that keep their capacity across solves, so steady-state
 /// solves of the same problem shape perform zero heap allocations. One
-/// workspace per concurrent solve (e.g. one per parallel target slot).
+/// workspace per concurrent solve (e.g. one per thread-pool worker).
 struct KnnWorkspace {
   /// Assigning a row's executor to `machine` costs `cost`. The mask is
   /// column-wise, so every row admits the same machines and the per-row
@@ -39,6 +39,13 @@ struct KnnWorkspace {
     int option;  // index > 0 into the row's sorted options
     int parent;
   };
+  /// A frontier entry of the fold's merge: kept partial `partial` moved to
+  /// option `option` (> 0) of the row being folded.
+  struct Deviation {
+    double excess;
+    int partial;
+    int option;
+  };
 
   /// Flattened, row-major. A row's first two entries are its two cheapest
   /// options; the rest are sorted only once the fold reaches the row.
@@ -46,7 +53,7 @@ struct KnnWorkspace {
   std::vector<int> row_order;
   std::vector<Partial> best;
   std::vector<Partial> merged;
-  std::vector<Partial> sort_tmp;
+  std::vector<Deviation> frontier;  // min-heap of each partial's next option
   std::vector<DevNode> dev_arena;
 };
 

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "common/rng.h"
+
 namespace drlstream::obs {
 
 Tracer::Tracer() : start_(std::chrono::steady_clock::now()) {}
@@ -85,14 +87,9 @@ uint64_t NewSpanId() {
            (static_cast<uint64_t>(system) << 1);
   }();
   static std::atomic<uint64_t> counter{0};
-  uint64_t x = nonce + 0x9E3779B97F4A7C15ull *
-                           (counter.fetch_add(1, std::memory_order_relaxed) +
-                            1);
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ull;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBull;
-  x ^= x >> 31;
+  const uint64_t x = SplitMix64Finalize(
+      nonce + kSplitMix64Gamma *
+                  (counter.fetch_add(1, std::memory_order_relaxed) + 1));
   return x == 0 ? 1 : x;
 }
 

@@ -381,36 +381,39 @@ void DdpgAgent::ComputeTargetsParallel(
   // y_i = r_i + gamma * max_{a in A_{i+1,K}} Q'(s_{i+1}, a), where
   // A_{i+1,K} is the K-NN set of the target actor's proto-action. Each
   // transition is independent and writes only its own slot, so the result
-  // is identical for every thread count.
+  // is identical for every thread count. Intermediates live in the running
+  // worker's scratch, which each task overwrites before reading.
   target_values_.assign(h, 0.0);
   target_valid_.assign(h, 1);
-  proto_scratch_.resize(h);
-  if (static_cast<int>(target_knn_ws_.size()) < h) {
-    target_knn_ws_.resize(h);
-    target_candidates_.resize(h);
-    target_score_.resize(h);
-    target_q_.resize(h);
+  ThreadPool* pool = GlobalThreadPool();
+  const size_t workers = static_cast<size_t>(pool->num_threads());
+  if (target_knn_ws_.size() < workers) {
+    proto_scratch_.resize(workers);
+    target_knn_ws_.resize(workers);
+    target_candidates_.resize(workers);
+    target_score_.resize(workers);
+    target_q_.resize(workers);
   }
-  GlobalThreadPool()->ParallelFor(h, [&](int i) {
-    std::vector<double>& proto = proto_scratch_[i];
+  pool->ParallelFor(h, [&](int i, int worker) {
+    std::vector<double>& proto = proto_scratch_[worker];
     proto.assign(proto_next.row(i), proto_next.row(i) + action_dim);
-    miqp::KnnResult& candidates = target_candidates_[i];
+    miqp::KnnResult& candidates = target_candidates_[worker];
     const Status solved = [&] {
       obs::ScopedPhase phase(Metrics().knn_solve_us, "knn_solve");
       return knn_.SolveInto(proto, config_.knn_k,
                             MachineMaskOf(batch[i]->next_state),
-                            &target_knn_ws_[i], &candidates);
+                            &target_knn_ws_[worker], &candidates);
     }();
     if (!solved.ok()) {
       target_valid_[i] = 0;
       return;
     }
-    std::vector<double>& q_values = target_q_[i];
+    std::vector<double>& q_values = target_q_[worker];
     q_values.clear();
     q_values.reserve(candidates.actions.size());
     CandidateQValuesFromZ(*critic_target_, critic_target_cache_,
                           z_state_next_.row(i), candidates.actions,
-                          &target_score_[i], &q_values);
+                          &target_score_[worker], &q_values);
     double max_q = q_values[0];
     for (size_t c = 1; c < q_values.size(); ++c) {
       if (q_values[c] > max_q) max_q = q_values[c];

@@ -104,7 +104,7 @@ class DdpgAgent : public Policy {
   /// This is the batched hot path: the per-transition target computation
   /// (target-actor forward, K-NN solve, target-critic candidate scoring)
   /// runs in parallel on the global thread pool with one result slot per
-  /// transition, and the critic/actor passes process the whole minibatch
+  /// transition and one scratch per pool worker, and the critic/actor passes process the whole minibatch
   /// with one GEMM per layer through preallocated BatchTape workspaces.
   /// Results are bit-reproducible for a fixed seed at any thread count and
   /// match TrainStepReference() to the last bit.
@@ -154,8 +154,7 @@ class DdpgAgent : public Policy {
   /// batch_x holds one first-layer activation row per candidate, batch_y
   /// the alternating upper-layer outputs (the two ping-pong through the
   /// tiny GEMMs). prefix, columns and order serve the prefix-shared
-  /// first-layer gather: O(h + N + K) in all, so one scratch per parallel
-  /// target slot stays small. Matrix::Resize and the vectors only
+  /// first-layer gather: O(h + N + K) in all. Matrix::Resize and the vectors only
   /// reallocate on growth, so a scratch sized once for the largest
   /// candidate set never allocates again. One scratch per concurrent
   /// scorer.
@@ -254,14 +253,15 @@ class DdpgAgent : public Policy {
   nn::Matrix critic_grad_out_;
   nn::Matrix critic_grad_in_;
   nn::Matrix actor_grad_out_;
-  std::vector<std::vector<double>> proto_scratch_;  // per-slot K-NN inputs
   std::vector<double> target_values_;
   std::vector<unsigned char> target_valid_;
   std::vector<int> valid_rows_;
 
-  // Per-slot solver/scoring workspaces for the parallel target phase: slot
-  // i's task touches only index i, so any thread count is race-free and
-  // steady-state target computation allocates nothing.
+  // Per-worker solver/scoring workspaces for the parallel target phase,
+  // indexed by ThreadPool worker: no two concurrent tasks share a worker,
+  // so any thread count is race-free. They grow to the pool's thread count
+  // and never shrink, so steady-state target computation allocates nothing.
+  std::vector<std::vector<double>> proto_scratch_;  // K-NN inputs
   std::vector<miqp::KnnWorkspace> target_knn_ws_;
   std::vector<miqp::KnnResult> target_candidates_;
   std::vector<ScoreScratch> target_score_;

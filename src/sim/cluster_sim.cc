@@ -46,6 +46,18 @@ enum PowerState { kPowerActive = 0, kPowerIdle, kPowerSleep, kPowerDown };
 constexpr double kIdleCompletionMs = std::numeric_limits<double>::infinity();
 constexpr uint64_t kIdleCompletionSeq = std::numeric_limits<uint64_t>::max();
 
+/// What a simulator random stream is drawn for; one stream per (seed,
+/// tenant, tenant-scoped executor, purpose).
+enum class StreamPurpose : uint64_t { kArrivals = 1, kService, kRouting };
+
+SplitMix64 DeriveStream(uint64_t seed, int tenant, int executor,
+                        StreamPurpose purpose) {
+  uint64_t h = SplitMix64Hash(seed);
+  h = SplitMix64Hash(h ^ static_cast<uint64_t>(tenant));
+  h = SplitMix64Hash(h ^ static_cast<uint64_t>(executor));
+  return SplitMix64(SplitMix64Hash(h ^ static_cast<uint64_t>(purpose)));
+}
+
 /// Trace-instant label; distinct from FaultTypeName (faults.h) which feeds
 /// the CSV/JSON artifacts.
 const char* FaultInstantName(FaultType type) {
@@ -77,7 +89,7 @@ void IntFifo::Grow() {
 }
 
 ClusterSim::ClusterSim(const topo::ClusterConfig& cluster, SimOptions options)
-    : cluster_(cluster), options_(options), rng_(options.seed) {
+    : cluster_(cluster), options_(options), payload_rng_(options.seed) {
   DRLSTREAM_CHECK(cluster.Validate().ok());
   machines_.resize(cluster_.num_machines);
   completion_ms_.assign(cluster_.num_machines, kIdleCompletionMs);
@@ -134,9 +146,12 @@ StatusOr<int> ClusterSim::AddTenant(const topo::Topology* topology,
   state.num_executors = topology->num_executors();
   state.rate_multiplier.assign(topology->num_components(), 1.0);
   state.service.reserve(topology->num_components());
+  state.exp_neg_emit.reserve(topology->num_components());
   for (int c = 0; c < topology->num_components(); ++c) {
     const topo::Component& comp = topology->component(c);
+    DRLSTREAM_CHECK_GE(comp.emit_factor, 0.0);
     state.service.emplace_back(comp.service_mean_ms, comp.service_cv);
+    state.exp_neg_emit.push_back(std::exp(-comp.emit_factor));
   }
   state.window_component_proc.assign(topology->num_components(),
                                      RunningStats());
@@ -156,6 +171,12 @@ StatusOr<int> ClusterSim::AddTenant(const topo::Topology* topology,
     exec.component = topology->ComponentOfExecutor(i);
     exec.machine = initial.MachineOf(i);
     exec.process = initial.ProcessOf(i);
+    exec.arrivals =
+        DeriveStream(options_.seed, tenant, i, StreamPurpose::kArrivals);
+    exec.service =
+        DeriveStream(options_.seed, tenant, i, StreamPurpose::kService);
+    exec.routing =
+        DeriveStream(options_.seed, tenant, i, StreamPurpose::kRouting);
     HostExecutor(exec.machine);
     // A tenant landing on a sleeping machine waits out the wake latency.
     if (machines_[exec.machine].wake_until_ms > now_ms_) {
@@ -578,7 +599,7 @@ void ClusterSim::ScheduleNextSpoutEmit(int executor) {
   // change we re-sample instead of emitting (memorylessness makes this an
   // exact simulation of a piecewise-constant-rate Poisson process, and it
   // lets a near-silent source notice its rate coming back up).
-  const ExecutorState& exec = executors_[executor];
+  ExecutorState& exec = executors_[executor];
   const TenantState& t = tenants_[exec.tenant];
   const double rate = SpoutRate(exec.tenant, exec.component);
   // Generator boundaries need no re-sample wakeups of their own: the
@@ -588,7 +609,7 @@ void ClusterSim::ScheduleNextSpoutEmit(int executor) {
                                     NextSpoutShockAfterMs(now_ms_),
                                     t.next_rate_change_ms});
   const double sample =
-      rate > 0.0 ? rng_.Exponential(rate)
+      rate > 0.0 ? exec.arrivals.Exponential(rate)
                  : std::numeric_limits<double>::infinity();
   if (now_ms_ + sample <= boundary) {
     Schedule(now_ms_ + sample, EventType::kSpoutEmit, executor,
@@ -700,9 +721,9 @@ void ClusterSim::HandleSpoutEmit(int executor) {
 
   topo::TupleData data;
   if (exec.source != nullptr) {
-    data = exec.source->Next(&rng_);
+    data = exec.source->Next(&payload_rng_);
   } else {
-    data.key = rng_.engine()();
+    data.key = exec.routing.Next();
   }
 
   int children = 0;
@@ -1020,8 +1041,8 @@ int ClusterSim::EmitDownstream(int executor, uint64_t root_id,
                                std::vector<topo::TupleData>* outputs,
                                double send_time_ms) {
   ExecutorState& exec = executors_[executor];
-  const topo::Topology* topology = tenants_[exec.tenant].topology;
-  const topo::Component& comp = topology->component(exec.component);
+  const TenantState& tenant = tenants_[exec.tenant];
+  const topo::Topology* topology = tenant.topology;
   int children = 0;
   for (int edge_id : topology->OutEdges(exec.component)) {
     const topo::StreamEdge& edge = topology->edges()[edge_id];
@@ -1038,10 +1059,11 @@ int ClusterSim::EmitDownstream(int executor, uint64_t root_id,
       }
     } else {
       // Timing-only: integer fan-out drawn around the emit factor.
-      int k = rng_.Poisson(comp.emit_factor);
+      const int k =
+          exec.routing.Poisson(tenant.exp_neg_emit[exec.component]);
       for (int t = 0; t < k; ++t) {
         topo::TupleData data;
-        data.key = rng_.engine()();
+        data.key = exec.routing.Next();
         for (int b = 0; b < broadcast; ++b) {
           SendOnEdge(edge_id, executor, root_id, data, send_time_ms);
           ++children;
@@ -1058,12 +1080,12 @@ int ClusterSim::PickDestination(int tenant, const topo::StreamEdge& edge,
   const TenantState& t = tenants_[tenant];
   const int first = t.exec_base + t.topology->FirstExecutorOf(edge.to);
   const int p = t.topology->component(edge.to).parallelism;
+  ExecutorState& from = executors_[from_executor];
   switch (edge.grouping) {
     case topo::Grouping::kShuffle: {
       // Storm 1.x load-aware shuffle: prefer a same-process target while it
       // is lightly loaded; otherwise spill to the less loaded of two random
       // targets among the tenant's executors (power of two choices).
-      const ExecutorState& from = executors_[from_executor];
       const std::vector<int>& local =
           t.local_targets[edge.to]
                          [from.machine * cluster_.slots_per_machine +
@@ -1071,10 +1093,9 @@ int ClusterSim::PickDestination(int tenant, const topo::StreamEdge& edge,
       if (!local.empty()) {
         int best = local[0];
         if (local.size() > 1) {
-          const int a =
-              local[rng_.UniformInt(0, static_cast<int>(local.size()) - 1)];
-          const int b =
-              local[rng_.UniformInt(0, static_cast<int>(local.size()) - 1)];
+          const uint32_t size = static_cast<uint32_t>(local.size());
+          const int a = local[from.routing.Below(size)];
+          const int b = local[from.routing.Below(size)];
           best = executors_[a].queue.size() <= executors_[b].queue.size() ? a
                                                                           : b;
         }
@@ -1083,8 +1104,9 @@ int ClusterSim::PickDestination(int tenant, const topo::StreamEdge& edge,
           return best;
         }
       }
-      const int a = first + rng_.UniformInt(0, p - 1);
-      const int b = first + rng_.UniformInt(0, p - 1);
+      const uint32_t width = static_cast<uint32_t>(p);
+      const int a = first + static_cast<int>(from.routing.Below(width));
+      const int b = first + static_cast<int>(from.routing.Below(width));
       return executors_[a].queue.size() <= executors_[b].queue.size() ? a : b;
     }
     case topo::Grouping::kFields:
@@ -1094,7 +1116,8 @@ int ClusterSim::PickDestination(int tenant, const topo::StreamEdge& edge,
     case topo::Grouping::kAll:
       // Callers expand broadcasts; a single send behaves like shuffle
       // without locality preference.
-      return first + rng_.UniformInt(0, p - 1);
+      return first +
+             static_cast<int>(from.routing.Below(static_cast<uint32_t>(p)));
   }
   return first;
 }
@@ -1324,8 +1347,9 @@ double ClusterSim::WarmupFactor() const {
 }
 
 double ClusterSim::SampleServiceWork(int executor) {
-  const ExecutorState& exec = executors_[executor];
-  return rng_.LogNormalMeanCv(tenants_[exec.tenant].service[exec.component]) *
+  ExecutorState& exec = executors_[executor];
+  return exec.service.LogNormal(
+             tenants_[exec.tenant].service[exec.component]) *
          WarmupFactor();
 }
 

@@ -112,8 +112,17 @@ class IntFifo {
 ///
 /// A single-topology run is tenant 0, set up in this order: construct,
 /// InstallFaultPlan, AddTenant, SetTenantWorkloadGenerator(0, ...), Start.
-/// Its event order, RNG draw sequence, counters and window statistics are
+/// Its event order, random draws, counters and window statistics are
 /// pinned bit for bit by the policy equivalence and fault suites.
+///
+/// Random streams: every executor draws from its own SplitMix64 streams,
+/// derived at AddTenant from (seed, tenant, tenant-scoped executor id,
+/// purpose): a spout's arrival gaps, an executor's service times, and the
+/// fan-outs, keys and destinations of the tuples it sends. No two
+/// executors' draws interleave, so for a fixed seed a spout's arrivals do
+/// not depend on the schedule or on anything else the simulator does, and
+/// an executor's n-th service time is the same under any schedule (common
+/// random numbers across the schedules being compared).
 ///
 /// Executor ids: each tenant's executors are numbered [0, n_t) against its
 /// own topology (tenant-scoped ids, as in `sched::Schedule`); internally
@@ -275,6 +284,9 @@ class ClusterSim {
     int component = -1;  // tenant-scoped component index
     int machine = -1;
     int process = 0;  // worker process on the machine
+    SplitMix64 arrivals;  // spouts: exponential inter-arrival gaps
+    SplitMix64 service;   // log-normal service times
+    SplitMix64 routing;   // fan-outs, keys, destinations of tuples it sends
     bool busy = false;
     int serving_machine = -1;  // machine executing its current tuple
     double remaining_work_ms = 0.0;  // CPU time left for the current tuple
@@ -335,6 +347,9 @@ class ClusterSim {
     std::vector<double> rate_multiplier;
     /// Service-time law per component, derived at AddTenant.
     std::vector<LogNormalLaw> service;
+    /// exp(-emit_factor) per component: the timing-mode fan-out's Poisson
+    /// threshold, derived at AddTenant.
+    std::vector<double> exp_neg_emit;
     /// Time of the next pending rate-change op (+inf when none).
     double next_rate_change_ms = std::numeric_limits<double>::infinity();
     /// Invalidates stale kRateChange events after a generator swap.
@@ -451,7 +466,9 @@ class ClusterSim {
 
   topo::ClusterConfig cluster_;
   SimOptions options_;
-  Rng rng_;
+  /// Functional-mode spout payloads (SpoutSource::Next); timing mode never
+  /// draws from it.
+  Rng payload_rng_;
 
   FaultPlan fault_plan_;
   /// Spout-shock timeline extracted from the plan as a trace_replay

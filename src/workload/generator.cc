@@ -8,27 +8,21 @@
 #include <sstream>
 #include <utility>
 
+#include "common/rng.h"
+
 namespace drlstream::workload {
 namespace {
 
 constexpr double kPi = 3.14159265358979323846;
 
-/// splitmix64 finalizer: the stateless hash behind all seeded generator
-/// randomness. Hashing (seed, tenant, step) instead of drawing from a
+/// Deterministic uniform in [-1, 1) from (seed, tenant, step). Hashing
+/// (seed, tenant, step) with splitmix64 instead of drawing from a
 /// sequential RNG keeps every generator a pure function of time — replay
-/// from any point, any thread count, any event engine yields the same
-/// values.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-/// Deterministic uniform in [-1, 1) from (seed, tenant, step).
+/// from any point, at any thread count, yields the same values.
 double SignedUnit(uint64_t seed, int tenant, long long step) {
-  uint64_t h = Mix64(seed ^ Mix64(static_cast<uint64_t>(tenant) + 1));
-  h = Mix64(h ^ static_cast<uint64_t>(step));
+  uint64_t h =
+      SplitMix64Hash(seed ^ SplitMix64Hash(static_cast<uint64_t>(tenant) + 1));
+  h = SplitMix64Hash(h ^ static_cast<uint64_t>(step));
   return static_cast<double>(h >> 11) * (1.0 / 4503599627370496.0) * 2.0 - 1.0;
 }
 

@@ -109,32 +109,90 @@ TEST(RngTest, UniformIntInRange) {
   }
 }
 
+// The simulator's draws: SplitMix64 streams (common/rng.h).
+
+TEST(RngTest, SplitMix64MatchesTheReferenceSequence) {
+  // The first outputs of the reference splitmix64.c seeded with 1234567.
+  SplitMix64 stream(1234567);
+  EXPECT_EQ(stream.Next(), 6457827717110365317ull);
+  EXPECT_EQ(stream.Next(), 3203168211198807973ull);
+  EXPECT_EQ(stream.Next(), 9817491932198370423ull);
+  EXPECT_EQ(stream.Next(), 4593380528125082431ull);
+  EXPECT_EQ(stream.Next(), 16408922859458223821ull);
+  EXPECT_EQ(SplitMix64Hash(1234567), 6457827717110365317ull);
+}
+
 TEST(RngTest, ExponentialMeanMatchesRate) {
-  Rng rng(7);
+  SplitMix64 stream(7);
   RunningStats stats;
-  for (int i = 0; i < 20000; ++i) stats.Add(rng.Exponential(4.0));
+  for (int i = 0; i < 20000; ++i) stats.Add(stream.Exponential(4.0));
   EXPECT_NEAR(stats.mean(), 0.25, 0.01);
+  EXPECT_NEAR(stats.stddev(), 0.25, 0.01);
 }
 
 TEST(RngTest, LogNormalMeanCvMatchesMoments) {
-  Rng rng(11);
+  SplitMix64 stream(11);
+  const LogNormalLaw law(2.0, 0.5);
   RunningStats stats;
-  for (int i = 0; i < 50000; ++i) stats.Add(rng.LogNormalMeanCv(2.0, 0.5));
+  for (int i = 0; i < 50000; ++i) stats.Add(stream.LogNormal(law));
   EXPECT_NEAR(stats.mean(), 2.0, 0.05);
   EXPECT_NEAR(stats.stddev() / stats.mean(), 0.5, 0.03);
 }
 
 TEST(RngTest, LogNormalZeroCvIsDeterministic) {
-  Rng rng(11);
-  EXPECT_DOUBLE_EQ(rng.LogNormalMeanCv(3.5, 0.0), 3.5);
+  SplitMix64 stream(11);
+  const SplitMix64 untouched = stream;
+  EXPECT_DOUBLE_EQ(stream.LogNormal(LogNormalLaw(3.5, 0.0)), 3.5);
+  // A constant law draws nothing.
+  SplitMix64 copy = untouched;
+  EXPECT_EQ(stream.Next(), copy.Next());
+}
+
+TEST(RngTest, NormalMomentsAndSpareReuse) {
+  SplitMix64 stream(19);
+  RunningStats stats;
+  RunningStats products;  // E[x_{2i} x_{2i+1}]: 0 for independent halves
+  for (int i = 0; i < 50000; ++i) {
+    const double a = stream.Normal();
+    const double b = stream.Normal();
+    stats.Add(a);
+    stats.Add(b);
+    products.Add(a * b);
+  }
+  EXPECT_NEAR(stats.mean(), 0.0, 0.015);
+  EXPECT_NEAR(stats.stddev(), 1.0, 0.015);
+  EXPECT_NEAR(products.mean(), 0.0, 0.015);
+  // The second normal of a pair is the cached spare: it costs no draw.
+  SplitMix64 a(23), b(23);
+  a.Normal();
+  const SplitMix64 after_pair = a;
+  a.Normal();
+  b.Normal();
+  b.Normal();
+  SplitMix64 check = after_pair;
+  EXPECT_EQ(a.Next(), check.Next());
 }
 
 TEST(RngTest, PoissonMean) {
-  Rng rng(13);
+  SplitMix64 stream(13);
   RunningStats stats;
-  for (int i = 0; i < 20000; ++i) stats.Add(rng.Poisson(3.0));
+  for (int i = 0; i < 20000; ++i) stats.Add(stream.Poisson(std::exp(-3.0)));
   EXPECT_NEAR(stats.mean(), 3.0, 0.05);
-  EXPECT_EQ(rng.Poisson(0.0), 0);
+  EXPECT_NEAR(stats.variance(), 3.0, 0.15);
+  // A mean of 0 returns 0 without drawing.
+  SplitMix64 copy = stream;
+  EXPECT_EQ(stream.Poisson(1.0), 0);
+  EXPECT_EQ(stream.Next(), copy.Next());
+}
+
+TEST(RngTest, BelowIsInRangeAndUnbiased) {
+  SplitMix64 stream(29);
+  for (uint32_t n : {1u, 2u, 3u, 7u, 10u, 1000u}) {
+    for (int i = 0; i < 1000; ++i) EXPECT_LT(stream.Below(n), n);
+  }
+  std::vector<int> counts(3, 0);
+  for (int i = 0; i < 30000; ++i) ++counts[stream.Below(3)];
+  for (int c : counts) EXPECT_NEAR(c, 10000, 300);
 }
 
 TEST(RngTest, SampleWithoutReplacementDistinct) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "common/rng.h"
 #include "core/artifacts.h"
 #include "core/drl_scheduler.h"
@@ -240,13 +243,21 @@ class PackThenSpreadPolicy : public rl::Policy {
   sched::Schedule spread_;
 };
 
+/// FinalPick's measurement protocol: the default windows after a 2 s
+/// stabilization (the default is 1.5 s).
+MeasurementConfig FinalPickMeasure() {
+  MeasurementConfig config;
+  config.stabilize_ms = 2000.0;
+  return config;
+}
+
 /// Latency of `schedule` deployed alone on a fresh environment.
 double MeasureAlone(const topo::App& app, const topo::ClusterConfig& cluster,
                     const sched::Schedule& schedule) {
   sim::SimOptions sim_options;
   sim_options.seed = 3;
   SchedulingEnvironment env(&app.topology, app.workload, cluster,
-                            sim_options, MeasurementConfig{});
+                            sim_options, FinalPickMeasure());
   EXPECT_TRUE(env.Reset(schedule).ok());
   StatusOr<double> latency = env.DeployAndMeasure(schedule);
   EXPECT_TRUE(latency.ok());
@@ -256,6 +267,17 @@ double MeasureAlone(const topo::App& app, const topo::ClusterConfig& cluster,
 // The reward cap must not leak into the final pick: when every epoch
 // measured above the cap, the final schedule is kept if its measured
 // latency beats the best epoch's, not the cap.
+//
+// The premise is that the final spread schedule measures above the cap but
+// below every packed epoch. The packed epochs pile up a backlog on machine
+// 0, so each measures over a second (about 1.2, 1.6 and 2.0 s here). The
+// 2 s stabilization lets the spread schedule drain most, but not all, of
+// that backlog before its windows open, so it measures a few hundred ms:
+// 226 ms here, and 200-317 ms over sim seeds 1-8, against packed epochs of
+// at least 1,211 ms and the 50 ms cap. With the default 1.5 s the drain
+// has barely begun (the spread measures about as high as the first packed
+// epoch); from 2.5 s it is complete (about 3 ms, under the cap). The
+// replay at the end checks the premise on a twin environment.
 TEST(OnlineTest, FinalPickComparesUncappedLatencies) {
   topo::App app = topo::BuildContinuousQueries(topo::Scale::kSmall);
   topo::ClusterConfig cluster;
@@ -264,7 +286,7 @@ TEST(OnlineTest, FinalPickComparesUncappedLatencies) {
   sim::SimOptions sim_options;
   sim_options.seed = 3;
   SchedulingEnvironment env(&app.topology, app.workload, cluster,
-                            sim_options, MeasurementConfig{});
+                            sim_options, FinalPickMeasure());
   ASSERT_TRUE(env.Reset(policy.spread()).ok());
 
   OnlineOptions options;
@@ -280,6 +302,22 @@ TEST(OnlineTest, FinalPickComparesUncappedLatencies) {
   // Measured alone, the kept schedule is the faster one by far.
   EXPECT_LT(MeasureAlone(app, cluster, policy.spread()) * 10.0,
             MeasureAlone(app, cluster, policy.packed()));
+
+  // The premise, replayed: RunOnline's environment saw these same
+  // deployments in this order from the same seed.
+  SchedulingEnvironment twin(&app.topology, app.workload, cluster,
+                             sim_options, FinalPickMeasure());
+  ASSERT_TRUE(twin.Reset(policy.spread()).ok());
+  double best_packed = std::numeric_limits<double>::infinity();
+  for (int epoch = 0; epoch < options.epochs; ++epoch) {
+    StatusOr<double> packed = twin.DeployAndMeasure(policy.packed());
+    ASSERT_TRUE(packed.ok());
+    best_packed = std::min(best_packed, *packed);
+  }
+  StatusOr<double> final_latency = twin.DeployAndMeasure(policy.spread());
+  ASSERT_TRUE(final_latency.ok());
+  EXPECT_GT(*final_latency, options.reward_cap_ms);
+  EXPECT_LT(*final_latency, best_packed);
 }
 
 // ---------------------------------------------------------------------------

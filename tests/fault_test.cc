@@ -284,11 +284,11 @@ TEST(FaultSimTest, SpoutOnCrashedMachineStopsEmitting) {
   ASSERT_TRUE(simulator.AddTenant(&topology, &workload, schedule).ok());
   ASSERT_TRUE(simulator.Start().ok());
 
-  simulator.RunFor(990.0);
+  simulator.RunFor(1000.0);  // Up to and including the crash.
   const long long emitted_before = simulator.counters().roots_emitted;
   EXPECT_GT(emitted_before, 300);
   simulator.RunFor(1800.0);  // Outage window.
-  EXPECT_LE(simulator.counters().roots_emitted, emitted_before + 5);
+  EXPECT_EQ(simulator.counters().roots_emitted, emitted_before);
   simulator.RunFor(2000.0);  // Past recovery.
   EXPECT_GT(simulator.counters().roots_emitted, emitted_before + 500);
 }

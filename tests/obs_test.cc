@@ -119,7 +119,7 @@ MetricsSnapshot SnapshotAtThreadCount(int num_threads) {
   Counter* counter = MetricsRegistry::Get().counter("prop.events");
   Histogram* hist = MetricsRegistry::Get().histogram("prop.value_ms");
   ThreadPool pool(num_threads);
-  pool.ParallelFor(997, [&](int i) {
+  pool.ParallelFor(997, [&](int i, int) {
     counter->Add(i % 5);
     hist->Record(0.37 * i - 20.0);
     hist->Record(static_cast<double>(i) * i);
