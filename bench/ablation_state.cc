@@ -17,15 +17,14 @@ namespace {
 StatusOr<double> SurgedLatency(const topo::App& app,
                                const topo::ClusterConfig& cluster,
                                rl::Policy* policy, uint64_t seed) {
-  core::AdaptiveSeriesOptions adaptive;
-  adaptive.series.points = 30;
-  adaptive.surge_at_point = 10;
-  adaptive.series.seed = seed;
+  core::SeriesOptions options;
+  options.points = 30;
+  options.seed = seed;
   core::PolicyScheduler scheduler(policy);
   DRLSTREAM_ASSIGN_OR_RETURN(
       std::vector<double> series,
-      core::MeasureAdaptiveSeries(app.topology, app.workload, cluster,
-                                  &scheduler, adaptive));
+      MeasureSurgeSeries(app, cluster, &scheduler, options,
+                         /*surge_at_point=*/10, /*factor=*/1.5));
   return StabilizedValue(series, 5);
 }
 

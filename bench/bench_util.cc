@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <sstream>
 
 #include "common/stats.h"
+#include "workload/generator.h"
 
 namespace drlstream::bench {
 
@@ -84,6 +86,28 @@ StatusOr<std::map<std::string, std::vector<double>>> MeasureAllMethodSeries(
     series[entry.name] = std::move(values);
   }
   return series;
+}
+
+StatusOr<std::vector<double>> MeasureSurgeSeries(
+    const topo::App& app, const topo::ClusterConfig& cluster,
+    sched::Scheduler* scheduler, const core::SeriesOptions& options,
+    int surge_at_point, double factor) {
+  const double surge_ms =
+      options.pre_roll_ms + surge_at_point * options.minute_ms;
+  workload::DriftConfig drift;
+  drift.to = factor;
+  drift.start_ms = surge_ms;
+  drift.end_ms = surge_ms;
+  DRLSTREAM_ASSIGN_OR_RETURN(
+      const std::unique_ptr<workload::WorkloadGenerator> generator,
+      workload::MakeDrift(drift));
+  core::SeriesSpec spec;
+  spec.series = options;
+  spec.generator = generator.get();
+  DRLSTREAM_ASSIGN_OR_RETURN(
+      const core::SeriesResult result,
+      core::RunSeries(app.topology, app.workload, cluster, scheduler, spec));
+  return result.LatencySeries();
 }
 
 void PrintSeriesCsv(const std::string& title,

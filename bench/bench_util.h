@@ -47,6 +47,14 @@ StatusOr<std::map<std::string, std::vector<double>>> MeasureAllMethodSeries(
     const topo::App& app, const topo::ClusterConfig& cluster,
     const core::TrainedMethods& methods, const core::SeriesOptions& options);
 
+/// Runs `scheduler` through the Fig. 12 workload change: every spout rate
+/// steps up by `factor` at the start of minute `surge_at_point` (a
+/// zero-width `drift`). Returns the per-minute latency series.
+StatusOr<std::vector<double>> MeasureSurgeSeries(
+    const topo::App& app, const topo::ClusterConfig& cluster,
+    sched::Scheduler* scheduler, const core::SeriesOptions& options,
+    int surge_at_point, double factor);
+
 /// Prints a CSV latency-series block: header then one row per minute.
 void PrintSeriesCsv(const std::string& title,
                     const std::map<std::string, std::vector<double>>& series);

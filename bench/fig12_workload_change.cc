@@ -26,24 +26,27 @@ int RunApp(const std::string& key, const std::string& label,
     return 1;
   }
 
-  core::AdaptiveSeriesOptions adaptive;
-  adaptive.series.seed = options.seed + 99;
-  adaptive.surge_at_point = 20;
-  adaptive.surge_factor = 1.5;
+  core::SeriesOptions series_options;
+  series_options.points = 50;
+  series_options.seed = options.seed + 99;
+  const int surge_at_point = 20;
+  const double surge_factor = 1.5;
 
   sched::ModelBasedScheduler model_sched(trained->delay_model.get());
   core::PolicyScheduler ddpg_sched(trained->ddpg.get());
 
   std::map<std::string, std::vector<double>> series;
-  auto model_series = core::MeasureAdaptiveSeries(
-      app.topology, app.workload, cluster, &model_sched, adaptive);
+  auto model_series =
+      MeasureSurgeSeries(app, cluster, &model_sched, series_options,
+                         surge_at_point, surge_factor);
   if (!model_series.ok()) {
     std::fprintf(stderr, "%s\n", model_series.status().ToString().c_str());
     return 1;
   }
   series[kMethodModelBased] = std::move(*model_series);
-  auto ddpg_series = core::MeasureAdaptiveSeries(
-      app.topology, app.workload, cluster, &ddpg_sched, adaptive);
+  auto ddpg_series =
+      MeasureSurgeSeries(app, cluster, &ddpg_sched, series_options,
+                         surge_at_point, surge_factor);
   if (!ddpg_series.ok()) {
     std::fprintf(stderr, "%s\n", ddpg_series.status().ToString().c_str());
     return 1;

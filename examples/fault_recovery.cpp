@@ -79,11 +79,13 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  core::FaultSeriesOptions options;
-  options.plan = plan;
-  options.series.points = flags.GetInt("points", 10);
-  options.series.minute_ms = flags.GetDouble("minute-ms", 6000.0);
-  options.series.seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
+  core::SeriesSpec spec;
+  spec.plan = plan;
+  spec.series.points = flags.GetInt("points", 10);
+  spec.series.minute_ms = flags.GetDouble("minute-ms", 6000.0);
+  // Whole minutes: every completion counts toward its minute's latency.
+  spec.series.measure_window_ms = spec.series.minute_ms;
+  spec.series.seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
 
   const std::string policy_key = flags.GetString("policy", "round-robin");
   rl::StateEncoder encoder(app.topology.num_executors(),
@@ -102,20 +104,21 @@ int main(int argc, char** argv) {
 
   std::printf("running %zu-event fault plan over %d reported minutes "
               "(policy: %s)...\n",
-              plan.size(), options.series.points, scheduler.name().c_str());
-  auto result = core::MeasureFaultSeries(app.topology, app.workload, cluster,
-                                         &scheduler, options);
+              plan.size(), spec.series.points, scheduler.name().c_str());
+  auto result =
+      core::RunSeries(app.topology, app.workload, cluster, &scheduler, spec);
   if (!result.ok()) {
     std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
     return 1;
   }
 
   std::printf("\nper-minute latency:\n");
-  for (size_t p = 0; p < result->series.size(); ++p) {
-    std::printf("  minute %2zu  %8.3f ms\n", p + 1, result->series[p]);
+  for (size_t p = 0; p < result->points.size(); ++p) {
+    std::printf("  minute %2zu  %8.3f ms\n", p + 1,
+                result->points[p].avg_latency_ms);
   }
   std::printf("\nphases:\n");
-  for (const core::FaultPhaseStats& phase : result->phases) {
+  for (const core::SeriesPhase& phase : result->phases) {
     std::printf("  %-24s [%7.0f, %7.0f) ms  avg %8.3f ms  done %lld  "
                 "failed %lld  dropped %lld  moved %d  dead %d\n",
                 phase.label.c_str(), phase.start_ms, phase.end_ms,
@@ -132,8 +135,7 @@ int main(int argc, char** argv) {
               result->executors_on_dead_machines);
 
   const std::string out_path = flags.GetString("out", "fault_run.json");
-  const Status save =
-      core::SaveFaultRunJson(out_path, scheduler.name(), *result);
+  const Status save = core::SaveSeriesJson(out_path, *result);
   if (!save.ok()) {
     std::fprintf(stderr, "%s\n", save.ToString().c_str());
     return 1;

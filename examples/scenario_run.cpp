@@ -18,8 +18,9 @@
 #include <vector>
 
 #include "common/flags.h"
+#include "core/artifacts.h"
 #include "core/drl_scheduler.h"
-#include "core/scenario.h"
+#include "core/experiment.h"
 #include "rl/policy_registry.h"
 #include "topo/apps.h"
 #include "workload/registry.h"
@@ -57,28 +58,27 @@ int main(int argc, char** argv) {
   // Opt into machine deep sleep so consolidation pays off in joules.
   cluster.machine.sleep_after_idle_ms = flags.GetDouble("sleep-after-ms", 5000.0);
 
-  core::ScenarioOptions options;
-  options.workload_spec =
+  const std::string workload_spec =
       flags.GetString("workload", "diurnal:period_ms=24000,amplitude=0.4");
-  options.workload_seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
-  options.series.points = flags.GetInt("points", 20);
-  options.series.minute_ms = flags.GetDouble("minute-ms", 6000.0);
-  options.series.measure_window_ms =
-      flags.GetDouble("measure-ms", options.series.minute_ms / 2.0);
-  options.series.seed = options.workload_seed + 100;
-
-  {
-    auto parsed = workload::ParseWorkloadSpec(options.workload_spec,
-                                              options.workload_seed);
-    if (!parsed.ok()) {
-      std::fprintf(stderr, "--workload: %s\n",
-                   parsed.status().ToString().c_str());
-      std::fprintf(stderr, "registered scenarios: %s\n",
-                   workload::WorkloadRegistry::Get().KeysLine().c_str());
-      return 1;
-    }
-    std::printf("scenario: %s\n", (*parsed)->Describe().c_str());
+  const uint64_t workload_seed =
+      static_cast<uint64_t>(flags.GetInt("seed", 7));
+  auto generator = workload::ParseWorkloadSpec(workload_spec, workload_seed);
+  if (!generator.ok()) {
+    std::fprintf(stderr, "--workload: %s\n",
+                 generator.status().ToString().c_str());
+    std::fprintf(stderr, "registered scenarios: %s\n",
+                 workload::WorkloadRegistry::Get().KeysLine().c_str());
+    return 1;
   }
+  std::printf("scenario: %s\n", (*generator)->Describe().c_str());
+
+  core::SeriesSpec spec;
+  spec.generator = generator->get();
+  spec.series.points = flags.GetInt("points", 20);
+  spec.series.minute_ms = flags.GetDouble("minute-ms", 6000.0);
+  spec.series.measure_window_ms =
+      flags.GetDouble("measure-ms", spec.series.minute_ms / 2.0);
+  spec.series.seed = workload_seed + 100;
 
   const std::vector<std::string> policies =
       SplitCommas(flags.GetString("policies", "round-robin,energy-aware"));
@@ -109,20 +109,20 @@ int main(int argc, char** argv) {
       return 1;
     }
     core::PolicyScheduler scheduler(policy_or->get());
-    auto run_or = core::MeasureScenarioSeries(app.topology, app.workload,
-                                              cluster, &scheduler, options);
+    auto run_or = core::RunSeries(app.topology, app.workload, cluster,
+                                  &scheduler, spec);
     if (!run_or.ok()) {
       std::fprintf(stderr, "scenario run (%s): %s\n", key.c_str(),
                    run_or.status().ToString().c_str());
       return 1;
     }
-    const core::ScenarioRunResult& run = *run_or;
+    const core::SeriesResult& run = *run_or;
 
     std::printf("\n== %s ==\n", key.c_str());
     std::printf("  minute   latency_ms   load   watts  asleep  moved\n");
     double latency_sum = 0.0;
     for (size_t p = 0; p < run.points.size(); ++p) {
-      const core::ScenarioPointStats& point = run.points[p];
+      const core::SeriesPoint& point = run.points[p];
       std::printf("  %6zu  %10.3f  %5.2fx  %6.1f  %6d  %5d\n", p + 1,
                   point.avg_latency_ms, point.rate_multiplier,
                   point.avg_power_watts, point.machines_asleep,
@@ -141,7 +141,7 @@ int main(int argc, char** argv) {
 
     if (!json_prefix.empty()) {
       const std::string path = json_prefix + "." + key + ".json";
-      Status saved = core::SaveScenarioRunJson(path, run);
+      Status saved = core::SaveSeriesJson(path, run);
       if (!saved.ok()) {
         std::fprintf(stderr, "%s\n", saved.ToString().c_str());
         return 1;
@@ -150,8 +150,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("\nsummary (%d minutes of %s):\n", options.series.points,
-              options.workload_spec.c_str());
+  std::printf("\nsummary (%d minutes of %s):\n", spec.series.points,
+              workload_spec.c_str());
   std::printf("  %-16s %12s %12s %8s %8s\n", "policy", "avg_latency",
               "joules", "watts", "asleep");
   for (const Row& row : rows) {

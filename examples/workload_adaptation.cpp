@@ -19,7 +19,7 @@
 
 #include "common/flags.h"
 #include "core/drl_scheduler.h"
-#include "core/scenario.h"
+#include "core/experiment.h"
 #include "topo/apps.h"
 #include "workload/registry.h"
 
@@ -47,34 +47,30 @@ int main(int argc, char** argv) {
   config.collect_dqn_db = false;
   config.seed = static_cast<uint64_t>(flags.GetInt("seed", 11));
 
-  core::ScenarioOptions options;
-  options.series.points = flags.GetInt("points", 30);
-  options.series.seed = config.seed + 3;
+  core::SeriesSpec spec;
+  spec.series.points = flags.GetInt("points", 30);
+  spec.series.seed = config.seed + 3;
   // Default scenario: the Fig. 12 +50% step at minute 13, as a zero-width
   // drift ramp (series pre-roll 2000 ms + 12 minutes of 6000 ms).
   const int surge_at = flags.GetInt("surge-at", 12);
   const double surge_ms =
-      options.series.pre_roll_ms + surge_at * options.series.minute_ms;
+      spec.series.pre_roll_ms + surge_at * spec.series.minute_ms;
   char default_spec[128];
   std::snprintf(default_spec, sizeof(default_spec),
                 "drift:from=1,to=%g,start_ms=%g,end_ms=%g",
                 flags.GetDouble("surge-factor", 1.5), surge_ms, surge_ms);
-  options.workload_spec = flags.GetString("workload", default_spec);
-  options.workload_seed = config.seed + 7;
-
-  {
-    // Validate the spec before spending minutes on training.
-    auto parsed = workload::ParseWorkloadSpec(options.workload_spec,
-                                              options.workload_seed);
-    if (!parsed.ok()) {
-      std::fprintf(stderr, "--workload: %s\n",
-                   parsed.status().ToString().c_str());
-      std::fprintf(stderr, "registered scenarios: %s\n",
-                   workload::WorkloadRegistry::Get().KeysLine().c_str());
-      return 1;
-    }
-    std::printf("scenario: %s\n", (*parsed)->Describe().c_str());
+  // Parse (and so validate) the spec before spending minutes on training.
+  auto generator = workload::ParseWorkloadSpec(
+      flags.GetString("workload", default_spec), config.seed + 7);
+  if (!generator.ok()) {
+    std::fprintf(stderr, "--workload: %s\n",
+                 generator.status().ToString().c_str());
+    std::fprintf(stderr, "registered scenarios: %s\n",
+                 workload::WorkloadRegistry::Get().KeysLine().c_str());
+    return 1;
   }
+  std::printf("scenario: %s\n", (*generator)->Describe().c_str());
+  spec.generator = generator->get();
 
   std::printf("training the actor-critic agent (%d offline samples, %d "
               "online epochs)...\n",
@@ -87,8 +83,8 @@ int main(int argc, char** argv) {
   }
 
   core::PolicyScheduler scheduler(trained->ddpg.get());
-  auto run = core::MeasureScenarioSeries(app.topology, app.workload, cluster,
-                                         &scheduler, options);
+  auto run =
+      core::RunSeries(app.topology, app.workload, cluster, &scheduler, spec);
   if (!run.ok()) {
     std::fprintf(stderr, "%s\n", run.status().ToString().c_str());
     return 1;
@@ -97,7 +93,7 @@ int main(int argc, char** argv) {
   std::printf("\nper-minute latency under '%s':\n", run->workload.c_str());
   std::printf("  minute   latency_ms   load   moved\n");
   for (size_t p = 0; p < run->points.size(); ++p) {
-    const core::ScenarioPointStats& point = run->points[p];
+    const core::SeriesPoint& point = run->points[p];
     std::printf("  %6zu  %10.3f   %5.2fx  %5d\n", p + 1,
                 point.avg_latency_ms, point.rate_multiplier,
                 point.executors_moved);

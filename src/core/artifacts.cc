@@ -191,22 +191,6 @@ StatusOr<TrainedMethods> TrainAllMethodsCached(
 
 namespace {
 
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
 template <typename T>
 void WriteJsonArray(std::ofstream& out, const std::vector<T>& values) {
   out << '[';
@@ -220,20 +204,35 @@ void WriteJsonArray(std::ofstream& out, const std::vector<T>& values) {
 
 }  // namespace
 
-Status SaveFaultRunJson(const std::string& path,
-                        const std::string& scheduler_name,
-                        const FaultRunResult& result) {
+Status SaveSeriesJson(const std::string& path, const SeriesResult& result) {
   std::ofstream out(path);
   if (!out.is_open()) return Status::IoError("cannot open " + path);
   out.precision(17);
   out << "{\n";
-  out << "  \"scheduler\": \"" << JsonEscape(scheduler_name) << "\",\n";
+  out << "  \"scheduler\": \"" << obs::JsonEscape(result.scheduler)
+      << "\",\n";
+  out << "  \"workload\": \"" << obs::JsonEscape(result.workload)
+      << "\",\n";
+  out << "  \"total_joules\": " << result.total_joules << ",\n";
+  out << "  \"avg_power_watts\": " << result.avg_power_watts << ",\n";
   out << "  \"series_ms\": ";
-  WriteJsonArray(out, result.series);
-  out << ",\n  \"phases\": [\n";
+  WriteJsonArray(out, result.LatencySeries());
+  out << ",\n  \"points\": [\n";
+  for (size_t i = 0; i < result.points.size(); ++i) {
+    const SeriesPoint& point = result.points[i];
+    out << "    {\"time_ms\": " << point.time_ms << ", "
+        << "\"avg_latency_ms\": " << point.avg_latency_ms << ", "
+        << "\"rate_multiplier\": " << point.rate_multiplier << ", "
+        << "\"joules\": " << point.joules << ", "
+        << "\"avg_power_watts\": " << point.avg_power_watts << ", "
+        << "\"machines_asleep\": " << point.machines_asleep << ", "
+        << "\"executors_moved\": " << point.executors_moved << "}"
+        << (i + 1 < result.points.size() ? "," : "") << '\n';
+  }
+  out << "  ],\n  \"phases\": [\n";
   for (size_t i = 0; i < result.phases.size(); ++i) {
-    const FaultPhaseStats& phase = result.phases[i];
-    out << "    {\"label\": \"" << JsonEscape(phase.label) << "\", "
+    const SeriesPhase& phase = result.phases[i];
+    out << "    {\"label\": \"" << obs::JsonEscape(phase.label) << "\", "
         << "\"start_ms\": " << phase.start_ms << ", "
         << "\"end_ms\": " << phase.end_ms << ", "
         << "\"avg_latency_ms\": " << phase.avg_latency_ms << ", "
@@ -262,7 +261,8 @@ Status SaveFaultRunJson(const std::string& path,
       << "\"tuples_processed\": " << c.tuples_processed << ", "
       << "\"tuples_dropped\": " << c.tuples_dropped << ", "
       << "\"migrations\": " << c.migrations << ", "
-      << "\"faults_applied\": " << c.faults_applied << "},\n";
+      << "\"faults_applied\": " << c.faults_applied << ", "
+      << "\"energy_joules\": " << c.energy_joules << "},\n";
   out << "  \"final_machine_up\": ";
   WriteJsonArray(out, result.final_machine_up);
   out << ",\n  \"final_machine_executors\": ";

@@ -39,13 +39,16 @@ StatusOr<TrainedMethods> TrainAllMethodsCached(
     const topo::Topology* topology, const topo::Workload& workload,
     const topo::ClusterConfig& cluster, const PipelineConfig& config);
 
-/// Writes a fault-injection run (latency series, per-phase breakdown, fault
-/// timeline, final cluster state) to `path` as a single JSON document, so
-/// crash-recovery experiments are scriptable/plottable without a JSON
-/// library in the repo.
-Status SaveFaultRunJson(const std::string& path,
-                        const std::string& scheduler_name,
-                        const FaultRunResult& result);
+/// Writes a series run to `path` as one JSON document (no JSON library in
+/// the repo): "scheduler", "workload", "total_joules", "avg_power_watts",
+/// "series_ms" (per-minute latency), "points" (one object per minute with
+/// the SeriesPoint fields), "phases" and "timeline" (empty without a fault
+/// plan), "counters" (final roots emitted/completed/failed, tuples
+/// processed/dropped, migrations, faults applied, energy_joules),
+/// "final_machine_up", "final_machine_executors",
+/// "executors_on_dead_machines", and "metrics" when the obs registry was
+/// enabled.
+Status SaveSeriesJson(const std::string& path, const SeriesResult& result);
 
 }  // namespace drlstream::core
 

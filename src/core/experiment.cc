@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/stats.h"
 #include "core/offline.h"
-#include "core/scenario.h"
-#include "workload/generator.h"
 
 namespace drlstream::core {
 
@@ -157,20 +156,24 @@ StatusOr<TrainedMethods> TrainAllMethods(const topo::Topology* topology,
   return out;
 }
 
+namespace {
+
+/// Starts the simulator a series runs on, seeded and warmed up as `spec`
+/// says: `topology` is tenant 0 under the default round-robin deployment
+/// the system ran before the solution under test, with the spec's fault
+/// plan and generator installed.
 StatusOr<std::unique_ptr<sim::ClusterSim>> StartSeriesSimulator(
     const topo::Topology& topology, const topo::Workload& workload,
-    const topo::ClusterConfig& cluster, const SeriesOptions& options,
-    const sim::FaultPlan& plan, const workload::WorkloadGenerator* generator) {
+    const topo::ClusterConfig& cluster, const SeriesSpec& spec) {
   sim::SimOptions sim_options;
-  sim_options.seed = options.seed;
-  sim_options.functional = options.functional;
-  sim_options.warmup_extra = options.warmup_extra;
-  sim_options.warmup_tau_ms = options.warmup_tau_min * options.minute_ms;
+  sim_options.seed = spec.series.seed;
+  sim_options.warmup_extra = spec.series.warmup_extra;
+  sim_options.warmup_tau_ms =
+      spec.series.warmup_tau_min * spec.series.minute_ms;
   auto simulator = std::make_unique<sim::ClusterSim>(cluster, sim_options);
-  if (!plan.empty()) DRLSTREAM_RETURN_NOT_OK(simulator->InstallFaultPlan(plan));
-
-  // The system was running under the default (round-robin, multi-process)
-  // deployment before the scheduler under test takes over.
+  if (!spec.plan.empty()) {
+    DRLSTREAM_RETURN_NOT_OK(simulator->InstallFaultPlan(spec.plan));
+  }
   sched::RoundRobinScheduler default_scheduler;
   sched::SchedulingContext default_context;
   default_context.topology = &topology;
@@ -182,76 +185,13 @@ StatusOr<std::unique_ptr<sim::ClusterSim>> StartSeriesSimulator(
       default_scheduler.ComputeSchedule(default_context));
   DRLSTREAM_RETURN_NOT_OK(
       simulator->AddTenant(&topology, &workload, previous).status());
-  if (generator != nullptr) {
+  if (spec.generator != nullptr) {
     DRLSTREAM_RETURN_NOT_OK(
-        simulator->SetTenantWorkloadGenerator(0, generator));
+        simulator->SetTenantWorkloadGenerator(0, spec.generator));
   }
   DRLSTREAM_RETURN_NOT_OK(simulator->Start());
   return simulator;
 }
-
-StatusOr<std::vector<double>> MeasureLatencySeries(
-    const topo::Topology& topology, const topo::Workload& workload,
-    const topo::ClusterConfig& cluster, const sched::Schedule& schedule,
-    const SeriesOptions& options) {
-  if (options.points <= 0) {
-    return Status::InvalidArgument("points must be positive");
-  }
-  if (options.measure_window_ms > options.minute_ms) {
-    return Status::InvalidArgument("measure window exceeds the minute");
-  }
-  // The solution under test is deployed at reported time 0.
-  DRLSTREAM_ASSIGN_OR_RETURN(
-      const std::unique_ptr<sim::ClusterSim> simulator,
-      StartSeriesSimulator(topology, workload, cluster, options,
-                           sim::FaultPlan(), nullptr));
-  simulator->RunFor(options.pre_roll_ms);
-  DRLSTREAM_RETURN_NOT_OK(simulator->Migrate(0, schedule));
-
-  std::vector<double> series;
-  series.reserve(options.points);
-  for (int p = 0; p < options.points; ++p) {
-    simulator->RunFor(options.minute_ms - options.measure_window_ms);
-    simulator->ResetWindow();
-    simulator->RunFor(options.measure_window_ms);
-    series.push_back(simulator->WindowAvgLatencyMs());
-  }
-  return series;
-}
-
-StatusOr<std::vector<double>> MeasureAdaptiveSeries(
-    const topo::Topology& topology, const topo::Workload& workload,
-    const topo::ClusterConfig& cluster, sched::Scheduler* scheduler,
-    const AdaptiveSeriesOptions& options) {
-  DRLSTREAM_CHECK(scheduler != nullptr);
-  const SeriesOptions& series_opts = options.series;
-  if (series_opts.points <= 0 ||
-      options.surge_at_point >= series_opts.points) {
-    return Status::InvalidArgument("bad adaptive series configuration");
-  }
-  // The Fig. 12 step-change is the degenerate drift scenario: a ramp of
-  // zero width at the surge time. Routing it through the generator API
-  // keeps one modulation path in the simulator.
-  const double surge_ms =
-      series_opts.pre_roll_ms + options.surge_at_point * series_opts.minute_ms;
-  workload::DriftConfig drift;
-  drift.from = 1.0;
-  drift.to = options.surge_factor;
-  drift.start_ms = surge_ms;
-  drift.end_ms = surge_ms;
-  DRLSTREAM_ASSIGN_OR_RETURN(
-      const std::unique_ptr<workload::WorkloadGenerator> generator,
-      workload::MakeDrift(drift));
-  ScenarioOptions scenario;
-  scenario.series = series_opts;
-  scenario.generator = generator.get();
-  DRLSTREAM_ASSIGN_OR_RETURN(
-      const ScenarioRunResult result,
-      MeasureScenarioSeries(topology, workload, cluster, scheduler, scenario));
-  return result.series;
-}
-
-namespace {
 
 std::string FormatMagnitude(double value) {
   char buf[32];
@@ -282,88 +222,111 @@ std::string FaultBoundaryLabel(const sim::FaultEvent& event,
   return "fault";
 }
 
+/// A simulated time at which the series loop stops.
+struct Cut {
+  enum Kind { kPreRollEnd, kWindowStart, kMinuteEnd, kFault };
+  Kind kind;
+  double time_ms;
+  int fault_index = -1;     // kFault: into plan.events()
+  bool window_end = false;  // kFault: end of a straggler/spike window
+};
+
+/// Always proposes the schedule under test.
+class FixedScheduler : public sched::Scheduler {
+ public:
+  explicit FixedScheduler(const sched::Schedule& schedule)
+      : schedule_(schedule) {}
+  std::string name() const override { return "fixed"; }
+  StatusOr<sched::Schedule> ComputeSchedule(
+      const sched::SchedulingContext& /*context*/) override {
+    return schedule_;
+  }
+
+ private:
+  const sched::Schedule& schedule_;
+};
+
 }  // namespace
 
-StatusOr<FaultRunResult> MeasureFaultSeries(const topo::Topology& topology,
-                                            const topo::Workload& workload,
-                                            const topo::ClusterConfig& cluster,
-                                            sched::Scheduler* scheduler,
-                                            const FaultSeriesOptions& options) {
+std::vector<double> SeriesResult::LatencySeries() const {
+  std::vector<double> series;
+  series.reserve(points.size());
+  for (const SeriesPoint& point : points) {
+    series.push_back(point.avg_latency_ms);
+  }
+  return series;
+}
+
+StatusOr<SeriesResult> RunSeries(const topo::Topology& topology,
+                                 const topo::Workload& workload,
+                                 const topo::ClusterConfig& cluster,
+                                 sched::Scheduler* scheduler,
+                                 const SeriesSpec& spec) {
   DRLSTREAM_CHECK(scheduler != nullptr);
-  const SeriesOptions& series_opts = options.series;
-  if (series_opts.points <= 0) {
+  const SeriesOptions& options = spec.series;
+  if (options.points <= 0) {
     return Status::InvalidArgument("points must be positive");
   }
-  DRLSTREAM_RETURN_NOT_OK(options.plan.Validate(cluster.num_machines));
-  const double total_end_ms =
-      series_opts.pre_roll_ms + series_opts.points * series_opts.minute_ms;
-
+  if (options.measure_window_ms > options.minute_ms) {
+    return Status::InvalidArgument("measure window exceeds the minute");
+  }
   DRLSTREAM_ASSIGN_OR_RETURN(
       const std::unique_ptr<sim::ClusterSim> simulator,
-      StartSeriesSimulator(topology, workload, cluster, series_opts,
-                           options.plan, nullptr));
+      StartSeriesSimulator(topology, workload, cluster, spec));
 
-  FaultRunResult result;
-  result.timeline = options.plan.events();
-
-  // Merged boundary walk: the run is cut at every fault boundary (event
-  // time and, for windowed faults, window end), at the pre-roll end, and at
-  // every reported-minute end. Each segment is measured in isolation
-  // (ResetWindow before, weighted accumulation after), so per-minute and
-  // per-phase averages are exact regardless of how boundaries interleave.
-  enum class BoundaryKind { kFault, kPreRollEnd, kPointEnd };
-  struct Boundary {
-    double time_ms;
-    BoundaryKind kind;
-    int fault_index = -1;    // into plan.events() for kFault
-    bool window_end = false; // kFault: end of a straggler/spike window
-  };
-  std::vector<Boundary> boundaries;
-  const std::vector<sim::FaultEvent>& events = options.plan.events();
+  // The loop stops at the pre-roll end, at each minute's window start and
+  // end, and at every fault boundary before the run's end. Minute times
+  // accumulate as successive RunFor steps would.
+  std::vector<Cut> cuts = {{Cut::kPreRollEnd, options.pre_roll_ms}};
+  double end_ms = options.pre_roll_ms;
+  for (int p = 0; p < options.points; ++p) {
+    const double window_ms =
+        end_ms + (options.minute_ms - options.measure_window_ms);
+    end_ms = window_ms + options.measure_window_ms;
+    cuts.push_back({Cut::kWindowStart, window_ms});
+    cuts.push_back({Cut::kMinuteEnd, end_ms});
+  }
+  const std::vector<sim::FaultEvent>& events = spec.plan.events();
   for (int i = 0; i < static_cast<int>(events.size()); ++i) {
     const sim::FaultEvent& event = events[i];
-    if (event.time_ms < total_end_ms) {
-      boundaries.push_back({event.time_ms, BoundaryKind::kFault, i, false});
+    if (event.time_ms < end_ms) {
+      cuts.push_back({Cut::kFault, event.time_ms, i, false});
     }
     if ((event.type == sim::FaultType::kStraggler ||
          event.type == sim::FaultType::kLinkSpike) &&
-        event.time_ms + event.duration_ms < total_end_ms) {
-      boundaries.push_back({event.time_ms + event.duration_ms,
-                            BoundaryKind::kFault, i, true});
+        event.time_ms + event.duration_ms < end_ms) {
+      cuts.push_back({Cut::kFault, event.time_ms + event.duration_ms, i,
+                      true});
     }
   }
-  boundaries.push_back({series_opts.pre_roll_ms, BoundaryKind::kPreRollEnd});
-  for (int p = 0; p < series_opts.points; ++p) {
-    boundaries.push_back(
-        {series_opts.pre_roll_ms + (p + 1) * series_opts.minute_ms,
-         BoundaryKind::kPointEnd});
-  }
-  std::stable_sort(boundaries.begin(), boundaries.end(),
-                   [](const Boundary& a, const Boundary& b) {
-                     return a.time_ms < b.time_ms;
-                   });
+  std::stable_sort(cuts.begin(), cuts.end(), [](const Cut& a, const Cut& b) {
+    return a.time_ms < b.time_ms;
+  });
 
-  // Re-computes the scheduler's solution against the current cluster state
-  // (dead machines masked out) and migrates if it changed. A scheduler
-  // failure degrades to keeping the repaired current schedule.
+  // Re-computes the scheduler's solution for the current state (dead
+  // machines masked out) and migrates the executors that moved. A failing
+  // scheduler keeps the current schedule.
   const auto react = [&]() -> StatusOr<int> {
     sched::SchedulingContext context;
     context.topology = &topology;
     context.cluster = &cluster;
-    context.spout_rates =
-        workload.RatesVector(topology.SpoutComponents(), simulator->now_ms());
+    context.spout_rates = simulator->TenantEffectiveSpoutRates(0);
     const sched::Schedule current = simulator->TenantSchedule(0);
     context.current = &current;
     const std::vector<uint8_t> mask = simulator->MachineUpMask();
     const bool degraded = topo::AliveCount(mask) < cluster.num_machines;
     if (degraded) context.machine_up = mask;
     StatusOr<sched::Schedule> next_or = scheduler->ComputeSchedule(context);
-    sched::Schedule next = next_or.ok() ? *next_or : current;
     if (!next_or.ok()) {
       DRLSTREAM_LOG(kWarning)
-          << "fault run: scheduler '" << scheduler->name() << "' failed ("
+          << "series: scheduler '" << scheduler->name() << "' failed ("
           << next_or.status().ToString()
-          << "); keeping the repaired current schedule";
+          << "); keeping the current schedule";
+    }
+    sched::Schedule next = next_or.ok() ? std::move(next_or).value() : current;
+    if (next.num_executors() != current.num_executors() ||
+        next.num_machines() != current.num_machines()) {
+      return Status::InvalidArgument("schedule dimensions mismatch");
     }
     if (degraded) next = sched::RepairToAliveMachines(next, mask);
     const int moved = next.DiffCount(current);
@@ -371,94 +334,117 @@ StatusOr<FaultRunResult> MeasureFaultSeries(const topo::Topology& topology,
     return moved;
   };
 
-  result.series.reserve(series_opts.points);
-  double point_sum = 0.0;
-  long long point_count = 0;
+  SeriesResult result;
+  result.scheduler = scheduler->name();
+  result.workload =
+      spec.generator != nullptr ? spec.generator->Describe() : "none";
+  result.timeline = events;
+  result.points.reserve(options.points);
+  const std::vector<int> spouts = topology.SpoutComponents();
+  RunningStats window;  // the current minute's measurement window
+  bool in_window = false;
+  int moved_in_minute = 0;
+  double joules_mark = 0.0;
 
-  FaultPhaseStats phase;
+  // With a fault plan, the run also splits into phases at fault boundaries.
+  const bool phased = !spec.plan.empty();
+  SeriesPhase phase;
   phase.label = "healthy";
-  phase.start_ms = 0.0;
-  double phase_sum = 0.0;
-  long long phase_count = 0;
+  RunningStats phase_latency;
   sim::SimCounters phase_base = simulator->counters();
-
-  const auto close_phase = [&](double end_ms) {
-    phase.end_ms = end_ms;
-    phase.avg_latency_ms =
-        phase_count > 0 ? phase_sum / static_cast<double>(phase_count) : 0.0;
+  const auto close_phase = [&](double end) {
+    phase.end_ms = end;
+    phase.avg_latency_ms = phase_latency.mean();
     const sim::SimCounters& c = simulator->counters();
     phase.roots_completed = c.roots_completed - phase_base.roots_completed;
     phase.roots_failed = c.roots_failed - phase_base.roots_failed;
     phase.tuples_dropped = c.tuples_dropped - phase_base.tuples_dropped;
     result.phases.push_back(phase);
   };
-  const auto open_phase = [&](double start_ms, const std::string& label,
-                              int executors_moved) {
-    phase = FaultPhaseStats();
-    phase.label = label;
-    phase.start_ms = start_ms;
-    phase.executors_moved = executors_moved;
-    phase.dead_machines =
-        cluster.num_machines - topo::AliveCount(simulator->MachineUpMask());
-    phase_sum = 0.0;
-    phase_count = 0;
-    phase_base = simulator->counters();
-  };
 
-  simulator->ResetWindow();
-  for (const Boundary& boundary : boundaries) {
-    simulator->RunUntil(boundary.time_ms);
-    const long long seg_count =
-        static_cast<long long>(simulator->window_latency().count());
-    const double seg_sum = simulator->WindowAvgLatencyMs() * seg_count;
-    phase_sum += seg_sum;
-    phase_count += seg_count;
-    if (boundary.time_ms > series_opts.pre_roll_ms) {
-      point_sum += seg_sum;
-      point_count += seg_count;
-    }
+  // Each stop measures the segment since the previous one, then handles
+  // every cut at its time, then lets the scheduler react once.
+  for (size_t i = 0; i < cuts.size();) {
+    const double now = cuts[i].time_ms;
+    simulator->RunUntil(now);
+    if (in_window) window.Merge(simulator->window_latency());
+    if (phased) phase_latency.Merge(simulator->window_latency());
     simulator->ResetWindow();
 
-    switch (boundary.kind) {
-      case BoundaryKind::kPreRollEnd: {
-        // The measured scheduler takes over at reported time 0; the
-        // pre-roll (round-robin deployment) never counts toward the series.
-        point_sum = 0.0;
-        point_count = 0;
-        DRLSTREAM_RETURN_NOT_OK(react().status());
-        break;
-      }
-      case BoundaryKind::kPointEnd: {
-        result.series.push_back(
-            point_count > 0 ? point_sum / static_cast<double>(point_count)
-                            : 0.0);
-        point_sum = 0.0;
-        point_count = 0;
-        DRLSTREAM_RETURN_NOT_OK(react().status());
-        break;
-      }
-      case BoundaryKind::kFault: {
-        const std::string label = FaultBoundaryLabel(
-            events[boundary.fault_index], boundary.window_end);
-        DRLSTREAM_ASSIGN_OR_RETURN(const int moved, react());
-        if (boundary.time_ms <= phase.start_ms) {
-          // Coincident fault boundaries fold into one phase instead of
-          // emitting zero-length entries.
-          phase.label += "+" + label;
-          phase.executors_moved += moved;
-          phase.dead_machines =
-              cluster.num_machines -
-              topo::AliveCount(simulator->MachineUpMask());
-        } else {
-          close_phase(boundary.time_ms);
-          open_phase(boundary.time_ms, label, moved);
+    bool react_here = false;
+    std::string label;
+    for (; i < cuts.size() && cuts[i].time_ms == now; ++i) {
+      const Cut& cut = cuts[i];
+      switch (cut.kind) {
+        case Cut::kPreRollEnd:
+          // The scheduler under test takes over at reported time 0.
+          joules_mark = simulator->TotalJoules();
+          moved_in_minute = 0;
+          react_here = true;
+          break;
+        case Cut::kWindowStart:
+          in_window = true;
+          break;
+        case Cut::kMinuteEnd: {
+          SeriesPoint point;
+          point.time_ms = now;
+          point.avg_latency_ms = window.mean();
+          if (!spouts.empty()) {
+            double sum = 0.0;
+            for (int component : spouts) {
+              sum += simulator->TenantRateMultiplier(0, component);
+            }
+            point.rate_multiplier = sum / static_cast<double>(spouts.size());
+          }
+          const double joules_now = simulator->TotalJoules();
+          point.joules = joules_now - joules_mark;
+          point.avg_power_watts = point.joules / (options.minute_ms / 1000.0);
+          joules_mark = joules_now;
+          for (int m = 0; m < cluster.num_machines; ++m) {
+            if (simulator->MachineAsleep(m)) ++point.machines_asleep;
+          }
+          point.executors_moved = moved_in_minute;
+          result.points.push_back(point);
+          window.Reset();
+          in_window = false;
+          moved_in_minute = 0;
+          // The next minute starts here.
+          react_here = react_here ||
+                       static_cast<int>(result.points.size()) < options.points;
+          break;
         }
-        break;
+        case Cut::kFault:
+          if (!label.empty()) label += "+";
+          label += FaultBoundaryLabel(events[cut.fault_index], cut.window_end);
+          react_here = true;
+          break;
       }
     }
+    if (!react_here) continue;
+    DRLSTREAM_ASSIGN_OR_RETURN(const int moved, react());
+    moved_in_minute += moved;
+    if (label.empty()) continue;
+    if (now > phase.start_ms) {
+      close_phase(now);
+      phase = SeriesPhase();
+      phase.label = label;
+      phase.start_ms = now;
+      phase_latency.Reset();
+      phase_base = simulator->counters();
+    } else {
+      // Boundaries at time 0 fold into the first phase.
+      phase.label += "+" + label;
+    }
+    phase.executors_moved += moved;
+    phase.dead_machines =
+        cluster.num_machines - topo::AliveCount(simulator->MachineUpMask());
   }
-  close_phase(total_end_ms);
+  if (phased) close_phase(end_ms);
 
+  result.total_joules = simulator->TotalJoules();
+  const double total_ms = simulator->now_ms();
+  result.avg_power_watts =
+      total_ms > 0.0 ? result.total_joules / (total_ms / 1000.0) : 0.0;
   result.final_counters = simulator->counters();
   result.final_machine_up = simulator->MachineUpMask();
   result.final_machine_executors = simulator->MachineExecutorCounts();
@@ -467,6 +453,19 @@ StatusOr<FaultRunResult> MeasureFaultSeries(const topo::Topology& topology,
     result.metrics = obs::MetricsRegistry::Get().Snapshot();
   }
   return result;
+}
+
+StatusOr<std::vector<double>> MeasureLatencySeries(
+    const topo::Topology& topology, const topo::Workload& workload,
+    const topo::ClusterConfig& cluster, const sched::Schedule& schedule,
+    const SeriesOptions& options) {
+  FixedScheduler scheduler(schedule);
+  SeriesSpec spec;
+  spec.series = options;
+  DRLSTREAM_ASSIGN_OR_RETURN(
+      const SeriesResult result,
+      RunSeries(topology, workload, cluster, &scheduler, spec));
+  return result.LatencySeries();
 }
 
 }  // namespace drlstream::core

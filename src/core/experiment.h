@@ -2,6 +2,7 @@
 #define DRLSTREAM_CORE_EXPERIMENT_H_
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -11,7 +12,9 @@
 #include "rl/policy_registry.h"
 #include "sched/model_based.h"
 #include "sched/scheduler.h"
+#include "sim/faults.h"
 #include "topo/apps.h"
+#include "workload/generator.h"
 
 namespace drlstream::core {
 
@@ -77,14 +80,14 @@ StatusOr<TrainedMethods> TrainAllMethods(const topo::Topology* topology,
                                          const topo::ClusterConfig& cluster,
                                          const PipelineConfig& config);
 
-/// Options for the paper's 20-minute deployment series (Figs. 6, 8, 10).
-/// Reported minutes are simulated in compressed time (minute_ms of simulated
-/// time per reported minute) — the series is stationary within a minute, so
-/// sampling preserves the shape while keeping benches fast.
+/// Options for the paper's 20-minute deployment series (Figs. 6, 8, 10,
+/// 12). Reported minutes are simulated in compressed time (minute_ms of
+/// simulated time per reported minute) — the series is stationary within a
+/// minute, so sampling preserves the shape while keeping benches fast.
 struct SeriesOptions {
   int points = 20;                   // reported minutes
   double minute_ms = 6000.0;         // simulated ms per reported minute
-  double measure_window_ms = 3000.0; // measured slice of each minute
+  double measure_window_ms = 3000.0; // measured slice at each minute's end
   /// Cold-start inflation reproducing the initial decline: service times
   /// start (1 + warmup_extra)x and relax with time constant warmup_tau_min
   /// reported minutes.
@@ -94,59 +97,40 @@ struct SeriesOptions {
   /// solution is deployed at reported time 0.
   double pre_roll_ms = 2000.0;
   uint64_t seed = 5;
-  bool functional = false;
 };
 
-/// Starts the simulator a series runs on, seeded and warmed up as `options`
-/// says: `topology` is tenant 0 under the default round-robin deployment the
-/// system ran before the solution under test, with `plan` (may be empty)
-/// and `generator` (may be null) installed.
-StatusOr<std::unique_ptr<sim::ClusterSim>> StartSeriesSimulator(
-    const topo::Topology& topology, const topo::Workload& workload,
-    const topo::ClusterConfig& cluster, const SeriesOptions& options,
-    const sim::FaultPlan& plan, const workload::WorkloadGenerator* generator);
-
-/// Deploys `schedule` on a freshly started system (previously running the
-/// default round-robin deployment) and returns the per-minute average tuple
-/// processing time series, ms.
-StatusOr<std::vector<double>> MeasureLatencySeries(
-    const topo::Topology& topology, const topo::Workload& workload,
-    const topo::ClusterConfig& cluster, const sched::Schedule& schedule,
-    const SeriesOptions& options);
-
-/// Options for the Fig. 12 adaptivity experiment: the workload is increased
-/// by `surge_factor` at `surge_at_point`; the scheduler under test observes
-/// the new rates and may re-schedule at every point.
-struct AdaptiveSeriesOptions {
+/// What one series run replays: its options, the load scenario and the
+/// faults.
+struct SeriesSpec {
   SeriesOptions series;
-  int surge_at_point = 20;
-  double surge_factor = 1.5;
-
-  AdaptiveSeriesOptions() { series.points = 50; }
-};
-
-/// Runs `scheduler` adaptively (re-computing the solution each reported
-/// minute) through a workload surge and returns the per-minute latency
-/// series.
-StatusOr<std::vector<double>> MeasureAdaptiveSeries(
-    const topo::Topology& topology, const topo::Workload& workload,
-    const topo::ClusterConfig& cluster, sched::Scheduler* scheduler,
-    const AdaptiveSeriesOptions& options);
-
-/// Options for a crash-recovery experiment: a deterministic fault plan is
-/// run against the simulated cluster while `scheduler` re-computes its
-/// solution at every reported minute *and* immediately after every fault
-/// boundary (observing the machine-up mask). Fault event times are absolute
-/// simulated times — the run starts at 0 and spans
-/// pre_roll_ms + points * minute_ms.
-struct FaultSeriesOptions {
-  SeriesOptions series;
+  /// Modulates the base workload's spout rates (not owned; must outlive
+  /// the run). Null runs the base workload unmodulated. The Fig. 12 step
+  /// is a zero-width `drift`.
+  const workload::WorkloadGenerator* generator = nullptr;
+  /// Faults at absolute simulated times: the run starts at 0 and spans
+  /// pre_roll_ms + points * minute_ms. Empty runs a healthy cluster.
   sim::FaultPlan plan;
+};
+
+/// One reported minute of a series.
+struct SeriesPoint {
+  double time_ms = 0.0;          // simulated time at the end of the minute
+  /// Completion-weighted average tuple latency over the minute's last
+  /// measure_window_ms (0 if nothing completed).
+  double avg_latency_ms = 0.0;
+  /// Mean generator multiplier over the spout components at time_ms.
+  double rate_multiplier = 1.0;
+  double joules = 0.0;           // energy drawn during this minute
+  double avg_power_watts = 0.0;  // joules / minute wall time
+  int machines_asleep = 0;       // deep-sleep machines at time_ms
+  /// Executors the scheduler moved during the minute: at its start and at
+  /// fault boundaries inside it.
+  int executors_moved = 0;
 };
 
 /// Latency and loss accounting for one phase of a fault run (the span
 /// between two consecutive fault boundaries).
-struct FaultPhaseStats {
+struct SeriesPhase {
   std::string label;  // "healthy", "crash(m1)", "straggler(m2)x3 end", ...
   double start_ms = 0.0;
   double end_ms = 0.0;
@@ -160,32 +144,54 @@ struct FaultPhaseStats {
   int dead_machines = 0;    // machines down during this phase
 };
 
-/// Everything a fault run produces: the per-minute latency series, the
-/// per-phase breakdown, the applied fault timeline, and the final cluster
-/// state (for asserting that no executor ended on a dead machine).
-struct FaultRunResult {
-  std::vector<double> series;
-  std::vector<FaultPhaseStats> phases;
+/// Everything a series run produces; SaveSeriesJson writes all of it.
+struct SeriesResult {
+  std::string scheduler;
+  std::string workload;  // generator Describe(), "none" when unmodulated
+  std::vector<SeriesPoint> points;
+  /// Per-phase breakdown and the applied fault timeline; empty without a
+  /// fault plan.
+  std::vector<SeriesPhase> phases;
   std::vector<sim::FaultEvent> timeline;
+  double total_joules = 0.0;
+  double avg_power_watts = 0.0;  // whole run, pre-roll included
+  /// Final cluster state (for asserting that no executor ended on a dead
+  /// machine).
   sim::SimCounters final_counters;
   std::vector<uint8_t> final_machine_up;
   std::vector<int> final_machine_executors;
   int executors_on_dead_machines = 0;
   /// Process-wide metrics snapshot taken when the run finished; empty
-  /// unless the obs registry is enabled (--metrics / --trace-out). Embedded
-  /// in the JSON artifact by SaveFaultRunJson.
+  /// unless the obs registry is enabled (--metrics / --trace-out).
   obs::MetricsSnapshot metrics;
+
+  /// The per-minute latencies, ms.
+  std::vector<double> LatencySeries() const;
 };
 
-/// Runs `scheduler` through a fault plan (deterministic for a fixed
-/// (seed, plan) pair at any thread count). Scheduler failures degrade to
-/// the repaired current schedule; every deployed schedule is repaired so no
-/// executor targets a dead machine.
-StatusOr<FaultRunResult> MeasureFaultSeries(const topo::Topology& topology,
-                                            const topo::Workload& workload,
-                                            const topo::ClusterConfig& cluster,
-                                            sched::Scheduler* scheduler,
-                                            const FaultSeriesOptions& options);
+/// Runs the paper's deployment protocol: the system runs the default
+/// round-robin deployment for the pre-roll, then `scheduler` takes over.
+/// It re-computes its solution at the pre-roll end, at the start of every
+/// later minute and at every fault boundary before the run's end,
+/// observing the effective spout rates, the deployed schedule and (while a
+/// machine is down) the machine-up mask; only the executors that moved
+/// migrate. A failing scheduler keeps the current schedule, and every
+/// schedule is repaired off dead machines. Deterministic for a fixed
+/// (seed, generator, plan) at any thread count.
+StatusOr<SeriesResult> RunSeries(const topo::Topology& topology,
+                                 const topo::Workload& workload,
+                                 const topo::ClusterConfig& cluster,
+                                 sched::Scheduler* scheduler,
+                                 const SeriesSpec& spec);
+
+/// Deploys `schedule` on a freshly started system (previously running the
+/// default round-robin deployment) and returns the per-minute average tuple
+/// processing time series, ms: RunSeries with a scheduler that always
+/// returns `schedule`.
+StatusOr<std::vector<double>> MeasureLatencySeries(
+    const topo::Topology& topology, const topo::Workload& workload,
+    const topo::ClusterConfig& cluster, const sched::Schedule& schedule,
+    const SeriesOptions& options);
 
 /// Average per-executor spout rate at time 0 (used to normalize the `w`
 /// part of the state).

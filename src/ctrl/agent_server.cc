@@ -94,24 +94,6 @@ std::string SpanArgs(net::TraceContext trace, uint64_t session_id,
   return args + "}";
 }
 
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
 /// Whether a message type counts against AgentServerOptions::max_requests
 /// (the policy-touching RPCs; handshake and heartbeat are free).
 bool IsPolicyRpc(net::MsgType type) {
@@ -800,8 +782,8 @@ std::string AgentServer::StatuszJson() const {
     else if (session.killed) state = "killed";
     else if (session.draining) state = "draining";
     out << "{\"id\": " << id << ", \"client\": \""
-        << JsonEscape(stats.client_name) << "\", \"policy_key\": \""
-        << JsonEscape(stats.policy_key) << "\", \"state\": \"" << state
+        << obs::JsonEscape(stats.client_name) << "\", \"policy_key\": \""
+        << obs::JsonEscape(stats.policy_key) << "\", \"state\": \"" << state
         << "\", \"requests\": " << stats.requests
         << ", \"get_schedules\": " << stats.get_schedules
         << ", \"observes\": " << stats.observes

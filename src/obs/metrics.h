@@ -225,10 +225,16 @@ struct MetricNameParts {
 };
 MetricNameParts SplitMetricName(const std::string& name);
 
+/// `text` as the body of a JSON string (RFC 8259): `"` and `\` are
+/// backslash-escaped, \n \t \r \b \f take their short escapes and the
+/// other bytes below 0x20 become \u00XX. The tracer, /statusz and the
+/// series artifacts write their strings through it.
+std::string JsonEscape(const std::string& text);
+
 /// JSON document: {"counters": {...}, "gauges": {...}, "histograms":
 /// {name: {count, sum, mean, min, max, buckets: [{le, count}, ...]}}}.
 /// `indent` is prepended to every line (for embedding in a larger
-/// document, e.g. core::SaveFaultRunJson).
+/// document, e.g. core::SaveSeriesJson).
 std::string ToJson(const MetricsSnapshot& snapshot,
                    const std::string& indent = "");
 

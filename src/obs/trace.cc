@@ -117,22 +117,6 @@ void Tracer::ResetForTest() {
 
 namespace {
 
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
 void AppendMetadata(std::ostringstream& out, int pid, const char* name,
                     bool* first) {
   out << (*first ? "" : ",") << "\n  {\"name\": \"process_name\", "

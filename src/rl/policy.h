@@ -52,7 +52,7 @@ class Policy {
  public:
   virtual ~Policy() = default;
 
-  /// Display name used in figures, tables and fault-run JSON (e.g.
+  /// Display name used in figures, tables and series JSON (e.g.
   /// "Actor-critic-based DRL"). Stable across releases.
   virtual std::string name() const = 0;
 

@@ -728,17 +728,7 @@ void ClusterSim::HandleSpoutEmit(int executor) {
 
   int children = 0;
   for (int edge_id : tenant.topology->OutEdges(exec.component)) {
-    const topo::StreamEdge& edge = tenant.topology->edges()[edge_id];
-    if (edge.grouping == topo::Grouping::kAll) {
-      const int p = tenant.topology->component(edge.to).parallelism;
-      for (int t = 0; t < p; ++t) {
-        SendOnEdge(edge_id, executor, root_id, data, send_time);
-        ++children;
-      }
-    } else {
-      SendOnEdge(edge_id, executor, root_id, data, send_time);
-      ++children;
-    }
+    children += SendOnEdge(edge_id, executor, root_id, data, send_time);
   }
   if (children == 0) {
     ReleaseRoot(static_cast<uint32_t>(root_id));
@@ -1045,17 +1035,10 @@ int ClusterSim::EmitDownstream(int executor, uint64_t root_id,
   const topo::Topology* topology = tenant.topology;
   int children = 0;
   for (int edge_id : topology->OutEdges(exec.component)) {
-    const topo::StreamEdge& edge = topology->edges()[edge_id];
-    const int broadcast = edge.grouping == topo::Grouping::kAll
-                              ? topology->component(edge.to).parallelism
-                              : 1;
     if (exec.udf != nullptr) {
       // Functional mode: route the UDF's real outputs.
       for (const topo::TupleData& out : *outputs) {
-        for (int b = 0; b < broadcast; ++b) {
-          SendOnEdge(edge_id, executor, root_id, out, send_time_ms);
-          ++children;
-        }
+        children += SendOnEdge(edge_id, executor, root_id, out, send_time_ms);
       }
     } else {
       // Timing-only: integer fan-out drawn around the emit factor.
@@ -1064,10 +1047,7 @@ int ClusterSim::EmitDownstream(int executor, uint64_t root_id,
       for (int t = 0; t < k; ++t) {
         topo::TupleData data;
         data.key = exec.routing.Next();
-        for (int b = 0; b < broadcast; ++b) {
-          SendOnEdge(edge_id, executor, root_id, data, send_time_ms);
-          ++children;
-        }
+        children += SendOnEdge(edge_id, executor, root_id, data, send_time_ms);
       }
     }
   }
@@ -1112,22 +1092,37 @@ int ClusterSim::PickDestination(int tenant, const topo::StreamEdge& edge,
     case topo::Grouping::kFields:
       return first + static_cast<int>(key % static_cast<uint64_t>(p));
     case topo::Grouping::kGlobal:
+    case topo::Grouping::kAll:  // SendOnEdge sends broadcasts itself.
       return first;
-    case topo::Grouping::kAll:
-      // Callers expand broadcasts; a single send behaves like shuffle
-      // without locality preference.
-      return first +
-             static_cast<int>(from.routing.Below(static_cast<uint32_t>(p)));
   }
   return first;
 }
 
-void ClusterSim::SendOnEdge(int edge_id, int from_executor, uint64_t root_id,
-                            topo::TupleData data, double send_time_ms) {
+int ClusterSim::SendOnEdge(int edge_id, int from_executor, uint64_t root_id,
+                           const topo::TupleData& data, double send_time_ms) {
+  const ExecutorState& from = executors_[from_executor];
+  const TenantState& tenant = tenants_[from.tenant];
+  const topo::StreamEdge& edge = tenant.topology->edges()[edge_id];
+  if (edge.grouping != topo::Grouping::kAll) {
+    SendTo(PickDestination(from.tenant, edge, from_executor, data.key),
+           edge_id, from_executor, root_id, data, send_time_ms);
+    return 1;
+  }
+  // A broadcast sends copy t to the t-th executor of the target component.
+  const int first =
+      tenant.exec_base + tenant.topology->FirstExecutorOf(edge.to);
+  const int p = tenant.topology->component(edge.to).parallelism;
+  for (int t = 0; t < p; ++t) {
+    SendTo(first + t, edge_id, from_executor, root_id, data, send_time_ms);
+  }
+  return p;
+}
+
+void ClusterSim::SendTo(int dest, int edge_id, int from_executor,
+                        uint64_t root_id, topo::TupleData data,
+                        double send_time_ms) {
   const ExecutorState& from = executors_[from_executor];
   TenantState& tenant = tenants_[from.tenant];
-  const topo::StreamEdge& edge = tenant.topology->edges()[edge_id];
-  const int dest = PickDestination(from.tenant, edge, from_executor, data.key);
   const int dest_machine = executors_[dest].machine;
 
   double arrive;
@@ -1159,7 +1154,7 @@ void ClusterSim::SendOnEdge(int edge_id, int from_executor, uint64_t root_id,
   TupleInstance& tuple = tuple_pool_[slot];
   tuple.root_id = root_id;
   tuple.tenant = from.tenant;
-  tuple.component = edge.to;
+  tuple.component = tenant.topology->edges()[edge_id].to;
   tuple.dest_executor = dest;
   tuple.via_edge = edge_id;
   tuple.sent_ms = send_time_ms;

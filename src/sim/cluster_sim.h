@@ -433,11 +433,15 @@ class ClusterSim {
                      const topo::TupleData& input_data,
                      std::vector<topo::TupleData>* outputs,
                      double send_time_ms);
-  /// Routes one tuple over the tenant-scoped `edge_id` to a chosen
-  /// destination executor. `send_time_ms` is when the sender finished
-  /// producing it (>= now).
-  void SendOnEdge(int edge_id, int from_executor, uint64_t root_id,
-                  topo::TupleData data, double send_time_ms);
+  /// Routes one output tuple over the tenant-scoped `edge_id`: a copy to
+  /// every executor of the target component under all grouping, to one
+  /// picked executor otherwise. `send_time_ms` is when the sender finished
+  /// producing it (>= now). Returns the copies sent.
+  int SendOnEdge(int edge_id, int from_executor, uint64_t root_id,
+                 const topo::TupleData& data, double send_time_ms);
+  /// Sends one copy of a tuple over `edge_id` to executor `dest`.
+  void SendTo(int dest, int edge_id, int from_executor, uint64_t root_id,
+              topo::TupleData data, double send_time_ms);
   int PickDestination(int tenant, const topo::StreamEdge& edge,
                       int from_executor, uint64_t key);
   /// Rebuilds the tenant's per-(component, machine) executor lists used by

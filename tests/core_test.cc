@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/artifacts.h"
@@ -12,6 +16,7 @@
 #include "core/online.h"
 #include "rl/policy_registry.h"
 #include "topo/apps.h"
+#include "workload/registry.h"
 
 namespace drlstream::core {
 namespace {
@@ -324,7 +329,21 @@ TEST(OnlineTest, FinalPickComparesUncappedLatencies) {
 // Series measurement
 // ---------------------------------------------------------------------------
 
-TEST(SeriesTest, MeasureLatencySeriesShape) {
+/// Places executor i on machine i % 3: a good packing for CQ small.
+class ModuloThreeScheduler : public sched::Scheduler {
+ public:
+  std::string name() const override { return "static"; }
+  StatusOr<sched::Schedule> ComputeSchedule(
+      const sched::SchedulingContext& context) override {
+    sched::Schedule s(context.topology->num_executors(),
+                      context.cluster->num_machines);
+    for (int i = 0; i < s.num_executors(); ++i) s.Assign(i, i % 3);
+    return s;
+  }
+};
+
+/// The modulo-three packing of CQ small measured for 8 two-second minutes.
+StatusOr<std::vector<double>> ShapeSeries() {
   topo::App app = topo::BuildContinuousQueries(topo::Scale::kSmall);
   topo::ClusterConfig cluster;
   sched::Schedule schedule(app.topology.num_executors(),
@@ -336,13 +355,82 @@ TEST(SeriesTest, MeasureLatencySeriesShape) {
   options.points = 8;
   options.minute_ms = 2000.0;
   options.measure_window_ms = 1000.0;
-  auto series = MeasureLatencySeries(app.topology, app.workload, cluster,
-                                     schedule, options);
+  return MeasureLatencySeries(app.topology, app.workload, cluster, schedule,
+                              options);
+}
+
+/// The modulo-three scheduler through a +50% step at minute 6 of 12 (the
+/// Fig. 12 protocol: a zero-width drift).
+StatusOr<std::vector<double>> SurgeSeries() {
+  topo::App app = topo::BuildContinuousQueries(topo::Scale::kSmall);
+  topo::ClusterConfig cluster;
+  ModuloThreeScheduler scheduler;
+  SeriesSpec spec;
+  spec.series.points = 12;
+  spec.series.minute_ms = 2000.0;
+  spec.series.measure_window_ms = 1000.0;
+  spec.series.warmup_extra = 0.0;
+  workload::DriftConfig drift;
+  drift.to = 1.5;
+  drift.start_ms = spec.series.pre_roll_ms + 6 * spec.series.minute_ms;
+  drift.end_ms = drift.start_ms;
+  DRLSTREAM_ASSIGN_OR_RETURN(
+      const std::unique_ptr<workload::WorkloadGenerator> generator,
+      workload::MakeDrift(drift));
+  spec.generator = generator.get();
+  DRLSTREAM_ASSIGN_OR_RETURN(
+      const SeriesResult result,
+      RunSeries(app.topology, app.workload, cluster, &scheduler, spec));
+  return result.LatencySeries();
+}
+
+/// Registry policy `key` through a diurnal day (period 24 s, amplitude 0.4)
+/// on CQ small, with machines that sleep after 5 s without executors.
+StatusOr<SeriesResult> DiurnalRun(const std::string& key) {
+  topo::App app = topo::BuildContinuousQueries(topo::Scale::kSmall);
+  topo::ClusterConfig cluster;
+  cluster.machine.sleep_after_idle_ms = 5000.0;
+  DRLSTREAM_ASSIGN_OR_RETURN(
+      const std::unique_ptr<workload::WorkloadGenerator> generator,
+      workload::ParseWorkloadSpec("diurnal:period_ms=24000,amplitude=0.4",
+                                  7));
+  rl::PolicyContext policy_context;
+  policy_context.topology = &app.topology;
+  policy_context.cluster = &cluster;
+  DRLSTREAM_ASSIGN_OR_RETURN(
+      const std::unique_ptr<rl::Policy> policy,
+      rl::PolicyRegistry::Get().Create(key, policy_context));
+  PolicyScheduler scheduler(policy.get());
+  SeriesSpec spec;
+  spec.generator = generator.get();
+  spec.series.points = 6;
+  spec.series.minute_ms = 3000.0;
+  spec.series.measure_window_ms = 1500.0;
+  spec.series.seed = 107;
+  return RunSeries(app.topology, app.workload, cluster, &scheduler, spec);
+}
+
+TEST(SeriesTest, MeasureLatencySeriesShape) {
+  auto series = ShapeSeries();
   ASSERT_TRUE(series.ok());
   ASSERT_EQ(series->size(), 8u);
   for (double v : *series) EXPECT_GT(v, 0.0);
   // With cold-start inflation, the first minutes are slower than the last.
   EXPECT_GT((*series)[0], series->back());
+}
+
+TEST(SeriesTest, LatencySeriesGolden) {
+  auto series = ShapeSeries();
+  ASSERT_TRUE(series.ok());
+  ASSERT_EQ(series->size(), 8u);
+  EXPECT_EQ((*series)[0], 1040.7084182489998);
+  EXPECT_EQ((*series)[1], 3.5930487233448711);
+  EXPECT_EQ((*series)[2], 2.5431487699727842);
+  EXPECT_EQ((*series)[3], 2.5061106284301635);
+  EXPECT_EQ((*series)[4], 2.1860409198559663);
+  EXPECT_EQ((*series)[5], 2.0923056477854018);
+  EXPECT_EQ((*series)[6], 1.9847510791939973);
+  EXPECT_EQ((*series)[7], 1.8425049359342958);
 }
 
 TEST(SeriesTest, ValidatesOptions) {
@@ -360,39 +448,234 @@ TEST(SeriesTest, ValidatesOptions) {
   EXPECT_FALSE(MeasureLatencySeries(app.topology, app.workload, cluster,
                                     schedule, options)
                    .ok());
+  options.measure_window_ms = 1000.0;
+  sched::Schedule too_long(app.topology.num_executors() + 1,
+                           cluster.num_machines);
+  EXPECT_FALSE(MeasureLatencySeries(app.topology, app.workload, cluster,
+                                    too_long, options)
+                   .ok());
 }
 
 TEST(SeriesTest, AdaptiveSeriesReactsToSurge) {
-  topo::App app = topo::BuildContinuousQueries(topo::Scale::kSmall);
-  topo::ClusterConfig cluster;
-  // A static scheduler that always returns the same (good) packing.
-  class StaticScheduler : public sched::Scheduler {
-   public:
-    std::string name() const override { return "static"; }
-    StatusOr<sched::Schedule> ComputeSchedule(
-        const sched::SchedulingContext& context) override {
-      sched::Schedule s(context.topology->num_executors(),
-                        context.cluster->num_machines);
-      for (int i = 0; i < s.num_executors(); ++i) s.Assign(i, i % 3);
-      return s;
-    }
-  };
-  StaticScheduler scheduler;
-  AdaptiveSeriesOptions options;
-  options.series.points = 12;
-  options.series.minute_ms = 2000.0;
-  options.series.measure_window_ms = 1000.0;
-  options.series.warmup_extra = 0.0;
-  options.surge_at_point = 6;
-  options.surge_factor = 1.5;
-  auto series = MeasureAdaptiveSeries(app.topology, app.workload, cluster,
-                                      &scheduler, options);
+  auto series = SurgeSeries();
   ASSERT_TRUE(series.ok());
   ASSERT_EQ(series->size(), 12u);
   // Higher load after the surge: the tail is slower than the pre-surge part.
   const double before = (*series)[4];
   const double after = series->back();
   EXPECT_GT(after, before * 0.9);
+}
+
+TEST(SeriesTest, SurgeSeriesGolden) {
+  auto series = SurgeSeries();
+  ASSERT_TRUE(series.ok());
+  ASSERT_EQ(series->size(), 12u);
+  EXPECT_EQ((*series)[0], 890.41035049558275);
+  EXPECT_EQ((*series)[1], 1.9399475228182186);
+  EXPECT_EQ((*series)[2], 1.8174948089392173);
+  EXPECT_EQ((*series)[3], 1.9771911162813105);
+  EXPECT_EQ((*series)[4], 1.8701678280724041);
+  EXPECT_EQ((*series)[5], 1.8574659588947497);
+  EXPECT_EQ((*series)[6], 3.3941443124119908);
+  EXPECT_EQ((*series)[7], 3.4088725448450501);
+  EXPECT_EQ((*series)[8], 3.4016314419456597);
+  EXPECT_EQ((*series)[9], 2.5089801501517779);
+  EXPECT_EQ((*series)[10], 3.4796045359077095);
+  EXPECT_EQ((*series)[11], 3.1823306223912291);
+}
+
+/// One reported minute of a scenario run, field for field.
+struct PointGolden {
+  double time_ms;
+  double avg_latency_ms;
+  double rate_multiplier;
+  double joules;
+  double avg_power_watts;
+  int machines_asleep;
+  int executors_moved;
+};
+
+void ExpectScenarioGolden(const std::string& key,
+                          const std::vector<PointGolden>& points,
+                          double total_joules, double avg_power_watts,
+                          const sim::SimCounters& counters) {
+  SCOPED_TRACE(key);
+  auto run = DiurnalRun(key);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  ASSERT_EQ(run->points.size(), points.size());
+  for (size_t i = 0; i < points.size(); ++i) {
+    SCOPED_TRACE("minute " + std::to_string(i));
+    EXPECT_EQ(run->points[i].time_ms, points[i].time_ms);
+    EXPECT_EQ(run->points[i].avg_latency_ms, points[i].avg_latency_ms);
+    EXPECT_EQ(run->points[i].rate_multiplier, points[i].rate_multiplier);
+    EXPECT_EQ(run->points[i].joules, points[i].joules);
+    EXPECT_EQ(run->points[i].avg_power_watts, points[i].avg_power_watts);
+    EXPECT_EQ(run->points[i].machines_asleep, points[i].machines_asleep);
+    EXPECT_EQ(run->points[i].executors_moved, points[i].executors_moved);
+  }
+  EXPECT_EQ(run->total_joules, total_joules);
+  EXPECT_EQ(run->avg_power_watts, avg_power_watts);
+  const sim::SimCounters& c = run->final_counters;
+  EXPECT_EQ(c.events_processed, counters.events_processed);
+  EXPECT_EQ(c.roots_emitted, counters.roots_emitted);
+  EXPECT_EQ(c.roots_completed, counters.roots_completed);
+  EXPECT_EQ(c.roots_failed, counters.roots_failed);
+  EXPECT_EQ(c.roots_throttled, counters.roots_throttled);
+  EXPECT_EQ(c.tuples_processed, counters.tuples_processed);
+  EXPECT_EQ(c.local_transfers, counters.local_transfers);
+  EXPECT_EQ(c.remote_transfers, counters.remote_transfers);
+  EXPECT_EQ(c.migrations, counters.migrations);
+  EXPECT_EQ(c.tuples_dropped, counters.tuples_dropped);
+  EXPECT_EQ(c.faults_applied, counters.faults_applied);
+  EXPECT_EQ(c.energy_joules, counters.energy_joules);
+}
+
+TEST(SeriesTest, ScenarioSeriesGolden) {
+  ExpectScenarioGolden(
+      "round-robin",
+      {{5000, 3.4784472360045688, 1.3863703305156274, 4021.0213013990583,
+        1340.340433799686, 0, 0},
+       {8000, 3.1602400113988036, 1.3464101615137756, 3990.4988674050901,
+        1330.16628913503, 0, 0},
+       {11000, 2.8915780439568786, 1.1035276180410083, 3803.7182739137406,
+        1267.9060913045803, 0, 0},
+       {14000, 2.7375857943256241, 0.80000000000000004, 3552.2239613911697,
+        1184.0746537970565, 0, 0},
+       {17000, 2.5571835598335557, 0.61362966948437259, 3349.9764759506543,
+        1116.6588253168848, 0, 0},
+       {20000, 2.5590705116581547, 0.65358983848622454, 3252.1787076654509,
+        1084.0595692218169, 0, 0}},
+      24617.983101622762, 1230.8991550811381,
+      {.events_processed = 171836,
+       .roots_emitted = 37471,
+       .roots_completed = 37466,
+       .tuples_processed = 67142,
+       .local_transfers = 4987,
+       .remote_transfers = 62160,
+       .energy_joules = 24617.983101622762});
+  // Energy-aware packing overloads the two machines it keeps (latencies in
+  // seconds) and lets the other eight sleep from the second minute on.
+  ExpectScenarioGolden(
+      "energy-aware",
+      {{5000, 1443.6932115370278, 1.3863703305156274, 3135.054487725964,
+        1045.0181625753214, 0, 19},
+       {8000, 1844.382747621795, 1.3464101615137756, 2725.2647074015013,
+        908.42156913383371, 8, 0},
+       {11000, 2447.7819346685869, 1.1035276180410083, 1302.8494344082901,
+        434.28314480276339, 8, 0},
+       {14000, 2909.3727311702983, 0.80000000000000004, 1272.7729488537298,
+        424.25764961790992, 8, 0},
+       {17000, 2659.616802627083, 0.61362966948437259, 1240.7119628677156,
+        413.57065428923852, 8, 0},
+       {20000, 614.20571319214207, 0.65358983848622454, 1212.8684780728108,
+        404.28949269093692, 8, 0}},
+      13537.887533227609, 676.89437666138042,
+      {.events_processed = 171926,
+       .roots_emitted = 37471,
+       .roots_completed = 37465,
+       .tuples_processed = 67176,
+       .local_transfers = 32860,
+       .remote_transfers = 34322,
+       .migrations = 19,
+       .energy_joules = 13537.887533227609});
+}
+
+/// Proposes `first` on its first call, fails on its second and proposes
+/// `later` from then on.
+class FailsSecondCallScheduler : public sched::Scheduler {
+ public:
+  FailsSecondCallScheduler(sched::Schedule first, sched::Schedule later)
+      : first_(std::move(first)), later_(std::move(later)) {}
+  std::string name() const override { return "fails_second_call"; }
+  StatusOr<sched::Schedule> ComputeSchedule(
+      const sched::SchedulingContext& /*context*/) override {
+    ++calls_;
+    if (calls_ == 2) return Status::Internal("solver failed");
+    return calls_ == 1 ? first_ : later_;
+  }
+  int calls() const { return calls_; }
+
+ private:
+  sched::Schedule first_;
+  sched::Schedule later_;
+  int calls_ = 0;
+};
+
+/// Executor i on machine i % k.
+sched::Schedule ModuloSchedule(int executors, int machines, int k) {
+  sched::Schedule s(executors, machines);
+  for (int i = 0; i < executors; ++i) s.Assign(i, i % k);
+  return s;
+}
+
+/// The modulo-k schedule of CQ small on the default cluster.
+sched::Schedule FailingSchedulerProposal(int k) {
+  return ModuloSchedule(
+      topo::BuildContinuousQueries(topo::Scale::kSmall)
+          .topology.num_executors(),
+      topo::ClusterConfig().num_machines, k);
+}
+
+/// Three two-second minutes of CQ small under a FailsSecondCallScheduler
+/// that moves from modulo-3 to modulo-5; `plan` may be empty.
+StatusOr<SeriesResult> FailingSchedulerRun(const sim::FaultPlan& plan,
+                                           int* calls) {
+  topo::App app = topo::BuildContinuousQueries(topo::Scale::kSmall);
+  topo::ClusterConfig cluster;
+  FailsSecondCallScheduler scheduler(FailingSchedulerProposal(3),
+                                     FailingSchedulerProposal(5));
+  SeriesSpec spec;
+  spec.series.points = 3;
+  spec.series.minute_ms = 2000.0;
+  spec.series.measure_window_ms = 1000.0;
+  spec.plan = plan;
+  auto result =
+      RunSeries(app.topology, app.workload, cluster, &scheduler, spec);
+  *calls = scheduler.calls();
+  return result;
+}
+
+TEST(SeriesTest, FailingSchedulerKeepsTheDeployedSchedule) {
+  // Calls: the pre-roll end (modulo-3), minute 2's start (fails), minute
+  // 3's start (modulo-5). Nothing reacts after the last minute.
+  int calls = 0;
+  auto run = FailingSchedulerRun(sim::FaultPlan(), &calls);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(calls, 3);
+  ASSERT_EQ(run->points.size(), 3u);
+  const sched::Schedule first = FailingSchedulerProposal(3);
+  const sched::Schedule later = FailingSchedulerProposal(5);
+  EXPECT_GT(run->points[0].executors_moved, 0);
+  EXPECT_EQ(run->points[1].executors_moved, 0);  // modulo-3 stays
+  EXPECT_EQ(run->points[2].executors_moved, first.DiffCount(later));
+  EXPECT_EQ(run->final_counters.migrations,
+            run->points[0].executors_moved + run->points[2].executors_moved);
+  EXPECT_EQ(run->final_machine_executors, later.MachineLoads());
+  EXPECT_TRUE(run->phases.empty());
+}
+
+TEST(SeriesTest, FailingSchedulerKeepsTheDeployedScheduleUnderFaults) {
+  // Calls: the pre-roll end (modulo-3), the spout shock half a second into
+  // minute 1 (fails), minute 2's start (modulo-5), minute 3's start.
+  sim::FaultPlan plan;
+  plan.AddSpoutShock(2500.0, 1.2);
+  int calls = 0;
+  auto run = FailingSchedulerRun(plan, &calls);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(calls, 4);
+  ASSERT_EQ(run->points.size(), 3u);
+  const sched::Schedule first = FailingSchedulerProposal(3);
+  const sched::Schedule later = FailingSchedulerProposal(5);
+  ASSERT_EQ(run->phases.size(), 2u);
+  EXPECT_EQ(run->phases[1].label, "spout_shock x1.2");
+  EXPECT_EQ(run->phases[1].start_ms, 2500.0);
+  EXPECT_EQ(run->phases[1].executors_moved, 0);  // modulo-3 stays
+  EXPECT_EQ(run->points[1].executors_moved, first.DiffCount(later));
+  EXPECT_EQ(run->points[2].executors_moved, 0);
+  EXPECT_EQ(run->final_counters.migrations,
+            run->points[0].executors_moved + run->points[1].executors_moved);
+  EXPECT_EQ(run->final_machine_executors, later.MachineLoads());
+  ASSERT_EQ(run->timeline.size(), 1u);
 }
 
 TEST(SeriesTest, NominalSpoutRate) {

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/thread_pool.h"
 #include "core/environment.h"
 #include "core/experiment.h"
@@ -484,30 +486,32 @@ TEST(FaultControlTest, ControllerReschedulesOrphansAfterCrash) {
 // is single-threaded by contract; the pool only serves the agents).
 // ---------------------------------------------------------------------------
 
-core::FaultRunResult RunReplay() {
+core::SeriesResult RunReplay() {
   topo::App app = topo::BuildContinuousQueries(topo::Scale::kSmall);
   topo::ClusterConfig cluster;
-  core::FaultSeriesOptions options;
-  options.series.points = 4;
-  options.series.minute_ms = 1500.0;
-  options.series.pre_roll_ms = 500.0;
-  options.series.seed = 42;
-  options.plan.AddCrash(1200.0, 1);
-  options.plan.AddStraggler(2500.0, 2, 3.0, 1000.0);
-  options.plan.AddRecover(4200.0, 1);
-  options.plan.AddSpoutShock(5000.0, 1.3);
+  core::SeriesSpec spec;
+  spec.series.points = 4;
+  spec.series.minute_ms = 1500.0;
+  spec.series.measure_window_ms = spec.series.minute_ms;
+  spec.series.pre_roll_ms = 500.0;
+  spec.series.seed = 42;
+  spec.plan.AddCrash(1200.0, 1);
+  spec.plan.AddStraggler(2500.0, 2, 3.0, 1000.0);
+  spec.plan.AddRecover(4200.0, 1);
+  spec.plan.AddSpoutShock(5000.0, 1.3);
   sched::RoundRobinScheduler scheduler;
-  auto result = core::MeasureFaultSeries(app.topology, app.workload, cluster,
-                                         &scheduler, options);
+  auto result =
+      core::RunSeries(app.topology, app.workload, cluster, &scheduler, spec);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   return *result;
 }
 
-void ExpectIdenticalRuns(const core::FaultRunResult& a,
-                         const core::FaultRunResult& b) {
-  ASSERT_EQ(a.series.size(), b.series.size());
-  for (size_t i = 0; i < a.series.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a.series[i], b.series[i]) << "series point " << i;
+void ExpectIdenticalRuns(const core::SeriesResult& a,
+                         const core::SeriesResult& b) {
+  ASSERT_EQ(a.points.size(), b.points.size());
+  for (size_t i = 0; i < a.points.size(); ++i) {
+    EXPECT_DOUBLE_EQ(a.points[i].avg_latency_ms, b.points[i].avg_latency_ms)
+        << "series point " << i;
   }
   ASSERT_EQ(a.phases.size(), b.phases.size());
   for (size_t i = 0; i < a.phases.size(); ++i) {
@@ -530,20 +534,86 @@ void ExpectIdenticalRuns(const core::FaultRunResult& a,
   EXPECT_EQ(b.executors_on_dead_machines, 0);
 }
 
+/// One phase of a fault run, field for field.
+struct PhaseGolden {
+  const char* label;
+  double start_ms;
+  double end_ms;
+  double avg_latency_ms;
+  long long roots_completed;
+  long long roots_failed;
+  long long tuples_dropped;
+  int executors_moved;
+  int dead_machines;
+};
+
+TEST(FaultReplayTest, ReplayMatchesGolden) {
+  const core::SeriesResult run = RunReplay();
+  const std::vector<double> series = run.LatencySeries();
+  ASSERT_EQ(series.size(), 4u);
+  EXPECT_EQ(series[0], 3.5605905673684677);
+  EXPECT_EQ(series[1], 709.18308340034025);
+  EXPECT_EQ(series[2], 98.141187552735246);
+  EXPECT_EQ(series[3], 600.97780915132398);
+
+  // Round-robin re-spreads all but one executor whenever the set of live
+  // machines changes, and the migration pauses stall the pipeline.
+  const std::vector<PhaseGolden> phases = {
+      {"healthy", 0, 1200, 3.702453599831121, 2130, 0, 0, 0, 0},
+      {"crash(m1)", 1200, 2500, 6.1461796949920426, 3, 0, 0, 19, 1},
+      {"straggler(m2)x3", 2500, 3500, 709.18308340034025, 4015, 0, 0, 0, 1},
+      {"straggler(m2) end", 3500, 4200, 98.209329528932315, 1413, 0, 0, 0,
+       1},
+      {"recover(m1)", 4200, 5000, 1.8565751862706747, 1, 0, 0, 19, 0},
+      {"spout_shock x1.3", 5000, 6500, 600.97780915132398, 4934, 0, 0, 0, 0},
+  };
+  ASSERT_EQ(run.phases.size(), phases.size());
+  for (size_t i = 0; i < phases.size(); ++i) {
+    SCOPED_TRACE(phases[i].label);
+    EXPECT_EQ(run.phases[i].label, phases[i].label);
+    EXPECT_EQ(run.phases[i].start_ms, phases[i].start_ms);
+    EXPECT_EQ(run.phases[i].end_ms, phases[i].end_ms);
+    EXPECT_EQ(run.phases[i].avg_latency_ms, phases[i].avg_latency_ms);
+    EXPECT_EQ(run.phases[i].roots_completed, phases[i].roots_completed);
+    EXPECT_EQ(run.phases[i].roots_failed, phases[i].roots_failed);
+    EXPECT_EQ(run.phases[i].tuples_dropped, phases[i].tuples_dropped);
+    EXPECT_EQ(run.phases[i].executors_moved, phases[i].executors_moved);
+    EXPECT_EQ(run.phases[i].dead_machines, phases[i].dead_machines);
+  }
+
+  const sim::SimCounters& c = run.final_counters;
+  EXPECT_EQ(c.events_processed, 57167);
+  EXPECT_EQ(c.roots_emitted, 12503);
+  EXPECT_EQ(c.roots_completed, 12496);
+  EXPECT_EQ(c.roots_failed, 0);
+  EXPECT_EQ(c.roots_throttled, 0);
+  EXPECT_EQ(c.tuples_processed, 22304);
+  EXPECT_EQ(c.local_transfers, 1978);
+  EXPECT_EQ(c.remote_transfers, 20335);
+  EXPECT_EQ(c.migrations, 38);
+  EXPECT_EQ(c.tuples_dropped, 0);
+  EXPECT_EQ(c.faults_applied, 4);
+  // Settled at the run's end (the series reports joules).
+  EXPECT_EQ(c.energy_joules, 7700.5767221865126);
+  EXPECT_EQ(run.final_machine_up, std::vector<uint8_t>(10, 1));
+  EXPECT_EQ(run.final_machine_executors, std::vector<int>(10, 2));
+  EXPECT_EQ(run.executors_on_dead_machines, 0);
+}
+
 TEST(FaultReplayTest, SameSeedAndPlanReplayBitIdentically) {
-  const core::FaultRunResult first = RunReplay();
-  const core::FaultRunResult second = RunReplay();
+  const core::SeriesResult first = RunReplay();
+  const core::SeriesResult second = RunReplay();
   ExpectIdenticalRuns(first, second);
 }
 
 TEST(FaultReplayTest, ReplayIdenticalAtEveryThreadCount) {
   const int original = GlobalThreadCount();
   SetGlobalThreadCount(1);
-  const core::FaultRunResult one = RunReplay();
+  const core::SeriesResult one = RunReplay();
   SetGlobalThreadCount(2);
-  const core::FaultRunResult two = RunReplay();
+  const core::SeriesResult two = RunReplay();
   SetGlobalThreadCount(4);
-  const core::FaultRunResult four = RunReplay();
+  const core::SeriesResult four = RunReplay();
   SetGlobalThreadCount(original);
   ExpectIdenticalRuns(one, two);
   ExpectIdenticalRuns(one, four);

@@ -393,6 +393,35 @@ TEST_F(ObsTest, WriteJsonBalancesPairsAfterOverflowToo) {
   std::remove(path.c_str());
 }
 
+TEST_F(ObsTest, WriteJsonEscapesControlBytesInSpanNames) {
+  SetTraceEnabled(true);
+  Tracer::Get().AddSimSpan("bad\x01name", 0.0, 1.0);
+  Tracer::Get().AddSimInstant("tab\tquote\"cr\r", 2.0);
+  const std::string path = ::testing::TempDir() + "obs_escape.trace.json";
+  ASSERT_TRUE(Tracer::Get().WriteJson(path));
+  std::ifstream in(path);
+  std::string written((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+  std::remove(path.c_str());
+  EXPECT_NE(written.find("\"bad\\u0001name\""), std::string::npos);
+  EXPECT_NE(written.find("\"tab\\tquote\\\"cr\\r\""), std::string::npos);
+  // RFC 8259: no raw control byte inside a string. Newlines only separate
+  // events.
+  for (char c : written) {
+    if (c != '\n') {
+      EXPECT_GE(static_cast<unsigned char>(c), 0x20);
+    }
+  }
+}
+
+TEST(JsonEscapeTest, EscapesQuotesBackslashesAndEveryControlByte) {
+  EXPECT_EQ(JsonEscape("plain text"), "plain text");
+  EXPECT_EQ(JsonEscape("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(JsonEscape("\n\t\r\b\f"), "\\n\\t\\r\\b\\f");
+  EXPECT_EQ(JsonEscape(std::string("\x00\x1f\x7f", 3)), "\\u0000\\u001f\x7f");
+  EXPECT_EQ(JsonEscape("caf\xc3\xa9"), "caf\xc3\xa9");  // UTF-8 passes
+}
+
 TEST_F(ObsTest, WallSpanClosesWhenAnExceptionUnwindsThroughIt) {
   SetTraceEnabled(true);
   try {
