@@ -1,5 +1,7 @@
 #include "core/environment.h"
 
+#include <utility>
+
 #include "common/logging.h"
 
 namespace drlstream::core {
@@ -21,29 +23,17 @@ Status SchedulingEnvironment::InstallFaultPlan(const sim::FaultPlan& plan) {
   return Status::OK();
 }
 
-Status SchedulingEnvironment::SetWorkloadGenerator(
-    const workload::WorkloadGenerator* generator) {
-  generator_ = generator;
-  if (simulator_ != nullptr) {
-    return simulator_->SetTenantWorkloadGenerator(0, generator);
-  }
-  return Status::OK();
-}
-
 Status SchedulingEnvironment::Reset(const sched::Schedule& initial) {
   sim::SimOptions options = sim_options_;
   options.seed = next_sim_seed_++;
   simulator_.reset();
+  factor_generator_.reset();
   auto simulator = std::make_unique<sim::ClusterSim>(cluster_, options);
   if (!fault_plan_.empty()) {
     DRLSTREAM_RETURN_NOT_OK(simulator->InstallFaultPlan(fault_plan_));
   }
   DRLSTREAM_RETURN_NOT_OK(
       simulator->AddTenant(topology_, &workload_, initial).status());
-  if (generator_ != nullptr) {
-    DRLSTREAM_RETURN_NOT_OK(
-        simulator->SetTenantWorkloadGenerator(0, generator_));
-  }
   DRLSTREAM_RETURN_NOT_OK(simulator->Start());
   simulator_ = std::move(simulator);
   return Status::OK();
@@ -102,13 +92,7 @@ rl::State SchedulingEnvironment::CurrentState() const {
   DRLSTREAM_CHECK(simulator_ != nullptr);
   rl::State state;
   state.assignments = simulator_->TenantSchedule(0).assignments();
-  // With a generator installed the agent observes the modulated (effective)
-  // rates; without one this is exactly the historical workload read.
-  state.spout_rates =
-      generator_ != nullptr
-          ? simulator_->TenantEffectiveSpoutRates(0)
-          : workload_.RatesVector(topology_->SpoutComponents(),
-                                  simulator_->now_ms());
+  state.spout_rates = simulator_->TenantEffectiveSpoutRates(0);
   if (!fault_plan_.empty()) {
     state.machine_up = simulator_->MachineUpMask();
   }
@@ -122,9 +106,16 @@ std::vector<uint8_t> SchedulingEnvironment::MachineUpMask() const {
   return simulator_->MachineUpMask();
 }
 
-void SchedulingEnvironment::SetWorkloadFactor(double factor) {
-  const double now = simulator_ != nullptr ? simulator_->now_ms() : 0.0;
-  workload_.AddRateChange(topo::RateChange{now, factor});
+Status SchedulingEnvironment::SetWorkloadFactor(double factor) {
+  if (simulator_ == nullptr) {
+    return Status::FailedPrecondition("environment not reset");
+  }
+  DRLSTREAM_ASSIGN_OR_RETURN(std::unique_ptr<workload::WorkloadGenerator> gen,
+                             workload::MakeConstant(factor));
+  // The simulator lets go of the old generator before it is freed.
+  DRLSTREAM_RETURN_NOT_OK(simulator_->SetTenantWorkloadGenerator(0, gen.get()));
+  factor_generator_ = std::move(gen);
+  return Status::OK();
 }
 
 const sched::Schedule& SchedulingEnvironment::current_schedule() const {

@@ -13,6 +13,7 @@
 #include "topo/cluster.h"
 #include "topo/topology.h"
 #include "topo/workload.h"
+#include "workload/generator.h"
 
 namespace drlstream::core {
 
@@ -46,11 +47,6 @@ class SchedulingEnvironment {
   /// (validated against the cluster). Pass an empty plan to clear.
   Status InstallFaultPlan(const sim::FaultPlan& plan);
 
-  /// Installs a scenario generator (workload/generator.h) modulating the
-  /// spout rates of every subsequently Reset() simulator (and the live one,
-  /// if any). Not owned; must outlive the environment; nullptr clears.
-  Status SetWorkloadGenerator(const workload::WorkloadGenerator* generator);
-
   /// Starts a fresh simulator with `initial` deployed (and the installed
   /// fault plan, if any). On failure the environment is left un-reset.
   Status Reset(const sched::Schedule& initial);
@@ -59,18 +55,20 @@ class SchedulingEnvironment {
   /// and returns the averaged measured latency in ms.
   StatusOr<double> DeployAndMeasure(const sched::Schedule& schedule);
 
-  /// The DRL state s = (X, w) right now (plus the machine-up mask when a
-  /// fault plan is active, so agents mask dead machines out of the feasible
-  /// action set).
+  /// The DRL state s = (X, w) right now, w being the tenant's effective
+  /// spout rates (plus the machine-up mask when a fault plan is active, so
+  /// agents mask dead machines out of the feasible action set).
   rl::State CurrentState() const;
 
   /// Per-machine up flags from the live simulator (all 1 before Reset).
   std::vector<uint8_t> MachineUpMask() const;
 
-  /// Multiplies spout rates by `factor` from the current simulated time on
-  /// (used to randomize workload during sample collection and to apply the
-  /// Fig. 12 workload surge).
-  void SetWorkloadFactor(double factor);
+  /// Multiplies the base spout rates by `factor` from the current
+  /// simulated time on, replacing any earlier factor (sample collection
+  /// randomizes the workload this way): installs a `constant` generator on
+  /// the live simulator's tenant 0. The factor ends with that simulator; a
+  /// Reset starts at base rates. FailedPrecondition before Reset.
+  Status SetWorkloadFactor(double factor);
 
   /// Detailed statistics from the last DeployAndMeasure (averaged over its
   /// measurement windows).
@@ -90,20 +88,20 @@ class SchedulingEnvironment {
   sim::ClusterSim* simulator() { return simulator_.get(); }
   const topo::Topology& topology() const { return *topology_; }
   const topo::ClusterConfig& cluster() const { return cluster_; }
-  const topo::Workload& workload() const { return workload_; }
   const sched::Schedule& current_schedule() const;
   int num_executors() const { return topology_->num_executors(); }
   int num_machines() const { return cluster_.num_machines; }
 
  private:
   const topo::Topology* topology_;
-  topo::Workload workload_;  // owned copy: rate changes are applied to it
+  const topo::Workload workload_;  // owned copy: the simulators read it
   topo::ClusterConfig cluster_;
   sim::SimOptions sim_options_;
   MeasurementConfig measurement_;
   sim::FaultPlan fault_plan_;
-  const workload::WorkloadGenerator* generator_ = nullptr;
   std::unique_ptr<sim::ClusterSim> simulator_;
+  /// The generator SetWorkloadFactor installed on `simulator_`, if any.
+  std::unique_ptr<workload::WorkloadGenerator> factor_generator_;
   std::vector<double> last_component_proc_;
   std::vector<double> last_edge_transfer_;
   double last_avg_power_watts_ = 0.0;

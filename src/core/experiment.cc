@@ -15,7 +15,7 @@ double NominalSpoutRate(const topo::Topology& topology,
                         const topo::Workload& workload) {
   const std::vector<int> spouts = topology.SpoutComponents();
   double sum = 0.0;
-  for (int s : spouts) sum += workload.RateAt(s, 0.0);
+  for (int s : spouts) sum += workload.BaseRate(s);
   const double mean = spouts.empty() ? 0.0 : sum / spouts.size();
   return mean > 0.0 ? mean : 100.0;
 }

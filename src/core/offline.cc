@@ -47,8 +47,8 @@ StatusOr<rl::TransitionDatabase> CollectOfflineSamples(
     rl::State state = env->CurrentState();
 
     if (options.workload_factor_max > options.workload_factor_min) {
-      env->SetWorkloadFactor(rng.Uniform(options.workload_factor_min,
-                                         options.workload_factor_max));
+      DRLSTREAM_RETURN_NOT_OK(env->SetWorkloadFactor(rng.Uniform(
+          options.workload_factor_min, options.workload_factor_max)));
     }
 
     sched::Schedule action(n, m);

@@ -105,20 +105,6 @@ Status ClusterSim::InstallFaultPlan(const FaultPlan& plan) {
   }
   DRLSTREAM_RETURN_NOT_OK(plan.Validate(cluster_.num_machines));
   fault_plan_ = plan;
-  // Spout shocks become a trace_replay workload generator on the same
-  // rate-event semantics as scenario generators (latest op <= now wins).
-  shock_gen_.reset();
-  std::vector<workload::RateChangeOp> shocks;
-  for (const FaultEvent& event : fault_plan_.events()) {
-    if (event.type == FaultType::kSpoutShock) {
-      shocks.push_back(
-          workload::RateChangeOp{event.time_ms, -1, event.magnitude});
-    }
-  }
-  if (!shocks.empty()) {
-    DRLSTREAM_ASSIGN_OR_RETURN(shock_gen_,
-                               workload::MakeTraceReplay(std::move(shocks)));
-  }
   return Status::OK();
 }
 
@@ -274,6 +260,9 @@ Status ClusterSim::Start() {
   for (int tenant = 0; tenant < num_tenants(); ++tenant) {
     if (tenants_[tenant].generator != nullptr) PrimeTenantGenerator(tenant);
   }
+  // A spout shock due now is in effect before the sources' first draw; its
+  // event below still fires (and counts) at this time.
+  UpdateSpoutShock();
   // Start the data sources (staggered by their exponential inter-arrivals),
   // tenant by tenant in registration order.
   for (const TenantState& t : tenants_) {
@@ -285,13 +274,10 @@ Status ClusterSim::Start() {
   }
   Schedule(now_ms_ + 1000.0, EventType::kTimeoutSweep, -1, -1);
 
-  // Schedule the fault plan. Spout shocks need no events: the rate factor
-  // is a pure function of time and ScheduleNextSpoutEmit re-samples at its
-  // boundaries. Windowed faults get a closing edge too.
+  // Schedule the fault plan; windowed faults get a closing edge too.
   const std::vector<FaultEvent>& fault_events = fault_plan_.events();
   for (size_t i = 0; i < fault_events.size(); ++i) {
     const FaultEvent& event = fault_events[i];
-    if (event.type == FaultType::kSpoutShock) continue;
     Schedule(event.time_ms, EventType::kFault, static_cast<int>(i),
              /*tuple_slot=*/0);
     if (event.type == FaultType::kStraggler ||
@@ -572,26 +558,24 @@ void ClusterSim::FreeTupleSlot(int slot) {
 
 double ClusterSim::SpoutRate(int tenant, int component) const {
   // Workload rates are tuples/second per executor; the event clock is ms.
+  // Without a generator or a shock both factors are exactly 1.0.
   const TenantState& t = tenants_[tenant];
-  double rate = t.workload->RateAt(component, now_ms_) / 1000.0;
-  // Scenario multiplier first, then fault shock: with no generator the
-  // factor is untouched, and a constant factor-1 generator multiplies by
-  // exactly 1.0 — bit-identical to the un-modulated rate either way.
-  if (t.generator != nullptr) rate *= t.rate_multiplier[component];
-  if (shock_gen_ != nullptr) rate *= FaultSpoutFactorAt(now_ms_);
-  return rate;
+  return t.workload->BaseRate(component) * t.rate_multiplier[component] /
+         1000.0 * spout_shock_;
 }
 
-double ClusterSim::FaultSpoutFactorAt(double t) const {
-  if (shock_gen_ == nullptr) return 1.0;
-  return shock_gen_->MultiplierAt(/*tenant=*/0, /*spout=*/-1, t);
-}
-
-double ClusterSim::NextSpoutShockAfterMs(double t) const {
-  if (shock_gen_ == nullptr) return std::numeric_limits<double>::infinity();
-  const auto op = shock_gen_->NextRateChange(/*tenant=*/0, t);
-  return op.has_value() ? op->time_ms
-                        : std::numeric_limits<double>::infinity();
+void ClusterSim::UpdateSpoutShock() {
+  // The plan is sorted by time; at equal times the later shock wins.
+  spout_shock_ = 1.0;
+  next_shock_ms_ = std::numeric_limits<double>::infinity();
+  for (const FaultEvent& event : fault_plan_.events()) {
+    if (event.type != FaultType::kSpoutShock) continue;
+    if (event.time_ms > now_ms_) {
+      next_shock_ms_ = event.time_ms;
+      break;
+    }
+    spout_shock_ = event.magnitude;
+  }
 }
 
 void ClusterSim::ScheduleNextSpoutEmit(int executor) {
@@ -602,12 +586,9 @@ void ClusterSim::ScheduleNextSpoutEmit(int executor) {
   ExecutorState& exec = executors_[executor];
   const TenantState& t = tenants_[exec.tenant];
   const double rate = SpoutRate(exec.tenant, exec.component);
-  // Generator boundaries need no re-sample wakeups of their own: the
-  // pending kRateChange event (t.next_rate_change_ms) caps the sample just
-  // like a workload rate change does.
-  const double boundary = std::min({t.workload->NextChangeAfterMs(now_ms_),
-                                    NextSpoutShockAfterMs(now_ms_),
-                                    t.next_rate_change_ms});
+  // The tenant's next kRateChange op and the next spout shock cap the
+  // sample.
+  const double boundary = std::min(t.next_rate_change_ms, next_shock_ms_);
   const double sample =
       rate > 0.0 ? exec.arrivals.Exponential(rate)
                  : std::numeric_limits<double>::infinity();
@@ -618,8 +599,8 @@ void ClusterSim::ScheduleNextSpoutEmit(int executor) {
     Schedule(boundary + 1e-6, EventType::kSpoutEmit, executor,
              /*tuple_slot=*/1);
   } else {
-    // Dead source with no scheduled revival: poll occasionally (the
-    // workload object may gain changes at runtime).
+    // Dead source with no scheduled revival: poll occasionally (a
+    // generator installed later may revive it).
     Schedule(now_ms_ + 1000.0, EventType::kSpoutEmit, executor,
              /*tuple_slot=*/1);
   }
@@ -676,17 +657,14 @@ std::vector<double> ClusterSim::TenantEffectiveSpoutRates(int tenant) const {
   const std::vector<int> spouts = t.topology->SpoutComponents();
   rates.reserve(spouts.size());
   for (int component : spouts) {
-    double rate = t.workload->RateAt(component, now_ms_);
-    if (t.generator != nullptr) rate *= t.rate_multiplier[component];
-    rates.push_back(rate);
+    rates.push_back(t.workload->BaseRate(component) *
+                    t.rate_multiplier[component]);
   }
   return rates;
 }
 
 double ClusterSim::TenantRateMultiplier(int tenant, int component) const {
-  const TenantState& t = tenants_[tenant];
-  if (t.generator == nullptr) return 1.0;
-  return t.rate_multiplier[component];
+  return tenants_[tenant].rate_multiplier[component];
 }
 
 void ClusterSim::HandleSpoutEmit(int executor) {
@@ -1212,7 +1190,10 @@ void ClusterSim::HandleFault(int plan_index, bool window_end) {
       break;
     }
     case FaultType::kSpoutShock:
-      break;  // Handled through the spout-rate timeline, not events.
+      // Spout samples were capped at this time, so every spout re-samples
+      // just after it at the new rate.
+      UpdateSpoutShock();
+      break;
   }
 }
 

@@ -388,8 +388,9 @@ class ClusterSim {
   /// Applies the generator's multipliers as of now and schedules its first
   /// pending op. Called at Start (before sources) or on mid-run install.
   void PrimeTenantGenerator(int tenant);
-  /// Schedules the spout's next emission, re-sampling at workload rate
-  /// boundaries (event tuple_slot == 1 marks a re-sample-only wakeup).
+  /// Schedules the spout's next emission, re-sampling at rate-change and
+  /// spout-shock boundaries (event tuple_slot == 1 marks a re-sample-only
+  /// wakeup).
   void ScheduleNextSpoutEmit(int executor);
   void HandleArrive(int tuple_slot);
   void HandleMachineCompletion(int machine);
@@ -461,12 +462,13 @@ class ClusterSim {
 
   double SampleServiceWork(int executor);
   double WarmupFactor() const;
-  /// Spout rate of one executor of `component` of `tenant`, per ms.
+  /// Spout rate of one executor of `component` of `tenant`, per ms: base
+  /// rate x generator multiplier x spout shock.
   double SpoutRate(int tenant, int component) const;
-  /// Spout-shock rate multiplier in effect at time `t` (1 when no shock).
-  double FaultSpoutFactorAt(double t) const;
-  /// Next spout-shock boundary strictly after `t` (inf if none).
-  double NextSpoutShockAfterMs(double t) const;
+  /// Sets `spout_shock_` to the magnitude of the plan's latest spout shock
+  /// at or before now (1 if none) and `next_shock_ms_` to the first one
+  /// after now.
+  void UpdateSpoutShock();
 
   topo::ClusterConfig cluster_;
   SimOptions options_;
@@ -475,11 +477,10 @@ class ClusterSim {
   Rng payload_rng_;
 
   FaultPlan fault_plan_;
-  /// Spout-shock timeline extracted from the plan as a trace_replay
-  /// workload generator (null when the plan has no shocks); the factor in
-  /// effect is that of the last op <= now, exactly the historical
-  /// spout-shock semantics.
-  std::unique_ptr<workload::WorkloadGenerator> shock_gen_;
+  /// Cluster-wide spout-rate multiplier of the latest spout shock (fault
+  /// event) applied, and the time of the next one (+inf when none).
+  double spout_shock_ = 1.0;
+  double next_shock_ms_ = std::numeric_limits<double>::infinity();
 
   std::vector<TenantState> tenants_;
   std::vector<ExecutorState> executors_;

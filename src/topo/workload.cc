@@ -1,8 +1,5 @@
 #include "topo/workload.h"
 
-#include <algorithm>
-#include <limits>
-
 #include "common/logging.h"
 
 namespace drlstream::topo {
@@ -12,46 +9,16 @@ void Workload::SetBaseRate(int spout_component, double tuples_per_sec) {
   base_rates_[spout_component] = tuples_per_sec;
 }
 
-void Workload::AddRateChange(RateChange change) {
-  DRLSTREAM_CHECK_GE(change.time_ms, 0.0);
-  DRLSTREAM_CHECK_GT(change.factor, 0.0);
-  changes_.push_back(change);
-  std::sort(changes_.begin(), changes_.end(),
-            [](const RateChange& a, const RateChange& b) {
-              return a.time_ms < b.time_ms;
-            });
-}
-
-double Workload::FactorAt(double time_ms) const {
-  double factor = 1.0;
-  for (const RateChange& c : changes_) {
-    if (c.time_ms <= time_ms) {
-      factor = c.factor;
-    } else {
-      break;
-    }
-  }
-  return factor;
-}
-
-double Workload::NextChangeAfterMs(double time_ms) const {
-  for (const RateChange& c : changes_) {
-    if (c.time_ms > time_ms) return c.time_ms;
-  }
-  return std::numeric_limits<double>::infinity();
-}
-
-double Workload::RateAt(int spout_component, double time_ms) const {
+double Workload::BaseRate(int spout_component) const {
   auto it = base_rates_.find(spout_component);
-  if (it == base_rates_.end()) return 0.0;
-  return it->second * FactorAt(time_ms);
+  return it == base_rates_.end() ? 0.0 : it->second;
 }
 
 std::vector<double> Workload::RatesVector(
-    const std::vector<int>& spout_components, double time_ms) const {
+    const std::vector<int>& spout_components, double /*time_ms*/) const {
   std::vector<double> out;
   out.reserve(spout_components.size());
-  for (int c : spout_components) out.push_back(RateAt(c, time_ms));
+  for (int c : spout_components) out.push_back(BaseRate(c));
   return out;
 }
 

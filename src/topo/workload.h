@@ -4,24 +4,14 @@
 #include <map>
 #include <vector>
 
-#include "common/status.h"
-
 namespace drlstream::topo {
 
-/// A scheduled multiplicative change to the incoming workload, e.g. the
-/// paper's Fig. 12 increases all rates by 50% at t = 20 min.
-struct RateChange {
-  double time_ms = 0.0;
-  /// Multiplier applied to the base rate from `time_ms` on (not compounded
-  /// with other changes; the factor in effect is that of the latest change
-  /// at or before the query time).
-  double factor = 1.0;
-};
-
-/// Per-spout-component tuple arrival rates over time. Rates are expressed
-/// per *executor* of the spout component in tuples per second; arrivals are
+/// Per-spout-component base tuple arrival rates. Rates are expressed per
+/// *executor* of the spout component in tuples per second; arrivals are
 /// Poisson. The rate vector (per component) is the `w` part of the paper's
-/// state s = (X, w).
+/// state s = (X, w). Rates change over time only in the simulator, through
+/// a tenant's workload generator (workload/generator.h) and spout-shock
+/// faults (sim/faults.h).
 class Workload {
  public:
   Workload() = default;
@@ -29,22 +19,11 @@ class Workload {
   /// Sets the base rate for a spout component (tuples/second per executor).
   void SetBaseRate(int spout_component, double tuples_per_sec);
 
-  /// Adds a workload change applying to all spouts.
-  void AddRateChange(RateChange change);
+  /// Base rate of one executor of `spout_component` (0 when unset).
+  double BaseRate(int spout_component) const;
 
-  /// Rate of one executor of `spout_component` at simulation time `time_ms`.
-  double RateAt(int spout_component, double time_ms) const;
-
-  /// Multiplicative factor in effect at `time_ms`.
-  double FactorAt(double time_ms) const;
-
-  /// Time of the first rate change strictly after `time_ms`, or +infinity
-  /// when none is scheduled (used by the simulator to re-sample spout
-  /// inter-arrival times at rate boundaries).
-  double NextChangeAfterMs(double time_ms) const;
-
-  /// Rates for the given spout components at `time_ms`, in order — the
-  /// workload part of the DRL state.
+  /// Base rates for the given spout components, in order. `time_ms` is
+  /// ignored: base rates do not change over time.
   std::vector<double> RatesVector(const std::vector<int>& spout_components,
                                   double time_ms) const;
 
@@ -52,13 +31,8 @@ class Workload {
   /// training runs while preserving relative load).
   void ScaleAllRates(double factor);
 
-  bool HasRateFor(int spout_component) const {
-    return base_rates_.count(spout_component) > 0;
-  }
-
  private:
   std::map<int, double> base_rates_;
-  std::vector<RateChange> changes_;  // sorted by time
 };
 
 }  // namespace drlstream::topo

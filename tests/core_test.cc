@@ -86,8 +86,29 @@ TEST_F(EnvironmentTest, WorkloadFactorChangesObservedRates) {
                               cluster_.num_machines, 3, &rng))
                   .ok());
   const double base = env_->CurrentState().spout_rates[0];
-  env_->SetWorkloadFactor(1.5);
+  ASSERT_TRUE(env_->SetWorkloadFactor(1.5).ok());
   EXPECT_NEAR(env_->CurrentState().spout_rates[0], 1.5 * base, 1e-9);
+}
+
+TEST_F(EnvironmentTest, WorkloadFactorRequiresReset) {
+  EXPECT_EQ(env_->SetWorkloadFactor(1.5).code(),
+            StatusCode::kFailedPrecondition);
+}
+
+// A factor belongs to the simulator it was set on: after a Reset the new
+// simulator runs at base rates, also past the time the factor was set.
+TEST_F(EnvironmentTest, WorkloadFactorDoesNotOutliveReset) {
+  Rng rng(6);
+  const sched::Schedule initial = sched::Schedule::RandomPacked(
+      app_.topology.num_executors(), cluster_.num_machines, 3, &rng);
+  ASSERT_TRUE(env_->Reset(initial).ok());
+  const std::vector<double> base = env_->CurrentState().spout_rates;
+  env_->simulator()->RunFor(2000.0);
+  ASSERT_TRUE(env_->SetWorkloadFactor(1.5).ok());
+  ASSERT_TRUE(env_->Reset(initial).ok());
+  env_->simulator()->RunFor(3000.0);
+  EXPECT_EQ(env_->CurrentState().spout_rates, base);
+  EXPECT_EQ(env_->simulator()->TenantEffectiveSpoutRates(0), base);
 }
 
 // ---------------------------------------------------------------------------
@@ -153,6 +174,94 @@ TEST_F(EnvironmentTest, CollectionValidatesOptions) {
   options.workload_factor_min = 2.0;
   options.workload_factor_max = 1.0;
   EXPECT_FALSE(CollectOfflineSamples(env_.get(), options).ok());
+}
+
+/// One collection chain as the paper pipeline runs it on CQ small (the
+/// default measurement protocol, a random initial schedule and the
+/// pipeline's 0.8-1.7 workload factors, one per sample), but uncapped, so
+/// every reward is a measured latency.
+StatusOr<rl::TransitionDatabase> PaperChain(CollectionMode mode,
+                                            uint64_t sim_seed,
+                                            uint64_t seed) {
+  topo::App app = topo::BuildContinuousQueries(topo::Scale::kSmall);
+  topo::ClusterConfig cluster;
+  sim::SimOptions sim_options;
+  sim_options.seed = sim_seed;
+  SchedulingEnvironment env(&app.topology, app.workload, cluster,
+                            sim_options, MeasurementConfig());
+  Rng rng(seed);
+  DRLSTREAM_RETURN_NOT_OK(env.Reset(sched::Schedule::Random(
+      app.topology.num_executors(), cluster.num_machines, &rng)));
+  CollectionOptions collect;
+  collect.num_samples = 8;
+  collect.mode = mode;
+  collect.seed = seed + 1;
+  collect.collect_details = mode == CollectionMode::kFullRandom;
+  collect.workload_factor_min = 0.8;
+  collect.workload_factor_max = 1.7;
+  collect.reward_cap_ms = std::numeric_limits<double>::infinity();
+  return CollectOfflineSamples(&env, collect);
+}
+
+/// One recorded sample: its reward and the spout rate (CQ small has one
+/// spout component) of its state and next state.
+struct SampleGolden {
+  double reward;
+  double state_rate;
+  double next_rate;
+};
+
+void ExpectChainGolden(CollectionMode mode, uint64_t sim_seed, uint64_t seed,
+                       const std::vector<SampleGolden>& samples) {
+  auto db = PaperChain(mode, sim_seed, seed);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  ASSERT_EQ(db->size(), samples.size());
+  for (size_t i = 0; i < samples.size(); ++i) {
+    SCOPED_TRACE("sample " + std::to_string(i));
+    const rl::Transition& t = db->at(i).transition;
+    EXPECT_EQ(t.reward, samples[i].reward);
+    EXPECT_EQ(t.state.spout_rates, std::vector<double>{samples[i].state_rate});
+    EXPECT_EQ(t.next_state.spout_rates,
+              std::vector<double>{samples[i].next_rate});
+  }
+}
+
+// Pins both offline collection chains bit for bit, at the seeds
+// TrainAllMethods gives them for seed 11: the rewards and the observed
+// workload of every state, under a new factor per sample.
+TEST(CollectionTest, PaperChainsGolden) {
+  ExpectChainGolden(CollectionMode::kFullRandom, 11, 11,
+                    {{-374.97841838424284, 900, 871.64916150690749},
+                     {-488.53013396297752, 871.64916150690749,
+                      1360.0110691582549},
+                     {-255.02563503954875, 1360.0110691582549,
+                      1350.6657119030524},
+                     {-311.87251128346128, 1350.6657119030524,
+                      764.67776601154378},
+                     {-342.84829105466974, 764.67776601154378,
+                      924.95720019542864},
+                     {-350.18177977780454, 924.95720019542864,
+                      1207.2801701311118},
+                     {-476.26065506517995, 1207.2801701311118,
+                      1282.1739653085112},
+                     {-259.00789890062788, 1282.1739653085112,
+                      723.348718677688}});
+  ExpectChainGolden(CollectionMode::kSingleMoveRandom, 1011, 13,
+                    {{-4.2916202983324565, 900, 1264.399655372144},
+                     {-5.907831653405724, 1264.399655372144,
+                      1097.0704255455807},
+                     {-8.1627234680275613, 1097.0704255455807,
+                      1395.7790211943284},
+                     {-9.7335286396006087, 1395.7790211943284,
+                      1108.503185859485},
+                     {-7.8184125425813029, 1108.503185859485,
+                      1010.6527110990863},
+                     {-5.20637012994304, 1010.6527110990863,
+                      1114.2453652390368},
+                     {-9.1282977179947, 1114.2453652390368,
+                      1367.9251949256088},
+                     {-6.3304344430990964, 1367.9251949256088,
+                      1455.4081420294522}});
 }
 
 // ---------------------------------------------------------------------------
@@ -533,43 +642,43 @@ void ExpectScenarioGolden(const std::string& key,
 TEST(SeriesTest, ScenarioSeriesGolden) {
   ExpectScenarioGolden(
       "round-robin",
-      {{5000, 3.4784472360045688, 1.3863703305156274, 4021.0213013990583,
-        1340.340433799686, 0, 0},
+      {{5000, 3.4784472360045711, 1.3863703305156274, 4021.0213013990501,
+        1340.3404337996833, 0, 0},
        {8000, 3.1602400113988036, 1.3464101615137756, 3990.4988674050901,
         1330.16628913503, 0, 0},
        {11000, 2.8915780439568786, 1.1035276180410083, 3803.7182739137406,
         1267.9060913045803, 0, 0},
-       {14000, 2.7375857943256241, 0.80000000000000004, 3552.2239613911697,
-        1184.0746537970565, 0, 0},
+       {14000, 2.7375857943256241, 0.80000000000000004, 3552.2239613911734,
+        1184.0746537970579, 0, 0},
        {17000, 2.5571835598335557, 0.61362966948437259, 3349.9764759506543,
         1116.6588253168848, 0, 0},
        {20000, 2.5590705116581547, 0.65358983848622454, 3252.1787076654509,
         1084.0595692218169, 0, 0}},
-      24617.983101622762, 1230.8991550811381,
+      24617.983101622754, 1230.8991550811377,
       {.events_processed = 171836,
        .roots_emitted = 37471,
        .roots_completed = 37466,
        .tuples_processed = 67142,
        .local_transfers = 4987,
        .remote_transfers = 62160,
-       .energy_joules = 24617.983101622762});
+       .energy_joules = 24617.983101622754});
   // Energy-aware packing overloads the two machines it keeps (latencies in
   // seconds) and lets the other eight sleep from the second minute on.
   ExpectScenarioGolden(
       "energy-aware",
-      {{5000, 1443.6932115370278, 1.3863703305156274, 3135.054487725964,
-        1045.0181625753214, 0, 19},
-       {8000, 1844.382747621795, 1.3464101615137756, 2725.2647074015013,
-        908.42156913383371, 8, 0},
-       {11000, 2447.7819346685869, 1.1035276180410083, 1302.8494344082901,
-        434.28314480276339, 8, 0},
+      {{5000, 1443.6932115370278, 1.3863703305156274, 3135.0544877259622,
+        1045.0181625753207, 0, 19},
+       {8000, 1844.382747621795, 1.3464101615137756, 2725.2647074015003,
+        908.42156913383349, 8, 0},
+       {11000, 2447.7819346685869, 1.1035276180410083, 1302.8494344082919,
+        434.28314480276396, 8, 0},
        {14000, 2909.3727311702983, 0.80000000000000004, 1272.7729488537298,
         424.25764961790992, 8, 0},
        {17000, 2659.616802627083, 0.61362966948437259, 1240.7119628677156,
         413.57065428923852, 8, 0},
        {20000, 614.20571319214207, 0.65358983848622454, 1212.8684780728108,
         404.28949269093692, 8, 0}},
-      13537.887533227609, 676.89437666138042,
+      13537.887533227606, 676.89437666138031,
       {.events_processed = 171926,
        .roots_emitted = 37471,
        .roots_completed = 37465,
@@ -577,7 +686,7 @@ TEST(SeriesTest, ScenarioSeriesGolden) {
        .local_transfers = 32860,
        .remote_transfers = 34322,
        .migrations = 19,
-       .energy_joules = 13537.887533227609});
+       .energy_joules = 13537.887533227606});
 }
 
 /// Proposes `first` on its first call, fails on its second and proposes

@@ -5,12 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "common/thread_pool.h"
 #include "core/environment.h"
 #include "core/experiment.h"
 #include "core/online.h"
+#include "obs/trace.h"
 #include "rl/policy_registry.h"
 #include "sched/schedule.h"
 #include "sched/scheduler.h"
@@ -398,6 +400,61 @@ TEST(FaultSimTest, SpoutShockScalesArrivals) {
   EXPECT_GT(during, static_cast<long long>(2.0 * before));
 }
 
+// A spout shock is a fault event like any other: it is counted and traced
+// when it fires.
+TEST(FaultSimTest, SpoutShockCountsAsAFault) {
+  topo::Topology topology = ChainTopology(1, 2, 0.2);
+  topo::Workload workload = ChainWorkload(200.0);
+  topo::ClusterConfig cluster = TestCluster();
+  sim::FaultPlan plan;
+  plan.AddSpoutShock(1000.0, 2.0);
+
+  obs::Tracer::Get().ResetForTest();
+  obs::SetTraceEnabled(true);
+  sim::ClusterSim simulator(cluster, sim::SimOptions{});
+  ASSERT_TRUE(simulator.InstallFaultPlan(plan).ok());
+  sched::Schedule schedule(3, cluster.num_machines);
+  ASSERT_TRUE(simulator.AddTenant(&topology, &workload, schedule).ok());
+  ASSERT_TRUE(simulator.Start().ok());
+  simulator.RunFor(2000.0);
+  obs::SetTraceEnabled(false);
+  const std::string json = obs::Tracer::Get().ToJsonString();
+  obs::Tracer::Get().ResetForTest();
+
+  EXPECT_EQ(simulator.counters().faults_applied, 1);
+  const std::string instant = "\"name\": \"fault:spout_shock\"";
+  size_t instants = 0;
+  for (size_t at = json.find(instant); at != std::string::npos;
+       at = json.find(instant, at + 1)) {
+    ++instants;
+  }
+  EXPECT_EQ(instants, 1u);
+}
+
+// A shock at t = 0 is in effect before the sources' first draw: a spout
+// throttled to almost nothing from the start emits no root until the next
+// shock restores its rate.
+TEST(FaultSimTest, SpoutShockAtStartAppliesBeforeFirstDraw) {
+  topo::Topology topology = ChainTopology(1, 2, 0.2);
+  topo::Workload workload = ChainWorkload(200.0);
+  topo::ClusterConfig cluster = TestCluster();
+  sim::FaultPlan plan;
+  plan.AddSpoutShock(0.0, 1e-6);
+  plan.AddSpoutShock(1000.0, 1.0);
+
+  sim::ClusterSim simulator(cluster, sim::SimOptions{});
+  ASSERT_TRUE(simulator.InstallFaultPlan(plan).ok());
+  sched::Schedule schedule(3, cluster.num_machines);
+  ASSERT_TRUE(simulator.AddTenant(&topology, &workload, schedule).ok());
+  ASSERT_TRUE(simulator.Start().ok());
+  simulator.RunFor(900.0);
+  EXPECT_EQ(simulator.counters().roots_emitted, 0);
+  EXPECT_EQ(simulator.counters().faults_applied, 1);
+  simulator.RunFor(1100.0);
+  EXPECT_GT(simulator.counters().roots_emitted, 100);
+  EXPECT_EQ(simulator.counters().faults_applied, 2);
+}
+
 // ---------------------------------------------------------------------------
 // Orphan repair
 // ---------------------------------------------------------------------------
@@ -582,7 +639,7 @@ TEST(FaultReplayTest, ReplayMatchesGolden) {
   }
 
   const sim::SimCounters& c = run.final_counters;
-  EXPECT_EQ(c.events_processed, 57167);
+  EXPECT_EQ(c.events_processed, 57168);
   EXPECT_EQ(c.roots_emitted, 12503);
   EXPECT_EQ(c.roots_completed, 12496);
   EXPECT_EQ(c.roots_failed, 0);
@@ -592,7 +649,7 @@ TEST(FaultReplayTest, ReplayMatchesGolden) {
   EXPECT_EQ(c.remote_transfers, 20335);
   EXPECT_EQ(c.migrations, 38);
   EXPECT_EQ(c.tuples_dropped, 0);
-  EXPECT_EQ(c.faults_applied, 4);
+  EXPECT_EQ(c.faults_applied, 5);  // The spout shock is one of them.
   // Settled at the run's end (the series reports joules).
   EXPECT_EQ(c.energy_joules, 7700.5767221865126);
   EXPECT_EQ(run.final_machine_up, std::vector<uint8_t>(10, 1));

@@ -1,4 +1,4 @@
-#include "nn/gradient_check.h"
+#include "gradient_check.h"
 
 #include <algorithm>
 #include <cmath>

@@ -1,5 +1,5 @@
-#ifndef DRLSTREAM_NN_GRADIENT_CHECK_H_
-#define DRLSTREAM_NN_GRADIENT_CHECK_H_
+#ifndef DRLSTREAM_TESTS_GRADIENT_CHECK_H_
+#define DRLSTREAM_TESTS_GRADIENT_CHECK_H_
 
 #include <functional>
 #include <vector>
@@ -11,7 +11,7 @@ namespace drlstream::nn {
 /// Compares the analytic parameter gradients produced by Mlp::Backward with
 /// central finite differences of `loss_fn(net)` and returns the maximum
 /// relative error. `loss_fn` must be deterministic in the parameters.
-/// Used by the test suite to validate backprop.
+/// nn_test validates backprop with it.
 double MaxParamGradRelError(
     Mlp* net, const std::function<double(const Mlp&)>& loss_fn,
     const std::function<void(Mlp*)>& compute_grads, double epsilon = 1e-6);
@@ -24,4 +24,4 @@ double MaxInputGradRelError(const Mlp& net, const std::vector<double>& input,
 
 }  // namespace drlstream::nn
 
-#endif  // DRLSTREAM_NN_GRADIENT_CHECK_H_
+#endif  // DRLSTREAM_TESTS_GRADIENT_CHECK_H_

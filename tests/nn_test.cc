@@ -4,7 +4,7 @@
 #include <fstream>
 
 #include "common/rng.h"
-#include "nn/gradient_check.h"
+#include "gradient_check.h"
 #include "nn/loss.h"
 #include "nn/matrix.h"
 #include "nn/mlp.h"

@@ -12,6 +12,7 @@
 #include "sim/cluster_sim.h"
 #include "sim/faults.h"
 #include "topo/apps.h"
+#include "workload/generator.h"
 
 namespace drlstream {
 namespace {
@@ -57,13 +58,15 @@ TEST(RobustnessTest, RateTurnsOnMidRun) {
   topo::Topology topology = SmallChain(0.1);
   topo::Workload workload;
   workload.SetBaseRate(0, 200.0);
-  // Rate drops to ~0 via factor, then comes back.
-  workload.AddRateChange({1000.0, 1e-9});
-  workload.AddRateChange({3000.0, 1.0});
+  // Rate drops to ~0 via the multiplier, then comes back.
+  auto trace =
+      workload::MakeTraceReplay({{1000.0, -1, 1e-9}, {3000.0, -1, 1.0}});
+  ASSERT_TRUE(trace.ok()) << trace.status().ToString();
   topo::ClusterConfig cluster;
   sim::ClusterSim simulator(cluster, sim::SimOptions{});
   sched::Schedule schedule(3, cluster.num_machines);
   ASSERT_TRUE(simulator.AddTenant(&topology, &workload, schedule).ok());
+  ASSERT_TRUE(simulator.SetTenantWorkloadGenerator(0, trace->get()).ok());
   ASSERT_TRUE(simulator.Start().ok());
   simulator.RunFor(2900.0);
   const long long quiet = simulator.counters().roots_emitted;
@@ -79,8 +82,9 @@ TEST(RobustnessTest, RateTurnsOnMidRun) {
 TEST(RobustnessTest, RecoversAfterOverloadBurst) {
   topo::Topology topology = SmallChain(1.0);  // Capacity ~2000/s (2 bolts).
   topo::Workload workload;
-  workload.SetBaseRate(0, 6000.0);           // 3x overload...
-  workload.AddRateChange({3000.0, 0.05});    // ...then drops to 300/s.
+  workload.SetBaseRate(0, 6000.0);  // 3x overload, then 300/s from 3 s on.
+  auto trace = workload::MakeTraceReplay({{3000.0, -1, 0.05}});
+  ASSERT_TRUE(trace.ok()) << trace.status().ToString();
   topo::ClusterConfig cluster;
   cluster.ack_timeout_ms = 1500.0;
   sim::SimOptions options;
@@ -89,6 +93,7 @@ TEST(RobustnessTest, RecoversAfterOverloadBurst) {
   sched::Schedule schedule(3, cluster.num_machines);
   for (int i = 0; i < 3; ++i) schedule.Assign(i, i % 2);
   ASSERT_TRUE(simulator.AddTenant(&topology, &workload, schedule).ok());
+  ASSERT_TRUE(simulator.SetTenantWorkloadGenerator(0, trace->get()).ok());
   ASSERT_TRUE(simulator.Start().ok());
 
   simulator.RunFor(3000.0);  // Overloaded phase.

@@ -7,6 +7,7 @@
 #include "sched/scheduler.h"
 #include "sim/cluster_sim.h"
 #include "topo/apps.h"
+#include "workload/generator.h"
 
 namespace drlstream::sim {
 namespace {
@@ -526,11 +527,13 @@ TEST(SimulatorTest, AckTimeoutFailsStuckTuples) {
 TEST(SimulatorTest, RateChangeIncreasesThroughput) {
   topo::Topology topology = ChainTopology(2, 4, 0.05);
   topo::Workload workload = ChainWorkload(200.0);
-  workload.AddRateChange({3000.0, 2.0});
+  auto trace = workload::MakeTraceReplay({{3000.0, -1, 2.0}});
+  ASSERT_TRUE(trace.ok()) << trace.status().ToString();
   ClusterSim simulator(TestCluster(), SimOptions{});
   ASSERT_TRUE(
       simulator.AddTenant(&topology, &workload, AllOnMachine(topology, 0, 4))
           .ok());
+  ASSERT_TRUE(simulator.SetTenantWorkloadGenerator(0, trace->get()).ok());
   ASSERT_TRUE(simulator.Start().ok());
   simulator.RunFor(3000.0);
   const long long before = simulator.counters().roots_emitted;

@@ -122,28 +122,8 @@ TEST(ClusterConfigTest, WireTime) {
 TEST(WorkloadTest, BaseRates) {
   Workload w;
   w.SetBaseRate(0, 100.0);
-  EXPECT_DOUBLE_EQ(w.RateAt(0, 0.0), 100.0);
-  EXPECT_DOUBLE_EQ(w.RateAt(1, 0.0), 0.0);
-  EXPECT_TRUE(w.HasRateFor(0));
-  EXPECT_FALSE(w.HasRateFor(1));
-}
-
-TEST(WorkloadTest, RateChangesApplyFromTheirTime) {
-  Workload w;
-  w.SetBaseRate(0, 100.0);
-  w.AddRateChange({5000.0, 1.5});
-  EXPECT_DOUBLE_EQ(w.RateAt(0, 4999.0), 100.0);
-  EXPECT_DOUBLE_EQ(w.RateAt(0, 5000.0), 150.0);
-  EXPECT_DOUBLE_EQ(w.FactorAt(10000.0), 1.5);
-}
-
-TEST(WorkloadTest, LatestChangeWins) {
-  Workload w;
-  w.SetBaseRate(0, 100.0);
-  w.AddRateChange({2000.0, 2.0});
-  w.AddRateChange({1000.0, 0.5});  // Inserted out of order.
-  EXPECT_DOUBLE_EQ(w.RateAt(0, 1500.0), 50.0);
-  EXPECT_DOUBLE_EQ(w.RateAt(0, 2500.0), 200.0);
+  EXPECT_DOUBLE_EQ(w.BaseRate(0), 100.0);
+  EXPECT_DOUBLE_EQ(w.BaseRate(1), 0.0);
 }
 
 TEST(WorkloadTest, RatesVectorAndScaling) {
@@ -152,7 +132,7 @@ TEST(WorkloadTest, RatesVectorAndScaling) {
   w.SetBaseRate(2, 300.0);
   EXPECT_EQ(w.RatesVector({0, 2}, 0.0), (std::vector<double>{100.0, 300.0}));
   w.ScaleAllRates(0.5);
-  EXPECT_DOUBLE_EQ(w.RateAt(2, 0.0), 150.0);
+  EXPECT_DOUBLE_EQ(w.BaseRate(2), 150.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -235,7 +215,7 @@ TEST_P(ContinuousQueriesScaleTest, MatchesPaperExecutorCounts) {
   EXPECT_TRUE(app.topology.Validate().ok());
   EXPECT_EQ(app.topology.num_executors(), param.total);
   EXPECT_EQ(app.topology.component(0).parallelism, param.spouts);
-  EXPECT_TRUE(app.workload.HasRateFor(0));
+  EXPECT_GT(app.workload.BaseRate(0), 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -279,8 +259,8 @@ TEST(AppsTest, RateScaleMultipliesWorkload) {
   options.rate_scale = 2.0;
   App scaled = BuildContinuousQueries(Scale::kSmall, options);
   App base = BuildContinuousQueries(Scale::kSmall);
-  EXPECT_DOUBLE_EQ(scaled.workload.RateAt(0, 0.0),
-                   2.0 * base.workload.RateAt(0, 0.0));
+  EXPECT_DOUBLE_EQ(scaled.workload.BaseRate(0),
+                   2.0 * base.workload.BaseRate(0));
 }
 
 TEST(AppsTest, FunctionalModeAttachesUdfs) {

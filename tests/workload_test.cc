@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -134,6 +135,33 @@ TEST(GeneratorTest, FlashCrowdSpikesAndReturnsToBase) {
   EXPECT_EQ((*flash)->MultiplierAt(0, 0, 0.0), 1.0);
   EXPECT_EQ((*flash)->MultiplierAt(0, 0, 5000.0), 4.0);
   EXPECT_EQ((*flash)->MultiplierAt(0, 0, 1e9), 1.0);  // decayed back exactly
+}
+
+// An op is in effect from its time on, and NextRateChange names the first
+// op strictly after the query time.
+TEST(TraceReplayTest, OpsApplyFromTheirTime) {
+  auto trace = workload::MakeTraceReplay({{5000.0, -1, 1.5}});
+  ASSERT_TRUE(trace.ok()) << trace.status().ToString();
+  EXPECT_EQ((*trace)->MultiplierAt(0, 0, 4999.0), 1.0);
+  EXPECT_EQ((*trace)->MultiplierAt(0, 0, 5000.0), 1.5);
+  EXPECT_EQ((*trace)->MultiplierAt(0, 0, 10000.0), 1.5);
+  const std::optional<RateChangeOp> next = (*trace)->NextRateChange(0, 4999.0);
+  ASSERT_TRUE(next.has_value());
+  EXPECT_EQ(next->time_ms, 5000.0);
+  EXPECT_EQ(next->multiplier, 1.5);
+  EXPECT_FALSE((*trace)->NextRateChange(0, 5000.0).has_value());
+}
+
+// At equal times the later op wins; ops out of time order are rejected.
+TEST(TraceReplayTest, LatestOpWins) {
+  auto trace = workload::MakeTraceReplay(
+      {{1000.0, -1, 0.5}, {2000.0, -1, 2.0}, {2000.0, -1, 3.0}});
+  ASSERT_TRUE(trace.ok()) << trace.status().ToString();
+  EXPECT_EQ((*trace)->MultiplierAt(0, 0, 1500.0), 0.5);
+  EXPECT_EQ((*trace)->MultiplierAt(0, 0, 2000.0), 3.0);
+  EXPECT_EQ((*trace)->MultiplierAt(0, 0, 2500.0), 3.0);
+  EXPECT_FALSE(
+      workload::MakeTraceReplay({{2000.0, -1, 2.0}, {1000.0, -1, 0.5}}).ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -402,15 +430,13 @@ GoldenRun RunPolicy(const std::string& key, bool with_energy_plumbing) {
   measure.measurement_interval_ms = 200.0;
   core::SchedulingEnvironment env(&app.topology, app.workload, cluster,
                                   sim_options, measure);
-  auto constant = workload::MakeConstant(1.0);
-  EXPECT_TRUE(constant.ok());
-  if (with_energy_plumbing) {
-    // Exercise the full new path: a (no-op) generator installed and the
-    // energy term explicitly weighted at zero.
-    EXPECT_TRUE(env.SetWorkloadGenerator(constant->get()).ok());
-  }
   Rng rng(is_ddpg ? 13 : 14);
   EXPECT_TRUE(env.Reset(sched::Schedule::RandomPacked(n, m, 4, &rng)).ok());
+  if (with_energy_plumbing) {
+    // Exercise the full new path: a (no-op) factor-1 generator installed
+    // and the energy term explicitly weighted at zero.
+    EXPECT_TRUE(env.SetWorkloadFactor(1.0).ok());
+  }
 
   core::OnlineOptions options;
   options.epochs = 5;
