@@ -124,11 +124,11 @@ static void BM_DdpgSelectAction(benchmark::State& state) {
 BENCHMARK(BM_DdpgSelectAction)->Unit(benchmark::kMicrosecond);
 
 // Custom main: benchmark::Initialize consumes its own --benchmark_* flags,
-// then whatever is left (e.g. --threads=N) goes through the repo's flag
-// parser so the pool size matches the fig benches' behavior.
+// then whatever is left goes through the repo's flag parser, which accepts
+// only the process flags (e.g. --threads=N sizes the pool as in repro).
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
-  auto flags_or = Flags::Parse(argc, argv);
+  auto flags_or = Flags::Parse(argc, argv, {});
   if (!flags_or.ok()) {
     std::fprintf(stderr, "%s\n", flags_or.status().ToString().c_str());
     return 1;

@@ -81,7 +81,10 @@ void InstallStopHandlers(ctrl::AgentServer* server) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto flags_or = Flags::Parse(argc, argv);
+  auto flags_or = Flags::Parse(
+      argc, argv,
+      {"help", "http-host", "http-port", "max-requests", "policy", "port",
+       "scale", "seed", "sessions", "shared-policy", "slow-rpc-ms"});
   if (!flags_or.ok()) {
     std::fprintf(stderr, "%s\n", flags_or.status().ToString().c_str());
     return 1;

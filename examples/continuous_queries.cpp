@@ -17,7 +17,8 @@
 using namespace drlstream;
 
 int main(int argc, char** argv) {
-  auto flags_or = Flags::Parse(argc, argv);
+  auto flags_or = Flags::Parse(argc, argv,
+                               {"scale", "seconds", "seed", "table_rows"});
   if (!flags_or.ok()) {
     std::fprintf(stderr, "%s\n", flags_or.status().ToString().c_str());
     return 1;

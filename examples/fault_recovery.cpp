@@ -43,7 +43,10 @@ void PrintUsage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto flags_or = Flags::Parse(argc, argv);
+  auto flags_or = Flags::Parse(
+      argc, argv,
+      {"fault-plan", "help", "minute-ms", "out", "points", "policy",
+       "print-plan", "seed"});
   if (!flags_or.ok()) {
     std::fprintf(stderr, "%s\n", flags_or.status().ToString().c_str());
     return 1;

@@ -48,7 +48,7 @@ double Measure(const topo::App& app, const topo::ClusterConfig& cluster,
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto flags_or = Flags::Parse(argc, argv);
+  auto flags_or = Flags::Parse(argc, argv, {"samples", "seconds", "seed"});
   if (!flags_or.ok()) {
     std::fprintf(stderr, "%s\n", flags_or.status().ToString().c_str());
     return 1;

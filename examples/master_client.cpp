@@ -103,7 +103,10 @@ StatusOr<core::OnlineResult> RunLoop(rl::Policy* policy,
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto flags_or = Flags::Parse(argc, argv);
+  auto flags_or = Flags::Parse(
+      argc, argv,
+      {"agent-seed", "check", "connect", "epochs", "help", "pings", "scale",
+       "seed", "sessions"});
   if (!flags_or.ok()) {
     std::fprintf(stderr, "%s\n", flags_or.status().ToString().c_str());
     return 1;

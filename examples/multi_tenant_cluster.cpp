@@ -138,7 +138,10 @@ Status WriteSummaryJson(const std::string& path, const std::string& policy,
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto flags_or = Flags::Parse(argc, argv);
+  auto flags_or = Flags::Parse(
+      argc, argv,
+      {"epoch-ms", "epochs", "fault-plan", "help", "out", "policy", "seed",
+       "sleep-after-ms", "tenants", "workload"});
   if (!flags_or.ok()) {
     std::fprintf(stderr, "%s\n", flags_or.status().ToString().c_str());
     return 1;

@@ -3,9 +3,14 @@
 // learning, and a comparison of the final solutions of all four methods
 // (Default / Model-based / DQN-based DRL / Actor-critic-based DRL).
 //
-//   ./online_learning [--scale=small|medium|large] [--samples=300]
-//                     [--epochs=400] [--seed=11] [--policy=NAME]
+//   ./online_learning [--scale=small|medium|large] [--samples=600]
+//                     [--epochs=800] [--pretrain=2500] [--knn_k=32]
+//                     [--gamma=0.9] [--tsp=2] [--seed=11] [--policy=NAME]
 //
+// The budget and method flags default to core::PipelineConfig, the
+// settings bench/repro uses, and the comparison table measures what
+// repro's summary measures: each solution's 20-minute deployment series
+// (series seed = --seed + 77), averaged over its last five minutes.
 // --policy restricts the final comparison table to one method, named by its
 // policy-registry key (--help lists them); by default every method is shown.
 
@@ -40,25 +45,26 @@ void PrintUsage() {
       rl::PolicyRegistry::Get().KeysLine().c_str());
 }
 
-/// Measures the stabilized latency of a deployed schedule (fresh system, no
-/// cold-start inflation, averaged over a long window).
+/// Measures the stabilized latency of a deployed schedule the way
+/// bench/repro's summary does: the mean of the last five minutes of the
+/// default deployment series.
 double Stabilized(const topo::App& app, const topo::ClusterConfig& cluster,
                   const sched::Schedule& schedule, uint64_t seed) {
   core::SeriesOptions options;
-  options.points = 6;
-  options.warmup_extra = 0.0;
   options.seed = seed;
   auto series = core::MeasureLatencySeries(app.topology, app.workload,
                                            cluster, schedule, options);
   if (!series.ok()) return -1.0;
-  // Average the tail (after migration churn settles).
-  return (series->at(3) + series->at(4) + series->at(5)) / 3.0;
+  return Mean({series->end() - 5, series->end()});
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto flags_or = Flags::Parse(argc, argv);
+  auto flags_or = Flags::Parse(
+      argc, argv,
+      {"scale", "samples", "epochs", "pretrain", "knn_k", "gamma", "tsp",
+       "seed", "policy", "rate_scale", "help"});
   if (!flags_or.ok()) {
     std::fprintf(stderr, "%s\n", flags_or.status().ToString().c_str());
     return 1;
@@ -86,14 +92,16 @@ int main(int argc, char** argv) {
   topo::ClusterConfig cluster;
 
   core::PipelineConfig config;
-  config.offline_samples = flags.GetInt("samples", 300);
-  config.online.epochs = flags.GetInt("epochs", 400);
-  config.pretrain_steps = flags.GetInt("pretrain", 1200);
-  config.ddpg.knn_k = flags.GetInt("knn_k", 16);
-  config.ddpg.gamma = flags.GetDouble("gamma", 0.99);
-  config.dqn.gamma = flags.GetDouble("gamma", 0.99);
-  config.online.train_steps_per_epoch = flags.GetInt("tsp", 1);
-  config.seed = static_cast<uint64_t>(flags.GetInt("seed", 11));
+  config.offline_samples = flags.GetInt("samples", config.offline_samples);
+  config.online.epochs = flags.GetInt("epochs", config.online.epochs);
+  config.pretrain_steps = flags.GetInt("pretrain", config.pretrain_steps);
+  config.ddpg.knn_k = flags.GetInt("knn_k", config.ddpg.knn_k);
+  config.ddpg.gamma = flags.GetDouble("gamma", config.ddpg.gamma);
+  config.dqn.gamma = config.ddpg.gamma;
+  config.online.train_steps_per_epoch =
+      flags.GetInt("tsp", config.online.train_steps_per_epoch);
+  config.seed = static_cast<uint64_t>(
+      flags.GetInt("seed", static_cast<int>(config.seed)));
 
   std::printf("training all methods on %s (%d executors)...\n",
               app.topology.name().c_str(), app.topology.num_executors());

@@ -45,7 +45,10 @@ std::vector<std::string> SplitCommas(const std::string& s) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto flags_or = Flags::Parse(argc, argv);
+  auto flags_or = Flags::Parse(
+      argc, argv,
+      {"json-out", "measure-ms", "minute-ms", "points", "policies", "seed",
+       "sleep-after-ms", "workload"});
   if (!flags_or.ok()) {
     std::fprintf(stderr, "%s\n", flags_or.status().ToString().c_str());
     return 1;

@@ -26,7 +26,10 @@
 using namespace drlstream;
 
 int main(int argc, char** argv) {
-  auto flags_or = Flags::Parse(argc, argv);
+  auto flags_or = Flags::Parse(
+      argc, argv,
+      {"samples", "epochs", "pretrain", "seed", "workload", "points",
+       "surge-at", "surge-factor"});
   if (!flags_or.ok()) {
     std::fprintf(stderr, "%s\n", flags_or.status().ToString().c_str());
     return 1;
@@ -40,11 +43,10 @@ int main(int argc, char** argv) {
   core::PipelineConfig config;
   config.offline_samples = flags.GetInt("samples", 300);
   config.online.epochs = flags.GetInt("epochs", 250);
-  config.online.train_steps_per_epoch = 2;
   config.pretrain_steps = flags.GetInt("pretrain", 1000);
-  config.ddpg.gamma = 0.9;
-  config.ddpg.knn_k = 32;
+  // Only the actor-critic agent runs the scenario.
   config.collect_dqn_db = false;
+  config.train_dqn = false;
   config.seed = static_cast<uint64_t>(flags.GetInt("seed", 11));
 
   core::SeriesSpec spec;

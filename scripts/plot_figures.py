@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""Plots the CSV blocks emitted by the figure benches.
+"""Plots the CSV blocks emitted by bench/repro.
 
 Usage:
-    ./build/bench/fig6_continuous_queries > fig6.txt
+    ./build/bench/repro --figures=fig6 > fig6.txt
     python3 scripts/plot_figures.py fig6.txt -o plots/
 
-Each bench prints one or more blocks of the form
+Each figure prints one or more blocks of the form
 
     # <title>
     minute,<method>,<method>,...

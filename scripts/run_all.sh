@@ -2,34 +2,29 @@
 # Verification driver. Run from the repository root.
 #
 #   scripts/run_all.sh          build + tier1 tests (the fast default gate)
-#   scripts/run_all.sh --full   build + every test tier (tier1/slow/chaos)
-#                               + regenerate every table/figure
+#   scripts/run_all.sh --full   build + every test tier (tier1/slow/chaos/
+#                               repro) + regenerate every table/figure
 #
 # Test tiers are ctest labels (see tests/CMakeLists.txt):
 #   tier1  fast unit/integration coverage
 #   slow   exhaustive equivalence sweeps + the full pipeline
 #   chaos  randomized property / fault-injection abuse
-# Figure benches share trained artifacts via bench_artifacts/ (run
-# summary_table first to populate it).
+#   repro  bench/repro end to end at a tiny budget
+# bench/repro prints every table and figure in one run, training each setup
+# once (trained setups are cached under bench_artifacts/).
 set -e
 cmake -B build -G Ninja
 cmake --build build
 
 if [ "$1" = "--full" ]; then
   ctest --test-dir build 2>&1 | tee test_output.txt
-  ./build/bench/summary_table 2>&1 | tee bench_output.txt
-  for b in build/bench/fig6_continuous_queries build/bench/fig7_reward_cq \
-           build/bench/fig8_log_latency build/bench/fig9_reward_log \
-           build/bench/fig10_wordcount_latency \
-           build/bench/fig11_reward_wordcount \
-           build/bench/fig12_workload_change \
-           build/bench/ablation_state build/bench/ablation_knn_k \
-           build/bench/micro_knn build/bench/micro_sim build/bench/micro_nn; do
+  ./build/bench/repro 2>&1 | tee bench_output.txt
+  for b in build/bench/micro_knn build/bench/micro_sim build/bench/micro_nn; do
     echo "==== $b ====" | tee -a bench_output.txt
     "$b" 2>&1 | tee -a bench_output.txt
   done
 else
   ctest --test-dir build -L tier1 2>&1 | tee test_output.txt
-  echo "tier1 passed; run 'scripts/run_all.sh --full' for slow/chaos tests" \
-       "and the figure benches"
+  echo "tier1 passed; run 'scripts/run_all.sh --full' for slow/chaos/repro" \
+       "tests and the figures"
 fi

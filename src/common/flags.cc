@@ -1,5 +1,6 @@
 #include "common/flags.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cstdlib>
 #include <string>
@@ -7,6 +8,7 @@
 
 #include "common/logging.h"
 #include "common/simd.h"
+#include "common/strutil.h"
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -52,6 +54,25 @@ StatusOr<Flags> Flags::Parse(int argc, char** argv) {
   }
   const std::string simd = flags.GetString("simd", "auto");
   if (simd != "auto" && simd != "off") return illegal("simd", "auto|off");
+  return flags;
+}
+
+StatusOr<Flags> Flags::Parse(int argc, char** argv,
+                             const std::vector<std::string>& keys) {
+  DRLSTREAM_ASSIGN_OR_RETURN(Flags flags, Parse(argc, argv));
+  std::vector<std::string> accepted = keys;
+  accepted.insert(accepted.end(),
+                  {"threads", "log-level", "simd", "metrics", "metrics-out",
+                   "metrics-json", "trace-out"});
+  for (const auto& [key, value] : flags.values_) {
+    if (std::find(accepted.begin(), accepted.end(), key) != accepted.end()) {
+      continue;
+    }
+    std::string message = "unknown flag --" + key;
+    const std::string suggestion = NearestKey(key, accepted);
+    if (!suggestion.empty()) message += " (did you mean --" + suggestion + "?)";
+    return Status::InvalidArgument(message);
+  }
   return flags;
 }
 

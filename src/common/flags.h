@@ -3,14 +3,16 @@
 
 #include <map>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 
 namespace drlstream {
 
 /// Minimal --key=value command-line parsing for the bench and example
-/// binaries. Unrecognized positional arguments are an error; flags not
-/// looked up are ignored.
+/// binaries. Unrecognized positional arguments are an error. A binary that
+/// declares its keys gets an error for any other key; the two-argument
+/// Parse accepts every key and ignores those nobody looks up.
 ///
 /// Binaries that run a scheduling policy take `--policy=NAME`, where NAME
 /// is a key in the policy registry (rl/policy_registry.h; built-ins: ddpg,
@@ -25,6 +27,13 @@ class Flags {
   /// base-10 integer in [1, 256], a --log-level other than
   /// debug|info|warning|error, or a --simd other than auto|off.
   static StatusOr<Flags> Parse(int argc, char** argv);
+
+  /// Parse, and also rejects with InvalidArgument any key that is neither
+  /// in `keys` nor a process flag (the ones ApplyProcessFlags reads),
+  /// naming the key and the nearest accepted one: "unknown flag --epohcs
+  /// (did you mean --epochs?)".
+  static StatusOr<Flags> Parse(int argc, char** argv,
+                               const std::vector<std::string>& keys);
 
   bool Has(const std::string& key) const;
   std::string GetString(const std::string& key,

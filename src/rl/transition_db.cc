@@ -1,44 +1,6 @@
 #include "rl/transition_db.h"
 
-#include <fstream>
-#include <sstream>
-
 namespace drlstream::rl {
-namespace {
-
-void WriteIntVector(std::ostream& out, const std::vector<int>& v) {
-  out << v.size();
-  for (int x : v) out << ' ' << x;
-  out << '\n';
-}
-
-void WriteDoubleVector(std::ostream& out, const std::vector<double>& v) {
-  out << v.size();
-  for (double x : v) out << ' ' << x;
-  out << '\n';
-}
-
-bool ReadIntVector(std::istream& in, std::vector<int>* v) {
-  size_t n = 0;
-  if (!(in >> n) || n > 1000000) return false;
-  v->resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (!(in >> (*v)[i])) return false;
-  }
-  return true;
-}
-
-bool ReadDoubleVector(std::istream& in, std::vector<double>* v) {
-  size_t n = 0;
-  if (!(in >> n) || n > 1000000) return false;
-  v->resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (!(in >> (*v)[i])) return false;
-  }
-  return true;
-}
-
-}  // namespace
 
 void TransitionDatabase::FillReplayBuffer(ReplayBuffer* buffer) const {
   for (const Record& record : records_) {
@@ -61,53 +23,6 @@ std::vector<sched::PerfSample> TransitionDatabase::ToPerfSamples() const {
     samples.push_back(std::move(sample));
   }
   return samples;
-}
-
-Status TransitionDatabase::Save(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out.is_open()) return Status::IoError("cannot open " + path);
-  out.precision(17);
-  out << "drlstream-transitions v1\n" << records_.size() << "\n";
-  for (const Record& r : records_) {
-    WriteIntVector(out, r.transition.state.assignments);
-    WriteDoubleVector(out, r.transition.state.spout_rates);
-    WriteIntVector(out, r.transition.action_assignments);
-    out << r.transition.move_index << ' ' << r.transition.reward << '\n';
-    WriteIntVector(out, r.transition.next_state.assignments);
-    WriteDoubleVector(out, r.transition.next_state.spout_rates);
-    WriteDoubleVector(out, r.component_proc_ms);
-    WriteDoubleVector(out, r.edge_transfer_ms);
-  }
-  if (!out.good()) return Status::IoError("write failed: " + path);
-  return Status::OK();
-}
-
-StatusOr<TransitionDatabase> TransitionDatabase::Load(const std::string& path) {
-  std::ifstream in(path);
-  if (!in.is_open()) return Status::IoError("cannot open " + path);
-  std::string magic, version;
-  in >> magic >> version;
-  if (magic != "drlstream-transitions" || version != "v1") {
-    return Status::InvalidArgument("bad transition db header in " + path);
-  }
-  size_t count = 0;
-  if (!(in >> count)) return Status::IoError("truncated header in " + path);
-  TransitionDatabase db;
-  for (size_t i = 0; i < count; ++i) {
-    Record r;
-    if (!ReadIntVector(in, &r.transition.state.assignments) ||
-        !ReadDoubleVector(in, &r.transition.state.spout_rates) ||
-        !ReadIntVector(in, &r.transition.action_assignments) ||
-        !(in >> r.transition.move_index >> r.transition.reward) ||
-        !ReadIntVector(in, &r.transition.next_state.assignments) ||
-        !ReadDoubleVector(in, &r.transition.next_state.spout_rates) ||
-        !ReadDoubleVector(in, &r.component_proc_ms) ||
-        !ReadDoubleVector(in, &r.edge_transfer_ms)) {
-      return Status::IoError("truncated record in " + path);
-    }
-    db.Add(std::move(r));
-  }
-  return db;
 }
 
 }  // namespace drlstream::rl

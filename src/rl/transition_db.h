@@ -1,16 +1,15 @@
 #ifndef DRLSTREAM_RL_TRANSITION_DB_H_
 #define DRLSTREAM_RL_TRANSITION_DB_H_
 
-#include <string>
+#include <utility>
 #include <vector>
 
-#include "common/status.h"
 #include "rl/replay_buffer.h"
 #include "sched/model_based.h"
 
 namespace drlstream::rl {
 
-/// The framework's "Database" component (Fig. 1): a persistent store of
+/// The framework's "Database" component (Fig. 1): the in-memory store of
 /// transition samples for offline training. Each record keeps the RL
 /// transition plus the detailed per-component statistics the model-based
 /// baseline consumes, so one offline collection pass feeds every method.
@@ -38,10 +37,6 @@ class TransitionDatabase {
   /// Converts the records into the model-based baseline's training samples.
   /// Records lacking detailed statistics are skipped.
   std::vector<sched::PerfSample> ToPerfSamples() const;
-
-  /// Text serialization (one record per line group).
-  Status Save(const std::string& path) const;
-  static StatusOr<TransitionDatabase> Load(const std::string& path);
 
  private:
   std::vector<Record> records_;

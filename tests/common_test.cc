@@ -7,7 +7,6 @@
 #include <set>
 #include <sstream>
 
-#include "common/csv.h"
 #include "common/flags.h"
 #include "common/rng.h"
 #include "common/stats.h"
@@ -416,45 +415,6 @@ TEST(PercentileTest, InterpolatesCorrectly) {
 }
 
 // ---------------------------------------------------------------------------
-// CSV
-// ---------------------------------------------------------------------------
-
-TEST(CsvTest, WritesHeaderAndRows) {
-  std::ostringstream out;
-  CsvWriter writer(&out);
-  writer.WriteHeader({"a", "b"});
-  writer.WriteRow({"1", "2"});
-  writer.WriteNumericRow({3.14159, 2.0}, 2);
-  EXPECT_EQ(out.str(), "a,b\n1,2\n3.14,2.00\n");
-  EXPECT_EQ(writer.rows_written(), 2);
-}
-
-TEST(CsvTest, EscapesSpecialCharacters) {
-  std::ostringstream out;
-  CsvWriter writer(&out);
-  writer.WriteRow({"plain", "with,comma", "with\"quote"});
-  EXPECT_EQ(out.str(), "plain,\"with,comma\",\"with\"\"quote\"\n");
-}
-
-TEST(CsvTest, FileRoundTrip) {
-  const std::string path = testing::TempDir() + "/csv_test.csv";
-  ASSERT_TRUE(
-      WriteCsvFile(path, {"x", "y"}, {{1.0, 2.0}, {3.0, 4.0}}).ok());
-  std::ifstream in(path);
-  std::string line;
-  std::getline(in, line);
-  EXPECT_EQ(line, "x,y");
-  std::getline(in, line);
-  EXPECT_EQ(line, "1.0000,2.0000");
-}
-
-TEST(CsvTest, RejectsMismatchedRow) {
-  const std::string path = testing::TempDir() + "/csv_bad.csv";
-  EXPECT_EQ(WriteCsvFile(path, {"x", "y"}, {{1.0}}).code(),
-            StatusCode::kInvalidArgument);
-}
-
-// ---------------------------------------------------------------------------
 // Flags
 // ---------------------------------------------------------------------------
 
@@ -502,6 +462,54 @@ TEST(FlagsTest, RejectsBadProcessFlagValues) {
   auto flags = Flags::Parse(4, const_cast<char**>(argv));
   ASSERT_TRUE(flags.ok()) << flags.status().ToString();
   EXPECT_EQ(flags->GetInt("threads", 0), 256);
+}
+
+TEST(FlagsTest, RejectsUndeclaredKeyWithSuggestion) {
+  const char* argv[] = {"prog", "--epohcs=5"};
+  auto flags =
+      Flags::Parse(2, const_cast<char**>(argv), {"samples", "epochs"});
+  ASSERT_FALSE(flags.ok());
+  EXPECT_EQ(flags.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(flags.status().message().find("--epohcs"), std::string::npos)
+      << flags.status().ToString();
+  EXPECT_NE(flags.status().message().find("did you mean --epochs?"),
+            std::string::npos)
+      << flags.status().ToString();
+
+  // Nothing close: the key is still named, with no suggestion.
+  const char* far[] = {"prog", "--verbose"};
+  flags = Flags::Parse(2, const_cast<char**>(far), {"samples", "epochs"});
+  ASSERT_FALSE(flags.ok());
+  EXPECT_NE(flags.status().message().find("--verbose"), std::string::npos);
+  EXPECT_EQ(flags.status().message().find("did you mean"), std::string::npos);
+}
+
+TEST(FlagsTest, AcceptsDeclaredAndProcessKeys) {
+  const char* argv[] = {"prog",
+                        "--epochs=5",
+                        "--samples",
+                        "7",
+                        "--threads=2",
+                        "--log-level=error",
+                        "--simd=off",
+                        "--metrics",
+                        "--metrics-out=m.prom",
+                        "--metrics-json=m.json",
+                        "--trace-out=t.json"};
+  auto flags =
+      Flags::Parse(11, const_cast<char**>(argv), {"samples", "epochs"});
+  ASSERT_TRUE(flags.ok()) << flags.status().ToString();
+  EXPECT_EQ(flags->GetInt("epochs", 0), 5);
+  EXPECT_EQ(flags->GetInt("samples", 0), 7);
+  EXPECT_EQ(flags->GetString("trace-out", ""), "t.json");
+}
+
+TEST(FlagsTest, UndeclaredFormAcceptsAnyKey) {
+  const char* argv[] = {"prog", "--epohcs=5", "--anything"};
+  auto flags = Flags::Parse(3, const_cast<char**>(argv));
+  ASSERT_TRUE(flags.ok()) << flags.status().ToString();
+  EXPECT_EQ(flags->GetInt("epohcs", 0), 5);
+  EXPECT_TRUE(flags->GetBool("anything", false));
 }
 
 }  // namespace

@@ -25,6 +25,9 @@ PipelineConfig TinyConfig() {
   config.measure.num_measurements = 2;
   config.measure.measurement_interval_ms = 250.0;
   config.ddpg.knn_k = 8;
+  // The agents' own (paper) discount rather than the pipeline's 0.9.
+  config.ddpg.gamma = 0.99;
+  config.dqn.gamma = 0.99;
   config.seed = 99;
   return config;
 }

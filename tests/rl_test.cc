@@ -3,7 +3,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <fstream>
 #include <set>
 
 #include "common/rng.h"
@@ -118,39 +117,6 @@ TEST(EpsilonScheduleTest, LinearDecayThenFloor) {
 // ---------------------------------------------------------------------------
 // TransitionDatabase
 // ---------------------------------------------------------------------------
-
-TEST(TransitionDatabaseTest, SaveLoadRoundTrip) {
-  TransitionDatabase db;
-  for (int i = 0; i < 5; ++i) {
-    TransitionDatabase::Record record;
-    record.transition.state = MakeState({0, 1}, {100.0});
-    record.transition.action_assignments = {1, 0};
-    record.transition.move_index = i % 2 == 0 ? -1 : 3;
-    record.transition.reward = -1.5 * i;
-    record.transition.next_state = MakeState({1, 0}, {130.0});
-    record.component_proc_ms = {0.1, 0.2};
-    record.edge_transfer_ms = {0.3};
-    db.Add(std::move(record));
-  }
-  const std::string path = testing::TempDir() + "/transitions.txt";
-  ASSERT_TRUE(db.Save(path).ok());
-  auto loaded = TransitionDatabase::Load(path);
-  ASSERT_TRUE(loaded.ok());
-  ASSERT_EQ(loaded->size(), 5u);
-  EXPECT_EQ(loaded->at(2).transition.reward, -3.0);
-  EXPECT_EQ(loaded->at(1).transition.move_index, 3);
-  EXPECT_EQ(loaded->at(0).transition.state.assignments,
-            (std::vector<int>{0, 1}));
-  EXPECT_EQ(loaded->at(4).component_proc_ms, (std::vector<double>{0.1, 0.2}));
-}
-
-TEST(TransitionDatabaseTest, LoadRejectsGarbage) {
-  const std::string path = testing::TempDir() + "/garbage_db.txt";
-  std::ofstream(path.c_str()) << "nonsense";
-  EXPECT_FALSE(TransitionDatabase::Load(path).ok());
-  EXPECT_FALSE(
-      TransitionDatabase::Load(testing::TempDir() + "/nonexistent").ok());
-}
 
 TEST(TransitionDatabaseTest, ToPerfSamplesSkipsRecordsWithoutDetails) {
   TransitionDatabase db;
