@@ -1,7 +1,6 @@
 // Micro: the MIQP-NN K-nearest-actions optimizer. The paper reports Gurobi
 // solving its MIQP-NN instances "within 10 ms on a regular desktop"; the
-// separable exact solver here is orders of magnitude faster, and the
-// branch-and-bound oracle provides the general-solver comparison point.
+// separable exact solver here is orders of magnitude faster.
 
 #include <benchmark/benchmark.h>
 
@@ -32,22 +31,5 @@ BENCHMARK(BM_KnnSolver)
     ->Args({100, 10, 32})
     ->Args({100, 10, 64})
     ->Args({500, 20, 32});
-
-static void BM_KnnBranchAndBound(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const int m = static_cast<int>(state.range(1));
-  const int k = static_cast<int>(state.range(2));
-  Rng rng(42);
-  std::vector<double> proto(static_cast<size_t>(n) * m);
-  for (double& v : proto) v = rng.Uniform(-1.0, 1.0);
-  for (auto _ : state) {
-    auto result = miqp::SolveKnnBranchAndBound(proto, n, m, k);
-    benchmark::DoNotOptimize(result);
-  }
-}
-BENCHMARK(BM_KnnBranchAndBound)
-    ->Args({20, 10, 16})
-    ->Args({50, 10, 16})
-    ->Args({100, 10, 16});
 
 BENCHMARK_MAIN();

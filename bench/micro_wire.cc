@@ -1,9 +1,7 @@
 // Micro: the control-plane wire codecs. One GetSchedule round-trip per
 // decision epoch is the protocol's hot path; at paper scale (N=100, M=10 →
 // a few KiB of state) encode+decode must stay deep in the microsecond
-// range so the wire adds nothing next to the stabilization window. Also
-// quantifies what the incremental schedule diff saves over shipping the
-// full solution.
+// range so the wire adds nothing next to the stabilization window.
 
 #include <benchmark/benchmark.h>
 
@@ -28,8 +26,9 @@ rl::State MakeState(int n, int m, int spouts, Rng* rng) {
 
 }  // namespace
 
-/// arg0 selects the payload: 0 = State, 1 = full schedule, 2 = schedule
-/// diff with 10% of the executors moved (the typical incremental deploy).
+/// arg0 selects the payload: 0 = State, 2 = schedule diff with 10% of the
+/// executors moved (the typical incremental deploy). The values match the
+/// row names committed in BENCH_micro.json.
 static void BM_WireRoundTrip(benchmark::State& state) {
   const int which = static_cast<int>(state.range(0));
   const int n = static_cast<int>(state.range(1));
@@ -46,51 +45,32 @@ static void BM_WireRoundTrip(benchmark::State& state) {
   size_t bytes = 0;
   for (auto _ : state) {
     net::WireWriter writer;
-    switch (which) {
-      case 0:
-        ctrl::EncodeState(drl_state, &writer);
-        break;
-      case 1:
-        ctrl::EncodeSchedule(target, &writer);
-        break;
-      default:
-        ctrl::EncodeScheduleDiff(diff, &writer);
-        break;
+    if (which == 0) {
+      ctrl::EncodeState(drl_state, &writer);
+    } else {
+      ctrl::EncodeScheduleDiff(diff, &writer);
     }
     const std::string payload = writer.Release();
     bytes = payload.size();
     net::WireReader reader(payload);
-    switch (which) {
-      case 0: {
-        rl::State decoded;
-        benchmark::DoNotOptimize(ctrl::DecodeState(&reader, &decoded));
-        break;
-      }
-      case 1: {
-        auto decoded = ctrl::DecodeSchedule(&reader);
-        benchmark::DoNotOptimize(decoded);
-        break;
-      }
-      default: {
-        ctrl::ScheduleDiff decoded;
-        benchmark::DoNotOptimize(ctrl::DecodeScheduleDiff(&reader, &decoded));
-        break;
-      }
+    if (which == 0) {
+      rl::State decoded;
+      benchmark::DoNotOptimize(ctrl::DecodeState(&reader, &decoded));
+    } else {
+      ctrl::ScheduleDiff decoded;
+      benchmark::DoNotOptimize(ctrl::DecodeScheduleDiff(&reader, &decoded));
     }
   }
-  static const char* kNames[] = {"state", "full-schedule", "diff-10pct"};
-  state.SetLabel(std::string(kNames[which]) + " N=" + std::to_string(n) +
-                 " M=" + std::to_string(m) + " " + std::to_string(bytes) +
-                 "B");
+  state.SetLabel(std::string(which == 0 ? "state" : "diff-10pct") + " N=" +
+                 std::to_string(n) + " M=" + std::to_string(m) + " " +
+                 std::to_string(bytes) + "B");
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(bytes));
 }
 BENCHMARK(BM_WireRoundTrip)
     ->Args({0, 100, 10})
-    ->Args({1, 100, 10})
     ->Args({2, 100, 10})
     ->Args({0, 500, 20})
-    ->Args({1, 500, 20})
     ->Args({2, 500, 20});
 
 BENCHMARK_MAIN();

@@ -180,15 +180,7 @@ StatusOr<std::vector<const Figure*>> SelectFigures(const Flags& flags) {
   std::istringstream list(flags.GetString("figures", ""));
   for (std::string name; std::getline(list, name, ',');) {
     const auto it = std::find(names.begin(), names.end(), name);
-    if (it == names.end()) {
-      std::string message = "unknown figure '" + name + "'; available:";
-      for (const std::string& known : names) message += " " + known;
-      const std::string suggestion = NearestKey(name, names);
-      if (!suggestion.empty()) {
-        message += " (did you mean '" + suggestion + "'?)";
-      }
-      return Status::InvalidArgument(message);
-    }
+    if (it == names.end()) return UnknownNameError("figure", name, names);
     selected.push_back(&kFigures[it - names.begin()]);
   }
   if (selected.empty()) return Status::InvalidArgument("--figures is empty");
@@ -563,7 +555,6 @@ class Repro {
   /// study.
   core::PipelineConfig ActorCriticOnly() const {
     core::PipelineConfig config = config_;
-    config.collect_dqn_db = false;
     config.train_dqn = false;
     return config;
   }

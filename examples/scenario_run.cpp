@@ -162,8 +162,6 @@ int main(int argc, char** argv) {
                 row.avg_latency_ms, row.joules, row.watts, row.asleep_final);
   }
   std::printf("\nthe energy-aware baseline packs executors onto few machines "
-              "and lets the rest\nsleep — fewer joules at a latency cost the "
-              "energy term of the reward\n(core/online.h energy_lambda) lets "
-              "a DRL agent trade off explicitly.\n");
+              "and lets the rest\nsleep — fewer joules at a latency cost.\n");
   return 0;
 }

@@ -45,7 +45,6 @@ int main(int argc, char** argv) {
   config.online.epochs = flags.GetInt("epochs", 250);
   config.pretrain_steps = flags.GetInt("pretrain", 1000);
   // Only the actor-critic agent runs the scenario.
-  config.collect_dqn_db = false;
   config.train_dqn = false;
   config.seed = static_cast<uint64_t>(flags.GetInt("seed", 11));
 

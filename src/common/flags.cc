@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <system_error>
@@ -86,14 +87,40 @@ std::string Flags::GetString(const std::string& key,
   return it == values_.end() ? default_value : it->second;
 }
 
+namespace {
+
+/// Parses all of `text` as a T, or ends the process with the same kind of
+/// InvalidArgument report an unknown flag gets: a malformed number is a
+/// usage error, not a value to truncate ("2x" is not 2).
+template <typename T>
+T ParseOrExit(const std::string& key, const std::string& text,
+              const char* expected) {
+  T value{};
+  const char* const end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (text.empty() || error != std::errc() || stop != end) {
+    std::fprintf(stderr, "%s\n",
+                 Status::InvalidArgument("--" + key + "=" + text +
+                                         ": expected " + expected)
+                     .ToString()
+                     .c_str());
+    std::exit(1);
+  }
+  return value;
+}
+
+}  // namespace
+
 int Flags::GetInt(const std::string& key, int default_value) const {
   auto it = values_.find(key);
-  return it == values_.end() ? default_value : std::atoi(it->second.c_str());
+  if (it == values_.end()) return default_value;
+  return ParseOrExit<int>(key, it->second, "an integer");
 }
 
 double Flags::GetDouble(const std::string& key, double default_value) const {
   auto it = values_.find(key);
-  return it == values_.end() ? default_value : std::atof(it->second.c_str());
+  if (it == values_.end()) return default_value;
+  return ParseOrExit<double>(key, it->second, "a number");
 }
 
 bool Flags::GetBool(const std::string& key, bool default_value) const {

@@ -38,6 +38,10 @@ class Flags {
   bool Has(const std::string& key) const;
   std::string GetString(const std::string& key,
                         const std::string& default_value) const;
+  /// The value of `key` parsed whole as a base-10 int / a double. A value
+  /// that does not parse whole ("2x", "abc", "0.9x" for a double) prints
+  /// "InvalidArgument: --key=2x: expected an integer" (or "a number") to
+  /// stderr and exits the process with status 1.
   int GetInt(const std::string& key, int default_value) const;
   double GetDouble(const std::string& key, double default_value) const;
   bool GetBool(const std::string& key, bool default_value) const;

@@ -232,10 +232,6 @@ class Rng {
   /// Underlying engine, for std algorithms that need a URBG.
   Mt19937_64& engine() { return engine_; }
 
-  /// Derives an independent child generator; used to give each component a
-  /// private stream while keeping global determinism.
-  Rng Fork() { return Rng(engine_()); }
-
   /// Serializes the full engine state ("b1:" + 312 little-endian u64 words
   /// + u16 draw position). A generator restored from it (possibly in
   /// another process — this is how the control plane ships the exploration

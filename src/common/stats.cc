@@ -86,20 +86,6 @@ std::vector<double> FiltFilt(const std::vector<double>& values, double alpha) {
   return out;
 }
 
-std::vector<double> MovingAverage(const std::vector<double>& values,
-                                  size_t window) {
-  DRLSTREAM_CHECK_GE(window, 1u);
-  std::vector<double> out(values.size());
-  double sum = 0.0;
-  for (size_t i = 0; i < values.size(); ++i) {
-    sum += values[i];
-    if (i >= window) sum -= values[i - window];
-    const size_t n = std::min(i + 1, window);
-    out[i] = sum / static_cast<double>(n);
-  }
-  return out;
-}
-
 double Mean(const std::vector<double>& values) {
   if (values.empty()) return 0.0;
   double sum = 0.0;

@@ -42,10 +42,6 @@ std::vector<double> NormalizeMinMax(const std::vector<double>& values);
 /// transient. Larger `alpha` = less smoothing; alpha = 1 is identity.
 std::vector<double> FiltFilt(const std::vector<double>& values, double alpha);
 
-/// Simple trailing moving average with the given window (>= 1).
-std::vector<double> MovingAverage(const std::vector<double>& values,
-                                  size_t window);
-
 /// Mean of a vector; 0 when empty.
 double Mean(const std::vector<double>& values);
 

@@ -34,4 +34,13 @@ std::string NearestKey(const std::string& key,
   return suggestion;
 }
 
+Status UnknownNameError(const std::string& kind, const std::string& key,
+                        const std::vector<std::string>& available) {
+  std::string message = "unknown " + kind + " '" + key + "'; available:";
+  for (const std::string& name : available) message += " " + name;
+  const std::string suggestion = NearestKey(key, available);
+  if (!suggestion.empty()) message += " (did you mean '" + suggestion + "'?)";
+  return Status::InvalidArgument(message);
+}
+
 }  // namespace drlstream

@@ -44,8 +44,6 @@ StatusOr<double> SchedulingEnvironment::DeployAndMeasure(
   if (simulator_ == nullptr) {
     return Status::FailedPrecondition("environment not reset");
   }
-  const double joules_before = simulator_->TotalJoules();
-  const double measure_start_ms = simulator_->now_ms();
   DRLSTREAM_RETURN_NOT_OK(simulator_->Migrate(0, schedule));
   simulator_->RunFor(measurement_.stabilize_ms);
 
@@ -71,12 +69,6 @@ StatusOr<double> SchedulingEnvironment::DeployAndMeasure(
   for (double& v : edge_acc) v /= measurement_.num_measurements;
   last_component_proc_ = std::move(proc_acc);
   last_edge_transfer_ = std::move(edge_acc);
-
-  const double elapsed_ms = simulator_->now_ms() - measure_start_ms;
-  last_avg_power_watts_ =
-      elapsed_ms > 0.0
-          ? (simulator_->TotalJoules() - joules_before) / (elapsed_ms / 1000.0)
-          : 0.0;
 
   if (total_count == 0.0) {
     // Nothing completed in the window: the system is hopelessly backlogged

@@ -78,10 +78,6 @@ class SchedulingEnvironment {
   const std::vector<double>& last_edge_transfer_ms() const {
     return last_edge_transfer_;
   }
-  /// Mean cluster power draw over the last DeployAndMeasure horizon, watts
-  /// (joules drawn divided by the deploy-to-measure wall time). Feeds the
-  /// energy term of the reward: reward = -latency - lambda * power.
-  double last_avg_power_watts() const { return last_avg_power_watts_; }
 
   /// The live simulator (null before a successful Reset); the topology is
   /// its tenant 0.
@@ -104,7 +100,6 @@ class SchedulingEnvironment {
   std::unique_ptr<workload::WorkloadGenerator> factor_generator_;
   std::vector<double> last_component_proc_;
   std::vector<double> last_edge_transfer_;
-  double last_avg_power_watts_ = 0.0;
   uint64_t next_sim_seed_;
 };
 

@@ -54,7 +54,7 @@ StatusOr<TrainedMethods> TrainAllMethods(const topo::Topology* topology,
   }
 
   // ---- Offline collection (single-move chain, for the DQN baseline) ----
-  if (config.collect_dqn_db) {
+  if (config.train_dqn) {
     sim::SimOptions sim2 = train_sim;
     sim2.seed = config.seed + 1000;
     SchedulingEnvironment env(topology, workload, cluster, sim2,
@@ -138,9 +138,7 @@ StatusOr<TrainedMethods> TrainAllMethods(const topo::Topology* topology,
   policy_context.dqn.reward_scale = reward_scale;
   DRLSTREAM_ASSIGN_OR_RETURN(
       out.dqn, rl::PolicyRegistry::Get().Create("dqn", policy_context));
-  if (config.collect_dqn_db) {
-    out.dqn->PretrainOffline(out.single_move_db, config.pretrain_steps);
-  }
+  out.dqn->PretrainOffline(out.single_move_db, config.pretrain_steps);
   {
     sim::SimOptions sim4 = train_sim;
     sim4.seed = config.seed + 3000;
@@ -158,6 +156,10 @@ StatusOr<TrainedMethods> TrainAllMethods(const topo::Topology* topology,
 
 namespace {
 
+/// Time constant, in reported minutes, of a series' cold-start inflation
+/// (SeriesOptions::warmup_extra).
+constexpr double kWarmupTauMinutes = 2.5;
+
 /// Starts the simulator a series runs on, seeded and warmed up as `spec`
 /// says: `topology` is tenant 0 under the default round-robin deployment
 /// the system ran before the solution under test, with the spec's fault
@@ -168,8 +170,7 @@ StatusOr<std::unique_ptr<sim::ClusterSim>> StartSeriesSimulator(
   sim::SimOptions sim_options;
   sim_options.seed = spec.series.seed;
   sim_options.warmup_extra = spec.series.warmup_extra;
-  sim_options.warmup_tau_ms =
-      spec.series.warmup_tau_min * spec.series.minute_ms;
+  sim_options.warmup_tau_ms = kWarmupTauMinutes * spec.series.minute_ms;
   auto simulator = std::make_unique<sim::ClusterSim>(cluster, sim_options);
   if (!spec.plan.empty()) {
     DRLSTREAM_RETURN_NOT_OK(simulator->InstallFaultPlan(spec.plan));

@@ -39,14 +39,12 @@ struct PipelineConfig {
   rl::DqnConfig dqn;
   sched::ModelBasedOptions model_based;
   uint64_t seed = 11;
-  /// Collect a separate single-move database for the DQN baseline; when
-  /// false the DQN skips offline pre-training.
-  bool collect_dqn_db = true;
   /// Encode the workload `w` into the DRL state (Section 3.2). Disabled by
   /// the state ablation bench.
   bool include_workload_in_state = true;
-  /// Train the DQN baseline (construct + online learning). Ablation benches
-  /// that only study the actor-critic agent turn this off.
+  /// Train the DQN baseline: collect its single-move database, pre-train
+  /// on it and run online learning. Runs that only study the actor-critic
+  /// agent (the ablations, workload_adaptation) turn this off.
   bool train_dqn = true;
 
   PipelineConfig() {
@@ -96,10 +94,9 @@ struct SeriesOptions {
   double minute_ms = 6000.0;         // simulated ms per reported minute
   double measure_window_ms = 3000.0; // measured slice at each minute's end
   /// Cold-start inflation reproducing the initial decline: service times
-  /// start (1 + warmup_extra)x and relax with time constant warmup_tau_min
+  /// start (1 + warmup_extra)x and relax with a time constant of 2.5
   /// reported minutes.
   double warmup_extra = 0.9;
-  double warmup_tau_min = 2.5;
   /// Simulated time under the pre-existing deployment before the measured
   /// solution is deployed at reported time 0.
   double pre_roll_ms = 2000.0;

@@ -33,9 +33,6 @@ StatusOr<rl::TransitionDatabase> CollectOfflineSamples(
       options.workload_factor_min <= 0.0) {
     return Status::InvalidArgument("bad workload factor range");
   }
-  if (options.energy_lambda < 0.0) {
-    return Status::InvalidArgument("energy_lambda must be non-negative");
-  }
   Rng rng(options.seed);
   rl::TransitionDatabase db;
   const int n = env->num_executors();
@@ -73,20 +70,14 @@ StatusOr<rl::TransitionDatabase> CollectOfflineSamples(
       move_index = executor * m + machine;
     }
 
-    DRLSTREAM_ASSIGN_OR_RETURN(double latency, env->DeployAndMeasure(action));
-    latency = std::min(latency, options.reward_cap_ms);
-    // Guarded so the default lambda == 0 keeps the reward bit-identical to
-    // the historical -latency path.
-    double reward = -latency;
-    if (options.energy_lambda != 0.0) {
-      reward -= options.energy_lambda * env->last_avg_power_watts();
-    }
+    DRLSTREAM_ASSIGN_OR_RETURN(const double latency,
+                               env->DeployAndMeasure(action));
 
     rl::TransitionDatabase::Record record;
     record.transition.state = std::move(state);
     record.transition.action_assignments = action.assignments();
     record.transition.move_index = move_index;
-    record.transition.reward = reward;
+    record.transition.reward = -std::min(latency, options.reward_cap_ms);
     record.transition.next_state = env->CurrentState();
     if (options.collect_details) {
       record.component_proc_ms = env->last_component_proc_ms();

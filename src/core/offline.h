@@ -33,10 +33,6 @@ struct CollectionOptions {
   /// Latencies are clamped to this cap before negation into the reward, so
   /// pathological (backlogged) schedules do not blow up the critic targets.
   double reward_cap_ms = 50.0;
-  /// Weight of the energy term in the recorded reward:
-  ///   reward = -latency - energy_lambda * avg_power_watts.
-  /// 0 (the default) reproduces the pure-latency reward exactly.
-  double energy_lambda = 0.0;
 };
 
 /// Deploys random solutions on the environment and records the resulting

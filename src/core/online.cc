@@ -50,6 +50,12 @@ const OnlineMetrics& Metrics() {
 constexpr int kMaxActionRetries = 3;
 constexpr double kActionRetryBackoffMs = 500.0;
 
+/// Exploration schedule: epsilon decays linearly from kEpsilonStart to
+/// kEpsilonEnd over the first kEpsilonDecayFraction of the epochs.
+constexpr double kEpsilonStart = 0.8;
+constexpr double kEpsilonEnd = 0.05;
+constexpr double kEpsilonDecayFraction = 0.7;
+
 /// Counts the executors `action` places on dead machines and, when there
 /// are any, repairs the action onto live machines. Returns the number of
 /// orphans repaired (0 leaves the action untouched).
@@ -71,14 +77,10 @@ StatusOr<OnlineResult> RunOnline(rl::Policy* policy,
   if (options.epochs <= 0) {
     return Status::InvalidArgument("epochs must be positive");
   }
-  if (options.energy_lambda < 0.0) {
-    return Status::InvalidArgument("energy_lambda must be non-negative");
-  }
   Rng rng(options.seed);
   const rl::EpsilonSchedule epsilon =
       rl::OffPolicyTrainer::LinearEpsilonSchedule(
-          options.epsilon_start, options.epsilon_end, options.epochs,
-          options.epsilon_decay_fraction);
+          kEpsilonStart, kEpsilonEnd, options.epochs, kEpsilonDecayFraction);
   OnlineResult result;
   result.rewards.reserve(options.epochs);
 
@@ -138,13 +140,8 @@ StatusOr<OnlineResult> RunOnline(rl::Policy* policy,
       best_seen_latency = latency;
       best_seen = action;
     }
-    // The cap bounds the reward only. The lambda == 0 branch keeps the
-    // reward arithmetic bit-identical to the historical -latency path (no
-    // `- 0.0 * power` rounding).
-    double reward = -std::min(latency, options.reward_cap_ms);
-    if (options.energy_lambda != 0.0) {
-      reward -= options.energy_lambda * env->last_avg_power_watts();
-    }
+    // The cap bounds the reward only.
+    const double reward = -std::min(latency, options.reward_cap_ms);
     rl::Transition transition;
     transition.state = std::move(state);
     transition.action_assignments = action.assignments();

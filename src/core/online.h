@@ -40,28 +40,20 @@ struct OnlineResult {
 
 struct OnlineOptions {
   int epochs = 500;
-  /// Exploration schedule: epsilon decays with the decision epoch.
-  double epsilon_start = 0.8;
-  double epsilon_end = 0.05;
-  /// Fraction of the run over which epsilon decays.
-  double epsilon_decay_fraction = 0.7;
   /// Latency clamp applied before negation into the reward (see
   /// CollectionOptions::reward_cap_ms).
   double reward_cap_ms = 50.0;
   /// Gradient updates per decision epoch (the paper performs one; more
   /// updates per epoch speed up convergence on the freshly collected data).
   int train_steps_per_epoch = 1;
-  /// Weight of the energy term in the reward:
-  ///   reward = -latency - energy_lambda * avg_power_watts.
-  /// 0 (the default) reproduces the paper's pure-latency reward exactly.
-  double energy_lambda = 0.0;
   uint64_t seed = 31;
 };
 
 /// The online deep learning control loop (Algorithm 1 lines 5-19), generic
-/// over the policy: per decision epoch, select an action with exploration,
-/// deploy it, observe the reward, store the transition, and train on a
-/// minibatch. Action-selection failures degrade (up to 3 retries, retry k
+/// over the policy: per decision epoch, select an action with exploration
+/// (epsilon decays linearly from 0.8 to 0.05 over the first 70% of the
+/// epochs), deploy it, observe the reward, store the transition, and train
+/// on a minibatch. Action-selection failures degrade (up to 3 retries, retry k
 /// after k * 500 ms of simulated time, then fall back to the current
 /// schedule) and proposed actions are repaired off dead machines before
 /// deployment, so the run survives machine failures; every such event is

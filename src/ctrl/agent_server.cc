@@ -209,12 +209,11 @@ StatusOr<uint64_t> AgentServer::AddSession(
   return id;
 }
 
-uint64_t AgentServer::InstallSession(std::unique_ptr<net::Transport> owned,
-                                     net::Transport* borrowed, uint64_t id) {
+uint64_t AgentServer::InstallSession(std::unique_ptr<net::Transport> transport,
+                                     uint64_t id) {
   Session session;
   session.id = id;
-  session.owned = std::move(owned);
-  session.transport = borrowed != nullptr ? borrowed : session.owned.get();
+  session.transport = std::move(transport);
   session.policy = shared_policy_;  // nullptr in registry mode until Hello
   Session& installed = sessions_[id];
   installed = std::move(session);
@@ -251,7 +250,7 @@ void AgentServer::AdoptPendingSessionsLocked() {
       transport->Close();
       continue;
     }
-    InstallSession(std::move(transport), nullptr, id);
+    InstallSession(std::move(transport), id);
   }
 }
 
@@ -295,7 +294,7 @@ void AgentServer::PumpSession(Session* session, std::vector<WorkItem>* work,
   const bool stamp = obs::MetricsEnabled() || obs::TraceEnabled() ||
                      options_.slow_rpc_ms > 0.0 || http_ != nullptr;
   int pumped = 0;
-  while (pumped < options_.max_frames_per_session_per_iteration) {
+  while (pumped < kMaxFramesPerSessionPerIteration) {
     StatusOr<std::string> raw = session->transport->TryRecv();
     if (!raw.ok()) {
       const StatusCode code = raw.status().code();
@@ -328,7 +327,7 @@ void AgentServer::PumpSession(Session* session, std::vector<WorkItem>* work,
     work->push_back(std::move(item));
     ++pumped;
   }
-  if (pumped >= options_.max_frames_per_session_per_iteration) {
+  if (pumped >= kMaxFramesPerSessionPerIteration) {
     *more_buffered = true;  // fairness cap hit: re-poll with zero timeout
     // Frames may remain buffered in the transport (not the kernel), so
     // poll alone would not re-schedule this session; flag it directly.
@@ -821,20 +820,13 @@ StatusOr<int> AgentServer::BindHttp() {
   return http_->port();
 }
 
-Status AgentServer::Serve(net::Transport* transport) {
-  return RunLoop(nullptr, transport, /*exit_when_idle=*/true);
-}
-
 Status AgentServer::ServeTcp(net::TcpListener* listener) {
-  return RunLoop(listener, nullptr, /*exit_when_idle=*/false);
+  return RunLoop(listener);
 }
 
-Status AgentServer::Run() {
-  return RunLoop(nullptr, nullptr, /*exit_when_idle=*/false);
-}
+Status AgentServer::Run() { return RunLoop(nullptr); }
 
-Status AgentServer::RunLoop(net::TcpListener* listener,
-                            net::Transport* bootstrap, bool exit_when_idle) {
+Status AgentServer::RunLoop(net::TcpListener* listener) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (running_) {
@@ -883,15 +875,6 @@ Status AgentServer::RunLoop(net::TcpListener* listener,
     }
   } cleanup{this};
 
-  if (bootstrap != nullptr) {
-    uint64_t id = 0;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      id = ++next_session_id_;
-    }
-    InstallSession(nullptr, bootstrap, id);
-  }
-
   bool listener_alive = listener != nullptr;
   bool more_buffered = false;
   std::vector<struct pollfd> pfds;
@@ -901,17 +884,10 @@ Status AgentServer::RunLoop(net::TcpListener* listener,
   while (!stop_.load(std::memory_order_acquire)) {
     AdoptPendingSessionsLocked();
 
-    // Exit checks: a bootstrap Serve ends when its (and any added) sessions
-    // are gone; ServeTcp ends when the listener is closed and drained.
-    bool pending_empty;
-    {
+    // Exit check: ServeTcp ends when the listener is closed and drained.
+    if (listener != nullptr && !listener_alive && sessions_.empty()) {
       std::lock_guard<std::mutex> lock(mutex_);
-      pending_empty = pending_sessions_.empty();
-    }
-    if (exit_when_idle && sessions_.empty() && pending_empty) break;
-    if (listener != nullptr && !listener_alive && sessions_.empty() &&
-        pending_empty) {
-      break;
+      if (pending_sessions_.empty()) break;
     }
 
     // Build the poll set: wake pipe, listener, then fd-backed sessions.
@@ -986,7 +962,7 @@ Status AgentServer::RunLoop(net::TcpListener* listener,
           (*conn)->Close();
           continue;
         }
-        InstallSession(std::move(*conn), nullptr, id);
+        InstallSession(std::move(*conn), id);
       }
     }
 

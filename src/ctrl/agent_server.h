@@ -41,9 +41,6 @@ struct AgentServerOptions {
   /// one ForwardBatch GEMM. Guaranteed bit-identical to sequential serving
   /// (see DESIGN.md §15); the switch exists so tests can pin that claim.
   bool batch_inference = true;
-  /// Frames drained per session per loop iteration before yielding to the
-  /// other sessions (fairness bound; leftovers re-poll with zero timeout).
-  int max_frames_per_session_per_iteration = 64;
   /// Slow-request logging: a handled request whose server-side latency
   /// (receive -> reply encoded, queue wait included) exceeds this many
   /// milliseconds is logged at warning level with its trace id, and counts
@@ -97,15 +94,10 @@ class AgentServer {
 
   ~AgentServer();
 
-  /// Serves one connection until the peer disconnects (returns OK), Stop()
-  /// is called (OK), or the event loop fails hard (the error). A request
-  /// that fails to decode gets a kErrorResponse reply and ends the
-  /// connection — a peer speaking garbage cannot be trusted with framing.
-  /// Concurrent sessions added via AddSession are served alongside.
-  Status Serve(net::Transport* transport);
-
   /// Accept loop: serves all connections concurrently until Stop() or a
-  /// hard listener error. The common agent-process main loop.
+  /// hard listener error. The common agent-process main loop. A request
+  /// that fails to decode gets a kErrorResponse reply and ends its
+  /// connection — a peer speaking garbage cannot be trusted with framing.
   Status ServeTcp(net::TcpListener* listener);
 
   /// Runs the event loop with no listener: sessions arrive only through
@@ -114,7 +106,7 @@ class AgentServer {
 
   /// Hands a connected transport to the server (thread-safe; wakes the
   /// loop). Returns the accept-order session id the server will use.
-  /// The session starts being served once a loop (Serve/ServeTcp/Run) is
+  /// The session starts being served once a loop (ServeTcp/Run) is
   /// running.
   StatusOr<uint64_t> AddSession(std::unique_ptr<net::Transport> transport);
 
@@ -177,8 +169,7 @@ class AgentServer {
 
   struct Session {
     uint64_t id = 0;
-    net::Transport* transport = nullptr;     // borrowed view (Serve bootstrap)
-    std::unique_ptr<net::Transport> owned;   // owner otherwise
+    std::unique_ptr<net::Transport> transport;
     rl::Policy* policy = nullptr;            // shared, or owned_policy.get()
     std::unique_ptr<rl::Policy> owned_policy;  // registry mode, post-Hello
     SessionStats stats;
@@ -214,12 +205,15 @@ class AgentServer {
   /// order while letting consecutive requests share one GEMM).
   struct GetItem;
 
-  Status RunLoop(net::TcpListener* listener, net::Transport* bootstrap,
-                 bool exit_when_idle);
+  /// Frames drained per session per loop iteration before yielding to the
+  /// other sessions (fairness bound; leftovers re-poll with zero timeout).
+  static constexpr int kMaxFramesPerSessionPerIteration = 64;
+
+  Status RunLoop(net::TcpListener* listener);
   Status EnsureWakeup();
   void AdoptPendingSessionsLocked();
-  uint64_t InstallSession(std::unique_ptr<net::Transport> owned,
-                          net::Transport* borrowed, uint64_t id);
+  uint64_t InstallSession(std::unique_ptr<net::Transport> transport,
+                          uint64_t id);
   void PumpSession(Session* session, std::vector<WorkItem>* work,
                    bool* more_buffered);
   void ProcessWork(std::vector<WorkItem>* work);

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <thread>
 #include <utility>
 
 #include "net/tcp.h"
@@ -64,13 +65,9 @@ MasterClient::MasterClient(std::string host, int port,
       owns_endpoint_(true),
       options_(options) {}
 
-MasterClient::~MasterClient() {
-  StopHeartbeat();
-  Shutdown();
-}
+MasterClient::~MasterClient() { Shutdown(); }
 
 void MasterClient::Shutdown() {
-  StopHeartbeat();
   std::lock_guard<std::mutex> lock(mutex_);
   DropConnectionLocked();
 }
@@ -288,46 +285,6 @@ StatusOr<double> MasterClient::EstimatedClockOffsetUs() const {
 uint16_t MasterClient::wire_version() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return handshaken_ ? net::kWireVersion : 0;
-}
-
-Status MasterClient::StartHeartbeat() {
-  if (options_.heartbeat_interval_ms <= 0) {
-    return Status::FailedPrecondition(
-        "ctrl: heartbeat_interval_ms must be > 0 to start a heartbeat");
-  }
-  std::lock_guard<std::mutex> lock(heartbeat_mutex_);
-  if (heartbeat_thread_.joinable()) {
-    return Status::FailedPrecondition("ctrl: heartbeat already running");
-  }
-  heartbeat_stop_ = false;
-  heartbeat_thread_ = std::thread([this] {
-    std::unique_lock<std::mutex> lock(heartbeat_mutex_);
-    while (!heartbeat_stop_) {
-      if (heartbeat_cv_.wait_for(
-              lock,
-              std::chrono::milliseconds(options_.heartbeat_interval_ms),
-              [this] { return heartbeat_stop_; })) {
-        break;
-      }
-      lock.unlock();
-      // A failed heartbeat just drops the connection; the next RPC (or
-      // heartbeat) redials. Failures already count in ctrl.client metrics.
-      (void)Ping();
-      lock.lock();
-    }
-  });
-  return Status::OK();
-}
-
-void MasterClient::StopHeartbeat() {
-  {
-    std::lock_guard<std::mutex> lock(heartbeat_mutex_);
-    if (!heartbeat_thread_.joinable()) return;
-    heartbeat_stop_ = true;
-  }
-  heartbeat_cv_.notify_all();
-  heartbeat_thread_.join();
-  heartbeat_thread_ = std::thread();
 }
 
 /// ---- rl::Policy ---------------------------------------------------------

@@ -1,11 +1,9 @@
 #ifndef DRLSTREAM_CTRL_MASTER_CLIENT_H_
 #define DRLSTREAM_CTRL_MASTER_CLIENT_H_
 
-#include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 
 #include "common/status.h"
 #include "ctrl/messages.h"
@@ -28,8 +26,6 @@ struct MasterClientOptions {
   /// Wall-clock backoff between attempts, linear: attempt k sleeps
   /// k * retry_backoff_ms.
   double retry_backoff_ms = 100.0;
-  /// Background heartbeat period for StartHeartbeat (0 = no heartbeat).
-  int heartbeat_interval_ms = 0;
   /// Sent in the Hello handshake, for the agent's logs.
   std::string client_name = "master";
   /// Registry key of the policy this session wants (multi-session servers
@@ -51,7 +47,7 @@ struct MasterClientOptions {
 /// backoff, then falls back to the deployed schedule).
 ///
 /// Thread safety: all RPCs serialize on an internal mutex, so the client
-/// may be shared by a control loop and the background heartbeat thread.
+/// may be shared across threads.
 class MasterClient : public rl::Policy {
  public:
   /// Wraps an already-connected transport (e.g. a loopback end). The
@@ -90,11 +86,6 @@ class MasterClient : public rl::Policy {
 
   /// net::kWireVersion once the Hello handshake has completed, 0 before.
   uint16_t wire_version() const;
-
-  /// Starts/stops the background heartbeat thread
-  /// (options.heartbeat_interval_ms must be > 0 to start).
-  Status StartHeartbeat();
-  void StopHeartbeat();
 
   /// Closes the connection (the destructor does this too).
   void Shutdown();
@@ -151,11 +142,6 @@ class MasterClient : public rl::Policy {
   mutable bool has_offset_ = false;
   mutable double clock_offset_us_ = 0.0;
   mutable double best_rtt_us_ = 0.0;
-
-  std::mutex heartbeat_mutex_;
-  std::condition_variable heartbeat_cv_;
-  bool heartbeat_stop_ = false;
-  std::thread heartbeat_thread_;
 };
 
 }  // namespace drlstream::ctrl

@@ -124,43 +124,6 @@ Status DecodeScheduleDiff(WireReader* reader, ScheduleDiff* out) {
   return Status::OK();
 }
 
-void EncodeSchedule(const sched::Schedule& schedule, WireWriter* writer) {
-  writer->PutI32(schedule.num_machines());
-  writer->PutIntVector(schedule.assignments());
-  writer->PutU32(static_cast<uint32_t>(schedule.num_executors()));
-  for (int i = 0; i < schedule.num_executors(); ++i) {
-    writer->PutI32(schedule.ProcessOf(i));
-  }
-}
-
-StatusOr<sched::Schedule> DecodeSchedule(WireReader* reader) {
-  int32_t num_machines = 0;
-  std::vector<int> assignments;
-  std::vector<int> processes;
-  DRLSTREAM_RETURN_NOT_OK(reader->ReadI32(&num_machines));
-  DRLSTREAM_RETURN_NOT_OK(reader->ReadIntVector(&assignments));
-  DRLSTREAM_RETURN_NOT_OK(reader->ReadIntVector(&processes));
-  if (num_machines <= 0) {
-    return Status::InvalidArgument("ctrl: schedule machine count " +
-                                   std::to_string(num_machines));
-  }
-  if (processes.size() != assignments.size()) {
-    return Status::InvalidArgument(
-        "ctrl: schedule process list size mismatch");
-  }
-  DRLSTREAM_ASSIGN_OR_RETURN(
-      sched::Schedule schedule,
-      sched::Schedule::FromAssignments(std::move(assignments),
-                                       num_machines));
-  for (int i = 0; i < schedule.num_executors(); ++i) {
-    if (processes[i] < 0) {
-      return Status::InvalidArgument("ctrl: negative process index");
-    }
-    schedule.AssignProcess(i, processes[i]);
-  }
-  return schedule;
-}
-
 /// ---- Diff helpers -------------------------------------------------------
 
 sched::Schedule DiffBaseFromState(const rl::State& state, int num_machines) {

@@ -213,10 +213,6 @@ void EncodeTransition(const rl::Transition& transition,
 Status DecodeTransition(net::WireReader* reader, rl::Transition* out);
 void EncodeScheduleDiff(const ScheduleDiff& diff, net::WireWriter* writer);
 Status DecodeScheduleDiff(net::WireReader* reader, ScheduleDiff* out);
-/// Full-schedule codec (artifact of the protocol for callers that want a
-/// complete solution, and the benchmark's full-vs-diff comparison).
-void EncodeSchedule(const sched::Schedule& schedule, net::WireWriter* writer);
-StatusOr<sched::Schedule> DecodeSchedule(net::WireReader* reader);
 
 }  // namespace drlstream::ctrl
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <queue>
 #include <utility>
 
 #include "common/logging.h"
@@ -37,27 +36,6 @@ constexpr auto kOptionBefore = [](const RowOption& a, const RowOption& b) {
   if (a.cost != b.cost) return a.cost < b.cost;
   return a.machine < b.machine;
 };
-
-/// Sorted (ascending cost, then machine) options for every row. Disallowed
-/// machines (mask 0) are excluded up front, so the feasible set itself —
-/// not a post-hoc filter — respects the mask.
-std::vector<std::vector<RowOption>> BuildRowOptions(
-    const std::vector<double>& proto, int n, int m,
-    const std::vector<uint8_t>* machine_allowed) {
-  std::vector<std::vector<RowOption>> rows(n);
-  for (int i = 0; i < n; ++i) {
-    const double* row = proto.data() + static_cast<size_t>(i) * m;
-    double norm_sq = 0.0;
-    for (int j = 0; j < m; ++j) norm_sq += row[j] * row[j];
-    rows[i].reserve(m);
-    for (int j = 0; j < m; ++j) {
-      if (machine_allowed != nullptr && !(*machine_allowed)[j]) continue;
-      rows[i].push_back(RowOption{norm_sq + 1.0 - 2.0 * row[j], j});
-    }
-    std::sort(rows[i].begin(), rows[i].end(), kOptionBefore);
-  }
-  return rows;
-}
 
 Status CheckArgs(const std::vector<double>& proto, int n, int m, int k,
                  const std::vector<uint8_t>* machine_allowed) {
@@ -106,24 +84,6 @@ int CapK(int k, int n, int m) {
 }
 
 }  // namespace
-
-double ActionDistanceSquared(const sched::Schedule& action,
-                             const std::vector<double>& proto) {
-  const int n = action.num_executors();
-  const int m = action.num_machines();
-  DRLSTREAM_CHECK_EQ(proto.size(), static_cast<size_t>(n) * m);
-  double sum = 0.0;
-  for (int i = 0; i < n; ++i) {
-    const double* row = proto.data() + static_cast<size_t>(i) * m;
-    const int assigned = action.MachineOf(i);
-    for (int j = 0; j < m; ++j) {
-      const double target = (j == assigned) ? 1.0 : 0.0;
-      const double d = target - row[j];
-      sum += d * d;
-    }
-  }
-  return sum;
-}
 
 KnnActionSolver::KnnActionSolver(int num_executors, int num_machines)
     : num_executors_(num_executors), num_machines_(num_machines) {
@@ -317,55 +277,6 @@ Status KnnActionSolver::SolveInto(
     }
   }
   return Status::OK();
-}
-
-StatusOr<KnnResult> SolveKnnBranchAndBound(
-    const std::vector<double>& proto, int num_executors, int num_machines,
-    int k, const std::vector<uint8_t>* machine_allowed) {
-  DRLSTREAM_RETURN_NOT_OK(
-      CheckArgs(proto, num_executors, num_machines, k, machine_allowed));
-  k = CapK(k, num_executors, AllowedCount(num_machines, machine_allowed));
-
-  const std::vector<std::vector<RowOption>> rows =
-      BuildRowOptions(proto, num_executors, num_machines, machine_allowed);
-  // Suffix lower bounds: sum of row minima for rows >= i.
-  std::vector<double> suffix_min(num_executors + 1, 0.0);
-  for (int i = num_executors - 1; i >= 0; --i) {
-    suffix_min[i] = suffix_min[i + 1] + rows[i][0].cost;
-  }
-
-  // Best-first search over partial assignments.
-  struct Node {
-    double bound;  // partial cost + suffix lower bound
-    double cost;   // partial cost
-    std::vector<int> machines;
-  };
-  auto later = [](const Node& a, const Node& b) { return a.bound > b.bound; };
-  std::priority_queue<Node, std::vector<Node>, decltype(later)> open(later);
-  open.push(Node{suffix_min[0], 0.0, {}});
-
-  KnnResult result;
-  while (!open.empty() && static_cast<int>(result.actions.size()) < k) {
-    Node node = open.top();
-    open.pop();
-    const int depth = static_cast<int>(node.machines.size());
-    if (depth == num_executors) {
-      auto action_or =
-          sched::Schedule::FromAssignments(node.machines, num_machines);
-      DRLSTREAM_CHECK(action_or.ok());
-      result.actions.push_back(std::move(*action_or));
-      continue;
-    }
-    for (const RowOption& opt : rows[depth]) {
-      Node child;
-      child.cost = node.cost + opt.cost;
-      child.bound = child.cost + suffix_min[depth + 1];
-      child.machines = node.machines;
-      child.machines.push_back(opt.machine);
-      open.push(std::move(child));
-    }
-  }
-  return result;
 }
 
 }  // namespace drlstream::miqp

@@ -10,7 +10,7 @@
 namespace drlstream::miqp {
 
 /// K nearest feasible actions to a proto-action, ascending by squared
-/// euclidean distance (ActionDistanceSquared gives an action's distance).
+/// euclidean distance ||a - a_hat||^2.
 struct KnnResult {
   std::vector<sched::Schedule> actions;
 };
@@ -102,18 +102,6 @@ class KnnActionSolver {
   int num_executors_;
   int num_machines_;
 };
-
-/// Reference oracle: exact best-first branch-and-bound over the same
-/// constraint set (one machine per executor row). Exponential worst case;
-/// used by tests to validate KnnActionSolver and by the micro benches to
-/// show the separable solver's advantage.
-StatusOr<KnnResult> SolveKnnBranchAndBound(
-    const std::vector<double>& proto, int num_executors, int num_machines,
-    int k, const std::vector<uint8_t>* machine_allowed = nullptr);
-
-/// Squared euclidean distance between a feasible action and a proto-action.
-double ActionDistanceSquared(const sched::Schedule& action,
-                             const std::vector<double>& proto);
 
 }  // namespace drlstream::miqp
 

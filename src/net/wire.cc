@@ -181,13 +181,6 @@ Status WireReader::ReadI32(int32_t* out) {
   return Status::OK();
 }
 
-Status WireReader::ReadI64(int64_t* out) {
-  uint64_t v = 0;
-  DRLSTREAM_RETURN_NOT_OK(ReadU64(&v));
-  *out = static_cast<int64_t>(v);
-  return Status::OK();
-}
-
 Status WireReader::ReadDouble(double* out) {
   uint64_t bits = 0;
   DRLSTREAM_RETURN_NOT_OK(ReadU64(&bits));

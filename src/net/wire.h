@@ -90,7 +90,6 @@ class WireWriter {
   void PutU32(uint32_t v);
   void PutU64(uint64_t v);
   void PutI32(int32_t v) { PutU32(static_cast<uint32_t>(v)); }
-  void PutI64(int64_t v) { PutU64(static_cast<uint64_t>(v)); }
   /// IEEE-754 bit pattern as a little-endian u64 (bit-exact round-trip,
   /// NaN payloads and signed zeros included).
   void PutDouble(double v);
@@ -131,7 +130,6 @@ class WireReader {
   Status ReadU32(uint32_t* out);
   Status ReadU64(uint64_t* out);
   Status ReadI32(int32_t* out);
-  Status ReadI64(int64_t* out);
   Status ReadDouble(double* out);
   Status ReadString(std::string* out);
   Status ReadIntVector(std::vector<int>* out);

@@ -7,18 +7,6 @@
 
 namespace drlstream::nn {
 
-const char* ActivationToString(Activation a) {
-  switch (a) {
-    case Activation::kIdentity:
-      return "identity";
-    case Activation::kTanh:
-      return "tanh";
-    case Activation::kRelu:
-      return "relu";
-  }
-  return "?";
-}
-
 Mlp::Mlp(const std::vector<int>& sizes,
          const std::vector<Activation>& activations, Rng* rng) {
   DRLSTREAM_CHECK_GE(sizes.size(), 2u);

@@ -13,8 +13,6 @@ namespace drlstream::nn {
 /// Per-layer nonlinearity. The paper's actor and critic use tanh.
 enum class Activation { kIdentity = 0, kTanh = 1, kRelu = 2 };
 
-const char* ActivationToString(Activation a);
-
 /// Applies an activation function to a scalar pre-activation.
 double ApplyActivation(Activation a, double z);
 /// d(activation)/dz given the pre-activation z and output y = act(z).

@@ -20,25 +20,6 @@ void EnsureSlots(const Mlp& net, std::vector<Matrix>* slot_weights,
 
 }  // namespace
 
-void Sgd::Step(Mlp* net) {
-  EnsureSlots(*net, &velocity_weights_, &velocity_bias_);
-  for (int i = 0; i < net->num_layers(); ++i) {
-    Linear& layer = net->layer(i);
-    Matrix& vel_w = velocity_weights_[i];
-    std::vector<double>& vel_b = velocity_bias_[i];
-    for (size_t k = 0; k < layer.weights.size(); ++k) {
-      double& v = vel_w.data()[k];
-      v = momentum_ * v - learning_rate_ * layer.grad_weights.data()[k];
-      layer.weights.data()[k] += v;
-    }
-    for (size_t k = 0; k < layer.bias.size(); ++k) {
-      double& v = vel_b[k];
-      v = momentum_ * v - learning_rate_ * layer.grad_bias[k];
-      layer.bias[k] += v;
-    }
-  }
-}
-
 void Adam::Step(Mlp* net) {
   EnsureSlots(*net, &m_weights_, &m_bias_);
   EnsureSlots(*net, &v_weights_, &v_bias_);

@@ -1,50 +1,25 @@
 #ifndef DRLSTREAM_NN_OPTIMIZER_H_
 #define DRLSTREAM_NN_OPTIMIZER_H_
 
-#include <memory>
 #include <vector>
 
 #include "nn/mlp.h"
 
 namespace drlstream::nn {
 
-/// Applies accumulated gradients to an Mlp's parameters. The optimizer keeps
-/// per-network slot state (momentum/moments), keyed by layer index, so each
-/// optimizer instance must be used with a single network.
-class Optimizer {
- public:
-  virtual ~Optimizer() = default;
-
-  /// Performs one update step using the gradients currently accumulated in
-  /// `net` (does not zero them).
-  virtual void Step(Mlp* net) = 0;
-};
-
-/// Plain SGD with optional momentum.
-class Sgd : public Optimizer {
- public:
-  explicit Sgd(double learning_rate, double momentum = 0.0)
-      : learning_rate_(learning_rate), momentum_(momentum) {}
-
-  void Step(Mlp* net) override;
-
- private:
-  double learning_rate_;
-  double momentum_;
-  // Velocity buffers, lazily sized to the net on first Step.
-  std::vector<Matrix> velocity_weights_;
-  std::vector<std::vector<double>> velocity_bias_;
-};
-
-/// Adam (Kingma & Ba) with standard bias correction.
-class Adam : public Optimizer {
+/// Adam (Kingma & Ba) with standard bias correction. It keeps per-network
+/// moment buffers, keyed by layer index, so each instance must be used with
+/// a single network.
+class Adam {
  public:
   explicit Adam(double learning_rate, double beta1 = 0.9, double beta2 = 0.999,
                 double epsilon = 1e-8)
       : learning_rate_(learning_rate), beta1_(beta1), beta2_(beta2),
         epsilon_(epsilon) {}
 
-  void Step(Mlp* net) override;
+  /// Performs one update step using the gradients currently accumulated in
+  /// `net` (does not zero them).
+  void Step(Mlp* net);
 
  private:
   double learning_rate_;

@@ -45,6 +45,19 @@ bool ActionAllowed(const State& state, int action_index, int num_machines) {
   return state.machine_up[action_index % num_machines] != 0;
 }
 
+/// Argmax of the Q row over the actions feasible in `state` (the first
+/// index on ties).
+int BestAllowedMove(const double* q, int action_dim, const State& state,
+                    int num_machines) {
+  int best = -1;
+  for (int a = 0; a < action_dim; ++a) {
+    if (!ActionAllowed(state, a, num_machines)) continue;
+    if (best < 0 || q[a] > q[best]) best = a;
+  }
+  DRLSTREAM_CHECK_GE(best, 0);  // Mask never blanks every machine.
+  return best;
+}
+
 /// Max Q over the actions feasible in `state` (dead-machine moves are
 /// infeasible and must not leak into the TD target).
 double MaxAllowedQ(const double* q, int action_dim, const State& state,
@@ -96,44 +109,23 @@ int DqnAgent::ExploreMove(const State& state, Rng* rng) const {
   return executor * encoder_.num_machines() + machine;
 }
 
-int DqnAgent::SelectMove(const State& state, double epsilon,
-                         Rng* rng) const {
+int DqnAgent::SelectMove(const State& state, double epsilon, Rng* rng,
+                         const double* q_row) const {
   obs::ScopedPhase phase(SelectActionUs(), "dqn_select_action");
   if (rng->Bernoulli(epsilon)) return ExploreMove(state, rng);
-  return GreedyMove(state);
+  if (q_row == nullptr) return GreedyMove(state);
+  return BestAllowedMove(q_row, encoder_.action_dim(), state,
+                         encoder_.num_machines());
 }
 
 int DqnAgent::GreedyMove(const State& state) const {
-  const std::vector<double> q = q_net_->Forward(encoder_.EncodeState(state));
-  int best = -1;
-  for (int a = 0; a < static_cast<int>(q.size()); ++a) {
-    if (!ActionAllowed(state, a, encoder_.num_machines())) continue;
-    if (best < 0 || q[a] > q[best]) best = a;
-  }
-  DRLSTREAM_CHECK_GE(best, 0);  // Mask never blanks every machine.
-  return best;
-}
-
-int DqnAgent::GreedyMoveWs(const State& state) const {
   DecisionWorkspace& ws = decide_ws_;
   ws.state_enc.resize(encoder_.state_dim());
   encoder_.EncodeStateInto(state, ws.state_enc.data());
   const std::vector<double>& q =
       q_net_->Forward(ws.state_enc, &ws.fwd_x, &ws.fwd_z);
-  int best = -1;
-  for (int a = 0; a < static_cast<int>(q.size()); ++a) {
-    if (!ActionAllowed(state, a, encoder_.num_machines())) continue;
-    if (best < 0 || q[a] > q[best]) best = a;
-  }
-  DRLSTREAM_CHECK_GE(best, 0);  // Mask never blanks every machine.
-  return best;
-}
-
-int DqnAgent::SelectMoveWs(const State& state, double epsilon,
-                           Rng* rng) const {
-  obs::ScopedPhase phase(SelectActionUs(), "dqn_select_action");
-  if (rng->Bernoulli(epsilon)) return ExploreMove(state, rng);
-  return GreedyMoveWs(state);
+  return BestAllowedMove(q.data(), static_cast<int>(q.size()), state,
+                         encoder_.num_machines());
 }
 
 Status DqnAgent::AssignmentsInto(const std::vector<int>& assignments,
@@ -166,7 +158,7 @@ StatusOr<PolicyAction> DqnAgent::SelectAction(const State& state,
 
 Status DqnAgent::SelectActionInto(const State& state, double epsilon,
                                   Rng* rng, PolicyAction* out) const {
-  const int move = SelectMoveWs(state, epsilon, rng);
+  const int move = SelectMove(state, epsilon, rng);
   const auto [executor, machine] = DecodeAction(move);
   DRLSTREAM_CHECK(executor >= 0 &&
                   executor < static_cast<int>(state.assignments.size()));
@@ -175,19 +167,6 @@ Status DqnAgent::SelectActionInto(const State& state, double epsilon,
   out->schedule.set_tenant(state.tenant);
   out->move_index = move;
   return Status::OK();
-}
-
-int DqnAgent::MoveFromQRow(const State& state, const double* q, int q_size,
-                           double epsilon, Rng* rng) const {
-  obs::ScopedPhase phase(SelectActionUs(), "dqn_select_action");
-  if (rng->Bernoulli(epsilon)) return ExploreMove(state, rng);
-  int best = -1;
-  for (int a = 0; a < q_size; ++a) {
-    if (!ActionAllowed(state, a, encoder_.num_machines())) continue;
-    if (best < 0 || q[a] > q[best]) best = a;
-  }
-  DRLSTREAM_CHECK_GE(best, 0);  // Mask never blanks every machine.
-  return best;
 }
 
 void DqnAgent::SelectActionBatch(DecisionRequest* slots, int count) const {
@@ -204,8 +183,8 @@ void DqnAgent::SelectActionBatch(DecisionRequest* slots, int count) const {
   const nn::Matrix& q = q_net_->ForwardBatch(&decide_batch_tape_);
   for (int i = 0; i < count; ++i) {
     const State& state = *slots[i].state;
-    const int move = MoveFromQRow(state, q.row(i), q.cols(),
-                                  slots[i].epsilon, slots[i].rng);
+    const int move =
+        SelectMove(state, slots[i].epsilon, slots[i].rng, q.row(i));
     const auto [executor, machine] = DecodeAction(move);
     DRLSTREAM_CHECK(executor >= 0 &&
                     executor < static_cast<int>(state.assignments.size()));
@@ -228,7 +207,7 @@ Status DqnAgent::GreedyActionInto(const State& state,
   const int steps = config_.rollout_steps > 0 ? config_.rollout_steps
                                               : encoder_.num_executors();
   for (int i = 0; i < steps; ++i) {
-    const int move = GreedyMoveWs(rollout);
+    const int move = GreedyMove(rollout);
     const auto [executor, machine] = DecodeAction(move);
     DRLSTREAM_CHECK(executor >= 0 &&
                     executor < static_cast<int>(rollout.assignments.size()));

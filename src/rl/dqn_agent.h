@@ -51,10 +51,16 @@ class DqnAgent : public Policy {
   std::string registry_key() const override { return "dqn"; }
   std::string Describe() const override;
 
-  /// Epsilon-greedy move: index a = executor * M + machine.
-  int SelectMove(const State& state, double epsilon, Rng* rng) const;
+  /// Epsilon-greedy move: index a = executor * M + machine. `q_row`, when
+  /// given, is the state's precomputed Q row (SelectActionBatch's fused
+  /// forward pass); otherwise the exploit arm runs the Q network. Either
+  /// way the move and the RNG consumption are the same. Like every
+  /// decision entry point it reuses the agent's workspace (no steady-state
+  /// allocations; one decision at a time per agent).
+  int SelectMove(const State& state, double epsilon, Rng* rng,
+                 const double* q_row = nullptr) const;
 
-  /// Greedy move (no exploration).
+  /// Greedy move (no exploration): the best Q among deployable moves.
   int GreedyMove(const State& state) const;
 
   /// The epsilon-greedy move applied to the state's assignments, as a full
@@ -144,21 +150,9 @@ class DqnAgent : public Policy {
     State rollout;
   };
 
-  /// The explore arm of every epsilon-greedy path (SelectMove,
-  /// SelectMoveWs, SelectActionBatch's MoveFromQRow): a uniform random
-  /// *deployable* move under the state's machine mask. One implementation
-  /// so the mask handling and RNG consumption can never drift apart.
+  /// SelectMove's explore arm: a uniform random *deployable* move under
+  /// the state's machine mask.
   int ExploreMove(const State& state, Rng* rng) const;
-
-  /// Workspace-backed GreedyMove / SelectMove (same moves, same RNG
-  /// consumption, zero steady-state allocations).
-  int GreedyMoveWs(const State& state) const;
-  int SelectMoveWs(const State& state, double epsilon, Rng* rng) const;
-
-  /// SelectMoveWs against a precomputed Q row (SelectActionBatch's fused
-  /// forward pass): identical move, identical RNG consumption.
-  int MoveFromQRow(const State& state, const double* q, int q_size,
-                   double epsilon, Rng* rng) const;
 
   /// Writes `assignments` (with executor `moved_to_executor` reassigned to
   /// `machine` when >= 0) into *out, validating like

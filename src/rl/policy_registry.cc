@@ -1,8 +1,6 @@
 #include "rl/policy_registry.h"
 
-#include <algorithm>
 #include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "common/logging.h"
@@ -14,65 +12,81 @@ namespace {
 constexpr char kPolicyMagic[] = "drlstream-policy";
 constexpr int kPolicyFormatVersion = 1;
 
-Status RegisterBuiltins(PolicyRegistry* registry) {
-  DRLSTREAM_RETURN_NOT_OK(registry->Register(
-      "ddpg",
-      [](const PolicyContext& ctx) -> StatusOr<std::unique_ptr<Policy>> {
-        if (ctx.encoder == nullptr) {
-          return Status::InvalidArgument("policy 'ddpg' needs a StateEncoder");
-        }
-        return std::unique_ptr<Policy>(
-            std::make_unique<DdpgAgent>(*ctx.encoder, ctx.ddpg));
-      }));
-  DRLSTREAM_RETURN_NOT_OK(registry->Register(
-      "dqn",
-      [](const PolicyContext& ctx) -> StatusOr<std::unique_ptr<Policy>> {
-        if (ctx.encoder == nullptr) {
-          return Status::InvalidArgument("policy 'dqn' needs a StateEncoder");
-        }
-        return std::unique_ptr<Policy>(
-            std::make_unique<DqnAgent>(*ctx.encoder, ctx.dqn));
-      }));
-  DRLSTREAM_RETURN_NOT_OK(registry->Register(
-      "round-robin",
-      [](const PolicyContext& ctx) -> StatusOr<std::unique_ptr<Policy>> {
-        if (ctx.topology == nullptr || ctx.cluster == nullptr) {
-          return Status::InvalidArgument(
-              "policy 'round-robin' needs topology + cluster");
-        }
-        return std::unique_ptr<Policy>(std::make_unique<SchedulerPolicy>(
-            std::make_unique<sched::RoundRobinScheduler>(
-                ctx.round_robin_workers_per_machine),
-            "round-robin", ctx.topology, ctx.cluster));
-      }));
-  DRLSTREAM_RETURN_NOT_OK(registry->Register(
-      "model-based",
-      [](const PolicyContext& ctx) -> StatusOr<std::unique_ptr<Policy>> {
-        if (ctx.topology == nullptr || ctx.cluster == nullptr) {
-          return Status::InvalidArgument(
-              "policy 'model-based' needs topology + cluster");
-        }
-        if (ctx.delay_model == nullptr) {
-          return Status::InvalidArgument(
-              "policy 'model-based' needs a fitted DelayModel");
-        }
-        return std::unique_ptr<Policy>(std::make_unique<SchedulerPolicy>(
-            std::make_unique<sched::ModelBasedScheduler>(ctx.delay_model,
-                                                         ctx.model_based),
-            "model-based", ctx.topology, ctx.cluster));
-      }));
-  DRLSTREAM_RETURN_NOT_OK(registry->Register(
-      "energy-aware",
-      [](const PolicyContext& ctx) -> StatusOr<std::unique_ptr<Policy>> {
-        if (ctx.topology == nullptr || ctx.cluster == nullptr) {
-          return Status::InvalidArgument(
-              "policy 'energy-aware' needs topology + cluster");
-        }
-        return std::unique_ptr<Policy>(std::make_unique<SchedulerPolicy>(
-            std::make_unique<sched::EnergyAwareScheduler>(ctx.energy_aware),
-            "energy-aware", ctx.topology, ctx.cluster));
-      }));
-  return Status::OK();
+using Factory = StatusOr<std::unique_ptr<Policy>> (*)(const PolicyContext&);
+
+Status NeedsEncoder(const char* key, const PolicyContext& ctx) {
+  if (ctx.encoder != nullptr) return Status::OK();
+  return Status::InvalidArgument("policy '" + std::string(key) +
+                                 "' needs a StateEncoder");
+}
+
+Status NeedsTopologyAndCluster(const char* key, const PolicyContext& ctx) {
+  if (ctx.topology != nullptr && ctx.cluster != nullptr) return Status::OK();
+  return Status::InvalidArgument("policy '" + std::string(key) +
+                                 "' needs topology + cluster");
+}
+
+std::unique_ptr<Policy> Baseline(std::unique_ptr<sched::Scheduler> scheduler,
+                                 const char* key, const PolicyContext& ctx) {
+  return std::make_unique<SchedulerPolicy>(std::move(scheduler), key,
+                                           ctx.topology, ctx.cluster);
+}
+
+StatusOr<std::unique_ptr<Policy>> MakeDdpg(const PolicyContext& ctx) {
+  DRLSTREAM_RETURN_NOT_OK(NeedsEncoder("ddpg", ctx));
+  return std::unique_ptr<Policy>(
+      std::make_unique<DdpgAgent>(*ctx.encoder, ctx.ddpg));
+}
+
+StatusOr<std::unique_ptr<Policy>> MakeDqn(const PolicyContext& ctx) {
+  DRLSTREAM_RETURN_NOT_OK(NeedsEncoder("dqn", ctx));
+  return std::unique_ptr<Policy>(
+      std::make_unique<DqnAgent>(*ctx.encoder, ctx.dqn));
+}
+
+StatusOr<std::unique_ptr<Policy>> MakeEnergyAware(const PolicyContext& ctx) {
+  DRLSTREAM_RETURN_NOT_OK(NeedsTopologyAndCluster("energy-aware", ctx));
+  return Baseline(std::make_unique<sched::EnergyAwareScheduler>(),
+                  "energy-aware", ctx);
+}
+
+StatusOr<std::unique_ptr<Policy>> MakeModelBased(const PolicyContext& ctx) {
+  DRLSTREAM_RETURN_NOT_OK(NeedsTopologyAndCluster("model-based", ctx));
+  if (ctx.delay_model == nullptr) {
+    return Status::InvalidArgument(
+        "policy 'model-based' needs a fitted DelayModel");
+  }
+  return Baseline(std::make_unique<sched::ModelBasedScheduler>(
+                      ctx.delay_model, ctx.model_based),
+                  "model-based", ctx);
+}
+
+StatusOr<std::unique_ptr<Policy>> MakeRoundRobin(const PolicyContext& ctx) {
+  DRLSTREAM_RETURN_NOT_OK(NeedsTopologyAndCluster("round-robin", ctx));
+  return Baseline(std::make_unique<sched::RoundRobinScheduler>(
+                      ctx.round_robin_workers_per_machine),
+                  "round-robin", ctx);
+}
+
+struct Builtin {
+  const char* key;
+  Factory make;
+};
+
+/// Sorted by key: Keys() lists the rows in this order.
+constexpr Builtin kBuiltins[] = {
+    {"ddpg", MakeDdpg},
+    {"dqn", MakeDqn},
+    {"energy-aware", MakeEnergyAware},
+    {"model-based", MakeModelBased},
+    {"round-robin", MakeRoundRobin},
+};
+
+const Builtin* FindBuiltin(const std::string& key) {
+  for (const Builtin& builtin : kBuiltins) {
+    if (key == builtin.key) return &builtin;
+  }
+  return nullptr;
 }
 
 }  // namespace
@@ -122,35 +136,18 @@ StatusOr<sched::Schedule> SchedulerPolicy::GreedyAction(
 }
 
 PolicyRegistry& PolicyRegistry::Get() {
-  static PolicyRegistry* const registry = [] {
-    auto* r = new PolicyRegistry();
-    const Status status = RegisterBuiltins(r);
-    DRLSTREAM_CHECK(status.ok());
-    return r;
-  }();
-  return *registry;
-}
-
-Status PolicyRegistry::Register(const std::string& key, Factory factory) {
-  if (key.empty() || factory == nullptr) {
-    return Status::InvalidArgument("policy registration needs key + factory");
-  }
-  if (!factories_.emplace(key, std::move(factory)).second) {
-    return Status::FailedPrecondition("policy '" + key +
-                                      "' already registered");
-  }
-  return Status::OK();
+  static PolicyRegistry registry;
+  return registry;
 }
 
 bool PolicyRegistry::Has(const std::string& key) const {
-  return factories_.count(key) > 0;
+  return FindBuiltin(key) != nullptr;
 }
 
 std::vector<std::string> PolicyRegistry::Keys() const {
   std::vector<std::string> keys;
-  keys.reserve(factories_.size());
-  for (const auto& [key, factory] : factories_) keys.push_back(key);
-  return keys;  // std::map iterates in sorted order.
+  for (const Builtin& builtin : kBuiltins) keys.push_back(builtin.key);
+  return keys;
 }
 
 std::string PolicyRegistry::KeysLine() const {
@@ -163,21 +160,14 @@ std::string PolicyRegistry::KeysLine() const {
 }
 
 Status PolicyRegistry::UnknownKeyError(const std::string& key) const {
-  std::ostringstream message;
-  message << "unknown policy '" << key << "'; available:";
-  for (const std::string& name : Keys()) message << ' ' << name;
-  const std::string suggestion = NearestKey(key, Keys());
-  if (!suggestion.empty()) {
-    message << " (did you mean '" << suggestion << "'?)";
-  }
-  return Status::InvalidArgument(message.str());
+  return UnknownNameError("policy", key, Keys());
 }
 
 StatusOr<std::unique_ptr<Policy>> PolicyRegistry::Create(
     const std::string& key, const PolicyContext& context) const {
-  const auto it = factories_.find(key);
-  if (it == factories_.end()) return UnknownKeyError(key);
-  return it->second(context);
+  const Builtin* builtin = FindBuiltin(key);
+  if (builtin == nullptr) return UnknownKeyError(key);
+  return builtin->make(context);
 }
 
 Status SavePolicyArtifact(const Policy& policy, const std::string& prefix) {

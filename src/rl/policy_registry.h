@@ -1,8 +1,6 @@
 #ifndef DRLSTREAM_RL_POLICY_REGISTRY_H_
 #define DRLSTREAM_RL_POLICY_REGISTRY_H_
 
-#include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -35,7 +33,6 @@ struct PolicyContext {
   DdpgConfig ddpg;
   DqnConfig dqn;
   sched::ModelBasedOptions model_based;
-  sched::EnergyAwareOptions energy_aware;
   int round_robin_workers_per_machine = 4;
 };
 
@@ -68,31 +65,23 @@ class SchedulerPolicy : public Policy {
   const topo::ClusterConfig* cluster_;
 };
 
-/// String -> factory registry of scheduling policies. Built-ins ("ddpg",
-/// "dqn", "round-robin", "model-based", "energy-aware") are registered on
-/// first use; new
-/// policies register themselves once (e.g. from a static initializer or
-/// main) and become constructible everywhere a --policy flag is parsed.
+/// String -> factory table of the scheduling policies: "ddpg", "dqn",
+/// "energy-aware", "model-based" and "round-robin". A new policy is one
+/// more row in the table in policy_registry.cc, and becomes constructible
+/// everywhere a --policy flag is parsed.
 class PolicyRegistry {
  public:
-  using Factory =
-      std::function<StatusOr<std::unique_ptr<Policy>>(const PolicyContext&)>;
-
-  /// The process-wide registry, with built-ins already registered.
+  /// The process-wide registry.
   static PolicyRegistry& Get();
-
-  /// Registers a factory under `key`; FailedPrecondition on duplicates.
-  Status Register(const std::string& key, Factory factory);
 
   bool Has(const std::string& key) const;
 
-  /// Sorted registered keys (for --help listings and error messages).
+  /// Sorted keys (for --help listings and error messages).
   std::vector<std::string> Keys() const;
 
   /// The Keys() joined "a|b|c" — the one source for every example's --help
-  /// and usage text, so a newly registered policy shows up everywhere
-  /// without touching a hand-maintained list (tests/policy_test.cc pins
-  /// this).
+  /// and usage text, so a new policy shows up everywhere without touching
+  /// a hand-maintained list (tests/policy_test.cc pins this).
   std::string KeysLine() const;
 
   /// Constructs the policy registered under `key`; unknown keys produce an
@@ -107,7 +96,6 @@ class PolicyRegistry {
 
  private:
   PolicyRegistry() = default;
-  std::map<std::string, Factory> factories_;
 };
 
 /// Persists `policy` under `prefix`: a `prefix`.policy header (format

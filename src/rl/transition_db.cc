@@ -2,12 +2,6 @@
 
 namespace drlstream::rl {
 
-void TransitionDatabase::FillReplayBuffer(ReplayBuffer* buffer) const {
-  for (const Record& record : records_) {
-    buffer->Add(record.transition);
-  }
-}
-
 std::vector<sched::PerfSample> TransitionDatabase::ToPerfSamples() const {
   std::vector<sched::PerfSample> samples;
   for (const Record& record : records_) {

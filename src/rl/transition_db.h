@@ -28,11 +28,6 @@ class TransitionDatabase {
   bool empty() const { return records_.empty(); }
   const Record& at(size_t i) const { return records_[i]; }
   const std::vector<Record>& records() const { return records_; }
-  void Clear() { records_.clear(); }
-
-  /// Replays every stored transition into a replay buffer (offline
-  /// pre-training, Algorithm 1 line 4).
-  void FillReplayBuffer(ReplayBuffer* buffer) const;
 
   /// Converts the records into the model-based baseline's training samples.
   /// Records lacking detailed statistics are skipped.

@@ -12,9 +12,6 @@ StatusOr<Schedule> EnergyAwareScheduler::ComputeSchedule(
   if (n <= 0 || m <= 0) {
     return Status::InvalidArgument("empty topology or cluster");
   }
-  if (options_.max_executors_per_machine < 0) {
-    return Status::InvalidArgument("bad max_executors_per_machine");
-  }
   std::vector<int> alive;
   alive.reserve(m);
   topo::AliveMachineList(context.machine_up, m, &alive);
@@ -22,9 +19,7 @@ StatusOr<Schedule> EnergyAwareScheduler::ComputeSchedule(
     return Status::FailedPrecondition("no machine is up to schedule onto");
   }
   const int live = static_cast<int>(alive.size());
-  int cap = options_.max_executors_per_machine > 0
-                ? options_.max_executors_per_machine
-                : context.cluster->slots_per_machine;
+  int cap = context.cluster->slots_per_machine;
   // Too many executors for the packing cap: spread evenly instead of
   // failing, still leaving no machine fractionally used below the others.
   if (n > cap * live) cap = (n + live - 1) / live;

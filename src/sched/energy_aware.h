@@ -5,31 +5,16 @@
 
 namespace drlstream::sched {
 
-struct EnergyAwareOptions {
-  /// Executors packed per machine before spilling to the next one. 0 uses
-  /// the cluster's slots_per_machine (every slot of a machine fills before
-  /// the next machine hosts anything).
-  int max_executors_per_machine = 0;
-};
-
 /// Consolidation baseline for the energy experiments: packs executors onto
-/// as few machines as possible (in machine-index order, all in one worker
-/// process) so the remaining machines go hostless and — once the power
-/// model's idle window elapses — drop to deep sleep. The latency price of
-/// the resulting CPU contention against the joules saved is exactly the
-/// trade-off the energy term of the reward (core/online.h energy_lambda)
-/// lets the DRL agents navigate.
+/// as few machines as possible (slots_per_machine each, in machine-index
+/// order, all in one worker process) so the remaining machines go hostless
+/// and — once the power model's idle window elapses — drop to deep sleep,
+/// trading latency (CPU contention) for joules.
 class EnergyAwareScheduler : public Scheduler {
  public:
-  explicit EnergyAwareScheduler(EnergyAwareOptions options = {})
-      : options_(options) {}
-
   std::string name() const override { return "EnergyAware"; }
 
   StatusOr<Schedule> ComputeSchedule(const SchedulingContext& context) override;
-
- private:
-  EnergyAwareOptions options_;
 };
 
 }  // namespace drlstream::sched

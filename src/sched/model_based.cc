@@ -466,7 +466,7 @@ double DelayModel::PredictEndToEnd(
 
 ModelBasedScheduler::ModelBasedScheduler(const DelayModel* model,
                                          ModelBasedOptions options)
-    : model_(model), options_(options), rng_(options.seed) {
+    : model_(model), options_(options) {
   DRLSTREAM_CHECK(model != nullptr);
 }
 
@@ -518,9 +518,6 @@ StatusOr<Schedule> ModelBasedScheduler::ComputeSchedule(
                              round_robin.ComputeSchedule(context));
   starts.push_back(std::move(rr));
   if (context.current != nullptr) starts.push_back(*context.current);
-  for (int r = 0; r < options_.random_restarts; ++r) {
-    starts.push_back(Schedule::Random(n, m, &rng_));
-  }
 
   Schedule best(n, m);
   double best_cost = std::numeric_limits<double>::infinity();

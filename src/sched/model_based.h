@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "common/rng.h"
 #include "common/status.h"
 #include "sched/ridge.h"
 #include "sched/schedule.h"
@@ -107,16 +106,14 @@ struct ModelBasedOptions {
   /// Full passes of best-improvement local search over all (executor,
   /// machine) moves; each pass moves at most one executor.
   int max_passes = 10;
-  /// Random restarts in addition to the round-robin start. Off by default:
-  /// [25] refines a balanced assignment; far-from-balanced random starts
-  /// land in regions where the fitted model extrapolates poorly.
-  int random_restarts = 0;
-  uint64_t seed = 1234;
 };
 
 /// The state-of-the-art baseline ("Model-based" in the paper's figures):
 /// greedy + local-search assignment under the guidance of the fitted
-/// prediction model, mirroring [25]'s predictive scheduling algorithm.
+/// prediction model, mirroring [25]'s predictive scheduling algorithm. Like
+/// [25] it refines balanced assignments only (the round-robin spread and
+/// the deployed schedule): far-from-balanced starts land where the fitted
+/// model extrapolates poorly.
 class ModelBasedScheduler : public Scheduler {
  public:
   ModelBasedScheduler(const DelayModel* model, ModelBasedOptions options = {});
@@ -133,7 +130,6 @@ class ModelBasedScheduler : public Scheduler {
 
   const DelayModel* model_;
   ModelBasedOptions options_;
-  Rng rng_;
 };
 
 }  // namespace drlstream::sched

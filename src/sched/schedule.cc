@@ -42,26 +42,6 @@ StatusOr<Schedule> Schedule::FromAssignments(std::vector<int> machine_of,
   return schedule;
 }
 
-StatusOr<Schedule> Schedule::FromOneHot(const std::vector<double>& flat,
-                                        int num_executors, int num_machines) {
-  if (num_executors <= 0 || num_machines <= 0) {
-    return Status::InvalidArgument("dimensions must be positive");
-  }
-  if (flat.size() != static_cast<size_t>(num_executors) * num_machines) {
-    return Status::InvalidArgument("one-hot vector has wrong size");
-  }
-  Schedule schedule(num_executors, num_machines);
-  for (int i = 0; i < num_executors; ++i) {
-    const double* row = flat.data() + static_cast<size_t>(i) * num_machines;
-    int best = 0;
-    for (int j = 1; j < num_machines; ++j) {
-      if (row[j] > row[best]) best = j;
-    }
-    schedule.machine_of_[i] = best;
-  }
-  return schedule;
-}
-
 Schedule Schedule::Random(int num_executors, int num_machines, Rng* rng) {
   Schedule schedule(num_executors, num_machines);
   for (int i = 0; i < num_executors; ++i) {
@@ -149,10 +129,6 @@ int Schedule::UsedMachines() const {
   const std::vector<int> loads = MachineLoads();
   return static_cast<int>(
       std::count_if(loads.begin(), loads.end(), [](int l) { return l > 0; }));
-}
-
-double Schedule::SquaredDistance(const Schedule& other) const {
-  return 2.0 * DiffCount(other);
 }
 
 std::string Schedule::ToString() const {

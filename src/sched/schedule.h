@@ -23,12 +23,6 @@ class Schedule {
   static StatusOr<Schedule> FromAssignments(std::vector<int> machine_of,
                                             int num_machines);
 
-  /// Decodes the flattened one-hot matrix representation (row i = executor i,
-  /// values need not be exactly 0/1: the argmax of each row is used, which
-  /// implements the "nearest feasible action" for already-feasible inputs).
-  static StatusOr<Schedule> FromOneHot(const std::vector<double>& flat,
-                                       int num_executors, int num_machines);
-
   /// Uniformly random assignment (used to collect offline training samples).
   static Schedule Random(int num_executors, int num_machines, Rng* rng);
 
@@ -87,10 +81,6 @@ class Schedule {
            machine_of_ == other.machine_of_ &&
            process_of_ == other.process_of_;
   }
-
-  /// Squared euclidean distance between the one-hot encodings of two
-  /// schedules (= 2 * DiffCount).
-  double SquaredDistance(const Schedule& other) const;
 
   std::string ToString() const;
 

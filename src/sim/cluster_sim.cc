@@ -111,6 +111,9 @@ Status ClusterSim::InstallFaultPlan(const FaultPlan& plan) {
 StatusOr<int> ClusterSim::AddTenant(const topo::Topology* topology,
                                     const topo::Workload* workload,
                                     const sched::Schedule& initial) {
+  if (initialized_) {
+    return Status::FailedPrecondition("tenants must be added before Start");
+  }
   if (topology == nullptr || workload == nullptr) {
     return Status::InvalidArgument("tenant needs topology + workload");
   }
@@ -164,13 +167,6 @@ StatusOr<int> ClusterSim::AddTenant(const topo::Topology* topology,
     exec.routing =
         DeriveStream(options_.seed, tenant, i, StreamPurpose::kRouting);
     HostExecutor(exec.machine);
-    // A tenant landing on a sleeping machine waits out the wake latency.
-    if (machines_[exec.machine].wake_until_ms > now_ms_) {
-      exec.paused_until_ms =
-          std::max(exec.paused_until_ms, machines_[exec.machine].wake_until_ms);
-      Schedule(exec.paused_until_ms, EventType::kResume,
-               tenants_[tenant].exec_base + i, -1);
-    }
     const topo::Component& comp = topology->component(exec.component);
     if (options_.functional) {
       if (comp.is_spout && comp.source_factory) {
@@ -181,72 +177,7 @@ StatusOr<int> ClusterSim::AddTenant(const topo::Topology* topology,
     }
   }
   RebuildLocalTargets(tenant);
-
-  // A tenant arriving mid-run starts emitting immediately; tenants
-  // registered before Start are started there, in registration order.
-  if (initialized_) {
-    const TenantState& t = tenants_[tenant];
-    for (int i = 0; i < t.num_executors; ++i) {
-      const ExecutorState& exec = executors_[t.exec_base + i];
-      if (!t.topology->component(exec.component).is_spout) continue;
-      ScheduleNextSpoutEmit(t.exec_base + i);
-    }
-  }
   return tenant;
-}
-
-Status ClusterSim::RemoveTenant(int tenant) {
-  if (tenant < 0 || tenant >= num_tenants()) {
-    return Status::InvalidArgument("no such tenant");
-  }
-  TenantState& t = tenants_[tenant];
-  if (!t.active) {
-    return Status::FailedPrecondition("tenant already removed");
-  }
-  t.active = false;
-
-  // Release the machines: advance their processor-sharing clocks first so
-  // surviving tenants' progress under the old contention is accounted, then
-  // pull the departing tenant's executors out of the active sets.
-  for (int m = 0; m < cluster_.num_machines; ++m) {
-    MachineState& machine = machines_[m];
-    bool touched = false;
-    for (int e : machine.active) {
-      if (executors_[e].tenant == tenant) {
-        touched = true;
-        break;
-      }
-    }
-    if (!touched) continue;
-    AdvanceMachine(m);
-    machine.active.erase(
-        std::remove_if(machine.active.begin(), machine.active.end(),
-                       [&](int e) { return executors_[e].tenant == tenant; }),
-        machine.active.end());
-    ScheduleNextCompletion(m);
-  }
-
-  // Drain the tenant's executors. Slots still in flight (pending kArrive
-  // events) are freed when their events fire; pending kSpoutEmit / kResume
-  // events become no-ops through the tenant-active guard.
-  for (int i = 0; i < t.num_executors; ++i) {
-    ExecutorState& exec = executors_[t.exec_base + i];
-    for (size_t q = 0; q < exec.queue.size(); ++q) {
-      FreeTupleSlot(exec.queue[q]);
-    }
-    exec.queue.clear();
-    exec.busy = false;
-    exec.serving_machine = -1;
-    exec.remaining_work_ms = 0.0;
-    exec.current = TupleInstance();
-    UnhostExecutor(exec.machine);
-  }
-
-  // Forget the tenant's in-flight roots (the job is gone; nothing to ack).
-  for (uint32_t slot = 0; slot < roots_.size(); ++slot) {
-    if (roots_[slot].live && roots_[slot].tenant == tenant) ReleaseRoot(slot);
-  }
-  return Status::OK();
 }
 
 Status ClusterSim::Start() {
@@ -299,9 +230,6 @@ Status ClusterSim::Migrate(int tenant, const sched::Schedule& target) {
     return Status::InvalidArgument("no such tenant");
   }
   TenantState& t = tenants_[tenant];
-  if (!t.active) {
-    return Status::FailedPrecondition("tenant already removed");
-  }
   if (target.num_executors() != t.topology->num_executors() ||
       target.num_machines() != cluster_.num_machines) {
     return Status::InvalidArgument("schedule dimensions mismatch");
@@ -373,7 +301,6 @@ void ClusterSim::RunUntil(double time_ms) {
     ++counters_.events_processed;
     switch (event.type) {
       case EventType::kSpoutEmit:
-        if (!tenants_[executors_[event.executor].tenant].active) break;
         if (event.tuple_slot == 1) {
           // Rate-boundary recheck: re-sample without emitting.
           ScheduleNextSpoutEmit(event.executor);
@@ -408,18 +335,6 @@ void ClusterSim::ResetWindow() {
     for (RunningStats& s : t.window_component_proc) s.Reset();
     for (RunningStats& s : t.window_edge_transfer) s.Reset();
   }
-}
-
-int ClusterSim::num_active_tenants() const {
-  int count = 0;
-  for (const TenantState& t : tenants_) {
-    if (t.active) ++count;
-  }
-  return count;
-}
-
-bool ClusterSim::TenantActive(int tenant) const {
-  return tenant >= 0 && tenant < num_tenants() && tenants_[tenant].active;
 }
 
 const sched::Schedule& ClusterSim::TenantSchedule(int tenant) const {
@@ -494,7 +409,7 @@ double ClusterSim::RemoteTransferFraction() const {
 std::vector<int> ClusterSim::MachineExecutorCounts() const {
   std::vector<int> counts(cluster_.num_machines, 0);
   for (const ExecutorState& exec : executors_) {
-    if (tenants_[exec.tenant].active) ++counts[exec.machine];
+    ++counts[exec.machine];
   }
   return counts;
 }
@@ -521,9 +436,7 @@ std::vector<topo::MachineHealth> ClusterSim::MachineHealths() const {
 int ClusterSim::ExecutorsOnDeadMachines() const {
   int count = 0;
   for (const ExecutorState& exec : executors_) {
-    if (tenants_[exec.tenant].active && !machines_[exec.machine].health.up) {
-      ++count;
-    }
+    if (!machines_[exec.machine].health.up) ++count;
   }
   return count;
 }
@@ -624,7 +537,7 @@ void ClusterSim::PrimeTenantGenerator(int tenant) {
 
 void ClusterSim::HandleRateChange(int tenant, int version) {
   TenantState& t = tenants_[tenant];
-  if (!t.active || t.generator == nullptr) return;
+  if (t.generator == nullptr) return;
   if (version != t.rate_event_version) return;  // Stale after a swap.
   // Re-reading MultiplierAt at the op time (instead of applying the op's
   // payload) keeps spout-targeted and composed ops uniform, and arms the
@@ -638,9 +551,6 @@ Status ClusterSim::SetTenantWorkloadGenerator(
     return Status::InvalidArgument("no such tenant");
   }
   TenantState& t = tenants_[tenant];
-  if (!t.active) {
-    return Status::FailedPrecondition("tenant already removed");
-  }
   t.generator = gen;
   ++t.rate_event_version;  // Orphan any pending kRateChange events.
   std::fill(t.rate_multiplier.begin(), t.rate_multiplier.end(), 1.0);
@@ -724,11 +634,6 @@ void ClusterSim::HandleSpoutEmit(int executor) {
 void ClusterSim::HandleArrive(int tuple_slot) {
   TupleInstance& tuple = tuple_pool_[tuple_slot];
   TenantState& tenant = tenants_[tuple.tenant];
-  if (!tenant.active) {
-    // The tenant departed while this tuple was on the wire; drain it.
-    FreeTupleSlot(tuple_slot);
-    return;
-  }
   const int executor = tuple.dest_executor;
   if (!machines_[executors_[executor].machine].health.up) {
     // Destination machine is down: the tuple is lost; its root fails via
@@ -937,7 +842,6 @@ int ClusterSim::EarliestCompletion() {
 
 void ClusterSim::StartServiceIfIdle(int executor) {
   ExecutorState& exec = executors_[executor];
-  if (!tenants_[exec.tenant].active) return;
   if (exec.busy || exec.queue.empty() || exec.paused_until_ms > now_ms_) {
     return;
   }

@@ -104,9 +104,9 @@ class IntFifo {
 /// Shared-cluster discrete-event simulator: one set of machines (cores,
 /// serialized NIC uplinks, fault plan, one event queue and clock) hosting
 /// any number of tenant topologies whose executors contend for the shared
-/// CPU and NIC resources. Tenants can be added and removed mid-run
-/// (streaming job arrivals/departures); each keeps its own schedule,
-/// measurement windows, counters, and in-flight root accounting, while all
+/// CPU and NIC resources. The tenant set is fixed at Start; each tenant
+/// keeps its own schedule, measurement windows, counters, and in-flight
+/// root accounting, while all
 /// tuple-level mechanics (processor sharing, routing, acking, timeouts,
 /// migration, faults) run through one event loop.
 ///
@@ -141,12 +141,11 @@ class ClusterSim {
   /// times, so a fixed (seed, plan) pair replays bit-identically.
   Status InstallFaultPlan(const FaultPlan& plan);
 
-  /// Registers a tenant topology with its initial schedule. Tenants added
-  /// before Start begin emitting at Start (in registration order, matching
-  /// the historical single-topology init); tenants added after Start begin
-  /// emitting immediately (a streaming job arrival). Returns the tenant id.
-  /// Component service-time parameters are read here, once; the topology
-  /// and workload must outlive the simulator.
+  /// Registers a tenant topology with its initial schedule and returns the
+  /// tenant id. The tenant set is fixed at Start: tenants begin emitting
+  /// there, in registration order, and AddTenant after Start fails with
+  /// FailedPrecondition. Component service-time parameters are read here,
+  /// once; the topology and workload must outlive the simulator.
   StatusOr<int> AddTenant(const topo::Topology* topology,
                           const topo::Workload* workload,
                           const sched::Schedule& initial);
@@ -160,12 +159,6 @@ class ClusterSim {
   /// trajectory bit for bit.
   Status SetTenantWorkloadGenerator(int tenant,
                                     const workload::WorkloadGenerator* gen);
-
-  /// Retires a tenant mid-run (job departure): queued and in-flight tuples
-  /// are drained, its executors release their machines, and its pending
-  /// events become no-ops. Tenant ids are never reused; the retired
-  /// tenant's counters and window statistics stay readable.
-  Status RemoveTenant(int tenant);
 
   /// Starts the data sources of all registered tenants and arms the fault
   /// plan. Must be called exactly once before Run*.
@@ -186,8 +179,6 @@ class ClusterSim {
 
   /// ---- Tenants -----------------------------------------------------------
   int num_tenants() const { return static_cast<int>(tenants_.size()); }
-  int num_active_tenants() const;
-  bool TenantActive(int tenant) const;
   const sched::Schedule& TenantSchedule(int tenant) const;
 
   /// ---- Measurement windows (the framework's statistics collection) -------
@@ -216,7 +207,7 @@ class ClusterSim {
   std::vector<int> TenantExecutorQueueDepths(int tenant) const;
   /// Fraction of remote transfers among all transfers so far.
   double RemoteTransferFraction() const;
-  /// Executors of active tenants hosted per machine.
+  /// Executors hosted per machine.
   std::vector<int> MachineExecutorCounts() const;
 
   /// ---- Energy accounting (topo::MachineSpec power model) -----------------
@@ -259,8 +250,8 @@ class ClusterSim {
   /// Snapshot of each machine's live health (up, straggler factor, link
   /// spike) for artifacts/diagnostics.
   std::vector<topo::MachineHealth> MachineHealths() const;
-  /// Executors (of active tenants) whose current assignment targets a down
-  /// machine (should be zero once a reschedule settles).
+  /// Executors whose current assignment targets a down machine (should be
+  /// zero once a reschedule settles).
   int ExecutorsOnDeadMachines() const;
 
  private:
@@ -309,7 +300,7 @@ class ClusterSim {
     topo::MachineHealth health;  // fault-injection state (up/straggler/link)
 
     /// ---- Power/energy ledger (topo::MachineSpec) ----
-    /// Executors of active tenants assigned here (deep sleep requires 0).
+    /// Executors assigned here (deep sleep requires 0).
     int hosted = 0;
     /// When `hosted` last dropped to 0 (machines start hostless at t=0).
     double hostless_since_ms = 0.0;
@@ -357,7 +348,6 @@ class ClusterSim {
     std::unique_ptr<sched::Schedule> schedule;
     int exec_base = 0;       // flat id of tenant-scoped executor 0
     int num_executors = 0;
-    bool active = true;
     int inflight_roots = 0;
     /// local_targets[component][machine * slots + process] = flat executors
     /// of the tenant-scoped `component` in that worker process (shuffle

@@ -2,14 +2,6 @@
 
 namespace drlstream::topo {
 
-std::vector<uint8_t> UpMask(const std::vector<MachineHealth>& healths) {
-  std::vector<uint8_t> mask(healths.size(), 1);
-  for (size_t i = 0; i < healths.size(); ++i) {
-    mask[i] = healths[i].up ? 1 : 0;
-  }
-  return mask;
-}
-
 int AliveCount(const std::vector<uint8_t>& up_mask) {
   int alive = 0;
   for (uint8_t up : up_mask) alive += up ? 1 : 0;

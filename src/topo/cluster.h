@@ -23,10 +23,6 @@ struct MachineHealth {
   double link_extra_ms = 0.0;
 };
 
-/// Per-machine up/down flags (1 = up) from a health vector — the mask the
-/// schedulers and the K-NN action solver consume.
-std::vector<uint8_t> UpMask(const std::vector<MachineHealth>& healths);
-
 /// Number of machines that are up. An empty mask means "all up" by
 /// convention throughout the control loop.
 int AliveCount(const std::vector<uint8_t>& up_mask);

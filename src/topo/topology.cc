@@ -6,20 +6,6 @@
 
 namespace drlstream::topo {
 
-const char* GroupingToString(Grouping g) {
-  switch (g) {
-    case Grouping::kShuffle:
-      return "shuffle";
-    case Grouping::kFields:
-      return "fields";
-    case Grouping::kAll:
-      return "all";
-    case Grouping::kGlobal:
-      return "global";
-  }
-  return "?";
-}
-
 int Topology::AddComponent(Component component, bool is_spout) {
   DRLSTREAM_CHECK_GT(component.parallelism, 0);
   DRLSTREAM_CHECK_GT(component.service_mean_ms, 0.0);

@@ -18,8 +18,6 @@ enum class Grouping {
   kGlobal = 3,   // all-to-one (lowest-id task)
 };
 
-const char* GroupingToString(Grouping g);
-
 /// A spout or bolt (the paper's "data source" / "Processing Unit").
 struct Component {
   std::string name;

@@ -81,91 +81,104 @@ class ParamReader {
   std::vector<std::string> allowed_;
 };
 
-Status RegisterBuiltins(WorkloadRegistry* registry) {
-  using Params = std::map<std::string, std::string>;
-  DRLSTREAM_RETURN_NOT_OK(registry->Register(
-      "constant",
-      [](const Params& params,
-         uint64_t) -> StatusOr<std::unique_ptr<WorkloadGenerator>> {
-        double factor = 1.0;
-        ParamReader reader(params, "constant");
-        DRLSTREAM_RETURN_NOT_OK(reader.Double("factor", &factor));
-        DRLSTREAM_RETURN_NOT_OK(reader.Finish());
-        return MakeConstant(factor);
-      }));
-  DRLSTREAM_RETURN_NOT_OK(registry->Register(
-      "diurnal",
-      [](const Params& params,
-         uint64_t seed) -> StatusOr<std::unique_ptr<WorkloadGenerator>> {
-        DiurnalConfig config;
-        config.seed = seed;
-        ParamReader reader(params, "diurnal");
-        DRLSTREAM_RETURN_NOT_OK(reader.Double("period_ms", &config.period_ms));
-        DRLSTREAM_RETURN_NOT_OK(reader.Double("amplitude", &config.amplitude));
-        DRLSTREAM_RETURN_NOT_OK(reader.Double("base", &config.base));
-        DRLSTREAM_RETURN_NOT_OK(
-            reader.Double("phase", &config.phase_radians));
-        DRLSTREAM_RETURN_NOT_OK(
-            reader.Int("steps", &config.steps_per_period));
-        DRLSTREAM_RETURN_NOT_OK(reader.Double("jitter", &config.jitter));
-        DRLSTREAM_RETURN_NOT_OK(reader.U64("seed", &config.seed));
-        DRLSTREAM_RETURN_NOT_OK(reader.Finish());
-        return MakeDiurnal(config);
-      }));
-  DRLSTREAM_RETURN_NOT_OK(registry->Register(
-      "flash_crowd",
-      [](const Params& params,
-         uint64_t) -> StatusOr<std::unique_ptr<WorkloadGenerator>> {
-        FlashCrowdConfig config;
-        ParamReader reader(params, "flash_crowd");
-        DRLSTREAM_RETURN_NOT_OK(reader.Double("at_ms", &config.at_ms));
-        DRLSTREAM_RETURN_NOT_OK(reader.Double("peak", &config.peak));
-        DRLSTREAM_RETURN_NOT_OK(reader.Double("base", &config.base));
-        DRLSTREAM_RETURN_NOT_OK(
-            reader.Double("decay_tau_ms", &config.decay_tau_ms));
-        DRLSTREAM_RETURN_NOT_OK(reader.Double("step_ms", &config.step_ms));
-        DRLSTREAM_RETURN_NOT_OK(reader.Double("repeat_ms", &config.repeat_ms));
-        DRLSTREAM_RETURN_NOT_OK(reader.Finish());
-        return MakeFlashCrowd(config);
-      }));
-  DRLSTREAM_RETURN_NOT_OK(registry->Register(
-      "drift",
-      [](const Params& params,
-         uint64_t) -> StatusOr<std::unique_ptr<WorkloadGenerator>> {
-        DriftConfig config;
-        ParamReader reader(params, "drift");
-        DRLSTREAM_RETURN_NOT_OK(reader.Double("from", &config.from));
-        DRLSTREAM_RETURN_NOT_OK(reader.Double("to", &config.to));
-        DRLSTREAM_RETURN_NOT_OK(reader.Double("start_ms", &config.start_ms));
-        DRLSTREAM_RETURN_NOT_OK(reader.Double("end_ms", &config.end_ms));
-        DRLSTREAM_RETURN_NOT_OK(reader.Double("step_ms", &config.step_ms));
-        DRLSTREAM_RETURN_NOT_OK(reader.Finish());
-        return MakeDrift(config);
-      }));
-  DRLSTREAM_RETURN_NOT_OK(registry->Register(
-      "trace_replay",
-      [](const Params& params,
-         uint64_t) -> StatusOr<std::unique_ptr<WorkloadGenerator>> {
-        std::string file;
-        ParamReader reader(params, "trace_replay");
-        DRLSTREAM_RETURN_NOT_OK(reader.String("file", &file));
-        DRLSTREAM_RETURN_NOT_OK(reader.Finish());
-        if (file.empty()) {
-          return Status::InvalidArgument(
-              "trace_replay: needs file=<trace.csv>");
-        }
-        return MakeTraceReplayFromCsvFile(file);
-      }));
-  DRLSTREAM_RETURN_NOT_OK(registry->Register(
-      "compose",
-      [](const Params&,
-         uint64_t) -> StatusOr<std::unique_ptr<WorkloadGenerator>> {
-        return Status::InvalidArgument(
-            "compose takes child specs joined with '+': "
-            "compose:<specA>+<specB> (e.g. "
-            "compose:diurnal:amplitude=0.3+flash_crowd:at_ms=20000)");
-      }));
-  return Status::OK();
+using Params = std::map<std::string, std::string>;
+using Factory = StatusOr<std::unique_ptr<WorkloadGenerator>> (*)(
+    const Params& params, uint64_t seed);
+
+/// ParseWorkloadSpec handles `compose` itself; a bare key without children
+/// lands here.
+StatusOr<std::unique_ptr<WorkloadGenerator>> MakeComposeStub(const Params&,
+                                                             uint64_t) {
+  return Status::InvalidArgument(
+      "compose takes child specs joined with '+': "
+      "compose:<specA>+<specB> (e.g. "
+      "compose:diurnal:amplitude=0.3+flash_crowd:at_ms=20000)");
+}
+
+StatusOr<std::unique_ptr<WorkloadGenerator>> MakeConstantSpec(
+    const Params& params, uint64_t) {
+  double factor = 1.0;
+  ParamReader reader(params, "constant");
+  DRLSTREAM_RETURN_NOT_OK(reader.Double("factor", &factor));
+  DRLSTREAM_RETURN_NOT_OK(reader.Finish());
+  return MakeConstant(factor);
+}
+
+StatusOr<std::unique_ptr<WorkloadGenerator>> MakeDiurnalSpec(
+    const Params& params, uint64_t seed) {
+  DiurnalConfig config;
+  config.seed = seed;
+  ParamReader reader(params, "diurnal");
+  DRLSTREAM_RETURN_NOT_OK(reader.Double("period_ms", &config.period_ms));
+  DRLSTREAM_RETURN_NOT_OK(reader.Double("amplitude", &config.amplitude));
+  DRLSTREAM_RETURN_NOT_OK(reader.Double("base", &config.base));
+  DRLSTREAM_RETURN_NOT_OK(reader.Double("phase", &config.phase_radians));
+  DRLSTREAM_RETURN_NOT_OK(reader.Int("steps", &config.steps_per_period));
+  DRLSTREAM_RETURN_NOT_OK(reader.Double("jitter", &config.jitter));
+  DRLSTREAM_RETURN_NOT_OK(reader.U64("seed", &config.seed));
+  DRLSTREAM_RETURN_NOT_OK(reader.Finish());
+  return MakeDiurnal(config);
+}
+
+StatusOr<std::unique_ptr<WorkloadGenerator>> MakeDriftSpec(
+    const Params& params, uint64_t) {
+  DriftConfig config;
+  ParamReader reader(params, "drift");
+  DRLSTREAM_RETURN_NOT_OK(reader.Double("from", &config.from));
+  DRLSTREAM_RETURN_NOT_OK(reader.Double("to", &config.to));
+  DRLSTREAM_RETURN_NOT_OK(reader.Double("start_ms", &config.start_ms));
+  DRLSTREAM_RETURN_NOT_OK(reader.Double("end_ms", &config.end_ms));
+  DRLSTREAM_RETURN_NOT_OK(reader.Double("step_ms", &config.step_ms));
+  DRLSTREAM_RETURN_NOT_OK(reader.Finish());
+  return MakeDrift(config);
+}
+
+StatusOr<std::unique_ptr<WorkloadGenerator>> MakeFlashCrowdSpec(
+    const Params& params, uint64_t) {
+  FlashCrowdConfig config;
+  ParamReader reader(params, "flash_crowd");
+  DRLSTREAM_RETURN_NOT_OK(reader.Double("at_ms", &config.at_ms));
+  DRLSTREAM_RETURN_NOT_OK(reader.Double("peak", &config.peak));
+  DRLSTREAM_RETURN_NOT_OK(reader.Double("base", &config.base));
+  DRLSTREAM_RETURN_NOT_OK(reader.Double("decay_tau_ms", &config.decay_tau_ms));
+  DRLSTREAM_RETURN_NOT_OK(reader.Double("step_ms", &config.step_ms));
+  DRLSTREAM_RETURN_NOT_OK(reader.Double("repeat_ms", &config.repeat_ms));
+  DRLSTREAM_RETURN_NOT_OK(reader.Finish());
+  return MakeFlashCrowd(config);
+}
+
+StatusOr<std::unique_ptr<WorkloadGenerator>> MakeTraceReplaySpec(
+    const Params& params, uint64_t) {
+  std::string file;
+  ParamReader reader(params, "trace_replay");
+  DRLSTREAM_RETURN_NOT_OK(reader.String("file", &file));
+  DRLSTREAM_RETURN_NOT_OK(reader.Finish());
+  if (file.empty()) {
+    return Status::InvalidArgument("trace_replay: needs file=<trace.csv>");
+  }
+  return MakeTraceReplayFromCsvFile(file);
+}
+
+struct Builtin {
+  const char* key;
+  Factory make;
+};
+
+/// Sorted by key: Keys() lists the rows in this order.
+constexpr Builtin kBuiltins[] = {
+    {"compose", MakeComposeStub},
+    {"constant", MakeConstantSpec},
+    {"diurnal", MakeDiurnalSpec},
+    {"drift", MakeDriftSpec},
+    {"flash_crowd", MakeFlashCrowdSpec},
+    {"trace_replay", MakeTraceReplaySpec},
+};
+
+const Builtin* FindBuiltin(const std::string& key) {
+  for (const Builtin& builtin : kBuiltins) {
+    if (key == builtin.key) return &builtin;
+  }
+  return nullptr;
 }
 
 Status ParseParams(const std::string& kind, const std::string& text,
@@ -212,36 +225,18 @@ StatusOr<std::unique_ptr<WorkloadGenerator>> ParseSingleSpec(
 }  // namespace
 
 WorkloadRegistry& WorkloadRegistry::Get() {
-  static WorkloadRegistry* const registry = [] {
-    auto* r = new WorkloadRegistry();
-    const Status status = RegisterBuiltins(r);
-    DRLSTREAM_CHECK(status.ok());
-    return r;
-  }();
-  return *registry;
-}
-
-Status WorkloadRegistry::Register(const std::string& key, Factory factory) {
-  if (key.empty() || factory == nullptr) {
-    return Status::InvalidArgument(
-        "workload registration needs key + factory");
-  }
-  if (!factories_.emplace(key, std::move(factory)).second) {
-    return Status::FailedPrecondition("workload '" + key +
-                                      "' already registered");
-  }
-  return Status::OK();
+  static WorkloadRegistry registry;
+  return registry;
 }
 
 bool WorkloadRegistry::Has(const std::string& key) const {
-  return factories_.count(key) > 0;
+  return FindBuiltin(key) != nullptr;
 }
 
 std::vector<std::string> WorkloadRegistry::Keys() const {
   std::vector<std::string> keys;
-  keys.reserve(factories_.size());
-  for (const auto& [key, factory] : factories_) keys.push_back(key);
-  return keys;  // std::map iterates in sorted order.
+  for (const Builtin& builtin : kBuiltins) keys.push_back(builtin.key);
+  return keys;
 }
 
 std::string WorkloadRegistry::KeysLine() const {
@@ -254,22 +249,15 @@ std::string WorkloadRegistry::KeysLine() const {
 }
 
 Status WorkloadRegistry::UnknownKeyError(const std::string& key) const {
-  std::ostringstream message;
-  message << "unknown workload '" << key << "'; available:";
-  for (const std::string& name : Keys()) message << ' ' << name;
-  const std::string suggestion = NearestKey(key, Keys());
-  if (!suggestion.empty()) {
-    message << " (did you mean '" << suggestion << "'?)";
-  }
-  return Status::InvalidArgument(message.str());
+  return UnknownNameError("workload", key, Keys());
 }
 
 StatusOr<std::unique_ptr<WorkloadGenerator>> WorkloadRegistry::Create(
     const std::string& key, const std::map<std::string, std::string>& params,
     uint64_t seed) const {
-  const auto it = factories_.find(key);
-  if (it == factories_.end()) return UnknownKeyError(key);
-  return it->second(params, seed);
+  const Builtin* builtin = FindBuiltin(key);
+  if (builtin == nullptr) return UnknownKeyError(key);
+  return builtin->make(params, seed);
 }
 
 StatusOr<std::unique_ptr<WorkloadGenerator>> ParseWorkloadSpec(

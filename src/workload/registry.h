@@ -2,7 +2,6 @@
 #define DRLSTREAM_WORKLOAD_REGISTRY_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -13,9 +12,10 @@
 
 namespace drlstream::workload {
 
-/// String -> generator factory registry, mirroring rl::PolicyRegistry:
-/// builtins self-register, Keys() iterates sorted, unknown keys get a
-/// did-you-mean error. Scenario specs select and configure a generator:
+/// String -> generator factory table, mirroring rl::PolicyRegistry: a
+/// fixed, sorted table of the builtin scenario library (a new generator is
+/// one more row in registry.cc), and unknown keys get a did-you-mean
+/// error. Scenario specs select and configure a generator:
 ///
 ///   kind[:key=value,key=value...]
 ///   e.g. "diurnal:period_ms=60000,amplitude=0.5,jitter=0.1"
@@ -24,14 +24,9 @@ namespace drlstream::workload {
 /// `compose` children are separated by '+' and cannot nest.
 class WorkloadRegistry {
  public:
-  /// Factory: validated params (already parsed from the spec) + seed.
-  using Factory = std::function<StatusOr<std::unique_ptr<WorkloadGenerator>>(
-      const std::map<std::string, std::string>& params, uint64_t seed)>;
-
-  /// Process-wide registry with the builtin scenario library installed.
+  /// The process-wide registry.
   static WorkloadRegistry& Get();
 
-  Status Register(const std::string& key, Factory factory);
   bool Has(const std::string& key) const;
   std::vector<std::string> Keys() const;
   /// "compose|constant|diurnal|..." for --help lines.
@@ -46,7 +41,7 @@ class WorkloadRegistry {
       const std::map<std::string, std::string>& params, uint64_t seed) const;
 
  private:
-  std::map<std::string, Factory> factories_;
+  WorkloadRegistry() = default;
 };
 
 /// Parses a full scenario spec ("kind:k=v,...", compose children joined

@@ -289,17 +289,6 @@ TEST(Mt19937Test, MalformedStatesAreRejectedWithoutTouchingTheEngine) {
   }
 }
 
-TEST(RngTest, ForkProducesIndependentStreams) {
-  Rng parent(3);
-  Rng child = parent.Fork();
-  // Child and parent should not produce identical sequences.
-  bool differs = false;
-  for (int i = 0; i < 10; ++i) {
-    if (parent.Uniform(0, 1) != child.Uniform(0, 1)) differs = true;
-  }
-  EXPECT_TRUE(differs);
-}
-
 // ---------------------------------------------------------------------------
 // Stats
 // ---------------------------------------------------------------------------
@@ -397,14 +386,6 @@ TEST(FiltFiltTest, ZeroPhaseKeepsPulseCentered) {
   }
 }
 
-TEST(MovingAverageTest, WindowedMean) {
-  const std::vector<double> out = MovingAverage({1, 2, 3, 4, 5}, 2);
-  ASSERT_EQ(out.size(), 5u);
-  EXPECT_DOUBLE_EQ(out[0], 1.0);
-  EXPECT_DOUBLE_EQ(out[1], 1.5);
-  EXPECT_DOUBLE_EQ(out[4], 4.5);
-}
-
 TEST(PercentileTest, InterpolatesCorrectly) {
   std::vector<double> values = {10, 20, 30, 40};
   EXPECT_DOUBLE_EQ(Percentile(values, 0), 10);
@@ -419,11 +400,17 @@ TEST(PercentileTest, InterpolatesCorrectly) {
 // ---------------------------------------------------------------------------
 
 TEST(FlagsTest, ParsesKeyValueForms) {
-  const char* argv[] = {"prog", "--alpha=3", "--beta", "7.5", "--gamma"};
-  auto flags = Flags::Parse(5, const_cast<char**>(argv));
+  const char* argv[] = {"prog",   "--alpha=3", "--beta", "7.5",   "--gamma",
+                        "--a=11", "--b=-3",    "--c=0.9", "--d=1e-3"};
+  auto flags = Flags::Parse(9, const_cast<char**>(argv));
   ASSERT_TRUE(flags.ok());
   EXPECT_EQ(flags->GetInt("alpha", 0), 3);
   EXPECT_DOUBLE_EQ(flags->GetDouble("beta", 0), 7.5);
+  EXPECT_EQ(flags->GetInt("a", 0), 11);
+  EXPECT_EQ(flags->GetInt("b", 0), -3);
+  EXPECT_DOUBLE_EQ(flags->GetDouble("a", 0), 11.0);
+  EXPECT_DOUBLE_EQ(flags->GetDouble("c", 0), 0.9);
+  EXPECT_DOUBLE_EQ(flags->GetDouble("d", 0), 1e-3);
   EXPECT_TRUE(flags->GetBool("gamma", false));
   EXPECT_TRUE(flags->Has("alpha"));
   EXPECT_FALSE(flags->Has("delta"));
@@ -502,6 +489,22 @@ TEST(FlagsTest, AcceptsDeclaredAndProcessKeys) {
   EXPECT_EQ(flags->GetInt("epochs", 0), 5);
   EXPECT_EQ(flags->GetInt("samples", 0), 7);
   EXPECT_EQ(flags->GetString("trace-out", ""), "t.json");
+}
+
+TEST(FlagsTest, MalformedNumbersExitWithInvalidArgument) {
+  // The child re-executes this test alone, so no thread of another test is
+  // alive at the fork.
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const char* argv[] = {"prog", "--epochs=2x", "--samples=abc",
+                        "--rate=0.9x"};
+  auto flags = Flags::Parse(4, const_cast<char**>(argv));
+  ASSERT_TRUE(flags.ok()) << flags.status().ToString();
+  EXPECT_EXIT(flags->GetInt("epochs", 0), testing::ExitedWithCode(1),
+              "InvalidArgument: --epochs=2x: expected an integer");
+  EXPECT_EXIT(flags->GetInt("samples", 0), testing::ExitedWithCode(1),
+              "--samples=abc: expected an integer");
+  EXPECT_EXIT(flags->GetDouble("rate", 0), testing::ExitedWithCode(1),
+              "--rate=0.9x: expected a number");
 }
 
 TEST(FlagsTest, UndeclaredFormAcceptsAnyKey) {

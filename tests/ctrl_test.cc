@@ -105,15 +105,13 @@ class LoopbackAgent {
   explicit LoopbackAgent(rl::Policy* policy, AgentServerOptions options = {}) {
     auto [client_end, server_end] = net::MakeLoopbackPair();
     client_end_ = std::move(client_end);
-    server_end_ = std::move(server_end);
     server_ = std::make_unique<AgentServer>(policy, options);
-    thread_ = std::thread(
-        [this] { serve_status_ = server_->Serve(server_end_.get()); });
+    EXPECT_TRUE(server_->AddSession(std::move(server_end)).ok());
+    thread_ = std::thread([this] { serve_status_ = server_->Run(); });
   }
 
   ~LoopbackAgent() {
     server_->Stop();
-    server_end_->Close();
     if (client_end_) client_end_->Close();
     thread_.join();
     EXPECT_TRUE(serve_status_.ok()) << serve_status_.ToString();
@@ -125,7 +123,6 @@ class LoopbackAgent {
 
  private:
   std::unique_ptr<net::Transport> client_end_;
-  std::unique_ptr<net::Transport> server_end_;
   std::unique_ptr<AgentServer> server_;
   std::thread thread_;
   Status serve_status_ = Status::OK();
@@ -415,27 +412,6 @@ TEST(EndToEndTest, AgentKilledMidRunDegradesToTheLastSchedule) {
   EXPECT_GT(snapshot.counters["online.fallbacks"], 0);
   EXPECT_GT(snapshot.counters["ctrl.server.requests"], 0);
   SetGlobalThreadCount(0);
-}
-
-TEST(EndToEndTest, HeartbeatThreadSharesTheConnectionSafely) {
-  FakePolicy policy(3);
-  LoopbackAgent agent(&policy);
-  MasterClientOptions options;
-  options.num_machines = 3;
-  options.heartbeat_interval_ms = 1;
-  MasterClient client(agent.TakeClientEnd(), options);
-  ASSERT_TRUE(client.Connect().ok());
-  ASSERT_TRUE(client.StartHeartbeat().ok());
-  EXPECT_FALSE(client.StartHeartbeat().ok());  // already running
-  // RPCs interleave with heartbeats on the shared connection (the TSan CI
-  // job hammers this path).
-  Rng rng(5);
-  for (int i = 0; i < 50; ++i) {
-    auto action = client.SelectAction(SmallState(), 0.1, &rng);
-    EXPECT_TRUE(action.ok());
-  }
-  client.StopHeartbeat();
-  EXPECT_TRUE(client.Ping().ok());
 }
 
 TEST(TcpEndToEndTest, FullProtocolOverRealSockets) {

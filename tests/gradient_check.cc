@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "nn/loss.h"
+#include "common/logging.h"
 
 namespace drlstream::nn {
 namespace {
@@ -15,6 +15,29 @@ double RelError(double analytic, double numeric) {
 }
 
 }  // namespace
+
+double MseLoss(const std::vector<double>& prediction,
+               const std::vector<double>& target) {
+  DRLSTREAM_CHECK_EQ(prediction.size(), target.size());
+  DRLSTREAM_CHECK(!prediction.empty());
+  double sum = 0.0;
+  for (size_t i = 0; i < prediction.size(); ++i) {
+    const double d = prediction[i] - target[i];
+    sum += d * d;
+  }
+  return sum / static_cast<double>(prediction.size());
+}
+
+std::vector<double> MseLossGrad(const std::vector<double>& prediction,
+                                const std::vector<double>& target) {
+  DRLSTREAM_CHECK_EQ(prediction.size(), target.size());
+  std::vector<double> grad(prediction.size());
+  const double n = static_cast<double>(prediction.size());
+  for (size_t i = 0; i < prediction.size(); ++i) {
+    grad[i] = 2.0 * (prediction[i] - target[i]) / n;
+  }
+  return grad;
+}
 
 double MaxParamGradRelError(
     Mlp* net, const std::function<double(const Mlp&)>& loss_fn,

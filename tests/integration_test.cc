@@ -119,7 +119,7 @@ TEST(IntegrationTest, OnlineLearningImprovesOverRandomActions) {
   config.pretrain_steps = 250;
   config.online.epochs = 60;
   config.online.train_steps_per_epoch = 2;
-  config.collect_dqn_db = false;
+  config.train_dqn = false;
   auto trained =
       TrainAllMethods(&app.topology, app.workload, cluster, config);
   ASSERT_TRUE(trained.ok()) << trained.status();

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "knn_oracle.h"
 #include "miqp/knn_solver.h"
 
 namespace drlstream::miqp {
@@ -106,11 +107,11 @@ TEST_P(KnnExactnessTest, MatchesBranchAndBound) {
   const std::vector<double> proto = RandomProto(param.n, param.m, &rng);
   KnnActionSolver solver(param.n, param.m);
   auto fast = solver.Solve(proto, param.k);
-  auto oracle = SolveKnnBranchAndBound(proto, param.n, param.m, param.k);
+  const KnnResult oracle =
+      SolveKnnBranchAndBound(proto, param.n, param.m, param.k);
   ASSERT_TRUE(fast.ok());
-  ASSERT_TRUE(oracle.ok());
   const std::vector<double> fast_distances = Distances(*fast, proto);
-  const std::vector<double> oracle_distances = Distances(*oracle, proto);
+  const std::vector<double> oracle_distances = Distances(oracle, proto);
   ASSERT_EQ(fast_distances.size(), oracle_distances.size());
   for (size_t i = 0; i < fast_distances.size(); ++i) {
     EXPECT_NEAR(fast_distances[i], oracle_distances[i], 1e-9);
@@ -197,10 +198,9 @@ TEST(BranchAndBoundTest, HandlesTiesConsistently) {
   // All-zero proto: every action has the same distance N.
   const int n = 3, m = 2;
   const std::vector<double> proto(n * m, 0.0);
-  auto result = SolveKnnBranchAndBound(proto, n, m, 4);
-  ASSERT_TRUE(result.ok());
-  ASSERT_EQ(result->actions.size(), 4u);
-  for (double d : Distances(*result, proto)) {
+  const KnnResult result = SolveKnnBranchAndBound(proto, n, m, 4);
+  ASSERT_EQ(result.actions.size(), 4u);
+  for (double d : Distances(result, proto)) {
     EXPECT_NEAR(d, static_cast<double>(n), 1e-12);
   }
   KnnActionSolver solver(n, m);

@@ -41,8 +41,8 @@ TEST(PolicyRegistryTest, BuiltinsRegistered) {
 TEST(PolicyRegistryTest, KeysLineStaysInSyncWithTheRegistry) {
   // Every example's --help prints PolicyRegistry::KeysLine() instead of a
   // hand-maintained list; this pins that the line is exactly the sorted
-  // registered keys joined by '|', so registering a new policy updates
-  // every usage string automatically.
+  // keys joined by '|', so adding a policy updates every usage string
+  // automatically.
   const PolicyRegistry& registry = PolicyRegistry::Get();
   std::string want;
   for (const std::string& key : registry.Keys()) {
@@ -83,16 +83,6 @@ TEST(PolicyRegistryTest, FactoriesValidateTheirContext) {
       PolicyRegistry::Get().Create("round-robin", PolicyContext{}).ok());
   EXPECT_FALSE(
       PolicyRegistry::Get().Create("model-based", PolicyContext{}).ok());
-}
-
-TEST(PolicyRegistryTest, DuplicateRegistrationRejected) {
-  EXPECT_FALSE(PolicyRegistry::Get()
-                   .Register("ddpg",
-                             [](const PolicyContext&)
-                                 -> StatusOr<std::unique_ptr<Policy>> {
-                               return Status::Internal("never called");
-                             })
-                   .ok());
 }
 
 TEST(SchedulerPolicyTest, RoundRobinThroughRegistryProducesSchedule) {

@@ -9,6 +9,7 @@
 
 #include "common/rng.h"
 #include "core/online.h"
+#include "knn_oracle.h"
 #include "miqp/knn_solver.h"
 #include "rl/policy_registry.h"
 #include "sched/model_based.h"

@@ -397,7 +397,7 @@ struct GoldenRun {
   std::vector<int> final_assignments;
 };
 
-GoldenRun RunPolicy(const std::string& key, bool with_energy_plumbing) {
+GoldenRun RunPolicy(const std::string& key, bool with_factor_generator) {
   topo::App app = topo::BuildContinuousQueries(topo::Scale::kSmall);
   topo::ClusterConfig cluster;
   const int n = app.topology.num_executors();
@@ -432,9 +432,8 @@ GoldenRun RunPolicy(const std::string& key, bool with_energy_plumbing) {
                                   sim_options, measure);
   Rng rng(is_ddpg ? 13 : 14);
   EXPECT_TRUE(env.Reset(sched::Schedule::RandomPacked(n, m, 4, &rng)).ok());
-  if (with_energy_plumbing) {
-    // Exercise the full new path: a (no-op) factor-1 generator installed
-    // and the energy term explicitly weighted at zero.
+  if (with_factor_generator) {
+    // A factor-1 generator must leave the trajectory untouched.
     EXPECT_TRUE(env.SetWorkloadFactor(1.0).ok());
   }
 
@@ -442,7 +441,6 @@ GoldenRun RunPolicy(const std::string& key, bool with_energy_plumbing) {
   options.epochs = 5;
   options.train_steps_per_epoch = 1;
   options.seed = is_ddpg ? 17 : 18;
-  options.energy_lambda = 0.0;
   if (is_ddpg) options.reward_cap_ms = 100000.0;
   auto result = core::RunOnline(policy->get(), &env, options);
   EXPECT_TRUE(result.ok());
