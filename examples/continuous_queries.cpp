@@ -17,13 +17,20 @@
 using namespace drlstream;
 
 int main(int argc, char** argv) {
-  auto flags_or = Flags::Parse(argc, argv,
-                               {"scale", "seconds", "seed", "table_rows"});
+  auto flags_or = Flags::Parse(
+      argc, argv, {"help", "scale", "seconds", "seed", "table_rows"});
   if (!flags_or.ok()) {
     std::fprintf(stderr, "%s\n", flags_or.status().ToString().c_str());
     return 1;
   }
   const Flags& flags = *flags_or;
+  if (flags.GetBool("help", false)) {
+    std::printf(
+        "usage: continuous_queries [--scale=small|medium|large] "
+        "[--seconds=4]\n"
+        "                          [--seed=5] [--table_rows=500]\n");
+    return 0;
+  }
   ApplyProcessFlags(flags);
   const std::string scale_name = flags.GetString("scale", "small");
   topo::Scale scale = topo::Scale::kSmall;

@@ -4,7 +4,7 @@
 // collections — and the example compares the measured latency of the
 // default deployment against a model-based one trained on the fly.
 //
-//   ./log_stream_processing [--seconds=4] [--samples=120] [--seed=3]
+//   ./log_stream_processing [--seconds=4] [--samples=150] [--seed=3]
 
 #include <cstdio>
 
@@ -48,12 +48,19 @@ double Measure(const topo::App& app, const topo::ClusterConfig& cluster,
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto flags_or = Flags::Parse(argc, argv, {"samples", "seconds", "seed"});
+  auto flags_or =
+      Flags::Parse(argc, argv, {"help", "samples", "seconds", "seed"});
   if (!flags_or.ok()) {
     std::fprintf(stderr, "%s\n", flags_or.status().ToString().c_str());
     return 1;
   }
   const Flags& flags = *flags_or;
+  if (flags.GetBool("help", false)) {
+    std::printf(
+        "usage: log_stream_processing [--seconds=4] [--samples=150] "
+        "[--seed=3]\n");
+    return 0;
+  }
   ApplyProcessFlags(flags);
   const double seconds = flags.GetDouble("seconds", 4.0);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 3));

@@ -31,10 +31,12 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "common/flags.h"
+#include "common/strutil.h"
 #include "core/environment.h"
 #include "core/experiment.h"
 #include "core/online.h"
@@ -120,13 +122,14 @@ int main(int argc, char** argv) {
 
   const std::string endpoint = flags.GetString("connect", "");
   const size_t colon = endpoint.rfind(':');
-  if (colon == std::string::npos) {
+  int port = 0;
+  if (colon == std::string::npos ||
+      !ParseNumber(std::string_view(endpoint).substr(colon + 1), &port)) {
     std::fprintf(stderr, "--connect wants HOST:PORT, got '%s'\n",
                  endpoint.c_str());
     return 1;
   }
   const std::string host = endpoint.substr(0, colon);
-  const int port = std::atoi(endpoint.c_str() + colon + 1);
 
   RunConfig config;
   config.scale = ParseScale(flags.GetString("scale", "small"));

@@ -16,12 +16,16 @@
 using namespace drlstream;
 
 int main(int argc, char** argv) {
-  auto flags_or = Flags::Parse(argc, argv, {"rate_scale", "seed"});
+  auto flags_or = Flags::Parse(argc, argv, {"help", "rate_scale", "seed"});
   if (!flags_or.ok()) {
     std::fprintf(stderr, "%s\n", flags_or.status().ToString().c_str());
     return 1;
   }
   const Flags& flags = *flags_or;
+  if (flags.GetBool("help", false)) {
+    std::printf("usage: quickstart [--seed=7] [--rate_scale=1.0]\n");
+    return 0;
+  }
   ApplyProcessFlags(flags);
 
   // The paper's small-scale continuous-queries application: 20 executors

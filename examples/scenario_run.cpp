@@ -47,13 +47,27 @@ std::vector<std::string> SplitCommas(const std::string& s) {
 int main(int argc, char** argv) {
   auto flags_or = Flags::Parse(
       argc, argv,
-      {"json-out", "measure-ms", "minute-ms", "points", "policies", "seed",
-       "sleep-after-ms", "workload"});
+      {"help", "json-out", "measure-ms", "minute-ms", "points", "policies",
+       "seed", "sleep-after-ms", "workload"});
   if (!flags_or.ok()) {
     std::fprintf(stderr, "%s\n", flags_or.status().ToString().c_str());
     return 1;
   }
   const Flags& flags = *flags_or;
+  if (flags.GetBool("help", false)) {
+    std::printf(
+        "usage: scenario_run [--workload=SPEC] [--policies=NAME,NAME]\n"
+        "                    [--points=20] [--minute-ms=6000] "
+        "[--measure-ms=MS]\n"
+        "                    [--sleep-after-ms=5000] [--seed=7] "
+        "[--json-out=PREFIX]\n"
+        "registered scenarios: %s (default "
+        "diurnal:period_ms=24000,amplitude=0.4)\n"
+        "registered policies: %s (default round-robin,energy-aware)\n",
+        workload::WorkloadRegistry::Get().KeysLine().c_str(),
+        rl::PolicyRegistry::Get().KeysLine().c_str());
+    return 0;
+  }
   ApplyProcessFlags(flags);
 
   topo::App app = topo::BuildContinuousQueries(topo::Scale::kSmall);

@@ -18,12 +18,18 @@
 using namespace drlstream;
 
 int main(int argc, char** argv) {
-  auto flags_or = Flags::Parse(argc, argv, {"seconds", "seed", "top"});
+  auto flags_or =
+      Flags::Parse(argc, argv, {"help", "seconds", "seed", "top"});
   if (!flags_or.ok()) {
     std::fprintf(stderr, "%s\n", flags_or.status().ToString().c_str());
     return 1;
   }
   const Flags& flags = *flags_or;
+  if (flags.GetBool("help", false)) {
+    std::printf(
+        "usage: word_count_stream [--seconds=5] [--seed=7] [--top=10]\n");
+    return 0;
+  }
   ApplyProcessFlags(flags);
   const double seconds = flags.GetDouble("seconds", 5.0);
   const int top = flags.GetInt("top", 10);

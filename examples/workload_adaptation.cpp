@@ -28,13 +28,25 @@ using namespace drlstream;
 int main(int argc, char** argv) {
   auto flags_or = Flags::Parse(
       argc, argv,
-      {"samples", "epochs", "pretrain", "seed", "workload", "points",
+      {"help", "samples", "epochs", "pretrain", "seed", "workload", "points",
        "surge-at", "surge-factor"});
   if (!flags_or.ok()) {
     std::fprintf(stderr, "%s\n", flags_or.status().ToString().c_str());
     return 1;
   }
   const Flags& flags = *flags_or;
+  if (flags.GetBool("help", false)) {
+    std::printf(
+        "usage: workload_adaptation [--samples=300] [--epochs=250] "
+        "[--pretrain=1000]\n"
+        "                           [--seed=11] [--workload=SPEC] "
+        "[--points=30]\n"
+        "                           [--surge-at=12] [--surge-factor=1.5]\n"
+        "registered scenarios: %s\n"
+        "(default: a step to --surge-factor at minute --surge-at)\n",
+        workload::WorkloadRegistry::Get().KeysLine().c_str());
+    return 0;
+  }
   ApplyProcessFlags(flags);
 
   topo::App app = topo::BuildContinuousQueries(topo::Scale::kSmall);

@@ -1,11 +1,9 @@
 #include "common/flags.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <system_error>
 
 #include "common/logging.h"
 #include "common/simd.h"
@@ -39,14 +37,11 @@ StatusOr<Flags> Flags::Parse(int argc, char** argv) {
     return Status::InvalidArgument("--" + key + "=" + flags.values_[key] +
                                    ": expected " + expected);
   };
-  if (flags.Has("threads")) {
-    const std::string& text = flags.values_["threads"];
-    const char* const end = text.data() + text.size();
-    int threads = 0;
-    const auto [stop, error] = std::from_chars(text.data(), end, threads);
-    if (error != std::errc() || stop != end || threads < 1 || threads > 256) {
-      return illegal("threads", "a whole number in [1, 256]");
-    }
+  int threads = 0;
+  if (flags.Has("threads") &&
+      (!ParseNumber(flags.values_["threads"], &threads) || threads < 1 ||
+       threads > 256)) {
+    return illegal("threads", "a whole number in [1, 256]");
   }
   LogLevel level = LogLevel::kInfo;
   if (flags.Has("log-level") &&
@@ -96,9 +91,7 @@ template <typename T>
 T ParseOrExit(const std::string& key, const std::string& text,
               const char* expected) {
   T value{};
-  const char* const end = text.data() + text.size();
-  const auto [stop, error] = std::from_chars(text.data(), end, value);
-  if (text.empty() || error != std::errc() || stop != end) {
+  if (!ParseNumber(text, &value)) {
     std::fprintf(stderr, "%s\n",
                  Status::InvalidArgument("--" + key + "=" + text +
                                          ": expected " + expected)

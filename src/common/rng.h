@@ -1,11 +1,10 @@
 #ifndef DRLSTREAM_COMMON_RNG_H_
 #define DRLSTREAM_COMMON_RNG_H_
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
@@ -19,8 +18,8 @@ inline constexpr uint64_t kSplitMix64Gamma = 0x9e3779b97f4a7c15ULL;
 /// splitmix64's output function (Steele, Lea and Flood 2014): a bijective
 /// mix of one 64-bit word in which every input bit reaches every output
 /// bit. The one copy of it in the library: the workload generators' jitter
-/// hash, trace span ids and the simulator's random streams all go through
-/// it.
+/// hash, trace span ids, the simulator's random streams and Rng all go
+/// through it.
 constexpr uint64_t SplitMix64Finalize(uint64_t z) {
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
@@ -32,52 +31,6 @@ constexpr uint64_t SplitMix64Finalize(uint64_t z) {
 constexpr uint64_t SplitMix64Hash(uint64_t x) {
   return SplitMix64Finalize(x + kSplitMix64Gamma);
 }
-
-/// Bit-exact reimplementation of std::mt19937_64 (the standard pins the
-/// mersenne_twister_engine algorithm, single-value seeding included) with
-/// direct state access. std::mt19937_64 only exposes its 312-word state
-/// through iostream decimal tokens, which costs ~40us to round-trip; the
-/// control plane serializes the exploration RNG into every kExplore
-/// GetSchedule RPC, so that cost dominated the per-request budget. Owning
-/// the words makes (de)serialization a copy of 312 little-endian u64s and
-/// the draw position (Rng::SerializeState's "b1:" layout). Equality with
-/// std::mt19937_64 draw-for-draw is pinned by common_test.
-class Mt19937_64 {
- public:
-  using result_type = uint64_t;
-  static constexpr int kStateSize = 312;
-
-  static constexpr result_type min() { return 0; }
-  static constexpr result_type max() { return ~uint64_t{0}; }
-
-  /// Tag for constructing an engine without running the 312-word seeding
-  /// recurrence; the state is garbage until restored (DeserializeState).
-  struct Uninitialized {};
-
-  explicit Mt19937_64(uint64_t seed_value = 5489u) { seed(seed_value); }
-  explicit Mt19937_64(Uninitialized) {}
-
-  void seed(uint64_t seed_value);
-  result_type operator()();
-
-  /// Raw state, for serialization: 312 words plus the draw position in
-  /// [0, kStateSize] (kStateSize means "twist before the next draw").
-  const uint64_t* state() const { return state_; }
-  uint64_t* mutable_state() { return state_; }
-  int position() const { return position_; }
-  void set_position(int position) { position_ = position; }
-
-  friend bool operator==(const Mt19937_64& a, const Mt19937_64& b) {
-    return a.position_ == b.position_ &&
-           std::equal(a.state_, a.state_ + kStateSize, b.state_);
-  }
-
- private:
-  void Twist();
-
-  uint64_t state_[kStateSize];
-  int position_ = kStateSize;
-};
 
 /// A log-normal law given by the mean and coefficient of variation of the
 /// resulting distribution, with the underlying normal's (mu, sigma) derived
@@ -106,6 +59,10 @@ struct LogNormalLaw {
 class SplitMix64 {
  public:
   explicit SplitMix64(uint64_t state = 0) : state_(state) {}
+
+  /// The counter: SplitMix64(state()) continues this stream (all but a
+  /// spare normal the polar method may be holding).
+  uint64_t state() const { return state_; }
 
   uint64_t Next() {
     state_ += kSplitMix64Gamma;
@@ -180,80 +137,59 @@ class SplitMix64 {
 };
 
 /// Seeded pseudo-random number generator for the agents, network weight
-/// initialisation, the control plane's exploration RNG and functional-mode
-/// payloads, so that experiments are reproducible. Wraps a mersenne twister
-/// with the distributions those need; the simulator's timing draws come
-/// from SplitMix64 streams instead.
+/// initialisation, offline collection's random schedules, the control
+/// plane's exploration RNG and functional-mode payloads, so that
+/// experiments are reproducible. One SplitMix64 stream, started at
+/// SplitMix64Hash(seed) so that nearby seeds give unrelated streams, with
+/// the distributions its callers need written on the stream's Unit() and
+/// Below(): like the simulator's draws, they are the same on every
+/// standard library.
 class Rng {
  public:
-  explicit Rng(uint64_t seed) : engine_(seed) {}
-
-  /// An Rng whose engine holds unseeded garbage; the only valid first use
-  /// is DeserializeState(). Exists because seeding runs a 312-word
-  /// recurrence, which restore-per-request paths (the control plane
-  /// restores a serialized exploration RNG on every kExplore GetSchedule)
-  /// would pay just to overwrite.
-  static Rng Unseeded() { return Rng(Mt19937_64::Uninitialized{}); }
+  explicit Rng(uint64_t seed) : stream_(SplitMix64Hash(seed)) {}
 
   /// Uniform double in [lo, hi).
   double Uniform(double lo, double hi) {
-    std::uniform_real_distribution<double> dist(lo, hi);
-    return dist(engine_);
+    return lo + (hi - lo) * stream_.Unit();
   }
 
-  /// Uniform integer in [lo, hi] inclusive.
+  /// Uniform integer in [lo, hi] inclusive. The range may hold at most
+  /// 2^32 - 1 values (checked).
   int UniformInt(int lo, int hi) {
     DRLSTREAM_CHECK_LE(lo, hi);
-    std::uniform_int_distribution<int> dist(lo, hi);
-    return dist(engine_);
+    const int64_t count = int64_t{hi} - lo + 1;
+    DRLSTREAM_CHECK_LE(count, int64_t{UINT32_MAX});
+    return static_cast<int>(lo + int64_t{stream_.Below(
+                                     static_cast<uint32_t>(count))});
   }
 
-  /// Gaussian with the given mean and standard deviation.
-  double Gaussian(double mean, double stddev) {
-    std::normal_distribution<double> dist(mean, stddev);
-    return dist(engine_);
-  }
-
-  /// Bernoulli(p).
-  bool Bernoulli(double p) {
-    std::bernoulli_distribution dist(p);
-    return dist(engine_);
-  }
+  /// True with probability p.
+  bool Bernoulli(double p) { return stream_.Unit() < p; }
 
   /// Fisher-Yates shuffle.
   template <typename T>
   void Shuffle(std::vector<T>* values) {
-    std::shuffle(values->begin(), values->end(), engine_);
+    for (size_t i = values->size(); i > 1; --i) {
+      std::swap((*values)[i - 1],
+                (*values)[stream_.Below(static_cast<uint32_t>(i))]);
+    }
   }
 
   /// Samples `k` distinct indices from [0, n) without replacement.
   std::vector<int> SampleWithoutReplacement(int n, int k);
 
-  /// Underlying engine, for std algorithms that need a URBG.
-  Mt19937_64& engine() { return engine_; }
-
-  /// Serializes the full engine state ("b1:" + 312 little-endian u64 words
-  /// + u16 draw position). A generator restored from it (possibly in
-  /// another process — this is how the control plane ships the exploration
-  /// RNG to a remote agent) continues the exact same draw sequence, so
-  /// in-process and remote runs stay bit-identical. The Rng methods above
-  /// construct their distribution per call, so the engine state is the
-  /// whole state.
+  /// The whole state: the tag "sm64:" and the stream's counter as 8
+  /// little-endian bytes. A generator restored from it (possibly in another
+  /// process: this is how the control plane ships the exploration RNG to a
+  /// remote agent) continues the exact same draw sequence, so in-process
+  /// and remote runs stay bit-identical.
   std::string SerializeState() const;
-  /// Serialized size of SerializeState(): "b1:" + 312 u64 words + u16.
-  static constexpr size_t kSerializedStateBytes =
-      3 + 8 * static_cast<size_t>(Mt19937_64::kStateSize) + 2;
-  /// Appends SerializeState() to `out` — encoders that already own a
-  /// growing buffer skip the intermediate string.
-  void SerializeStateTo(std::string* out) const;
   /// Restores the state written by SerializeState. InvalidArgument on any
   /// other input (the previous state is left untouched).
   Status DeserializeState(const std::string& text);
 
  private:
-  explicit Rng(Mt19937_64::Uninitialized tag) : engine_(tag) {}
-
-  Mt19937_64 engine_;
+  SplitMix64 stream_;
 };
 
 }  // namespace drlstream

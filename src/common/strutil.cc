@@ -1,9 +1,44 @@
 #include "common/strutil.h"
 
 #include <algorithm>
+#include <charconv>
+#include <system_error>
 #include <utility>
 
 namespace drlstream {
+
+std::string Trim(const std::string& s) {
+  const size_t begin = s.find_first_not_of(" \t\r\n");
+  if (begin == std::string::npos) return "";
+  const size_t end = s.find_last_not_of(" \t\r\n");
+  return s.substr(begin, end - begin + 1);
+}
+
+namespace {
+
+template <typename T>
+bool ParseWhole(std::string_view text, T* out) {
+  T value{};
+  const char* const end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (text.empty() || error != std::errc() || stop != end) return false;
+  *out = value;
+  return true;
+}
+
+}  // namespace
+
+bool ParseNumber(std::string_view text, int* out) {
+  return ParseWhole(text, out);
+}
+
+bool ParseNumber(std::string_view text, uint64_t* out) {
+  return ParseWhole(text, out);
+}
+
+bool ParseNumber(std::string_view text, double* out) {
+  return ParseWhole(text, out);
+}
 
 int Levenshtein(const std::string& a, const std::string& b) {
   std::vector<int> prev(b.size() + 1), cur(b.size() + 1);

@@ -132,7 +132,7 @@ int64_t ElapsedUs(std::chrono::steady_clock::time_point start) {
 struct AgentServer::GetItem {
   Session* session = nullptr;
   GetScheduleRequest req;
-  Rng rng = Rng::Unseeded();  // restored exploration stream (kExplore)
+  Rng rng{0};               // restored exploration stream (kExplore)
   rl::PolicyAction action;  // batched SelectAction result (kExplore)
   Status action_status;     // per-slot status from SelectActionBatch
   std::string reply;        // fully framed response, when `ready`
@@ -430,21 +430,13 @@ void AgentServer::FlushGetBatch(std::vector<GetItem>* batch) {
             Status::Internal("agent: policy schedule dimensions do not "
                              "match the request state"),
             {}, item.trace);
-      } else if (explore) {
-        // The hot path: diff + advanced RNG, encoded straight into the
-        // frame buffer (no GetScheduleResponse body, no 2.5 KiB rng_state
-        // string). Byte-identical to the generic encoder.
-        net::WireWriter writer;
-        const size_t frame_start = net::BeginFrame(
-            net::MsgType::kGetScheduleResponse, item.trace, &writer);
-        EncodeExploreScheduleResponseTo(
-            MakeScheduleDiffFromState(item.req.state, *schedule),
-            item.action.move_index, item.rng, &writer);
-        net::EndFrame(frame_start, &writer);
-        item.reply = writer.Release();
       } else {
         GetScheduleResponse body;
         body.diff = MakeScheduleDiffFromState(item.req.state, *schedule);
+        if (explore) {
+          body.move_index = item.action.move_index;
+          body.rng_state = item.rng.SerializeState();
+        }
         item.reply = FrameGetScheduleReply(Status::OK(), body, item.trace);
       }
     }

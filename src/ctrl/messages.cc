@@ -357,9 +357,8 @@ StatusOr<HelloResponse> DecodeHelloResponse(std::string_view payload) {
 void EncodeGetScheduleResponseTo(const Status& status,
                                  const GetScheduleResponse& body,
                                  WireWriter* writer) {
-  // Hot path (one per GetSchedule): size the buffer up front — the
-  // serialized RNG alone is ~2.5 KiB, and growing to it through the ~100
-  // small Puts below costs several reallocs.
+  // Hot path (one per GetSchedule): size the buffer up front rather than
+  // grow it through the ~100 small Puts below.
   writer->Reserve(64 + 12 * body.diff.entries.size() +
                   body.rng_state.size());
   PutStatus(status, writer);
@@ -375,18 +374,6 @@ std::string EncodeGetScheduleResponse(const Status& status,
   WireWriter writer;
   EncodeGetScheduleResponseTo(status, body, &writer);
   return writer.Release();
-}
-
-void EncodeExploreScheduleResponseTo(const ScheduleDiff& diff,
-                                     int32_t move_index, const Rng& rng,
-                                     WireWriter* writer) {
-  writer->Reserve(64 + 12 * diff.entries.size() +
-                  Rng::kSerializedStateBytes);
-  PutStatus(Status::OK(), writer);
-  EncodeScheduleDiff(diff, writer);
-  writer->PutI32(move_index);
-  writer->PutU32(static_cast<uint32_t>(Rng::kSerializedStateBytes));
-  rng.SerializeStateTo(writer->mutable_buffer());
 }
 
 StatusOr<GetScheduleResponse> DecodeGetScheduleResponse(

@@ -179,13 +179,6 @@ std::string EncodeGetScheduleResponse(const Status& status,
 void EncodeGetScheduleResponseTo(const Status& status,
                                  const GetScheduleResponse& body,
                                  net::WireWriter* writer);
-/// The kExplore fast path: byte-identical to EncodeGetScheduleResponseTo
-/// with an OK status and rng.SerializeState() as rng_state, but the ~2.5
-/// KiB engine state is serialized straight into the writer instead of
-/// through an intermediate string.
-void EncodeExploreScheduleResponseTo(const ScheduleDiff& diff,
-                                     int32_t move_index, const Rng& rng,
-                                     net::WireWriter* writer);
 StatusOr<GetScheduleResponse> DecodeGetScheduleResponse(
     std::string_view payload);
 

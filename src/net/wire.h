@@ -106,10 +106,6 @@ class WireWriter {
   void PatchU32(size_t pos, uint32_t v);
 
   const std::string& buffer() const { return buffer_; }
-  /// Append-only access for producers that serialize into the writer in
-  /// place (e.g. a length-prefixed blob whose bytes come from a
-  /// fixed-layout encoder); callers must only ever grow the buffer.
-  std::string* mutable_buffer() { return &buffer_; }
   std::string Release() { return std::move(buffer_); }
   size_t size() const { return buffer_.size(); }
 

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
+
+#include "common/strutil.h"
 
 namespace drlstream::sim {
 namespace {
@@ -24,33 +25,16 @@ bool WindowsCollide(const Window& a, const Window& b) {
   return machines_overlap && a.start < b.end && b.start < a.end;
 }
 
-Status ParseDouble(const std::string& field, const char* what, double* out) {
-  char* end = nullptr;
-  const double v = std::strtod(field.c_str(), &end);
-  if (end == field.c_str() || *end != '\0' || !std::isfinite(v)) {
+/// Parses a whole field (ParseNumber); a double must also be finite.
+template <typename T>
+Status ParseField(const std::string& field, const char* what, T* out) {
+  T value{};
+  if (!ParseNumber(field, &value) || !std::isfinite(static_cast<double>(value))) {
     return Status::InvalidArgument(std::string("bad ") + what + " '" + field +
                                    "' in fault plan");
   }
-  *out = v;
+  *out = value;
   return Status::OK();
-}
-
-Status ParseInt(const std::string& field, const char* what, int* out) {
-  char* end = nullptr;
-  const long v = std::strtol(field.c_str(), &end, 10);
-  if (end == field.c_str() || *end != '\0') {
-    return Status::InvalidArgument(std::string("bad ") + what + " '" + field +
-                                   "' in fault plan");
-  }
-  *out = static_cast<int>(v);
-  return Status::OK();
-}
-
-std::string Trim(const std::string& s) {
-  size_t b = s.find_first_not_of(" \t\r");
-  if (b == std::string::npos) return "";
-  size_t e = s.find_last_not_of(" \t\r");
-  return s.substr(b, e - b + 1);
 }
 
 }  // namespace
@@ -241,14 +225,13 @@ StatusOr<FaultPlan> FaultPlan::ParseCsv(const std::string& text) {
           ": expected 5 fields time_ms,type,machine,magnitude,duration_ms");
     }
     FaultEvent event;
-    DRLSTREAM_RETURN_NOT_OK(ParseDouble(fields[0], "time_ms",
-                                        &event.time_ms));
+    DRLSTREAM_RETURN_NOT_OK(ParseField(fields[0], "time_ms", &event.time_ms));
     DRLSTREAM_ASSIGN_OR_RETURN(event.type, FaultTypeFromName(fields[1]));
-    DRLSTREAM_RETURN_NOT_OK(ParseInt(fields[2], "machine", &event.machine));
-    DRLSTREAM_RETURN_NOT_OK(ParseDouble(fields[3], "magnitude",
-                                        &event.magnitude));
-    DRLSTREAM_RETURN_NOT_OK(ParseDouble(fields[4], "duration_ms",
-                                        &event.duration_ms));
+    DRLSTREAM_RETURN_NOT_OK(ParseField(fields[2], "machine", &event.machine));
+    DRLSTREAM_RETURN_NOT_OK(
+        ParseField(fields[3], "magnitude", &event.magnitude));
+    DRLSTREAM_RETURN_NOT_OK(
+        ParseField(fields[4], "duration_ms", &event.duration_ms));
     plan.Add(event);
   }
   return plan;

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "common/rng.h"
+#include "common/strutil.h"
 
 namespace drlstream::workload {
 namespace {
@@ -323,35 +324,15 @@ class ComposeGenerator final : public WorkloadGenerator {
 
 /// ---- trace CSV parsing ----------------------------------------------------
 
-std::string Trim(const std::string& s) {
-  size_t begin = s.find_first_not_of(" \t\r\n");
-  if (begin == std::string::npos) return "";
-  size_t end = s.find_last_not_of(" \t\r\n");
-  return s.substr(begin, end - begin + 1);
-}
-
-Status ParseDoubleField(const std::string& field, const char* name, int line,
-                        double* out) {
-  char* end = nullptr;
-  *out = std::strtod(field.c_str(), &end);
-  if (field.empty() || end != field.c_str() + field.size()) {
+/// Parses a whole field (ParseNumber), naming the line on failure.
+template <typename T>
+Status ParseField(const std::string& field, const char* name, int line,
+                  T* out) {
+  if (!ParseNumber(field, out)) {
     return Status::InvalidArgument("trace line " + std::to_string(line) +
                                    ": bad " + std::string(name) + " '" +
                                    field + "'");
   }
-  return Status::OK();
-}
-
-Status ParseIntField(const std::string& field, const char* name, int line,
-                     int* out) {
-  char* end = nullptr;
-  const long value = std::strtol(field.c_str(), &end, 10);
-  if (field.empty() || end != field.c_str() + field.size()) {
-    return Status::InvalidArgument("trace line " + std::to_string(line) +
-                                   ": bad " + std::string(name) + " '" +
-                                   field + "'");
-  }
-  *out = static_cast<int>(value);
   return Status::OK();
 }
 
@@ -489,11 +470,10 @@ StatusOr<std::unique_ptr<WorkloadGenerator>> MakeTraceReplayFromCsv(
     }
     RateChangeOp op;
     DRLSTREAM_RETURN_NOT_OK(
-        ParseDoubleField(fields[0], "time_ms", line_no, &op.time_ms));
+        ParseField(fields[0], "time_ms", line_no, &op.time_ms));
+    DRLSTREAM_RETURN_NOT_OK(ParseField(fields[1], "spout", line_no, &op.spout));
     DRLSTREAM_RETURN_NOT_OK(
-        ParseIntField(fields[1], "spout", line_no, &op.spout));
-    DRLSTREAM_RETURN_NOT_OK(
-        ParseDoubleField(fields[2], "multiplier", line_no, &op.multiplier));
+        ParseField(fields[2], "multiplier", line_no, &op.multiplier));
     ops.push_back(op);
   }
   return MakeTraceReplay(std::move(ops));

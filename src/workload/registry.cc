@@ -1,6 +1,5 @@
 #include "workload/registry.h"
 
-#include <cstdlib>
 #include <sstream>
 #include <utility>
 
@@ -9,13 +8,6 @@
 
 namespace drlstream::workload {
 namespace {
-
-std::string Trim(const std::string& s) {
-  size_t begin = s.find_first_not_of(" \t\r\n");
-  if (begin == std::string::npos) return "";
-  size_t end = s.find_last_not_of(" \t\r\n");
-  return s.substr(begin, end - begin + 1);
-}
 
 /// Pulls typed values out of a spec's parameter map, tracking which keys
 /// were consumed so Finish() can reject unknown parameters by name.
@@ -26,33 +18,13 @@ class ParamReader {
       : remaining_(params), kind_(std::move(kind)) {}
 
   Status Double(const char* key, double* out) {
-    allowed_.push_back(key);
-    const auto it = remaining_.find(key);
-    if (it == remaining_.end()) return Status::OK();
-    char* end = nullptr;
-    const double value = std::strtod(it->second.c_str(), &end);
-    if (it->second.empty() || end != it->second.c_str() + it->second.size()) {
-      return Status::InvalidArgument(kind_ + ": parameter '" +
-                                     std::string(key) + "' wants a number, "
-                                     "got '" + it->second + "'");
-    }
-    *out = value;
-    remaining_.erase(it);
-    return Status::OK();
+    return Number(key, out, "a number");
   }
-
   Status Int(const char* key, int* out) {
-    double value = static_cast<double>(*out);
-    DRLSTREAM_RETURN_NOT_OK(Double(key, &value));
-    *out = static_cast<int>(value);
-    return Status::OK();
+    return Number(key, out, "an integer");
   }
-
   Status U64(const char* key, uint64_t* out) {
-    double value = static_cast<double>(*out);
-    DRLSTREAM_RETURN_NOT_OK(Double(key, &value));
-    *out = static_cast<uint64_t>(value);
-    return Status::OK();
+    return Number(key, out, "a non-negative integer");
   }
 
   Status String(const char* key, std::string* out) {
@@ -76,6 +48,22 @@ class ParamReader {
   }
 
  private:
+  /// Consumes `key` when present: its whole value must parse as a T
+  /// (ParseNumber), else InvalidArgument naming the key and the value.
+  template <typename T>
+  Status Number(const char* key, T* out, const char* expected) {
+    allowed_.push_back(key);
+    const auto it = remaining_.find(key);
+    if (it == remaining_.end()) return Status::OK();
+    if (!ParseNumber(it->second, out)) {
+      return Status::InvalidArgument(kind_ + ": parameter '" +
+                                     std::string(key) + "' wants " +
+                                     expected + ", got '" + it->second + "'");
+    }
+    remaining_.erase(it);
+    return Status::OK();
+  }
+
   std::map<std::string, std::string> remaining_;
   std::string kind_;
   std::vector<std::string> allowed_;

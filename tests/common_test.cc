@@ -11,6 +11,7 @@
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/status.h"
+#include "common/strutil.h"
 
 namespace drlstream {
 namespace {
@@ -206,86 +207,95 @@ TEST(RngTest, SampleWithoutReplacementDistinct) {
   }
 }
 
-// Mt19937_64 is a reimplementation of std::mt19937_64 with direct state
-// access (rng.h). The standard pins the mersenne_twister_engine algorithm
-// and the single-value seeding procedure, so equality must hold draw for
-// draw — this is what lets a serialized Rng state mean the same thing on
-// any conforming implementation.
-TEST(Mt19937Test, MatchesStdMt19937_64DrawForDraw) {
-  // Default seed (5489), an arbitrary seed, and seed 0 (whose seeding
-  // recurrence exercises the zero-propagation edge case). 10k draws cover
-  // 32 full twists of the 312-word state.
-  for (uint64_t seed : {uint64_t{5489}, uint64_t{0x9E3779B97F4A7C15ull},
-                        uint64_t{0}}) {
-    std::mt19937_64 reference(seed);
-    Mt19937_64 ours(seed);
-    for (int i = 0; i < 10000; ++i) {
-      ASSERT_EQ(ours(), reference()) << "seed " << seed << " draw " << i;
-    }
+// Pins Rng's seeding and the first outputs of each distribution, one
+// fresh generator per distribution, so that a change to the engine or to
+// one distribution fails here by name and not only in downstream goldens.
+TEST(RngTest, FirstDrawsOfEachDistributionArePinned) {
+  constexpr uint64_t kSeed = 2024;
+  std::string want_state = "sm64:";
+  for (uint64_t counter = SplitMix64Hash(kSeed), i = 0; i < 8;
+       ++i, counter >>= 8) {
+    want_state.push_back(static_cast<char>(counter & 0xff));
   }
+  EXPECT_EQ(Rng(kSeed).SerializeState(), want_state);
+
+  Rng uniform(kSeed);
+  std::vector<double> uniforms;
+  for (int i = 0; i < 4; ++i) uniforms.push_back(uniform.Uniform(-1.0, 3.0));
+  EXPECT_EQ(uniforms, (std::vector<double>{1.2570200395965996, 0.22762054028292855,
+                                 -0.40273003914832417, 1.4839985834078768}));
+
+  Rng uniform_int(kSeed);
+  std::vector<int> ints;
+  for (int i = 0; i < 6; ++i) ints.push_back(uniform_int.UniformInt(0, 9));
+  for (int i = 0; i < 2; ++i) {
+    ints.push_back(uniform_int.UniformInt(1, 1 << 30));
+  }
+  EXPECT_EQ(ints, (std::vector<int>{5, 3, 1, 6, 1, 9, 254731189, 21157797}));
+
+  Rng bernoulli(kSeed);
+  std::string coins;
+  for (int i = 0; i < 12; ++i) coins += bernoulli.Bernoulli(0.3) ? '1' : '0';
+  EXPECT_EQ(coins, "001010110000");
+
+  Rng shuffle(kSeed);
+  std::vector<int> order = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
+  shuffle.Shuffle(&order);
+  EXPECT_EQ(order, (std::vector<int>{8, 7, 3, 9, 6, 0, 4, 1, 2, 5}));
+
+  Rng sample(kSeed);
+  EXPECT_EQ(sample.SampleWithoutReplacement(10, 4),
+            (std::vector<int>{5, 3, 1, 7}));
 }
 
-TEST(Mt19937Test, SerializedStateRoundTripsMidTwist) {
+TEST(RngTest, SerializedStateRoundTripsMidStream) {
   Rng original(31337);
-  // 500 draws of UniformInt leave the engine mid-twist (position not at a
-  // word boundary), so the round-trip covers a non-trivial position field.
   for (int i = 0; i < 500; ++i) (void)original.UniformInt(0, 1 << 20);
   const std::string state = original.SerializeState();
-  EXPECT_EQ(state.size(), Rng::kSerializedStateBytes);
+  EXPECT_EQ(state.size(), 13u);  // "sm64:" + the 8-byte counter
 
-  // The appending variant produces the same bytes after its prefix.
-  std::string appended = "prefix";
-  original.SerializeStateTo(&appended);
-  EXPECT_EQ(appended, "prefix" + state);
-
-  // An Unseeded Rng restored from the state continues the exact stream.
-  Rng restored = Rng::Unseeded();
+  // A generator restored from the state continues the exact stream.
+  Rng restored(1);
   ASSERT_TRUE(restored.DeserializeState(state).ok());
+  EXPECT_EQ(restored.SerializeState(), state);
   for (int i = 0; i < 2000; ++i) {
-    ASSERT_EQ(restored.engine()(), original.engine()()) << "draw " << i;
+    ASSERT_EQ(restored.Uniform(0.0, 1.0), original.Uniform(0.0, 1.0))
+        << "draw " << i;
+    ASSERT_EQ(restored.UniformInt(0, 1 << 20), original.UniformInt(0, 1 << 20))
+        << "draw " << i;
   }
 }
 
-TEST(Mt19937Test, RejectsTheLegacyDecimalTokenFormat) {
-  // The textual token sequence std::mt19937_64 operator<< emits (312 state
-  // words + position) was the state format before "b1:". It is refused
-  // now, and the refusal leaves the engine as it was.
-  std::mt19937_64 reference(20240808);
-  for (int i = 0; i < 7; ++i) (void)reference();  // non-trivial position
-  std::ostringstream out;
-  out << reference;
-  Rng rng(11);
-  Rng untouched(11);
-  EXPECT_FALSE(rng.DeserializeState(out.str()).ok());
-  for (int i = 0; i < 2000; ++i) {
-    ASSERT_EQ(rng.engine()(), untouched.engine()()) << "draw " << i;
-  }
-}
-
-TEST(Mt19937Test, MalformedStatesAreRejectedWithoutTouchingTheEngine) {
+TEST(RngTest, MalformedStatesAreRejectedWithoutTouchingTheStream) {
   Rng rng(5);
+  (void)rng.Uniform(0.0, 1.0);
   const std::string snapshot = rng.SerializeState();
 
   std::string truncated = snapshot;
   truncated.pop_back();
   EXPECT_FALSE(rng.DeserializeState(truncated).ok());
-
-  std::string bad_position = snapshot;
-  // Position field (last 2 bytes, little-endian) beyond kStateSize.
-  bad_position[bad_position.size() - 2] = static_cast<char>(0xFF);
-  bad_position[bad_position.size() - 1] = static_cast<char>(0xFF);
-  EXPECT_FALSE(rng.DeserializeState(bad_position).ok());
-
+  EXPECT_FALSE(rng.DeserializeState(snapshot + "x").ok());
+  std::string wrong_tag = snapshot;
+  wrong_tag[0] = 'S';
+  EXPECT_FALSE(rng.DeserializeState(wrong_tag).ok());
   EXPECT_FALSE(rng.DeserializeState("").ok());
-  EXPECT_FALSE(rng.DeserializeState("b1:short").ok());
-  EXPECT_FALSE(rng.DeserializeState("1 2 3 not-a-number").ok());
+  EXPECT_FALSE(rng.DeserializeState("sm64:short").ok());
 
-  // Every rejection above left the engine untouched: the stream continues
-  // exactly as a clean copy of the snapshot does.
-  Rng shadow = Rng::Unseeded();
+  // The formats of the Mersenne twister this engine replaced: "b1:", 312
+  // little-endian words and a u16 position (2,501 bytes), and before that
+  // the decimal tokens std::mt19937_64's operator<< writes.
+  EXPECT_FALSE(rng.DeserializeState("b1:" + std::string(8 * 312 + 2, '\0'))
+                   .ok());
+  std::ostringstream tokens;
+  tokens << std::mt19937_64(20240808);
+  EXPECT_FALSE(rng.DeserializeState(tokens.str()).ok());
+
+  // Every rejection above left the stream untouched: it continues exactly
+  // as a clean copy of the snapshot does.
+  Rng shadow(0);
   ASSERT_TRUE(shadow.DeserializeState(snapshot).ok());
   for (int i = 0; i < 100; ++i) {
-    ASSERT_EQ(rng.engine()(), shadow.engine()());
+    ASSERT_EQ(rng.Uniform(0.0, 1.0), shadow.Uniform(0.0, 1.0)) << "draw " << i;
   }
 }
 
@@ -312,9 +322,9 @@ TEST(RunningStatsTest, EmptyIsZero) {
 
 TEST(RunningStatsTest, MergeMatchesCombined) {
   RunningStats a, b, all;
-  Rng rng(5);
+  SplitMix64 noise(5);
   for (int i = 0; i < 100; ++i) {
-    const double v = rng.Gaussian(3.0, 2.0);
+    const double v = 3.0 + 2.0 * noise.Normal();
     (i < 40 ? a : b).Add(v);
     all.Add(v);
   }
@@ -360,9 +370,9 @@ TEST(FiltFiltTest, PreservesConstantSignal) {
 }
 
 TEST(FiltFiltTest, SmoothsNoise) {
-  Rng rng(9);
+  SplitMix64 noise(9);
   std::vector<double> in(400);
-  for (double& v : in) v = 1.0 + rng.Gaussian(0.0, 0.5);
+  for (double& v : in) v = 1.0 + 0.5 * noise.Normal();
   const std::vector<double> out = FiltFilt(in, 0.1);
   RunningStats rough, smooth;
   for (size_t i = 1; i < in.size(); ++i) {
@@ -393,6 +403,43 @@ TEST(PercentileTest, InterpolatesCorrectly) {
   EXPECT_DOUBLE_EQ(Percentile(values, 50), 25);
   EXPECT_DOUBLE_EQ(Percentile({5.0}, 50), 5.0);
   EXPECT_DOUBLE_EQ(Percentile({}, 50), 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// Strings and numbers from outside
+// ---------------------------------------------------------------------------
+
+TEST(StrutilTest, TrimStripsSpaceTabsAndLineEnds) {
+  EXPECT_EQ(Trim(" \t 1,2 \r\n"), "1,2");
+  EXPECT_EQ(Trim(" \t\r\n"), "");
+  EXPECT_EQ(Trim("a b"), "a b");
+}
+
+TEST(StrutilTest, ParseNumberTakesOnlyWholeValuesInRange) {
+  int i = 7;
+  EXPECT_TRUE(ParseNumber("-12", &i));
+  EXPECT_EQ(i, -12);
+  uint64_t u = 7;
+  EXPECT_TRUE(ParseNumber("18446744073709551615", &u));
+  EXPECT_EQ(u, 18446744073709551615ull);
+  double d = 7.0;
+  EXPECT_TRUE(ParseNumber("1e-3", &d));
+  EXPECT_EQ(d, 1e-3);
+
+  // Each rejection leaves the output as it was.
+  i = 7;
+  for (const char* text : {"", "2x", "2.7", "1e3", " 1", "+1", "4294967297",
+                           "2147483648"}) {
+    EXPECT_FALSE(ParseNumber(text, &i)) << text;
+  }
+  EXPECT_EQ(i, 7);
+  for (const char* text : {"-1", "1e30", "18446744073709551616"}) {
+    EXPECT_FALSE(ParseNumber(text, &u)) << text;
+  }
+  for (const char* text : {"0.9x", "abc", "1e400", ""}) {
+    EXPECT_FALSE(ParseNumber(text, &d)) << text;
+  }
+  EXPECT_EQ(d, 1e-3);
 }
 
 // ---------------------------------------------------------------------------

@@ -228,40 +228,41 @@ void ExpectChainGolden(CollectionMode mode, uint64_t sim_seed, uint64_t seed,
 
 // Pins both offline collection chains bit for bit, at the seeds
 // TrainAllMethods gives them for seed 11: the rewards and the observed
-// workload of every state, under a new factor per sample.
+// workload of every state, under a new factor per sample. Re-recorded once
+// when Rng (the random schedules and factors) became a splitmix64 stream.
 TEST(CollectionTest, PaperChainsGolden) {
   ExpectChainGolden(CollectionMode::kFullRandom, 11, 11,
-                    {{-374.97841838424284, 900, 871.64916150690749},
-                     {-488.53013396297752, 871.64916150690749,
-                      1360.0110691582549},
-                     {-255.02563503954875, 1360.0110691582549,
-                      1350.6657119030524},
-                     {-311.87251128346128, 1350.6657119030524,
-                      764.67776601154378},
-                     {-342.84829105466974, 764.67776601154378,
-                      924.95720019542864},
-                     {-350.18177977780454, 924.95720019542864,
-                      1207.2801701311118},
-                     {-476.26065506517995, 1207.2801701311118,
-                      1282.1739653085112},
-                     {-259.00789890062788, 1282.1739653085112,
-                      723.348718677688}});
+                    {{-570.05361095318972, 900, 1502.8126005740385},
+                     {-347.56101621022543, 1502.8126005740385,
+                      779.81791526748248},
+                     {-1062.9635212414933, 779.81791526748248,
+                      1520.6100091435053},
+                     {-1523.4561647140565, 1520.6100091435053,
+                      1503.1163201431136},
+                     {-909.63962868294345, 1503.1163201431136,
+                      1158.100692014069},
+                     {-450.51926001458736, 1158.100692014069,
+                      853.94100733481264},
+                     {-266.23909466940466, 853.94100733481264,
+                      809.9444253628576},
+                     {-541.32115492486412, 809.9444253628576,
+                      1412.1327656246115}});
   ExpectChainGolden(CollectionMode::kSingleMoveRandom, 1011, 13,
-                    {{-4.2916202983324565, 900, 1264.399655372144},
-                     {-5.907831653405724, 1264.399655372144,
-                      1097.0704255455807},
-                     {-8.1627234680275613, 1097.0704255455807,
-                      1395.7790211943284},
-                     {-9.7335286396006087, 1395.7790211943284,
-                      1108.503185859485},
-                     {-7.8184125425813029, 1108.503185859485,
-                      1010.6527110990863},
-                     {-5.20637012994304, 1010.6527110990863,
-                      1114.2453652390368},
-                     {-9.1282977179947, 1114.2453652390368,
-                      1367.9251949256088},
-                     {-6.3304344430990964, 1367.9251949256088,
-                      1455.4081420294522}});
+                    {{-10.242054292947554, 900, 1483.6480963236947},
+                     {-8.501456148301445, 1483.6480963236947,
+                      1400.8843977877452},
+                     {-3.6897415072898094, 1400.8843977877452,
+                      956.86861641329665},
+                     {-8.3101289985203373, 956.86861641329665,
+                      1327.3822713514091},
+                     {-7.1842205374466621, 1327.3822713514091,
+                      1272.4115727688768},
+                     {-8.1982011050089572, 1272.4115727688768,
+                      1351.7329777246214},
+                     {-5.6810699934984878, 1351.7329777246214,
+                      907.82744706881613},
+                     {-6.2070539984238282, 907.82744706881613,
+                      852.76732682943828}});
 }
 
 // ---------------------------------------------------------------------------

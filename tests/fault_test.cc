@@ -108,6 +108,16 @@ TEST(FaultPlanTest, RejectsMalformedCsv) {
   EXPECT_FALSE(sim::FaultPlan::ParseCsv("abc,crash,1,0,0").ok());
 }
 
+// A machine id outside int is an error; wrapped, 4294967297 would crash
+// machine 1 and pass Validate.
+TEST(FaultPlanTest, MachineOutsideIntIsRejected) {
+  auto plan = sim::FaultPlan::ParseCsv("1000,crash,4294967297,0,0\n");
+  ASSERT_FALSE(plan.ok());
+  EXPECT_NE(plan.status().ToString().find("bad machine '4294967297'"),
+            std::string::npos)
+      << plan.status().ToString();
+}
+
 TEST(FaultPlanTest, EventsSortedByTime) {
   sim::FaultPlan plan;
   plan.AddRecover(5000.0, 1);

@@ -427,26 +427,6 @@ std::vector<MessageCase> AllMessageCases() {
   return cases;
 }
 
-TEST(MessageCodecTest, ExploreFastPathMatchesTheGenericEncoder) {
-  using namespace drlstream::ctrl;
-  ScheduleDiff diff;
-  diff.num_executors = 4;
-  diff.num_machines = 3;
-  diff.entries = {{0, 2, 0}, {3, 1, 1}};
-  Rng rng(77);
-  (void)rng.UniformInt(0, 5);  // a non-trivial engine position
-
-  GetScheduleResponse body;
-  body.diff = diff;
-  body.move_index = 9;
-  body.rng_state = rng.SerializeState();
-  const std::string generic = EncodeGetScheduleResponse(Status::OK(), body);
-
-  WireWriter writer;
-  EncodeExploreScheduleResponseTo(diff, 9, rng, &writer);
-  EXPECT_EQ(writer.buffer(), generic);  // byte-identical, not just decodable
-}
-
 TEST(MessageRobustnessTest, ValidPayloadsDecode) {
   for (const MessageCase& c : AllMessageCases()) {
     EXPECT_TRUE(c.decode(c.payload)) << c.name;

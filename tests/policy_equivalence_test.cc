@@ -5,7 +5,9 @@
 // with EXPECT_EQ (no tolerance), at thread-pool sizes 1, 2 and 4. The
 // rewards were re-recorded once, when the simulator moved to per-executor
 // SplitMix64 streams (its measured latencies changed; the final
-// assignments did not).
+// assignments did not), and rewards and assignments once more when Rng
+// (the initial schedule, weights, exploration and minibatches) became a
+// splitmix64 stream.
 
 #include <gtest/gtest.h>
 
@@ -102,11 +104,11 @@ class PolicyEquivalenceTest : public testing::Test {
 
 TEST_F(PolicyEquivalenceTest, DdpgMatchesPreRefactorGoldensAtAnyThreadCount) {
   const std::vector<double> want_rewards = {
-      -4.141759757343527,  -1000,
-      -356.39132444834706, -1001.8756929998892,
-      -2427.2681933381773, -2695.3201717605866};
-  const std::vector<int> want_final = {8, 5, 2, 1, 1, 7, 9, 7, 5, 3,
-                                       4, 2, 7, 6, 6, 6, 8, 8, 6, 8};
+      -2.2002324102230246, -76.779111821380283,
+      -1.9517464960742843, -1000,
+      -2692.8585360343641, -1000};
+  const std::vector<int> want_final = {4, 2, 3, 9, 9, 3, 0, 3, 7, 3,
+                                       2, 5, 4, 5, 1, 8, 1, 3, 2, 2};
   for (int threads : {1, 2, 4}) {
     SetGlobalThreadCount(threads);
     ExpectGolden(RunPolicy("ddpg"), want_rewards, want_final, threads);
@@ -115,11 +117,11 @@ TEST_F(PolicyEquivalenceTest, DdpgMatchesPreRefactorGoldensAtAnyThreadCount) {
 
 TEST_F(PolicyEquivalenceTest, DqnMatchesPreRefactorGoldensAtAnyThreadCount) {
   const std::vector<double> want_rewards = {
-      -4.2232800060680109, -3.9797863792909043,
-      -4.170963071501177,  -3.9621891067165502,
-      -4.1779862172330997, -4.1373214071291606};
-  const std::vector<int> want_final = {2, 2, 0, 2, 1, 6, 0, 0, 6, 6,
-                                       1, 0, 2, 0, 1, 4, 2, 1, 0, 1};
+      -2.3489683133713024, -2.1224398891643057,
+      -2.146504903123378,  -2.1165492062266869,
+      -2.2106668357743393, -2.1660088265695872};
+  const std::vector<int> want_final = {0, 8, 2, 9, 1, 2, 3, 2, 8, 8,
+                                       9, 3, 9, 0, 2, 8, 2, 9, 9, 3};
   for (int threads : {1, 2, 4}) {
     SetGlobalThreadCount(threads);
     ExpectGolden(RunPolicy("dqn"), want_rewards, want_final, threads);

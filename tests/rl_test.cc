@@ -180,6 +180,7 @@ TEST(DqnAgentTest, LearnsBanditRewards) {
   config.learning_rate = 5e-3;
   DqnAgent agent(encoder, config);
   Rng rng(6);
+  SplitMix64 noise(6);
   const std::vector<double> machine_reward = {-1.0, -0.5, 0.5};
   for (int i = 0; i < 300; ++i) {
     const int machine = rng.UniformInt(0, 2);
@@ -187,7 +188,7 @@ TEST(DqnAgentTest, LearnsBanditRewards) {
     t.state = MakeState({rng.UniformInt(0, 2)}, {});
     t.action_assignments = {machine};
     t.move_index = machine;
-    t.reward = machine_reward[machine] + rng.Gaussian(0, 0.05);
+    t.reward = machine_reward[machine] + 0.05 * noise.Normal();
     t.next_state = MakeState({machine}, {});
     agent.Observe(std::move(t));
   }
@@ -623,7 +624,9 @@ uint64_t CqLargeGoldenHash(SimdMode mode, int threads) {
 TEST(DdpgGoldenTest, CqLargeDecisionsAndTrainingAreBitExact) {
   // Recorded before candidate scoring shared the 1-NN's prefix and before
   // Dot4 and SumRows existed; those must reproduce it bit for bit.
-  constexpr uint64_t kGolden = 0x60761638e9930779ull;
+  // Re-recorded once, with the code unchanged, when Rng (the initial
+  // weights, exploration and rewards) became a splitmix64 stream.
+  constexpr uint64_t kGolden = 0xcbe107b5bd113aaaull;
   for (SimdMode mode : {SimdMode::kOff, SimdMode::kAuto}) {
     for (int threads : {1, 2, 4}) {
       const uint64_t hash = CqLargeGoldenHash(mode, threads);

@@ -148,12 +148,13 @@ TEST_F(RoundRobinTest, RejectsBadConfig) {
 
 TEST(RidgeTest, RecoversLinearModel) {
   Rng rng(5);
+  SplitMix64 noise(5);
   std::vector<std::vector<double>> x;
   std::vector<double> y;
   for (int i = 0; i < 200; ++i) {
     const double a = rng.Uniform(-1, 1), b = rng.Uniform(-1, 1);
     x.push_back({1.0, a, b});
-    y.push_back(2.0 + 3.0 * a - 0.5 * b + rng.Gaussian(0, 0.01));
+    y.push_back(2.0 + 3.0 * a - 0.5 * b + 0.01 * noise.Normal());
   }
   RidgeRegression ridge;
   ASSERT_TRUE(ridge.Fit(x, y, 1e-4).ok());
@@ -231,6 +232,7 @@ class DelayModelTest : public testing::Test {
   /// structural rule: proportional to the schedule's remote traffic.
   std::vector<PerfSample> SyntheticSamples(int count) {
     Rng rng(9);
+    SplitMix64 noise(9);
     std::vector<PerfSample> samples;
     for (int i = 0; i < count; ++i) {
       Schedule schedule =
@@ -255,7 +257,7 @@ class DelayModelTest : public testing::Test {
         sample.edge_transfer_ms[e] = 0.05 + 0.9 * features[1];
         total += sample.edge_transfer_ms[e];
       }
-      sample.avg_latency_ms = total + rng.Gaussian(0, 0.01);
+      sample.avg_latency_ms = total + 0.01 * noise.Normal();
       samples.push_back(std::move(sample));
     }
     return samples;

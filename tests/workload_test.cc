@@ -184,6 +184,30 @@ TEST(WorkloadRegistryTest, UnknownParameterIsNamed) {
       << message;
 }
 
+// Integer parameters parse whole, as integers: a fraction is an error, not
+// cut to its integer part.
+TEST(WorkloadRegistryTest, FractionalIntegerParameterIsRejected) {
+  auto generator = workload::ParseWorkloadSpec("diurnal:steps=2.7", 1);
+  ASSERT_FALSE(generator.ok());
+  const std::string message = generator.status().ToString();
+  EXPECT_NE(message.find("parameter 'steps' wants an integer, got '2.7'"),
+            std::string::npos)
+      << message;
+  EXPECT_TRUE(workload::ParseWorkloadSpec("diurnal:steps=3", 1).ok());
+}
+
+// A seed that is not a whole uint64_t is an error, not an undefined
+// conversion of a double.
+TEST(WorkloadRegistryTest, SeedOutsideUint64IsRejected) {
+  for (const char* spec : {"diurnal:seed=1e30", "diurnal:seed=-1",
+                           "diurnal:seed=18446744073709551616"}) {
+    EXPECT_FALSE(workload::ParseWorkloadSpec(spec, 1).ok()) << spec;
+  }
+  EXPECT_TRUE(
+      workload::ParseWorkloadSpec("diurnal:seed=18446744073709551615", 1)
+          .ok());
+}
+
 TEST(WorkloadRegistryTest, ComposeMultipliesChildren) {
   auto generator = workload::ParseWorkloadSpec(
       "compose:constant:factor=2+constant:factor=3", 1);
@@ -209,6 +233,16 @@ TEST(WorkloadRegistryTest, TraceReplayCsvErrorsNameTheLine) {
   EXPECT_EQ((*good)->MultiplierAt(0, 0, 1500.0), 2.0);
   EXPECT_EQ((*good)->MultiplierAt(0, 0, 2500.0), 0.5);   // spout 0 override
   EXPECT_EQ((*good)->MultiplierAt(0, 1, 2500.0), 2.0);   // other spouts keep
+}
+
+// A spout id outside int is an error; wrapped, 4294967295 would read as
+// -1, which means every spout.
+TEST(WorkloadRegistryTest, TraceSpoutOutsideIntIsRejected) {
+  auto trace = workload::MakeTraceReplayFromCsv("1000,4294967295,2.0\n");
+  ASSERT_FALSE(trace.ok());
+  EXPECT_NE(trace.status().ToString().find("line 1: bad spout '4294967295'"),
+            std::string::npos)
+      << trace.status().ToString();
 }
 
 // ---------------------------------------------------------------------------
