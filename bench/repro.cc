@@ -202,6 +202,24 @@ core::PipelineConfig ConfigFromFlags(const Flags& flags) {
   return config;
 }
 
+void PrintUsage() {
+  const core::PipelineConfig defaults;
+  std::string names;
+  for (const Figure& figure : kFigures) {
+    if (!names.empty()) names += ", ";
+    names += figure.name;
+  }
+  std::printf(
+      "usage: repro [--figures=NAME[,NAME...]] [--samples=%d] [--epochs=%d]\n"
+      "             [--pretrain=%d] [--knn_k=%d] [--gamma=%g] [--tsp=%d]\n"
+      "             [--seed=%llu] [--cache_dir=bench_artifacts]\n"
+      "figures (default: all, in this order): %s\n",
+      defaults.offline_samples, defaults.online.epochs,
+      defaults.pretrain_steps, defaults.ddpg.knn_k, defaults.ddpg.gamma,
+      defaults.online.train_steps_per_epoch,
+      static_cast<unsigned long long>(defaults.seed), names.c_str());
+}
+
 /// The artifact cache key: the setup plus every setting a flag changes.
 std::string CacheKey(const Setup& setup, const core::PipelineConfig& config) {
   std::ostringstream key;
@@ -576,10 +594,15 @@ class Repro {
 int main(int argc, char** argv) {
   auto flags = Flags::Parse(argc, argv,
                             {"figures", "samples", "epochs", "pretrain",
-                             "knn_k", "gamma", "tsp", "seed", "cache_dir"});
+                             "knn_k", "gamma", "tsp", "seed", "cache_dir",
+                             "help"});
   if (!flags.ok()) {
     std::fprintf(stderr, "%s\n", flags.status().ToString().c_str());
     return 1;
+  }
+  if (flags->GetBool("help", false)) {
+    PrintUsage();
+    return 0;
   }
   ApplyProcessFlags(*flags);
   const auto figures = SelectFigures(*flags);

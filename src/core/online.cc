@@ -20,6 +20,7 @@ struct OnlineMetrics {
   obs::Histogram* epoch_latency_ms;
   obs::Histogram* deploy_us;
   obs::Histogram* train_loss;  // TrainStep()'s critic / Q minibatch loss
+  obs::Gauge* epsilon;         // the exploration rate of the latest epoch
   obs::Counter* epochs;
   obs::Counter* disruptions;
   obs::Counter* action_retries;
@@ -34,6 +35,7 @@ const OnlineMetrics& Metrics() {
         reg.histogram("online.epoch_latency_ms"),
         reg.histogram("phase.deploy_us"),
         reg.histogram("online.train_loss"),
+        reg.gauge("online.epsilon"),
         reg.counter("online.epochs"),
         reg.counter("online.disruptions"),
         reg.counter("online.action_retries"),
@@ -49,6 +51,14 @@ const OnlineMetrics& Metrics() {
 /// k * kActionRetryBackoffMs, then fall back to the current schedule.
 constexpr int kMaxActionRetries = 3;
 constexpr double kActionRetryBackoffMs = 500.0;
+
+/// A malformed request or a policy that cannot act in its current state
+/// fails the same way however long the loop waits, so those errors fall
+/// back at once instead of retrying.
+bool Retryable(const Status& status) {
+  return status.code() != StatusCode::kInvalidArgument &&
+         status.code() != StatusCode::kFailedPrecondition;
+}
 
 /// Exploration schedule: epsilon decays linearly from kEpsilonStart to
 /// kEpsilonEnd over the first kEpsilonDecayFraction of the epochs.
@@ -92,13 +102,17 @@ StatusOr<OnlineResult> RunOnline(rl::Policy* policy,
 
   for (int t = 0; t < options.epochs; ++t) {
     rl::State state = env->CurrentState();
+    const double epsilon_t = epsilon.Value(t);
+    Metrics().epsilon->Set(epsilon_t);
     // Action selection degrades instead of aborting: bounded retries with
     // linear backoff (simulated time advances and the state is
-    // re-observed), then fall back to keeping the current schedule.
+    // re-observed), then fall back to keeping the current schedule. An
+    // error no retry can fix falls back at once.
     StatusOr<rl::PolicyAction> action_or =
-        policy->SelectAction(state, epsilon.Value(t), &rng);
+        policy->SelectAction(state, epsilon_t, &rng);
     int retries = 0;
-    while (!action_or.ok() && retries < kMaxActionRetries) {
+    while (!action_or.ok() && Retryable(action_or.status()) &&
+           retries < kMaxActionRetries) {
       ++retries;
       DRLSTREAM_LOG(kWarning)
           << policy->name() << " action selection failed ("
@@ -106,7 +120,13 @@ StatusOr<OnlineResult> RunOnline(rl::Policy* policy,
           << kMaxActionRetries << " after backoff";
       env->simulator()->RunFor(kActionRetryBackoffMs * retries);
       state = env->CurrentState();
-      action_or = policy->SelectAction(state, epsilon.Value(t), &rng);
+      action_or = policy->SelectAction(state, epsilon_t, &rng);
+    }
+    if (!action_or.ok() && !Retryable(action_or.status())) {
+      DRLSTREAM_LOG(kWarning)
+          << policy->name() << " action selection failed ("
+          << action_or.status().ToString()
+          << "); no retry can fix it, keeping the current schedule";
     }
     const bool used_fallback = !action_or.ok();
     const int move_index = used_fallback ? -1 : action_or->move_index;

@@ -1,6 +1,10 @@
 #include "nn/kernels.h"
 
+#include <bit>
+#include <cstdint>
+
 #include "common/simd.h"
+#include "nn/tanh_constants.h"
 
 namespace drlstream::nn::kernels {
 
@@ -69,6 +73,50 @@ void SumRowsScalar(double* z, const double* base, const double* const* rows,
   }
 }
 
+double TanhElement(double x) {
+  using namespace tanh_constants;
+  constexpr uint64_t kSignBit = uint64_t{1} << 63;
+  const uint64_t x_bits = std::bit_cast<uint64_t>(x);
+  const double z = std::bit_cast<double>(x_bits & ~kSignBit);
+  // The result is a + b * (num / den) on either branch; TanhAvx2 computes
+  // both branches' four terms in every lane and keeps one set, so the ops
+  // below are exactly one lane's.
+  double a, b, num, den;
+  if (z < kSmallBound) {
+    const double s = z * z;
+    a = z;
+    b = z * s;
+    num = (kP0 * s + kP1) * s + kP2;
+    den = ((s + kQ0) * s + kQ1) * s + kQ2;
+  } else {
+    // `kMaxAbs < z ? kMaxAbs : z` is _mm256_min_pd(kMaxAbs, z): a NaN z
+    // passes through.
+    const double w = 2.0 * (kMaxAbs < z ? kMaxAbs : z);
+    const double shifted = w * kLog2e + kRoundShifter;
+    const double n = shifted - kRoundShifter;
+    const double g = (w - n * kLn2Hi) - n * kLn2Lo;
+    const double gg = g * g;
+    const double p = g * ((kEP0 * gg + kEP1) * gg + kEP2);
+    const double q = ((kEQ0 * gg + kEQ1) * gg + kEQ2) * gg + kEQ3;
+    const double exp_g = 1.0 + 2.0 * (p / (q - p));
+    // 2^n: the shifter left n in the low bits; add the exponent bias and
+    // move it into the exponent field.
+    const double two_n = std::bit_cast<double>(
+        (std::bit_cast<uint64_t>(shifted) + 1023) << 52);
+    a = 1.0;
+    b = -1.0;
+    num = 2.0;
+    den = exp_g * two_n + 1.0;
+  }
+  const double r = a + b * (num / den);  // >= +0 (or NaN)
+  return std::bit_cast<double>(std::bit_cast<uint64_t>(r) |
+                               (x_bits & kSignBit));
+}
+
+void TanhScalar(const double* x, double* y, int k) {
+  for (int i = 0; i < k; ++i) y[i] = TanhElement(x[i]);
+}
+
 bool SimdActive() {
   return SimdEnabled() && Avx2CompiledIn() && CpuSupportsAvx2();
 }
@@ -81,6 +129,8 @@ void Axpy(double* y, const double* x, double a, int k) {
   ResolveAxpy()(y, x, a, k);
 }
 
+void Tanh(const double* x, double* y, int k) { ResolveTanh()(x, y, k); }
+
 DotFn ResolveDot() { return SimdActive() ? DotAvx2 : DotScalar; }
 
 Dot4Fn ResolveDot4() { return SimdActive() ? Dot4Avx2 : Dot4Scalar; }
@@ -90,5 +140,7 @@ AxpyFn ResolveAxpy() { return SimdActive() ? AxpyAvx2 : AxpyScalar; }
 SumRowsFn ResolveSumRows() {
   return SimdActive() ? SumRowsAvx2 : SumRowsScalar;
 }
+
+TanhFn ResolveTanh() { return SimdActive() ? TanhAvx2 : TanhScalar; }
 
 }  // namespace drlstream::nn::kernels

@@ -1,8 +1,9 @@
 // AVX2 implementations of the primitive folds (see kernels.h for the
 // bit-identity contract). This translation unit is the only one compiled
-// with -mavx2 (plus -ffp-contract=off so the scalar tails cannot contract
-// to FMA); the rest of the binary stays runnable on non-AVX2 hosts, and
-// these entry points are only reached after a cpuid check (kernels.cc).
+// with -mavx2 (the nn library's -ffp-contract=off keeps the scalar tails
+// from contracting to FMA); the rest of the binary stays runnable on
+// non-AVX2 hosts, and these entry points are only reached after a cpuid
+// check (kernels.cc).
 //
 // When the toolchain cannot target AVX2 at all, the functions compile as
 // forwarding stubs to the scalar kernels and Avx2CompiledIn() reports
@@ -13,6 +14,8 @@
 #if defined(__AVX2__)
 #include <immintrin.h>
 #endif
+
+#include "nn/tanh_constants.h"
 
 namespace drlstream::nn::kernels {
 
@@ -118,6 +121,83 @@ void SumRowsAvx2(double* z, const double* base, const double* const* rows,
   }
 }
 
+namespace {
+
+/// TanhElement on four lanes: both branches' (a, b, num, den) computed with
+/// TanhElement's ops and blended by |x| < kSmallBound, so the final
+/// division is shared and each lane's bits are the scalar element's.
+__m256d Tanh4(__m256d x) {
+  using namespace tanh_constants;
+  const auto c = [](double v) { return _mm256_set1_pd(v); };
+  const __m256d sign_bit = c(-0.0);
+  const __m256d z = _mm256_andnot_pd(sign_bit, x);
+  // |x| < kSmallBound: x + x*s*P(s)/Q(s).
+  const __m256d s = _mm256_mul_pd(z, z);
+  const __m256d small_b = _mm256_mul_pd(z, s);
+  const __m256d small_num = _mm256_add_pd(
+      _mm256_mul_pd(_mm256_add_pd(_mm256_mul_pd(c(kP0), s), c(kP1)), s),
+      c(kP2));
+  const __m256d small_den = _mm256_add_pd(
+      _mm256_mul_pd(
+          _mm256_add_pd(_mm256_mul_pd(_mm256_add_pd(s, c(kQ0)), s), c(kQ1)),
+          s),
+      c(kQ2));
+  // Otherwise: 1 - 2/(e^g * 2^n + 1).
+  const __m256d w = _mm256_mul_pd(c(2.0), _mm256_min_pd(c(kMaxAbs), z));
+  const __m256d shifted =
+      _mm256_add_pd(_mm256_mul_pd(w, c(kLog2e)), c(kRoundShifter));
+  const __m256d n = _mm256_sub_pd(shifted, c(kRoundShifter));
+  const __m256d g = _mm256_sub_pd(
+      _mm256_sub_pd(w, _mm256_mul_pd(n, c(kLn2Hi))),
+      _mm256_mul_pd(n, c(kLn2Lo)));
+  const __m256d gg = _mm256_mul_pd(g, g);
+  const __m256d p = _mm256_mul_pd(
+      g, _mm256_add_pd(
+             _mm256_mul_pd(
+                 _mm256_add_pd(_mm256_mul_pd(c(kEP0), gg), c(kEP1)), gg),
+             c(kEP2)));
+  const __m256d q = _mm256_add_pd(
+      _mm256_mul_pd(
+          _mm256_add_pd(
+              _mm256_mul_pd(
+                  _mm256_add_pd(_mm256_mul_pd(c(kEQ0), gg), c(kEQ1)), gg),
+              c(kEQ2)),
+          gg),
+      c(kEQ3));
+  const __m256d exp_g = _mm256_add_pd(
+      c(1.0), _mm256_mul_pd(c(2.0), _mm256_div_pd(p, _mm256_sub_pd(q, p))));
+  const __m256d two_n = _mm256_castsi256_pd(_mm256_slli_epi64(
+      _mm256_add_epi64(_mm256_castpd_si256(shifted),
+                       _mm256_set1_epi64x(1023)),
+      52));
+  const __m256d big_den = _mm256_add_pd(_mm256_mul_pd(exp_g, two_n), c(1.0));
+  // Ordered compare: a NaN lane takes the second branch, as in the scalar.
+  const __m256d small = _mm256_cmp_pd(z, c(kSmallBound), _CMP_LT_OQ);
+  const __m256d a = _mm256_blendv_pd(c(1.0), z, small);
+  const __m256d b = _mm256_blendv_pd(c(-1.0), small_b, small);
+  const __m256d num = _mm256_blendv_pd(c(2.0), small_num, small);
+  const __m256d den = _mm256_blendv_pd(big_den, small_den, small);
+  const __m256d r =
+      _mm256_add_pd(a, _mm256_mul_pd(b, _mm256_div_pd(num, den)));
+  return _mm256_or_pd(r, _mm256_and_pd(x, sign_bit));
+}
+
+}  // namespace
+
+void TanhAvx2(const double* x, double* y, int k) {
+  int i = 0;
+  for (; i + 4 <= k; i += 4) {
+    _mm256_storeu_pd(y + i, Tanh4(_mm256_loadu_pd(x + i)));
+  }
+  if (i == k) return;
+  // The lanes are independent, so the 1-3 tail elements run as one
+  // zero-padded vector.
+  alignas(32) double lanes[4] = {0.0, 0.0, 0.0, 0.0};
+  for (int j = i; j < k; ++j) lanes[j - i] = x[j];
+  _mm256_store_pd(lanes, Tanh4(_mm256_load_pd(lanes)));
+  for (int j = i; j < k; ++j) y[j] = lanes[j - i];
+}
+
 #else  // !defined(__AVX2__)
 
 bool Avx2CompiledIn() { return false; }
@@ -139,6 +219,8 @@ void SumRowsAvx2(double* z, const double* base, const double* const* rows,
                  int count, int k) {
   SumRowsScalar(z, base, rows, count, k);
 }
+
+void TanhAvx2(const double* x, double* y, int k) { TanhScalar(x, y, k); }
 
 #endif  // defined(__AVX2__)
 

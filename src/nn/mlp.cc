@@ -1,9 +1,12 @@
 #include "nn/mlp.h"
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <sstream>
 #include <utility>
+
+#include "nn/kernels.h"
 
 namespace drlstream::nn {
 
@@ -38,7 +41,7 @@ double ApplyActivation(Activation a, double z) {
     case Activation::kIdentity:
       return z;
     case Activation::kTanh:
-      return std::tanh(z);
+      return kernels::TanhElement(z);
     case Activation::kRelu:
       return z > 0.0 ? z : 0.0;
   }
@@ -57,10 +60,24 @@ double ActivationGradient(Activation a, double z, double y) {
   return 1.0;
 }
 
-double Mlp::Activate(Activation a, double z) { return ApplyActivation(a, z); }
+void ActivateRow(Activation a, const double* z, double* y, int n) {
+  switch (a) {
+    case Activation::kIdentity:
+      if (y != z) std::copy(z, z + n, y);
+      return;
+    case Activation::kTanh:
+      kernels::Tanh(z, y, n);
+      return;
+    case Activation::kRelu:
+      for (int r = 0; r < n; ++r) y[r] = z[r] > 0.0 ? z[r] : 0.0;
+      return;
+  }
+}
 
-double Mlp::ActivateGrad(Activation a, double z, double y) {
-  return ActivationGradient(a, z, y);
+void BiasActivateRow(Activation a, const double* bias, double* z, double* y,
+                     int n) {
+  for (int r = 0; r < n; ++r) z[r] += bias[r];
+  ActivateRow(a, z, y, n);
 }
 
 std::vector<double> Mlp::Forward(const std::vector<double>& input) const {
@@ -68,9 +85,8 @@ std::vector<double> Mlp::Forward(const std::vector<double>& input) const {
   std::vector<double> z;
   for (const Linear& layer : layers_) {
     layer.weights.MatVec(x, &z);
-    for (int r = 0; r < layer.out_dim(); ++r) {
-      z[r] = Activate(layer.activation, z[r] + layer.bias[r]);
-    }
+    BiasActivateRow(layer.activation, layer.bias.data(), z.data(), z.data(),
+                    layer.out_dim());
     x = z;
   }
   return x;
@@ -82,9 +98,8 @@ const std::vector<double>& Mlp::Forward(const std::vector<double>& input,
   x->assign(input.begin(), input.end());
   for (const Linear& layer : layers_) {
     layer.weights.MatVec(*x, z);
-    for (int r = 0; r < layer.out_dim(); ++r) {
-      (*z)[r] = Activate(layer.activation, (*z)[r] + layer.bias[r]);
-    }
+    BiasActivateRow(layer.activation, layer.bias.data(), z->data(),
+                    z->data(), layer.out_dim());
     std::swap(*x, *z);  // Same values as the copying path, no allocation.
   }
   return *x;
@@ -103,10 +118,8 @@ std::vector<double> Mlp::Forward(const std::vector<double>& input,
     layer.weights.MatVec(x, &z);
     std::vector<double>& y = tape->post[i];
     y.resize(layer.out_dim());
-    for (int r = 0; r < layer.out_dim(); ++r) {
-      z[r] += layer.bias[r];
-      y[r] = Activate(layer.activation, z[r]);
-    }
+    BiasActivateRow(layer.activation, layer.bias.data(), z.data(), y.data(),
+                    layer.out_dim());
     x = y;
   }
   return x;
@@ -122,8 +135,8 @@ std::vector<double> Mlp::Backward(const Tape& tape,
     Linear& layer = layers_[i];
     // dL/dz = dL/dy * act'(z).
     for (int r = 0; r < layer.out_dim(); ++r) {
-      grad[r] *= ActivateGrad(layer.activation, tape.pre[i][r],
-                              tape.post[i][r]);
+      grad[r] *= ActivationGradient(layer.activation, tape.pre[i][r],
+                                    tape.post[i][r]);
     }
     const std::vector<double>& layer_input =
         (i == 0) ? tape.input : tape.post[i - 1];
@@ -162,14 +175,9 @@ const Matrix& Mlp::ForwardBatch(BatchTape* tape) const {
     Matrix& z = tape->pre[i];
     Matrix& y = tape->post[i];
     MatTMul(*x, layer.weights, &z);
-    const int out = layer.out_dim();
     for (int b = 0; b < batch; ++b) {
-      double* z_row = z.row(b);
-      double* y_row = y.row(b);
-      for (int r = 0; r < out; ++r) {
-        z_row[r] += layer.bias[r];
-        y_row[r] = Activate(layer.activation, z_row[r]);
-      }
+      BiasActivateRow(layer.activation, layer.bias.data(), z.row(b), y.row(b),
+                      layer.out_dim());
     }
     x = &y;
   }
@@ -196,8 +204,8 @@ void Mlp::BackwardBatch(BatchTape* tape, const Matrix& grad_output,
       const double* y_row = tape->post[i].row(b);
       double* dz_row = dzi.row(b);
       for (int r = 0; r < out; ++r) {
-        dz_row[r] =
-            dy_row[r] * ActivateGrad(layer.activation, z_row[r], y_row[r]);
+        dz_row[r] = dy_row[r] *
+                    ActivationGradient(layer.activation, z_row[r], y_row[r]);
       }
     }
     if (accumulate_param_grads) {

@@ -13,10 +13,21 @@ namespace drlstream::nn {
 /// Per-layer nonlinearity. The paper's actor and critic use tanh.
 enum class Activation { kIdentity = 0, kTanh = 1, kRelu = 2 };
 
-/// Applies an activation function to a scalar pre-activation.
+/// Applies an activation function to a scalar pre-activation. kTanh is
+/// nn::kernels::TanhElement, the element every row below reproduces.
 double ApplyActivation(Activation a, double z);
 /// d(activation)/dz given the pre-activation z and output y = act(z).
 double ActivationGradient(Activation a, double z, double y);
+
+/// y[r] = act(z[r]) for r < n; y may alias z. Tanh rows run through the
+/// dispatched nn::kernels::Tanh, whose scalar and AVX2 paths agree bitwise.
+void ActivateRow(Activation a, const double* z, double* y, int n);
+/// One layer's epilogue on a row: z[r] += bias[r], then y = act(z) as in
+/// ActivateRow. The per-sample and batched forward passes and candidate
+/// scoring's upper layers all go through it, so a row's bits never depend
+/// on the path.
+void BiasActivateRow(Activation a, const double* bias, double* z, double* y,
+                     int n);
 
 /// One fully-connected layer: y = act(W x + b), with gradient buffers.
 struct Linear {
@@ -133,9 +144,6 @@ class Mlp {
 
  private:
   Mlp() = default;  // For Load().
-
-  static double Activate(Activation a, double z);
-  static double ActivateGrad(Activation a, double z, double y);
 
   std::vector<Linear> layers_;
 };

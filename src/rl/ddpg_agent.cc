@@ -25,6 +25,7 @@ struct DdpgMetrics {
   obs::Histogram* actor_update_us;
   obs::Histogram* soft_update_us;
   obs::Histogram* chosen_rank;
+  obs::Histogram* q_spread;
   obs::Counter* knn_failures;
 };
 
@@ -41,6 +42,7 @@ const DdpgMetrics& Metrics() {
         reg.histogram("rl.ddpg.actor_update_us"),
         reg.histogram("rl.ddpg.soft_update_us"),
         reg.histogram("rl.ddpg.chosen_rank"),
+        reg.histogram("rl.ddpg.q_spread"),
         reg.counter("rl.ddpg.knn_failures"),
     };
   }();
@@ -177,9 +179,7 @@ void DdpgAgent::CandidateQValuesFromZ(
     for (int i = d; i < n; ++i) columns[i - d] = column(i, assignments[i]);
     double* z = batch_x.row(c);
     sum_rows(z, prefix, columns, n - d, h);
-    for (int r = 0; r < h; ++r) {
-      z[r] = nn::ApplyActivation(first.activation, z[r]);
-    }
+    nn::ActivateRow(first.activation, z, z, h);
   }
   // Remaining (tiny) layers: one GEMM per layer over the whole candidate
   // set instead of a MatVec per candidate. MatTMul keeps MatVec's per-row
@@ -191,10 +191,8 @@ void DdpgAgent::CandidateQValuesFromZ(
     const nn::Linear& layer = critic.layer(l);
     nn::MatTMul(*in, layer.weights, out);
     for (int c = 0; c < count; ++c) {
-      double* row = out->row(c);
-      for (int r = 0; r < layer.out_dim(); ++r) {
-        row[r] = nn::ApplyActivation(layer.activation, row[r] + layer.bias[r]);
-      }
+      nn::BiasActivateRow(layer.activation, layer.bias.data(), out->row(c),
+                          out->row(c), layer.out_dim());
     }
     std::swap(in, out);
   }
@@ -285,12 +283,16 @@ Status DdpgAgent::DecideFromProto(const State& state, double epsilon,
   CandidateQValuesFromZ(*critic_, critic_cache_, ws.z_state.data(),
                         ws.candidates.actions, &ws.score, &ws.q_values);
   int best = 0;
+  int worst = 0;
   for (size_t c = 1; c < ws.q_values.size(); ++c) {
     if (ws.q_values[c] > ws.q_values[best]) best = static_cast<int>(c);
+    if (ws.q_values[c] < ws.q_values[worst]) worst = static_cast<int>(c);
   }
   // The winner's index in K-NN distance order: a critic that always picks
-  // rank 0 makes the K candidates buy nothing over the 1-NN.
+  // rank 0 makes the K candidates buy nothing over the 1-NN. The spread of
+  // the K critic values says how much the argmax had to choose from.
   Metrics().chosen_rank->Record(best);
+  Metrics().q_spread->Record(ws.q_values[best] - ws.q_values[worst]);
   out->schedule = ws.candidates.actions[best];
   out->schedule.set_tenant(state.tenant);
   out->move_index = -1;

@@ -68,7 +68,8 @@ class Policy {
   /// Proposes the next schedule to deploy. `epsilon` drives exploration
   /// (0 = greedy); `rng` is the control loop's exploration RNG. Errors
   /// degrade in the control loop (bounded retries, then fallback to the
-  /// current schedule) instead of aborting the run.
+  /// current schedule; InvalidArgument and FailedPrecondition fall back
+  /// without retrying) instead of aborting the run.
   virtual StatusOr<PolicyAction> SelectAction(const State& state,
                                               double epsilon,
                                               Rng* rng) const = 0;

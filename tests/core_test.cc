@@ -435,6 +435,102 @@ TEST(OnlineTest, FinalPickComparesUncappedLatencies) {
   EXPECT_LT(*final_latency, best_packed);
 }
 
+/// Fails every decision with one status code, counting the attempts.
+class FailingPolicy : public rl::Policy {
+ public:
+  explicit FailingPolicy(StatusCode code) : code_(code) {}
+
+  std::string name() const override { return "failing"; }
+  StatusOr<rl::PolicyAction> SelectAction(const rl::State& state,
+                                          double epsilon,
+                                          Rng* rng) const override {
+    (void)state;
+    (void)epsilon;
+    (void)rng;
+    ++calls_;
+    return Status(code_, "stub policy refuses");
+  }
+  StatusOr<sched::Schedule> GreedyAction(
+      const rl::State& state) const override {
+    (void)state;
+    return Status(code_, "stub policy refuses");
+  }
+
+  int calls() const { return calls_; }
+
+ private:
+  StatusCode code_;
+  mutable int calls_ = 0;
+};
+
+struct FailingRun {
+  OnlineResult result;
+  double start_ms = 0.0;  // simulated time when the loop began
+  int calls = 0;          // SelectAction attempts
+};
+
+/// Two epochs of RunOnline on CQ small with a policy that always fails
+/// with `code`.
+FailingRun RunFailingPolicy(StatusCode code) {
+  topo::App app = topo::BuildContinuousQueries(topo::Scale::kSmall);
+  topo::ClusterConfig cluster;
+  sim::SimOptions sim_options;
+  sim_options.seed = 3;
+  MeasurementConfig measure;
+  measure.stabilize_ms = 200.0;
+  measure.num_measurements = 1;
+  measure.measurement_interval_ms = 100.0;
+  SchedulingEnvironment env(&app.topology, app.workload, cluster,
+                            sim_options, measure);
+  Rng rng(5);
+  EXPECT_TRUE(env.Reset(sched::Schedule::Random(
+                            app.topology.num_executors(),
+                            cluster.num_machines, &rng))
+                  .ok());
+  FailingPolicy policy(code);
+  OnlineOptions options;
+  options.epochs = 2;
+  FailingRun run;
+  run.start_ms = env.simulator()->now_ms();
+  auto result = RunOnline(&policy, &env, options);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  if (result.ok()) run.result = *std::move(result);
+  run.calls = policy.calls();
+  return run;
+}
+
+// A malformed request or a policy in the wrong state fails identically on
+// every retry, so the loop keeps the current schedule at once: no retry,
+// no backoff, one attempt per epoch.
+TEST(OnlineTest, UnfixableSelectionErrorsFallBackWithoutRetrying) {
+  for (StatusCode code :
+       {StatusCode::kInvalidArgument, StatusCode::kFailedPrecondition}) {
+    const FailingRun run = RunFailingPolicy(code);
+    const std::string what = StatusCodeToString(code);
+    ASSERT_EQ(run.result.disruptions.size(), 2u) << what;
+    for (const DisruptionRecord& record : run.result.disruptions) {
+      EXPECT_EQ(record.retries, 0) << what;
+      EXPECT_TRUE(record.used_fallback) << what;
+    }
+    // The first decision is made when the loop starts: no 0.5 + 1 + 1.5 s
+    // of backoff ran before it.
+    EXPECT_EQ(run.result.disruptions[0].time_ms, run.start_ms) << what;
+    EXPECT_EQ(run.calls, 2) << what;
+  }
+}
+
+// Any other error may pass, so it keeps the bounded retries with backoff.
+TEST(OnlineTest, TransientSelectionErrorsRetryWithBackoff) {
+  const FailingRun run = RunFailingPolicy(StatusCode::kUnavailable);
+  ASSERT_EQ(run.result.disruptions.size(), 2u);
+  for (const DisruptionRecord& record : run.result.disruptions) {
+    EXPECT_EQ(record.retries, 3);
+    EXPECT_TRUE(record.used_fallback);
+  }
+  EXPECT_EQ(run.result.disruptions[0].time_ms, run.start_ms + 3000.0);
+  EXPECT_EQ(run.calls, 8);
+}
+
 // ---------------------------------------------------------------------------
 // Series measurement
 // ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 #!/bin/sh
-# Every example answers --help with exit status 0 and a "usage:" line.
+# Every example (and bench/repro) answers --help with exit status 0 and a
+# "usage:" line.
 #
-# Usage: examples_help_smoke.sh <example binary>...
+# Usage: examples_help_smoke.sh <binary>...
 set -e
 for binary in "$@"; do
   if ! out=$("$binary" --help 2>&1); then

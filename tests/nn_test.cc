@@ -388,23 +388,34 @@ TEST(MatrixBatchTest, AddScaledOuterBatchMatchesAddOuterBitwise) {
 }
 
 TEST(MlpBatchTest, ForwardBatchMatchesPerRowForward) {
+  // The paper's hidden widths with a linear head, then tanh layers whose
+  // widths (7, 5) leave a tail after the tanh kernel's four-lane blocks,
+  // the output layer's included. Batched rows equal per-row Forward bitwise.
+  const std::vector<std::vector<int>> sizes = {{6, 64, 32, 3}, {6, 7, 5}};
+  const std::vector<std::vector<Activation>> activations = {
+      {Activation::kTanh, Activation::kTanh, Activation::kIdentity},
+      {Activation::kTanh, Activation::kTanh}};
   Rng rng(15);
-  Mlp net({6, 64, 32, 3}, {Activation::kTanh, Activation::kTanh,
-                           Activation::kIdentity}, &rng);
-  const int h = 9;
-  BatchTape tape;
-  Matrix* x = tape.Prepare(net, h);
-  for (int i = 0; i < h; ++i) {
-    for (int c = 0; c < 6; ++c) x->row(i)[c] = rng.Uniform(-1.0, 1.0);
-  }
-  const Matrix& out = net.ForwardBatch(&tape);
-  ASSERT_EQ(out.rows(), h);
-  ASSERT_EQ(out.cols(), 3);
-  for (int i = 0; i < h; ++i) {
-    std::vector<double> xi(x->row(i), x->row(i) + 6);
-    const std::vector<double> yi = net.Forward(xi);
-    for (int j = 0; j < 3; ++j) {
-      EXPECT_NEAR(out.At(i, j), yi[j], 1e-12);
+  for (size_t n = 0; n < sizes.size(); ++n) {
+    Mlp net(sizes[n], activations[n], &rng);
+    const int in = net.input_dim();
+    const int width = net.output_dim();
+    const int h = 9;
+    BatchTape tape;
+    Matrix* x = tape.Prepare(net, h);
+    for (int i = 0; i < h; ++i) {
+      for (int c = 0; c < in; ++c) x->row(i)[c] = rng.Uniform(-1.0, 1.0);
+    }
+    const Matrix& out = net.ForwardBatch(&tape);
+    ASSERT_EQ(out.rows(), h);
+    ASSERT_EQ(out.cols(), width);
+    for (int i = 0; i < h; ++i) {
+      std::vector<double> xi(x->row(i), x->row(i) + in);
+      const std::vector<double> yi = net.Forward(xi);
+      for (int j = 0; j < width; ++j) {
+        EXPECT_EQ(out.At(i, j), yi[j]) << "net " << n << " (" << i << ", "
+                                       << j << ")";
+      }
     }
   }
 }

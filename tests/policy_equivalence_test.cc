@@ -129,16 +129,29 @@ TEST_F(PolicyEquivalenceTest, DqnMatchesPreRefactorGoldensAtAnyThreadCount) {
 }
 
 // Learning-health metrics at the argmax: the chosen candidate's rank in
-// K-NN distance order and the loss each TrainStep returns are deterministic
-// values, so their histograms must export identically at every thread
-// count. The golden run makes 6 epoch decisions plus the final greedy one
-// and one training step per epoch.
+// K-NN distance order, the spread of the K critic values, the loss each
+// TrainStep returns and the epoch's exploration rate are deterministic
+// values, so they must export identically at every thread count. The
+// golden run makes 6 epoch decisions plus the final greedy one and one
+// training step per epoch.
+void ExpectSameHistogram(const obs::HistogramSnapshot& got,
+                         const obs::HistogramSnapshot& want,
+                         const std::string& what) {
+  EXPECT_EQ(got.count, want.count) << what;
+  EXPECT_EQ(got.sum, want.sum) << what;
+  EXPECT_EQ(got.min, want.min) << what;
+  EXPECT_EQ(got.max, want.max) << what;
+  EXPECT_EQ(got.buckets, want.buckets) << what;
+}
+
 TEST_F(PolicyEquivalenceTest, DdpgLearningHealthMetricsAreThreadInvariant) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Get();
   const bool metrics_were_enabled = obs::MetricsEnabled();
   obs::SetMetricsEnabled(true);
   std::vector<obs::HistogramSnapshot> ranks;
+  std::vector<obs::HistogramSnapshot> spreads;
   std::vector<obs::HistogramSnapshot> losses;
+  std::vector<double> epsilons;
   for (int threads : {1, 2, 4}) {
     SetGlobalThreadCount(threads);
     registry.ResetValues();
@@ -146,24 +159,27 @@ TEST_F(PolicyEquivalenceTest, DdpgLearningHealthMetricsAreThreadInvariant) {
     obs::MetricsSnapshot snapshot = registry.Snapshot();
     EXPECT_EQ(snapshot.counters["online.action_retries"], 0);
     ranks.push_back(snapshot.histograms["rl.ddpg.chosen_rank"]);
+    spreads.push_back(snapshot.histograms["rl.ddpg.q_spread"]);
     losses.push_back(snapshot.histograms["online.train_loss"]);
+    epsilons.push_back(snapshot.gauges["online.epsilon"]);
   }
   obs::SetMetricsEnabled(metrics_were_enabled);
   registry.ResetValues();
 
   EXPECT_EQ(ranks[0].count, 7);
+  EXPECT_EQ(spreads[0].count, 7);
+  EXPECT_GT(spreads[0].max, 0.0);
   EXPECT_EQ(losses[0].count, 6);
   EXPECT_GT(losses[0].sum, 0.0);
+  // Six epochs decay epsilon over the first four; the last epoch explores
+  // at the floor.
+  EXPECT_EQ(epsilons[0], 0.05);
   for (size_t i = 1; i < ranks.size(); ++i) {
-    EXPECT_EQ(ranks[i].count, ranks[0].count) << "run " << i;
-    EXPECT_EQ(ranks[i].sum, ranks[0].sum) << "run " << i;
-    EXPECT_EQ(ranks[i].max, ranks[0].max) << "run " << i;
-    EXPECT_EQ(ranks[i].buckets, ranks[0].buckets) << "run " << i;
-    EXPECT_EQ(losses[i].count, losses[0].count) << "run " << i;
-    EXPECT_EQ(losses[i].sum, losses[0].sum) << "run " << i;
-    EXPECT_EQ(losses[i].min, losses[0].min) << "run " << i;
-    EXPECT_EQ(losses[i].max, losses[0].max) << "run " << i;
-    EXPECT_EQ(losses[i].buckets, losses[0].buckets) << "run " << i;
+    const std::string run = "run " + std::to_string(i);
+    ExpectSameHistogram(ranks[i], ranks[0], "chosen_rank " + run);
+    ExpectSameHistogram(spreads[i], spreads[0], "q_spread " + run);
+    ExpectSameHistogram(losses[i], losses[0], "train_loss " + run);
+    EXPECT_EQ(epsilons[i], epsilons[0]) << run;
   }
 }
 

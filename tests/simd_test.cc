@@ -1,10 +1,16 @@
 // The SIMD contract (DESIGN.md "SIMD kernels"): the AVX2 kernels must be
 // bit-identical to the scalar fold — same four accumulator lanes, mul+add
 // (never FMA), same reduction tree — so enabling/disabling SIMD can never
-// change a golden. Every comparison here is EXPECT_EQ on doubles.
+// change a golden. Every comparison here is EXPECT_EQ on doubles (or on
+// their bit patterns), except the tanh kernel's accuracy against tanhl.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -141,6 +147,208 @@ TEST(SimdKernelTest, SumRowsEqualsSequentialSumInBothModes) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Tanh: the library's own formula (nn/kernels.h TanhElement), elementwise,
+// so the AVX2 kernel must equal the scalar one bit for bit.
+// ---------------------------------------------------------------------------
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+/// The tanh kernels this host can run: scalar always, AVX2 when available.
+std::vector<nn::kernels::TanhFn> TanhKernels() {
+  std::vector<nn::kernels::TanhFn> kernels = {nn::kernels::TanhScalar};
+  if (Avx2Available()) kernels.push_back(nn::kernels::TanhAvx2);
+  return kernels;
+}
+
+/// Signed inputs reaching every region of the formula: the odd rational
+/// and its seam at 0.625, the exp branch through every reduction step and
+/// past the clamp at 22, and every binade down to the subnormals.
+std::vector<double> TanhSweep(int count, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> x(count);
+  for (int i = 0; i < count; ++i) {
+    double v;
+    switch (i % 3) {
+      case 0:
+        v = rng.Uniform(0.0, 0.7);
+        break;
+      case 1:
+        v = rng.Uniform(0.6, 25.0);
+        break;
+      default:
+        v = std::ldexp(rng.Uniform(1.0, 2.0), rng.UniformInt(-1075, 5));
+        break;
+    }
+    x[i] = rng.Bernoulli(0.5) ? -v : v;
+  }
+  return x;
+}
+
+/// |got - tanhl(x)| in units of the last place of the exact result.
+double TanhUlpError(double got, double x) {
+  const long double want = std::tanh(static_cast<long double>(x));
+  if (want == 0.0L) return got == 0.0 ? 0.0 : 1e300;
+  int exponent = 0;
+  std::frexp(want, &exponent);  // |want| in [2^(exponent-1), 2^exponent)
+  const long double ulp = std::ldexp(1.0L, std::max(exponent - 53, -1074));
+  return static_cast<double>(
+      std::fabs(static_cast<long double>(got) - want) / ulp);
+}
+
+/// The points where the formula changes: the branch seam at 0.625, each
+/// step n -> n+1 of the reduction (2|x| * log2(e) = n + 1/2) and the clamp
+/// at 22.
+std::vector<double> TanhSeams() {
+  std::vector<double> seams = {0.625, 22.0};
+  for (int n = 1; n < 64; ++n) {
+    const double x = (n + 0.5) / (2.0 * 1.4426950408889634);
+    if (x > 0.625 && x < 22.0) seams.push_back(x);
+  }
+  return seams;
+}
+
+TEST(SimdKernelTest, TanhBitIdenticalToScalarAtEveryTail) {
+  if (!Avx2Available()) GTEST_SKIP() << "AVX2 unavailable on this host";
+  const double kGuard = 12345.0;
+  for (int n = 0; n <= 67; ++n) {
+    const std::vector<double> x = TanhSweep(n, 100 + n);
+    // Guard slots past the end: neither kernel may write there.
+    std::vector<double> scalar(n + 4, kGuard);
+    std::vector<double> simd(n + 4, kGuard);
+    nn::kernels::TanhScalar(x.data(), scalar.data(), n);
+    nn::kernels::TanhAvx2(x.data(), simd.data(), n);
+    std::vector<double> in_place = x;  // y aliases x
+    nn::kernels::TanhAvx2(in_place.data(), in_place.data(), n);
+    for (int i = 0; i < n; ++i) {
+      ASSERT_EQ(Bits(scalar[i]), Bits(nn::kernels::TanhElement(x[i])))
+          << "n=" << n << " i=" << i;
+      ASSERT_EQ(Bits(simd[i]), Bits(scalar[i])) << "n=" << n << " i=" << i;
+      ASSERT_EQ(Bits(in_place[i]), Bits(scalar[i]))
+          << "n=" << n << " i=" << i;
+    }
+    for (int i = n; i < n + 4; ++i) {
+      EXPECT_EQ(scalar[i], kGuard) << "n=" << n;
+      EXPECT_EQ(simd[i], kGuard) << "n=" << n;
+    }
+  }
+}
+
+TEST(SimdKernelTest, TanhBitIdenticalToScalarOverAMillionValues) {
+  if (!Avx2Available()) GTEST_SKIP() << "AVX2 unavailable on this host";
+  const std::vector<double> x = TanhSweep(1 << 20, 7);
+  std::vector<double> scalar(x.size());
+  std::vector<double> simd(x.size());
+  const int n = static_cast<int>(x.size());
+  nn::kernels::TanhScalar(x.data(), scalar.data(), n);
+  nn::kernels::TanhAvx2(x.data(), simd.data(), n);
+  int64_t differing = 0;
+  for (size_t i = 0; i < x.size(); ++i) {
+    if (Bits(simd[i]) != Bits(scalar[i])) ++differing;
+  }
+  EXPECT_EQ(differing, 0);
+}
+
+TEST(TanhKernelTest, SpecialValues) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const double top_subnormal = std::numeric_limits<double>::min() - tiny;
+  const double min_normal = std::numeric_limits<double>::min();
+  // tanh(x) rounds to x for these, and to exactly ±1 from |x| ~ 19.1 on.
+  const std::vector<std::pair<double, double>> exact = {
+      {0.0, 0.0},
+      {-0.0, -0.0},
+      {tiny, tiny},
+      {-tiny, -tiny},
+      {top_subnormal, top_subnormal},
+      {min_normal, min_normal},
+      {-min_normal, -min_normal},
+      {1e-300, 1e-300},
+      {20.0, 1.0},
+      {std::nextafter(22.0, 0.0), 1.0},
+      {22.0, 1.0},
+      {std::nextafter(22.0, 30.0), 1.0},
+      {-22.0, -1.0},
+      {1e300, 1.0},
+      {std::numeric_limits<double>::max(), 1.0},
+      {kInf, 1.0},
+      {-kInf, -1.0},
+  };
+  // The seam between the two branches and its neighbours.
+  const double cut = 0.625;
+  const std::vector<double> near = {
+      std::nextafter(cut, 0.0), cut, std::nextafter(cut, 1.0),
+      -std::nextafter(cut, 0.0), -cut, -std::nextafter(cut, 1.0)};
+  std::vector<double> x;
+  for (const auto& [in, want] : exact) x.push_back(in);
+  x.insert(x.end(), near.begin(), near.end());
+  x.push_back(std::numeric_limits<double>::quiet_NaN());
+  x.push_back(-std::numeric_limits<double>::quiet_NaN());
+  for (nn::kernels::TanhFn tanh_fn : TanhKernels()) {
+    std::vector<double> y(x.size());
+    tanh_fn(x.data(), y.data(), static_cast<int>(x.size()));
+    for (size_t i = 0; i < exact.size(); ++i) {
+      EXPECT_EQ(Bits(y[i]), Bits(exact[i].second)) << "tanh(" << x[i] << ")";
+    }
+    for (size_t i = 0; i < near.size(); ++i) {
+      const size_t at = exact.size() + i;
+      EXPECT_LE(TanhUlpError(y[at], x[at]), 2.0) << "tanh(" << x[at] << ")";
+    }
+    EXPECT_TRUE(std::isnan(y[x.size() - 2]));
+    EXPECT_TRUE(std::isnan(y[x.size() - 1]));
+  }
+}
+
+TEST(TanhKernelTest, WithinTwoUlpOfTanhl) {
+  // The sweep, plus 2,000 consecutive doubles on each side of every seam.
+  std::vector<double> x = TanhSweep(1 << 20, 8);
+  for (double seam : TanhSeams()) {
+    double v = seam;
+    for (int i = 0; i < 2000; ++i) v = std::nextafter(v, 0.0);
+    for (int i = 0; i < 4000; ++i, v = std::nextafter(v, 30.0)) {
+      x.push_back(v);
+    }
+  }
+  double worst = 0.0;
+  double worst_x = 0.0;
+  for (double v : x) {
+    const double error = TanhUlpError(nn::kernels::TanhElement(v), v);
+    if (error > worst) {
+      worst = error;
+      worst_x = v;
+    }
+  }
+  EXPECT_LE(worst, 2.0) << "at x = " << worst_x;
+}
+
+TEST(TanhKernelTest, OddAndMonotone) {
+  for (double v : TanhSweep(1 << 16, 9)) {
+    EXPECT_EQ(Bits(nn::kernels::TanhElement(-v)),
+              Bits(-nn::kernels::TanhElement(v)))
+        << "x = " << v;
+  }
+  // Nondecreasing across consecutive doubles at every seam...
+  for (double seam : TanhSeams()) {
+    double v = seam;
+    for (int i = 0; i < 4096; ++i) v = std::nextafter(v, 0.0);
+    double previous = nn::kernels::TanhElement(v);
+    for (int i = 0; i < 8192; ++i) {
+      v = std::nextafter(v, 30.0);
+      const double y = nn::kernels::TanhElement(v);
+      ASSERT_GE(y, previous) << "x = " << v << " near " << seam;
+      previous = y;
+    }
+  }
+  // ...and on a grid from 0 to 25.
+  double previous = nn::kernels::TanhElement(0.0);
+  for (int i = 1; i <= 25 * 4096; ++i) {
+    const double v = i / 4096.0;
+    const double y = nn::kernels::TanhElement(v);
+    ASSERT_GE(y, previous) << "x = " << v;
+    previous = y;
+  }
+}
+
 TEST(SimdDispatchTest, OffModeAlwaysResolvesScalar) {
   ScopedSimdMode off(SimdMode::kOff);
   EXPECT_FALSE(nn::kernels::SimdActive());
@@ -148,6 +356,7 @@ TEST(SimdDispatchTest, OffModeAlwaysResolvesScalar) {
   EXPECT_EQ(nn::kernels::ResolveDot4(), &nn::kernels::Dot4Scalar);
   EXPECT_EQ(nn::kernels::ResolveAxpy(), &nn::kernels::AxpyScalar);
   EXPECT_EQ(nn::kernels::ResolveSumRows(), &nn::kernels::SumRowsScalar);
+  EXPECT_EQ(nn::kernels::ResolveTanh(), &nn::kernels::TanhScalar);
 }
 
 TEST(SimdDispatchTest, AutoModeResolvesAvx2WhenAvailable) {
@@ -162,6 +371,7 @@ TEST(SimdDispatchTest, AutoModeResolvesAvx2WhenAvailable) {
   EXPECT_EQ(nn::kernels::ResolveDot4(), &nn::kernels::Dot4Avx2);
   EXPECT_EQ(nn::kernels::ResolveAxpy(), &nn::kernels::AxpyAvx2);
   EXPECT_EQ(nn::kernels::ResolveSumRows(), &nn::kernels::SumRowsAvx2);
+  EXPECT_EQ(nn::kernels::ResolveTanh(), &nn::kernels::TanhAvx2);
 }
 
 TEST(SimdDispatchTest, ModeFlipTakesEffectImmediately) {
