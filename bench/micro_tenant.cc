@@ -1,8 +1,8 @@
 // Micro: the multi-tenant decision pipeline — one scheduler brain (a
 // single DDPG agent sized for the tenant shape) serving T tenants'
-// decisions per control epoch through the fused SelectActionBatch path:
-// one actor ForwardBatch GEMM over all tenant states, then per tenant the
-// exact K-NN solve and the batched critic candidate scoring. The
+// decisions per control epoch through SelectActionBatch: per tenant the
+// actor with its sparse first layer, the exact K-NN solve and the batched
+// critic candidate scoring. The
 // N=1000 x M=100 points pin the scale target: the whole pipeline must
 // complete and stay allocation-free once the workspaces have warmed up.
 

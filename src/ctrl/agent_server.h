@@ -38,7 +38,8 @@ struct AgentServerOptions {
   int max_sessions = 1024;
   /// When true (default), kExplore GetSchedule requests that arrive in the
   /// same loop iteration and hit the same policy instance are fused into
-  /// one ForwardBatch GEMM. Guaranteed bit-identical to sequential serving
+  /// one SelectActionBatch call (one ForwardBatch GEMM for a policy that
+  /// fuses its network pass). Guaranteed bit-identical to sequential serving
   /// (see DESIGN.md §15); the switch exists so tests can pin that claim.
   bool batch_inference = true;
   /// Slow-request logging: a handled request whose server-side latency

@@ -265,18 +265,48 @@ Status KnnActionSolver::SolveInto(
   sched::Schedule& nearest = result->actions[0];
   nearest.Reset(n, m);
   for (int i = 0; i < n; ++i) nearest.Assign(i, row_opts(i)[0].machine);
+  // A deviation moves its row off the row's cheapest machine, so a chain's
+  // rows are exactly where the action differs from the 1-NN. A chain has at
+  // most one node per row, which bounds the reserve.
+  std::vector<int>& rows = result->deviation_rows;
+  rows.clear();
+  rows.reserve(static_cast<size_t>(count) * n);
+  result->deviation_begin.reserve(count + 1);
+  result->deviation_begin.assign(2, 0);
   for (int c = 1; c < count; ++c) {
     sched::Schedule& action = result->actions[c];
     action = nearest;
     // Rows are distinct within a chain, so walking it parent-first or
     // child-first assigns the same machines.
+    const size_t begin = rows.size();
     for (int node = ws->best[c].dev_head; node >= 0;
          node = ws->dev_arena[node].parent) {
       const KnnWorkspace::DevNode& dev = ws->dev_arena[node];
       action.Assign(dev.row, row_opts(dev.row)[dev.option].machine);
+      rows.push_back(dev.row);
     }
+    std::sort(rows.begin() + begin, rows.end());
+    result->deviation_begin.push_back(static_cast<int>(rows.size()));
   }
   return Status::OK();
+}
+
+void ComputeDeviations(KnnResult* result) {
+  DRLSTREAM_CHECK(!result->actions.empty());
+  const std::vector<int>& nearest = result->actions[0].assignments();
+  result->deviation_rows.clear();
+  result->deviation_begin.assign(1, 0);
+  for (const sched::Schedule& action : result->actions) {
+    const std::vector<int>& assignments = action.assignments();
+    DRLSTREAM_CHECK_EQ(assignments.size(), nearest.size());
+    for (size_t i = 0; i < assignments.size(); ++i) {
+      if (assignments[i] != nearest[i]) {
+        result->deviation_rows.push_back(static_cast<int>(i));
+      }
+    }
+    result->deviation_begin.push_back(
+        static_cast<int>(result->deviation_rows.size()));
+  }
 }
 
 }  // namespace drlstream::miqp

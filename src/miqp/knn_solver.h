@@ -10,10 +10,20 @@
 namespace drlstream::miqp {
 
 /// K nearest feasible actions to a proto-action, ascending by squared
-/// euclidean distance ||a - a_hat||^2.
+/// euclidean distance ||a - a_hat||^2, each also given as the rows where it
+/// differs from actions[0], the 1-NN: actions[c] reassigns exactly the
+/// executors deviation_rows[deviation_begin[c], deviation_begin[c + 1]),
+/// ascending (none for c = 0). SolveInto fills both; ComputeDeviations
+/// derives them for any other action list.
 struct KnnResult {
   std::vector<sched::Schedule> actions;
+  std::vector<int> deviation_rows;
+  std::vector<int> deviation_begin;  // actions.size() + 1 offsets
 };
+
+/// Sets result->deviation_rows / deviation_begin from result->actions (all
+/// of one shape, at least one) by comparing each action with actions[0].
+void ComputeDeviations(KnnResult* result);
 
 /// Reusable scratch for SolveInto: every intermediate of the fold lives in
 /// flat arrays that keep their capacity across solves, so steady-state

@@ -1,5 +1,6 @@
 #include "nn/kernels.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 
@@ -117,6 +118,35 @@ void TanhScalar(const double* x, double* y, int k) {
   for (int i = 0; i < k; ++i) y[i] = TanhElement(x[i]);
 }
 
+namespace {
+
+/// Outputs per FoldColumns pass: a pass keeps its block's five lanes on the
+/// stack (2.5 KB) and scans x once, so a first layer of up to 64 units
+/// takes one scan.
+constexpr int kFoldBlock = 64;
+
+}  // namespace
+
+void FoldColumnsScalar(const double* cols, const double* x, int k, int h,
+                       double* z) {
+  const int body = k - k % 4;  // Dot's four lanes; [body, k) is its tail
+  for (int r0 = 0; r0 < h; r0 += kFoldBlock) {
+    const int width = std::min(kFoldBlock, h - r0);
+    double lanes[5][kFoldBlock] = {};
+    for (int i = 0; i < k; ++i) {
+      const double xi = x[i];
+      if (xi == 0.0) continue;  // a NaN input compares unequal: added
+      double* lane = lanes[i < body ? i % 4 : 4];
+      const double* col = cols + static_cast<size_t>(i) * h + r0;
+      for (int r = 0; r < width; ++r) lane[r] += col[r] * xi;
+    }
+    for (int r = 0; r < width; ++r) {
+      z[r0 + r] = ((lanes[0][r] + lanes[1][r]) + (lanes[2][r] + lanes[3][r])) +
+                  lanes[4][r];
+    }
+  }
+}
+
 bool SimdActive() {
   return SimdEnabled() && Avx2CompiledIn() && CpuSupportsAvx2();
 }
@@ -131,6 +161,11 @@ void Axpy(double* y, const double* x, double a, int k) {
 
 void Tanh(const double* x, double* y, int k) { ResolveTanh()(x, y, k); }
 
+void FoldColumns(const double* cols, const double* x, int k, int h,
+                 double* z) {
+  ResolveFoldColumns()(cols, x, k, h, z);
+}
+
 DotFn ResolveDot() { return SimdActive() ? DotAvx2 : DotScalar; }
 
 Dot4Fn ResolveDot4() { return SimdActive() ? Dot4Avx2 : Dot4Scalar; }
@@ -142,5 +177,9 @@ SumRowsFn ResolveSumRows() {
 }
 
 TanhFn ResolveTanh() { return SimdActive() ? TanhAvx2 : TanhScalar; }
+
+FoldColumnsFn ResolveFoldColumns() {
+  return SimdActive() ? FoldColumnsAvx2 : FoldColumnsScalar;
+}
 
 }  // namespace drlstream::nn::kernels

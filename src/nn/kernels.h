@@ -29,6 +29,19 @@ namespace drlstream::nn::kernels {
 ///             network's outputs do not depend on the host's libm.
 ///             Elementwise; the AVX2 tail runs the last 1-3 elements as a
 ///             zero-padded vector. y may alias x.
+///   FoldColumns - z[r] = Dot(W.row(r), x, k) for r < h, read from
+///             cols = W^T (k x h: row i is the weight column input i
+///             selects). Only the columns with x[i] != 0 are added, each
+///             into the Dot lane its index falls in (lane i mod 4 below
+///             k - k mod 4, the tail above), one product and one add per
+///             element; the lanes then combine with Dot's tree. A skipped
+///             input's product would be +-0, and adding +-0 never changes
+///             a lane that starts at +0, so for finite weights z is Dot's
+///             (Matrix::MatVec's) bitwise. The one difference: a NaN or
+///             +-Inf weight whose input is 0 does not reach z, where Dot
+///             gives 0 * Inf = NaN (MatTVec, AddOuter and MatMul skip zero
+///             multipliers the same way); a NaN input is added and gives
+///             NaN. z must not alias x or cols.
 ///
 /// Which implementation runs is decided per call from the process-wide
 /// SIMD mode (common/simd.h): one relaxed atomic load and a branch, so
@@ -64,6 +77,8 @@ void AxpyScalar(double* y, const double* x, double a, int k);
 void SumRowsScalar(double* z, const double* base, const double* const* rows,
                    int count, int k);
 void TanhScalar(const double* x, double* y, int k);
+void FoldColumnsScalar(const double* cols, const double* x, int k, int h,
+                       double* z);
 
 /// AVX2 variants, compiled into their own translation unit with -mavx2
 /// (the nn library builds with -ffp-contract=off, so neither these nor the
@@ -78,11 +93,15 @@ void AxpyAvx2(double* y, const double* x, double a, int k);
 void SumRowsAvx2(double* z, const double* base, const double* const* rows,
                  int count, int k);
 void TanhAvx2(const double* x, double* y, int k);
+void FoldColumnsAvx2(const double* cols, const double* x, int k, int h,
+                     double* z);
 
 /// Resolved entry points honoring the SIMD mode and cpuid.
 double Dot(const double* a, const double* b, int k);
 void Axpy(double* y, const double* x, double a, int k);
 void Tanh(const double* x, double* y, int k);
+void FoldColumns(const double* cols, const double* x, int k, int h,
+                 double* z);
 
 /// Per-call resolvers: loops that invoke a primitive once per row should
 /// resolve the dispatch once at kernel entry and call through the returned
@@ -94,11 +113,14 @@ using AxpyFn = void (*)(double* y, const double* x, double a, int k);
 using SumRowsFn = void (*)(double* z, const double* base,
                            const double* const* rows, int count, int k);
 using TanhFn = void (*)(const double* x, double* y, int k);
+using FoldColumnsFn = void (*)(const double* cols, const double* x, int k,
+                               int h, double* z);
 DotFn ResolveDot();
 Dot4Fn ResolveDot4();
 AxpyFn ResolveAxpy();
 SumRowsFn ResolveSumRows();
 TanhFn ResolveTanh();
+FoldColumnsFn ResolveFoldColumns();
 
 /// True when the AVX2 path is what the resolved kernels currently run
 /// (compiled in, supported by the CPU, and not disabled via --simd=off /

@@ -11,6 +11,8 @@
 
 #include "nn/kernels.h"
 
+#include <algorithm>
+
 #if defined(__AVX2__)
 #include <immintrin.h>
 #endif
@@ -198,6 +200,61 @@ void TanhAvx2(const double* x, double* y, int k) {
   for (int j = i; j < k; ++j) y[j] = lanes[j - i];
 }
 
+void FoldColumnsAvx2(const double* cols, const double* x, int k, int h,
+                     double* z) {
+  // FoldColumnsScalar four outputs at a time: every lane element receives
+  // the same products, in the same order, and the same final tree. One
+  // compare tests four inputs, so a group of zeros (most of a one-hot
+  // state) costs one untaken branch.
+  constexpr int kFoldBlock = 64;  // as in kernels.cc
+  const int body = k - k % 4;
+  for (int r0 = 0; r0 < h; r0 += kFoldBlock) {
+    const int width = std::min(kFoldBlock, h - r0);
+    const int vec_width = width - width % 4;
+    alignas(32) double lanes[5][kFoldBlock] = {};
+    const auto add_column = [&](int i, double* lane) {
+      const double xi = x[i];
+      const double* col = cols + static_cast<size_t>(i) * h + r0;
+      const __m256d vx = _mm256_set1_pd(xi);
+      int r = 0;
+      for (; r < vec_width; r += 4) {
+        const __m256d prod = _mm256_mul_pd(_mm256_loadu_pd(col + r), vx);
+        _mm256_store_pd(lane + r,
+                        _mm256_add_pd(_mm256_load_pd(lane + r), prod));
+      }
+      for (; r < width; ++r) lane[r] += col[r] * xi;
+    };
+    for (int i0 = 0; i0 < body; i0 += 4) {
+      // Unordered-or-unequal: a NaN input is added, as in the scalar.
+      unsigned nonzero = static_cast<unsigned>(_mm256_movemask_pd(
+          _mm256_cmp_pd(_mm256_loadu_pd(x + i0), _mm256_setzero_pd(),
+                        _CMP_NEQ_UQ)));
+      while (nonzero != 0) {
+        const int lane = __builtin_ctz(nonzero);
+        add_column(i0 + lane, lanes[lane]);
+        nonzero &= nonzero - 1;
+      }
+    }
+    for (int i = body; i < k; ++i) {
+      if (x[i] != 0.0) add_column(i, lanes[4]);
+    }
+    int r = 0;
+    for (; r < vec_width; r += 4) {
+      const __m256d s01 = _mm256_add_pd(_mm256_load_pd(lanes[0] + r),
+                                        _mm256_load_pd(lanes[1] + r));
+      const __m256d s23 = _mm256_add_pd(_mm256_load_pd(lanes[2] + r),
+                                        _mm256_load_pd(lanes[3] + r));
+      _mm256_storeu_pd(z + r0 + r,
+                       _mm256_add_pd(_mm256_add_pd(s01, s23),
+                                     _mm256_load_pd(lanes[4] + r)));
+    }
+    for (; r < width; ++r) {
+      z[r0 + r] = ((lanes[0][r] + lanes[1][r]) + (lanes[2][r] + lanes[3][r])) +
+                  lanes[4][r];
+    }
+  }
+}
+
 #else  // !defined(__AVX2__)
 
 bool Avx2CompiledIn() { return false; }
@@ -221,6 +278,11 @@ void SumRowsAvx2(double* z, const double* base, const double* const* rows,
 }
 
 void TanhAvx2(const double* x, double* y, int k) { TanhScalar(x, y, k); }
+
+void FoldColumnsAvx2(const double* cols, const double* x, int k, int h,
+                     double* z) {
+  FoldColumnsScalar(cols, x, k, h, z);
+}
 
 #endif  // defined(__AVX2__)
 

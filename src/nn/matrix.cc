@@ -134,6 +134,28 @@ void MatTMul(const Matrix& a, const Matrix& b, Matrix* c) {
   }
 }
 
+void Transpose(const Matrix& a, Matrix* t) {
+  t->Resize(a.cols(), a.rows());
+  for (int r = 0; r < a.rows(); ++r) {
+    const double* a_row = a.row(r);
+    for (int c = 0; c < a.cols(); ++c) t->row(c)[r] = a_row[c];
+  }
+}
+
+void SoftUpdateTransposed(const Matrix& source, double tau,
+                          Matrix* target_t) {
+  DRLSTREAM_CHECK_EQ(target_t->rows(), source.cols());
+  DRLSTREAM_CHECK_EQ(target_t->cols(), source.rows());
+  const double keep = 1.0 - tau;
+  for (int c = 0; c < source.cols(); ++c) {
+    double* t = target_t->row(c);
+    for (int r = 0; r < source.rows(); ++r) {
+      t[r] = t[r] * keep;
+      t[r] += tau * source.row(r)[c];
+    }
+  }
+}
+
 void AddScaledOuterBatch(const Matrix& a, const Matrix& b, double scale,
                          Matrix* c) {
   DRLSTREAM_CHECK_EQ(a.rows(), b.rows());

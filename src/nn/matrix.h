@@ -88,6 +88,17 @@ void MatMul(const Matrix& a, const Matrix& b, Matrix* c);
 /// `b` are a layer's weight rows.
 void MatTMul(const Matrix& a, const Matrix& b, Matrix* c);
 
+/// t = a^T, resized to a.cols() x a.rows(): row c of t is column c of a.
+void Transpose(const Matrix& a, Matrix* t);
+
+/// target_t := tau * source^T + (1 - tau) * target_t: Mlp::SoftUpdateFrom's
+/// weight update applied to transposed copies. Each element gets the same
+/// two roundings in the same order (target * (1 - tau), then plus
+/// tau * source), so if target_t was the transpose of a target network's
+/// weights, it stays the transpose of the soft-updated weights bit for bit.
+/// target_t must be source.cols() x source.rows().
+void SoftUpdateTransposed(const Matrix& source, double tau, Matrix* target_t);
+
 /// c += scale * a^T * b, where a is h x n (per-sample output grads), b is
 /// h x m (per-sample layer inputs), c is n x m (weight gradients). The
 /// batch dimension h is reduced; equivalent to h successive rank-one

@@ -23,8 +23,6 @@ Mlp::Mlp(const std::vector<int>& sizes,
     DRLSTREAM_CHECK_GT(out, 0);
     layer.weights = Matrix(out, in);
     layer.bias.assign(out, 0.0);
-    layer.grad_weights = Matrix(out, in);
-    layer.grad_bias.assign(out, 0.0);
     layer.activation = activations[i];
     // Xavier/Glorot uniform.
     const double bound = std::sqrt(6.0 / static_cast<double>(in + out));
@@ -95,9 +93,16 @@ std::vector<double> Mlp::Forward(const std::vector<double>& input) const {
 const std::vector<double>& Mlp::Forward(const std::vector<double>& input,
                                         std::vector<double>* x,
                                         std::vector<double>* z) const {
-  x->assign(input.begin(), input.end());
-  for (const Linear& layer : layers_) {
-    layer.weights.MatVec(*x, z);
+  layers_.front().weights.MatVec(input, z);
+  return FinishForward(x, z);
+}
+
+const std::vector<double>& Mlp::FinishForward(std::vector<double>* x,
+                                              std::vector<double>* z) const {
+  DRLSTREAM_CHECK_EQ(static_cast<int>(z->size()), layers_.front().out_dim());
+  for (size_t i = 0; i < layers_.size(); ++i) {
+    const Linear& layer = layers_[i];
+    if (i > 0) layer.weights.MatVec(*x, z);
     BiasActivateRow(layer.activation, layer.bias.data(), z->data(),
                     z->data(), layer.out_dim());
     std::swap(*x, *z);  // Same values as the copying path, no allocation.
@@ -129,6 +134,7 @@ std::vector<double> Mlp::Backward(const Tape& tape,
                                   const std::vector<double>& grad_output) {
   DRLSTREAM_CHECK_EQ(tape.pre.size(), layers_.size());
   DRLSTREAM_CHECK_EQ(static_cast<int>(grad_output.size()), output_dim());
+  AllocateGrads();
   std::vector<double> grad = grad_output;  // dL/d(post-activation).
   std::vector<double> grad_in;
   for (int i = num_layers() - 1; i >= 0; --i) {
@@ -168,18 +174,25 @@ const Matrix& Mlp::ForwardBatch(BatchTape* tape) const {
   DRLSTREAM_CHECK(tape != nullptr);
   DRLSTREAM_CHECK_EQ(tape->input.cols(), input_dim());
   DRLSTREAM_CHECK_EQ(tape->pre.size(), layers_.size());
+  MatTMul(tape->input, layers_.front().weights, &tape->pre[0]);
+  return FinishForwardBatch(tape);
+}
+
+const Matrix& Mlp::FinishForwardBatch(BatchTape* tape) const {
+  DRLSTREAM_CHECK(tape != nullptr);
+  DRLSTREAM_CHECK_EQ(tape->pre.size(), layers_.size());
   const int batch = tape->input.rows();
-  const Matrix* x = &tape->input;
+  DRLSTREAM_CHECK_EQ(tape->pre[0].rows(), batch);
+  DRLSTREAM_CHECK_EQ(tape->pre[0].cols(), layers_.front().out_dim());
   for (size_t i = 0; i < layers_.size(); ++i) {
     const Linear& layer = layers_[i];
     Matrix& z = tape->pre[i];
     Matrix& y = tape->post[i];
-    MatTMul(*x, layer.weights, &z);
+    if (i > 0) MatTMul(tape->post[i - 1], layer.weights, &z);
     for (int b = 0; b < batch; ++b) {
       BiasActivateRow(layer.activation, layer.bias.data(), z.row(b), y.row(b),
                       layer.out_dim());
     }
-    x = &y;
   }
   return tape->post.back();
 }
@@ -191,6 +204,7 @@ void Mlp::BackwardBatch(BatchTape* tape, const Matrix& grad_output,
   const int batch = tape->input.rows();
   DRLSTREAM_CHECK_EQ(grad_output.rows(), batch);
   DRLSTREAM_CHECK_EQ(grad_output.cols(), output_dim());
+  if (accumulate_param_grads) AllocateGrads();
   for (int i = num_layers() - 1; i >= 0; --i) {
     Linear& layer = layers_[i];
     const int out = layer.out_dim();
@@ -227,7 +241,16 @@ void Mlp::BackwardBatch(BatchTape* tape, const Matrix& grad_output,
   }
 }
 
+void Mlp::AllocateGrads() {
+  for (Linear& layer : layers_) {
+    if (layer.grad_weights.SameShape(layer.weights)) continue;
+    layer.grad_weights = Matrix(layer.out_dim(), layer.in_dim());
+    layer.grad_bias.assign(layer.out_dim(), 0.0);
+  }
+}
+
 void Mlp::ZeroGrad() {
+  AllocateGrads();
   for (Linear& layer : layers_) {
     layer.grad_weights.Zero();
     std::fill(layer.grad_bias.begin(), layer.grad_bias.end(), 0.0);
@@ -262,6 +285,8 @@ void Mlp::SoftUpdateFrom(const Mlp& source, double tau) {
     Linear& dst = layers_[i];
     const Linear& src = source.layers_[i];
     DRLSTREAM_CHECK(dst.weights.SameShape(src.weights));
+    // nn::SoftUpdateTransposed repeats these two elementwise steps on
+    // transposed copies; keep the two in step.
     dst.weights.Scale(1.0 - tau);
     dst.weights.AddScaled(src.weights, tau);
     for (size_t r = 0; r < dst.bias.size(); ++r) {
@@ -270,7 +295,16 @@ void Mlp::SoftUpdateFrom(const Mlp& source, double tau) {
   }
 }
 
-void Mlp::CopyFrom(const Mlp& source) { SoftUpdateFrom(source, 1.0); }
+void Mlp::CopyFrom(const Mlp& source) {
+  DRLSTREAM_CHECK_EQ(num_layers(), source.num_layers());
+  for (int i = 0; i < num_layers(); ++i) {
+    Linear& dst = layers_[i];
+    const Linear& src = source.layers_[i];
+    DRLSTREAM_CHECK(dst.weights.SameShape(src.weights));
+    dst.weights = src.weights;
+    dst.bias = src.bias;
+  }
+}
 
 size_t Mlp::ParameterCount() const {
   size_t n = 0;
@@ -324,9 +358,7 @@ StatusOr<Mlp> Mlp::Load(const std::string& path) {
     }
     Linear& layer = net.layers_[i];
     layer.weights = Matrix(out, in_dim);
-    layer.grad_weights = Matrix(out, in_dim);
     layer.bias.assign(out, 0.0);
-    layer.grad_bias.assign(out, 0.0);
     layer.activation = static_cast<Activation>(act);
     for (int r = 0; r < out; ++r) {
       for (int c = 0; c < in_dim; ++c) in >> layer.weights.At(r, c);

@@ -33,7 +33,10 @@ void BiasActivateRow(Activation a, const double* bias, double* z, double* y,
 struct Linear {
   Matrix weights;            // out x in
   std::vector<double> bias;  // out
-  Matrix grad_weights;       // accumulated dL/dW
+  /// Accumulated dL/dW and dL/db: empty until the network first
+  /// backpropagates (Backward, BackwardBatch or ZeroGrad), so a network
+  /// that never trains (a target network, a serving agent) holds none.
+  Matrix grad_weights;
   std::vector<double> grad_bias;
   Activation activation = Activation::kIdentity;
 
@@ -85,11 +88,20 @@ class Mlp {
 
   /// Allocation-free inference: `x` and `z` are caller-owned scratch
   /// buffers that are resized on first use and reused after (layers swap
-  /// them instead of copying). Returns a reference to the output, which
-  /// lives in *x until the next call. Bit-identical to Forward().
+  /// them instead of copying; `input` must be neither). Returns a
+  /// reference to the output, which lives in *x until the next call.
+  /// Bit-identical to Forward().
   const std::vector<double>& Forward(const std::vector<double>& input,
                                      std::vector<double>* x,
                                      std::vector<double>* z) const;
+
+  /// The rest of the allocation-free Forward once the first layer's product
+  /// is known: *z holds W0 * input (say, from kernels::FoldColumns over a
+  /// transposed copy of W0). Adds layer 0's bias, activates, and runs the
+  /// layers above; returns the output, which lives in *x. Forward(input,
+  /// x, z) is MatVec into *z followed by this.
+  const std::vector<double>& FinishForward(std::vector<double>* x,
+                                           std::vector<double>* z) const;
 
   /// Forward pass recording intermediates into `tape` for Backward.
   std::vector<double> Forward(const std::vector<double>& input,
@@ -108,6 +120,11 @@ class Mlp {
   /// bitwise (identical accumulation order).
   const Matrix& ForwardBatch(BatchTape* tape) const;
 
+  /// ForwardBatch once the first layer's product is known: tape->pre[0]
+  /// holds W0 * x for every input row x (batch x out_dim of layer 0), as
+  /// FinishForward's *z does for one sample.
+  const Matrix& FinishForwardBatch(BatchTape* tape) const;
+
   /// Batched backward pass for the whole minibatch recorded in `tape`:
   /// `grad_output` holds dL/dOutput, one sample per row. When
   /// `accumulate_param_grads` is true, parameter gradients accumulate (+=)
@@ -119,6 +136,7 @@ class Mlp {
                      bool accumulate_param_grads = true,
                      Matrix* grad_input = nullptr);
 
+  /// Zeroes the accumulated gradients, allocating them on first use.
   void ZeroGrad();
   /// Multiplies all accumulated gradients by `scale` (e.g. 1/batch_size).
   void ScaleGrad(double scale);
@@ -127,7 +145,8 @@ class Mlp {
 
   /// theta := tau * source.theta + (1 - tau) * theta. Shapes must match.
   void SoftUpdateFrom(const Mlp& source, double tau);
-  /// theta := source.theta.
+  /// theta := source.theta, assigned, so whatever theta held before (NaN
+  /// or Inf included) is gone. Shapes must match.
   void CopyFrom(const Mlp& source);
 
   int num_layers() const { return static_cast<int>(layers_.size()); }
@@ -144,6 +163,9 @@ class Mlp {
 
  private:
   Mlp() = default;  // For Load().
+
+  /// Sizes every layer's gradient buffers (zeroed) if they are not yet.
+  void AllocateGrads();
 
   std::vector<Linear> layers_;
 };

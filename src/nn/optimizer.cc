@@ -28,6 +28,7 @@ void Adam::Step(Mlp* net) {
   const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(step_count_));
   for (int i = 0; i < net->num_layers(); ++i) {
     Linear& layer = net->layer(i);
+    DRLSTREAM_CHECK(layer.grad_weights.SameShape(layer.weights));
     Matrix& m_w = m_weights_[i];
     Matrix& v_w = v_weights_[i];
     for (size_t k = 0; k < layer.weights.size(); ++k) {

@@ -18,7 +18,8 @@ class Adam {
         epsilon_(epsilon) {}
 
   /// Performs one update step using the gradients currently accumulated in
-  /// `net` (does not zero them).
+  /// `net` (does not zero them). The net must have backpropagated or
+  /// zeroed its gradients at least once, so that they exist.
   void Step(Mlp* net);
 
  private:

@@ -1,8 +1,8 @@
 #include "rl/ddpg_agent.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
-#include <limits>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
@@ -26,6 +26,7 @@ struct DdpgMetrics {
   obs::Histogram* soft_update_us;
   obs::Histogram* chosen_rank;
   obs::Histogram* q_spread;
+  obs::Histogram* td_error;
   obs::Counter* knn_failures;
 };
 
@@ -43,6 +44,7 @@ const DdpgMetrics& Metrics() {
         reg.histogram("rl.ddpg.soft_update_us"),
         reg.histogram("rl.ddpg.chosen_rank"),
         reg.histogram("rl.ddpg.q_spread"),
+        reg.histogram("rl.ddpg.td_error"),
         reg.counter("rl.ddpg.knn_failures"),
     };
   }();
@@ -95,26 +97,31 @@ DdpgAgent::DdpgAgent(const StateEncoder& encoder, DdpgConfig config)
   actor_opt_ = std::make_unique<nn::Adam>(config_.actor_learning_rate);
   critic_opt_ = std::make_unique<nn::Adam>(config_.critic_learning_rate);
 
-  RefreshCriticCaches();
+  TransposeFirstLayers();
 }
 
-void DdpgAgent::RefreshCriticCaches() {
-  const auto refresh = [this](const nn::Mlp& critic, CriticCache* cache) {
-    const nn::Linear& first = critic.layer(0);
-    const int h = first.out_dim();
-    const int s = encoder_.state_dim();
-    const int a = encoder_.action_dim();
-    DRLSTREAM_CHECK_EQ(first.in_dim(), s + a);
-    cache->state_weights.Resize(h, s);
-    cache->action_cols.Resize(a, h);
-    for (int r = 0; r < h; ++r) {
-      const double* w = first.weights.row(r);
-      std::copy(w, w + s, cache->state_weights.row(r));
-      for (int c = 0; c < a; ++c) cache->action_cols.row(c)[r] = w[s + c];
-    }
-  };
-  refresh(*critic_, &critic_cache_);
-  refresh(*critic_target_, &critic_target_cache_);
+void DdpgAgent::TransposeFirstLayers() {
+  online_cols_stale_ = true;
+  RefreshOnlineCols();
+  nn::Transpose(actor_target_->layer(0).weights, &actor_target_cols_);
+  nn::Transpose(critic_target_->layer(0).weights, &critic_target_cols_);
+}
+
+void DdpgAgent::RefreshOnlineCols() const {
+  if (!online_cols_stale_) return;
+  nn::Transpose(actor_->layer(0).weights, &actor_cols_);
+  nn::Transpose(critic_->layer(0).weights, &critic_cols_);
+  online_cols_stale_ = false;
+}
+
+void DdpgAgent::SoftUpdateTargets() {
+  actor_target_->SoftUpdateFrom(*actor_, config_.tau);
+  critic_target_->SoftUpdateFrom(*critic_, config_.tau);
+  nn::SoftUpdateTransposed(actor_->layer(0).weights, config_.tau,
+                           &actor_target_cols_);
+  nn::SoftUpdateTransposed(critic_->layer(0).weights, config_.tau,
+                           &critic_target_cols_);
+  online_cols_stale_ = true;
 }
 
 std::vector<double> DdpgAgent::ProtoAction(const State& state) const {
@@ -126,10 +133,36 @@ double DdpgAgent::QValue(const State& state,
   return critic_->Forward(encoder_.EncodeStateAction(state, action))[0];
 }
 
+std::vector<double> DdpgAgent::CandidateQValues(
+    const State& state, const std::vector<sched::Schedule>& actions) const {
+  if (actions.empty()) return {};
+  RefreshOnlineCols();
+  miqp::KnnResult candidates;
+  candidates.actions = actions;
+  miqp::ComputeDeviations(&candidates);
+  return ScoreCandidates(*critic_, critic_cols_, encoder_.EncodeState(state),
+                         candidates);
+}
+
+void DdpgAgent::StatePreactivation(const nn::Mlp& critic,
+                                   const nn::Matrix& cols,
+                                   const double* state_encoded,
+                                   double* z) const {
+  const nn::Linear& first = critic.layer(0);
+  const int h = first.out_dim();
+  // The leading state_dim rows of W0^T are the state columns; FoldColumns
+  // equals MatVec over them bit for bit, so z matches the dense pass's
+  // state-part dot products.
+  nn::kernels::FoldColumns(cols.data(), state_encoded, encoder_.state_dim(),
+                           h, z);
+  for (int r = 0; r < h; ++r) z[r] += first.bias[r];
+}
+
 void DdpgAgent::CandidateQValuesFromZ(
-    const nn::Mlp& critic, const CriticCache& cache, const double* z_state,
-    const std::vector<sched::Schedule>& actions, ScoreScratch* scratch,
+    const nn::Mlp& critic, const nn::Matrix& cols, const double* z_state,
+    const miqp::KnnResult& candidates, ScoreScratch* scratch,
     std::vector<double>* q_out) const {
+  const std::vector<sched::Schedule>& actions = candidates.actions;
   const nn::Linear& first = critic.layer(0);
   const int h = first.out_dim();
   const int n = encoder_.num_executors();
@@ -138,47 +171,108 @@ void DdpgAgent::CandidateQValuesFromZ(
   if (count == 0) return;
   const nn::kernels::SumRowsFn sum_rows = nn::kernels::ResolveSumRows();
   // One-hot action: each executor contributes the weight column of its
-  // machine, stored transposed in the cache so the gather is contiguous.
+  // machine, a contiguous row of W0^T after the state rows.
+  const double* action_cols = cols.row(encoder_.state_dim());
   const auto column = [&](int executor, int machine) {
-    return cache.action_cols.row(static_cast<size_t>(executor) * m + machine);
+    return action_cols + (static_cast<size_t>(executor) * m + machine) * h;
   };
+
+  // The first executor where candidates a and b differ, n if they are the
+  // same: outside their deviation rows both equal candidate 0, and a K-NN
+  // candidate deviates in a few rows only.
+  DRLSTREAM_CHECK_EQ(static_cast<int>(actions[0].assignments().size()), n);
+  DRLSTREAM_CHECK_EQ(static_cast<int>(candidates.deviation_begin.size()),
+                     count + 1);
+  const int* deviations = candidates.deviation_rows.data();
+  const int* deviation_begin = candidates.deviation_begin.data();
+  const auto first_difference = [&](int a, int b) {
+    const std::vector<int>& xa = actions[a].assignments();
+    const std::vector<int>& xb = actions[b].assignments();
+    const int* da = deviations + deviation_begin[a];
+    const int* da_end = deviations + deviation_begin[a + 1];
+    const int* db = deviations + deviation_begin[b];
+    const int* db_end = deviations + deviation_begin[b + 1];
+    while (da != da_end || db != db_end) {
+      const int row = std::min(da != da_end ? *da : n, db != db_end ? *db : n);
+      if (xa[row] != xb[row]) return row;
+      if (da != da_end && *da == row) ++da;
+      if (db != db_end && *db == row) ++db;
+    }
+    return n;
+  };
+
   // First layer: row c of batch_x is z_state plus candidate c's N columns,
-  // added in executor order, then activated. A candidate agrees with
-  // candidate 0 up to its first differing executor d, so its sum after d
-  // executors is candidate 0's. Walking the candidates by ascending d, one
-  // running prefix of candidate 0's sum advances to each d, and each
-  // candidate adds only its own columns from d on: every element receives
-  // the same adds in the same order as a full per-candidate sum, so a
-  // row's bits depend neither on the batch nor on the sharing.
-  const std::vector<int>& nearest = actions[0].assignments();
-  std::vector<std::pair<int, int>>& order = scratch->order;
-  order.clear();
-  for (int c = 0; c < count; ++c) {
-    const std::vector<int>& assignments = actions[c].assignments();
-    int d = 0;
-    while (d < n && assignments[d] == nearest[d]) ++d;
-    order.emplace_back(d, c);
+  // added in executor order, then activated. Candidates that share their
+  // first d executors share the sum after d columns, so the scorer walks
+  // the trie of the candidates' assignments: in lexicographic order, each
+  // candidate shares the longest prefix with its predecessor (`shared`)
+  // and resumes from a checkpoint of that prefix's sum. A candidate saves
+  // a checkpoint at every depth a later candidate will resume from on its
+  // path: the running minima of the later candidates' shared depths, while
+  // they stay deeper than its own. Each element still receives z_state and
+  // then the same columns in the same order (SumRows continues one chain
+  // of adds across checkpoints), so a row's bits depend neither on the
+  // batch nor on the sharing; each distinct prefix is summed once.
+  std::vector<int>& order = scratch->order;
+  order.resize(count);
+  for (int c = 0; c < count; ++c) order[c] = c;
+  std::sort(order.begin(), order.end(), [&](int a, int b) {
+    const int row = first_difference(a, b);
+    if (row == n) return a < b;
+    return actions[a].assignments()[row] < actions[b].assignments()[row];
+  });
+  std::vector<int>& shared = scratch->shared;
+  shared.resize(count);
+  shared[0] = 0;
+  for (int j = 1; j < count; ++j) {
+    shared[j] = first_difference(order[j - 1], order[j]);
   }
-  std::sort(order.begin(), order.end());
-  scratch->prefix.assign(z_state, z_state + h);
+  scratch->checkpoints.Resize(count, h);
+  scratch->checkpoint_depth.resize(count);
+  scratch->resume_depths.resize(count);
   scratch->columns.resize(n);
-  double* prefix = scratch->prefix.data();
+  int* checkpoint_depth = scratch->checkpoint_depth.data();
+  int* resume_depths = scratch->resume_depths.data();
   const double** columns = scratch->columns.data();
   nn::Matrix& batch_x = scratch->batch_x;
   batch_x.Resize(count, h);
-  int summed = 0;  // executors already in the prefix
-  for (const auto& [d, c] : order) {
-    if (d > summed) {
-      for (int i = summed; i < d; ++i) {
-        columns[i - summed] = column(i, nearest[i]);
-      }
-      sum_rows(prefix, prefix, columns, d - summed, h);
-      summed = d;
+  int checkpoints = 0;  // live checkpoints, depths strictly increasing
+  for (int j = 0; j < count; ++j) {
+    const int depth = shared[j];
+    while (checkpoints > 0 && checkpoint_depth[checkpoints - 1] > depth) {
+      --checkpoints;
     }
-    const std::vector<int>& assignments = actions[c].assignments();
-    for (int i = d; i < n; ++i) columns[i - d] = column(i, assignments[i]);
-    double* z = batch_x.row(c);
-    sum_rows(z, prefix, columns, n - d, h);
+    // The prefix sum this candidate resumes from: an earlier candidate
+    // saved it at exactly `depth` (z_state itself at depth 0).
+    int from = checkpoints > 0 ? checkpoint_depth[checkpoints - 1] : 0;
+    DRLSTREAM_CHECK_EQ(from, depth);
+    const double* partial =
+        checkpoints > 0 ? scratch->checkpoints.row(checkpoints - 1) : z_state;
+    int resumes = 0;  // found deepest last
+    int lowest = n + 1;
+    for (int later = j + 1; later < count && shared[later] > depth; ++later) {
+      if (shared[later] < lowest) {
+        lowest = shared[later];
+        resume_depths[resumes++] = lowest;
+      }
+    }
+    const std::vector<int>& assignments = actions[order[j]].assignments();
+    while (resumes > 0) {
+      const int to = resume_depths[--resumes];
+      for (int i = from; i < to; ++i) {
+        columns[i - from] = column(i, assignments[i]);
+      }
+      double* checkpoint = scratch->checkpoints.row(checkpoints);
+      sum_rows(checkpoint, partial, columns, to - from, h);
+      checkpoint_depth[checkpoints++] = to;
+      partial = checkpoint;
+      from = to;
+    }
+    for (int i = from; i < n; ++i) {
+      columns[i - from] = column(i, assignments[i]);
+    }
+    double* z = batch_x.row(order[j]);
+    sum_rows(z, partial, columns, n - from, h);
     nn::ActivateRow(first.activation, z, z, h);
   }
   // Remaining (tiny) layers: one GEMM per layer over the whole candidate
@@ -199,41 +293,20 @@ void DdpgAgent::CandidateQValuesFromZ(
   for (int c = 0; c < count; ++c) q_out->push_back(in->row(c)[0]);
 }
 
-std::vector<double> DdpgAgent::CandidateQValues(
-    const nn::Mlp& critic, const CriticCache& cache,
+std::vector<double> DdpgAgent::ScoreCandidates(
+    const nn::Mlp& critic, const nn::Matrix& cols,
     const std::vector<double>& state_encoded,
-    const std::vector<sched::Schedule>& actions) const {
-  const nn::Linear& first = critic.layer(0);
-  const int h = first.out_dim();
+    const miqp::KnnResult& candidates) const {
   DRLSTREAM_CHECK_EQ(static_cast<int>(state_encoded.size()),
                      encoder_.state_dim());
-  // First-layer pre-activation of the state part (shared by candidates).
-  // MatVec-then-bias matches the batched MatTMul path bit for bit: both
-  // use the shared dot-product fold in nn/matrix.cc.
-  std::vector<double> z_state;
-  cache.state_weights.MatVec(state_encoded, &z_state);
-  for (int r = 0; r < h; ++r) z_state[r] += first.bias[r];
+  std::vector<double> z_state(critic.layer(0).out_dim());
+  StatePreactivation(critic, cols, state_encoded.data(), z_state.data());
   std::vector<double> q_values;
-  q_values.reserve(actions.size());
+  q_values.reserve(candidates.actions.size());
   ScoreScratch scratch;
-  CandidateQValuesFromZ(critic, cache, z_state.data(), actions, &scratch,
+  CandidateQValuesFromZ(critic, cols, z_state.data(), candidates, &scratch,
                         &q_values);
   return q_values;
-}
-
-int DdpgAgent::BestByCritic(const nn::Mlp& critic, const CriticCache& cache,
-                            const State& state,
-                            const miqp::KnnResult& candidates,
-                            double* best_q_out) const {
-  DRLSTREAM_CHECK(!candidates.actions.empty());
-  const std::vector<double> q_values = CandidateQValues(
-      critic, cache, encoder_.EncodeState(state), candidates.actions);
-  int best = 0;
-  for (size_t c = 1; c < q_values.size(); ++c) {
-    if (q_values[c] > q_values[best]) best = static_cast<int>(c);
-  }
-  if (best_q_out != nullptr) *best_q_out = q_values[best];
-  return best;
 }
 
 std::string DdpgAgent::Describe() const {
@@ -248,19 +321,19 @@ std::string DdpgAgent::Describe() const {
 
 Status DdpgAgent::SelectActionInto(const State& state, double epsilon,
                                    Rng* rng, PolicyAction* out) const {
+  RefreshOnlineCols();
   DecisionWorkspace& ws = decide_ws_;
-  ws.state_enc.resize(encoder_.state_dim());
+  const int state_dim = encoder_.state_dim();
+  ws.state_enc.resize(state_dim);
   encoder_.EncodeStateInto(state, ws.state_enc.data());
   {
     obs::ScopedPhase phase(Metrics().actor_forward_us, "actor_forward");
-    actor_->Forward(ws.state_enc, &ws.fwd_x, &ws.fwd_z);  // proto in fwd_x
+    // The first layer adds only the columns the one-hot state selects.
+    ws.fwd_z.resize(actor_->layer(0).out_dim());
+    nn::kernels::FoldColumns(actor_cols_.data(), ws.state_enc.data(),
+                             state_dim, actor_cols_.cols(), ws.fwd_z.data());
+    actor_->FinishForward(&ws.fwd_x, &ws.fwd_z);  // proto in fwd_x
   }
-  return DecideFromProto(state, epsilon, rng, out);
-}
-
-Status DdpgAgent::DecideFromProto(const State& state, double epsilon,
-                                  Rng* rng, PolicyAction* out) const {
-  DecisionWorkspace& ws = decide_ws_;  // state_enc + fwd_x already filled
   // Exploration policy (line 9): with probability epsilon, perturb the
   // proto-action with uniform noise I in [0,1]^{N*M}.
   if (epsilon > 0.0 && rng->Bernoulli(epsilon)) {
@@ -274,14 +347,14 @@ Status DdpgAgent::DecideFromProto(const State& state, double epsilon,
   DRLSTREAM_RETURN_NOT_OK(solved);
   obs::ScopedPhase phase(Metrics().critic_score_us, "critic_score");
   // First-layer pre-activation of the state part (shared by candidates),
-  // then one gather + tiny upper layers per candidate.
-  critic_cache_.state_weights.MatVec(ws.state_enc, &ws.z_state);
-  const std::vector<double>& bias0 = critic_->layer(0).bias;
-  for (size_t r = 0; r < ws.z_state.size(); ++r) ws.z_state[r] += bias0[r];
+  // then the trie gather and the tiny upper layers over all candidates.
+  ws.z_state.resize(critic_cols_.cols());
+  StatePreactivation(*critic_, critic_cols_, ws.state_enc.data(),
+                     ws.z_state.data());
   ws.q_values.clear();
   ws.q_values.reserve(ws.candidates.actions.size());
-  CandidateQValuesFromZ(*critic_, critic_cache_, ws.z_state.data(),
-                        ws.candidates.actions, &ws.score, &ws.q_values);
+  CandidateQValuesFromZ(*critic_, critic_cols_, ws.z_state.data(),
+                        ws.candidates, &ws.score, &ws.q_values);
   int best = 0;
   int worst = 0;
   for (size_t c = 1; c < ws.q_values.size(); ++c) {
@@ -307,38 +380,6 @@ StatusOr<PolicyAction> DdpgAgent::SelectAction(const State& state,
   return action;
 }
 
-void DdpgAgent::SelectActionBatch(DecisionRequest* slots, int count) const {
-  if (count <= 0) return;
-  if (count == 1) {
-    // No fusion to gain; keep the single-decision path (and its per-call
-    // workspace behaviour) exactly.
-    slots[0].status = SelectActionInto(*slots[0].state, slots[0].epsilon,
-                                       slots[0].rng, slots[0].out);
-    return;
-  }
-  const int dim = encoder_.state_dim();
-  nn::Matrix* input = decide_batch_tape_.Prepare(*actor_, count);
-  for (int i = 0; i < count; ++i) {
-    encoder_.EncodeStateInto(*slots[i].state, input->row(i));
-  }
-  const nn::Matrix* proto;
-  {
-    obs::ScopedPhase phase(Metrics().actor_forward_us, "actor_forward");
-    proto = &actor_->ForwardBatch(&decide_batch_tape_);
-  }
-  // Per-slot tail in slot order: each row of the fused pass is bitwise the
-  // slot's own Forward() output, so from here on the batch is
-  // indistinguishable from sequential SelectActionInto calls.
-  DecisionWorkspace& ws = decide_ws_;
-  for (int i = 0; i < count; ++i) {
-    ws.state_enc.assign(input->row(i), input->row(i) + dim);
-    ws.fwd_x.assign(proto->row(i), proto->row(i) + proto->cols());
-    slots[i].status =
-        DecideFromProto(*slots[i].state, slots[i].epsilon, slots[i].rng,
-                        slots[i].out);
-  }
-}
-
 Status DdpgAgent::GreedyActionInto(const State& state,
                                    sched::Schedule* out) const {
   Rng unused(0);
@@ -362,22 +403,28 @@ void DdpgAgent::Observe(Transition transition) {
 void DdpgAgent::ComputeTargetsParallel(
     const std::vector<const Transition*>& batch) {
   const int h = static_cast<int>(batch.size());
+  const int state_dim = encoder_.state_dim();
   const int action_dim = encoder_.action_dim();
-  const int hidden = critic_target_->layer(0).out_dim();
 
-  // Target-actor proto-actions for all next states, one GEMM per layer.
+  // Target-actor proto-actions for all next states: the first layer folds
+  // the columns each one-hot next state selects, the layers above run one
+  // GEMM each.
   nn::Matrix* x_next = trainer_.PrepareStateBatch(
       *actor_target_, &target_actor_tape_, batch, /*next_states=*/true);
-  const nn::Matrix& proto_next =
-      actor_target_->ForwardBatch(&target_actor_tape_);
-
-  // Target-critic first-layer state-part pre-activations, batched. The
-  // per-candidate scoring below only adds action columns on top.
-  nn::MatTMul(*x_next, critic_target_cache_.state_weights, &z_state_next_);
-  const std::vector<double>& bias0 = critic_target_->layer(0).bias;
+  const nn::kernels::FoldColumnsFn fold = nn::kernels::ResolveFoldColumns();
   for (int i = 0; i < h; ++i) {
-    double* z = z_state_next_.row(i);
-    for (int r = 0; r < hidden; ++r) z[r] += bias0[r];
+    fold(actor_target_cols_.data(), x_next->row(i), state_dim,
+         actor_target_cols_.cols(), target_actor_tape_.pre[0].row(i));
+  }
+  const nn::Matrix& proto_next =
+      actor_target_->FinishForwardBatch(&target_actor_tape_);
+
+  // Target-critic first-layer state-part pre-activations. The
+  // per-candidate scoring below only adds action columns on top.
+  z_state_next_.Resize(h, critic_target_cols_.cols());
+  for (int i = 0; i < h; ++i) {
+    StatePreactivation(*critic_target_, critic_target_cols_, x_next->row(i),
+                       z_state_next_.row(i));
   }
 
   // y_i = r_i + gamma * max_{a in A_{i+1,K}} Q'(s_{i+1}, a), where
@@ -413,8 +460,8 @@ void DdpgAgent::ComputeTargetsParallel(
     std::vector<double>& q_values = target_q_[worker];
     q_values.clear();
     q_values.reserve(candidates.actions.size());
-    CandidateQValuesFromZ(*critic_target_, critic_target_cache_,
-                          z_state_next_.row(i), candidates.actions,
+    CandidateQValuesFromZ(*critic_target_, critic_target_cols_,
+                          z_state_next_.row(i), candidates,
                           &target_score_[worker], &q_values);
     double max_q = q_values[0];
     for (size_t c = 1; c < q_values.size(); ++c) {
@@ -469,6 +516,7 @@ double DdpgAgent::TrainStep() {
       const double td = q.row(row)[0] - target_values_[valid_rows_[row]];
       critic_loss += td * td;
       critic_grad_out_.row(row)[0] = 2.0 * td * inv_h;
+      Metrics().td_error->Record(std::abs(td));
     }
     critic_->BackwardBatch(&critic_update_tape_, critic_grad_out_);
     critic_->ClipGradNorm(config_.grad_clip);
@@ -514,9 +562,7 @@ double DdpgAgent::TrainStep() {
   // ---- Soft target updates (line 18) ----
   {
     obs::ScopedPhase phase(Metrics().soft_update_us, "soft_update");
-    actor_target_->SoftUpdateFrom(*actor_, config_.tau);
-    critic_target_->SoftUpdateFrom(*critic_, config_.tau);
-    RefreshCriticCaches();
+    SoftUpdateTargets();
   }
 
   return critic_loss * inv_h;
@@ -547,9 +593,11 @@ double DdpgAgent::TrainStepReference() {
       continue;
     }
     ++valid;
-    double max_next_q = 0.0;
-    BestByCritic(*critic_target_, critic_target_cache_, t->next_state,
-                 *candidates_or, &max_next_q);
+    const std::vector<double> q_values =
+        ScoreCandidates(*critic_target_, critic_target_cols_,
+                        encoder_.EncodeState(t->next_state), *candidates_or);
+    const double max_next_q =
+        *std::max_element(q_values.begin(), q_values.end());
     target_values_[i] = t->reward + config_.gamma * max_next_q;
   }
 
@@ -604,9 +652,7 @@ double DdpgAgent::TrainStepReference() {
   }
 
   // ---- Soft target updates (line 18) ----
-  actor_target_->SoftUpdateFrom(*actor_, config_.tau);
-  critic_target_->SoftUpdateFrom(*critic_, config_.tau);
-  RefreshCriticCaches();
+  SoftUpdateTargets();
 
   return critic_loss * inv_h;
 }
@@ -636,7 +682,7 @@ Status DdpgAgent::Load(const std::string& prefix) {
   actor_target_->CopyFrom(actor);
   critic_->CopyFrom(critic);
   critic_target_->CopyFrom(critic);
-  RefreshCriticCaches();
+  TransposeFirstLayers();
   return Status::OK();
 }
 

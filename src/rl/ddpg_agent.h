@@ -3,7 +3,6 @@
 
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -66,17 +65,12 @@ class DdpgAgent : public Policy {
   /// scratch) lives in a reusable per-agent workspace, so steady-state
   /// decisions perform zero heap allocations. Bit-identical to
   /// SelectAction. The workspace makes this non-reentrant: one decision at
-  /// a time per agent (the control loop's calling pattern).
+  /// a time per agent (the control loop's calling pattern). The actor's
+  /// first layer and the critic's state part fold only the weight columns
+  /// the one-hot state selects (nn::kernels::FoldColumns), so Policy's
+  /// per-slot SelectActionBatch is the batched form.
   Status SelectActionInto(const State& state, double epsilon, Rng* rng,
                           PolicyAction* out) const override;
-
-  /// Batched SelectActionInto: all slot states are encoded into one input
-  /// matrix and the actor runs a single ForwardBatch GEMM; the per-slot
-  /// tail (exploration noise from the slot's own RNG, K-NN solve, critic
-  /// argmax) then runs sequentially in slot order through the shared
-  /// decision workspace. Bit-identical to calling SelectActionInto per
-  /// slot because ForwardBatch rows match Forward() bitwise.
-  void SelectActionBatch(DecisionRequest* slots, int count) const override;
 
   /// Greedy action (no exploration): used to deploy the final solution of a
   /// well-trained agent.
@@ -89,8 +83,16 @@ class DdpgAgent : public Policy {
   /// Raw proto-action for a state (diagnostics/tests).
   std::vector<double> ProtoAction(const State& state) const;
 
-  /// Critic's Q value for (state, action).
+  /// Critic's Q value for (state, action): the dense forward pass.
   double QValue(const State& state, const sched::Schedule& action) const;
+
+  /// The critic's Q(state, a) for every candidate a, scored as decisions
+  /// score the K-NN set (CandidateQValuesFromZ). Equals QValue up to the
+  /// rounding of the first layer's sum, which adds the state part and then
+  /// the action columns where QValue folds one dot product: bitwise when
+  /// that sum is exact.
+  std::vector<double> CandidateQValues(
+      const State& state, const std::vector<sched::Schedule>& actions) const;
 
   bool trainable() const override { return true; }
 
@@ -139,32 +141,25 @@ class DdpgAgent : public Policy {
   const DdpgConfig& config() const { return config_; }
 
  private:
-  /// Cache-friendly split of a critic's first layer, rebuilt whenever the
-  /// critic's weights change (RefreshCriticCaches): the state part as its
-  /// own contiguous matrix, and the action part *transposed* so that the
-  /// column a one-hot action entry selects is a contiguous row — the
-  /// candidate-scoring inner loop gathers rows instead of reading a
-  /// cache-line per element through a stride-(state+action) column.
-  struct CriticCache {
-    nn::Matrix state_weights;  // h x state_dim: leading columns of W0
-    nn::Matrix action_cols;    // action_dim x h: trailing columns of W0^T
-  };
-
   /// Reusable buffers for scoring one candidate set (CandidateQValuesFromZ):
   /// batch_x holds one first-layer activation row per candidate, batch_y
   /// the alternating upper-layer outputs (the two ping-pong through the
-  /// tiny GEMMs). prefix, columns and order serve the prefix-shared
-  /// first-layer gather: O(h + N + K) in all. Matrix::Resize and the vectors only
-  /// reallocate on growth, so a scratch sized once for the largest
+  /// tiny GEMMs). The rest serves the trie-shared first-layer gather:
+  /// checkpoints holds partial sums along the current candidate's path,
+  /// and the index vectors order the candidates. Matrix::Resize and the
+  /// vectors only reallocate on growth, and each is sized to its bound for
+  /// the candidate count, so a scratch that has scored the largest
   /// candidate set never allocates again. One scratch per concurrent
   /// scorer.
   struct ScoreScratch {
     nn::Matrix batch_x;
     nn::Matrix batch_y;
-    std::vector<double> prefix;  // h: candidate 0's running first-layer sum
+    nn::Matrix checkpoints;  // K x h: partial sums, by increasing depth
     std::vector<const double*> columns;  // N: weight columns still to add
-    /// (first executor where the candidate leaves candidate 0, candidate).
-    std::vector<std::pair<int, int>> order;
+    std::vector<int> order;   // candidates in lexicographic order
+    std::vector<int> shared;  // executors order[j] shares with order[j - 1]
+    std::vector<int> checkpoint_depth;  // executors summed in checkpoint i
+    std::vector<int> resume_depths;     // scratch of one candidate's walk
   };
 
   /// Everything one decision (SelectActionInto / GreedyActionInto) needs,
@@ -183,42 +178,46 @@ class DdpgAgent : public Policy {
     PolicyAction action;  // GreedyActionInto's reusable landing spot
   };
 
-  /// The tail of one decision, after decide_ws_.state_enc and
-  /// decide_ws_.fwd_x (the proto-action) have been filled: exploration
-  /// noise, K-NN solve, critic argmax. Shared by the single and batched
-  /// entry points so they stay bit-identical by construction.
-  Status DecideFromProto(const State& state, double epsilon, Rng* rng,
-                         PolicyAction* out) const;
+  /// z = the critic's first-layer pre-activation for an encoded state with
+  /// an all-zero action part: W0's state columns folded over the state
+  /// (FoldColumns over `cols`, the critic's W0^T), plus the bias.
+  void StatePreactivation(const nn::Mlp& critic, const nn::Matrix& cols,
+                          const double* state_encoded, double* z) const;
 
-  /// Critic argmax over the K-NN set of a proto-action (shared by action
-  /// selection and target computation). Returns index into result.actions.
-  int BestByCritic(const nn::Mlp& critic, const CriticCache& cache,
-                   const State& state, const miqp::KnnResult& candidates,
-                   double* best_q = nullptr) const;
+  /// Q(state, a) under `critic` for every candidate a (the state part of
+  /// the first layer computed once, then CandidateQValuesFromZ).
+  std::vector<double> ScoreCandidates(const nn::Mlp& critic,
+                                      const nn::Matrix& cols,
+                                      const std::vector<double>& state_encoded,
+                                      const miqp::KnnResult& candidates) const;
 
-  /// Q(state, a) for every candidate. Exploits the critic's structure: the
-  /// first-layer contribution of the (fixed) state part is computed once,
-  /// and each one-hot action only adds N weight columns.
-  std::vector<double> CandidateQValues(
-      const nn::Mlp& critic, const CriticCache& cache,
-      const std::vector<double>& state_encoded,
-      const std::vector<sched::Schedule>& actions) const;
-
-  /// Candidate scoring given the precomputed first-layer state-part
-  /// pre-activation z_state (h entries, bias included); appends one Q per
-  /// action to q_out, assembling each candidate in *scratch. Thread-safe
-  /// for distinct scratches: touches only its arguments and read-only
-  /// weights/caches.
-  void CandidateQValuesFromZ(const nn::Mlp& critic, const CriticCache& cache,
+  /// Candidate scoring given the first-layer state-part pre-activation
+  /// z_state (h entries, bias included): a one-hot action adds one weight
+  /// column of `cols` (the critic's W0^T) per executor. Appends one Q per
+  /// candidate action to q_out, assembling the candidates in *scratch; the
+  /// candidates' deviation rows order the shared gather. Thread-safe for
+  /// distinct scratches: touches only its arguments and read-only weights.
+  void CandidateQValuesFromZ(const nn::Mlp& critic, const nn::Matrix& cols,
                              const double* z_state,
-                             const std::vector<sched::Schedule>& actions,
+                             const miqp::KnnResult& candidates,
                              ScoreScratch* scratch,
                              std::vector<double>* q_out) const;
 
-  /// Rebuilds critic_cache_ / critic_target_cache_ from the current
-  /// weights. Must be called after every weight mutation (training step,
-  /// load); the parallel target phase reads the target cache concurrently.
-  void RefreshCriticCaches();
+  /// Rebuilds all four W0^T copies from the networks' weights (after
+  /// construction and Load).
+  void TransposeFirstLayers();
+
+  /// Re-transposes the online actor's and critic's W0 if a training step
+  /// changed them since (the readers of actor_cols_ / critic_cols_ call
+  /// this first), so steps without a decision in between, as in offline
+  /// pre-training, transpose nothing.
+  void RefreshOnlineCols() const;
+
+  /// Line 18 of Algorithm 1 after the optimizer steps: soft-updates both
+  /// target networks and their W0^T copies (SoftUpdateTransposed, which
+  /// keeps each copy the transpose of its network's W0 bit for bit), and
+  /// marks the online copies stale.
+  void SoftUpdateTargets();
 
   /// Computes the TD target y_i for every sampled transition into
   /// target_values_ (one slot per transition, parallel over the global
@@ -239,8 +238,16 @@ class DdpgAgent : public Policy {
   std::unique_ptr<nn::Adam> actor_opt_;
   std::unique_ptr<nn::Adam> critic_opt_;
 
-  CriticCache critic_cache_;
-  CriticCache critic_target_cache_;
+  /// W0^T of each network's first layer (state_dim x h for the actors,
+  /// (state_dim + action_dim) x h for the critics): row i is the weight
+  /// column input i selects, contiguous, so FoldColumns and the candidate
+  /// gather read one row per nonzero input. The online copies are caches
+  /// that decisions refresh (RefreshOnlineCols).
+  mutable nn::Matrix actor_cols_;
+  mutable nn::Matrix critic_cols_;
+  mutable bool online_cols_stale_ = false;
+  nn::Matrix actor_target_cols_;
+  nn::Matrix critic_target_cols_;
   long knn_failures_ = 0;
 
   // Preallocated batched-training workspaces, sized on first TrainStep and
@@ -268,9 +275,6 @@ class DdpgAgent : public Policy {
   std::vector<std::vector<double>> target_q_;
 
   mutable DecisionWorkspace decide_ws_;
-  /// Input/activation workspace for SelectActionBatch's fused actor pass,
-  /// sized on first use (grows to the largest batch seen).
-  mutable nn::BatchTape decide_batch_tape_;
 };
 
 }  // namespace drlstream::rl

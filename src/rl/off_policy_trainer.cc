@@ -1,10 +1,32 @@
 #include "rl/off_policy_trainer.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/logging.h"
+#include "obs/metrics.h"
 
 namespace drlstream::rl {
+namespace {
+
+/// The stored-reward distribution: a normalization whose shift and scale
+/// put every online reward at the clip shows up here as a count at
+/// +-reward_clip.
+struct TrainerMetrics {
+  obs::Histogram* reward_normalized;
+  obs::Counter* reward_clipped;
+};
+
+const TrainerMetrics& Metrics() {
+  static const TrainerMetrics metrics = [] {
+    obs::MetricsRegistry& reg = obs::MetricsRegistry::Get();
+    return TrainerMetrics{reg.histogram("rl.reward_normalized"),
+                          reg.counter("rl.reward_clipped")};
+  }();
+  return metrics;
+}
+
+}  // namespace
 
 OffPolicyTrainer::OffPolicyTrainer(const StateEncoder& encoder,
                                    const Options& options)
@@ -23,6 +45,11 @@ double OffPolicyTrainer::NormalizeReward(double reward) const {
 
 void OffPolicyTrainer::Observe(Transition transition) {
   transition.reward = NormalizeReward(transition.reward);
+  Metrics().reward_normalized->Record(transition.reward);
+  if (options_.reward_clip > 0.0 &&
+      std::abs(transition.reward) == options_.reward_clip) {
+    Metrics().reward_clipped->Add(1);
+  }
   replay_.Add(std::move(transition));
 }
 

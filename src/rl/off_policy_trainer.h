@@ -43,7 +43,9 @@ class OffPolicyTrainer {
   /// Normalizes and clips a raw reward per the options.
   double NormalizeReward(double reward) const;
 
-  /// Stores a transition with its reward normalized and clipped.
+  /// Stores a transition with its reward normalized and clipped. Records
+  /// the stored reward in the `rl.reward_normalized` histogram, and counts
+  /// rewards at +-reward_clip in `rl.reward_clipped`.
   void Observe(Transition transition);
 
   /// Samples one minibatch (uniform with replacement) using the trainer's

@@ -91,12 +91,12 @@ class Policy {
   /// `out` and `status`. Contract: bit-identical to calling
   /// SelectActionInto on the slots in index order — same actions, same
   /// per-slot RNG consumption — which is what this default does. Policies
-  /// with a batchable network pass override it to fuse the forward passes
-  /// of all slots into one GEMM (Mlp::ForwardBatch matches per-row
-  /// Forward() bitwise, so the fused path keeps the contract); everything
-  /// after the network pass stays per-slot and sequential. The multi-
-  /// session AgentServer uses this to serve GetSchedule requests arriving
-  /// in one event-loop iteration with one inference pass. Non-reentrant,
+  /// with a batchable dense network pass (DQN) override it to fuse the
+  /// forward passes of all slots into one GEMM (Mlp::ForwardBatch matches
+  /// per-row Forward() bitwise, so the fused path keeps the contract);
+  /// everything after the network pass stays per-slot and sequential. The
+  /// multi-session AgentServer uses this to serve GetSchedule requests
+  /// arriving in one event-loop iteration with one call. Non-reentrant,
   /// like SelectActionInto.
   virtual void SelectActionBatch(DecisionRequest* slots, int count) const {
     for (int i = 0; i < count; ++i) {

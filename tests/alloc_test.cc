@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/alloc_hooks.h"
@@ -64,6 +65,28 @@ TEST(AllocTest, DdpgSelectActionIntoIsAllocationFreeAfterWarmup) {
   rl::PolicyAction action;
   const size_t allocs = SteadyStateAllocs(64, 256, [&] {
     ASSERT_TRUE(agent.SelectActionInto(state, 0.2, &rng, &action).ok());
+  });
+  EXPECT_EQ(allocs, 0u);
+}
+
+TEST(AllocTest, DdpgClosedLoopDecisionsAreAllocationFreeAfterWarmup) {
+  // CQ-large shape (N = 100, M = 10, K = 32), each next state the chosen
+  // schedule, at serve_ddpg's epsilon: the candidate sets, and with them
+  // the trie gather's checkpoints and deviation lists, change shape every
+  // decision.
+  const int n = 100, m = 10;
+  rl::StateEncoder encoder(n, m, 10, 900.0);
+  rl::DdpgConfig config;
+  config.knn_k = 32;
+  rl::DdpgAgent agent(encoder, config);
+  Rng state_rng(6);
+  rl::State state = MakeState(n, m, 10, &state_rng);
+  Rng rng(21);
+  rl::PolicyAction action;
+  const size_t allocs = SteadyStateAllocs(16, 128, [&] {
+    ASSERT_TRUE(agent.SelectActionInto(state, 0.5, &rng, &action).ok());
+    std::copy(action.schedule.assignments().begin(),
+              action.schedule.assignments().end(), state.assignments.begin());
   });
   EXPECT_EQ(allocs, 0u);
 }

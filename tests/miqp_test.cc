@@ -450,6 +450,35 @@ TEST(KnnSequenceGoldenTest, CqLargeShapeTieHeavySequencesMatchHashes) {
   }
 }
 
+TEST(KnnSolverTest, DeviationRowsAreWhereEachActionLeavesTheNearest) {
+  // SolveInto lists each action's deviation rows from its chain; a scan of
+  // the actions (ComputeDeviations) must find exactly those rows, on random
+  // and tie-heavy protos, masked or not, with the workspace reused.
+  KnnWorkspace ws;
+  KnnResult result;
+  Rng rng(31);
+  const std::vector<uint8_t> mask = {1, 0, 1, 1, 0, 1, 1, 1, 1, 1};
+  for (int trial = 0; trial < 40; ++trial) {
+    const bool ties = trial % 2 == 0;
+    const int n = trial % 4 < 2 ? 100 : rng.UniformInt(1, 12);
+    const int m = 10;
+    const std::vector<double> proto =
+        ties ? TieProto(n, m, &rng) : RandomProto(n, m, &rng);
+    KnnActionSolver solver(n, m);
+    ASSERT_TRUE(solver
+                    .SolveInto(proto, 1 + trial % 40,
+                               trial % 3 == 0 ? &mask : nullptr, &ws, &result)
+                    .ok());
+    KnnResult scanned;
+    scanned.actions = result.actions;
+    ComputeDeviations(&scanned);
+    EXPECT_EQ(result.deviation_begin, scanned.deviation_begin)
+        << "trial " << trial;
+    EXPECT_EQ(result.deviation_rows, scanned.deviation_rows)
+        << "trial " << trial;
+  }
+}
+
 TEST(ActionDistanceTest, ManualValue) {
   auto action = sched::Schedule::FromAssignments({0, 1}, 2);
   // proto = identity rows: distance 0.

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <fstream>
+#include <limits>
 
 #include "common/rng.h"
 #include "gradient_check.h"
@@ -229,6 +230,29 @@ TEST(MlpTest, SoftUpdateInterpolates) {
   EXPECT_NEAR(b.layer(0).weights.At(0, 0), 0.25 * wa + 0.75 * wb, 1e-12);
 }
 
+TEST(MlpTest, SoftUpdateTransposedKeepsTheTransposeBitwise) {
+  // A transposed copy of a target network's first layer, soft-updated from
+  // the source's row-major weights, stays the transpose of the target's
+  // own soft-updated weights.
+  Rng rng(21);
+  Mlp source({7, 5, 1}, {Activation::kTanh, Activation::kIdentity}, &rng);
+  Mlp target({7, 5, 1}, {Activation::kTanh, Activation::kIdentity}, &rng);
+  Matrix target_t;
+  Transpose(target.layer(0).weights, &target_t);
+  for (double tau : {0.01, 0.3, 1.0}) {
+    target.SoftUpdateFrom(source, tau);
+    SoftUpdateTransposed(source.layer(0).weights, tau, &target_t);
+  }
+  ASSERT_EQ(target_t.rows(), 7);
+  ASSERT_EQ(target_t.cols(), 5);
+  for (int r = 0; r < 5; ++r) {
+    for (int c = 0; c < 7; ++c) {
+      EXPECT_EQ(target_t.At(c, r), target.layer(0).weights.At(r, c))
+          << "(" << r << ", " << c << ")";
+    }
+  }
+}
+
 TEST(MlpTest, CopyFromMakesIdentical) {
   Rng rng(9);
   Mlp a({3, 4, 1}, {Activation::kTanh, Activation::kIdentity}, &rng);
@@ -236,6 +260,78 @@ TEST(MlpTest, CopyFromMakesIdentical) {
   b.CopyFrom(a);
   const std::vector<double> x = {0.4, 0.5, -0.6};
   EXPECT_EQ(a.Forward(x), b.Forward(x));
+}
+
+TEST(MlpTest, CopyFromOverwritesNonFiniteEntries) {
+  // A diverged destination must not survive the copy: dst * 0 + src would
+  // keep a NaN weight and turn an Inf bias into NaN.
+  Rng rng(19);
+  Mlp a({3, 4, 1}, {Activation::kTanh, Activation::kIdentity}, &rng);
+  Mlp b({3, 4, 1}, {Activation::kTanh, Activation::kIdentity}, &rng);
+  b.layer(0).weights.At(1, 2) = std::nan("");
+  b.layer(0).bias[3] = std::numeric_limits<double>::infinity();
+  b.layer(1).weights.At(0, 0) = -std::numeric_limits<double>::infinity();
+  b.layer(1).bias[0] = std::nan("");
+  b.CopyFrom(a);
+  for (int l = 0; l < a.num_layers(); ++l) {
+    for (size_t p = 0; p < a.layer(l).weights.size(); ++p) {
+      EXPECT_EQ(b.layer(l).weights.data()[p], a.layer(l).weights.data()[p])
+          << "layer " << l << " weight " << p;
+    }
+    EXPECT_EQ(b.layer(l).bias, a.layer(l).bias) << "layer " << l;
+  }
+  const std::vector<double> x = {0.4, 0.5, -0.6};
+  EXPECT_EQ(a.Forward(x), b.Forward(x));
+}
+
+/// True when no layer of `net` holds gradient storage.
+bool HoldsNoGradients(const Mlp& net) {
+  for (int l = 0; l < net.num_layers(); ++l) {
+    if (net.layer(l).grad_weights.size() != 0 ||
+        !net.layer(l).grad_bias.empty()) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(MlpTest, GradientStorageIsAllocatedOnFirstBackpropagation) {
+  Rng rng(20);
+  Mlp a({3, 4, 2}, {Activation::kTanh, Activation::kIdentity}, &rng);
+  Mlp b({3, 4, 2}, {Activation::kTanh, Activation::kIdentity}, &rng);
+  EXPECT_TRUE(HoldsNoGradients(a));
+  a.Forward({0.1, 0.2, 0.3});
+  b.CopyFrom(a);
+  b.SoftUpdateFrom(a, 0.5);
+  EXPECT_TRUE(HoldsNoGradients(a));
+  EXPECT_TRUE(HoldsNoGradients(b));
+
+  Tape tape;
+  a.Forward({0.1, 0.2, 0.3}, &tape);
+  a.Backward(tape, {1.0, -1.0});
+  EXPECT_FALSE(HoldsNoGradients(a));
+  for (int l = 0; l < a.num_layers(); ++l) {
+    EXPECT_TRUE(a.layer(l).grad_weights.SameShape(a.layer(l).weights));
+    EXPECT_EQ(a.layer(l).grad_bias.size(), a.layer(l).bias.size());
+  }
+  b.ZeroGrad();
+  EXPECT_FALSE(HoldsNoGradients(b));
+
+  // An input-gradient-only batched pass accumulates nothing, so it
+  // allocates nothing either.
+  Mlp c({3, 4, 2}, {Activation::kTanh, Activation::kIdentity}, &rng);
+  BatchTape batch_tape;
+  Matrix* input = batch_tape.Prepare(c, 2);
+  input->Fill(0.5);
+  c.ForwardBatch(&batch_tape);
+  Matrix grad_out(2, 2);
+  grad_out.Fill(1.0);
+  Matrix grad_in;
+  c.BackwardBatch(&batch_tape, grad_out, /*accumulate_param_grads=*/false,
+                  &grad_in);
+  EXPECT_TRUE(HoldsNoGradients(c));
+  c.BackwardBatch(&batch_tape, grad_out);
+  EXPECT_FALSE(HoldsNoGradients(c));
 }
 
 TEST(MlpTest, SaveLoadRoundTrip) {

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -130,10 +131,11 @@ TEST_F(PolicyEquivalenceTest, DqnMatchesPreRefactorGoldensAtAnyThreadCount) {
 
 // Learning-health metrics at the argmax: the chosen candidate's rank in
 // K-NN distance order, the spread of the K critic values, the loss each
-// TrainStep returns and the epoch's exploration rate are deterministic
+// TrainStep returns, every minibatch row's |Q - y|, the stored (normalized,
+// clipped) rewards and the epoch's exploration rate are deterministic
 // values, so they must export identically at every thread count. The
-// golden run makes 6 epoch decisions plus the final greedy one and one
-// training step per epoch.
+// golden run makes 6 epoch decisions plus the final greedy one, stores 6
+// transitions and runs one training step per epoch.
 void ExpectSameHistogram(const obs::HistogramSnapshot& got,
                          const obs::HistogramSnapshot& want,
                          const std::string& what) {
@@ -151,6 +153,9 @@ TEST_F(PolicyEquivalenceTest, DdpgLearningHealthMetricsAreThreadInvariant) {
   std::vector<obs::HistogramSnapshot> ranks;
   std::vector<obs::HistogramSnapshot> spreads;
   std::vector<obs::HistogramSnapshot> losses;
+  std::vector<obs::HistogramSnapshot> td_errors;
+  std::vector<obs::HistogramSnapshot> rewards;
+  std::vector<int64_t> clipped;
   std::vector<double> epsilons;
   for (int threads : {1, 2, 4}) {
     SetGlobalThreadCount(threads);
@@ -161,6 +166,9 @@ TEST_F(PolicyEquivalenceTest, DdpgLearningHealthMetricsAreThreadInvariant) {
     ranks.push_back(snapshot.histograms["rl.ddpg.chosen_rank"]);
     spreads.push_back(snapshot.histograms["rl.ddpg.q_spread"]);
     losses.push_back(snapshot.histograms["online.train_loss"]);
+    td_errors.push_back(snapshot.histograms["rl.ddpg.td_error"]);
+    rewards.push_back(snapshot.histograms["rl.reward_normalized"]);
+    clipped.push_back(snapshot.counters["rl.reward_clipped"]);
     epsilons.push_back(snapshot.gauges["online.epsilon"]);
   }
   obs::SetMetricsEnabled(metrics_were_enabled);
@@ -171,6 +179,15 @@ TEST_F(PolicyEquivalenceTest, DdpgLearningHealthMetricsAreThreadInvariant) {
   EXPECT_GT(spreads[0].max, 0.0);
   EXPECT_EQ(losses[0].count, 6);
   EXPECT_GT(losses[0].sum, 0.0);
+  // Six steps of an 8-row minibatch, no K-NN failure.
+  EXPECT_EQ(td_errors[0].count, 48);
+  EXPECT_GT(td_errors[0].max, 0.0);
+  // (r + 8) / 2 clipped to [-3, 3]: of the golden rewards only the first,
+  // -2.2, stays inside; -1.95 normalizes just above +3.
+  EXPECT_EQ(rewards[0].count, 6);
+  EXPECT_EQ(rewards[0].max, 3.0);
+  EXPECT_EQ(rewards[0].min, -3.0);
+  EXPECT_EQ(clipped[0], 5);
   // Six epochs decay epsilon over the first four; the last epoch explores
   // at the floor.
   EXPECT_EQ(epsilons[0], 0.05);
@@ -179,6 +196,9 @@ TEST_F(PolicyEquivalenceTest, DdpgLearningHealthMetricsAreThreadInvariant) {
     ExpectSameHistogram(ranks[i], ranks[0], "chosen_rank " + run);
     ExpectSameHistogram(spreads[i], spreads[0], "q_spread " + run);
     ExpectSameHistogram(losses[i], losses[0], "train_loss " + run);
+    ExpectSameHistogram(td_errors[i], td_errors[0], "td_error " + run);
+    ExpectSameHistogram(rewards[i], rewards[0], "reward_normalized " + run);
+    EXPECT_EQ(clipped[i], clipped[0]) << run;
     EXPECT_EQ(epsilons[i], epsilons[0]) << run;
   }
 }

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <set>
+#include <string>
 
 #include "common/rng.h"
 #include "common/simd.h"
@@ -279,6 +280,81 @@ TEST(DdpgAgentTest, GreedyActionMaximizesCriticOverKnnSet) {
   auto nn = solver.Solve(agent.ProtoAction(state), 1);
   ASSERT_TRUE(nn.ok());
   EXPECT_GE(chosen_q, agent.QValue(state, nn->actions[0]) - 1e-9);
+}
+
+/// Rounds every first-layer weight and bias of the agent's critic to a
+/// multiple of 2^-10 (through Save and Load), so that with 0/1 and 1/2
+/// inputs every first-layer product and partial sum is exact and the sum
+/// is the same in any order.
+void MakeCriticFirstLayerExact(DdpgAgent* agent, const std::string& prefix) {
+  ASSERT_TRUE(agent->Save(prefix).ok());
+  auto critic = nn::Mlp::Load(prefix + ".critic");
+  ASSERT_TRUE(critic.ok());
+  nn::Linear& first = critic->layer(0);
+  const auto exact = [](double v) { return std::round(v * 1024.0) / 1024.0; };
+  for (size_t p = 0; p < first.weights.size(); ++p) {
+    first.weights.data()[p] = exact(first.weights.data()[p]);
+  }
+  for (size_t r = 0; r < first.bias.size(); ++r) {
+    first.bias[r] = exact(first.bias[r] + 0.3);  // nonzero biases
+  }
+  ASSERT_TRUE(critic->Save(prefix + ".critic").ok());
+  ASSERT_TRUE(agent->Load(prefix).ok());
+}
+
+std::vector<sched::Schedule> Candidates(
+    const std::vector<std::vector<int>>& assignments, int m) {
+  std::vector<sched::Schedule> out;
+  for (const std::vector<int>& a : assignments) {
+    sched::Schedule schedule(static_cast<int>(a.size()), m);
+    for (size_t i = 0; i < a.size(); ++i) {
+      schedule.Assign(static_cast<int>(i), a[i]);
+    }
+    out.push_back(schedule);
+  }
+  return out;
+}
+
+TEST(DdpgAgentTest, CandidateQValuesEqualTheDenseCriticBitwise) {
+  // The trie gather resumes each candidate from a checkpoint of the prefix
+  // it shares with its lexicographic predecessor. With an exact first
+  // layer, any column added twice, skipped or taken from the wrong
+  // candidate changes a Q value; the add order itself is pinned by
+  // DdpgGoldenTest.
+  constexpr int n = 7, m = 4;
+  StateEncoder encoder(n, m, 1, 100.0);
+  DdpgAgent agent(encoder, DdpgConfig{});
+  MakeCriticFirstLayerExact(&agent, testing::TempDir() + "/ddpg_exact");
+  const State state = MakeState({0, 1, 2, 3, 0, 1, 2}, {50.0});
+  const std::vector<int> base = {1, 1, 0, 2, 3, 0, 1};
+  const std::vector<std::vector<std::vector<int>>> sets = {
+      // Nested multi-row deviations from the first candidate, deviations
+      // at the first and last executor, and a candidate between others
+      // in lexicographic order.
+      {base,
+       {1, 1, 0, 3, 3, 0, 1},
+       {1, 1, 0, 3, 3, 2, 1},
+       {1, 1, 0, 3, 3, 2, 0},
+       {1, 1, 0, 3, 1, 0, 1},
+       {0, 1, 0, 2, 3, 0, 1},
+       {1, 1, 0, 2, 3, 0, 3},
+       {1, 2, 2, 2, 3, 0, 1},
+       {1, 1, 0, 2, 0, 0, 1},
+       {3, 3, 3, 3, 3, 3, 3}},
+      // A duplicate candidate, adjacent to its twin once sorted.
+      {base, {1, 1, 0, 2, 3, 1, 1}, base, {1, 0, 0, 2, 3, 0, 1}},
+      // One candidate.
+      {base},
+  };
+  for (size_t set = 0; set < sets.size(); ++set) {
+    const std::vector<sched::Schedule> actions = Candidates(sets[set], m);
+    const std::vector<double> q = agent.CandidateQValues(state, actions);
+    ASSERT_EQ(q.size(), actions.size());
+    for (size_t c = 0; c < actions.size(); ++c) {
+      EXPECT_EQ(q[c], agent.QValue(state, actions[c]))
+          << "set " << set << " candidate " << c;
+    }
+  }
 }
 
 TEST(DdpgAgentTest, LearnsBanditPreference) {

@@ -48,6 +48,8 @@ bool Avx2Available() {
   return nn::kernels::Avx2CompiledIn() && CpuSupportsAvx2();
 }
 
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
 TEST(SimdKernelTest, DotBitIdenticalToScalarAtEveryLength) {
   if (!Avx2Available()) GTEST_SKIP() << "AVX2 unavailable on this host";
   Rng rng(11);
@@ -148,11 +150,119 @@ TEST(SimdKernelTest, SumRowsEqualsSequentialSumInBothModes) {
 }
 
 // ---------------------------------------------------------------------------
+// FoldColumns: Dot over W's rows, read from W^T and adding only the columns
+// whose input is nonzero, must equal MatVec bit for bit.
+// ---------------------------------------------------------------------------
+
+/// The FoldColumns kernels this host can run: scalar always, AVX2 when
+/// available.
+std::vector<nn::kernels::FoldColumnsFn> FoldKernels() {
+  std::vector<nn::kernels::FoldColumnsFn> kernels = {
+      nn::kernels::FoldColumnsScalar};
+  if (Avx2Available()) kernels.push_back(nn::kernels::FoldColumnsAvx2);
+  return kernels;
+}
+
+/// An input of length k: all zeros (some of them -0), a one-hot row per
+/// block of `block` entries plus a fractional last entry (the encoded
+/// state's shape, with the last entries in Dot's tail), or fully dense.
+enum class Density { kZero, kOneHot, kDense };
+
+std::vector<double> FoldInput(int k, Density density, Rng* rng) {
+  std::vector<double> x(k, 0.0);
+  switch (density) {
+    case Density::kZero:
+      for (int i = 0; i < k; i += 3) x[i] = -0.0;
+      break;
+    case Density::kOneHot: {
+      constexpr int kBlock = 3;
+      for (int i0 = 0; i0 + kBlock <= k - 1; i0 += kBlock) {
+        x[i0 + rng->UniformInt(0, kBlock - 1)] = 1.0;
+      }
+      x[k - 1] = rng->Uniform(0.5, 1.5);
+      if (k >= 2 && x[k - 2] == 0.0) x[k - 2] = -0.0;
+      break;
+    }
+    case Density::kDense:
+      x = RandomVec(k, rng);
+      break;
+  }
+  return x;
+}
+
+TEST(FoldColumnsTest, EqualsMatVecBitwiseInBothModes) {
+  Rng rng(16);
+  for (SimdMode mode : {SimdMode::kOff, SimdMode::kAuto}) {
+    ScopedSimdMode scoped(mode);
+    // 64 is one stack block of outputs; 65 and 130 take a second and third.
+    for (int h : {1, 3, 4, 5, 64, 65, 130}) {
+      for (int k : {1, 2, 3, 4, 5, 6, 7, 8, 9, 201, 1001}) {
+        nn::Matrix w(h, k);
+        for (size_t i = 0; i < w.size(); ++i) {
+          w.data()[i] = rng.Uniform(-1.0, 1.0);
+        }
+        nn::Matrix cols;
+        nn::Transpose(w, &cols);
+        for (Density density :
+             {Density::kZero, Density::kOneHot, Density::kDense}) {
+          const std::vector<double> x = FoldInput(k, density, &rng);
+          std::vector<double> want;
+          w.MatVec(x, &want);
+          for (nn::kernels::FoldColumnsFn fold : FoldKernels()) {
+            std::vector<double> z(h, 1.0);
+            fold(cols.data(), x.data(), k, h, z.data());
+            for (int r = 0; r < h; ++r) {
+              ASSERT_EQ(Bits(z[r]), Bits(want[r]))
+                  << "h=" << h << " k=" << k << " density "
+                  << static_cast<int>(density) << " r=" << r;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(FoldColumnsTest, NonFiniteWeightsAtZeroInputsDoNotReachTheOutput) {
+  // A NaN or +-Inf weight whose input is 0 is skipped with its column,
+  // where MatVec's 0 * Inf would give NaN; a NaN input is added and
+  // poisons every output.
+  constexpr int h = 5, k = 11;
+  Rng rng(17);
+  nn::Matrix w(h, k);
+  for (size_t i = 0; i < w.size(); ++i) w.data()[i] = rng.Uniform(-1.0, 1.0);
+  const double inf = std::numeric_limits<double>::infinity();
+  w.At(0, 2) = std::nan("");
+  w.At(1, 2) = inf;
+  w.At(2, 9) = -inf;  // in Dot's tail
+  w.At(3, 10) = std::nan("");
+  nn::Matrix cols;
+  nn::Transpose(w, &cols);
+  std::vector<double> x(k, 0.0);
+  x[0] = 1.0;
+  x[5] = 1.0;
+  x[8] = 0.25;
+  for (nn::kernels::FoldColumnsFn fold : FoldKernels()) {
+    std::vector<double> z(h);
+    fold(cols.data(), x.data(), k, h, z.data());
+    for (int r = 0; r < h; ++r) {
+      EXPECT_TRUE(std::isfinite(z[r])) << "r=" << r;
+      // Dot's lanes: 0 holds input 0, 1 holds input 5, and input 8 is in
+      // the tail (k = 11).
+      const double want = (w.At(r, 0) + w.At(r, 5)) + w.At(r, 8) * 0.25;
+      EXPECT_EQ(z[r], want) << "r=" << r;
+    }
+    std::vector<double> poisoned = x;
+    poisoned[7] = std::nan("");
+    fold(cols.data(), poisoned.data(), k, h, z.data());
+    for (int r = 0; r < h; ++r) EXPECT_TRUE(std::isnan(z[r])) << "r=" << r;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Tanh: the library's own formula (nn/kernels.h TanhElement), elementwise,
 // so the AVX2 kernel must equal the scalar one bit for bit.
 // ---------------------------------------------------------------------------
-
-uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
 
 /// The tanh kernels this host can run: scalar always, AVX2 when available.
 std::vector<nn::kernels::TanhFn> TanhKernels() {
