@@ -217,13 +217,6 @@ uint64_t AgentServer::InstallSession(std::unique_ptr<net::Transport> transport,
   session.policy = shared_policy_;  // nullptr in registry mode until Hello
   Session& installed = sessions_[id];
   installed = std::move(session);
-  // Transports without a pollable fd (loopback) wake the loop through the
-  // per-session flag + pipe. The waker is born ready and the self-wake
-  // covers frames that were already buffered before the registration
-  // (they'd otherwise sit out one full poll timeout).
-  installed.waker = std::make_unique<SessionWaker>(wakeup_.get());
-  installed.transport->SetReadyWaker(installed.waker.get());
-  wakeup_->Wake();
   ++sessions_opened_;
   if (obs::MetricsEnabled() || obs::TraceEnabled() || http_ != nullptr) {
     installed.stats.created_us = obs::Tracer::Get().NowUs();
@@ -259,11 +252,6 @@ bool AgentServer::SessionDead(const Session& session) const {
   return (session.killed || session.draining) && session.outbox.empty();
 }
 
-void AgentServer::CloseSession(Session* session) {
-  session->transport->SetReadyWaker(nullptr);
-  session->transport->Close();
-}
-
 void AgentServer::ReapDeadSessions() {
   const SessionAggMetrics& agg = SessionAggMetrics::Get();
   for (auto it = sessions_.begin(); it != sessions_.end();) {
@@ -273,7 +261,7 @@ void AgentServer::ReapDeadSessions() {
       if (session.peer_gone) agg.peer_gone->Add();
       if (session.rx_poisoned) agg.rx_poisoned->Add();
       if (session.killed) agg.killed->Add();
-      CloseSession(&it->second);
+      it->second.transport->Close();
       it = sessions_.erase(it);
     } else {
       ++it;
@@ -282,10 +270,10 @@ void AgentServer::ReapDeadSessions() {
   ServerMetrics::Get().sessions->Set(static_cast<double>(sessions_.size()));
 }
 
-void AgentServer::PumpSession(Session* session, std::vector<WorkItem>* work,
-                              bool* more_buffered) {
+void AgentServer::PumpSession(Session* session, std::vector<WorkItem>* work) {
   if (session->rx_poisoned || session->draining || session->killed ||
       session->peer_gone) {
+    session->rx_pending = false;
     return;
   }
   // One clock read per received frame, but only when something consumes
@@ -327,14 +315,9 @@ void AgentServer::PumpSession(Session* session, std::vector<WorkItem>* work,
     work->push_back(std::move(item));
     ++pumped;
   }
-  if (pumped >= kMaxFramesPerSessionPerIteration) {
-    *more_buffered = true;  // fairness cap hit: re-poll with zero timeout
-    // Frames may remain buffered in the transport (not the kernel), so
-    // poll alone would not re-schedule this session; flag it directly.
-    if (session->waker != nullptr) {
-      session->waker->ready.store(true, std::memory_order_release);
-    }
-  }
+  // Fairness cap hit: frames may remain in the transport's buffer, not the
+  // kernel's, so poll alone would not re-schedule this session.
+  session->rx_pending = pumped >= kMaxFramesPerSessionPerIteration;
   if (pumped > 0) {
     ServerMetrics::Get().queue_depth->Record(static_cast<double>(pumped));
   }
@@ -375,17 +358,7 @@ void AgentServer::FlushGetBatch(std::vector<GetItem>* batch) {
       slot.out = &item.action;
       slots.push_back(slot);
     }
-    if (options_.batch_inference) {
-      policy->SelectActionBatch(slots.data(), static_cast<int>(slots.size()));
-    } else {
-      // The sequential reference path; bit-identical by the
-      // SelectActionBatch contract (tests pin this).
-      for (rl::DecisionRequest& slot : slots) {
-        slot.status =
-            policy->SelectActionInto(*slot.state, slot.epsilon, slot.rng,
-                                     slot.out);
-      }
-    }
+    policy->SelectActionBatch(slots.data(), static_cast<int>(slots.size()));
     metrics.batch_size->Record(static_cast<double>(slots.size()));
     agg.batch_width->Record(static_cast<double>(slots.size()));
     const int width = static_cast<int>(slots.size());
@@ -711,28 +684,19 @@ void AgentServer::FlushOutbox(Session* session) {
     SessionAggMetrics::Get().outbox_depth->Record(
         static_cast<double>(session->outbox.size()));
   }
-  // One TrySend per frame: message-oriented transports (loopback) deliver
-  // each send as one message, so frame boundaries must survive the flush.
-  // Stream transports (TCP) may accept a partial frame; outbox_off tracks
-  // the flushed prefix of the front frame until POLLOUT re-arms us.
+  // The socket may accept part of a frame; outbox_off tracks the flushed
+  // prefix of the front frame until POLLOUT re-arms us.
   while (!session->outbox.empty()) {
-    std::string& frame = session->outbox.front();
-    const size_t frame_size = frame.size();
-    // Untouched frames go down the owned path so a message-oriented
-    // transport can move the buffer instead of copying it; the contract
-    // guarantees the buffer survives intact unless fully accepted.
-    StatusOr<size_t> sent =
-        session->outbox_off == 0
-            ? session->transport->TrySendOwned(std::move(frame))
-            : session->transport->TrySend(
-                  std::string_view(frame).substr(session->outbox_off));
+    const std::string& frame = session->outbox.front();
+    StatusOr<size_t> sent = session->transport->TrySend(
+        std::string_view(frame).substr(session->outbox_off));
     if (!sent.ok()) {
       session->peer_gone = true;
       break;
     }
     if (*sent == 0) break;  // would block; POLLOUT re-arms the flush
     session->outbox_off += *sent;
-    if (session->outbox_off >= frame_size) {
+    if (session->outbox_off >= frame.size()) {
       session->outbox.pop_front();
       session->outbox_off = 0;
     }
@@ -858,7 +822,7 @@ Status AgentServer::RunLoop(net::TcpListener* listener) {
     AgentServer* server;
     ~LoopCleanup() {
       for (auto& [id, session] : server->sessions_) {
-        server->CloseSession(&session);
+        session.transport->Close();
       }
       server->sessions_.clear();
       ServerMetrics::Get().sessions->Set(0.0);
@@ -868,7 +832,6 @@ Status AgentServer::RunLoop(net::TcpListener* listener) {
   } cleanup{this};
 
   bool listener_alive = listener != nullptr;
-  bool more_buffered = false;
   std::vector<struct pollfd> pfds;
   std::vector<Session*> polled;  // pfds index -> session (or nullptr)
   std::vector<WorkItem> work;
@@ -882,8 +845,7 @@ Status AgentServer::RunLoop(net::TcpListener* listener) {
       if (pending_sessions_.empty()) break;
     }
 
-    // Build the poll set: wake pipe, listener, then fd-backed sessions.
-    // Loopback sessions (readiness_fd < 0) signal through the pipe.
+    // Build the poll set: wake pipe, listener, then sessions.
     pfds.clear();
     polled.clear();
     pfds.push_back({wakeup_->fd(), POLLIN, 0});
@@ -892,10 +854,10 @@ Status AgentServer::RunLoop(net::TcpListener* listener) {
       pfds.push_back({listener->readiness_fd(), POLLIN, 0});
       polled.push_back(nullptr);
     }
+    int timeout_ms = options_.poll_timeout_ms;
     for (auto& [id, session] : sessions_) {
       session.revents = 0;
-      const int fd = session.transport->readiness_fd();
-      if (fd < 0) continue;
+      if (session.rx_pending) timeout_ms = 0;
       short events = 0;
       if (!session.rx_poisoned && !session.draining && !session.killed &&
           !session.peer_gone) {
@@ -903,15 +865,13 @@ Status AgentServer::RunLoop(net::TcpListener* listener) {
       }
       if (!session.outbox.empty()) events |= POLLOUT;
       if (events != 0) {
-        pfds.push_back({fd, events, 0});
+        pfds.push_back({session.transport->readiness_fd(), events, 0});
         polled.push_back(&session);
       }
     }
     const size_t http_first = pfds.size();
     const size_t http_count = http_ != nullptr ? http_->AppendPollFds(&pfds) : 0;
     polled.resize(polled.size() + http_count, nullptr);
-    const int timeout_ms = more_buffered ? 0 : options_.poll_timeout_ms;
-    more_buffered = false;
     const int ready =
         ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), timeout_ms);
     if (ready < 0 && errno != EINTR) {
@@ -931,7 +891,7 @@ Status AgentServer::RunLoop(net::TcpListener* listener) {
     // Accept everything that is ready; ids are assigned in accept order.
     if (listener_alive) {
       while (true) {
-        StatusOr<std::unique_ptr<net::Transport>> conn = listener->Accept(0);
+        StatusOr<std::unique_ptr<net::Transport>> conn = listener->Accept();
         if (!conn.ok()) {
           const StatusCode code = conn.status().code();
           if (code == StatusCode::kDeadlineExceeded) break;
@@ -960,18 +920,13 @@ Status AgentServer::RunLoop(net::TcpListener* listener) {
 
     // Pump sessions with traffic, in canonical (session id) order —
     // iterating the id-ordered map keeps the ordering rule deterministic
-    // no matter which subset is ready. Waker-flagged (fd-less transports,
-    // fairness-cap carryover) and poll-flagged (fd-backed) sessions only:
-    // idle sessions cost one atomic load, not a TryRecv probe.
+    // no matter which subset is ready. Poll-flagged sessions and the
+    // fairness-cap carry-over only: idle sessions cost no TryRecv probe.
     work.clear();
     for (auto& [id, session] : sessions_) {
-      const bool flagged =
-          session.waker != nullptr &&
-          session.waker->ready.exchange(false, std::memory_order_acq_rel);
-      const bool fd_ready =
-          (session.revents & (POLLIN | POLLERR | POLLHUP)) != 0;
-      if (flagged || fd_ready) {
-        PumpSession(&session, &work, &more_buffered);
+      if (session.rx_pending ||
+          (session.revents & (POLLIN | POLLERR | POLLHUP)) != 0) {
+        PumpSession(&session, &work);
       }
     }
 

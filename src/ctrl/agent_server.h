@@ -36,12 +36,6 @@ struct AgentServerOptions {
   /// Hard cap on concurrent sessions; connections beyond it are refused
   /// with a kErrorResponse and closed.
   int max_sessions = 1024;
-  /// When true (default), kExplore GetSchedule requests that arrive in the
-  /// same loop iteration and hit the same policy instance are fused into
-  /// one SelectActionBatch call (one ForwardBatch GEMM for a policy that
-  /// fuses its network pass). Guaranteed bit-identical to sequential serving
-  /// (see DESIGN.md §15); the switch exists so tests can pin that claim.
-  bool batch_inference = true;
   /// Slow-request logging: a handled request whose server-side latency
   /// (receive -> reply encoded, queue wait included) exceeds this many
   /// milliseconds is logged at warning level with its trace id, and counts
@@ -102,7 +96,7 @@ class AgentServer {
   Status ServeTcp(net::TcpListener* listener);
 
   /// Runs the event loop with no listener: sessions arrive only through
-  /// AddSession. Returns after Stop(). The loopback-stress entry point.
+  /// AddSession (e.g. MakeLoopbackPair ends). Returns after Stop().
   Status Run();
 
   /// Hands a connected transport to the server (thread-safe; wakes the
@@ -135,21 +129,6 @@ class AgentServer {
   const ExperiencePool* experience_pool() const { return pool_.get(); }
 
  private:
-  /// Per-session readiness flag for transports without a pollable fd
-  /// (loopback): the transport marks its session ready and arms the shared
-  /// wake pipe. The pump phase probes only flagged sessions (fd-backed
-  /// ones use poll revents instead), keeping each loop iteration
-  /// O(sessions with traffic) rather than O(sessions) TryRecv misses.
-  struct SessionWaker : public net::Waker {
-    explicit SessionWaker(net::Waker* sink) : sink(sink) {}
-    void Wake() override {
-      ready.store(true, std::memory_order_release);
-      sink->Wake();
-    }
-    std::atomic<bool> ready{true};  // born ready: frames may predate us
-    net::Waker* sink;
-  };
-
   /// Per-session telemetry, updated only on the loop thread and rendered
   /// by /statusz. Plain integers (no atomics): always maintained, because
   /// the status page must work even when --metrics is off.
@@ -174,15 +153,12 @@ class AgentServer {
     rl::Policy* policy = nullptr;            // shared, or owned_policy.get()
     std::unique_ptr<rl::Policy> owned_policy;  // registry mode, post-Hello
     SessionStats stats;
-    // Encoded reply frames awaiting flush. Kept frame-granular (not one
-    // concatenated byte string) because message-oriented transports
-    // (loopback) deliver each TrySend as one message: coalescing two
-    // replies into one send would hand a pipelining client a single
-    // message holding two frames, which DecodeFrame rejects.
-    std::deque<std::string> outbox;
+    std::deque<std::string> outbox;  // encoded reply frames awaiting flush
     size_t outbox_off = 0;  // flushed prefix of outbox.front()
-    std::unique_ptr<SessionWaker> waker;     // readiness for fd-less transports
-    short revents = 0;       // last poll() result for fd-backed transports
+    short revents = 0;      // last poll() result
+    // The fairness cap left complete frames in the transport's reassembly
+    // buffer, where poll() cannot see them: pump again next iteration.
+    bool rx_pending = false;
     int policy_requests = 0;                 // max_requests accounting
     bool draining = false;  // error reply queued; close once outbox empty
     bool rx_poisoned = false;  // framing violation: stop reading
@@ -207,7 +183,7 @@ class AgentServer {
   struct GetItem;
 
   /// Frames drained per session per loop iteration before yielding to the
-  /// other sessions (fairness bound; leftovers re-poll with zero timeout).
+  /// other sessions (fairness bound; leftovers set rx_pending).
   static constexpr int kMaxFramesPerSessionPerIteration = 64;
 
   Status RunLoop(net::TcpListener* listener);
@@ -215,8 +191,7 @@ class AgentServer {
   void AdoptPendingSessionsLocked();
   uint64_t InstallSession(std::unique_ptr<net::Transport> transport,
                           uint64_t id);
-  void PumpSession(Session* session, std::vector<WorkItem>* work,
-                   bool* more_buffered);
+  void PumpSession(Session* session, std::vector<WorkItem>* work);
   void ProcessWork(std::vector<WorkItem>* work);
   void FlushGetBatch(std::vector<GetItem>* batch);
   void HandleSingle(Session* session, const net::Frame& frame,
@@ -228,7 +203,6 @@ class AgentServer {
                    std::string_view payload, net::TraceContext trace);
   void FlushOutbox(Session* session);
   void ReapDeadSessions();
-  void CloseSession(Session* session);
   bool SessionDead(const Session& session) const;
   /// The /statusz document: a JSON session table built on the loop thread.
   std::string StatuszJson() const;

@@ -50,9 +50,9 @@ struct MasterClientOptions {
 /// may be shared across threads.
 class MasterClient : public rl::Policy {
  public:
-  /// Wraps an already-connected transport (e.g. a loopback end). The
-  /// client cannot reconnect this flavor: once the transport dies, every
-  /// RPC fails with kUnavailable.
+  /// Wraps an already-connected transport (e.g. one end of
+  /// net::MakeLoopbackPair). The client cannot reconnect this flavor: once
+  /// the transport dies, every RPC fails with kUnavailable.
   MasterClient(std::unique_ptr<net::Transport> transport,
                MasterClientOptions options);
 

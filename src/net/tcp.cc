@@ -8,43 +8,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
-#include <atomic>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
-
-#include "net/wire.h"
-#include "obs/metrics.h"
+#include <utility>
 
 namespace drlstream::net {
 namespace {
-
-/// Same metric names as the loopback transport: one bytes-in/out pair for
-/// the control plane regardless of the carrying transport.
-struct NetMetrics {
-  obs::Counter* frames_sent;
-  obs::Counter* frames_recv;
-  obs::Counter* bytes_sent;
-  obs::Counter* bytes_recv;
-};
-
-const NetMetrics& Metrics() {
-  static const NetMetrics metrics = [] {
-    obs::MetricsRegistry& reg = obs::MetricsRegistry::Get();
-    return NetMetrics{
-        reg.counter("net.frames_sent"),
-        reg.counter("net.frames_recv"),
-        reg.counter("net.bytes_sent"),
-        reg.counter("net.bytes_recv"),
-    };
-  }();
-  return metrics;
-}
-
-/// Cap on one blocking poll, so Close() from another thread is observed
-/// promptly even by a Recv/Accept with an unbounded deadline.
-constexpr int kPollSliceMs = 100;
 
 Status ErrnoStatus(const std::string& what, int err) {
   return Status::IoError("tcp: " + what + ": " + std::strerror(err));
@@ -66,217 +35,14 @@ StatusOr<sockaddr_in> ResolveIpv4(const std::string& host, int port) {
   return addr;
 }
 
-/// Milliseconds left until `deadline`; >= 0. A negative `timeout_ms`
-/// (block forever) is represented by an unset deadline.
-class Deadline {
- public:
-  explicit Deadline(int timeout_ms) : unbounded_(timeout_ms < 0) {
-    if (!unbounded_) {
-      at_ = std::chrono::steady_clock::now() +
-            std::chrono::milliseconds(timeout_ms);
-    }
-  }
-  bool unbounded() const { return unbounded_; }
-  int remaining_ms() const {
-    if (unbounded_) return kPollSliceMs;
-    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                          at_ - std::chrono::steady_clock::now())
-                          .count();
-    return left > 0 ? static_cast<int>(left) : 0;
-  }
-  bool expired() const {
-    return !unbounded_ && std::chrono::steady_clock::now() >= at_;
-  }
-
- private:
-  bool unbounded_;
-  std::chrono::steady_clock::time_point at_;
-};
-
-class TcpTransport : public Transport {
- public:
-  TcpTransport(int fd, std::string peer) : fd_(fd), peer_(std::move(peer)) {
-    int one = 1;
-    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  }
-
-  ~TcpTransport() override {
-    Close();
-    // The fd stays open (only shut down) until destruction, so a thread
-    // concurrently blocked in poll/recv can never observe a reused fd.
-    ::close(fd_);
-  }
-
-  Status Send(std::string_view frame) override {
-    if (closed_.load(std::memory_order_acquire)) {
-      return Status::Unavailable("tcp: transport closed");
-    }
-    size_t sent = 0;
-    while (sent < frame.size()) {
-      const ssize_t n = ::send(fd_, frame.data() + sent, frame.size() - sent,
-                               MSG_NOSIGNAL);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        if (errno == EPIPE || errno == ECONNRESET) {
-          return Status::Unavailable("tcp: peer closed (" + peer_ + ")");
-        }
-        return ErrnoStatus("send to " + peer_, errno);
-      }
-      sent += static_cast<size_t>(n);
-    }
-    Metrics().frames_sent->Add(1);
-    Metrics().bytes_sent->Add(static_cast<int64_t>(frame.size()));
-    return Status::OK();
-  }
-
-  StatusOr<size_t> TrySend(std::string_view bytes) override {
-    if (closed_.load(std::memory_order_acquire)) {
-      return Status::Unavailable("tcp: transport closed");
-    }
-    size_t sent = 0;
-    while (sent < bytes.size()) {
-      const ssize_t n = ::send(fd_, bytes.data() + sent, bytes.size() - sent,
-                               MSG_NOSIGNAL | MSG_DONTWAIT);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-        if (errno == EPIPE || errno == ECONNRESET) {
-          return Status::Unavailable("tcp: peer closed (" + peer_ + ")");
-        }
-        return ErrnoStatus("send to " + peer_, errno);
-      }
-      sent += static_cast<size_t>(n);
-    }
-    if (sent > 0) Metrics().bytes_sent->Add(static_cast<int64_t>(sent));
-    return sent;
-  }
-
-  /// Both receive paths share one receive buffer: bytes read off the
-  /// socket accumulate in rx_buf_ and complete frames are peeled off the
-  /// front, so a caller may freely interleave Recv and TryRecv without
-  /// losing stream position (partial frames simply stay buffered).
-  StatusOr<std::string> Recv(int timeout_ms) override {
-    Deadline deadline(timeout_ms);
-    while (true) {
-      if (closed_.load(std::memory_order_acquire)) {
-        return Status::Unavailable("tcp: transport closed");
-      }
-      StatusOr<std::string> frame = TakeBufferedFrame();
-      if (frame.ok() ||
-          frame.status().code() != StatusCode::kDeadlineExceeded) {
-        return frame;
-      }
-      pollfd pfd{fd_, POLLIN, 0};
-      const int slice = std::min(deadline.remaining_ms(), kPollSliceMs);
-      const int ready = ::poll(&pfd, 1, slice);
-      if (ready < 0) {
-        if (errno == EINTR) continue;
-        return ErrnoStatus("poll on " + peer_, errno);
-      }
-      if (ready > 0) {
-        Status filled = FillFromSocket();
-        if (!filled.ok()) return DrainOrError(filled);
-        continue;  // peel a frame before re-checking the deadline
-      }
-      if (deadline.expired()) {
-        return Status::DeadlineExceeded("tcp: recv timed out (" + peer_ +
-                                        ")");
-      }
-    }
-  }
-
-  StatusOr<std::string> TryRecv() override {
-    while (true) {
-      if (closed_.load(std::memory_order_acquire)) {
-        return Status::Unavailable("tcp: transport closed");
-      }
-      StatusOr<std::string> frame = TakeBufferedFrame();
-      if (frame.ok() ||
-          frame.status().code() != StatusCode::kDeadlineExceeded) {
-        return frame;
-      }
-      bool got_bytes = false;
-      Status filled = FillFromSocket(&got_bytes);
-      if (!filled.ok()) return DrainOrError(filled);
-      if (!got_bytes) {
-        return Status::DeadlineExceeded("tcp: no frame buffered (" + peer_ +
-                                        ")");
-      }
-    }
-  }
-
-  int readiness_fd() const override { return fd_; }
-
-  void Close() override {
-    if (closed_.exchange(true, std::memory_order_acq_rel)) return;
-    ::shutdown(fd_, SHUT_RDWR);  // wakes a blocked peer and our own recv
-  }
-
-  std::string peer() const override { return peer_; }
-
- private:
-  /// Peels one complete frame off rx_buf_. kDeadlineExceeded is the "not
-  /// enough bytes yet" sentinel; a malformed header is returned as its own
-  /// error (framing is poisoned, the caller discards the transport).
-  StatusOr<std::string> TakeBufferedFrame() {
-    if (rx_buf_.size() < kFrameHeaderBytes) {
-      return Status::DeadlineExceeded("tcp: incomplete frame");
-    }
-    DRLSTREAM_ASSIGN_OR_RETURN(
-        const FrameHeader header,
-        ParseFrameHeader(std::string_view(rx_buf_).substr(
-            0, kFrameHeaderBytes)));
-    const size_t total = kFrameHeaderBytes + header.payload_size;
-    if (rx_buf_.size() < total) {
-      return Status::DeadlineExceeded("tcp: incomplete frame");
-    }
-    std::string frame = rx_buf_.substr(0, total);
-    rx_buf_.erase(0, total);
-    Metrics().frames_recv->Add(1);
-    Metrics().bytes_recv->Add(static_cast<int64_t>(frame.size()));
-    return frame;
-  }
-
-  /// One non-blocking read into rx_buf_. OK with *got_bytes=false means
-  /// the socket simply had nothing (EAGAIN).
-  Status FillFromSocket(bool* got_bytes = nullptr) {
-    if (got_bytes != nullptr) *got_bytes = false;
-    char chunk[16384];
-    while (true) {
-      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), MSG_DONTWAIT);
-      if (n > 0) {
-        rx_buf_.append(chunk, static_cast<size_t>(n));
-        if (got_bytes != nullptr) *got_bytes = true;
-        return Status::OK();
-      }
-      if (n == 0) {
-        return Status::Unavailable("tcp: peer closed (" + peer_ + ")");
-      }
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return Status::OK();
-      if (errno == ECONNRESET) {
-        return Status::Unavailable("tcp: peer reset (" + peer_ + ")");
-      }
-      return ErrnoStatus("recv from " + peer_, errno);
-    }
-  }
-
-  /// After the socket fails: frames already buffered still complete
-  /// (drain-before-fail, mirroring the loopback transport), then the
-  /// failure surfaces.
-  StatusOr<std::string> DrainOrError(const Status& error) {
-    StatusOr<std::string> frame = TakeBufferedFrame();
-    if (frame.ok() || frame.status().code() != StatusCode::kDeadlineExceeded) {
-      return frame;
-    }
-    return error;
-  }
-
-  int fd_;
-  std::string peer_;
-  std::string rx_buf_;  // receiver-thread-only stream reassembly buffer
-  std::atomic<bool> closed_{false};
-};
+/// Wraps a connected TCP socket. Replies are small and latency-bound, so
+/// Nagle's algorithm is turned off (TCP only: a unix socket refuses the
+/// option with EOPNOTSUPP).
+std::unique_ptr<Transport> MakeTcpTransport(int fd, std::string peer) {
+  int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  return std::make_unique<Transport>(fd, std::move(peer));
+}
 
 }  // namespace
 
@@ -324,8 +90,7 @@ StatusOr<std::unique_ptr<Transport>> TcpConnect(const std::string& host,
     }
   }
   ::fcntl(fd, F_SETFL, flags);
-  return std::unique_ptr<Transport>(std::make_unique<TcpTransport>(
-      fd, host + ":" + std::to_string(port)));
+  return MakeTcpTransport(fd, host + ":" + std::to_string(port));
 }
 
 StatusOr<std::unique_ptr<TcpListener>> TcpListener::Bind(
@@ -363,27 +128,19 @@ TcpListener::~TcpListener() {
   ::close(fd_);
 }
 
-StatusOr<std::unique_ptr<Transport>> TcpListener::Accept(int timeout_ms) {
-  Deadline deadline(timeout_ms);
+StatusOr<std::unique_ptr<Transport>> TcpListener::Accept() {
   while (true) {
     if (closed_.load(std::memory_order_acquire)) {
       return Status::Unavailable("tcp: listener closed");
     }
     pollfd pfd{fd_, POLLIN, 0};
-    const int slice = std::min(deadline.remaining_ms(), kPollSliceMs);
-    const int ready = ::poll(&pfd, 1, slice);
+    const int ready = ::poll(&pfd, 1, 0);
     if (ready < 0) {
       if (errno == EINTR) continue;
       return ErrnoStatus("poll on listener", errno);
     }
     if (ready == 0) {
-      // Deadline check *after* the poll so Accept(0) genuinely polls once
-      // (an already-pending connection is accepted, not timed out) — the
-      // non-blocking accept an event loop issues when POLLIN fires.
-      if (deadline.expired()) {
-        return Status::DeadlineExceeded("tcp: accept timed out");
-      }
-      continue;
+      return Status::DeadlineExceeded("tcp: no pending connection");
     }
     if ((pfd.revents & (POLLNVAL | POLLERR | POLLHUP)) != 0) {
       return Status::Unavailable("tcp: listener closed");
@@ -393,9 +150,9 @@ StatusOr<std::unique_ptr<Transport>> TcpListener::Accept(int timeout_ms) {
     const int conn =
         ::accept(fd_, reinterpret_cast<sockaddr*>(&peer), &len);
     if (conn < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK ||
-          errno == ECONNABORTED) {
-        continue;
+      if (errno == EINTR || errno == ECONNABORTED) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) {
+        return Status::DeadlineExceeded("tcp: no pending connection");
       }
       if (errno == EBADF || errno == EINVAL) {
         return Status::Unavailable("tcp: listener closed");
@@ -404,15 +161,13 @@ StatusOr<std::unique_ptr<Transport>> TcpListener::Accept(int timeout_ms) {
     }
     char buf[INET_ADDRSTRLEN] = {0};
     inet_ntop(AF_INET, &peer.sin_addr, buf, sizeof(buf));
-    return std::unique_ptr<Transport>(std::make_unique<TcpTransport>(
-        conn, std::string(buf) + ":" + std::to_string(ntohs(peer.sin_port))));
+    return MakeTcpTransport(
+        conn, std::string(buf) + ":" + std::to_string(ntohs(peer.sin_port)));
   }
 }
 
 void TcpListener::Close() {
   if (closed_.exchange(true, std::memory_order_acq_rel)) return;
-  // shutdown() wakes a concurrently blocked accept() on Linux; the poll
-  // slice in Accept() bounds the latency on platforms where it does not.
   // The fd itself is closed in the destructor so a racing Accept never
   // polls a reused descriptor.
   ::shutdown(fd_, SHUT_RDWR);

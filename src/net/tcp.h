@@ -33,17 +33,14 @@ class TcpListener {
 
   int port() const { return port_; }
 
-  /// Accepts one connection. `timeout_ms` < 0 blocks; 0 polls (an already
-  /// pending connection is accepted — the event-loop calling pattern);
-  /// kDeadlineExceeded on timeout, kUnavailable once Close() has been
-  /// called (also when called concurrently from another thread — how a
-  /// serving loop is stopped).
-  StatusOr<std::unique_ptr<Transport>> Accept(int timeout_ms);
+  /// Accepts one pending connection without blocking: kDeadlineExceeded
+  /// when none is pending, kUnavailable once Close() has been called.
+  StatusOr<std::unique_ptr<Transport>> Accept();
 
-  /// poll()-able descriptor: POLLIN means Accept(0) will likely succeed.
+  /// poll()-able descriptor: POLLIN means Accept() will likely succeed.
   int readiness_fd() const { return fd_; }
 
-  /// Stops accepting; a blocked Accept returns kUnavailable. Idempotent.
+  /// Stops accepting; later Accept calls return kUnavailable. Idempotent.
   void Close();
 
  private:

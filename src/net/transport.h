@@ -1,20 +1,23 @@
 #ifndef DRLSTREAM_NET_TRANSPORT_H_
 #define DRLSTREAM_NET_TRANSPORT_H_
 
+#include <atomic>
 #include <cstddef>
+#include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "common/status.h"
 
 namespace drlstream::net {
 
-/// A bidirectional, frame-oriented, point-to-point byte channel between the
-/// master and the agent process. Implementations exchange *complete encoded
-/// frames* (wire.h header + payload), so the serialization path is
-/// identical whether the peer is across a TCP socket (net/tcp.h) or inside
-/// the same process (net/loopback.h — the deterministic, sanitizer-friendly
-/// test double).
+/// A bidirectional, frame-oriented, point-to-point channel between the
+/// master and the agent process over one connected stream socket: TCP
+/// across processes (net/tcp.h), or a socketpair(2) inside one
+/// (MakeLoopbackPair). Callers exchange *complete encoded frames* (wire.h
+/// header + payload); the receiver reassembles them from the byte stream,
+/// so in-process tests run the same byte path as a networked run.
 ///
 /// Error vocabulary (what callers branch on):
 ///   kDeadlineExceeded - Recv timed out; the connection is still usable.
@@ -27,82 +30,72 @@ namespace drlstream::net {
 /// supported; Close may race with both (it is how a blocked peer gets
 /// woken). Multiple concurrent senders must serialize externally (the
 /// MasterClient holds its own RPC mutex).
-
-/// Something an event loop blocks on that a transport can poke from any
-/// thread: transports without a pollable fd (loopback) invoke the
-/// registered waker when frames arrive or the peer closes, so a
-/// poll()-based server loop (ctrl::AgentServer) can sleep on one fd — see
-/// net::WakeupPipe, the self-pipe implementation.
-class Waker {
- public:
-  virtual ~Waker() = default;
-  /// Must be async-signal-light and callable from any thread, possibly
-  /// while the loop is mid-iteration (wakes are edge-ish: one wake covers
-  /// any number of events since the last drain).
-  virtual void Wake() = 0;
-};
-
 class Transport {
  public:
-  virtual ~Transport() = default;
+  /// Takes ownership of `fd`, a connected stream socket; `peer` labels it
+  /// in error messages.
+  Transport(int fd, std::string peer) : fd_(fd), peer_(std::move(peer)) {}
+  ~Transport();
+  Transport(const Transport&) = delete;
+  Transport& operator=(const Transport&) = delete;
 
-  /// Sends one complete encoded frame.
-  virtual Status Send(std::string_view frame) = 0;
+  /// Sends one complete encoded frame, blocking while the peer's receive
+  /// buffer is full.
+  Status Send(std::string_view frame);
 
   /// Receives one complete frame (header + payload bytes). `timeout_ms`
   /// < 0 blocks indefinitely; 0 polls.
-  virtual StatusOr<std::string> Recv(int timeout_ms) = 0;
+  StatusOr<std::string> Recv(int timeout_ms);
 
   /// Non-blocking receive for event loops: a complete frame when one is
   /// available *now*, kDeadlineExceeded when none is buffered (connection
   /// still healthy), kUnavailable when the peer is gone and everything
-  /// already received has been drained. Never sleeps. The default wraps
-  /// Recv(0), which is exactly this contract for queue-backed transports.
-  virtual StatusOr<std::string> TryRecv() { return Recv(0); }
+  /// already received has been drained. Never sleeps. Recv and TryRecv
+  /// share one reassembly buffer, so they may be interleaved freely.
+  StatusOr<std::string> TryRecv();
 
   /// Non-blocking send of raw stream bytes for event loops: returns how
   /// many of `bytes` were accepted (possibly 0 when the peer's window is
   /// full); the caller keeps the remainder and retries when writable.
-  /// Splitting a frame across TrySend calls is fine — it is one byte
-  /// stream and the receiver reassembles frames. The default delegates to
-  /// Send (queue-backed transports never exert backpressure).
-  virtual StatusOr<size_t> TrySend(std::string_view bytes) {
-    DRLSTREAM_RETURN_NOT_OK(Send(bytes));
-    return bytes.size();
-  }
+  /// Splitting a frame across TrySend calls is fine — the receiver
+  /// reassembles frames from the stream.
+  StatusOr<size_t> TrySend(std::string_view bytes);
 
-  /// TrySend for callers that own the buffer: a message-oriented transport
-  /// may move `frame` into its delivery queue instead of copying. The
-  /// buffer is consumed only when the returned count equals frame.size();
-  /// on a partial send or error it is left unchanged, so the caller can
-  /// retry exactly as with TrySend. The default copies via TrySend.
-  virtual StatusOr<size_t> TrySendOwned(std::string&& frame) {
-    return TrySend(frame);
-  }
-
-  /// A poll()-able descriptor that reports POLLIN when TryRecv may make
-  /// progress, or -1 when the transport is not fd-backed. Transports
-  /// returning -1 must support SetReadyWaker so an event loop can still
-  /// block.
-  virtual int readiness_fd() const { return -1; }
-
-  /// Registers `waker` to be invoked (from any thread) whenever new frames
-  /// become receivable or the peer closes; nullptr unregisters. The call
-  /// is a barrier: once SetReadyWaker(nullptr) returns, no in-flight Wake
-  /// on the old waker remains and it may be destroyed (transports achieve
-  /// this by invoking wakers under their internal lock — a Waker must
-  /// never call back into the transport). Only meaningful for transports
-  /// with readiness_fd() == -1; fd-backed transports may ignore it (poll
-  /// covers them).
-  virtual void SetReadyWaker(Waker* waker) { (void)waker; }
+  /// The socket, for poll(): POLLIN means the kernel holds bytes (or the
+  /// end of the stream) for TryRecv. Frames already read into the
+  /// reassembly buffer do not show up here.
+  int readiness_fd() const { return fd_; }
 
   /// Closes both directions; subsequent Send/Recv (here and, eventually,
   /// at the peer) return kUnavailable. Idempotent.
-  virtual void Close() = 0;
+  void Close();
 
-  /// Human-readable endpoint label for logs ("loopback", "127.0.0.1:4821").
-  virtual std::string peer() const = 0;
+ private:
+  /// Peels one complete frame off rx_buf_. kDeadlineExceeded is the "not
+  /// enough bytes yet" sentinel; a malformed header is returned as its own
+  /// error (framing is poisoned, the caller discards the transport).
+  StatusOr<std::string> TakeBufferedFrame();
+  /// One non-blocking read into rx_buf_. OK with *got_bytes=false means
+  /// the socket simply had nothing (EAGAIN).
+  Status FillFromSocket(bool* got_bytes = nullptr);
+  /// After the socket fails: frames already buffered still complete
+  /// (drain-before-fail), then the failure surfaces.
+  StatusOr<std::string> DrainOrError(const Status& error);
+
+  int fd_;
+  std::string peer_;
+  std::string rx_buf_;  // receiver-thread-only stream reassembly buffer
+  std::atomic<bool> closed_{false};
 };
+
+/// Creates a connected pair of in-process transports over socketpair(2):
+/// frames sent on one end are received, in order and byte-for-byte, on the
+/// other, through the same stream code as TCP. Fails (e.g. EMFILE) with a
+/// Status instead of crashing. A Send blocks once the peer's socket buffer
+/// is full, so a thread must not write more than that to an end nobody is
+/// reading.
+StatusOr<std::pair<std::unique_ptr<Transport>, std::unique_ptr<Transport>>>
+MakeLoopbackPair();
 
 }  // namespace drlstream::net
 

@@ -5,28 +5,26 @@
 #include <memory>
 
 #include "common/status.h"
-#include "net/transport.h"
 
 namespace drlstream::net {
 
-/// The classic self-pipe: a Waker whose read end is poll()-able, so an
-/// event loop can sleep in one poll() covering fd-backed transports *and*
-/// wake requests from other threads (Stop(), loopback transports, session
-/// hand-offs). Wake() writes one byte (coalescing: a full pipe is already
-/// a pending wake); Drain() empties the pipe after poll returns. Both ends
-/// are non-blocking, so Wake never stalls the waking thread.
-class WakeupPipe : public Waker {
+/// The classic self-pipe: its read end is poll()-able, so an event loop can
+/// sleep in one poll() covering its sockets *and* wake requests from other
+/// threads (Stop(), session hand-offs). Wake() writes one byte (coalescing:
+/// a full pipe is already a pending wake); Drain() empties the pipe after
+/// poll returns. Both ends are non-blocking, so Wake never stalls the
+/// waking thread.
+class WakeupPipe {
  public:
   static StatusOr<std::unique_ptr<WakeupPipe>> Create();
-  ~WakeupPipe() override;
+  ~WakeupPipe();
   WakeupPipe(const WakeupPipe&) = delete;
   WakeupPipe& operator=(const WakeupPipe&) = delete;
 
-  /// Thread-safe, non-blocking; one wake covers all events since the last
-  /// Drain(). Coalesced: once armed, further Wake() calls skip the write
-  /// syscall until the loop drains — hot senders (one wake per message)
-  /// pay an atomic exchange instead of a pipe write.
-  void Wake() override;
+  /// Thread-safe, non-blocking and async-signal-safe; one wake covers all
+  /// events since the last Drain(). Coalesced: once armed, further Wake()
+  /// calls skip the write syscall until the loop drains.
+  void Wake();
 
   /// Empties the pipe and re-arms Wake(); call once per loop iteration
   /// after poll(). A Wake() racing with Drain() is never lost: either its

@@ -3,7 +3,8 @@
 # master_client --check against it, which fails unless two networked
 # sessions reproduce their in-process runs bit for bit (the exploration
 # RNG state travels in every explore request and reply). The server is
-# killed however the script ends.
+# killed however the script ends. When a step fails, the script says which
+# and prints the server's log.
 #
 # Usage: ctrl_check_smoke.sh <agent_server binary> <master_client binary>
 set -e
@@ -32,4 +33,12 @@ while [ -z "$port" ]; do
   fi
   [ -n "$port" ] || sleep 0.05
 done
-"$2" --connect=127.0.0.1:"$port" --check --sessions=2 --threads=1
+status=0
+"$2" --connect=127.0.0.1:"$port" --check --sessions=2 --threads=1 ||
+  status=$?
+if [ "$status" -ne 0 ]; then
+  echo "master_client --check against port $port exited $status;" \
+    "agent_server log:"
+  cat "$dir/server.log"
+  exit "$status"
+fi

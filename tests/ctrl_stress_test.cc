@@ -1,10 +1,11 @@
 // Concurrency battery for the multi-session AgentServer (ISSUE 7): ~100
-// loopback masters hammering one event loop with distinctive request
-// streams. Pinned here: no reply is lost or misrouted under concurrency;
-// serving N sessions together is bit-identical to serving each alone;
-// batched inference is byte-identical to the sequential reference at
-// several thread counts; and Stop() mid-RPC shuts down cleanly (peers see
-// kUnavailable, never a hang). Runs in the slow tier and under TSan in CI.
+// in-process masters, each on a socketpair end, hammering one event loop
+// with distinctive request streams. Pinned here: no reply is lost or
+// misrouted under concurrency; serving N sessions together is
+// bit-identical to serving each alone; batched inference is
+// byte-identical to serving one request at a time, at several thread
+// counts; and Stop() mid-RPC shuts down cleanly (peers see kUnavailable,
+// never a hang). Runs in the slow tier and under ASan and TSan in CI.
 
 #include <gtest/gtest.h>
 
@@ -20,7 +21,6 @@
 #include "ctrl/agent_server.h"
 #include "ctrl/master_client.h"
 #include "ctrl/messages.h"
-#include "net/loopback.h"
 #include "net/transport.h"
 #include "net/wire.h"
 #include "obs/metrics.h"
@@ -100,7 +100,7 @@ TEST(CtrlStressTest, HundredMastersNoLostOrMisroutedReplies) {
   std::vector<std::unique_ptr<net::Transport>> ends;
   ends.reserve(kMasters);
   for (int i = 0; i < kMasters; ++i) {
-    auto [client_end, server_end] = net::MakeLoopbackPair();
+    auto [client_end, server_end] = net::MakeLoopbackPair().value();
     ASSERT_TRUE(server.AddSession(std::move(server_end)).ok());
     ends.push_back(std::move(client_end));
   }
@@ -206,7 +206,7 @@ TEST(CtrlStressTest, ServedTogetherIsBitIdenticalToServedAlone) {
     AgentServer server(&context, "dqn", FastOptions());
     std::vector<std::unique_ptr<net::Transport>> ends;
     for (int i = 0; i < kMasters; ++i) {
-      auto [client_end, server_end] = net::MakeLoopbackPair();
+      auto [client_end, server_end] = net::MakeLoopbackPair().value();
       ASSERT_TRUE(server.AddSession(std::move(server_end)).ok());
       ends.push_back(std::move(client_end));
     }
@@ -227,7 +227,7 @@ TEST(CtrlStressTest, ServedTogetherIsBitIdenticalToServedAlone) {
   // fresh server. Concurrent serving must not have changed a single bit.
   for (int i = 0; i < kMasters; ++i) {
     AgentServer server(&context, "dqn", FastOptions());
-    auto [client_end, server_end] = net::MakeLoopbackPair();
+    auto [client_end, server_end] = net::MakeLoopbackPair().value();
     ASSERT_TRUE(server.AddSession(std::move(server_end)).ok());
     std::thread server_thread([&server] { (void)server.Run(); });
     const SessionTrace alone = RunTrace(i, std::move(client_end));
@@ -257,47 +257,85 @@ std::string MakeExploreFrame(int master, int step, bool traced = false) {
                           EncodeGetScheduleRequest(request), trace);
 }
 
+/// Scoped enable/restore for the global obs switches (the parity anchors
+/// below must hold with full observability on, not just in the quiet
+/// default configuration).
+class ScopedObs {
+ public:
+  ScopedObs(bool metrics, bool trace)
+      : metrics_was_(obs::MetricsEnabled()), trace_was_(obs::TraceEnabled()) {
+    obs::SetMetricsEnabled(metrics);
+    obs::SetTraceEnabled(trace);
+  }
+  ~ScopedObs() {
+    obs::SetMetricsEnabled(metrics_was_);
+    obs::SetTraceEnabled(trace_was_);
+  }
+
+ private:
+  bool metrics_was_;
+  bool trace_was_;
+};
+
 /// Collects the raw reply bytes each master receives from a shared-policy
-/// dqn server with `batch_inference` on or off. Every master pipelines its
-/// whole window before the server starts, so real cross-session batches
-/// form in the first loop iterations.
+/// dqn server. `pipelined`: every master sends its whole window before the
+/// server starts, so real cross-session batches form in the first loop
+/// iterations. Otherwise the masters send one request at a time and wait
+/// for its reply, so every batch has width 1: the sequential reference.
+/// Needs metrics on, to check those batch widths.
 std::vector<std::vector<std::string>> ServeRawWindows(
-    const rl::PolicyContext& context, bool batch_inference, int masters,
+    const rl::PolicyContext& context, bool pipelined, int masters,
     int window, bool traced = false) {
+  obs::MetricsRegistry::Get().ResetValues();
   rl::DqnAgent policy(*context.encoder, context.dqn);
-  AgentServerOptions options = FastOptions();
-  options.batch_inference = batch_inference;
-  AgentServer server(&policy, options);
+  AgentServer server(&policy, FastOptions());
   std::vector<std::unique_ptr<net::Transport>> ends;
   for (int i = 0; i < masters; ++i) {
-    auto [client_end, server_end] = net::MakeLoopbackPair();
+    auto [client_end, server_end] = net::MakeLoopbackPair().value();
     EXPECT_TRUE(server.AddSession(std::move(server_end)).ok());
     ends.push_back(std::move(client_end));
   }
-  for (int i = 0; i < masters; ++i) {
-    for (int step = 0; step < window; ++step) {
-      EXPECT_TRUE(ends[static_cast<size_t>(i)]
-                      ->Send(MakeExploreFrame(i, step, traced))
-                      .ok());
+  const auto send = [&](int i, int step) {
+    EXPECT_TRUE(ends[static_cast<size_t>(i)]
+                    ->Send(MakeExploreFrame(i, step, traced))
+                    .ok());
+  };
+  std::vector<std::vector<std::string>> replies(
+      static_cast<size_t>(masters));
+  const auto recv = [&](int i, int step) {
+    auto raw = ends[static_cast<size_t>(i)]->Recv(10000);
+    EXPECT_TRUE(raw.ok()) << "master " << i << " step " << step;
+    if (raw.ok()) replies[static_cast<size_t>(i)].push_back(std::move(*raw));
+    return raw.ok();
+  };
+  if (pipelined) {
+    for (int i = 0; i < masters; ++i) {
+      for (int step = 0; step < window; ++step) send(i, step);
     }
   }
   std::thread server_thread([&server] { (void)server.Run(); });
-  std::vector<std::vector<std::string>> replies(
-      static_cast<size_t>(masters));
   for (int i = 0; i < masters; ++i) {
     for (int step = 0; step < window; ++step) {
-      auto raw = ends[static_cast<size_t>(i)]->Recv(10000);
-      EXPECT_TRUE(raw.ok()) << "master " << i << " step " << step;
-      if (!raw.ok()) break;
-      replies[static_cast<size_t>(i)].push_back(std::move(*raw));
+      if (!pipelined) send(i, step);
+      if (!recv(i, step)) break;
     }
   }
   server.Stop();
   server_thread.join();
+  const double widest = obs::MetricsRegistry::Get()
+                            .Snapshot()
+                            .histograms["ctrl.server.batch_size"]
+                            .max;
+  if (pipelined) {
+    EXPECT_GT(widest, 1.0) << "the pipelined windows were never fused";
+  } else {
+    EXPECT_EQ(widest, 1.0);
+  }
   return replies;
 }
 
 TEST(CtrlStressTest, BatchedInferenceIsByteIdenticalToSequential) {
+  ScopedObs obs(/*metrics=*/true, /*trace=*/false);
   constexpr int kMasters = 12;
   constexpr int kWindow = 8;
   rl::StateEncoder encoder(kNumExecutors, kNumMachines, 1, 100.0);
@@ -318,26 +356,6 @@ TEST(CtrlStressTest, BatchedInferenceIsByteIdenticalToSequential) {
   }
   SetGlobalThreadCount(0);
 }
-
-/// Scoped enable/restore for the global obs switches (the parity anchors
-/// below must hold with full observability on, not just in the quiet
-/// default configuration).
-class ScopedObs {
- public:
-  ScopedObs(bool metrics, bool trace)
-      : metrics_was_(obs::MetricsEnabled()), trace_was_(obs::TraceEnabled()) {
-    obs::SetMetricsEnabled(metrics);
-    obs::SetTraceEnabled(trace);
-  }
-  ~ScopedObs() {
-    obs::SetMetricsEnabled(metrics_was_);
-    obs::SetTraceEnabled(trace_was_);
-  }
-
- private:
-  bool metrics_was_;
-  bool trace_was_;
-};
 
 TEST(CtrlStressTest, BatchedParityHoldsWithTracingAndV3Envelopes) {
   // The tracing instrumentation must be a pure observer: with metrics +
@@ -388,7 +406,7 @@ TEST(CtrlStressTest, ServedTogetherParityHoldsWithTracingOn) {
     AgentServer server(&context, "dqn", FastOptions());
     std::vector<std::unique_ptr<net::Transport>> ends;
     for (int i = 0; i < kMasters; ++i) {
-      auto [client_end, server_end] = net::MakeLoopbackPair();
+      auto [client_end, server_end] = net::MakeLoopbackPair().value();
       ASSERT_TRUE(server.AddSession(std::move(server_end)).ok());
       ends.push_back(std::move(client_end));
     }
@@ -407,7 +425,7 @@ TEST(CtrlStressTest, ServedTogetherParityHoldsWithTracingOn) {
 
   for (int i = 0; i < kMasters; ++i) {
     AgentServer server(&context, "dqn", FastOptions());
-    auto [client_end, server_end] = net::MakeLoopbackPair();
+    auto [client_end, server_end] = net::MakeLoopbackPair().value();
     ASSERT_TRUE(server.AddSession(std::move(server_end)).ok());
     std::thread server_thread([&server] { (void)server.Run(); });
     const SessionTrace alone = RunTrace(i, std::move(client_end));
@@ -486,7 +504,7 @@ TEST(CtrlStressTest, SixteenTenantsOneClusterSimNoMisroutedSchedules) {
   std::vector<std::unique_ptr<MasterClient>> clients;
   clients.reserve(kTenants);
   for (int t = 0; t < kTenants; ++t) {
-    auto [client_end, server_end] = net::MakeLoopbackPair();
+    auto [client_end, server_end] = net::MakeLoopbackPair().value();
     ASSERT_TRUE(server.AddSession(std::move(server_end)).ok());
     MasterClientOptions options;
     options.num_machines = kNumMachines;
@@ -586,7 +604,7 @@ TEST(CtrlStressTest, StopMidRpcShutsDownCleanly) {
   AgentServer server(&policy, FastOptions());
   std::vector<std::unique_ptr<net::Transport>> ends;
   for (int i = 0; i < kMasters; ++i) {
-    auto [client_end, server_end] = net::MakeLoopbackPair();
+    auto [client_end, server_end] = net::MakeLoopbackPair().value();
     ASSERT_TRUE(server.AddSession(std::move(server_end)).ok());
     ends.push_back(std::move(client_end));
   }

@@ -1,5 +1,5 @@
 // Client/server integration tests for the networked control plane, over
-// the deterministic loopback transport (also run under TSan in CI) and over
+// in-process socketpairs (also run under ASan and TSan in CI) and over
 // real 127.0.0.1 TCP sockets. The centerpiece: core::RunOnline driven
 // through a ctrl::MasterClient is bit-identical (EXPECT_EQ on doubles) to
 // the same run against the in-process policy, and an agent killed mid-run
@@ -29,7 +29,7 @@
 #include "ctrl/agent_server.h"
 #include "ctrl/master_client.h"
 #include "ctrl/messages.h"
-#include "net/loopback.h"
+#include "net/transport.h"
 #include "net/tcp.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -99,11 +99,11 @@ class FakePolicy : public rl::Policy {
   mutable std::string saved_prefix_;
 };
 
-/// Serves `policy` over one loopback connection on a background thread.
+/// Serves `policy` over one in-process socketpair on a background thread.
 class LoopbackAgent {
  public:
   explicit LoopbackAgent(rl::Policy* policy, AgentServerOptions options = {}) {
-    auto [client_end, server_end] = net::MakeLoopbackPair();
+    auto [client_end, server_end] = net::MakeLoopbackPair().value();
     client_end_ = std::move(client_end);
     server_ = std::make_unique<AgentServer>(policy, options);
     EXPECT_TRUE(server_->AddSession(std::move(server_end)).ok());
@@ -279,13 +279,51 @@ TEST(MasterClientTest, DeadTransportFailsWithUnavailableWithoutRetryDelay) {
   MasterClientOptions options;
   options.num_machines = 3;
   options.max_rpc_attempts = 3;  // retries must short-circuit: no endpoint
-  auto [client_end, server_end] = net::MakeLoopbackPair();
+  auto [client_end, server_end] = net::MakeLoopbackPair().value();
   server_end->Close();
   MasterClient client(std::move(client_end), options);
   Rng rng(5);
   auto action = client.SelectAction(SmallState(), 0.5, &rng);
   ASSERT_FALSE(action.ok());
   EXPECT_EQ(action.status().code(), StatusCode::kUnavailable);
+}
+
+TEST(AgentServerTest, FramesPastTheFairnessCapAreServedWithoutNewBytes) {
+  // 200 Pings pipelined before the loop starts reach the server in one
+  // read, and the loop takes at most 64 frames per session per iteration.
+  // The rest wait in the transport's reassembly buffer, where poll() sees
+  // nothing, and no new bytes will come: only the session's carry-over
+  // flag gets them served.
+  constexpr int kPings = 200;
+  FakePolicy policy(3);
+  AgentServer server(&policy, {});
+  auto [client, server_end] = net::MakeLoopbackPair().value();
+  ASSERT_TRUE(server.AddSession(std::move(server_end)).ok());
+  for (int i = 0; i < kPings; ++i) {
+    PingMessage ping;
+    ping.token = static_cast<uint64_t>(i);
+    ASSERT_TRUE(client
+                    ->Send(net::EncodeFrame(net::MsgType::kPing,
+                                            EncodePingMessage(ping)))
+                    .ok());
+  }
+  std::thread server_thread([&server] { (void)server.Run(); });
+  std::vector<uint64_t> tokens;
+  for (int i = 0; i < kPings; ++i) {
+    StatusOr<std::string> raw = client->Recv(5000);
+    if (!raw.ok()) break;
+    StatusOr<net::Frame> frame = net::DecodeFrame(std::move(*raw));
+    if (!frame.ok() || frame->type != net::MsgType::kPong) break;
+    StatusOr<PingMessage> pong = DecodePingMessage(frame->payload);
+    if (!pong.ok()) break;
+    tokens.push_back(pong->token);
+  }
+  server.Stop();
+  server_thread.join();
+  std::vector<uint64_t> want(kPings);
+  for (int i = 0; i < kPings; ++i) want[static_cast<size_t>(i)] = i;
+  EXPECT_EQ(tokens, want) << tokens.size() << " of " << kPings
+                          << " Pongs came back";
 }
 
 core::MeasurementConfig FastMeasure() {
@@ -361,7 +399,7 @@ TEST(EndToEndTest, RemoteOnlineRunIsBitIdenticalToInProcess) {
 
   // Two independent ddpg instances with identical seeds: one local, one
   // behind the wire. Every SelectAction / Observe / TrainStep of the
-  // remote run crosses the loopback transport as encoded frames.
+  // remote run crosses the socketpair as encoded frames.
   std::unique_ptr<rl::Policy> local = MakeSmallDdpg(context);
   std::unique_ptr<rl::Policy> served = MakeSmallDdpg(context);
   OnlineRun local_run = RunSmallOnline(local.get());
@@ -587,9 +625,9 @@ void ExpectUntracedFrame(const std::string& raw, net::MsgType type) {
 TEST(TracePropagationTest, TracingOffKeepsV2FramesAndZeroEnvelopes) {
   // With tracing off the client still speaks the one protocol version;
   // only the envelope's ids are zero. This test plays the server by hand
-  // on the far end of a loopback pair, so it sees the bytes as sent.
+  // on the far end of a socketpair, so it sees the bytes as sent.
   ScopedObs obs(/*metrics=*/false, /*trace=*/false);
-  auto [client_end, server_end] = net::MakeLoopbackPair();
+  auto [client_end, server_end] = net::MakeLoopbackPair().value();
   MasterClientOptions options;
   options.num_machines = 3;
   MasterClient client(std::move(client_end), options);

@@ -2,9 +2,13 @@
 // and garbage input — at the primitive, frame and message level, for every
 // message type — produces a Status error, never a crash or an over-read
 // (run under ASan/UBSan/TSan in CI). Doubles must round-trip bit-exactly;
-// the loopback pair must behave like the documented Transport contract.
+// the transport must behave like its documented contract over both of its
+// sockets, the in-process socketpair and TCP.
 
 #include <gtest/gtest.h>
+
+#include <poll.h>
+#include <sys/socket.h>
 
 #include <algorithm>
 #include <atomic>
@@ -21,8 +25,8 @@
 #include "common/rng.h"
 #include "ctrl/agent_server.h"
 #include "ctrl/messages.h"
-#include "net/loopback.h"
 #include "net/tcp.h"
+#include "net/transport.h"
 #include "net/wire.h"
 #include "rl/policy.h"
 #include "sched/schedule.h"
@@ -471,84 +475,107 @@ TEST(MessageRobustnessTest, RandomGarbageNeverCrashes) {
   }
 }
 
-/// ---- Loopback transport --------------------------------------------------
+/// ---- Transport over both of its sockets ---------------------------------
+///
+/// Every check runs on an in-process socketpair (MakeLoopbackPair) and on a
+/// connected 127.0.0.1 TCP pair: one stream code, two kinds of socket. The
+/// payloads are real frames, since a stream only knows frame boundaries
+/// from the headers.
+
+using TransportPair =
+    std::pair<std::unique_ptr<Transport>, std::unique_ptr<Transport>>;
+
+TransportPair TcpPair() {
+  auto listener = TcpListener::Bind("127.0.0.1", 0);
+  auto client = TcpConnect("127.0.0.1", listener.value()->port(), 2000);
+  // The handshake is done once connect returns; wait for the listener to
+  // report it anyway rather than assume the kernel's timing.
+  pollfd pfd{listener.value()->readiness_fd(), POLLIN, 0};
+  ::poll(&pfd, 1, 2000);
+  auto server = listener.value()->Accept();
+  return {std::move(client).value(), std::move(server).value()};
+}
+
+void ForEachPair(const std::function<void(TransportPair)>& check) {
+  {
+    SCOPED_TRACE("socketpair");
+    check(MakeLoopbackPair().value());
+  }
+  {
+    SCOPED_TRACE("tcp");
+    check(TcpPair());
+  }
+}
 
 TEST(LoopbackTest, DeliversFramesInOrderBothWays) {
-  auto [a, b] = MakeLoopbackPair();
-  ASSERT_TRUE(a->Send("one").ok());
-  ASSERT_TRUE(a->Send("two").ok());
-  ASSERT_TRUE(b->Send("reply").ok());
-  auto r1 = b->Recv(1000);
-  auto r2 = b->Recv(1000);
-  auto r3 = a->Recv(1000);
-  ASSERT_TRUE(r1.ok() && r2.ok() && r3.ok());
-  EXPECT_EQ(*r1, "one");
-  EXPECT_EQ(*r2, "two");
-  EXPECT_EQ(*r3, "reply");
+  const std::string one = EncodeFrame(MsgType::kPing, "one");
+  const std::string two = EncodeFrame(MsgType::kPing, "two");
+  const std::string reply = EncodeFrame(MsgType::kPong, "reply");
+  ForEachPair([&](TransportPair pair) {
+    auto& [a, b] = pair;
+    ASSERT_TRUE(a->Send(one).ok());
+    // A frame split across two writes still arrives whole.
+    ASSERT_TRUE(a->Send(std::string_view(two).substr(0, 5)).ok());
+    ASSERT_TRUE(a->Send(std::string_view(two).substr(5)).ok());
+    ASSERT_TRUE(b->Send(reply).ok());
+    auto r1 = b->Recv(1000);
+    auto r2 = b->Recv(1000);
+    auto r3 = a->Recv(1000);
+    ASSERT_TRUE(r1.ok() && r2.ok() && r3.ok());
+    EXPECT_EQ(*r1, one);
+    EXPECT_EQ(*r2, two);
+    EXPECT_EQ(*r3, reply);
+  });
 }
 
 TEST(LoopbackTest, RecvTimesOutWithDeadlineExceeded) {
-  auto [a, b] = MakeLoopbackPair();
-  auto result = a->Recv(10);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
+  ForEachPair([](TransportPair pair) {
+    auto result = pair.first->Recv(10);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
+  });
 }
 
 TEST(LoopbackTest, CloseDrainsThenReportsUnavailable) {
-  auto [a, b] = MakeLoopbackPair();
-  ASSERT_TRUE(a->Send("last words").ok());
-  a->Close();
-  EXPECT_FALSE(a->Send("after close").ok());
-  // The queued frame is still deliverable; after that, kUnavailable.
-  auto drained = b->Recv(1000);
-  ASSERT_TRUE(drained.ok());
-  EXPECT_EQ(*drained, "last words");
-  auto dead = b->Recv(1000);
-  ASSERT_FALSE(dead.ok());
-  EXPECT_EQ(dead.status().code(), StatusCode::kUnavailable);
+  const std::string last = EncodeFrame(MsgType::kPing, "last words");
+  ForEachPair([&](TransportPair pair) {
+    auto& [a, b] = pair;
+    ASSERT_TRUE(a->Send(last).ok());
+    a->Close();
+    EXPECT_FALSE(a->Send(last).ok());
+    // The sent frame is still deliverable; after that, kUnavailable.
+    auto drained = b->Recv(1000);
+    ASSERT_TRUE(drained.ok()) << drained.status().ToString();
+    EXPECT_EQ(*drained, last);
+    auto dead = b->Recv(1000);
+    ASSERT_FALSE(dead.ok());
+    EXPECT_EQ(dead.status().code(), StatusCode::kUnavailable);
+  });
 }
 
 TEST(LoopbackTest, CloseWakesABlockedReceiver) {
-  auto [a, b] = MakeLoopbackPair();
-  // Handshake instead of a fixed sleep: the closer fires only once this
-  // thread is at the door of Recv, so the test neither waits a canned 20ms
-  // nor races ahead on a loaded machine. (Close landing just before Recv
-  // is also correct — Recv returns kUnavailable immediately — so the
-  // remaining window cannot make the test flaky, only less interesting.)
-  std::atomic<bool> entering_recv{false};
-  std::thread closer([&] {
-    while (!entering_recv.load(std::memory_order_acquire)) {
-      std::this_thread::yield();
-    }
-    b->Close();
+  ForEachPair([](TransportPair pair) {
+    auto& [a, b] = pair;
+    // Handshake instead of a fixed sleep: the closer fires only once this
+    // thread is at the door of Recv, so the test neither waits a canned
+    // 20ms nor races ahead on a loaded machine. (Close landing just before
+    // Recv is also correct — Recv returns kUnavailable immediately — so
+    // the remaining window cannot make the test flaky, only less
+    // interesting.)
+    std::atomic<bool> entering_recv{false};
+    Transport* closing = b.get();
+    std::thread closer([&entering_recv, closing] {
+      while (!entering_recv.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+      closing->Close();
+    });
+    entering_recv.store(true, std::memory_order_release);
+    auto result = a->Recv(-1);  // would block forever without the wake
+    closer.join();
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
   });
-  entering_recv.store(true, std::memory_order_release);
-  auto result = a->Recv(-1);  // would block forever without the wake
-  closer.join();
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
-}
-
-TEST(LoopbackTest, TrySendOwnedDeliversTheFrameIntact) {
-  auto [a, b] = MakeLoopbackPair();
-  std::string frame = "owned frame";
-  auto sent = a->TrySendOwned(std::move(frame));
-  ASSERT_TRUE(sent.ok());
-  EXPECT_EQ(*sent, std::string("owned frame").size());
-  auto got = b->Recv(1000);
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(*got, "owned frame");
-}
-
-TEST(LoopbackTest, TrySendOwnedLeavesTheBufferIntactOnError) {
-  auto [a, b] = MakeLoopbackPair();
-  a->Close();
-  std::string frame = "not consumed";
-  auto sent = a->TrySendOwned(std::move(frame));
-  EXPECT_FALSE(sent.ok());
-  // The contract: the buffer is consumed only when the frame was fully
-  // accepted, so a failed send may be retried from the same string.
-  EXPECT_EQ(frame, "not consumed");
 }
 
 /// ---- Server-level structured fuzzing -------------------------------------
@@ -606,18 +633,21 @@ class ServerFuzzTest : public ::testing::Test {
   }
 
   std::unique_ptr<Transport> Connect() {
-    auto [client_end, server_end] = MakeLoopbackPair();
+    auto [client_end, server_end] = MakeLoopbackPair().value();
     EXPECT_TRUE(server_.AddSession(std::move(server_end)).ok());
     return std::move(client_end);
   }
 
-  /// Sends one (possibly mutated) message on a fresh session. The protocol
-  /// answers every complete message — with a typed reply, an error frame,
-  /// or a session drop — so a deadline-exceeded Recv means the server
-  /// stalled, which is the failure this harness exists to catch.
+  /// Sends one (possibly mutated) message on a fresh session, then ends
+  /// the stream: an incomplete frame rightly waits for more bytes, and
+  /// the half-close tells the server none are coming. The protocol
+  /// answers every message — with a typed reply, an error frame, or a
+  /// session drop — so a deadline-exceeded Recv means the server stalled,
+  /// which is the failure this harness exists to catch.
   void ExpectAnswerOrDrop(const std::string& bytes) {
     auto client = Connect();
     ASSERT_TRUE(client->Send(bytes).ok());
+    ASSERT_EQ(::shutdown(client->readiness_fd(), SHUT_WR), 0);
     StatusOr<std::string> reply = client->Recv(10000);
     if (reply.ok()) {
       // Replies are well-formed frames even when the input was not.
@@ -746,8 +776,7 @@ TEST_F(ServerFuzzTest, UndecodablePingGetsAnErrorReplyAndSessionLives) {
 /// Interleaved partial frames across two TCP sessions: each session's byte
 /// stream reassembles independently no matter how the peers' writes
 /// interleave in time, and a framing violation poisons only its own
-/// session. (Loopback cannot express this — it is message-oriented — so
-/// this one fuzz case runs over real sockets.)
+/// session.
 TEST(ServerTcpFuzzTest, InterleavedPartialFramesReassemblePerSession) {
   auto listener_or = TcpListener::Bind("127.0.0.1", 0);
   ASSERT_TRUE(listener_or.ok()) << listener_or.status().ToString();
