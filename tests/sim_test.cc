@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <map>
+#include <memory>
+#include <string>
 
 #include "common/rng.h"
 #include "sched/schedule.h"
@@ -596,9 +599,16 @@ TEST(SimulatorTest, WordCountProcessesOnlyLiveEvents) {
 // Functional mode end-to-end correctness
 // ---------------------------------------------------------------------------
 
+// The functional-mode tests below pin exact counters and sink contents:
+// every payload is copied to each destination it is sent to, so a tuple
+// sent over two edges (the log pipeline's rules bolt feeds both the
+// indexer and the counter) must reach both with its text intact. Each test
+// builds its app over a sink of its own, so the pins do not depend on
+// which tests ran before it in the process.
 TEST(SimulatorFunctionalTest, WordCountProducesRealCounts) {
   topo::AppOptions app_options;
   app_options.functional = true;
+  app_options.sink = std::make_shared<topo::SinkCollector>();
   topo::App app = topo::BuildWordCount(app_options);
   topo::ClusterConfig cluster;
   SimOptions options;
@@ -624,11 +634,21 @@ TEST(SimulatorFunctionalTest, WordCountProducesRealCounts) {
   EXPECT_GT(app.sink->Get("word_counts", "the"), 0);
   EXPECT_GT(app.sink->TotalRecords(), 1000);
   EXPECT_GT(simulator.counters().roots_completed, 100);
+  const SimCounters& c = simulator.counters();
+  EXPECT_EQ(c.events_processed, 81220);
+  EXPECT_EQ(c.roots_completed, 1675);
+  EXPECT_EQ(c.tuples_processed, 39771);
+  EXPECT_EQ(c.remote_transfers, 17134);
+  EXPECT_EQ(app.sink->TotalRecords(), 19048);
+  EXPECT_EQ(app.sink->Get("word_counts", "alice"), 328);
+  EXPECT_EQ(app.sink->Get("word_counts", "the"), 881);
+  EXPECT_EQ(app.sink->Get("word_counts", "rabbit"), 323);
 }
 
 TEST(SimulatorFunctionalTest, LogPipelineStoresIndexAndCounts) {
   topo::AppOptions app_options;
   app_options.functional = true;
+  app_options.sink = std::make_shared<topo::SinkCollector>();
   topo::App app = topo::BuildLogProcessing(app_options);
   topo::ClusterConfig cluster;
   SimOptions options;
@@ -652,11 +672,22 @@ TEST(SimulatorFunctionalTest, LogPipelineStoresIndexAndCounts) {
   // received records.
   EXPECT_GT(app.sink->Snapshot("index_records").size(), 0u);
   EXPECT_GT(app.sink->Snapshot("count_records").size(), 0u);
+  const SimCounters& c = simulator.counters();
+  EXPECT_EQ(c.events_processed, 18974);
+  EXPECT_EQ(c.roots_completed, 1724);
+  EXPECT_EQ(c.tuples_processed, 8622);
+  EXPECT_EQ(c.remote_transfers, 3088);
+  EXPECT_EQ(app.sink->Snapshot("index_records").size(), 1476u);
+  // One record per counted line, keyed by its status code.
+  const std::map<std::string, int64_t> want_counts = {
+      {"cnt:200", 1455}, {"cnt:302", 140}, {"cnt:404", 70}, {"cnt:500", 59}};
+  EXPECT_EQ(app.sink->Snapshot("count_records"), want_counts);
 }
 
 TEST(SimulatorFunctionalTest, ContinuousQueriesWriteMatches) {
   topo::AppOptions app_options;
   app_options.functional = true;
+  app_options.sink = std::make_shared<topo::SinkCollector>();
   topo::App app =
       topo::BuildContinuousQueries(topo::Scale::kSmall, app_options);
   topo::ClusterConfig cluster;
@@ -674,6 +705,13 @@ TEST(SimulatorFunctionalTest, ContinuousQueriesWriteMatches) {
   simulator.RunFor(3000.0);
   // Matching records were "written to the output file".
   EXPECT_GT(app.sink->TotalRecords(), 100);
+  const SimCounters& c = simulator.counters();
+  EXPECT_EQ(c.events_processed, 14465);
+  EXPECT_EQ(c.roots_completed, 1628);
+  EXPECT_EQ(c.tuples_processed, 6415);
+  EXPECT_EQ(c.remote_transfers, 0);  // every executor on machine 0
+  EXPECT_EQ(app.sink->TotalRecords(), 4786);
+  EXPECT_EQ(app.sink->Snapshot("output_file").size(), 148u);
 }
 
 }  // namespace
