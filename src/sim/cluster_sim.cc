@@ -44,7 +44,8 @@ enum PowerState { kPowerActive = 0, kPowerIdle, kPowerSleep, kPowerDown };
 
 /// Completion-lane entry of a machine with nothing in service.
 constexpr double kIdleCompletionMs = std::numeric_limits<double>::infinity();
-constexpr uint64_t kIdleCompletionSeq = std::numeric_limits<uint64_t>::max();
+constexpr EventKey kIdleCompletionKey =
+    MakeEventKey(kIdleCompletionMs, std::numeric_limits<uint64_t>::max());
 
 /// What a simulator random stream is drawn for; one stream per (seed,
 /// tenant, tenant-scoped executor, purpose).
@@ -92,8 +93,7 @@ ClusterSim::ClusterSim(const topo::ClusterConfig& cluster, SimOptions options)
     : cluster_(cluster), options_(options), payload_rng_(options.seed) {
   DRLSTREAM_CHECK(cluster.Validate().ok());
   machines_.resize(cluster_.num_machines);
-  completion_ms_.assign(cluster_.num_machines, kIdleCompletionMs);
-  completion_seq_.assign(cluster_.num_machines, kIdleCompletionSeq);
+  completion_key_.assign(cluster_.num_machines, kIdleCompletionKey);
 }
 
 ClusterSim::~ClusterSim() = default;
@@ -143,8 +143,8 @@ StatusOr<int> ClusterSim::AddTenant(const topo::Topology* topology,
     state.exp_neg_emit.push_back(std::exp(-comp.emit_factor));
   }
   state.window_component_proc.assign(topology->num_components(),
-                                     RunningStats());
-  state.window_edge_transfer.assign(topology->edges().size(), RunningStats());
+                                     WindowMean());
+  state.window_edge_transfer.assign(topology->edges().size(), WindowMean());
   const std::string label = "#tenant=" + std::to_string(tenant);
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Get();
   state.latency_metric = reg.histogram("sim.tuple_latency_ms" + label);
@@ -183,6 +183,10 @@ StatusOr<int> ClusterSim::AddTenant(const topo::Topology* topology,
 Status ClusterSim::Start() {
   if (initialized_) {
     return Status::FailedPrecondition("simulator already initialized");
+  }
+  // The executor count is final now, and it bounds every active list.
+  for (int machine = 0; machine < cluster_.num_machines; ++machine) {
+    BuildRateTable(machine);
   }
   // Prime scenario generators first (multipliers in effect at t=0 and the
   // first rate-change ops armed) so the sources below sample the modulated
@@ -279,25 +283,25 @@ void ClusterSim::RebuildLocalTargets(int tenant) {
 void ClusterSim::RunUntil(double time_ms) {
   DRLSTREAM_CHECK(initialized_);
   while (true) {
-    // The next event is the earlier, in EventEarlier order, of the queue's
-    // top and the earliest live completion. An idle lane entry sorts after
+    // The next event is the one with the smaller key of the queue's top
+    // and the earliest live completion. An idle lane entry sorts after
     // every queued event, so it is only ever first with the queue empty,
     // and it never dispatches.
     const int machine = EarliestCompletion();
-    const double completion = completion_ms_[machine];
-    const Event* top = events_.empty() ? nullptr : &events_.top();
-    if (top == nullptr || KeyEarlier(completion, completion_seq_[machine],
-                                     top->time_ms, top->seq)) {
+    const EventKey completion_key = completion_key_[machine];
+    if (events_.empty() || completion_key < events_.top().key) {
+      const double completion = EventKeyTimeMs(completion_key);
       if (completion > time_ms || completion == kIdleCompletionMs) break;
       now_ms_ = std::max(now_ms_, completion);
       ++counters_.events_processed;
       HandleMachineCompletion(machine);
       continue;
     }
-    const Event event = *top;
-    if (event.time_ms > time_ms) break;
+    const Event event = events_.top();
+    const double event_ms = event.time_ms();
+    if (event_ms > time_ms) break;
     events_.pop();
-    now_ms_ = std::max(now_ms_, event.time_ms);
+    now_ms_ = std::max(now_ms_, event_ms);
     ++counters_.events_processed;
     switch (event.type) {
       case EventType::kSpoutEmit:
@@ -332,8 +336,8 @@ void ClusterSim::ResetWindow() {
   window_latency_.Reset();
   for (TenantState& t : tenants_) {
     t.window_latency.Reset();
-    for (RunningStats& s : t.window_component_proc) s.Reset();
-    for (RunningStats& s : t.window_edge_transfer) s.Reset();
+    for (WindowMean& s : t.window_component_proc) s = WindowMean();
+    for (WindowMean& s : t.window_edge_transfer) s = WindowMean();
   }
 }
 
@@ -354,9 +358,7 @@ std::vector<double> ClusterSim::TenantWindowComponentProcMs(
   const TenantState& t = tenants_[tenant];
   std::vector<double> out;
   out.reserve(t.window_component_proc.size());
-  for (const RunningStats& s : t.window_component_proc) {
-    out.push_back(s.mean());
-  }
+  for (const WindowMean& s : t.window_component_proc) out.push_back(s.mean);
   return out;
 }
 
@@ -364,9 +366,7 @@ std::vector<double> ClusterSim::TenantWindowEdgeTransferMs(int tenant) const {
   const TenantState& t = tenants_[tenant];
   std::vector<double> out;
   out.reserve(t.window_edge_transfer.size());
-  for (const RunningStats& s : t.window_edge_transfer) {
-    out.push_back(s.mean());
-  }
+  for (const WindowMean& s : t.window_edge_transfer) out.push_back(s.mean);
   return out;
 }
 
@@ -447,7 +447,8 @@ int ClusterSim::ExecutorsOnDeadMachines() const {
 
 void ClusterSim::Schedule(double time_ms, EventType type, int executor,
                           int tuple_slot) {
-  events_.push(Event{time_ms, next_seq_++, type, executor, tuple_slot});
+  events_.push(
+      Event{MakeEventKey(time_ms, next_seq_++), type, executor, tuple_slot});
 }
 
 int ClusterSim::AllocTupleSlot() {
@@ -457,11 +458,15 @@ int ClusterSim::AllocTupleSlot() {
     return slot;
   }
   tuple_pool_.emplace_back();
+  if (options_.functional) payloads_.emplace_back();
   return static_cast<int>(tuple_pool_.size()) - 1;
 }
 
 void ClusterSim::FreeTupleSlot(int slot) {
-  tuple_pool_[slot] = TupleInstance();
+  // A taken slot's fields are written (by SendTo, and its enqueue time by
+  // HandleArrive) before they are read. A free slot's payload is empty, so
+  // SendTo stores a key-only one by setting its key.
+  if (options_.functional) payloads_[slot] = topo::TupleData();
   free_slots_.push_back(slot);
 }
 
@@ -608,15 +613,18 @@ void ClusterSim::HandleSpoutEmit(int executor) {
   const double send_time = now_ms_ + service;
 
   topo::TupleData data;
+  const topo::TupleData* payload = nullptr;
   if (exec.source != nullptr) {
     data = exec.source->Next(&payload_rng_);
+    payload = &data;
   } else {
     data.key = exec.routing.Next();
   }
 
   int children = 0;
   for (int edge_id : tenant.topology->OutEdges(exec.component)) {
-    children += SendOnEdge(edge_id, executor, root_id, data, send_time);
+    children +=
+        SendOnEdge(edge_id, executor, root_id, data.key, payload, send_time);
   }
   if (children == 0) {
     ReleaseRoot(static_cast<uint32_t>(root_id));
@@ -765,6 +773,17 @@ double ClusterSim::TenantJoules(int tenant) {
   return tenants_[tenant].counters.energy_joules;
 }
 
+void ClusterSim::BuildRateTable(int machine) {
+  MachineState& m = machines_[machine];
+  m.rate.resize(executors_.size() + 1);
+  m.rate[0] = 0.0;  // never read: nothing in service
+  for (size_t k = 1; k < m.rate.size(); ++k) {
+    m.rate[k] = std::min(1.0, static_cast<double>(cluster_.cores_per_machine) /
+                                  static_cast<double>(k)) /
+                m.health.speed_factor;
+  }
+}
+
 void ClusterSim::AdvanceMachine(int machine) {
   MachineState& m = machines_[machine];
   SettleEnergy(machine);
@@ -774,10 +793,7 @@ void ClusterSim::AdvanceMachine(int machine) {
     return;
   }
   if (!m.active.empty()) {
-    const double rate = std::min(
-        1.0, static_cast<double>(cluster_.cores_per_machine) /
-                 static_cast<double>(m.active.size())) /
-        m.health.speed_factor;
+    const double rate = m.rate[m.active.size()];
     for (int e : m.active) {
       executors_[e].remaining_work_ms =
           std::max(0.0, executors_[e].remaining_work_ms - rate * dt);
@@ -789,51 +805,42 @@ void ClusterSim::AdvanceMachine(int machine) {
 void ClusterSim::ScheduleNextCompletion(int machine) {
   const MachineState& m = machines_[machine];
   if (m.active.empty()) {
-    SetCompletion(machine, kIdleCompletionMs, kIdleCompletionSeq);
+    SetCompletion(machine, kIdleCompletionKey);
     return;
   }
-  const double rate = std::min(
-      1.0, static_cast<double>(cluster_.cores_per_machine) /
-               static_cast<double>(m.active.size())) /
-      m.health.speed_factor;
+  const double rate = m.rate[m.active.size()];
   double min_remaining = std::numeric_limits<double>::infinity();
   for (int e : m.active) {
     min_remaining = std::min(min_remaining, executors_[e].remaining_work_ms);
   }
   // Like a queued event, the completion takes the next seq, which orders
   // it against queued events of the same time.
-  SetCompletion(machine, now_ms_ + min_remaining / rate, next_seq_++);
+  SetCompletion(machine,
+                MakeEventKey(now_ms_ + min_remaining / rate, next_seq_++));
 }
 
-void ClusterSim::SetCompletion(int machine, double time_ms, uint64_t seq) {
-  completion_ms_[machine] = time_ms;
-  completion_seq_[machine] = seq;
+void ClusterSim::SetCompletion(int machine, EventKey key) {
+  completion_key_[machine] = key;
   if (lane_stale_) return;
   if (machine == lane_min_) {
     lane_stale_ = true;  // The earliest entry moved; rescan on demand.
-  } else if (KeyEarlier(time_ms, seq, completion_ms_[lane_min_],
-                        completion_seq_[lane_min_])) {
+  } else if (key < completion_key_[lane_min_]) {
     lane_min_ = machine;
   }
 }
 
 int ClusterSim::EarliestCompletion() {
   if (!lane_stale_) return lane_min_;
-  // A (time, seq) minimum, written as selects, over the two contiguous
-  // arrays: a few dozen machines scan faster than a tree of keys is kept
-  // up to date.
-  const double* times = completion_ms_.data();
-  const uint64_t* seqs = completion_seq_.data();
-  const int n = static_cast<int>(completion_ms_.size());
+  // A key minimum, written as selects, over one contiguous array: a few
+  // dozen machines scan faster than a tree of keys is kept up to date.
+  const EventKey* keys = completion_key_.data();
+  const int n = static_cast<int>(completion_key_.size());
   int best = 0;
-  double best_time = times[0];
-  uint64_t best_seq = seqs[0];
+  EventKey best_key = keys[0];
   for (int m = 1; m < n; ++m) {
-    const bool earlier = (times[m] < best_time) |
-                         ((times[m] == best_time) & (seqs[m] < best_seq));
+    const bool earlier = keys[m] < best_key;
     best = earlier ? m : best;
-    best_time = earlier ? times[m] : best_time;
-    best_seq = earlier ? seqs[m] : best_seq;
+    best_key = earlier ? keys[m] : best_key;
   }
   lane_min_ = best;
   lane_stale_ = false;
@@ -846,16 +853,16 @@ void ClusterSim::StartServiceIfIdle(int executor) {
     return;
   }
   if (!machines_[exec.machine].health.up) return;
-  const int slot = exec.queue.front();
+  exec.current_slot = exec.queue.front();
   exec.queue.pop_front();
-  exec.current = std::move(tuple_pool_[slot]);
-  FreeTupleSlot(slot);
   exec.busy = true;
-  exec.serving_machine = exec.machine;
   exec.remaining_work_ms = SampleServiceWork(executor);
   AdvanceMachine(exec.machine);
   machines_[exec.machine].active.push_back(executor);
-  ScheduleNextCompletion(exec.machine);
+  // The machine being completed re-arms once, when its handler ends.
+  if (exec.machine != completing_machine_) {
+    ScheduleNextCompletion(exec.machine);
+  }
 }
 
 void ClusterSim::FinishService(int executor) {
@@ -865,16 +872,18 @@ void ClusterSim::FinishService(int executor) {
   exec.busy = false;
   ++counters_.tuples_processed;
   ++tenant.counters.tuples_processed;
+  const int slot = exec.current_slot;
+  const TupleInstance& current = tuple_pool_[slot];
   tenant.window_component_proc[exec.component].Add(now_ms_ -
-                                                   exec.current.enqueue_ms);
+                                                   current.enqueue_ms);
 
-  const uint64_t root_id = exec.current.root_id;
+  const uint64_t root_id = current.root_id;
   std::vector<topo::TupleData> outputs;
   if (exec.udf != nullptr) {
-    exec.udf->Process(exec.current.data, &outputs);
+    exec.udf->Process(payloads_[slot], &outputs);
   }
-  const int children =
-      EmitDownstream(executor, root_id, exec.current.data, &outputs, now_ms_);
+  FreeTupleSlot(slot);
+  const int children = EmitDownstream(executor, root_id, outputs, now_ms_);
 
   RootState* root = FindRoot(root_id);
   if (root != nullptr) {  // May have been failed by the timeout sweep.
@@ -898,19 +907,23 @@ void ClusterSim::HandleMachineCompletion(int machine) {
       m.active.erase(m.active.begin() + i);
     }
   }
-  // FinishService may start new services on this machine (re-scheduling the
-  // next completion); process completions oldest-scheduled-first for
-  // determinism. No handler it reaches re-enters this one, so finished_
-  // stays intact while it is walked.
+  // FinishService may start new services on this machine; process
+  // completions oldest-scheduled-first for determinism. No handler it
+  // reaches re-enters this one, so finished_ stays intact while it is
+  // walked. The machine's completion is re-armed once, at the end, not
+  // per service started here: those entries would be overwritten before
+  // any dispatch, and skipping the seqs they would take shifts every
+  // later seq by the same count, so every later key keeps its order.
+  completing_machine_ = machine;
   for (size_t i = finished_.size(); i-- > 0;) {
     FinishService(finished_[i]);
   }
+  completing_machine_ = -1;
   ScheduleNextCompletion(machine);
 }
 
 int ClusterSim::EmitDownstream(int executor, uint64_t root_id,
-                               const topo::TupleData& input_data,
-                               std::vector<topo::TupleData>* outputs,
+                               const std::vector<topo::TupleData>& outputs,
                                double send_time_ms) {
   ExecutorState& exec = executors_[executor];
   const TenantState& tenant = tenants_[exec.tenant];
@@ -919,21 +932,21 @@ int ClusterSim::EmitDownstream(int executor, uint64_t root_id,
   for (int edge_id : topology->OutEdges(exec.component)) {
     if (exec.udf != nullptr) {
       // Functional mode: route the UDF's real outputs.
-      for (const topo::TupleData& out : *outputs) {
-        children += SendOnEdge(edge_id, executor, root_id, out, send_time_ms);
+      for (const topo::TupleData& out : outputs) {
+        children +=
+            SendOnEdge(edge_id, executor, root_id, out.key, &out, send_time_ms);
       }
     } else {
       // Timing-only: integer fan-out drawn around the emit factor.
       const int k =
           exec.routing.Poisson(tenant.exp_neg_emit[exec.component]);
       for (int t = 0; t < k; ++t) {
-        topo::TupleData data;
-        data.key = exec.routing.Next();
-        children += SendOnEdge(edge_id, executor, root_id, data, send_time_ms);
+        const uint64_t key = exec.routing.Next();
+        children +=
+            SendOnEdge(edge_id, executor, root_id, key, nullptr, send_time_ms);
       }
     }
   }
-  (void)input_data;
   return children;
 }
 
@@ -981,13 +994,14 @@ int ClusterSim::PickDestination(int tenant, const topo::StreamEdge& edge,
 }
 
 int ClusterSim::SendOnEdge(int edge_id, int from_executor, uint64_t root_id,
-                           const topo::TupleData& data, double send_time_ms) {
+                           uint64_t key, const topo::TupleData* payload,
+                           double send_time_ms) {
   const ExecutorState& from = executors_[from_executor];
   const TenantState& tenant = tenants_[from.tenant];
   const topo::StreamEdge& edge = tenant.topology->edges()[edge_id];
   if (edge.grouping != topo::Grouping::kAll) {
-    SendTo(PickDestination(from.tenant, edge, from_executor, data.key),
-           edge_id, from_executor, root_id, data, send_time_ms);
+    SendTo(PickDestination(from.tenant, edge, from_executor, key), edge_id,
+           from_executor, root_id, key, payload, send_time_ms);
     return 1;
   }
   // A broadcast sends copy t to the t-th executor of the target component.
@@ -995,17 +1009,31 @@ int ClusterSim::SendOnEdge(int edge_id, int from_executor, uint64_t root_id,
       tenant.exec_base + tenant.topology->FirstExecutorOf(edge.to);
   const int p = tenant.topology->component(edge.to).parallelism;
   for (int t = 0; t < p; ++t) {
-    SendTo(first + t, edge_id, from_executor, root_id, data, send_time_ms);
+    SendTo(first + t, edge_id, from_executor, root_id, key, payload,
+           send_time_ms);
   }
   return p;
 }
 
 void ClusterSim::SendTo(int dest, int edge_id, int from_executor,
-                        uint64_t root_id, topo::TupleData data,
-                        double send_time_ms) {
+                        uint64_t root_id, uint64_t key,
+                        const topo::TupleData* payload, double send_time_ms) {
   const ExecutorState& from = executors_[from_executor];
   TenantState& tenant = tenants_[from.tenant];
   const int dest_machine = executors_[dest].machine;
+  const int slot = AllocTupleSlot();
+  // Functional mode gives every destination its own copy of the payload; a
+  // key-only tuple's payload is its key alone.
+  const topo::TupleData* data = nullptr;
+  if (options_.functional) {
+    topo::TupleData& stored = payloads_[slot];
+    if (payload != nullptr) {
+      stored = *payload;
+    } else {
+      stored.key = key;
+    }
+    data = &stored;
+  }
 
   double arrive;
   if (dest_machine == from.machine) {
@@ -1019,8 +1047,8 @@ void ClusterSim::SendTo(int dest, int edge_id, int from_executor,
     ++tenant.counters.local_transfers;
   } else {
     const int bytes =
-        options_.functional
-            ? data.SerializedBytes()
+        data != nullptr
+            ? data->SerializedBytes()
             : tenant.topology->component(from.component).tuple_bytes;
     MachineState& machine = machines_[from.machine];
     const double start = std::max(send_time_ms, machine.nic_free_ms);
@@ -1032,15 +1060,12 @@ void ClusterSim::SendTo(int dest, int edge_id, int from_executor,
     ++tenant.counters.remote_transfers;
   }
 
-  const int slot = AllocTupleSlot();
   TupleInstance& tuple = tuple_pool_[slot];
   tuple.root_id = root_id;
+  tuple.sent_ms = send_time_ms;
   tuple.tenant = from.tenant;
-  tuple.component = tenant.topology->edges()[edge_id].to;
   tuple.dest_executor = dest;
   tuple.via_edge = edge_id;
-  tuple.sent_ms = send_time_ms;
-  tuple.data = std::move(data);
   Schedule(arrive, EventType::kArrive, -1, slot);
 }
 
@@ -1081,6 +1106,7 @@ void ClusterSim::HandleFault(int plan_index, bool window_end) {
       AdvanceMachine(fault.machine);
       machines_[fault.machine].health.speed_factor =
           window_end ? 1.0 : fault.magnitude;
+      BuildRateTable(fault.machine);
       ScheduleNextCompletion(fault.machine);
       break;
     }
@@ -1114,9 +1140,8 @@ void ClusterSim::CrashMachine(int machine) {
   for (int e : displaced) {
     ExecutorState& exec = executors_[e];
     exec.busy = false;
-    exec.serving_machine = -1;
     exec.remaining_work_ms = 0.0;
-    exec.current = TupleInstance();
+    FreeTupleSlot(exec.current_slot);
     ++counters_.tuples_dropped;
     ++tenants_[exec.tenant].counters.tuples_dropped;
     Metrics().tuples_dropped->Add(1);

@@ -95,10 +95,11 @@ class IntFifo {
  private:
   void Grow();
 
-  std::vector<int> ring_;  // power-of-two size once allocated
-  size_t mask_ = 0;        // ring_.size() - 1
+  // The counters come first: size() reads only them.
   size_t head_ = 0;        // pops so far; the front is ring_[head_ & mask_]
   size_t tail_ = 0;        // pushes so far
+  size_t mask_ = 0;        // ring_.size() - 1
+  std::vector<int> ring_;  // power-of-two size once allocated
 };
 
 /// Shared-cluster discrete-event simulator: one set of machines (cores,
@@ -258,34 +259,50 @@ class ClusterSim {
   // Event, EventType, the dispatch order and the EventQueue live in
   // sim/event_queue.h.
 
-  /// An in-flight tuple instance headed to (or queued at) an executor.
+  /// An in-flight tuple instance headed to, queued at or served by an
+  /// executor. It carries no payload: a timing-mode tuple's key is read
+  /// only when it is sent, and a functional-mode payload waits in
+  /// `payloads_` at the tuple's slot.
   struct TupleInstance {
     uint64_t root_id = 0;
-    int tenant = 0;
-    int component = -1;      // tenant-scoped component that will process it
-    int dest_executor = -1;  // flat executor id
-    int via_edge = -1;       // tenant-scoped stream edge it travelled on
     double sent_ms = 0.0;    // emission time (for transfer stats)
     double enqueue_ms = 0.0; // set on arrival (for proc stats)
-    topo::TupleData data;    // functional mode payload
+    int tenant = 0;
+    int dest_executor = -1;  // flat executor id
+    int via_edge = -1;       // tenant-scoped stream edge it travelled on
   };
 
-  struct ExecutorState {
+  /// Welford's running mean without the spread: the same operations as
+  /// RunningStats::Add's mean, so the same bits. The per-component and
+  /// per-edge window statistics are read only as means.
+  struct WindowMean {
+    size_t count = 0;
+    double mean = 0.0;  // 0 while empty, like RunningStats::mean()
+    void Add(double x) {
+      ++count;
+      mean += (x - mean) / static_cast<double>(count);
+    }
+  };
+
+  /// The fields the event handlers touch come first, in the executor's
+  /// first cache line; the queue's counters end it.
+  struct alignas(64) ExecutorState {
     int tenant = 0;
     int component = -1;  // tenant-scoped component index
     int machine = -1;
     int process = 0;  // worker process on the machine
-    SplitMix64 arrivals;  // spouts: exponential inter-arrival gaps
-    SplitMix64 service;   // log-normal service times
-    SplitMix64 routing;   // fan-outs, keys, destinations of tuples it sends
     bool busy = false;
-    int serving_machine = -1;  // machine executing its current tuple
+    /// Slot of the tuple being served while busy; the slot stays taken
+    /// until the service finishes.
+    int current_slot = -1;
     double remaining_work_ms = 0.0;  // CPU time left for the current tuple
     double paused_until_ms = -1.0;
     IntFifo queue;  // tuple slots
+    SplitMix64 arrivals;  // spouts: exponential inter-arrival gaps
+    SplitMix64 service;   // log-normal service times
+    SplitMix64 routing;   // fan-outs, keys, destinations of tuples it sends
     std::unique_ptr<topo::Udf> udf;          // bolts, functional mode
     std::unique_ptr<topo::SpoutSource> source;  // spouts, functional mode
-    TupleInstance current;  // tuple being served
   };
 
   /// Machines run their busy executors under processor sharing: each of the
@@ -295,6 +312,11 @@ class ClusterSim {
   /// `active` list mixes their executors — this is the shared contention.
   struct MachineState {
     std::vector<int> active;   // executors currently executing a tuple
+    /// rate[k]: the work each of k active executors does per ms,
+    /// min(1, cores / k) / health.speed_factor, for every k up to the
+    /// cluster's executor count. Built at Start and rebuilt when a
+    /// straggler window changes the speed factor.
+    std::vector<double> rate;
     double last_update_ms = 0.0;
     double nic_free_ms = 0.0;    // uplink serialized-transmit horizon
     topo::MachineHealth health;  // fault-injection state (up/straggler/link)
@@ -355,8 +377,8 @@ class ClusterSim {
     /// local-or-shuffle grouping).
     std::vector<std::vector<std::vector<int>>> local_targets;
     RunningStats window_latency;
-    std::vector<RunningStats> window_component_proc;
-    std::vector<RunningStats> window_edge_transfer;
+    std::vector<WindowMean> window_component_proc;
+    std::vector<WindowMean> window_edge_transfer;
     SimCounters counters;
     /// Tenant-labelled observability instruments (see obs/metrics.h label
     /// naming: `name#tenant=<id>` renders as a `tenant="<id>"` label).
@@ -393,6 +415,8 @@ class ClusterSim {
   void RecoverMachine(int machine);
 
   void StartServiceIfIdle(int executor);
+  /// Fills `machine`'s rate table for its current speed factor.
+  void BuildRateTable(int machine);
   /// Advances the remaining work of a machine's active executors to now.
   void AdvanceMachine(int machine);
   /// Settles the machine's energy ledger up to now. Must run before any
@@ -409,30 +433,33 @@ class ClusterSim {
   void ScheduleNextCompletion(int machine);
   /// Writes `machine`'s completion-lane entry, keeping the cached earliest
   /// entry valid unless the entry that changed was the earliest.
-  void SetCompletion(int machine, double time_ms, uint64_t seq);
-  /// The machine whose live completion comes first in EventEarlier order,
-  /// rescanning the lane when the cached one changed. With every machine
-  /// idle it names an idle machine.
+  void SetCompletion(int machine, EventKey key);
+  /// The machine whose live completion has the smallest key, rescanning
+  /// the lane when the cached one changed. With every machine idle it
+  /// names an idle machine.
   int EarliestCompletion();
   /// Completes the tuple `executor` was running (emit downstream, ack
   /// bookkeeping) and pulls its next queued tuple if any.
   void FinishService(int executor);
-  /// Emits `outputs` (functional) or sampled fan-outs (timing-only) from
-  /// `executor` for the processed tuple, updating the root's pending count.
-  /// Returns the number of child tuples created.
+  /// Emits `outputs` (the UDF's, functional mode) or sampled fan-outs from
+  /// `executor` for the processed tuple. Returns the number of child
+  /// tuples created.
   int EmitDownstream(int executor, uint64_t root_id,
-                     const topo::TupleData& input_data,
-                     std::vector<topo::TupleData>* outputs,
+                     const std::vector<topo::TupleData>& outputs,
                      double send_time_ms);
-  /// Routes one output tuple over the tenant-scoped `edge_id`: a copy to
-  /// every executor of the target component under all grouping, to one
-  /// picked executor otherwise. `send_time_ms` is when the sender finished
+  /// Routes one output tuple with routing key `key` over the tenant-scoped
+  /// `edge_id`: a copy to every executor of the target component under all
+  /// grouping, to one picked executor otherwise. `payload` is its
+  /// functional-mode payload (nullptr in timing mode, and for a key-only
+  /// tuple in functional mode). `send_time_ms` is when the sender finished
   /// producing it (>= now). Returns the copies sent.
   int SendOnEdge(int edge_id, int from_executor, uint64_t root_id,
-                 const topo::TupleData& data, double send_time_ms);
+                 uint64_t key, const topo::TupleData* payload,
+                 double send_time_ms);
   /// Sends one copy of a tuple over `edge_id` to executor `dest`.
   void SendTo(int dest, int edge_id, int from_executor, uint64_t root_id,
-              topo::TupleData data, double send_time_ms);
+              uint64_t key, const topo::TupleData* payload,
+              double send_time_ms);
   int PickDestination(int tenant, const topo::StreamEdge& edge,
                       int from_executor, uint64_t key);
   /// Rebuilds the tenant's per-(component, machine) executor lists used by
@@ -484,17 +511,23 @@ class ClusterSim {
 
   EventQueue events_;
   /// The completion lane: each machine's one pending service completion,
-  /// kept out of the event queue. completion_ms_[m] is when machine m's
-  /// next executor finishes (+inf while it serves nothing) and
-  /// completion_seq_[m] its tie-breaking seq (UINT64_MAX while idle, so an
-  /// idle entry sorts after every queued event). RunUntil dispatches the
-  /// earliest entry when it precedes the queue's top.
-  std::vector<double> completion_ms_;
-  std::vector<uint64_t> completion_seq_;
+  /// kept out of the event queue. completion_key_[m] is the EventKey of
+  /// when machine m's next executor finishes and its tie-breaking seq;
+  /// while the machine serves nothing it is (+inf, UINT64_MAX), which
+  /// sorts after every queued event. RunUntil dispatches the earliest
+  /// entry when it precedes the queue's top.
+  std::vector<EventKey> completion_key_;
   /// Machine holding the earliest lane entry; valid while !lane_stale_.
   int lane_min_ = 0;
   bool lane_stale_ = true;
+  /// The machine HandleMachineCompletion is completing, or -1. Services it
+  /// starts on that machine leave the lane entry to its one re-arm at the
+  /// end.
+  int completing_machine_ = -1;
   std::vector<TupleInstance> tuple_pool_;
+  /// Functional-mode payloads, indexed by tuple slot (empty in timing
+  /// mode).
+  std::vector<topo::TupleData> payloads_;
   std::vector<int> free_slots_;
 
   double now_ms_ = 0.0;
