@@ -688,8 +688,8 @@ void AgentServer::FlushOutbox(Session* session) {
   // prefix of the front frame until POLLOUT re-arms us.
   while (!session->outbox.empty()) {
     const std::string& frame = session->outbox.front();
-    StatusOr<size_t> sent = session->transport->TrySend(
-        std::string_view(frame).substr(session->outbox_off));
+    StatusOr<size_t> sent =
+        session->transport->TrySend(frame, session->outbox_off);
     if (!sent.ok()) {
       session->peer_gone = true;
       break;

@@ -102,10 +102,11 @@ Status Transport::Send(std::string_view frame) {
   return Status::OK();
 }
 
-StatusOr<size_t> Transport::TrySend(std::string_view bytes) {
+StatusOr<size_t> Transport::TrySend(std::string_view frame, size_t offset) {
   if (closed_.load(std::memory_order_acquire)) {
     return Status::Unavailable("net: transport closed");
   }
+  const std::string_view bytes = frame.substr(offset);
   size_t sent = 0;
   while (sent < bytes.size()) {
     const ssize_t n = ::send(fd_, bytes.data() + sent, bytes.size() - sent,
@@ -121,6 +122,7 @@ StatusOr<size_t> Transport::TrySend(std::string_view bytes) {
     sent += static_cast<size_t>(n);
   }
   if (sent > 0) Metrics().bytes_sent->Add(static_cast<int64_t>(sent));
+  if (sent > 0 && sent == bytes.size()) Metrics().frames_sent->Add(1);
   return sent;
 }
 

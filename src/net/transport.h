@@ -54,12 +54,13 @@ class Transport {
   /// share one reassembly buffer, so they may be interleaved freely.
   StatusOr<std::string> TryRecv();
 
-  /// Non-blocking send of raw stream bytes for event loops: returns how
-  /// many of `bytes` were accepted (possibly 0 when the peer's window is
-  /// full); the caller keeps the remainder and retries when writable.
-  /// Splitting a frame across TrySend calls is fine — the receiver
-  /// reassembles frames from the stream.
-  StatusOr<size_t> TrySend(std::string_view bytes);
+  /// Non-blocking send for event loops of one encoded `frame` from byte
+  /// `offset` on, the prefix earlier calls flushed: returns how many more
+  /// bytes were accepted (possibly 0 when the peer's window is full); the
+  /// caller retries from the new offset when writable. Splitting a frame
+  /// across TrySend calls is fine — the receiver reassembles frames from
+  /// the stream. The frame counts as sent when its last byte is accepted.
+  StatusOr<size_t> TrySend(std::string_view frame, size_t offset);
 
   /// The socket, for poll(): POLLIN means the kernel holds bytes (or the
   /// end of the stream) for TryRecv. Frames already read into the

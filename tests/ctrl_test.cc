@@ -566,6 +566,33 @@ class ScopedObs {
   bool trace_was_;
 };
 
+// Client and server share this process's registry, so every Ping is one
+// frame sent by each side: the client's request through Send and the
+// server's reply through FlushOutbox's TrySend, the server's only way out.
+// The agent is joined before the counters are read, so the server's count
+// of its last reply, made after the write returns, is in.
+TEST(AgentServerTest, RepliesCountAsFramesSent) {
+  ScopedObs obs(/*metrics=*/true, /*trace=*/false);
+  const auto counter = [](const char* name) {
+    return obs::MetricsRegistry::Get().Snapshot().counters[name];
+  };
+  const int64_t sent_before = counter("net.frames_sent");
+  const int64_t recv_before = counter("net.frames_recv");
+  constexpr int kPings = 20;
+  {
+    FakePolicy policy(3);
+    LoopbackAgent agent(&policy);
+    MasterClientOptions options;
+    options.num_machines = 3;
+    MasterClient client(agent.TakeClientEnd(), options);
+    ASSERT_TRUE(client.Connect().ok());
+    for (int i = 0; i < kPings; ++i) ASSERT_TRUE(client.Ping().ok());
+  }
+  // The handshake adds one frame each way.
+  EXPECT_EQ(counter("net.frames_sent") - sent_before, 2 * (kPings + 1));
+  EXPECT_EQ(counter("net.frames_recv") - recv_before, 2 * (kPings + 1));
+}
+
 /// Pulls the integer value of `key` out of the args of the first trace
 /// event named `name` in a Chrome trace JSON document. Returns 0 when the
 /// event or key is missing (valid ids are never 0).
