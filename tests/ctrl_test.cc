@@ -795,9 +795,10 @@ TEST(SlowRpcTest, SlowRequestsAreCounted) {
   EXPECT_GT(count(after), count(before));
 }
 
-/// One blocking HTTP/1.0 GET against 127.0.0.1:`port` using raw sockets
-/// (the ctrl transports are frame-oriented and would choke on HTTP bytes).
-std::string HttpGet(int port, const std::string& target) {
+/// Sends `request` verbatim to 127.0.0.1:`port` over a raw socket (the
+/// ctrl transports are frame-oriented and would choke on HTTP bytes) and
+/// returns everything the server sends back before it closes.
+std::string HttpExchange(int port, const std::string& request) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return "";
   sockaddr_in addr{};
@@ -809,8 +810,12 @@ std::string HttpGet(int port, const std::string& target) {
     ::close(fd);
     return "";
   }
-  const std::string request = "GET " + target + " HTTP/1.0\r\n\r\n";
-  (void)::send(fd, request.data(), request.size(), 0);
+  for (size_t sent = 0; sent < request.size();) {
+    const ssize_t n =
+        ::send(fd, request.data() + sent, request.size() - sent, 0);
+    if (n <= 0) break;
+    sent += static_cast<size_t>(n);
+  }
   std::string response;
   char buf[4096];
   ssize_t n;
@@ -819,6 +824,11 @@ std::string HttpGet(int port, const std::string& target) {
   }
   ::close(fd);
   return response;
+}
+
+/// One blocking HTTP/1.0 GET against 127.0.0.1:`port`.
+std::string HttpGet(int port, const std::string& target) {
+  return HttpExchange(port, "GET " + target + " HTTP/1.0\r\n\r\n");
 }
 
 TEST(HttpIntrospectTest, ServesMetricsAndStatuszMidRun) {
@@ -872,6 +882,490 @@ TEST(HttpIntrospectTest, ServesMetricsAndStatuszMidRun) {
 
   server.Stop();
   listener->Close();
+  server_thread.join();
+}
+
+/// ---- Pinned observable behaviour ------------------------------------------
+///
+/// What a peer sees of the server, byte for byte. Each expected reply is
+/// built here from the public codecs (its frame type, the request's echoed
+/// trace envelope and the status text) and compared whole, in per-session
+/// order. A session's requests are pipelined in one write, so GetSchedules
+/// share batches with each other and with the failures between them.
+
+const Status& NoPolicyBoundStatus() {
+  static const Status status = Status::FailedPrecondition(
+      "agent: no policy bound to this session; send Hello with a valid "
+      "policy key first");
+  return status;
+}
+
+/// `payload` without its last byte: a frame that is well-formed but whose
+/// body no decoder accepts.
+std::string Truncated(const std::string& payload) {
+  return payload.substr(0, payload.size() - 1);
+}
+
+/// The GetSchedule reply `policy` owes `request`, computed the in-process
+/// way: SelectAction / GreedyAction / FinalSchedule against the request
+/// state, diffed against the materialized base.
+std::string ExpectedScheduleReply(const rl::Policy& policy,
+                                  const GetScheduleRequest& request) {
+  GetScheduleResponse body;
+  StatusOr<sched::Schedule> schedule = Status::Internal("unset");
+  switch (request.mode) {
+    case ScheduleMode::kExplore: {
+      Rng rng(0);
+      const Status restored = rng.DeserializeState(request.rng_state);
+      if (!restored.ok()) return EncodeGetScheduleResponse(restored, {});
+      StatusOr<rl::PolicyAction> action =
+          policy.SelectAction(request.state, request.epsilon, &rng);
+      if (!action.ok()) return EncodeGetScheduleResponse(action.status(), {});
+      body.move_index = action->move_index;
+      body.rng_state = rng.SerializeState();
+      schedule = std::move(action->schedule);
+      break;
+    }
+    case ScheduleMode::kGreedy:
+      schedule = policy.GreedyAction(request.state);
+      break;
+    case ScheduleMode::kFinal:
+      schedule = policy.FinalSchedule(request.state);
+      break;
+  }
+  if (!schedule.ok()) return EncodeGetScheduleResponse(schedule.status(), {});
+  body.diff = MakeScheduleDiff(
+      DiffBaseFromState(request.state, request.num_machines), *schedule);
+  return EncodeGetScheduleResponse(Status::OK(), body);
+}
+
+/// A scripted session: the requests to pipeline and the reply frame each
+/// must get. A Pong carries the server's clock stamps, so it is rebuilt
+/// with the stamps it came back with.
+class PinnedSession {
+ public:
+  void Expect(std::string name, net::MsgType type, const std::string& payload,
+              net::MsgType reply_type, std::string reply_payload) {
+    const net::TraceContext trace{0xC0DE0000u + steps_.size(),
+                                  0x5EED0000u + steps_.size()};
+    requests_ += net::EncodeFrame(type, payload, trace);
+    steps_.push_back(Step{std::move(name), reply_type,
+                          std::move(reply_payload), trace, -1});
+  }
+
+  void ExpectPong(std::string name, uint64_t token) {
+    PingMessage ping;
+    ping.token = token;
+    Expect(std::move(name), net::MsgType::kPing, EncodePingMessage(ping),
+           net::MsgType::kPong, "");
+    steps_.back().pong_token = static_cast<int64_t>(token);
+  }
+
+  /// Sends every request in one write, then checks the replies in order.
+  void Run(net::Transport* client) const {
+    ASSERT_TRUE(client->Send(requests_).ok());
+    for (const Step& step : steps_) {
+      SCOPED_TRACE(step.name);
+      StatusOr<std::string> raw = client->Recv(10000);
+      ASSERT_TRUE(raw.ok()) << raw.status().ToString();
+      StatusOr<net::Frame> frame = net::DecodeFrame(*raw);
+      ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+      ASSERT_STREQ(net::MsgTypeName(frame->type),
+                   net::MsgTypeName(step.reply_type));
+      std::string want = step.reply_payload;
+      if (step.pong_token >= 0) {
+        StatusOr<PingMessage> pong = DecodePingMessage(frame->payload);
+        ASSERT_TRUE(pong.ok()) << pong.status().ToString();
+        PingMessage echoed = *pong;
+        echoed.token = static_cast<uint64_t>(step.pong_token);
+        want = EncodePingMessage(echoed);
+      }
+      EXPECT_EQ(*raw, net::EncodeFrame(step.reply_type, want, step.trace))
+          << "reply status: "
+          << (frame->type == net::MsgType::kPong
+                  ? std::string("(pong)")
+                  : DecodeErrorResponse(frame->payload).ToString());
+    }
+  }
+
+ private:
+  struct Step {
+    std::string name;
+    net::MsgType reply_type;
+    std::string reply_payload;
+    net::TraceContext trace;
+    int64_t pong_token;  // >= 0: a Pong echoing this token
+  };
+  std::string requests_;
+  std::vector<Step> steps_;
+};
+
+rl::Transition PinnedTransition(double reward) {
+  rl::Transition transition;
+  transition.state = SmallState();
+  transition.action_assignments = {1, 2, 0, 2};
+  transition.move_index = 1;
+  transition.reward = reward;
+  transition.next_state = SmallState();
+  return transition;
+}
+
+/// Every request type after the session has a policy: valid, truncated,
+/// and the extra failures (a corrupt RNG state, response types sent as
+/// requests, a token-only Ping). `mirror` is an identical policy that
+/// replays the same calls in arrival order to compute the replies.
+void ScriptBoundSession(rl::Policy* mirror, const std::string& save_prefix,
+                        PinnedSession* script) {
+  using net::MsgType;
+  const rl::State state = SmallState();
+  GetScheduleRequest explore;
+  explore.mode = ScheduleMode::kExplore;
+  explore.num_machines = 3;
+  explore.state = state;
+  explore.epsilon = 0.5;
+  explore.rng_state = Rng(11).SerializeState();
+  GetScheduleRequest greedy = explore;
+  greedy.mode = ScheduleMode::kGreedy;
+  greedy.epsilon = 0.0;
+  greedy.rng_state.clear();
+  GetScheduleRequest final_request = greedy;
+  final_request.mode = ScheduleMode::kFinal;
+  GetScheduleRequest corrupt = explore;
+  corrupt.rng_state = "not an engine state";
+
+  script->ExpectPong("ping", 1);
+  const std::string ping_cut = Truncated(EncodePingMessage(PingMessage{}));
+  script->Expect("ping truncated", MsgType::kPing, ping_cut,
+                 MsgType::kErrorResponse,
+                 EncodeErrorResponse(DecodePingMessage(ping_cut).status()));
+  net::WireWriter token_only;
+  token_only.PutU64(7);
+  script->Expect(
+      "ping token only", MsgType::kPing, token_only.buffer(),
+      MsgType::kErrorResponse,
+      EncodeErrorResponse(DecodePingMessage(token_only.buffer()).status()));
+
+  script->Expect("explore", MsgType::kGetScheduleRequest,
+                 EncodeGetScheduleRequest(explore),
+                 MsgType::kGetScheduleResponse,
+                 ExpectedScheduleReply(*mirror, explore));
+  const std::string get_cut = Truncated(EncodeGetScheduleRequest(explore));
+  script->Expect(
+      "explore truncated", MsgType::kGetScheduleRequest, get_cut,
+      MsgType::kGetScheduleResponse,
+      EncodeGetScheduleResponse(DecodeGetScheduleRequest(get_cut).status(),
+                                {}));
+  Rng scratch(0);
+  script->Expect(
+      "explore corrupt rng", MsgType::kGetScheduleRequest,
+      EncodeGetScheduleRequest(corrupt), MsgType::kGetScheduleResponse,
+      EncodeGetScheduleResponse(scratch.DeserializeState(corrupt.rng_state),
+                                {}));
+  script->Expect("greedy", MsgType::kGetScheduleRequest,
+                 EncodeGetScheduleRequest(greedy),
+                 MsgType::kGetScheduleResponse,
+                 ExpectedScheduleReply(*mirror, greedy));
+  script->Expect("final", MsgType::kGetScheduleRequest,
+                 EncodeGetScheduleRequest(final_request),
+                 MsgType::kGetScheduleResponse,
+                 ExpectedScheduleReply(*mirror, final_request));
+
+  for (double reward : {-3.0, -4.5}) {
+    ObserveRequest observe;
+    observe.transition = PinnedTransition(reward);
+    script->Expect("observe", MsgType::kObserveRequest,
+                   EncodeObserveRequest(observe), MsgType::kObserveResponse,
+                   EncodeObserveResponse(Status::OK()));
+    mirror->Observe(observe.transition);
+  }
+  ObserveRequest observe;
+  observe.transition = PinnedTransition(-1.0);
+  const std::string observe_cut = Truncated(EncodeObserveRequest(observe));
+  script->Expect(
+      "observe truncated", MsgType::kObserveRequest, observe_cut,
+      MsgType::kObserveResponse,
+      EncodeObserveResponse(DecodeObserveRequest(observe_cut).status()));
+
+  TrainStepResponse trained;
+  trained.loss = mirror->TrainStep();
+  script->Expect("train step", MsgType::kTrainStepRequest,
+                 EncodeTrainStepRequest(TrainStepRequest{}),
+                 MsgType::kTrainStepResponse,
+                 EncodeTrainStepResponse(Status::OK(), trained));
+  const std::string train_cut =
+      Truncated(EncodeTrainStepRequest(TrainStepRequest{}));
+  script->Expect(
+      "train step truncated", MsgType::kTrainStepRequest, train_cut,
+      MsgType::kTrainStepResponse,
+      EncodeTrainStepResponse(DecodeTrainStepRequest(train_cut).status(), {}));
+
+  SaveArtifactRequest save;
+  save.prefix = save_prefix;
+  script->Expect("save", MsgType::kSaveArtifactRequest,
+                 EncodeSaveArtifactRequest(save),
+                 MsgType::kSaveArtifactResponse,
+                 EncodeSaveArtifactResponse(Status::OK()));
+  const std::string save_cut = Truncated(EncodeSaveArtifactRequest(save));
+  script->Expect(
+      "save truncated", MsgType::kSaveArtifactRequest, save_cut,
+      MsgType::kSaveArtifactResponse,
+      EncodeSaveArtifactResponse(DecodeSaveArtifactRequest(save_cut).status()));
+
+  for (MsgType misuse : {MsgType::kObserveResponse, MsgType::kPong}) {
+    script->Expect(std::string("misuse ") + net::MsgTypeName(misuse), misuse,
+                   EncodeObserveResponse(Status::OK()),
+                   MsgType::kErrorResponse,
+                   EncodeErrorResponse(Status::InvalidArgument(
+                       std::string("agent: unexpected request type ") +
+                       net::MsgTypeName(misuse))));
+  }
+  // After training: the policy answers from its updated state.
+  script->Expect("explore after training", MsgType::kGetScheduleRequest,
+                 EncodeGetScheduleRequest(explore),
+                 MsgType::kGetScheduleResponse,
+                 ExpectedScheduleReply(*mirror, explore));
+}
+
+HelloResponse DescribeForHello(const rl::Policy& policy, uint64_t session_id) {
+  HelloResponse body;
+  body.policy_name = policy.name();
+  body.registry_key = policy.registry_key();
+  body.description = policy.Describe();
+  body.trainable = policy.trainable();
+  body.session_id = session_id;
+  return body;
+}
+
+TEST(PinnedRepliesTest, SharedModeRepliesMatchTheCodecsByteForByte) {
+  FakePolicy policy(3);
+  FakePolicy mirror(3);
+  AgentServer server(&policy, {});
+  auto [client, server_end] = net::MakeLoopbackPair().value();
+  const StatusOr<uint64_t> id = server.AddSession(std::move(server_end));
+  ASSERT_TRUE(id.ok());
+  std::thread server_thread([&server] { (void)server.Run(); });
+
+  PinnedSession script;
+  HelloRequest hello;
+  hello.client_name = "pinned-shared";
+  const std::string hello_cut = Truncated(EncodeHelloRequest(hello));
+  script.Expect("hello truncated", net::MsgType::kHelloRequest, hello_cut,
+                net::MsgType::kHelloResponse,
+                EncodeHelloResponse(DecodeHelloRequest(hello_cut).status(),
+                                    {}));
+  script.Expect("hello", net::MsgType::kHelloRequest,
+                EncodeHelloRequest(hello), net::MsgType::kHelloResponse,
+                EncodeHelloResponse(Status::OK(),
+                                    DescribeForHello(mirror, *id)));
+  ScriptBoundSession(&mirror, "/tmp/pinned-shared", &script);
+  script.Run(client.get());
+
+  server.Stop();
+  server_thread.join();
+  EXPECT_EQ(policy.observed().size(), 2u);
+  EXPECT_EQ(policy.train_steps(), 1);
+}
+
+TEST(PinnedRepliesTest, RegistryModeRepliesMatchTheCodecsByteForByte) {
+  SetGlobalThreadCount(1);
+  rl::StateEncoder encoder(4, 3, 1, 100.0);
+  rl::PolicyContext context;
+  context.encoder = &encoder;
+  context.dqn.hidden_sizes = {16, 8};
+  StatusOr<std::unique_ptr<rl::Policy>> mirror =
+      rl::PolicyRegistry::Get().Create("dqn", context);
+  ASSERT_TRUE(mirror.ok()) << mirror.status().ToString();
+  AgentServer server(&context, "dqn", {});
+  auto [client, server_end] = net::MakeLoopbackPair().value();
+  const StatusOr<uint64_t> id = server.AddSession(std::move(server_end));
+  ASSERT_TRUE(id.ok());
+  std::thread server_thread([&server] { (void)server.Run(); });
+
+  using net::MsgType;
+  PinnedSession script;
+  // Before Hello no policy is bound: policy RPCs fail, Ping still answers.
+  // A GetSchedule decodes before it checks the binding; the other policy
+  // RPCs check the binding first.
+  GetScheduleRequest explore;
+  explore.mode = ScheduleMode::kExplore;
+  explore.num_machines = 3;
+  explore.state = SmallState();
+  explore.epsilon = 0.5;
+  explore.rng_state = Rng(11).SerializeState();
+  script.Expect("unbound explore", MsgType::kGetScheduleRequest,
+                EncodeGetScheduleRequest(explore),
+                MsgType::kGetScheduleResponse,
+                EncodeGetScheduleResponse(NoPolicyBoundStatus(), {}));
+  const std::string get_cut = Truncated(EncodeGetScheduleRequest(explore));
+  script.Expect(
+      "unbound explore truncated", MsgType::kGetScheduleRequest, get_cut,
+      MsgType::kGetScheduleResponse,
+      EncodeGetScheduleResponse(DecodeGetScheduleRequest(get_cut).status(),
+                                {}));
+  ObserveRequest observe;
+  observe.transition = PinnedTransition(-2.0);
+  script.Expect("unbound observe", MsgType::kObserveRequest,
+                EncodeObserveRequest(observe), MsgType::kObserveResponse,
+                EncodeObserveResponse(NoPolicyBoundStatus()));
+  script.Expect("unbound observe truncated", MsgType::kObserveRequest,
+                Truncated(EncodeObserveRequest(observe)),
+                MsgType::kObserveResponse,
+                EncodeObserveResponse(NoPolicyBoundStatus()));
+  script.Expect("unbound train step", MsgType::kTrainStepRequest,
+                EncodeTrainStepRequest(TrainStepRequest{}),
+                MsgType::kTrainStepResponse,
+                EncodeTrainStepResponse(NoPolicyBoundStatus(), {}));
+  SaveArtifactRequest save;
+  save.prefix = "/tmp/pinned-unbound";
+  script.Expect("unbound save", MsgType::kSaveArtifactRequest,
+                EncodeSaveArtifactRequest(save),
+                MsgType::kSaveArtifactResponse,
+                EncodeSaveArtifactResponse(NoPolicyBoundStatus()));
+  script.ExpectPong("unbound ping", 99);
+
+  HelloRequest hello;
+  hello.client_name = "pinned-registry";
+  hello.policy_key = "no-such-policy";
+  script.Expect(
+      "hello unknown key", MsgType::kHelloRequest, EncodeHelloRequest(hello),
+      MsgType::kHelloResponse,
+      EncodeHelloResponse(
+          rl::PolicyRegistry::Get().Create("no-such-policy", context).status(),
+          {}));
+  hello.policy_key.clear();
+  const std::string hello_cut = Truncated(EncodeHelloRequest(hello));
+  script.Expect("hello truncated", MsgType::kHelloRequest, hello_cut,
+                MsgType::kHelloResponse,
+                EncodeHelloResponse(DecodeHelloRequest(hello_cut).status(),
+                                    {}));
+  const std::string bound = EncodeHelloResponse(
+      Status::OK(), DescribeForHello(**mirror, *id));
+  script.Expect("hello", MsgType::kHelloRequest, EncodeHelloRequest(hello),
+                MsgType::kHelloResponse, bound);
+  ScriptBoundSession(mirror->get(), ::testing::TempDir() + "pinned_dqn",
+                     &script);
+  // A repeated Hello re-describes the bound policy; it never rebinds.
+  hello.policy_key = "round-robin";
+  script.Expect("hello again", MsgType::kHelloRequest,
+                EncodeHelloRequest(hello), MsgType::kHelloResponse, bound);
+  script.Run(client.get());
+
+  server.Stop();
+  server_thread.join();
+  SetGlobalThreadCount(0);
+}
+
+TEST(PinnedAdmissionTest, SessionsPastTheLimitAreRefusedAndClosed) {
+  auto listener_or = net::TcpListener::Bind("127.0.0.1", 0);
+  ASSERT_TRUE(listener_or.ok()) << listener_or.status().ToString();
+  net::TcpListener* listener = listener_or->get();
+  FakePolicy policy(3);
+  AgentServerOptions options;
+  options.max_sessions = 1;
+  AgentServer server(&policy, options);
+  auto [first, first_end] = net::MakeLoopbackPair().value();
+  ASSERT_TRUE(server.AddSession(std::move(first_end)).ok());
+  std::thread server_thread([&] {
+    Status served = server.ServeTcp(listener);
+    EXPECT_TRUE(served.ok()) << served.ToString();
+  });
+
+  const auto expect_pong = [](net::Transport* end, uint64_t token) {
+    PingMessage ping;
+    ping.token = token;
+    ASSERT_TRUE(
+        end->Send(net::EncodeFrame(net::MsgType::kPing, EncodePingMessage(ping)))
+            .ok());
+    StatusOr<std::string> raw = end->Recv(10000);
+    ASSERT_TRUE(raw.ok()) << raw.status().ToString();
+    StatusOr<net::Frame> frame = net::DecodeFrame(std::move(*raw));
+    ASSERT_TRUE(frame.ok());
+    ASSERT_EQ(frame->type, net::MsgType::kPong);
+    StatusOr<PingMessage> pong = DecodePingMessage(frame->payload);
+    ASSERT_TRUE(pong.ok());
+    EXPECT_EQ(pong->token, token);
+  };
+  const std::string refusal = net::EncodeFrame(
+      net::MsgType::kErrorResponse,
+      EncodeErrorResponse(Status::Unavailable("agent: session limit reached")));
+  const auto expect_refused = [&refusal](net::Transport* end) {
+    StatusOr<std::string> raw = end->Recv(10000);
+    ASSERT_TRUE(raw.ok()) << raw.status().ToString();
+    EXPECT_EQ(*raw, refusal);
+    EXPECT_EQ(end->Recv(10000).status().code(), StatusCode::kUnavailable);
+  };
+
+  // The first session is installed and served before the others arrive.
+  expect_pong(first.get(), 1);
+  auto [second, second_end] = net::MakeLoopbackPair().value();
+  ASSERT_TRUE(server.AddSession(std::move(second_end)).ok());
+  expect_refused(second.get());
+  auto third = net::TcpConnect("127.0.0.1", listener->port(), 2000);
+  ASSERT_TRUE(third.ok()) << third.status().ToString();
+  expect_refused(third->get());
+  expect_pong(first.get(), 2);
+
+  server.Stop();
+  listener->Close();
+  server_thread.join();
+}
+
+TEST(PinnedHttpTest, RejectsBadRequestsAndCountsAScriptedExchange) {
+  FakePolicy policy(3);
+  AgentServerOptions options;
+  options.http_port = 0;
+  AgentServer server(&policy, options);
+  const StatusOr<int> http_port = server.BindHttp();
+  ASSERT_TRUE(http_port.ok()) << http_port.status().ToString();
+  auto [client, server_end] = net::MakeLoopbackPair().value();
+  ASSERT_TRUE(server.AddSession(std::move(server_end)).ok());
+  std::thread server_thread([&server] { (void)server.Run(); });
+
+  // Hello, two Observes and a TrainStep, one at a time.
+  HelloRequest hello;
+  hello.client_name = "scripted";
+  ObserveRequest observe;
+  observe.transition = PinnedTransition(-2.0);
+  const std::vector<std::string> requests = {
+      net::EncodeFrame(net::MsgType::kHelloRequest, EncodeHelloRequest(hello)),
+      net::EncodeFrame(net::MsgType::kObserveRequest,
+                       EncodeObserveRequest(observe)),
+      net::EncodeFrame(net::MsgType::kObserveRequest,
+                       EncodeObserveRequest(observe)),
+      net::EncodeFrame(net::MsgType::kTrainStepRequest,
+                       EncodeTrainStepRequest(TrainStepRequest{}))};
+  int64_t bytes_in = 0;
+  int64_t bytes_out = 0;
+  for (const std::string& request : requests) {
+    ASSERT_TRUE(client->Send(request).ok());
+    StatusOr<std::string> reply = client->Recv(10000);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    bytes_in += static_cast<int64_t>(request.size());
+    bytes_out += static_cast<int64_t>(reply->size());
+  }
+  const std::string statusz = HttpGet(*http_port, "/statusz");
+  EXPECT_NE(statusz.find("HTTP/1.0 200"), std::string::npos) << statusz;
+  EXPECT_NE(statusz.find("\"observes\": 2, \"train_steps\": 1, \"bytes_in\": " +
+                         std::to_string(bytes_in) + ", \"bytes_out\": " +
+                         std::to_string(bytes_out) + ","),
+            std::string::npos)
+      << statusz << " (want bytes_in " << bytes_in << ", bytes_out "
+      << bytes_out << ")";
+
+  const std::string post =
+      HttpExchange(*http_port, "POST /statusz HTTP/1.0\r\n\r\n");
+  EXPECT_EQ(post.rfind("HTTP/1.0 405 Method Not Allowed\r\n", 0), 0u) << post;
+  const std::string malformed = HttpExchange(*http_port, "GARBAGE\r\n\r\n");
+  EXPECT_EQ(malformed.rfind("HTTP/1.0 400 Bad Request\r\n", 0), 0u)
+      << malformed;
+  const std::string oversized = HttpExchange(
+      *http_port, "GET /" + std::string(HttpIntrospect::kMaxRequestBytes, 'a'));
+  EXPECT_EQ(oversized.rfind("HTTP/1.0 400 Bad Request\r\n", 0), 0u)
+      << oversized;
+  // The endpoint still serves after the rejections.
+  EXPECT_NE(HttpGet(*http_port, "/").find("HTTP/1.0 200"), std::string::npos);
+
+  server.Stop();
   server_thread.join();
 }
 
