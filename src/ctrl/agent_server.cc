@@ -2,7 +2,7 @@
 
 #include <poll.h>
 
-#include <chrono>
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -19,6 +19,8 @@
 namespace drlstream::ctrl {
 namespace {
 
+/// Registry handles of the server's metrics. The ctrl.server.session.*
+/// ones sum over sessions; /statusz serves the per-session split.
 struct ServerMetrics {
   obs::Counter* requests;
   obs::Counter* errors;
@@ -27,25 +29,6 @@ struct ServerMetrics {
   obs::Gauge* sessions;
   obs::Histogram* batch_size;
   obs::Histogram* queue_depth;
-
-  static const ServerMetrics& Get() {
-    static const ServerMetrics metrics = [] {
-      auto& registry = obs::MetricsRegistry::Get();
-      return ServerMetrics{registry.counter("ctrl.server.requests"),
-                           registry.counter("ctrl.server.errors"),
-                           registry.counter("ctrl.server.connections"),
-                           registry.histogram("ctrl.server.request_us"),
-                           registry.gauge("ctrl.server.sessions"),
-                           registry.histogram("ctrl.server.batch_size"),
-                           registry.histogram("ctrl.server.queue_depth")};
-    }();
-    return metrics;
-  }
-};
-
-/// Per-session aggregates (summed over sessions; the per-session split
-/// lives in SessionStats and is served by /statusz).
-struct SessionAggMetrics {
   obs::Counter* bytes_in;
   obs::Counter* bytes_out;
   obs::Counter* opened;
@@ -58,10 +41,17 @@ struct SessionAggMetrics {
   obs::Histogram* batch_width;
   obs::Histogram* outbox_depth;
 
-  static const SessionAggMetrics& Get() {
-    static const SessionAggMetrics metrics = [] {
+  static const ServerMetrics& Get() {
+    static const ServerMetrics metrics = [] {
       auto& registry = obs::MetricsRegistry::Get();
-      return SessionAggMetrics{
+      return ServerMetrics{
+          registry.counter("ctrl.server.requests"),
+          registry.counter("ctrl.server.errors"),
+          registry.counter("ctrl.server.connections"),
+          registry.histogram("ctrl.server.request_us"),
+          registry.gauge("ctrl.server.sessions"),
+          registry.histogram("ctrl.server.batch_size"),
+          registry.histogram("ctrl.server.queue_depth"),
           registry.counter("ctrl.server.session.bytes_in"),
           registry.counter("ctrl.server.session.bytes_out"),
           registry.counter("ctrl.server.session.opened"),
@@ -94,6 +84,38 @@ std::string SpanArgs(net::TraceContext trace, uint64_t session_id,
   return args + "}";
 }
 
+/// The server span of a request: agent.Hello, agent.GetSchedule, and
+/// agent.<wire type name> for the rest.
+std::string SpanName(net::MsgType type) {
+  switch (type) {
+    case net::MsgType::kHelloRequest:
+      return "agent.Hello";
+    case net::MsgType::kGetScheduleRequest:
+      return "agent.GetSchedule";
+    default:
+      return std::string("agent.") + net::MsgTypeName(type);
+  }
+}
+
+/// The frame type of the reply to a `request` frame. Each request type's
+/// response follows it in net::MsgType. A failed request's payload is its
+/// status envelope, which every response starts with; a Pong has none, so
+/// a failed Ping gets kErrorResponse, as does a frame that is no request.
+net::MsgType ReplyType(net::MsgType request, bool ok) {
+  switch (request) {
+    case net::MsgType::kHelloRequest:
+    case net::MsgType::kGetScheduleRequest:
+    case net::MsgType::kObserveRequest:
+    case net::MsgType::kTrainStepRequest:
+    case net::MsgType::kSaveArtifactRequest:
+      return static_cast<net::MsgType>(static_cast<uint16_t>(request) + 1);
+    case net::MsgType::kPing:
+      return ok ? net::MsgType::kPong : net::MsgType::kErrorResponse;
+    default:
+      return net::MsgType::kErrorResponse;
+  }
+}
+
 /// Whether a message type counts against AgentServerOptions::max_requests
 /// (the policy-touching RPCs; handshake and heartbeat are free).
 bool IsPolicyRpc(net::MsgType type) {
@@ -108,57 +130,77 @@ bool IsPolicyRpc(net::MsgType type) {
   }
 }
 
-Status NoPolicyBound() {
+Status PolicyBound(const rl::Policy* policy) {
+  if (policy != nullptr) return Status::OK();
   return Status::FailedPrecondition(
       "agent: no policy bound to this session; send Hello with a valid "
       "policy key first");
 }
 
-int64_t ElapsedUs(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
-
 }  // namespace
 
 /// A GetSchedule request parked until the batch flush. Keeping every
-/// GetSchedule (explore, greedy, final, even ones that already failed to
-/// decode) in the batch — instead of flushing on the non-batchable modes —
-/// preserves per-session reply order for free: replies are emitted in batch
-/// order, and batch order is arrival order. Only kExplore items actually
-/// share a GEMM; greedy/final are const policy calls, so computing them at
-/// flush time is order-indifferent.
+/// GetSchedule (explore, greedy, final, even ones that already failed) in
+/// the batch, instead of flushing on the non-batchable modes, preserves
+/// per-session reply order for free: replies are emitted in batch order,
+/// and batch order is arrival order. Only kExplore items actually share a
+/// GEMM; greedy/final are const policy calls, so computing them at flush
+/// time is order-indifferent.
 struct AgentServer::GetItem {
-  Session* session = nullptr;
+  const WorkItem* item = nullptr;
   GetScheduleRequest req;
   Rng rng{0};               // restored exploration stream (kExplore)
   rl::PolicyAction action;  // batched SelectAction result (kExplore)
-  Status action_status;     // per-slot status from SelectActionBatch
-  std::string reply;        // fully framed response, when `ready`
-  bool ready = false;       // reply decided without consulting the policy
-  net::TraceContext trace;  // request envelope, echoed on the reply
-  double recv_us = 0.0;     // receive stamp (0 when obs was off)
-  int batch_width = 1;      // fused GEMM width this item was served in
+  /// A failure before the policy (undecodable body, no policy bound,
+  /// corrupt RNG state), then the batched SelectAction's slot status.
+  Status status;
+  int batch_width = 1;  // fused GEMM width this item was served in
+
+  /// Decodes the request and readies it for the policy.
+  Status Prepare(const rl::Policy* policy) {
+    DRLSTREAM_ASSIGN_OR_RETURN(req,
+                               DecodeGetScheduleRequest(item->frame.payload));
+    DRLSTREAM_RETURN_NOT_OK(PolicyBound(policy));
+    if (req.mode != ScheduleMode::kExplore) return Status::OK();
+    return rng.DeserializeState(req.rng_state);
+  }
+
+  bool Batched() const {
+    return status.ok() && req.mode == ScheduleMode::kExplore;
+  }
+
+  /// The reply payload once the batch has run. Greedy/final are computed
+  /// here: const policy calls, so after the explore GEMM is as good as
+  /// before it.
+  StatusOr<std::string> Reply() {
+    DRLSTREAM_RETURN_NOT_OK(status);
+    const rl::Policy* policy = item->session->policy;
+    GetScheduleResponse body;
+    StatusOr<sched::Schedule> schedule = Status::Internal("unset");
+    switch (req.mode) {
+      case ScheduleMode::kExplore:
+        schedule = std::move(action.schedule);
+        body.move_index = action.move_index;
+        body.rng_state = rng.SerializeState();
+        break;
+      case ScheduleMode::kGreedy:
+        schedule = policy->GreedyAction(req.state);
+        break;
+      case ScheduleMode::kFinal:
+        schedule = policy->FinalSchedule(req.state);
+        break;
+    }
+    DRLSTREAM_RETURN_NOT_OK(schedule.status());
+    if (schedule->num_executors() !=
+            static_cast<int>(req.state.assignments.size()) ||
+        schedule->num_machines() != req.num_machines) {
+      return Status::Internal(
+          "agent: policy schedule dimensions do not match the request state");
+    }
+    body.diff = MakeScheduleDiffFromState(req.state, *schedule);
+    return EncodeGetScheduleResponse(Status::OK(), body);
+  }
 };
-
-namespace {
-
-/// Encodes a GetScheduleResponse directly as a wire frame (header +
-/// payload in one buffer): this is the reply the server emits once per
-/// schedule, so it skips the payload-into-frame copy EncodeFrame makes.
-std::string FrameGetScheduleReply(const Status& status,
-                                  const GetScheduleResponse& body,
-                                  net::TraceContext trace) {
-  net::WireWriter writer;
-  const size_t frame_start =
-      net::BeginFrame(net::MsgType::kGetScheduleResponse, trace, &writer);
-  EncodeGetScheduleResponseTo(status, body, &writer);
-  net::EndFrame(frame_start, &writer);
-  return writer.Release();
-}
-
-}  // namespace
 
 AgentServer::AgentServer(rl::Policy* policy, AgentServerOptions options)
     : shared_policy_(policy),
@@ -209,23 +251,31 @@ StatusOr<uint64_t> AgentServer::AddSession(
   return id;
 }
 
-uint64_t AgentServer::InstallSession(std::unique_ptr<net::Transport> transport,
-                                     uint64_t id) {
-  Session session;
+bool AgentServer::Timed() const {
+  return obs::MetricsEnabled() || obs::TraceEnabled() ||
+         options_.slow_rpc_ms > 0.0 || http_ != nullptr;
+}
+
+void AgentServer::Admit(std::unique_ptr<net::Transport> transport,
+                        uint64_t id) {
+  const ServerMetrics& metrics = ServerMetrics::Get();
+  if (static_cast<int>(sessions_.size()) >= options_.max_sessions) {
+    (void)transport->Send(net::EncodeFrame(
+        net::MsgType::kErrorResponse,
+        EncodeErrorResponse(
+            Status::Unavailable("agent: session limit reached"))));
+    transport->Close();
+    return;
+  }
+  Session& session = sessions_[id];
   session.id = id;
   session.transport = std::move(transport);
   session.policy = shared_policy_;  // nullptr in registry mode until Hello
-  Session& installed = sessions_[id];
-  installed = std::move(session);
+  if (Timed()) session.stats.created_us = obs::Tracer::Get().NowUs();
   ++sessions_opened_;
-  if (obs::MetricsEnabled() || obs::TraceEnabled() || http_ != nullptr) {
-    installed.stats.created_us = obs::Tracer::Get().NowUs();
-  }
-  const ServerMetrics& metrics = ServerMetrics::Get();
   metrics.connections->Add();
   metrics.sessions->Set(static_cast<double>(sessions_.size()));
-  SessionAggMetrics::Get().opened->Add();
-  return id;
+  metrics.opened->Add();
 }
 
 void AgentServer::AdoptPendingSessionsLocked() {
@@ -234,17 +284,7 @@ void AgentServer::AdoptPendingSessionsLocked() {
     std::lock_guard<std::mutex> lock(mutex_);
     pending.swap(pending_sessions_);
   }
-  for (auto& [id, transport] : pending) {
-    if (static_cast<int>(sessions_.size()) >= options_.max_sessions) {
-      (void)transport->Send(net::EncodeFrame(
-          net::MsgType::kErrorResponse,
-          EncodeErrorResponse(
-              Status::Unavailable("agent: session limit reached"))));
-      transport->Close();
-      continue;
-    }
-    InstallSession(std::move(transport), id);
-  }
+  for (auto& [id, transport] : pending) Admit(std::move(transport), id);
 }
 
 bool AgentServer::SessionDead(const Session& session) const {
@@ -253,21 +293,21 @@ bool AgentServer::SessionDead(const Session& session) const {
 }
 
 void AgentServer::ReapDeadSessions() {
-  const SessionAggMetrics& agg = SessionAggMetrics::Get();
+  const ServerMetrics& metrics = ServerMetrics::Get();
   for (auto it = sessions_.begin(); it != sessions_.end();) {
     if (SessionDead(it->second)) {
       const Session& session = it->second;
-      agg.closed->Add();
-      if (session.peer_gone) agg.peer_gone->Add();
-      if (session.rx_poisoned) agg.rx_poisoned->Add();
-      if (session.killed) agg.killed->Add();
+      metrics.closed->Add();
+      if (session.peer_gone) metrics.peer_gone->Add();
+      if (session.rx_poisoned) metrics.rx_poisoned->Add();
+      if (session.killed) metrics.killed->Add();
       it->second.transport->Close();
       it = sessions_.erase(it);
     } else {
       ++it;
     }
   }
-  ServerMetrics::Get().sessions->Set(static_cast<double>(sessions_.size()));
+  metrics.sessions->Set(static_cast<double>(sessions_.size()));
 }
 
 void AgentServer::PumpSession(Session* session, std::vector<WorkItem>* work) {
@@ -276,11 +316,8 @@ void AgentServer::PumpSession(Session* session, std::vector<WorkItem>* work) {
     session->rx_pending = false;
     return;
   }
-  // One clock read per received frame, but only when something consumes
-  // it (tracing, metrics, slow-rpc logging, or the live status page);
-  // otherwise receiving stays free of clock syscalls.
-  const bool stamp = obs::MetricsEnabled() || obs::TraceEnabled() ||
-                     options_.slow_rpc_ms > 0.0 || http_ != nullptr;
+  const ServerMetrics& metrics = ServerMetrics::Get();
+  const bool timed = Timed();
   int pumped = 0;
   while (pumped < kMaxFramesPerSessionPerIteration) {
     StatusOr<std::string> raw = session->transport->TryRecv();
@@ -295,20 +332,19 @@ void AgentServer::PumpSession(Session* session, std::vector<WorkItem>* work) {
       // Framing violation: the stream offset can't be trusted any more.
       // The error reply slots in *after* this session's valid frames.
       session->rx_poisoned = true;
-      work->push_back(WorkItem{session, net::Frame{}, true, raw.status()});
+      work->push_back(WorkItem{session, net::Frame{}, raw.status()});
       break;
     }
     session->stats.bytes_in += static_cast<int64_t>(raw->size());
-    SessionAggMetrics::Get().bytes_in->Add(
-        static_cast<int64_t>(raw->size()));
+    metrics.bytes_in->Add(static_cast<int64_t>(raw->size()));
     StatusOr<net::Frame> frame = net::DecodeFrame(std::move(*raw));
     if (!frame.ok()) {
       session->rx_poisoned = true;
-      work->push_back(WorkItem{session, net::Frame{}, true, frame.status()});
+      work->push_back(WorkItem{session, net::Frame{}, frame.status()});
       break;
     }
-    WorkItem item{session, std::move(*frame), false, Status::OK()};
-    if (stamp) {
+    WorkItem item{session, std::move(*frame), Status::OK()};
+    if (timed) {
       item.recv_us = obs::Tracer::Get().NowUs();
       session->stats.last_activity_us = item.recv_us;
     }
@@ -318,151 +354,176 @@ void AgentServer::PumpSession(Session* session, std::vector<WorkItem>* work) {
   // Fairness cap hit: frames may remain in the transport's buffer, not the
   // kernel's, so poll alone would not re-schedule this session.
   session->rx_pending = pumped >= kMaxFramesPerSessionPerIteration;
-  if (pumped > 0) {
-    ServerMetrics::Get().queue_depth->Record(static_cast<double>(pumped));
+  if (pumped > 0) metrics.queue_depth->Record(static_cast<double>(pumped));
+}
+
+void AgentServer::ProcessWork(std::vector<WorkItem>* work) {
+  const ServerMetrics& metrics = ServerMetrics::Get();
+  const bool timed = Timed();
+  std::vector<GetItem> batch;
+  for (const WorkItem& item : *work) {
+    Session* session = item.session;
+    // After a kill or a framing violation the session takes no further
+    // service this iteration.
+    if (session->killed || session->draining) continue;
+    metrics.requests->Add();
+    if (!item.rx_error.ok()) {
+      FlushGetBatch(&batch);  // keep outbox append order
+      metrics.errors->Add();
+      // No decoded frame: the error goes out untimed, with a zero envelope.
+      Reply(item, item.rx_error, 0.0, 1);
+      session->draining = true;
+      continue;
+    }
+    const net::MsgType type = item.frame.type;
+    SessionStats& stats = session->stats;
+    ++stats.requests;
+    if (type == net::MsgType::kGetScheduleRequest) ++stats.get_schedules;
+    if (type == net::MsgType::kObserveRequest) ++stats.observes;
+    if (type == net::MsgType::kTrainStepRequest) ++stats.train_steps;
+    if (IsPolicyRpc(type) && options_.max_requests > 0 &&
+        ++session->policy_requests > options_.max_requests) {
+      // max_requests exhausted: simulate the agent dying mid-run. No reply
+      // to this request; already-admitted batch items and the outbox still
+      // flush, then the connection closes — exactly the replies the
+      // sequential server would have delivered.
+      session->killed = true;
+      continue;
+    }
+    if (type == net::MsgType::kGetScheduleRequest) {
+      GetItem get;
+      get.item = &item;
+      get.status = get.Prepare(session->policy);
+      batch.push_back(std::move(get));
+      continue;
+    }
+    // Mutating (or at least non-batchable) request: flush the pending
+    // GEMM first so processing order matches sequential serving.
+    FlushGetBatch(&batch);
+    const double start_us = timed ? obs::Tracer::Get().NowUs() : 0.0;
+    Reply(item, Serve(item), start_us, 1);
   }
+  FlushGetBatch(&batch);
 }
 
 void AgentServer::FlushGetBatch(std::vector<GetItem>* batch) {
   if (batch->empty()) return;
   const ServerMetrics& metrics = ServerMetrics::Get();
-  const SessionAggMetrics& agg = SessionAggMetrics::Get();
-  const auto start = std::chrono::steady_clock::now();
-  const bool tracing = obs::TraceEnabled();
-  const bool timing = tracing || options_.slow_rpc_ms > 0.0;
-  const double flush_start_us = timing ? obs::Tracer::Get().NowUs() : 0.0;
+  const double start_us = Timed() ? obs::Tracer::Get().NowUs() : 0.0;
 
   // Fuse the kExplore slots, grouped by policy instance in first-appearance
   // order. Per-session policies make these groups of one; the shared-policy
   // server turns the whole run into a single ForwardBatch GEMM.
   std::vector<rl::Policy*> policies;
-  for (const GetItem& item : *batch) {
-    if (item.ready || item.req.mode != ScheduleMode::kExplore) continue;
-    bool seen = false;
-    for (rl::Policy* policy : policies) seen |= (policy == item.session->policy);
-    if (!seen) policies.push_back(item.session->policy);
+  for (const GetItem& get : *batch) {
+    rl::Policy* policy = get.item->session->policy;
+    if (get.Batched() &&
+        std::find(policies.begin(), policies.end(), policy) == policies.end()) {
+      policies.push_back(policy);
+    }
   }
   std::vector<GetItem*> group;
   std::vector<rl::DecisionRequest> slots;
   for (rl::Policy* policy : policies) {
     group.clear();
     slots.clear();
-    for (GetItem& item : *batch) {
-      if (item.ready || item.req.mode != ScheduleMode::kExplore) continue;
-      if (item.session->policy != policy) continue;
-      group.push_back(&item);
+    for (GetItem& get : *batch) {
+      if (!get.Batched() || get.item->session->policy != policy) continue;
+      group.push_back(&get);
       rl::DecisionRequest slot;
-      slot.state = &item.req.state;
-      slot.epsilon = item.req.epsilon;
-      slot.rng = &item.rng;
-      slot.out = &item.action;
+      slot.state = &get.req.state;
+      slot.epsilon = get.req.epsilon;
+      slot.rng = &get.rng;
+      slot.out = &get.action;
       slots.push_back(slot);
     }
     policy->SelectActionBatch(slots.data(), static_cast<int>(slots.size()));
-    metrics.batch_size->Record(static_cast<double>(slots.size()));
-    agg.batch_width->Record(static_cast<double>(slots.size()));
     const int width = static_cast<int>(slots.size());
+    metrics.batch_size->Record(width);
+    metrics.batch_width->Record(width);
     for (size_t i = 0; i < group.size(); ++i) {
-      group[i]->action_status = slots[i].status;
+      group[i]->status = slots[i].status;
       group[i]->batch_width = width;
-      SessionStats& stats = group[i]->session->stats;
+      SessionStats& stats = group[i]->item->session->stats;
       if (width > 1) ++stats.batched_requests;
-      if (width > stats.max_batch_width) stats.max_batch_width = width;
+      stats.max_batch_width = std::max<int64_t>(stats.max_batch_width, width);
     }
   }
 
-  // Emit replies in arrival order (this is what keeps per-session reply
-  // order intact). Greedy/final are const policy calls: computing them
-  // here, after the explore GEMM, cannot change any result.
-  for (GetItem& item : *batch) {
-    if (!item.ready) {
-      const int base_executors =
-          static_cast<int>(item.req.state.assignments.size());
-      const bool explore = item.req.mode == ScheduleMode::kExplore;
-      StatusOr<sched::Schedule> schedule = Status::Internal("unset");
-      switch (item.req.mode) {
-        case ScheduleMode::kExplore:
-          if (item.action_status.ok()) {
-            schedule = std::move(item.action.schedule);
-          } else {
-            schedule = item.action_status;
-          }
-          break;
-        case ScheduleMode::kGreedy:
-          schedule = item.session->policy->GreedyAction(item.req.state);
-          break;
-        case ScheduleMode::kFinal:
-          schedule = item.session->policy->FinalSchedule(item.req.state);
-          break;
-      }
-      if (!schedule.ok()) {
-        item.reply = FrameGetScheduleReply(schedule.status(), {}, item.trace);
-      } else if (schedule->num_executors() != base_executors ||
-                 schedule->num_machines() != item.req.num_machines) {
-        item.reply = FrameGetScheduleReply(
-            Status::Internal("agent: policy schedule dimensions do not "
-                             "match the request state"),
-            {}, item.trace);
-      } else {
-        GetScheduleResponse body;
-        body.diff = MakeScheduleDiffFromState(item.req.state, *schedule);
-        if (explore) {
-          body.move_index = item.action.move_index;
-          body.rng_state = item.rng.SerializeState();
-        }
-        item.reply = FrameGetScheduleReply(Status::OK(), body, item.trace);
-      }
-    }
-    item.session->stats.bytes_out += static_cast<int64_t>(item.reply.size());
-    agg.bytes_out->Add(static_cast<int64_t>(item.reply.size()));
-    if (timing) {
-      const double end_us = obs::Tracer::Get().NowUs();
-      const double queue_wait_us =
-          item.recv_us > 0.0 ? flush_start_us - item.recv_us : -1.0;
-      if (queue_wait_us >= 0.0) agg.queue_wait_us->Record(queue_wait_us);
-      if (tracing) {
-        const double start_us =
-            item.recv_us > 0.0 ? item.recv_us : flush_start_us;
-        obs::Tracer::Get().AddWallSpan(
-            "agent.GetSchedule", start_us, end_us,
-            SpanArgs(item.trace, item.session->id, item.batch_width,
-                     queue_wait_us));
-      }
-      MaybeLogSlowRpc(*item.session, net::MsgType::kGetScheduleRequest,
-                      item.trace, item.recv_us, end_us);
-    }
-    // `reply` is already a complete frame (FrameGetScheduleReply); hand it
-    // to the outbox as-is.
-    item.session->outbox.push_back(std::move(item.reply));
-  }
-  const int64_t per_item_us =
-      ElapsedUs(start) / static_cast<int64_t>(batch->size());
-  for (size_t i = 0; i < batch->size(); ++i) {
-    metrics.request_us->Record(static_cast<double>(per_item_us));
+  // Replies leave in arrival order, which keeps per-session order intact.
+  for (GetItem& get : *batch) {
+    Reply(*get.item, get.Reply(), start_us, get.batch_width);
   }
   batch->clear();
 }
 
-void AgentServer::HandleHello(Session* session, const net::Frame& frame) {
-  StatusOr<HelloRequest> request = DecodeHelloRequest(frame.payload);
-  if (!request.ok()) {
-    AppendReply(session, net::MsgType::kHelloResponse,
-                EncodeHelloResponse(request.status(), {}), frame.trace);
-    return;
+StatusOr<std::string> AgentServer::Serve(const WorkItem& item) {
+  Session* session = item.session;
+  const net::Frame& frame = item.frame;
+  switch (frame.type) {
+    case net::MsgType::kHelloRequest:
+      return Hello(session, frame.payload);
+    case net::MsgType::kPing: {
+      // The Pong echoes the token back, stamped with the server's receive
+      // and transmit times (tracer-epoch us) so the client can estimate
+      // the clock offset. The stamps are the reply, so they are read
+      // whether or not anything observes the server.
+      DRLSTREAM_ASSIGN_OR_RETURN(PingMessage ping,
+                                 DecodePingMessage(frame.payload));
+      ping.server_recv_us =
+          item.recv_us > 0.0 ? item.recv_us : obs::Tracer::Get().NowUs();
+      ping.server_send_us = obs::Tracer::Get().NowUs();
+      return EncodePingMessage(ping);
+    }
+    case net::MsgType::kObserveRequest: {
+      DRLSTREAM_RETURN_NOT_OK(PolicyBound(session->policy));
+      DRLSTREAM_ASSIGN_OR_RETURN(ObserveRequest request,
+                                 DecodeObserveRequest(frame.payload));
+      if (pool_ != nullptr) {
+        pool_->Observe(session->id, std::move(request.transition));
+      } else {
+        session->policy->Observe(std::move(request.transition));
+      }
+      return EncodeObserveResponse(Status::OK());
+    }
+    case net::MsgType::kTrainStepRequest: {
+      DRLSTREAM_RETURN_NOT_OK(PolicyBound(session->policy));
+      DRLSTREAM_ASSIGN_OR_RETURN(TrainStepRequest request,
+                                 DecodeTrainStepRequest(frame.payload));
+      TrainStepResponse body;
+      for (int i = 0; i < request.steps; ++i) {
+        body.loss =
+            pool_ != nullptr ? pool_->TrainStep() : session->policy->TrainStep();
+      }
+      return EncodeTrainStepResponse(Status::OK(), body);
+    }
+    case net::MsgType::kSaveArtifactRequest: {
+      DRLSTREAM_RETURN_NOT_OK(PolicyBound(session->policy));
+      DRLSTREAM_ASSIGN_OR_RETURN(SaveArtifactRequest request,
+                                 DecodeSaveArtifactRequest(frame.payload));
+      DRLSTREAM_RETURN_NOT_OK(session->policy->Save(request.prefix));
+      return EncodeSaveArtifactResponse(Status::OK());
+    }
+    default:
+      // A response type (or Pong) arriving as a request: protocol misuse.
+      return Status::InvalidArgument(
+          std::string("agent: unexpected request type ") +
+          net::MsgTypeName(frame.type));
   }
-  session->stats.client_name = request->client_name;
+}
+
+StatusOr<std::string> AgentServer::Hello(Session* session,
+                                         std::string_view payload) {
+  DRLSTREAM_ASSIGN_OR_RETURN(HelloRequest request,
+                             DecodeHelloRequest(payload));
+  session->stats.client_name = request.client_name;
   if (session->policy == nullptr) {
     // Registry mode, first Hello: bind this session's own policy instance.
     const std::string& key =
-        request->policy_key.empty() ? default_key_ : request->policy_key;
-    StatusOr<std::unique_ptr<rl::Policy>> created =
-        rl::PolicyRegistry::Get().Create(key, *context_);
-    if (!created.ok()) {
-      AppendReply(session, net::MsgType::kHelloResponse,
-                  EncodeHelloResponse(created.status(), {}), frame.trace);
-      return;
-    }
-    session->owned_policy = std::move(*created);
+        request.policy_key.empty() ? default_key_ : request.policy_key;
+    DRLSTREAM_ASSIGN_OR_RETURN(
+        session->owned_policy,
+        rl::PolicyRegistry::Get().Create(key, *context_));
     session->policy = session->owned_policy.get();
   }
   session->stats.policy_key = session->policy->registry_key();
@@ -474,214 +535,51 @@ void AgentServer::HandleHello(Session* session, const net::Frame& frame) {
   body.description = session->policy->Describe();
   body.trainable = session->policy->trainable();
   body.session_id = session->id;
-  AppendReply(session, net::MsgType::kHelloResponse,
-              EncodeHelloResponse(Status::OK(), body), frame.trace);
+  return EncodeHelloResponse(Status::OK(), body);
 }
 
-void AgentServer::HandleSingle(Session* session, const net::Frame& frame,
-                               double recv_us) {
+void AgentServer::Reply(const WorkItem& item, StatusOr<std::string> reply,
+                        double start_us, int batch_width) {
+  Session* session = item.session;
+  const net::MsgType type = item.frame.type;
   const ServerMetrics& metrics = ServerMetrics::Get();
-  const auto start = std::chrono::steady_clock::now();
-  const bool tracing = obs::TraceEnabled();
-  const bool timing = tracing || options_.slow_rpc_ms > 0.0;
-  net::MsgType reply_type = net::MsgType::kErrorResponse;
-  std::string reply;
-  switch (frame.type) {
-    case net::MsgType::kHelloRequest:
-      HandleHello(session, frame);
-      metrics.request_us->Record(static_cast<double>(ElapsedUs(start)));
-      if (timing) {
-        const double end_us = obs::Tracer::Get().NowUs();
-        if (tracing && recv_us > 0.0) {
-          obs::Tracer::Get().AddWallSpan(
-              "agent.Hello", recv_us, end_us,
-              SpanArgs(frame.trace, session->id, 1, -1.0));
-        }
-        MaybeLogSlowRpc(*session, frame.type, frame.trace, recv_us, end_us);
-      }
-      return;
-    case net::MsgType::kPing: {
-      // The Pong echoes the token back, stamped with the server's receive
-      // and transmit times (tracer-epoch us) so the client can estimate
-      // the clock offset. A Pong has no status field, so an undecodable
-      // Ping gets the generic error reply.
-      StatusOr<PingMessage> ping = DecodePingMessage(frame.payload);
-      if (!ping.ok()) {
-        reply_type = net::MsgType::kErrorResponse;
-        reply = EncodeErrorResponse(ping.status());
-        break;
-      }
-      reply_type = net::MsgType::kPong;
-      ping->server_recv_us =
-          recv_us > 0.0 ? recv_us : obs::Tracer::Get().NowUs();
-      ping->server_send_us = obs::Tracer::Get().NowUs();
-      reply = EncodePingMessage(*ping);
-      break;
-    }
-    case net::MsgType::kObserveRequest: {
-      reply_type = net::MsgType::kObserveResponse;
-      if (session->policy == nullptr) {
-        reply = EncodeObserveResponse(NoPolicyBound());
-        break;
-      }
-      StatusOr<ObserveRequest> request = DecodeObserveRequest(frame.payload);
-      if (!request.ok()) {
-        reply = EncodeObserveResponse(request.status());
-        break;
-      }
-      if (pool_ != nullptr) {
-        pool_->Observe(session->id, std::move(request->transition));
-      } else {
-        session->policy->Observe(std::move(request->transition));
-      }
-      reply = EncodeObserveResponse(Status::OK());
-      break;
-    }
-    case net::MsgType::kTrainStepRequest: {
-      reply_type = net::MsgType::kTrainStepResponse;
-      if (session->policy == nullptr) {
-        reply = EncodeTrainStepResponse(NoPolicyBound(), {});
-        break;
-      }
-      StatusOr<TrainStepRequest> request =
-          DecodeTrainStepRequest(frame.payload);
-      if (!request.ok()) {
-        reply = EncodeTrainStepResponse(request.status(), {});
-        break;
-      }
-      TrainStepResponse body;
-      for (int i = 0; i < request->steps; ++i) {
-        body.loss =
-            pool_ != nullptr ? pool_->TrainStep() : session->policy->TrainStep();
-      }
-      reply = EncodeTrainStepResponse(Status::OK(), body);
-      break;
-    }
-    case net::MsgType::kSaveArtifactRequest: {
-      reply_type = net::MsgType::kSaveArtifactResponse;
-      if (session->policy == nullptr) {
-        reply = EncodeSaveArtifactResponse(NoPolicyBound());
-        break;
-      }
-      StatusOr<SaveArtifactRequest> request =
-          DecodeSaveArtifactRequest(frame.payload);
-      if (!request.ok()) {
-        reply = EncodeSaveArtifactResponse(request.status());
-        break;
-      }
-      reply = EncodeSaveArtifactResponse(session->policy->Save(request->prefix));
-      break;
-    }
-    default:
-      // A response type (or Pong) arriving as a request: protocol misuse.
-      reply_type = net::MsgType::kErrorResponse;
-      reply = EncodeErrorResponse(Status::InvalidArgument(
-          std::string("agent: unexpected request type ") +
-          net::MsgTypeName(frame.type)));
-      break;
-  }
-  AppendReply(session, reply_type, reply, frame.trace);
-  metrics.request_us->Record(static_cast<double>(ElapsedUs(start)));
-  if (timing) {
-    const double end_us = obs::Tracer::Get().NowUs();
-    if (tracing && recv_us > 0.0) {
-      obs::Tracer::Get().AddWallSpan(
-          std::string("agent.") + net::MsgTypeName(frame.type), recv_us,
-          end_us, SpanArgs(frame.trace, session->id, 1, -1.0));
-    }
-    MaybeLogSlowRpc(*session, frame.type, frame.trace, recv_us, end_us);
-  }
-}
+  const net::MsgType reply_type = ReplyType(type, reply.ok());
+  const std::string payload =
+      reply.ok() ? std::move(*reply) : EncodeErrorResponse(reply.status());
+  std::string frame =
+      net::EncodeFrame(reply_type, payload, item.frame.trace);
+  session->stats.bytes_out += static_cast<int64_t>(frame.size());
+  metrics.bytes_out->Add(static_cast<int64_t>(frame.size()));
+  session->outbox.push_back(std::move(frame));
+  if (start_us <= 0.0) return;  // untimed
 
-void AgentServer::ProcessWork(std::vector<WorkItem>* work) {
-  const ServerMetrics& metrics = ServerMetrics::Get();
-  std::vector<GetItem> batch;
-  for (WorkItem& item : *work) {
-    Session* session = item.session;
-    // After a kill or a framing violation the session takes no further
-    // service this iteration.
-    if (session->killed || session->draining) continue;
-    metrics.requests->Add();
-    if (item.is_rx_error) {
-      FlushGetBatch(&batch);  // keep outbox append order
-      metrics.errors->Add();
-      // No decoded frame to echo an envelope from: reply with zeros.
-      AppendReply(session, net::MsgType::kErrorResponse,
-                  EncodeErrorResponse(item.rx_error), net::TraceContext{});
-      session->draining = true;
-      continue;
-    }
-    const net::Frame& frame = item.frame;
-    ++session->stats.requests;
-    switch (frame.type) {
-      case net::MsgType::kGetScheduleRequest:
-        ++session->stats.get_schedules;
-        break;
-      case net::MsgType::kObserveRequest:
-        ++session->stats.observes;
-        break;
-      case net::MsgType::kTrainStepRequest:
-        ++session->stats.train_steps;
-        break;
-      default:
-        break;
-    }
-    if (IsPolicyRpc(frame.type) && options_.max_requests > 0) {
-      if (++session->policy_requests > options_.max_requests) {
-        // max_requests exhausted: simulate the agent dying mid-run. No
-        // reply to this request; already-admitted batch items and the
-        // outbox still flush, then the connection closes — exactly the
-        // replies the sequential server would have delivered.
-        session->killed = true;
-        continue;
-      }
-    }
-    if (frame.type == net::MsgType::kGetScheduleRequest) {
-      GetItem get;
-      get.session = session;
-      get.trace = frame.trace;
-      get.recv_us = item.recv_us;
-      StatusOr<GetScheduleRequest> request =
-          DecodeGetScheduleRequest(frame.payload);
-      if (!request.ok()) {
-        get.ready = true;
-        get.reply = FrameGetScheduleReply(request.status(), {}, get.trace);
-      } else {
-        get.req = std::move(*request);
-        if (session->policy == nullptr) {
-          get.ready = true;
-          get.reply = FrameGetScheduleReply(NoPolicyBound(), {}, get.trace);
-        } else if (get.req.mode == ScheduleMode::kExplore) {
-          Status restored = get.rng.DeserializeState(get.req.rng_state);
-          if (!restored.ok()) {
-            get.ready = true;
-            get.reply = FrameGetScheduleReply(restored, {}, get.trace);
-          }
-        }
-      }
-      batch.push_back(std::move(get));
-      continue;
-    }
-    // Mutating (or at least non-batchable) request: flush the pending
-    // GEMM first so processing order matches sequential serving.
-    FlushGetBatch(&batch);
-    HandleSingle(session, frame, item.recv_us);
+  const double end_us = obs::Tracer::Get().NowUs();
+  metrics.request_us->Record(end_us - start_us);
+  // A GetSchedule waits in its batch until the flush starts serving it.
+  const double queue_wait_us =
+      type == net::MsgType::kGetScheduleRequest && item.recv_us > 0.0
+          ? start_us - item.recv_us
+          : -1.0;
+  if (queue_wait_us >= 0.0) metrics.queue_wait_us->Record(queue_wait_us);
+  if (obs::TraceEnabled()) {
+    obs::Tracer::Get().AddWallSpan(
+        SpanName(type), item.recv_us > 0.0 ? item.recv_us : start_us, end_us,
+        SpanArgs(item.frame.trace, session->id, batch_width, queue_wait_us));
   }
-  FlushGetBatch(&batch);
-}
-
-void AgentServer::AppendReply(Session* session, net::MsgType type,
-                              std::string_view payload,
-                              net::TraceContext trace) {
-  std::string reply = net::EncodeFrame(type, payload, trace);
-  session->stats.bytes_out += static_cast<int64_t>(reply.size());
-  SessionAggMetrics::Get().bytes_out->Add(static_cast<int64_t>(reply.size()));
-  session->outbox.push_back(std::move(reply));
+  if (options_.slow_rpc_ms <= 0.0 || item.recv_us <= 0.0) return;
+  const double took_ms = (end_us - item.recv_us) / 1000.0;
+  if (took_ms <= options_.slow_rpc_ms) return;
+  metrics.slow_rpcs->Add();
+  DRLSTREAM_LOG(kWarning) << "agent: slow rpc " << net::MsgTypeName(type)
+                          << " session=" << session->id
+                          << " trace_id=" << item.frame.trace.trace_id
+                          << " took " << took_ms << " ms (threshold "
+                          << options_.slow_rpc_ms << " ms)";
 }
 
 void AgentServer::FlushOutbox(Session* session) {
-  if (!session->outbox.empty() && obs::MetricsEnabled()) {
-    SessionAggMetrics::Get().outbox_depth->Record(
+  if (!session->outbox.empty()) {
+    ServerMetrics::Get().outbox_depth->Record(
         static_cast<double>(session->outbox.size()));
   }
   // The socket may accept part of a frame; outbox_off tracks the flushed
@@ -701,20 +599,6 @@ void AgentServer::FlushOutbox(Session* session) {
       session->outbox_off = 0;
     }
   }
-}
-
-void AgentServer::MaybeLogSlowRpc(const Session& session, net::MsgType type,
-                                  net::TraceContext trace, double recv_us,
-                                  double end_us) {
-  if (options_.slow_rpc_ms <= 0.0 || recv_us <= 0.0) return;
-  const double took_ms = (end_us - recv_us) / 1000.0;
-  if (took_ms <= options_.slow_rpc_ms) return;
-  SessionAggMetrics::Get().slow_rpcs->Add();
-  DRLSTREAM_LOG(kWarning) << "agent: slow rpc " << net::MsgTypeName(type)
-                          << " session=" << session.id
-                          << " trace_id=" << trace.trace_id << " took "
-                          << took_ms << " ms (threshold "
-                          << options_.slow_rpc_ms << " ms)";
 }
 
 std::string AgentServer::StatuszJson() const {
@@ -906,15 +790,7 @@ Status AgentServer::RunLoop(net::TcpListener* listener) {
           std::lock_guard<std::mutex> lock(mutex_);
           id = ++next_session_id_;
         }
-        if (static_cast<int>(sessions_.size()) >= options_.max_sessions) {
-          (void)(*conn)->Send(net::EncodeFrame(
-              net::MsgType::kErrorResponse,
-              EncodeErrorResponse(
-                  Status::Unavailable("agent: session limit reached"))));
-          (*conn)->Close();
-          continue;
-        }
-        InstallSession(std::move(*conn), id);
+        Admit(std::move(*conn), id);
       }
     }
 

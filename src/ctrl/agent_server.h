@@ -143,7 +143,7 @@ class AgentServer {
     int64_t bytes_out = 0;  // framed bytes enqueued for this session
     int64_t batched_requests = 0;  // GetSchedules served in a fused batch >1
     int64_t max_batch_width = 0;
-    double created_us = 0.0;        // tracer-epoch; 0 when obs was off
+    double created_us = 0.0;        // tracer-epoch; 0 when untimed
     double last_activity_us = 0.0;  // last received frame (tracer-epoch)
   };
 
@@ -171,10 +171,9 @@ class AgentServer {
   struct WorkItem {
     Session* session = nullptr;
     net::Frame frame;
-    bool is_rx_error = false;
-    Status rx_error;  // set when is_rx_error
-    /// Tracer-epoch receive stamp; 0 when no observability needs it (the
-    /// disabled path never reads the clock).
+    /// A framing violation: `frame` is empty and the reply is this error.
+    Status rx_error;
+    /// Tracer-epoch receive stamp; 0 when nothing reads it (see Timed).
     double recv_us = 0.0;
   };
 
@@ -188,27 +187,33 @@ class AgentServer {
 
   Status RunLoop(net::TcpListener* listener);
   Status EnsureWakeup();
+  /// The one enable predicate for request timing: whether metrics,
+  /// tracing, the slow-RPC log or the HTTP endpoint will read a request's
+  /// clock stamps. When false, serving a request reads no clock.
+  bool Timed() const;
+  /// Installs a session from AddSession or a TCP accept, or, at
+  /// max_sessions, refuses it with a kErrorResponse and closes it.
+  void Admit(std::unique_ptr<net::Transport> transport, uint64_t id);
   void AdoptPendingSessionsLocked();
-  uint64_t InstallSession(std::unique_ptr<net::Transport> transport,
-                          uint64_t id);
   void PumpSession(Session* session, std::vector<WorkItem>* work);
   void ProcessWork(std::vector<WorkItem>* work);
   void FlushGetBatch(std::vector<GetItem>* batch);
-  void HandleSingle(Session* session, const net::Frame& frame,
-                    double recv_us);
-  void HandleHello(Session* session, const net::Frame& frame);
-  /// Frames a reply echoing the request's trace envelope (zeros for
-  /// replies without a decoded request frame).
-  void AppendReply(Session* session, net::MsgType type,
-                   std::string_view payload, net::TraceContext trace);
+  /// The reply payload to a non-GetSchedule request, or the error whose
+  /// status envelope answers it.
+  StatusOr<std::string> Serve(const WorkItem& item);
+  StatusOr<std::string> Hello(Session* session, std::string_view payload);
+  /// The one way out for a reply: frames it with the request's envelope
+  /// (an error as its status envelope), counts its bytes and queues it;
+  /// when `start_us` > 0, the time service began, it also records
+  /// request_us, a GetSchedule's queue wait, the agent.<Type> span and the
+  /// slow-RPC check.
+  void Reply(const WorkItem& item, StatusOr<std::string> reply,
+             double start_us, int batch_width);
   void FlushOutbox(Session* session);
   void ReapDeadSessions();
   bool SessionDead(const Session& session) const;
   /// The /statusz document: a JSON session table built on the loop thread.
   std::string StatuszJson() const;
-  void MaybeLogSlowRpc(const Session& session, net::MsgType type,
-                       net::TraceContext trace, double recv_us,
-                       double end_us);
 
   rl::Policy* shared_policy_ = nullptr;           // shared mode
   const rl::PolicyContext* context_ = nullptr;    // registry mode

@@ -1,30 +1,13 @@
 #include "ctrl/http_introspect.h"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
-#include <cstring>
 
 namespace drlstream::ctrl {
 namespace {
-
-Status ErrnoStatus(const std::string& what, int err) {
-  return Status::IoError("http: " + what + ": " + std::strerror(err));
-}
-
-Status SetNonBlocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
-    return ErrnoStatus("fcntl(O_NONBLOCK)", errno);
-  }
-  return Status::OK();
-}
 
 const char* ReasonPhrase(int status) {
   switch (status) {
@@ -77,62 +60,21 @@ HttpResponse Dispatch(const std::string& head,
 
 StatusOr<std::unique_ptr<HttpIntrospect>> HttpIntrospect::Bind(
     const std::string& host, int port) {
-  if (port < 0 || port > 65535) {
-    return Status::InvalidArgument("http: port out of range: " +
-                                   std::to_string(port));
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  const std::string numeric = host == "localhost" ? "127.0.0.1" : host;
-  if (::inet_pton(AF_INET, numeric.c_str(), &addr.sin_addr) != 1) {
-    return Status::InvalidArgument(
-        "http: '" + host + "' is not a numeric IPv4 address or 'localhost'");
-  }
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return ErrnoStatus("socket", errno);
-  int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    const int err = errno;
-    ::close(fd);
-    return ErrnoStatus("bind " + host + ":" + std::to_string(port), err);
-  }
-  if (::listen(fd, 16) < 0) {
-    const int err = errno;
-    ::close(fd);
-    return ErrnoStatus("listen", err);
-  }
-  Status nonblocking = SetNonBlocking(fd);
-  if (!nonblocking.ok()) {
-    ::close(fd);
-    return nonblocking;
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) < 0) {
-    const int err = errno;
-    ::close(fd);
-    return ErrnoStatus("getsockname", err);
-  }
+  DRLSTREAM_ASSIGN_OR_RETURN(std::unique_ptr<net::TcpListener> listener,
+                             net::TcpListener::Bind(host, port));
   return std::unique_ptr<HttpIntrospect>(
-      new HttpIntrospect(fd, ntohs(bound.sin_port)));
+      new HttpIntrospect(std::move(listener)));
 }
-
-HttpIntrospect::HttpIntrospect(int listen_fd, int port)
-    : listen_fd_(listen_fd), port_(port) {}
 
 HttpIntrospect::~HttpIntrospect() {
   for (Conn& conn : conns_) {
     if (conn.fd >= 0) ::close(conn.fd);
   }
-  if (listen_fd_ >= 0) ::close(listen_fd_);
 }
 
 size_t HttpIntrospect::AppendPollFds(std::vector<struct pollfd>* pfds) {
   size_t added = 0;
-  pfds->push_back({listen_fd_, POLLIN, 0});
+  pfds->push_back({listener_->readiness_fd(), POLLIN, 0});
   ++added;
   for (const Conn& conn : conns_) {
     short events = 0;
@@ -148,7 +90,7 @@ void HttpIntrospect::ServiceConn(Conn* conn, const Handler& handler) {
   if (!conn->responding) {
     char buf[2048];
     while (true) {
-      const ssize_t n = ::read(conn->fd, buf, sizeof(buf));
+      const ssize_t n = ::recv(conn->fd, buf, sizeof(buf), MSG_DONTWAIT);
       if (n > 0) {
         conn->in.append(buf, static_cast<size_t>(n));
         if (conn->in.size() > kMaxRequestBytes) {
@@ -178,7 +120,7 @@ void HttpIntrospect::ServiceConn(Conn* conn, const Handler& handler) {
   while (conn->responding && conn->out_off < conn->out.size()) {
     const ssize_t n =
         ::send(conn->fd, conn->out.data() + conn->out_off,
-               conn->out.size() - conn->out_off, MSG_NOSIGNAL);
+               conn->out.size() - conn->out_off, MSG_NOSIGNAL | MSG_DONTWAIT);
     if (n > 0) {
       conn->out_off += static_cast<size_t>(n);
       continue;
@@ -199,18 +141,15 @@ void HttpIntrospect::ServiceConn(Conn* conn, const Handler& handler) {
 
 void HttpIntrospect::AcceptReady(const Handler& handler) {
   while (true) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      break;  // EAGAIN / transient accept errors: try again next poll
-    }
-    if (static_cast<int>(conns_.size()) >= kMaxConnections ||
-        !SetNonBlocking(fd).ok()) {
-      ::close(fd);
+    // None pending, or a transient accept error: try again next poll.
+    const StatusOr<int> fd = listener_->AcceptSocket();
+    if (!fd.ok()) break;
+    if (static_cast<int>(conns_.size()) >= kMaxConnections) {
+      ::close(*fd);
       continue;
     }
     Conn conn;
-    conn.fd = fd;
+    conn.fd = *fd;
     conns_.push_back(std::move(conn));
     // The request bytes often ride in right behind the SYN; try serving
     // immediately instead of waiting out a poll cycle.

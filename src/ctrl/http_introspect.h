@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "net/tcp.h"
 
 namespace drlstream::ctrl {
 
@@ -30,8 +31,9 @@ struct HttpResponse {
 ///     request bytes, invokes the handler once a request line is complete,
 ///     and flushes the response.
 ///
-/// Every fd is non-blocking; a connection is served one request and closed
-/// (Connection: close), which sidesteps keep-alive bookkeeping entirely.
+/// Every socket call is non-blocking; a connection is served one request
+/// and closed (Connection: close), which sidesteps keep-alive bookkeeping
+/// entirely.
 /// Requests are capped at kMaxRequestBytes; non-GET methods get 405,
 /// oversized or malformed requests 400. All parsing and handler execution
 /// happen on the caller's (event-loop) thread, so handlers may read
@@ -43,7 +45,8 @@ class HttpIntrospect {
   static constexpr size_t kMaxRequestBytes = 8192;
   static constexpr int kMaxConnections = 32;
 
-  /// Binds and listens on host:port (port 0 = ephemeral; see port()).
+  /// Binds and listens on host:port through net::TcpListener (port 0 =
+  /// ephemeral; see port()).
   static StatusOr<std::unique_ptr<HttpIntrospect>> Bind(
       const std::string& host, int port);
 
@@ -52,7 +55,7 @@ class HttpIntrospect {
   HttpIntrospect& operator=(const HttpIntrospect&) = delete;
 
   /// The bound TCP port.
-  int port() const { return port_; }
+  int port() const { return listener_->port(); }
 
   /// Appends the listener and every open connection to `pfds`; returns the
   /// number of entries added. Call once per loop iteration, immediately
@@ -75,12 +78,12 @@ class HttpIntrospect {
     bool responding = false;  // request parsed; draining `out`
   };
 
-  HttpIntrospect(int listen_fd, int port);
+  explicit HttpIntrospect(std::unique_ptr<net::TcpListener> listener)
+      : listener_(std::move(listener)) {}
   void ServiceConn(Conn* conn, const Handler& handler);
   void AcceptReady(const Handler& handler);
 
-  int listen_fd_ = -1;
-  int port_ = 0;
+  std::unique_ptr<net::TcpListener> listener_;
   std::vector<Conn> conns_;
 };
 

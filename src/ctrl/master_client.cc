@@ -85,37 +85,6 @@ net::TraceContext MasterClient::NewSpanLocked() const {
   return net::TraceContext{trace_id_, obs::NewSpanId()};
 }
 
-Status MasterClient::HelloLocked() const {
-  HelloRequest request;
-  request.client_name = options_.client_name;
-  request.policy_key = options_.policy_key;
-  const bool tracing = obs::TraceEnabled();
-  const net::TraceContext trace =
-      tracing ? NewSpanLocked() : net::TraceContext{};
-  const double start_us = tracing ? obs::Tracer::Get().NowUs() : 0.0;
-  DRLSTREAM_RETURN_NOT_OK(transport_->Send(net::EncodeFrame(
-      net::MsgType::kHelloRequest, EncodeHelloRequest(request), trace)));
-  DRLSTREAM_ASSIGN_OR_RETURN(std::string raw,
-                             transport_->Recv(options_.rpc_deadline_ms));
-  DRLSTREAM_ASSIGN_OR_RETURN(net::Frame frame,
-                             net::DecodeFrame(std::move(raw)));
-  if (frame.type == net::MsgType::kErrorResponse) {
-    return DecodeErrorResponse(frame.payload);
-  }
-  if (frame.type != net::MsgType::kHelloResponse) {
-    return Status::Internal(std::string("ctrl: handshake got ") +
-                            net::MsgTypeName(frame.type));
-  }
-  DRLSTREAM_ASSIGN_OR_RETURN(hello_, DecodeHelloResponse(frame.payload));
-  handshaken_ = true;
-  if (tracing) {
-    obs::Tracer::Get().AddWallSpan("rpc.Hello", start_us,
-                                   obs::Tracer::Get().NowUs(),
-                                   ClientSpanArgs(trace, hello_.session_id));
-  }
-  return Status::OK();
-}
-
 Status MasterClient::EnsureConnectedLocked() const {
   if (!transport_) {
     if (!owns_endpoint_) {
@@ -128,7 +97,13 @@ Status MasterClient::EnsureConnectedLocked() const {
     ClientMetrics::Get().reconnects->Add();
   }
   if (handshaken_) return Status::OK();
-  return HelloLocked();
+  HelloRequest request;
+  request.client_name = options_.client_name;
+  request.policy_key = options_.policy_key;
+  return CallOnceLocked(net::MsgType::kHelloRequest,
+                        EncodeHelloRequest(request),
+                        net::MsgType::kHelloResponse)
+      .status();
 }
 
 StatusOr<std::string> MasterClient::CallOnceLocked(
@@ -144,22 +119,32 @@ StatusOr<std::string> MasterClient::CallOnceLocked(
                              transport_->Recv(options_.rpc_deadline_ms));
   DRLSTREAM_ASSIGN_OR_RETURN(net::Frame frame,
                              net::DecodeFrame(std::move(raw)));
+  Status status = Status::OK();
+  if (frame.type == net::MsgType::kErrorResponse) {
+    // The server could not make sense of the request. Coherent framing, so
+    // the connection survives; the error itself is not retryable.
+    status = DecodeErrorResponse(frame.payload);
+  } else if (frame.type != response_type) {
+    status = Status::Internal(std::string("ctrl: expected ") +
+                              net::MsgTypeName(response_type) + ", got " +
+                              net::MsgTypeName(frame.type));
+  } else if (response_type == net::MsgType::kHelloResponse) {
+    // The handshake binds the session before the span is recorded, so the
+    // span names the session it opened.
+    StatusOr<HelloResponse> hello = DecodeHelloResponse(frame.payload);
+    status = hello.status();
+    if (hello.ok()) {
+      hello_ = std::move(*hello);
+      handshaken_ = true;
+    }
+  }
   if (tracing) {
     obs::Tracer::Get().AddWallSpan(
         std::string("rpc.") + net::MsgTypeName(request_type), start_us,
         obs::Tracer::Get().NowUs(),
         ClientSpanArgs(trace, hello_.session_id));
   }
-  if (frame.type == net::MsgType::kErrorResponse) {
-    // The server could not make sense of the request. Coherent framing, so
-    // the connection survives; the error itself is not retryable.
-    return DecodeErrorResponse(frame.payload);
-  }
-  if (frame.type != response_type) {
-    return Status::Internal(std::string("ctrl: expected ") +
-                            net::MsgTypeName(response_type) + ", got " +
-                            net::MsgTypeName(frame.type));
-  }
+  if (!status.ok()) return status;
   return std::move(frame.payload);
 }
 
@@ -185,14 +170,14 @@ StatusOr<std::string> MasterClient::Call(net::MsgType request_type,
       if (!owns_endpoint_) break;  // nothing to re-dial
       continue;
     }
-    auto start = std::chrono::steady_clock::now();
+    const double start_us =
+        obs::MetricsEnabled() ? obs::Tracer::Get().NowUs() : 0.0;
     StatusOr<std::string> result =
         CallOnceLocked(request_type, payload, response_type);
     if (result.ok()) {
-      metrics.rpc_us->Record(
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - start)
-              .count());
+      if (start_us > 0.0) {
+        metrics.rpc_us->Record(obs::Tracer::Get().NowUs() - start_us);
+      }
       return result;
     }
     if (result.status().code() == StatusCode::kDeadlineExceeded) {
@@ -316,63 +301,59 @@ int MasterClient::NumMachinesFor(const rl::State& state) const {
   return static_cast<int>(state.machine_up.size());
 }
 
-StatusOr<GetScheduleResponse> MasterClient::GetSchedule(
-    GetScheduleRequest request) const {
+StatusOr<rl::PolicyAction> MasterClient::GetSchedule(ScheduleMode mode,
+                                                     const rl::State& state,
+                                                     double epsilon,
+                                                     Rng* rng) const {
+  GetScheduleRequest request;
+  request.mode = mode;
+  request.num_machines = NumMachinesFor(state);
   if (request.num_machines <= 0) {
     return Status::FailedPrecondition(
         "ctrl: machine count unknown; set MasterClientOptions.num_machines");
   }
+  request.state = state;
+  request.epsilon = epsilon;
+  if (rng != nullptr) request.rng_state = rng->SerializeState();
   DRLSTREAM_ASSIGN_OR_RETURN(
       std::string payload,
       Call(net::MsgType::kGetScheduleRequest,
            EncodeGetScheduleRequest(request),
            net::MsgType::kGetScheduleResponse));
-  return DecodeGetScheduleResponse(payload);
+  DRLSTREAM_ASSIGN_OR_RETURN(GetScheduleResponse response,
+                             DecodeGetScheduleResponse(payload));
+  // Adopt the agent's advanced RNG so the master's exploration stream stays
+  // bit-identical to an in-process run.
+  if (rng != nullptr) {
+    DRLSTREAM_RETURN_NOT_OK(rng->DeserializeState(response.rng_state));
+  }
+  DRLSTREAM_ASSIGN_OR_RETURN(
+      sched::Schedule schedule,
+      ApplyScheduleDiff(DiffBaseFromState(state, request.num_machines),
+                        response.diff));
+  return rl::PolicyAction(std::move(schedule), response.move_index);
 }
 
 StatusOr<rl::PolicyAction> MasterClient::SelectAction(const rl::State& state,
                                                       double epsilon,
                                                       Rng* rng) const {
-  GetScheduleRequest request;
-  request.mode = ScheduleMode::kExplore;
-  request.num_machines = NumMachinesFor(state);
-  request.state = state;
-  request.epsilon = epsilon;
-  request.rng_state = rng->SerializeState();
-  DRLSTREAM_ASSIGN_OR_RETURN(GetScheduleResponse response,
-                             GetSchedule(std::move(request)));
-  // Adopt the agent's advanced RNG so the master's exploration stream stays
-  // bit-identical to an in-process run.
-  DRLSTREAM_RETURN_NOT_OK(rng->DeserializeState(response.rng_state));
-  DRLSTREAM_ASSIGN_OR_RETURN(
-      sched::Schedule schedule,
-      ApplyScheduleDiff(DiffBaseFromState(state, NumMachinesFor(state)),
-                        response.diff));
-  return rl::PolicyAction(std::move(schedule), response.move_index);
+  return GetSchedule(ScheduleMode::kExplore, state, epsilon, rng);
 }
 
 StatusOr<sched::Schedule> MasterClient::GreedyAction(
     const rl::State& state) const {
-  GetScheduleRequest request;
-  request.mode = ScheduleMode::kGreedy;
-  request.num_machines = NumMachinesFor(state);
-  request.state = state;
-  DRLSTREAM_ASSIGN_OR_RETURN(GetScheduleResponse response,
-                             GetSchedule(std::move(request)));
-  return ApplyScheduleDiff(DiffBaseFromState(state, NumMachinesFor(state)),
-                           response.diff);
+  DRLSTREAM_ASSIGN_OR_RETURN(
+      rl::PolicyAction action,
+      GetSchedule(ScheduleMode::kGreedy, state, 0.0, nullptr));
+  return std::move(action.schedule);
 }
 
 StatusOr<sched::Schedule> MasterClient::FinalSchedule(
     const rl::State& state) const {
-  GetScheduleRequest request;
-  request.mode = ScheduleMode::kFinal;
-  request.num_machines = NumMachinesFor(state);
-  request.state = state;
-  DRLSTREAM_ASSIGN_OR_RETURN(GetScheduleResponse response,
-                             GetSchedule(std::move(request)));
-  return ApplyScheduleDiff(DiffBaseFromState(state, NumMachinesFor(state)),
-                           response.diff);
+  DRLSTREAM_ASSIGN_OR_RETURN(
+      rl::PolicyAction action,
+      GetSchedule(ScheduleMode::kFinal, state, 0.0, nullptr));
+  return std::move(action.schedule);
 }
 
 void MasterClient::Observe(rl::Transition transition) {

@@ -114,14 +114,19 @@ class MasterClient : public rl::Policy {
   StatusOr<std::string> CallOnceLocked(net::MsgType request_type,
                                        const std::string& payload,
                                        net::MsgType response_type) const;
+  /// Dials when needed, then runs the Hello handshake through
+  /// CallOnceLocked unless it already completed.
   Status EnsureConnectedLocked() const;
-  /// The Hello round-trip. An ErrorResponse surfaces as its decoded status.
-  Status HelloLocked() const;
   /// A traced request's envelope: a fresh span id under this client's
   /// trace id. Untraced requests send a zero envelope instead.
   net::TraceContext NewSpanLocked() const;
   void DropConnectionLocked() const;
-  StatusOr<GetScheduleResponse> GetSchedule(GetScheduleRequest request) const;
+  /// The GetSchedule RPC behind SelectAction (kExplore, which sends and
+  /// then adopts `rng`'s stream), GreedyAction and FinalSchedule (no RNG):
+  /// builds the request and applies the returned diff to `state`.
+  StatusOr<rl::PolicyAction> GetSchedule(ScheduleMode mode,
+                                         const rl::State& state,
+                                         double epsilon, Rng* rng) const;
   int NumMachinesFor(const rl::State& state) const;
 
   const std::string host_;

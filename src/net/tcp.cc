@@ -129,6 +129,12 @@ TcpListener::~TcpListener() {
 }
 
 StatusOr<std::unique_ptr<Transport>> TcpListener::Accept() {
+  std::string peer;
+  DRLSTREAM_ASSIGN_OR_RETURN(const int fd, AcceptSocket(&peer));
+  return MakeTcpTransport(fd, std::move(peer));
+}
+
+StatusOr<int> TcpListener::AcceptSocket(std::string* peer) {
   while (true) {
     if (closed_.load(std::memory_order_acquire)) {
       return Status::Unavailable("tcp: listener closed");
@@ -145,10 +151,10 @@ StatusOr<std::unique_ptr<Transport>> TcpListener::Accept() {
     if ((pfd.revents & (POLLNVAL | POLLERR | POLLHUP)) != 0) {
       return Status::Unavailable("tcp: listener closed");
     }
-    sockaddr_in peer{};
-    socklen_t len = sizeof(peer);
+    sockaddr_in addr{};
+    socklen_t len = sizeof(addr);
     const int conn =
-        ::accept(fd_, reinterpret_cast<sockaddr*>(&peer), &len);
+        ::accept(fd_, reinterpret_cast<sockaddr*>(&addr), &len);
     if (conn < 0) {
       if (errno == EINTR || errno == ECONNABORTED) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
@@ -159,10 +165,12 @@ StatusOr<std::unique_ptr<Transport>> TcpListener::Accept() {
       }
       return ErrnoStatus("accept", errno);
     }
-    char buf[INET_ADDRSTRLEN] = {0};
-    inet_ntop(AF_INET, &peer.sin_addr, buf, sizeof(buf));
-    return MakeTcpTransport(
-        conn, std::string(buf) + ":" + std::to_string(ntohs(peer.sin_port)));
+    if (peer != nullptr) {
+      char buf[INET_ADDRSTRLEN] = {0};
+      inet_ntop(AF_INET, &addr.sin_addr, buf, sizeof(buf));
+      *peer = std::string(buf) + ":" + std::to_string(ntohs(addr.sin_port));
+    }
+    return conn;
   }
 }
 

@@ -37,6 +37,11 @@ class TcpListener {
   /// when none is pending, kUnavailable once Close() has been called.
   StatusOr<std::unique_ptr<Transport>> Accept();
 
+  /// Accept() for a plain byte-stream protocol (the HTTP endpoint): the
+  /// connected socket itself, which the caller closes. `peer`, when set,
+  /// receives the remote "address:port".
+  StatusOr<int> AcceptSocket(std::string* peer = nullptr);
+
   /// poll()-able descriptor: POLLIN means Accept() will likely succeed.
   int readiness_fd() const { return fd_; }
 

@@ -593,6 +593,33 @@ TEST(AgentServerTest, RepliesCountAsFramesSent) {
   EXPECT_EQ(counter("net.frames_recv") - recv_before, 2 * (kPings + 1));
 }
 
+// With metrics on alone (no tracing, slow-RPC log or HTTP endpoint), every
+// GetSchedule served records how long it waited for its batch.
+TEST(AgentServerTest, MetricsAloneRecordEveryGetSchedulesQueueWait) {
+  ScopedObs obs(/*metrics=*/true, /*trace=*/false);
+  const auto waits = [] {
+    return obs::MetricsRegistry::Get()
+        .Snapshot()
+        .histograms["ctrl.server.session.queue_wait_us"]
+        .count;
+  };
+  const int64_t before = waits();
+  constexpr int kGets = 5;
+  {
+    FakePolicy policy(3);
+    LoopbackAgent agent(&policy);
+    MasterClientOptions options;
+    options.num_machines = 3;
+    MasterClient client(agent.TakeClientEnd(), options);
+    Rng rng(5);
+    for (int i = 0; i < kGets; ++i) {
+      ASSERT_TRUE(client.SelectAction(SmallState(), 0.5, &rng).ok());
+    }
+  }
+  // The Hello is served on its own and waits in no batch.
+  EXPECT_EQ(waits() - before, kGets);
+}
+
 /// Pulls the integer value of `key` out of the args of the first trace
 /// event named `name` in a Chrome trace JSON document. Returns 0 when the
 /// event or key is missing (valid ids are never 0).
