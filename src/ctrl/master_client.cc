@@ -109,6 +109,7 @@ Status MasterClient::EnsureConnectedLocked() const {
 StatusOr<std::string> MasterClient::CallOnceLocked(
     net::MsgType request_type, const std::string& payload,
     net::MsgType response_type) const {
+  const bool hello = request_type == net::MsgType::kHelloRequest;
   const bool tracing = obs::TraceEnabled();
   const net::TraceContext trace =
       tracing ? NewSpanLocked() : net::TraceContext{};
@@ -128,20 +129,21 @@ StatusOr<std::string> MasterClient::CallOnceLocked(
     status = Status::Internal(std::string("ctrl: expected ") +
                               net::MsgTypeName(response_type) + ", got " +
                               net::MsgTypeName(frame.type));
-  } else if (response_type == net::MsgType::kHelloResponse) {
+  } else if (hello) {
     // The handshake binds the session before the span is recorded, so the
     // span names the session it opened.
-    StatusOr<HelloResponse> hello = DecodeHelloResponse(frame.payload);
-    status = hello.status();
-    if (hello.ok()) {
-      hello_ = std::move(*hello);
+    StatusOr<HelloResponse> body = DecodeHelloResponse(frame.payload);
+    status = body.status();
+    if (body.ok()) {
+      hello_ = std::move(*body);
       handshaken_ = true;
     }
   }
   if (tracing) {
     obs::Tracer::Get().AddWallSpan(
-        std::string("rpc.") + net::MsgTypeName(request_type), start_us,
-        obs::Tracer::Get().NowUs(),
+        hello ? std::string("rpc.Hello")
+              : std::string("rpc.") + net::MsgTypeName(request_type),
+        start_us, obs::Tracer::Get().NowUs(),
         ClientSpanArgs(trace, hello_.session_id));
   }
   if (!status.ok()) return status;

@@ -354,25 +354,18 @@ StatusOr<HelloResponse> DecodeHelloResponse(std::string_view payload) {
   return Finish(reader, std::move(body));
 }
 
-void EncodeGetScheduleResponseTo(const Status& status,
-                                 const GetScheduleResponse& body,
-                                 WireWriter* writer) {
-  // Hot path (one per GetSchedule): size the buffer up front rather than
-  // grow it through the ~100 small Puts below.
-  writer->Reserve(64 + 12 * body.diff.entries.size() +
-                  body.rng_state.size());
-  PutStatus(status, writer);
-  if (status.ok()) {
-    EncodeScheduleDiff(body.diff, writer);
-    writer->PutI32(body.move_index);
-    writer->PutString(body.rng_state);
-  }
-}
-
 std::string EncodeGetScheduleResponse(const Status& status,
                                       const GetScheduleResponse& body) {
   WireWriter writer;
-  EncodeGetScheduleResponseTo(status, body, &writer);
+  // Hot path (one per GetSchedule): size the buffer up front rather than
+  // grow it through the ~100 small Puts below.
+  writer.Reserve(64 + 12 * body.diff.entries.size() + body.rng_state.size());
+  PutStatus(status, &writer);
+  if (status.ok()) {
+    EncodeScheduleDiff(body.diff, &writer);
+    writer.PutI32(body.move_index);
+    writer.PutString(body.rng_state);
+  }
   return writer.Release();
 }
 

@@ -173,12 +173,6 @@ StatusOr<HelloResponse> DecodeHelloResponse(std::string_view payload);
 
 std::string EncodeGetScheduleResponse(const Status& status,
                                       const GetScheduleResponse& body);
-/// Appends the same encoding to an existing writer — the server frames its
-/// hottest reply in place (net::BeginFrame / net::EndFrame) instead of
-/// encoding a payload string and copying it into a frame.
-void EncodeGetScheduleResponseTo(const Status& status,
-                                 const GetScheduleResponse& body,
-                                 net::WireWriter* writer);
 StatusOr<GetScheduleResponse> DecodeGetScheduleResponse(
     std::string_view payload);
 

@@ -662,6 +662,43 @@ TEST(TracePropagationTest, ClientAndServerSpansShareTheTraceId) {
   obs::Tracer::Get().ResetForTest();
 }
 
+// The span names and args both sides record for a traced session: the
+// handshake's spans are rpc.Hello and agent.Hello, and the client's names
+// the session its reply opened.
+TEST(TracePropagationTest, SpanNamesAndHandshakeSession) {
+  ScopedObs obs(/*metrics=*/false, /*trace=*/true);
+  obs::Tracer::Get().ResetForTest();
+  FakePolicy policy(3);
+  uint64_t session_id = 0;
+  {
+    LoopbackAgent agent(&policy);
+    MasterClientOptions options;
+    options.num_machines = 3;
+    MasterClient client(agent.TakeClientEnd(), options);
+    ASSERT_TRUE(client.Connect().ok());
+    session_id = client.remote_info().session_id;
+    Rng rng(5);
+    ASSERT_TRUE(client.SelectAction(SmallState(), 0.5, &rng).ok());
+    client.Observe(rl::Transition{});
+    EXPECT_TRUE(client.Ping().ok());
+    client.Shutdown();
+  }
+  const std::string json = obs::Tracer::Get().ToJsonString();
+  for (const char* name :
+       {"rpc.Hello", "agent.Hello", "rpc.GetScheduleRequest",
+        "agent.GetSchedule", "rpc.ObserveRequest", "agent.ObserveRequest",
+        "rpc.Ping", "agent.Ping"}) {
+    EXPECT_NE(json.find("\"name\": \"" + std::string(name) + "\""),
+              std::string::npos)
+        << name;
+  }
+  ASSERT_NE(session_id, 0u);
+  EXPECT_EQ(FirstArgValue(json, "rpc.Hello", "session"), session_id);
+  EXPECT_EQ(FirstArgValue(json, "agent.Hello", "session"), session_id);
+  EXPECT_EQ(FirstArgValue(json, "agent.GetSchedule", "batch"), 1u);
+  obs::Tracer::Get().ResetForTest();
+}
+
 /// Checks one raw request frame as it reached the server: version 3 in
 /// the header and an all-zero trace envelope.
 void ExpectUntracedFrame(const std::string& raw, net::MsgType type) {
