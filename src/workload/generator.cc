@@ -128,13 +128,8 @@ class FlashCrowdGenerator final : public WorkloadGenerator {
     if (now_ms < config_.at_ms) {
       return RateChangeOp{config_.at_ms, -1, config_.peak};
     }
-    const long long s =
-        config_.repeat_ms > 0.0
-            ? static_cast<long long>(
-                  std::floor((now_ms - config_.at_ms) / config_.repeat_ms))
-            : 0;
-    const double start =
-        config_.at_ms + static_cast<double>(s) * config_.repeat_ms;
+    const long long s = SpikeIndex(now_ms);
+    const double start = SpikeFront(s);
     long long k =
         static_cast<long long>(std::floor((now_ms - start) / config_.step_ms)) +
         1;
@@ -147,22 +142,14 @@ class FlashCrowdGenerator final : public WorkloadGenerator {
     if (config_.repeat_ms > 0.0) {
       // The next spike's front; repeat_ms > the decay span by validation,
       // so this lands strictly after now_ms.
-      return RateChangeOp{
-          config_.at_ms + static_cast<double>(s + 1) * config_.repeat_ms, -1,
-          config_.peak};
+      return RateChangeOp{SpikeFront(s + 1), -1, config_.peak};
     }
     return std::nullopt;
   }
 
   double MultiplierAt(int, int, double time_ms) const override {
     if (time_ms < config_.at_ms) return config_.base;
-    const long long s =
-        config_.repeat_ms > 0.0
-            ? static_cast<long long>(
-                  std::floor((time_ms - config_.at_ms) / config_.repeat_ms))
-            : 0;
-    const double start =
-        config_.at_ms + static_cast<double>(s) * config_.repeat_ms;
+    const double start = SpikeFront(SpikeIndex(time_ms));
     const long long k =
         static_cast<long long>(std::floor((time_ms - start) / config_.step_ms));
     if (k >= decay_steps_) return config_.base;
@@ -170,6 +157,24 @@ class FlashCrowdGenerator final : public WorkloadGenerator {
   }
 
  private:
+  /// Onset of spike `s`, the time its front op carries.
+  double SpikeFront(long long s) const {
+    return config_.at_ms + static_cast<double>(s) * config_.repeat_ms;
+  }
+
+  /// The spike in effect at `time_ms` (>= at_ms): the last whose front is
+  /// at or before it. At a front off the whole-number grid the division
+  /// can round just below the spike's index, so the floor is checked
+  /// against the next front: without that, NextRateChange at a front
+  /// returns that same front and a consumer re-arms it forever.
+  long long SpikeIndex(double time_ms) const {
+    if (config_.repeat_ms <= 0.0) return 0;
+    auto s = static_cast<long long>(
+        std::floor((time_ms - config_.at_ms) / config_.repeat_ms));
+    if (SpikeFront(s + 1) <= time_ms) ++s;
+    return s;
+  }
+
   double ValueAtDecayStep(long long k) const {
     if (k >= decay_steps_) return config_.base;  // Final op restores base.
     return config_.base +

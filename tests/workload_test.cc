@@ -137,6 +137,68 @@ TEST(GeneratorTest, FlashCrowdSpikesAndReturnsToBase) {
   EXPECT_EQ((*flash)->MultiplierAt(0, 0, 1e9), 1.0);  // decayed back exactly
 }
 
+// A repeating spike started off the whole-number grid: at the second
+// spike's front, (now - at_ms) / repeat_ms rounds just below 1, and the
+// generator used to answer the query with the front itself, which a
+// simulator re-arms forever.
+TEST(GeneratorTest, FlashCrowdOpAtAnOffGridFrontIsStrictlyLater) {
+  workload::FlashCrowdConfig config;
+  config.step_ms = 500.0;
+  config.peak = 1.8;
+  config.decay_tau_ms = 9000.0;
+  config.repeat_ms = 90000.0;
+  config.at_ms = 50213.735451116707;
+  auto flash = workload::MakeFlashCrowd(config);
+  ASSERT_TRUE(flash.ok()) << flash.status().ToString();
+  const double front = config.at_ms + config.repeat_ms;
+  EXPECT_EQ(front, 140213.73545111669);
+  const std::optional<RateChangeOp> op = (*flash)->NextRateChange(0, front);
+  ASSERT_TRUE(op.has_value());
+  EXPECT_GT(op->time_ms, front);
+  EXPECT_EQ(op->time_ms, front + config.step_ms);
+  // The second front reads what the first did: the spike's peak.
+  EXPECT_EQ((*flash)->MultiplierAt(0, 0, front), config.peak);
+  EXPECT_EQ((*flash)->MultiplierAt(0, 0, front),
+            (*flash)->MultiplierAt(0, 0, config.at_ms));
+}
+
+// Seeded random flash-crowd configs, fronts off the grid: every op lands
+// strictly after its query time, and every spike front reads what the
+// first front does (the spike's peak, as the decay curve computes it).
+TEST(GeneratorTest, FlashCrowdOpsAdvanceOverRandomConfigs) {
+  Rng rng(20261020);
+  int fronts = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    workload::FlashCrowdConfig config;
+    config.at_ms = rng.Uniform(36000.0, 54000.0);
+    config.base = rng.Uniform(0.2, 1.5);
+    config.peak = config.base * rng.Uniform(1.1, 4.0);
+    config.decay_tau_ms = rng.Uniform(500.0, 10000.0);
+    config.step_ms = rng.Uniform(100.0, 1000.0);
+    // At least the decay span (bounded by 1,000,000 steps of 1% residual)
+    // plus a fractional remainder.
+    config.repeat_ms = 60000.0 + rng.Uniform(0.0, 60000.0);
+    auto flash = workload::MakeFlashCrowd(config);
+    if (!flash.ok()) continue;  // repeat shorter than this decay span
+    SCOPED_TRACE("trial " + std::to_string(trial) + " at_ms " +
+                 std::to_string(config.at_ms));
+    const double peak = (*flash)->MultiplierAt(0, 0, config.at_ms);
+    double now = 0.0;
+    for (int i = 0; i < 2000; ++i) {
+      const std::optional<RateChangeOp> op = (*flash)->NextRateChange(0, now);
+      ASSERT_TRUE(op.has_value());
+      ASSERT_GT(op->time_ms, now) << "op " << i << " does not advance";
+      if (op->multiplier == config.peak) {
+        ++fronts;
+        EXPECT_EQ((*flash)->MultiplierAt(0, 0, op->time_ms), peak);
+      }
+      now = op->time_ms;
+      if (now > config.at_ms + 4.0 * config.repeat_ms) break;
+    }
+  }
+  EXPECT_GT(fronts, 1000);
+}
+
 // An op is in effect from its time on, and NextRateChange names the first
 // op strictly after the query time.
 TEST(TraceReplayTest, OpsApplyFromTheirTime) {
