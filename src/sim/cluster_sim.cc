@@ -510,7 +510,9 @@ void ClusterSim::ScheduleNextSpoutEmit(int executor) {
   const double sample =
       rate > 0.0 ? exec.arrivals.Exponential(rate)
                  : std::numeric_limits<double>::infinity();
-  if (now_ms_ + sample <= boundary) {
+  // A silent source's infinite sample never lands: it waits for the
+  // boundary, or polls when there is none.
+  if (rate > 0.0 && now_ms_ + sample <= boundary) {
     Schedule(now_ms_ + sample, EventType::kSpoutEmit, executor,
              /*tuple_slot=*/0);
   } else if (std::isfinite(boundary)) {

@@ -545,6 +545,28 @@ TEST(SimulatorTest, RateChangeIncreasesThroughput) {
   EXPECT_NEAR(static_cast<double>(after) / before, 2.0, 0.3);
 }
 
+// A spout silenced by a factor-0 generator, with no rate change ahead,
+// polls: a generator installed later revives it.
+TEST(SimulatorTest, SilencedSpoutWakesUnderALaterGenerator) {
+  topo::Topology topology = ChainTopology(1, 1, 0.05);
+  topo::Workload workload = ChainWorkload(100.0);
+  auto silent = workload::MakeConstant(0.0);
+  auto steady = workload::MakeConstant(1.0);
+  ASSERT_TRUE(silent.ok() && steady.ok());
+  ClusterSim simulator(TestCluster(), SimOptions{});
+  ASSERT_TRUE(
+      simulator.AddTenant(&topology, &workload, AllOnMachine(topology, 0, 4))
+          .ok());
+  ASSERT_TRUE(simulator.SetTenantWorkloadGenerator(0, silent->get()).ok());
+  ASSERT_TRUE(simulator.Start().ok());
+  simulator.RunFor(2000.0);
+  EXPECT_EQ(simulator.counters().roots_emitted, 0);
+  ASSERT_TRUE(simulator.SetTenantWorkloadGenerator(0, steady->get()).ok());
+  simulator.RunFor(5000.0);
+  // 100 roots/s for 5 s, less at most one poll interval of silence.
+  EXPECT_GT(simulator.counters().roots_emitted, 300);
+}
+
 TEST(SimulatorTest, WarmupInflationDecaysOverTime) {
   topo::Topology topology = ChainTopology(1, 2, 0.2);
   topo::Workload workload = ChainWorkload(300.0);
