@@ -230,6 +230,22 @@ std::string CacheKey(const Setup& setup, const core::PipelineConfig& config) {
   return key.str();
 }
 
+/// One stderr line on the reward normalization a setup just trained
+/// under, flagging a scale at its floor: then the learners' rewards have
+/// no spread. Methods loaded from the artifact cache carry none.
+void ReportRewardScale(const std::string& setup,
+                       const core::TrainedMethods& methods) {
+  if (methods.reward_scale <= 0.0) return;
+  std::fprintf(stderr,
+               "[repro] %s reward normalization: shift %.4g, scale %.4g, "
+               "%d of %zu full-random samples at the latency cap%s\n",
+               setup.c_str(), methods.reward_shift, methods.reward_scale,
+               methods.samples_at_cap, methods.full_random_db.size(),
+               methods.reward_scale <= core::kMinRewardScale
+                   ? " -- SCALE AT ITS FLOOR: no reward spread"
+                   : "");
+}
+
 using SeriesMap = std::map<std::string, std::vector<double>>;
 
 /// Mean of the last `tail` values (of all of them when fewer).
@@ -386,6 +402,7 @@ class Repro {
       return methods.status();
     }
     it->second.methods = std::move(*methods);
+    ReportRewardScale(setup.key, it->second.methods);
     return &it->second;
   }
 
@@ -533,6 +550,9 @@ class Repro {
           const core::TrainedMethods trained,
           core::TrainAllMethods(&app.topology, app.workload, cluster_,
                                 config));
+      ReportRewardScale(std::string(figure.panels[0].setup) +
+                            (include_w ? " s=(X,w)" : " s=(X)"),
+                        trained);
       core::PolicyScheduler scheduler(trained.ddpg.get());
       DRLSTREAM_ASSIGN_OR_RETURN(
           const std::vector<double> series,
@@ -559,6 +579,9 @@ class Repro {
           const core::TrainedMethods trained,
           core::TrainAllMethods(&app.topology, app.workload, cluster_,
                                 config));
+      ReportRewardScale(std::string(figure.panels[0].setup) + " K=" +
+                            std::to_string(k),
+                        trained);
       DRLSTREAM_ASSIGN_OR_RETURN(
           const std::vector<double> series,
           core::MeasureLatencySeries(app.topology, app.workload, cluster_,

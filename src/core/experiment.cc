@@ -8,6 +8,7 @@
 #include "common/logging.h"
 #include "common/stats.h"
 #include "core/offline.h"
+#include "obs/metrics.h"
 
 namespace drlstream::core {
 
@@ -37,6 +38,7 @@ StatusOr<TrainedMethods> TrainAllMethods(const topo::Topology* topology,
   train_sim.seed = config.seed;
 
   // ---- Offline collection (full-random chain) ----
+  double reward_cap_ms = 0.0;
   {
     SchedulingEnvironment env(topology, workload, cluster, train_sim,
                               config.measure);
@@ -49,6 +51,7 @@ StatusOr<TrainedMethods> TrainAllMethods(const topo::Topology* topology,
     collect.collect_details = true;
     collect.workload_factor_min = config.workload_factor_min;
     collect.workload_factor_max = config.workload_factor_max;
+    reward_cap_ms = collect.reward_cap_ms;
     DRLSTREAM_ASSIGN_OR_RETURN(out.full_random_db,
                                CollectOfflineSamples(&env, collect));
   }
@@ -99,12 +102,26 @@ StatusOr<TrainedMethods> TrainAllMethods(const topo::Topology* topology,
   for (const rl::TransitionDatabase::Record& record :
        out.full_random_db.records()) {
     raw_rewards.push_back(record.transition.reward);
+    if (record.transition.reward <= -reward_cap_ms) ++out.samples_at_cap;
   }
   const double reward_shift = Percentile(raw_rewards, 50.0);
   const double reward_scale =
       std::max((Percentile(raw_rewards, 75.0) -
                 Percentile(raw_rewards, 25.0)) / 1.35,
-               1e-2);
+               kMinRewardScale);
+  out.reward_shift = reward_shift;
+  out.reward_scale = reward_scale;
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Get();
+  metrics.gauge("rl.reward_shift")->Set(reward_shift);
+  metrics.gauge("rl.reward_scale")->Set(reward_scale);
+  metrics.counter("core.samples_at_cap")->Add(out.samples_at_cap);
+  if (reward_scale <= kMinRewardScale) {
+    DRLSTREAM_LOG(kWarning)
+        << "core: " << topology->name() << ": reward scale at its floor ("
+        << kMinRewardScale << "): " << out.samples_at_cap << " of "
+        << raw_rewards.size() << " full-random samples sit at the "
+        << reward_cap_ms << " ms cap, so the rewards have no spread";
+  }
 
   // ---- Actor-critic agent: offline pre-training + online learning ----
   rl::PolicyContext policy_context;

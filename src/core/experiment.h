@@ -61,6 +61,11 @@ struct PipelineConfig {
   }
 };
 
+/// The floor of the reward scale TrainAllMethods derives. A scale at the
+/// floor means the full-random rewards have no spread: most of them sit at
+/// the collection's latency cap.
+inline constexpr double kMinRewardScale = 1e-2;
+
 /// Everything the benches need after training: the trained policies
 /// (constructed through the policy registry; `ddpg` is "ddpg", `dqn` is
 /// "dqn"), the fitted delay model, the learning curves, and the scheduling
@@ -76,6 +81,14 @@ struct TrainedMethods {
   OnlineResult dqn_online;
   sched::Schedule default_schedule{1, 1};
   sched::Schedule model_based_schedule{1, 1};
+  /// The reward normalization both agents train under, taken from
+  /// full_random_db: the median reward, the IQR / 1.35 floored at
+  /// kMinRewardScale, and how many samples sit at the latency cap. The
+  /// artifact cache does not keep them, so a loaded TrainedMethods has
+  /// reward_scale 0.
+  double reward_shift = 0.0;
+  double reward_scale = 0.0;
+  int samples_at_cap = 0;
 };
 
 /// Runs the complete pipeline on one application. `topology`/`workload`

@@ -8,12 +8,14 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/stats.h"
 #include "core/artifacts.h"
 #include "core/drl_scheduler.h"
 #include "core/environment.h"
 #include "core/experiment.h"
 #include "core/offline.h"
 #include "core/online.h"
+#include "obs/metrics.h"
 #include "rl/policy_registry.h"
 #include "topo/apps.h"
 #include "workload/registry.h"
@@ -263,6 +265,82 @@ TEST(CollectionTest, PaperChainsGolden) {
                       907.82744706881613},
                      {-6.2070539984238282, 907.82744706881613,
                       852.76732682943828}});
+}
+
+// ---------------------------------------------------------------------------
+// Reward normalization
+// ---------------------------------------------------------------------------
+
+/// A pipeline budget small enough for a unit test: a few offline samples,
+/// a handful of pretraining steps and epochs, no DQN baseline.
+PipelineConfig RewardProbeConfig(int offline_samples) {
+  PipelineConfig config;
+  config.offline_samples = offline_samples;
+  config.pretrain_steps = 4;
+  config.online.epochs = 2;
+  config.online.train_steps_per_epoch = 1;
+  config.train_dqn = false;
+  return config;
+}
+
+/// What TrainAllMethods must report, recomputed from the database it
+/// returns: the median reward, the IQR / 1.35 floored at kMinRewardScale,
+/// and the samples at the collection's latency cap.
+void ExpectRewardNormalizationOf(const TrainedMethods& trained) {
+  std::vector<double> rewards;
+  int at_cap = 0;
+  for (const rl::TransitionDatabase::Record& record :
+       trained.full_random_db.records()) {
+    rewards.push_back(record.transition.reward);
+    if (record.transition.reward <= -CollectionOptions().reward_cap_ms) {
+      ++at_cap;
+    }
+  }
+  EXPECT_EQ(trained.reward_shift, Percentile(rewards, 50.0));
+  EXPECT_EQ(trained.reward_scale,
+            std::max((Percentile(rewards, 75.0) - Percentile(rewards, 25.0)) /
+                         1.35,
+                     kMinRewardScale));
+  EXPECT_EQ(trained.samples_at_cap, at_cap);
+}
+
+TEST(RewardNormalizationTest, CqSmallReportsShiftScaleAndSamplesAtCap) {
+  const bool metrics_were_on = obs::MetricsEnabled();
+  obs::SetMetricsEnabled(true);
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Get();
+  const int64_t at_cap_before =
+      registry.Snapshot().counters["core.samples_at_cap"];
+  const topo::App app = topo::BuildContinuousQueries(topo::Scale::kSmall);
+  const topo::ClusterConfig cluster;
+  auto trained = TrainAllMethods(&app.topology, app.workload, cluster,
+                                 RewardProbeConfig(12));
+  ASSERT_TRUE(trained.ok()) << trained.status();
+  ASSERT_EQ(trained->full_random_db.size(), 12u);
+  ExpectRewardNormalizationOf(*trained);
+  EXPECT_EQ(trained->samples_at_cap, 4);
+  EXPECT_EQ(trained->reward_shift, -26.700853081643835);
+  EXPECT_EQ(trained->reward_scale, 34.92113410983373);
+  // The same three values reach the metrics registry.
+  const obs::MetricsSnapshot snapshot = registry.Snapshot();
+  EXPECT_EQ(snapshot.gauges.at("rl.reward_shift"), trained->reward_shift);
+  EXPECT_EQ(snapshot.gauges.at("rl.reward_scale"), trained->reward_scale);
+  EXPECT_EQ(snapshot.counters.at("core.samples_at_cap") - at_cap_before,
+            trained->samples_at_cap);
+  obs::SetMetricsEnabled(metrics_were_on);
+}
+
+// Random schedules overload CQ large, so most full-random samples sit at
+// the cap, the IQR is 0 and the scale falls to its floor.
+TEST(RewardNormalizationTest, CqLargeScaleReachesItsFloor) {
+  const topo::App app = topo::BuildContinuousQueries(topo::Scale::kLarge);
+  const topo::ClusterConfig cluster;
+  auto trained = TrainAllMethods(&app.topology, app.workload, cluster,
+                                 RewardProbeConfig(8));
+  ASSERT_TRUE(trained.ok()) << trained.status();
+  ExpectRewardNormalizationOf(*trained);
+  EXPECT_EQ(trained->reward_scale, kMinRewardScale);
+  EXPECT_EQ(trained->reward_shift, -CollectionOptions().reward_cap_ms);
+  EXPECT_GE(trained->samples_at_cap, 6);
 }
 
 // ---------------------------------------------------------------------------
