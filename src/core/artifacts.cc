@@ -101,6 +101,10 @@ bool ArtifactsExist(const std::string& dir, const std::string& key) {
 
 Status SaveTrainedMethods(const std::string& dir, const std::string& key,
                           const TrainedMethods& methods) {
+  if (methods.dqn == nullptr) {
+    return Status::InvalidArgument(
+        "artifacts: '" + key + "' has no DQN agent (train_dqn = false)");
+  }
   ::mkdir(dir.c_str(), 0755);  // Best effort; failures surface below.
   const std::string base = Base(dir, key);
   DRLSTREAM_RETURN_NOT_OK(
@@ -128,11 +132,8 @@ StatusOr<TrainedMethods> LoadTrainedMethods(
     const topo::ClusterConfig& cluster, const PipelineConfig& config) {
   const std::string base = Base(dir, key);
   TrainedMethods out;
-  const int n = topology->num_executors();
-  const int m = cluster.num_machines;
-  out.encoder = std::make_unique<rl::StateEncoder>(
-      n, m, topology->num_spouts(), NominalSpoutRate(*topology, workload));
-
+  const rl::PolicyContext policy_context =
+      PipelinePolicyContext(topology, workload, cluster, config, &out);
   DRLSTREAM_ASSIGN_OR_RETURN(out.default_schedule,
                              LoadSchedule(base + ".default.sched"));
   DRLSTREAM_ASSIGN_OR_RETURN(out.model_based_schedule,
@@ -148,14 +149,6 @@ StatusOr<TrainedMethods> LoadTrainedMethods(
 
   // Policies come back through the registry: the `.policy` header names the
   // key, the context supplies the construction-time configuration.
-  rl::PolicyContext policy_context;
-  policy_context.encoder = out.encoder.get();
-  policy_context.topology = topology;
-  policy_context.cluster = &cluster;
-  policy_context.ddpg = config.ddpg;
-  policy_context.ddpg.seed = config.seed + 10;
-  policy_context.dqn = config.dqn;
-  policy_context.dqn.seed = config.seed + 20;
   DRLSTREAM_ASSIGN_OR_RETURN(
       out.ddpg, rl::LoadPolicyArtifact(base + ".ddpg", policy_context));
   DRLSTREAM_ASSIGN_OR_RETURN(

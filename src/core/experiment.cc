@@ -21,59 +21,66 @@ double NominalSpoutRate(const topo::Topology& topology,
   return mean > 0.0 ? mean : 100.0;
 }
 
+rl::PolicyContext PipelinePolicyContext(const topo::Topology* topology,
+                                        const topo::Workload& workload,
+                                        const topo::ClusterConfig& cluster,
+                                        const PipelineConfig& config,
+                                        TrainedMethods* out) {
+  out->encoder = std::make_unique<rl::StateEncoder>(
+      topology->num_executors(), cluster.num_machines, topology->num_spouts(),
+      NominalSpoutRate(*topology, workload), config.include_workload_in_state);
+  rl::PolicyContext context;
+  context.encoder = out->encoder.get();
+  context.topology = topology;
+  context.cluster = &cluster;
+  context.ddpg = config.ddpg;
+  context.ddpg.seed = config.seed + 10;
+  context.dqn = config.dqn;
+  context.dqn.seed = config.seed + 20;
+  return context;
+}
+
 StatusOr<TrainedMethods> TrainAllMethods(const topo::Topology* topology,
                                          const topo::Workload& workload,
                                          const topo::ClusterConfig& cluster,
                                          const PipelineConfig& config) {
   DRLSTREAM_CHECK(topology != nullptr);
   TrainedMethods out;
+  rl::PolicyContext policy_context =
+      PipelinePolicyContext(topology, workload, cluster, config, &out);
   const int n = topology->num_executors();
   const int m = cluster.num_machines;
 
-  out.encoder = std::make_unique<rl::StateEncoder>(
-      n, m, topology->num_spouts(), NominalSpoutRate(*topology, workload),
-      config.include_workload_in_state);
-
-  sim::SimOptions train_sim;
-  train_sim.seed = config.seed;
-
-  // ---- Offline collection (full-random chain) ----
-  double reward_cap_ms = 0.0;
-  {
-    SchedulingEnvironment env(topology, workload, cluster, train_sim,
+  // ---- Offline collection: the full-random chain, and the single-move
+  // chain for the DQN baseline. Only the model-based fit reads details. ----
+  const auto collect = [&](CollectionMode mode, uint64_t sim_seed,
+                           uint64_t start_seed, uint64_t collect_seed,
+                           rl::TransitionDatabase* db) -> Status {
+    sim::SimOptions sim_options;
+    sim_options.seed = sim_seed;
+    SchedulingEnvironment env(topology, workload, cluster, sim_options,
                               config.measure);
-    Rng rng(config.seed);
+    Rng rng(start_seed);
     DRLSTREAM_RETURN_NOT_OK(env.Reset(sched::Schedule::Random(n, m, &rng)));
-    CollectionOptions collect;
-    collect.num_samples = config.offline_samples;
-    collect.mode = CollectionMode::kFullRandom;
-    collect.seed = config.seed + 1;
-    collect.collect_details = true;
-    collect.workload_factor_min = config.workload_factor_min;
-    collect.workload_factor_max = config.workload_factor_max;
-    reward_cap_ms = collect.reward_cap_ms;
-    DRLSTREAM_ASSIGN_OR_RETURN(out.full_random_db,
-                               CollectOfflineSamples(&env, collect));
-  }
-
-  // ---- Offline collection (single-move chain, for the DQN baseline) ----
+    CollectionOptions options;
+    options.num_samples = config.offline_samples;
+    options.mode = mode;
+    options.seed = collect_seed;
+    options.collect_details = mode == CollectionMode::kFullRandom;
+    options.workload_factor_min = config.workload_factor_min;
+    options.workload_factor_max = config.workload_factor_max;
+    DRLSTREAM_ASSIGN_OR_RETURN(*db, CollectOfflineSamples(&env, options));
+    return Status::OK();
+  };
+  DRLSTREAM_RETURN_NOT_OK(collect(CollectionMode::kFullRandom, config.seed,
+                                  config.seed, config.seed + 1,
+                                  &out.full_random_db));
   if (config.train_dqn) {
-    sim::SimOptions sim2 = train_sim;
-    sim2.seed = config.seed + 1000;
-    SchedulingEnvironment env(topology, workload, cluster, sim2,
-                              config.measure);
-    Rng rng(config.seed + 2);
-    DRLSTREAM_RETURN_NOT_OK(env.Reset(sched::Schedule::Random(n, m, &rng)));
-    CollectionOptions collect;
-    collect.num_samples = config.offline_samples;
-    collect.mode = CollectionMode::kSingleMoveRandom;
-    collect.seed = config.seed + 3;
-    collect.collect_details = false;
-    collect.workload_factor_min = config.workload_factor_min;
-    collect.workload_factor_max = config.workload_factor_max;
-    DRLSTREAM_ASSIGN_OR_RETURN(out.single_move_db,
-                               CollectOfflineSamples(&env, collect));
+    DRLSTREAM_RETURN_NOT_OK(collect(CollectionMode::kSingleMoveRandom,
+                                    config.seed + 1000, config.seed + 2,
+                                    config.seed + 3, &out.single_move_db));
   }
+  const double reward_cap_ms = CollectionOptions().reward_cap_ms;
 
   // ---- Model-based baseline: fit the delay model, search a solution ----
   out.delay_model = std::make_unique<sched::DelayModel>(topology, &cluster);
@@ -123,51 +130,36 @@ StatusOr<TrainedMethods> TrainAllMethods(const topo::Topology* topology,
         << reward_cap_ms << " ms cap, so the rewards have no spread";
   }
 
-  // ---- Actor-critic agent: offline pre-training + online learning ----
-  rl::PolicyContext policy_context;
-  policy_context.encoder = out.encoder.get();
-  policy_context.topology = topology;
-  policy_context.cluster = &cluster;
-  policy_context.ddpg = config.ddpg;
-  policy_context.ddpg.seed = config.seed + 10;
+  // ---- Each agent: offline pre-training + online learning ----
   policy_context.ddpg.reward_shift = reward_shift;
   policy_context.ddpg.reward_scale = reward_scale;
-  DRLSTREAM_ASSIGN_OR_RETURN(
-      out.ddpg, rl::PolicyRegistry::Get().Create("ddpg", policy_context));
-  out.ddpg->PretrainOffline(out.full_random_db, config.pretrain_steps);
-  {
-    sim::SimOptions sim3 = train_sim;
-    sim3.seed = config.seed + 2000;
-    SchedulingEnvironment env(topology, workload, cluster, sim3,
-                              config.measure);
-    DRLSTREAM_RETURN_NOT_OK(env.Reset(out.default_schedule));
-    OnlineOptions online = config.online;
-    online.seed = config.seed + 11;
-    DRLSTREAM_ASSIGN_OR_RETURN(out.ddpg_online,
-                               RunOnline(out.ddpg.get(), &env, online));
-  }
-
-  // ---- DQN agent: offline pre-training + online learning ----
-  if (!config.train_dqn) return out;
-  policy_context.dqn = config.dqn;
-  policy_context.dqn.seed = config.seed + 20;
   policy_context.dqn.reward_shift = reward_shift;
   policy_context.dqn.reward_scale = reward_scale;
-  DRLSTREAM_ASSIGN_OR_RETURN(
-      out.dqn, rl::PolicyRegistry::Get().Create("dqn", policy_context));
-  out.dqn->PretrainOffline(out.single_move_db, config.pretrain_steps);
-  {
-    sim::SimOptions sim4 = train_sim;
-    sim4.seed = config.seed + 3000;
-    SchedulingEnvironment env(topology, workload, cluster, sim4,
+  const auto train_agent = [&](const char* key,
+                               const rl::TransitionDatabase& db,
+                               uint64_t sim_seed, uint64_t online_seed,
+                               std::unique_ptr<rl::Policy>* agent,
+                               OnlineResult* result) -> Status {
+    DRLSTREAM_ASSIGN_OR_RETURN(
+        *agent, rl::PolicyRegistry::Get().Create(key, policy_context));
+    (*agent)->PretrainOffline(db, config.pretrain_steps);
+    sim::SimOptions sim_options;
+    sim_options.seed = sim_seed;
+    SchedulingEnvironment env(topology, workload, cluster, sim_options,
                               config.measure);
     DRLSTREAM_RETURN_NOT_OK(env.Reset(out.default_schedule));
     OnlineOptions online = config.online;
-    online.seed = config.seed + 21;
-    DRLSTREAM_ASSIGN_OR_RETURN(out.dqn_online,
-                               RunOnline(out.dqn.get(), &env, online));
-  }
-
+    online.seed = online_seed;
+    DRLSTREAM_ASSIGN_OR_RETURN(*result, RunOnline(agent->get(), &env, online));
+    return Status::OK();
+  };
+  DRLSTREAM_RETURN_NOT_OK(train_agent("ddpg", out.full_random_db,
+                                      config.seed + 2000, config.seed + 11,
+                                      &out.ddpg, &out.ddpg_online));
+  if (!config.train_dqn) return out;
+  DRLSTREAM_RETURN_NOT_OK(train_agent("dqn", out.single_move_db,
+                                      config.seed + 3000, config.seed + 21,
+                                      &out.dqn, &out.dqn_online));
   return out;
 }
 

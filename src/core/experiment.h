@@ -91,6 +91,16 @@ struct TrainedMethods {
   int samples_at_cap = 0;
 };
 
+/// Builds `out->encoder` and returns the policy context both agents are
+/// created with: that encoder, `topology`, `cluster`, and the agent configs
+/// under the pipeline's seeds. Training and the artifact cache both start
+/// here, so a loaded agent encodes and seeds as the trained one did.
+rl::PolicyContext PipelinePolicyContext(const topo::Topology* topology,
+                                        const topo::Workload& workload,
+                                        const topo::ClusterConfig& cluster,
+                                        const PipelineConfig& config,
+                                        TrainedMethods* out);
+
 /// Runs the complete pipeline on one application. `topology`/`workload`
 /// must outlive the returned agents.
 StatusOr<TrainedMethods> TrainAllMethods(const topo::Topology* topology,

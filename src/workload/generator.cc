@@ -54,10 +54,62 @@ class ConstantGenerator final : public WorkloadGenerator {
   double factor_;
 };
 
-class DiurnalGenerator final : public WorkloadGenerator {
+/// Step indices stay at or below 2^52, where a double holds every integer
+/// and a floor estimate of the index is off by at most one. Steps are at
+/// least 1 us, so an unbounded stream indexes over a century below it.
+constexpr long long kMaxStep = 1LL << 52;
+constexpr double kMinStepMs = 1e-3;
+
+/// A multiplier that is piecewise constant on steps 0..last_step: step s
+/// (s >= 1) holds from StepStart(s), whose values never decrease, until the
+/// next step's start; step 0 holds before step 1. StepAt is the one place
+/// that turns a time into a step, so both queries read the same step and
+/// MultiplierAt at an op's time is that op's multiplier.
+class SteppedGenerator : public WorkloadGenerator {
+ public:
+  explicit SteppedGenerator(long long last_step) : last_step_(last_step) {}
+
+  std::optional<RateChangeOp> NextRateChange(int tenant,
+                                             double now_ms) const final {
+    const long long next = StepAt(now_ms) + 1;
+    if (next > last_step_) return std::nullopt;
+    // Where a time's ulp exceeds the step, several steps start at once;
+    // the op carries the last one's value, the one MultiplierAt reads.
+    const double time_ms = StepStart(next);
+    return RateChangeOp{time_ms, -1, MultiplierAt(tenant, -1, time_ms)};
+  }
+
+  double MultiplierAt(int tenant, int, double time_ms) const final {
+    return StepValue(tenant, StepAt(time_ms));
+  }
+
+ protected:
+  virtual double StepStart(long long s) const = 0;
+  virtual double StepValue(int tenant, long long s) const = 0;
+  /// The step holding at `time_ms` by division and floor, before rounding
+  /// is checked: it may be off by one, negative, huge or NaN.
+  virtual double StepEstimate(double time_ms) const = 0;
+
+ private:
+  /// The last step whose start is at or before `time_ms` (0 if none). The
+  /// estimate is clamped before the cast; fmax maps a NaN to 0.
+  long long StepAt(double time_ms) const {
+    auto s = static_cast<long long>(
+        std::fmin(std::fmax(StepEstimate(time_ms), 0.0),
+                  static_cast<double>(last_step_)));
+    while (s > 0 && StepStart(s) > time_ms) --s;
+    while (s < last_step_ && StepStart(s + 1) <= time_ms) ++s;
+    return s;
+  }
+
+  long long last_step_;
+};
+
+class DiurnalGenerator final : public SteppedGenerator {
  public:
   explicit DiurnalGenerator(const DiurnalConfig& config)
-      : config_(config),
+      : SteppedGenerator(kMaxStep),
+        config_(config),
         step_ms_(config.period_ms / config.steps_per_period) {}
 
   std::string name() const override { return "diurnal"; }
@@ -69,28 +121,16 @@ class DiurnalGenerator final : public WorkloadGenerator {
            ", jitter=" + FormatG(config_.jitter) + ")";
   }
 
-  std::optional<RateChangeOp> NextRateChange(int tenant,
-                                             double now_ms) const override {
-    long long k = now_ms < 0.0
-                      ? 1
-                      : static_cast<long long>(std::floor(now_ms / step_ms_)) +
-                            1;
-    if (k < 1) k = 1;
-    while (static_cast<double>(k) * step_ms_ <= now_ms) ++k;
-    return RateChangeOp{static_cast<double>(k) * step_ms_, -1,
-                        ValueAtStep(tenant, k)};
-  }
-
-  double MultiplierAt(int tenant, int, double time_ms) const override {
-    const long long k =
-        time_ms <= 0.0
-            ? 0
-            : static_cast<long long>(std::floor(time_ms / step_ms_));
-    return ValueAtStep(tenant, k);
-  }
-
  private:
-  double ValueAtStep(int tenant, long long k) const {
+  double StepStart(long long k) const override {
+    return static_cast<double>(k) * step_ms_;
+  }
+
+  double StepEstimate(double time_ms) const override {
+    return std::floor(time_ms / step_ms_);
+  }
+
+  double StepValue(int tenant, long long k) const override {
     // Reduce k modulo the period before the sin for precision at large t.
     const long long phase_step =
         k % static_cast<long long>(config_.steps_per_period);
@@ -109,10 +149,15 @@ class DiurnalGenerator final : public WorkloadGenerator {
   double step_ms_;
 };
 
-class FlashCrowdGenerator final : public WorkloadGenerator {
+/// Step 0 is `base` before the first spike. Spike j's decay op k (k = 0 at
+/// its front, k = decay_steps restoring exactly `base`) is step
+/// 1 + j * (decay_steps + 1) + k.
+class FlashCrowdGenerator final : public SteppedGenerator {
  public:
   FlashCrowdGenerator(const FlashCrowdConfig& config, long long decay_steps)
-      : config_(config), decay_steps_(decay_steps) {}
+      : SteppedGenerator(config.repeat_ms > 0.0 ? kMaxStep : decay_steps + 1),
+        config_(config),
+        decay_steps_(decay_steps) {}
 
   std::string name() const override { return "flash_crowd"; }
   std::string Describe() const override {
@@ -123,60 +168,29 @@ class FlashCrowdGenerator final : public WorkloadGenerator {
            ", repeat_ms=" + FormatG(config_.repeat_ms) + ")";
   }
 
-  std::optional<RateChangeOp> NextRateChange(int, double now_ms)
-      const override {
-    if (now_ms < config_.at_ms) {
-      return RateChangeOp{config_.at_ms, -1, config_.peak};
-    }
-    const long long s = SpikeIndex(now_ms);
-    const double start = SpikeFront(s);
-    long long k =
-        static_cast<long long>(std::floor((now_ms - start) / config_.step_ms)) +
-        1;
-    if (k < 0) k = 0;
-    while (start + static_cast<double>(k) * config_.step_ms <= now_ms) ++k;
-    if (k <= decay_steps_) {
-      return RateChangeOp{start + static_cast<double>(k) * config_.step_ms, -1,
-                          ValueAtDecayStep(k)};
-    }
-    if (config_.repeat_ms > 0.0) {
-      // The next spike's front; repeat_ms > the decay span by validation,
-      // so this lands strictly after now_ms.
-      return RateChangeOp{SpikeFront(s + 1), -1, config_.peak};
-    }
-    return std::nullopt;
-  }
-
-  double MultiplierAt(int, int, double time_ms) const override {
-    if (time_ms < config_.at_ms) return config_.base;
-    const double start = SpikeFront(SpikeIndex(time_ms));
-    const long long k =
-        static_cast<long long>(std::floor((time_ms - start) / config_.step_ms));
-    if (k >= decay_steps_) return config_.base;
-    return ValueAtDecayStep(k);
-  }
-
  private:
-  /// Onset of spike `s`, the time its front op carries.
-  double SpikeFront(long long s) const {
-    return config_.at_ms + static_cast<double>(s) * config_.repeat_ms;
+  double StepStart(long long s) const override {
+    const long long spike = (s - 1) / (decay_steps_ + 1);
+    const long long k = (s - 1) % (decay_steps_ + 1);
+    return config_.at_ms + static_cast<double>(spike) * config_.repeat_ms +
+           static_cast<double>(k) * config_.step_ms;
   }
 
-  /// The spike in effect at `time_ms` (>= at_ms): the last whose front is
-  /// at or before it. At a front off the whole-number grid the division
-  /// can round just below the spike's index, so the floor is checked
-  /// against the next front: without that, NextRateChange at a front
-  /// returns that same front and a consumer re-arms it forever.
-  long long SpikeIndex(double time_ms) const {
-    if (config_.repeat_ms <= 0.0) return 0;
-    auto s = static_cast<long long>(
-        std::floor((time_ms - config_.at_ms) / config_.repeat_ms));
-    if (SpikeFront(s + 1) <= time_ms) ++s;
-    return s;
+  double StepEstimate(double time_ms) const override {
+    const double since = time_ms - config_.at_ms;
+    const double spike =
+        config_.repeat_ms > 0.0 ? std::floor(since / config_.repeat_ms) : 0.0;
+    const double k =
+        std::floor((since - spike * config_.repeat_ms) / config_.step_ms);
+    return 1.0 + spike * static_cast<double>(decay_steps_ + 1) +
+           std::fmin(std::fmax(k, 0.0), static_cast<double>(decay_steps_));
   }
 
-  double ValueAtDecayStep(long long k) const {
-    if (k >= decay_steps_) return config_.base;  // Final op restores base.
+  double StepValue(int, long long s) const override {
+    if (s == 0) return config_.base;
+    const long long k = (s - 1) % (decay_steps_ + 1);
+    if (k == 0) return config_.peak;
+    if (k == decay_steps_) return config_.base;  // Final op restores base.
     return config_.base +
            (config_.peak - config_.base) *
                std::exp(-(static_cast<double>(k) * config_.step_ms) /
@@ -184,18 +198,15 @@ class FlashCrowdGenerator final : public WorkloadGenerator {
   }
 
   FlashCrowdConfig config_;
-  long long decay_steps_;  // op k == decay_steps_ sets exactly `base`
+  long long decay_steps_;
 };
 
-class DriftGenerator final : public WorkloadGenerator {
+/// Step 0 is `from` before the ramp; ramp op k is step k + 1, at
+/// start_ms + k * step_ms, and op `steps` lands exactly on (end_ms, to).
+class DriftGenerator final : public SteppedGenerator {
  public:
-  explicit DriftGenerator(const DriftConfig& config)
-      : config_(config),
-        steps_(config.end_ms > config.start_ms
-                   ? static_cast<long long>(
-                         std::ceil((config.end_ms - config.start_ms) /
-                                   config.step_ms))
-                   : 0) {}
+  DriftGenerator(const DriftConfig& config, long long steps)
+      : SteppedGenerator(steps + 1), config_(config), steps_(steps) {}
 
   std::string name() const override { return "drift"; }
   std::string Describe() const override {
@@ -205,46 +216,26 @@ class DriftGenerator final : public WorkloadGenerator {
            ", end_ms=" + FormatG(config_.end_ms) + ")";
   }
 
-  std::optional<RateChangeOp> NextRateChange(int, double now_ms)
-      const override {
-    long long k =
-        now_ms < config_.start_ms
-            ? 0
-            : static_cast<long long>(std::floor(
-                  (now_ms - config_.start_ms) / StepMs())) +
-                  1;
-    if (k < 0) k = 0;
-    while (k <= steps_ && OpTime(k) <= now_ms) ++k;
-    if (k > steps_) return std::nullopt;
-    return RateChangeOp{OpTime(k), -1, ValueAtStep(k)};
-  }
-
-  double MultiplierAt(int, int, double time_ms) const override {
-    if (time_ms < config_.start_ms) return config_.from;
-    if (time_ms >= config_.end_ms) return config_.to;
-    const long long k = static_cast<long long>(
-        std::floor((time_ms - config_.start_ms) / StepMs()));
-    return ValueAtStep(k);
-  }
-
  private:
-  double StepMs() const { return steps_ > 0 ? config_.step_ms : 1.0; }
-
-  double OpTime(long long k) const {
-    if (k >= steps_) return config_.end_ms;
-    return config_.start_ms + static_cast<double>(k) * config_.step_ms;
+  double StepStart(long long s) const override {
+    if (s > steps_) return config_.end_ms;
+    return config_.start_ms + static_cast<double>(s - 1) * config_.step_ms;
   }
 
-  double ValueAtStep(long long k) const {
-    if (k <= 0 && steps_ > 0) return config_.from;
-    if (k >= steps_) return config_.to;  // Exactly `to`, no fp residue.
-    const double frac = (OpTime(k) - config_.start_ms) /
+  double StepEstimate(double time_ms) const override {
+    return 1.0 + std::floor((time_ms - config_.start_ms) / config_.step_ms);
+  }
+
+  double StepValue(int, long long s) const override {
+    if (s > steps_) return config_.to;  // Exactly `to`, no fp residue.
+    if (s <= 1) return config_.from;
+    const double frac = (StepStart(s) - config_.start_ms) /
                         (config_.end_ms - config_.start_ms);
     return config_.from + (config_.to - config_.from) * frac;
   }
 
   DriftConfig config_;
-  long long steps_;  // op k == steps_ lands exactly on (end_ms, to)
+  long long steps_;
 };
 
 class TraceReplayGenerator final : public WorkloadGenerator {
@@ -259,24 +250,28 @@ class TraceReplayGenerator final : public WorkloadGenerator {
 
   std::optional<RateChangeOp> NextRateChange(int, double now_ms)
       const override {
-    for (const RateChangeOp& op : ops_) {
-      if (op.time_ms > now_ms) return op;
-    }
-    return std::nullopt;
+    const auto next = FirstAfter(now_ms);
+    if (next == ops_.end()) return std::nullopt;
+    return *next;
   }
 
   double MultiplierAt(int, int spout, double time_ms) const override {
     // Latest applicable op at or before the query time wins (same tie
     // semantics as FaultPlan spout shocks: later in the list wins).
-    double factor = 1.0;
-    for (const RateChangeOp& op : ops_) {
-      if (op.time_ms > time_ms) break;
-      if (op.spout < 0 || op.spout == spout) factor = op.multiplier;
+    for (auto op = FirstAfter(time_ms); op != ops_.begin();) {
+      --op;
+      if (op->spout < 0 || op->spout == spout) return op->multiplier;
     }
-    return factor;
+    return 1.0;
   }
 
  private:
+  std::vector<RateChangeOp>::const_iterator FirstAfter(double time_ms) const {
+    return std::upper_bound(
+        ops_.begin(), ops_.end(), time_ms,
+        [](double t, const RateChangeOp& op) { return t < op.time_ms; });
+  }
+
   std::vector<RateChangeOp> ops_;  // sorted ascending by time
 };
 
@@ -353,11 +348,14 @@ StatusOr<std::unique_ptr<WorkloadGenerator>> MakeConstant(double factor) {
 
 StatusOr<std::unique_ptr<WorkloadGenerator>> MakeDiurnal(
     const DiurnalConfig& config) {
-  if (!(config.period_ms > 0.0) || !std::isfinite(config.period_ms)) {
-    return Status::InvalidArgument("diurnal: period_ms must be positive");
-  }
   if (config.steps_per_period < 2) {
     return Status::InvalidArgument("diurnal: steps_per_period must be >= 2");
+  }
+  if (!(config.period_ms / config.steps_per_period >= kMinStepMs) ||
+      !std::isfinite(config.period_ms)) {
+    return Status::InvalidArgument(
+        "diurnal: period_ms / steps_per_period must be finite and >= " +
+        FormatG(kMinStepMs) + " ms");
   }
   if (!std::isfinite(config.amplitude) || !FiniteNonNegative(config.base) ||
       !FiniteNonNegative(config.jitter) ||
@@ -378,10 +376,11 @@ StatusOr<std::unique_ptr<WorkloadGenerator>> MakeFlashCrowd(
     return Status::InvalidArgument(
         "flash_crowd: need peak > base > 0 (finite)");
   }
-  if (!(config.decay_tau_ms > 0.0) || !(config.step_ms > 0.0) ||
+  if (!(config.decay_tau_ms > 0.0) || !(config.step_ms >= kMinStepMs) ||
       !std::isfinite(config.decay_tau_ms) || !std::isfinite(config.step_ms)) {
     return Status::InvalidArgument(
-        "flash_crowd: decay_tau_ms and step_ms must be positive");
+        "flash_crowd: decay_tau_ms must be positive and step_ms >= " +
+        FormatG(kMinStepMs) + " ms");
   }
   // Decay ops stop once the residual spike is < 1% of base; the op at
   // `decay_steps` restores exactly `base`.
@@ -416,12 +415,18 @@ StatusOr<std::unique_ptr<WorkloadGenerator>> MakeDrift(
       config.end_ms < config.start_ms) {
     return Status::InvalidArgument("drift: need 0 <= start_ms <= end_ms");
   }
-  if (config.end_ms > config.start_ms &&
-      (!(config.step_ms > 0.0) || !std::isfinite(config.step_ms))) {
-    return Status::InvalidArgument("drift: step_ms must be positive");
+  const bool ramp = config.end_ms > config.start_ms;
+  const double steps =
+      ramp ? std::ceil((config.end_ms - config.start_ms) / config.step_ms)
+           : 0.0;
+  if (ramp && (!(config.step_ms >= kMinStepMs) ||
+               !std::isfinite(config.step_ms) || !(steps < kMaxStep))) {
+    return Status::InvalidArgument(
+        "drift: step_ms must be finite, >= " + FormatG(kMinStepMs) +
+        " ms and give fewer than 2^52 steps");
   }
-  return std::unique_ptr<WorkloadGenerator>(
-      std::make_unique<DriftGenerator>(config));
+  return std::unique_ptr<WorkloadGenerator>(std::make_unique<DriftGenerator>(
+      config, static_cast<long long>(steps)));
 }
 
 StatusOr<std::unique_ptr<WorkloadGenerator>> MakeTraceReplay(

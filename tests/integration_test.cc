@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "common/rng.h"
 #include "core/artifacts.h"
 #include "core/experiment.h"
@@ -55,54 +58,84 @@ TEST(IntegrationTest, FullPipelineProducesAllMethods) {
   }
 }
 
+// The paper's pipeline, one without `w` in the state and one without DQN:
+// a cached pipeline loads agents that encode and act as the trained ones,
+// and one the cache cannot hold is refused, not dereferenced.
 TEST(IntegrationTest, ArtifactRoundTripPreservesBehavior) {
   topo::AppOptions app_options;
   app_options.rate_scale = 0.6;
   topo::App app = topo::BuildContinuousQueries(topo::Scale::kSmall,
                                                app_options);
   topo::ClusterConfig cluster;
-  const PipelineConfig config = TinyConfig();
-  auto trained =
-      TrainAllMethods(&app.topology, app.workload, cluster, config);
-  ASSERT_TRUE(trained.ok()) << trained.status();
-
+  PipelineConfig without_workload = TinyConfig();
+  without_workload.include_workload_in_state = false;
+  PipelineConfig without_dqn = TinyConfig();
+  without_dqn.train_dqn = false;
+  const std::pair<const char*, PipelineConfig> cases[] = {
+      {"tiny", TinyConfig()},
+      {"tiny_no_w", without_workload},
+      {"tiny_no_dqn", without_dqn},
+  };
   const std::string dir = testing::TempDir() + "/artifacts";
-  ASSERT_TRUE(SaveTrainedMethods(dir, "tiny", *trained).ok());
-  EXPECT_TRUE(ArtifactsExist(dir, "tiny"));
+  for (const auto& [key, config] : cases) {
+    SCOPED_TRACE(key);
+    auto trained =
+        TrainAllMethods(&app.topology, app.workload, cluster, config);
+    ASSERT_TRUE(trained.ok()) << trained.status();
+    if (!config.train_dqn) {
+      // Only a full pipeline is cached: the cached path trains, fails to
+      // save with a warning, and returns the same pipeline.
+      EXPECT_FALSE(SaveTrainedMethods(dir, key, *trained).ok());
+      EXPECT_FALSE(ArtifactsExist(dir, key));
+      auto cached = TrainAllMethodsCached(dir, key, &app.topology,
+                                          app.workload, cluster, config);
+      ASSERT_TRUE(cached.ok()) << cached.status();
+      EXPECT_EQ(cached->dqn, nullptr);
+      EXPECT_EQ(cached->ddpg_online.rewards, trained->ddpg_online.rewards);
+      continue;
+    }
+    ASSERT_TRUE(SaveTrainedMethods(dir, key, *trained).ok());
+    EXPECT_TRUE(ArtifactsExist(dir, key));
 
-  auto loaded =
-      LoadTrainedMethods(dir, "tiny", &app.topology, app.workload, cluster,
-                         config);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(loaded->default_schedule.assignments(),
-            trained->default_schedule.assignments());
-  EXPECT_EQ(loaded->ddpg_online.final_schedule.assignments(),
-            trained->ddpg_online.final_schedule.assignments());
-  EXPECT_EQ(loaded->ddpg_online.rewards, trained->ddpg_online.rewards);
+    auto loaded = LoadTrainedMethods(dir, key, &app.topology, app.workload,
+                                     cluster, config);
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    EXPECT_EQ(loaded->default_schedule.assignments(),
+              trained->default_schedule.assignments());
+    EXPECT_EQ(loaded->ddpg_online.final_schedule.assignments(),
+              trained->ddpg_online.final_schedule.assignments());
+    EXPECT_EQ(loaded->ddpg_online.rewards, trained->ddpg_online.rewards);
 
-  // The restored agent behaves identically.
-  rl::State state;
-  state.assignments = trained->default_schedule.assignments();
-  state.spout_rates = app.workload.RatesVector(
-      app.topology.SpoutComponents(), 0.0);
-  auto a = trained->ddpg->GreedyAction(state);
-  auto b = loaded->ddpg->GreedyAction(state);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a->assignments(), b->assignments());
+    // The restored encoder and agents behave identically on a state with
+    // non-zero rates.
+    rl::State state;
+    state.assignments = trained->default_schedule.assignments();
+    state.spout_rates = app.workload.RatesVector(
+        app.topology.SpoutComponents(), 0.0);
+    EXPECT_EQ(loaded->encoder->EncodeState(state),
+              trained->encoder->EncodeState(state));
+    for (auto [from, to] : {std::pair{trained->ddpg.get(), loaded->ddpg.get()},
+                            std::pair{trained->dqn.get(), loaded->dqn.get()}}) {
+      auto a = from->GreedyAction(state);
+      auto b = to->GreedyAction(state);
+      ASSERT_TRUE(a.ok());
+      ASSERT_TRUE(b.ok());
+      EXPECT_EQ(a->assignments(), b->assignments()) << from->name();
+    }
 
-  // The restored delay model predicts identically.
-  EXPECT_NEAR(loaded->delay_model->PredictEndToEnd(trained->default_schedule,
-                                                   state.spout_rates),
-              trained->delay_model->PredictEndToEnd(
-                  trained->default_schedule, state.spout_rates),
-              1e-9);
+    // The restored delay model predicts identically.
+    EXPECT_NEAR(loaded->delay_model->PredictEndToEnd(
+                    trained->default_schedule, state.spout_rates),
+                trained->delay_model->PredictEndToEnd(
+                    trained->default_schedule, state.spout_rates),
+                1e-9);
 
-  // TrainAllMethodsCached must hit the cache (instant).
-  auto cached = TrainAllMethodsCached(dir, "tiny", &app.topology,
-                                      app.workload, cluster, config);
-  ASSERT_TRUE(cached.ok());
-  EXPECT_EQ(cached->ddpg_online.rewards, trained->ddpg_online.rewards);
+    // TrainAllMethodsCached must hit the cache (instant).
+    auto cached = TrainAllMethodsCached(dir, key, &app.topology,
+                                        app.workload, cluster, config);
+    ASSERT_TRUE(cached.ok());
+    EXPECT_EQ(cached->ddpg_online.rewards, trained->ddpg_online.rewards);
+  }
 }
 
 TEST(IntegrationTest, OnlineLearningImprovesOverRandomActions) {

@@ -567,6 +567,42 @@ TEST(SimulatorTest, SilencedSpoutWakesUnderALaterGenerator) {
   EXPECT_GT(simulator.counters().roots_emitted, 300);
 }
 
+// A CQ-small tenant under a drift on a fractional grid: once the simulator
+// reaches an op's time, the tenant's spouts run at that op's multiplier.
+TEST(SimulatorTest, RateMultiplierFollowsAFractionalDrift) {
+  const topo::App app = topo::BuildContinuousQueries(topo::Scale::kSmall);
+  topo::ClusterConfig cluster;
+  sched::RoundRobinScheduler scheduler;
+  sched::SchedulingContext context;
+  context.topology = &app.topology;
+  context.cluster = &cluster;
+  context.spout_rates =
+      app.workload.RatesVector(app.topology.SpoutComponents(), 0.0);
+  auto schedule = scheduler.ComputeSchedule(context);
+  ASSERT_TRUE(schedule.ok());
+  workload::DriftConfig config;
+  config.start_ms = 1000.3;
+  config.end_ms = 4000.9;
+  config.step_ms = 100.7;
+  auto drift = workload::MakeDrift(config);
+  ASSERT_TRUE(drift.ok()) << drift.status().ToString();
+  ClusterSim simulator(cluster, SimOptions{});
+  ASSERT_TRUE(
+      simulator.AddTenant(&app.topology, &app.workload, *schedule).ok());
+  ASSERT_TRUE(simulator.SetTenantWorkloadGenerator(0, drift->get()).ok());
+  ASSERT_TRUE(simulator.Start().ok());
+  const int spout = app.topology.SpoutComponents()[0];
+  int ops = 0;
+  for (auto op = (*drift)->NextRateChange(0, 0.0); op.has_value();
+       op = (*drift)->NextRateChange(0, op->time_ms)) {
+    simulator.RunUntil(op->time_ms);
+    EXPECT_EQ(simulator.TenantRateMultiplier(0, spout), op->multiplier)
+        << "op " << ops << " at " << op->time_ms << " ms";
+    ++ops;
+  }
+  EXPECT_EQ(ops, 31);
+}
+
 TEST(SimulatorTest, WarmupInflationDecaysOverTime) {
   topo::Topology topology = ChainTopology(1, 2, 0.2);
   topo::Workload workload = ChainWorkload(300.0);

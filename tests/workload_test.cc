@@ -13,9 +13,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -199,6 +201,80 @@ TEST(GeneratorTest, FlashCrowdOpsAdvanceOverRandomConfigs) {
   EXPECT_GT(fronts, 1000);
 }
 
+// Seeded random generators on fractional grids, where a step's start and a
+// division by the step round apart: MultiplierAt reads each op's multiplier
+// from the op's time on, and the previous op's until one ulp before it.
+TEST(GeneratorTest, MultiplierAtAgreesWithOpsOnFractionalGrids) {
+  Rng rng(37);
+  const auto make = [&rng](int kind)
+      -> StatusOr<std::unique_ptr<WorkloadGenerator>> {
+    if (kind == 0) {
+      workload::DiurnalConfig config;
+      config.period_ms = rng.Uniform(1000.0, 200000.0);
+      config.steps_per_period = rng.UniformInt(2, 48);
+      config.jitter = 0.1;
+      return workload::MakeDiurnal(config);
+    }
+    if (kind <= 2) {
+      workload::FlashCrowdConfig config;
+      config.at_ms = rng.Uniform(0.0, 100000.0);
+      config.step_ms = rng.Uniform(50.0, 2000.0);
+      config.decay_tau_ms = rng.Uniform(100.0, 20000.0);
+      config.base = rng.Uniform(0.2, 1.5);
+      config.peak = config.base * rng.Uniform(1.1, 4.0);
+      config.repeat_ms = kind == 2 ? rng.Uniform(10000.0, 200000.0) : 0.0;
+      return workload::MakeFlashCrowd(config);
+    }
+    workload::DriftConfig config;
+    config.from = rng.Uniform(0.0, 2.0);
+    config.to = rng.Uniform(0.0, 2.0);
+    config.start_ms = rng.Uniform(0.0, 50000.0);
+    config.end_ms = config.start_ms + rng.Uniform(0.0, 100000.0);
+    config.step_ms = rng.Uniform(10.0, 2000.0);
+    return workload::MakeDrift(config);
+  };
+  int ops = 0;
+  int wrong_at_op = 0;
+  int wrong_before_op = 0;
+  for (int trial = 0; trial < 250; ++trial) {
+    // Kinds 0-3: diurnal, flash crowd, repeating flash crowd, drift; 4
+    // composes two of them.
+    const int kind = trial % 5;
+    StatusOr<std::unique_ptr<WorkloadGenerator>> generator =
+        Status::Internal("unset");
+    if (kind < 4) {
+      generator = make(kind);
+    } else {
+      std::vector<std::unique_ptr<WorkloadGenerator>> children;
+      for (int i = 0; i < 2; ++i) {
+        auto child = make(rng.UniformInt(0, 3));
+        if (child.ok()) children.push_back(std::move(*child));
+      }
+      generator = workload::MakeCompose(std::move(children));
+    }
+    if (!generator.ok()) continue;  // a repeat shorter than its decay span
+    double now = -1.0;
+    double before = (*generator)->MultiplierAt(0, 0, 0.0);
+    for (int i = 0; i < 2000; ++i) {
+      const std::optional<RateChangeOp> op =
+          (*generator)->NextRateChange(0, now);
+      if (!op.has_value() || op->time_ms > 300000.0) break;
+      ASSERT_GT(op->time_ms, now) << "trial " << trial;
+      ++ops;
+      const double at = (*generator)->MultiplierAt(0, 0, op->time_ms);
+      const double just_before = (*generator)->MultiplierAt(
+          0, 0, std::nextafter(op->time_ms, 0.0));
+      if (at != op->multiplier) ++wrong_at_op;
+      if (op->time_ms > 0.0 && just_before != before) ++wrong_before_op;
+      before = op->multiplier;
+      now = op->time_ms;
+    }
+  }
+  EXPECT_GT(ops, 20000);
+  EXPECT_EQ(wrong_at_op, 0) << "of " << ops << " ops";
+  EXPECT_EQ(wrong_before_op, 0) << "of " << ops << " ops";
+}
+
 // An op is in effect from its time on, and NextRateChange names the first
 // op strictly after the query time.
 TEST(TraceReplayTest, OpsApplyFromTheirTime) {
@@ -224,6 +300,54 @@ TEST(TraceReplayTest, LatestOpWins) {
   EXPECT_EQ((*trace)->MultiplierAt(0, 0, 2500.0), 3.0);
   EXPECT_FALSE(
       workload::MakeTraceReplay({{2000.0, -1, 2.0}, {1000.0, -1, 0.5}}).ok());
+}
+
+// A seeded random trace of per-spout and all-spout ops, with ties at equal
+// times: both queries match a scan of the whole trace at every op time,
+// one ulp before it and between ops.
+TEST(TraceReplayTest, QueriesMatchALinearScan) {
+  Rng rng(11);
+  std::vector<RateChangeOp> ops;
+  double time = 0.0;
+  for (int i = 0; i < 300; ++i) {
+    if (!rng.Bernoulli(0.3)) time += rng.Uniform(0.0, 1000.0);
+    ops.push_back({time, rng.UniformInt(-1, 2), rng.Uniform(0.0, 3.0)});
+  }
+  auto trace = workload::MakeTraceReplay(ops);
+  ASSERT_TRUE(trace.ok()) << trace.status().ToString();
+  std::vector<double> queries = {0.0, time + 1.0};
+  for (const RateChangeOp& op : ops) {
+    queries.push_back(op.time_ms);
+    queries.push_back(std::nextafter(op.time_ms, 0.0));
+    queries.push_back(op.time_ms + 0.5);
+  }
+  for (double t : queries) {
+    SCOPED_TRACE("t " + std::to_string(t));
+    std::optional<RateChangeOp> next;
+    for (const RateChangeOp& op : ops) {
+      if (op.time_ms > t) {
+        next = op;
+        break;
+      }
+    }
+    const std::optional<RateChangeOp> got = (*trace)->NextRateChange(0, t);
+    ASSERT_EQ(got.has_value(), next.has_value());
+    if (next.has_value()) {
+      EXPECT_EQ(got->time_ms, next->time_ms);
+      EXPECT_EQ(got->spout, next->spout);
+      EXPECT_EQ(got->multiplier, next->multiplier);
+    }
+    // Spout 3 is never named, so only the all-spout ops reach it.
+    for (int spout = 0; spout <= 3; ++spout) {
+      double factor = 1.0;
+      for (const RateChangeOp& op : ops) {
+        if (op.time_ms <= t && (op.spout < 0 || op.spout == spout)) {
+          factor = op.multiplier;
+        }
+      }
+      EXPECT_EQ((*trace)->MultiplierAt(0, spout, t), factor) << spout;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -268,6 +392,24 @@ TEST(WorkloadRegistryTest, SeedOutsideUint64IsRejected) {
   EXPECT_TRUE(
       workload::ParseWorkloadSpec("diurnal:seed=18446744073709551615", 1)
           .ok());
+}
+
+// A step grid whose step index a double cannot count is an error naming the
+// parameter: a 1e-300 ms step made NextRateChange count up without end, and
+// a ramp of 1e300 steps overflowed the step count.
+TEST(WorkloadRegistryTest, UnindexableStepGridsAreRejected) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"diurnal:period_ms=1e-300", "period_ms"},
+      {"flash_crowd:at_ms=0,step_ms=1e-300,decay_tau_ms=1", "step_ms"},
+      {"drift:start_ms=0,end_ms=1e300,step_ms=1e-300", "step_ms"},
+      {"drift:start_ms=0,end_ms=1e300,step_ms=1", "step_ms"},
+  };
+  for (const auto& [spec, parameter] : cases) {
+    auto generator = workload::ParseWorkloadSpec(spec, 1);
+    ASSERT_FALSE(generator.ok()) << spec;
+    const std::string message = generator.status().ToString();
+    EXPECT_NE(message.find(parameter), std::string::npos) << message;
+  }
 }
 
 TEST(WorkloadRegistryTest, ComposeMultipliesChildren) {
