@@ -202,8 +202,9 @@ TEST(GeneratorTest, FlashCrowdOpsAdvanceOverRandomConfigs) {
 }
 
 // Seeded random generators on fractional grids, where a step's start and a
-// division by the step round apart: MultiplierAt reads each op's multiplier
-// from the op's time on, and the previous op's until one ulp before it.
+// division by the step round apart, and one spike whose steps share start
+// times: MultiplierAt reads each op's multiplier from the op's time on, and
+// the previous op's until one ulp before it.
 TEST(GeneratorTest, MultiplierAtAgreesWithOpsOnFractionalGrids) {
   Rng rng(37);
   const auto make = [&rng](int kind)
@@ -233,9 +234,7 @@ TEST(GeneratorTest, MultiplierAtAgreesWithOpsOnFractionalGrids) {
     config.step_ms = rng.Uniform(10.0, 2000.0);
     return workload::MakeDrift(config);
   };
-  int ops = 0;
-  int wrong_at_op = 0;
-  int wrong_before_op = 0;
+  std::vector<std::unique_ptr<WorkloadGenerator>> generators;
   for (int trial = 0; trial < 250; ++trial) {
     // Kinds 0-3: diurnal, flash crowd, repeating flash crowd, drift; 4
     // composes two of them.
@@ -252,18 +251,33 @@ TEST(GeneratorTest, MultiplierAtAgreesWithOpsOnFractionalGrids) {
       }
       generator = workload::MakeCompose(std::move(children));
     }
-    if (!generator.ok()) continue;  // a repeat shorter than its decay span
+    // Skipped: a repeat shorter than its decay span.
+    if (generator.ok()) generators.push_back(std::move(*generator));
+  }
+  // A spike so far out that a time's ulp (0.125 ms) exceeds its 1 us step:
+  // about 125 decay steps start at each time its ops take.
+  workload::FlashCrowdConfig far;
+  far.at_ms = 1e15;
+  far.step_ms = 0.001;
+  far.decay_tau_ms = 1.0;
+  auto far_spike = workload::MakeFlashCrowd(far);
+  ASSERT_TRUE(far_spike.ok()) << far_spike.status().ToString();
+  generators.push_back(std::move(*far_spike));
+
+  int ops = 0;
+  int wrong_at_op = 0;
+  int wrong_before_op = 0;
+  for (const auto& generator : generators) {
     double now = -1.0;
-    double before = (*generator)->MultiplierAt(0, 0, 0.0);
+    double before = generator->MultiplierAt(0, 0, 0.0);
     for (int i = 0; i < 2000; ++i) {
-      const std::optional<RateChangeOp> op =
-          (*generator)->NextRateChange(0, now);
-      if (!op.has_value() || op->time_ms > 300000.0) break;
-      ASSERT_GT(op->time_ms, now) << "trial " << trial;
+      const std::optional<RateChangeOp> op = generator->NextRateChange(0, now);
+      if (!op.has_value()) break;
+      ASSERT_GT(op->time_ms, now) << generator->Describe();
       ++ops;
-      const double at = (*generator)->MultiplierAt(0, 0, op->time_ms);
-      const double just_before = (*generator)->MultiplierAt(
-          0, 0, std::nextafter(op->time_ms, 0.0));
+      const double at = generator->MultiplierAt(0, 0, op->time_ms);
+      const double just_before =
+          generator->MultiplierAt(0, 0, std::nextafter(op->time_ms, 0.0));
       if (at != op->multiplier) ++wrong_at_op;
       if (op->time_ms > 0.0 && just_before != before) ++wrong_before_op;
       before = op->multiplier;
