@@ -56,43 +56,35 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::WorkerLoop(int worker) {
   uint64_t last_generation = 0;
   while (true) {
-    std::shared_ptr<Job> job;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       job_ready_.wait(lock, [&] {
         return shutdown_ ||
-               (job_ != nullptr && job_generation_ != last_generation);
+               (job_posted_ && job_generation_ != last_generation);
       });
       if (shutdown_) return;
       last_generation = job_generation_;
-      job = job_;
+      ++job_holders_;
     }
-    if (job->post_time_us != 0) {
+    if (job_.post_time_us != 0) {
       // Time from job post to this worker picking up its first index.
       PoolTaskWaitUs()->Record(
-          static_cast<double>(SteadyNowUs() - job->post_time_us));
+          static_cast<double>(SteadyNowUs() - job_.post_time_us));
     }
-    RunJob(job.get(), worker);
-  }
-}
-
-void ThreadPool::RunJob(Job* job, int worker) {
-  int done = 0;
-  int i;
-  while ((i = job->next.fetch_add(1, std::memory_order_relaxed)) < job->n) {
-    (*job->fn)(i, worker);
-    ++done;
-  }
-  if (done > 0 &&
-      job->remaining.fetch_sub(done, std::memory_order_acq_rel) == done) {
-    // This thread finished the last index; wake the caller.
+    RunJob(worker);
     std::lock_guard<std::mutex> lock(mutex_);
-    job_done_.notify_all();
+    if (--job_holders_ == 0) job_done_.notify_all();
   }
 }
 
-void ThreadPool::ParallelFor(int n,
-                             const std::function<void(int, int)>& fn) {
+void ThreadPool::RunJob(int worker) {
+  int i;
+  while ((i = job_.next.fetch_add(1, std::memory_order_relaxed)) < job_.n) {
+    (*job_.fn)(i, worker);
+  }
+}
+
+void ThreadPool::ParallelFor(int n, IndexFn fn) {
   if (n <= 0) return;
   const bool metrics = obs::MetricsEnabled();
   if (metrics) PoolJobs()->Add(1);
@@ -100,27 +92,23 @@ void ThreadPool::ParallelFor(int n,
     for (int i = 0; i < n; ++i) fn(i, 0);
     return;
   }
-  auto job = std::make_shared<Job>();
-  job->fn = &fn;
-  job->n = n;
-  job->remaining.store(n, std::memory_order_relaxed);
-  if (metrics) {
-    job->post_time_us = SteadyNowUs();
-    PoolQueueDepth()->Set(static_cast<double>(n));
-  }
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    job_ = job;
+    job_.fn = &fn;
+    job_.n = n;
+    job_.next.store(0, std::memory_order_relaxed);
+    job_.post_time_us = metrics ? SteadyNowUs() : 0;
+    job_posted_ = true;
     ++job_generation_;
   }
+  if (metrics) PoolQueueDepth()->Set(static_cast<double>(n));
   job_ready_.notify_all();
-  RunJob(job.get(), 0);
+  RunJob(0);
   {
+    // Every index is taken; wait out the workers still running theirs.
     std::unique_lock<std::mutex> lock(mutex_);
-    job_done_.wait(lock, [&] {
-      return job->remaining.load(std::memory_order_acquire) <= 0;
-    });
-    job_.reset();
+    job_posted_ = false;
+    job_done_.wait(lock, [&] { return job_holders_ == 0; });
   }
   if (metrics) PoolQueueDepth()->Set(0.0);
 }

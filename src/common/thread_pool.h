@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -29,8 +28,32 @@ namespace drlstream {
 ///
 /// ParallelFor is not reentrant: fn must not call ParallelFor on the same
 /// pool.
+///
+/// A ParallelFor call allocates nothing: fn is passed by reference and the
+/// pool reuses one job record, so a training step that calls it stays off
+/// the heap.
 class ThreadPool {
  public:
+  /// A non-owning reference to a callable fn(i, worker): the closure's
+  /// address and a function that calls it. Unlike std::function, which
+  /// moves a closure larger than its inline buffer to the heap, it never
+  /// copies the closure; it must not outlive it, which a ParallelFor
+  /// argument never does.
+  class IndexFn {
+   public:
+    template <typename F>
+    IndexFn(const F& fn)  // implicit, as std::function's is
+        : closure_(&fn), call_([](const void* closure, int i, int worker) {
+            (*static_cast<const F*>(closure))(i, worker);
+          }) {}
+
+    void operator()(int i, int worker) const { call_(closure_, i, worker); }
+
+   private:
+    const void* closure_;
+    void (*call_)(const void* closure, int i, int worker);
+  };
+
   /// Creates `num_threads - 1` background workers; the caller of
   /// ParallelFor acts as the remaining thread. num_threads < 1 is clamped
   /// to 1 (purely serial, no background threads).
@@ -44,17 +67,18 @@ class ThreadPool {
 
   /// Runs fn(i, worker) for every i in [0, n), distributing indices across
   /// the pool. Blocks until all n invocations completed. fn must not throw.
-  void ParallelFor(int n, const std::function<void(int, int)>& fn);
+  void ParallelFor(int n, IndexFn fn);
 
  private:
-  /// One ParallelFor invocation. Each job owns its counters so a worker
-  /// that wakes late (holding a stale job) can never touch a newer job's
-  /// state: its `next` is already exhausted, so it no-ops.
+  /// The one ParallelFor invocation in flight. Its fields are written
+  /// under mutex_ before the job is posted and read by the workers that
+  /// take it; ParallelFor returns, and may rewrite them for the next call,
+  /// only once it has withdrawn the job (a worker that wakes later skips
+  /// it) and every worker that took it has left RunJob (job_holders_ == 0).
   struct Job {
-    const std::function<void(int, int)>* fn = nullptr;
+    const IndexFn* fn = nullptr;
     int n = 0;
     std::atomic<int> next{0};
-    std::atomic<int> remaining{0};
     /// Post timestamp (steady-clock µs) captured only when the obs metrics
     /// registry is enabled; 0 means "don't record wait times".
     int64_t post_time_us = 0;
@@ -62,8 +86,8 @@ class ThreadPool {
 
   /// Background worker `worker` (in [1, num_threads())).
   void WorkerLoop(int worker);
-  /// Pulls indices from `job` until it is exhausted, as `worker`.
-  void RunJob(Job* job, int worker);
+  /// Pulls indices from job_ until it is exhausted, as `worker`.
+  void RunJob(int worker);
 
   const int num_threads_;
   std::vector<std::thread> workers_;
@@ -71,7 +95,9 @@ class ThreadPool {
   std::mutex mutex_;
   std::condition_variable job_ready_;
   std::condition_variable job_done_;
-  std::shared_ptr<Job> job_;  // null = no job
+  Job job_;
+  bool job_posted_ = false;  // job_ is open for workers to take
+  int job_holders_ = 0;      // workers that took job_ and are still in it
   uint64_t job_generation_ = 0;
   bool shutdown_ = false;
 };

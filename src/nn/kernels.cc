@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 
 #include "common/simd.h"
@@ -147,6 +148,18 @@ void FoldColumnsScalar(const double* cols, const double* x, int k, int h,
   }
 }
 
+void AdamStepScalar(double* w, double* m, double* v, const double* g, int k,
+                    const AdamCoefficients& c) {
+  const double decay1 = 1.0 - c.beta1;
+  const double decay2 = 1.0 - c.beta2;
+  for (int i = 0; i < k; ++i) {
+    m[i] = c.beta1 * m[i] + decay1 * g[i];
+    v[i] = c.beta2 * v[i] + decay2 * g[i] * g[i];
+    w[i] -= c.learning_rate * (m[i] / c.bias_correction1) /
+            (std::sqrt(v[i] / c.bias_correction2) + c.epsilon);
+  }
+}
+
 bool SimdActive() {
   return SimdEnabled() && Avx2CompiledIn() && CpuSupportsAvx2();
 }
@@ -180,6 +193,10 @@ TanhFn ResolveTanh() { return SimdActive() ? TanhAvx2 : TanhScalar; }
 
 FoldColumnsFn ResolveFoldColumns() {
   return SimdActive() ? FoldColumnsAvx2 : FoldColumnsScalar;
+}
+
+AdamStepFn ResolveAdamStep() {
+  return SimdActive() ? AdamStepAvx2 : AdamStepScalar;
 }
 
 }  // namespace drlstream::nn::kernels

@@ -42,6 +42,12 @@ namespace drlstream::nn::kernels {
 ///             gives 0 * Inf = NaN (MatTVec, AddOuter and MatMul skip zero
 ///             multipliers the same way); a NaN input is added and gives
 ///             NaN. z must not alias x or cols.
+///   AdamStep - one Adam update of k parameters, elementwise: per element
+///             m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
+///             w -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps), each a separate IEEE
+///             mul, add, div or sqrt (never FMA), so the AVX2 path, four
+///             elements at a time with a scalar tail, is the scalar loop's
+///             bits.
 ///
 /// Which implementation runs is decided per call from the process-wide
 /// SIMD mode (common/simd.h): one relaxed atomic load and a branch, so
@@ -70,6 +76,17 @@ namespace drlstream::nn::kernels {
 /// gives NaN.
 double TanhElement(double x);
 
+/// Adam's per-step constants: the learning rate, the moment decays, the
+/// denominator's epsilon and the two bias corrections 1 - beta^t.
+struct AdamCoefficients {
+  double learning_rate;
+  double beta1;
+  double beta2;
+  double epsilon;
+  double bias_correction1;
+  double bias_correction2;
+};
+
 double DotScalar(const double* a, const double* b, int k);
 void Dot4Scalar(const double* const a[4], const double* b, int k,
                 double out[4]);
@@ -79,6 +96,8 @@ void SumRowsScalar(double* z, const double* base, const double* const* rows,
 void TanhScalar(const double* x, double* y, int k);
 void FoldColumnsScalar(const double* cols, const double* x, int k, int h,
                        double* z);
+void AdamStepScalar(double* w, double* m, double* v, const double* g, int k,
+                    const AdamCoefficients& c);
 
 /// AVX2 variants, compiled into their own translation unit with -mavx2
 /// (the nn library builds with -ffp-contract=off, so neither these nor the
@@ -95,6 +114,8 @@ void SumRowsAvx2(double* z, const double* base, const double* const* rows,
 void TanhAvx2(const double* x, double* y, int k);
 void FoldColumnsAvx2(const double* cols, const double* x, int k, int h,
                      double* z);
+void AdamStepAvx2(double* w, double* m, double* v, const double* g, int k,
+                  const AdamCoefficients& c);
 
 /// Resolved entry points honoring the SIMD mode and cpuid.
 double Dot(const double* a, const double* b, int k);
@@ -115,12 +136,15 @@ using SumRowsFn = void (*)(double* z, const double* base,
 using TanhFn = void (*)(const double* x, double* y, int k);
 using FoldColumnsFn = void (*)(const double* cols, const double* x, int k,
                                int h, double* z);
+using AdamStepFn = void (*)(double* w, double* m, double* v, const double* g,
+                            int k, const AdamCoefficients& c);
 DotFn ResolveDot();
 Dot4Fn ResolveDot4();
 AxpyFn ResolveAxpy();
 SumRowsFn ResolveSumRows();
 TanhFn ResolveTanh();
 FoldColumnsFn ResolveFoldColumns();
+AdamStepFn ResolveAdamStep();
 
 /// True when the AVX2 path is what the resolved kernels currently run
 /// (compiled in, supported by the CPU, and not disabled via --simd=off /

@@ -255,6 +255,37 @@ void FoldColumnsAvx2(const double* cols, const double* x, int k, int h,
   }
 }
 
+void AdamStepAvx2(double* w, double* m, double* v, const double* g, int k,
+                  const AdamCoefficients& c) {
+  // AdamStepScalar's ops lane by lane: the same products, quotients and
+  // square root, each rounded once, in the same order.
+  const __m256d beta1 = _mm256_set1_pd(c.beta1);
+  const __m256d beta2 = _mm256_set1_pd(c.beta2);
+  const __m256d decay1 = _mm256_set1_pd(1.0 - c.beta1);
+  const __m256d decay2 = _mm256_set1_pd(1.0 - c.beta2);
+  const __m256d rate = _mm256_set1_pd(c.learning_rate);
+  const __m256d bc1 = _mm256_set1_pd(c.bias_correction1);
+  const __m256d bc2 = _mm256_set1_pd(c.bias_correction2);
+  const __m256d eps = _mm256_set1_pd(c.epsilon);
+  int i = 0;
+  for (; i + 4 <= k; i += 4) {
+    const __m256d gi = _mm256_loadu_pd(g + i);
+    const __m256d mi =
+        _mm256_add_pd(_mm256_mul_pd(beta1, _mm256_loadu_pd(m + i)),
+                      _mm256_mul_pd(decay1, gi));
+    const __m256d vi = _mm256_add_pd(
+        _mm256_mul_pd(beta2, _mm256_loadu_pd(v + i)),
+        _mm256_mul_pd(_mm256_mul_pd(decay2, gi), gi));
+    const __m256d step = _mm256_div_pd(
+        _mm256_mul_pd(rate, _mm256_div_pd(mi, bc1)),
+        _mm256_add_pd(_mm256_sqrt_pd(_mm256_div_pd(vi, bc2)), eps));
+    _mm256_storeu_pd(m + i, mi);
+    _mm256_storeu_pd(v + i, vi);
+    _mm256_storeu_pd(w + i, _mm256_sub_pd(_mm256_loadu_pd(w + i), step));
+  }
+  AdamStepScalar(w + i, m + i, v + i, g + i, k - i, c);
+}
+
 #else  // !defined(__AVX2__)
 
 bool Avx2CompiledIn() { return false; }
@@ -282,6 +313,11 @@ void TanhAvx2(const double* x, double* y, int k) { TanhScalar(x, y, k); }
 void FoldColumnsAvx2(const double* cols, const double* x, int k, int h,
                      double* z) {
   FoldColumnsScalar(cols, x, k, h, z);
+}
+
+void AdamStepAvx2(double* w, double* m, double* v, const double* g, int k,
+                  const AdamCoefficients& c) {
+  AdamStepScalar(w, m, v, g, k, c);
 }
 
 #endif  // defined(__AVX2__)

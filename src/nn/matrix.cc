@@ -87,9 +87,10 @@ constexpr int kRowBlock = 8;
 
 }  // namespace
 
-void MatMul(const Matrix& a, const Matrix& b, Matrix* c) {
+void MatMul(const Matrix& a, const Matrix& b, Matrix* c, int b_col_begin) {
   DRLSTREAM_CHECK_EQ(a.cols(), b.rows());
-  const int n = a.rows(), k = a.cols(), m = b.cols();
+  DRLSTREAM_CHECK(b_col_begin >= 0 && b_col_begin <= b.cols());
+  const int n = a.rows(), k = a.cols(), m = b.cols() - b_col_begin;
   const kernels::AxpyFn axpy = kernels::ResolveAxpy();
   c->Resize(n, m);
   c->Zero();
@@ -98,7 +99,7 @@ void MatMul(const Matrix& a, const Matrix& b, Matrix* c) {
     // k advances in the outer loop so each C element accumulates its
     // contributions in ascending-k order (same left fold as MatTVec).
     for (int kk = 0; kk < k; ++kk) {
-      const double* b_row = b.row(kk);
+      const double* b_row = b.row(kk) + b_col_begin;
       for (int i = i0; i < i1; ++i) {
         const double a_ik = a.row(i)[kk];
         if (a_ik == 0.0) continue;
@@ -135,23 +136,18 @@ void MatTMul(const Matrix& a, const Matrix& b, Matrix* c) {
 }
 
 void Transpose(const Matrix& a, Matrix* t) {
-  t->Resize(a.cols(), a.rows());
-  for (int r = 0; r < a.rows(); ++r) {
-    const double* a_row = a.row(r);
-    for (int c = 0; c < a.cols(); ++c) t->row(c)[r] = a_row[c];
-  }
-}
-
-void SoftUpdateTransposed(const Matrix& source, double tau,
-                          Matrix* target_t) {
-  DRLSTREAM_CHECK_EQ(target_t->rows(), source.cols());
-  DRLSTREAM_CHECK_EQ(target_t->cols(), source.rows());
-  const double keep = 1.0 - tau;
-  for (int c = 0; c < source.cols(); ++c) {
-    double* t = target_t->row(c);
-    for (int r = 0; r < source.rows(); ++r) {
-      t[r] = t[r] * keep;
-      t[r] += tau * source.row(r)[c];
+  // 8 x 8 doubles: one cache line of each of eight rows on either side.
+  constexpr int kTile = 8;
+  const int rows = a.rows(), cols = a.cols();
+  t->Resize(cols, rows);
+  for (int r0 = 0; r0 < rows; r0 += kTile) {
+    const int r1 = std::min(rows, r0 + kTile);
+    for (int c0 = 0; c0 < cols; c0 += kTile) {
+      const int c1 = std::min(cols, c0 + kTile);
+      for (int c = c0; c < c1; ++c) {
+        double* t_row = t->row(c);
+        for (int r = r0; r < r1; ++r) t_row[r] = a.row(r)[c];
+      }
     }
   }
 }

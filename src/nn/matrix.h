@@ -80,8 +80,10 @@ class Matrix {
 /// axpy-style kernels reduce in ascending index / batch order. The batched
 /// network passes therefore agree with the per-sample reference bitwise.
 
-/// c = a * b, where a is n x k, b is k x m, c is resized to n x m.
-void MatMul(const Matrix& a, const Matrix& b, Matrix* c);
+/// c = a * b restricted to b's columns [b_col_begin, m): a is n x k, b is
+/// k x m, and c is resized to n x (m - b_col_begin). Each element is the
+/// full product's bitwise; the columns below b_col_begin are not computed.
+void MatMul(const Matrix& a, const Matrix& b, Matrix* c, int b_col_begin = 0);
 
 /// c = a * b^T, where a is n x k, b is m x k, c is resized to n x m.
 /// This is the batched forward kernel: rows of `a` are samples, rows of
@@ -89,15 +91,9 @@ void MatMul(const Matrix& a, const Matrix& b, Matrix* c);
 void MatTMul(const Matrix& a, const Matrix& b, Matrix* c);
 
 /// t = a^T, resized to a.cols() x a.rows(): row c of t is column c of a.
+/// Copies square tiles, so both sides are read and written a cache line at
+/// a time.
 void Transpose(const Matrix& a, Matrix* t);
-
-/// target_t := tau * source^T + (1 - tau) * target_t: Mlp::SoftUpdateFrom's
-/// weight update applied to transposed copies. Each element gets the same
-/// two roundings in the same order (target * (1 - tau), then plus
-/// tau * source), so if target_t was the transpose of a target network's
-/// weights, it stays the transpose of the soft-updated weights bit for bit.
-/// target_t must be source.cols() x source.rows().
-void SoftUpdateTransposed(const Matrix& source, double tau, Matrix* target_t);
 
 /// c += scale * a^T * b, where a is h x n (per-sample output grads), b is
 /// h x m (per-sample layer inputs), c is n x m (weight gradients). The

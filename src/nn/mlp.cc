@@ -32,6 +32,15 @@ Mlp::Mlp(const std::vector<int>& sizes,
       }
     }
   }
+  Transpose(layers_.front().weights, &cols_);
+}
+
+const Matrix& Mlp::first_layer_columns() const {
+  if (cols_stale_) {
+    Transpose(layers_.front().weights, &cols_);
+    cols_stale_ = false;
+  }
+  return cols_;
 }
 
 double ApplyActivation(Activation a, double z) {
@@ -174,16 +183,15 @@ const Matrix& Mlp::ForwardBatch(BatchTape* tape) const {
   DRLSTREAM_CHECK(tape != nullptr);
   DRLSTREAM_CHECK_EQ(tape->input.cols(), input_dim());
   DRLSTREAM_CHECK_EQ(tape->pre.size(), layers_.size());
-  MatTMul(tape->input, layers_.front().weights, &tape->pre[0]);
-  return FinishForwardBatch(tape);
-}
-
-const Matrix& Mlp::FinishForwardBatch(BatchTape* tape) const {
-  DRLSTREAM_CHECK(tape != nullptr);
-  DRLSTREAM_CHECK_EQ(tape->pre.size(), layers_.size());
   const int batch = tape->input.rows();
   DRLSTREAM_CHECK_EQ(tape->pre[0].rows(), batch);
-  DRLSTREAM_CHECK_EQ(tape->pre[0].cols(), layers_.front().out_dim());
+  // Layer 0 adds only the weight columns of each row's nonzero inputs.
+  const Matrix& cols = first_layer_columns();
+  const kernels::FoldColumnsFn fold = kernels::ResolveFoldColumns();
+  for (int b = 0; b < batch; ++b) {
+    fold(cols.data(), tape->input.row(b), cols.rows(), cols.cols(),
+         tape->pre[0].row(b));
+  }
   for (size_t i = 0; i < layers_.size(); ++i) {
     const Linear& layer = layers_[i];
     Matrix& z = tape->pre[i];
@@ -197,8 +205,48 @@ const Matrix& Mlp::FinishForwardBatch(BatchTape* tape) const {
   return tape->post.back();
 }
 
+namespace {
+
+/// grad += dz^T * x over the nonzero entries of x and dz only: grad(r, c)
+/// receives dz(b, r) * x(b, c) in ascending b, as in AddScaledOuterBatch
+/// at scale 1, which skips the zero dz entries too. x's nonzero columns
+/// are listed in `nonzero`/`begin` (BatchTape's scratch) first, so each
+/// row of grad then takes its products from a short list.
+void AddOuterBatchOverNonzeros(const Matrix& dz, const Matrix& x,
+                               std::vector<int>* nonzero,
+                               std::vector<int>* begin, Matrix* grad) {
+  const int batch = x.rows(), in = x.cols(), out = dz.cols();
+  nonzero->clear();
+  nonzero->reserve(static_cast<size_t>(batch) * in);
+  begin->resize(batch + 1);
+  for (int b = 0; b < batch; ++b) {
+    (*begin)[b] = static_cast<int>(nonzero->size());
+    const double* x_row = x.row(b);
+    for (int c = 0; c < in; ++c) {
+      if (x_row[c] != 0.0) nonzero->push_back(c);  // a NaN input is kept
+    }
+  }
+  (*begin)[batch] = static_cast<int>(nonzero->size());
+  const int* cols = nonzero->data();
+  const int* row_begin = begin->data();
+  for (int r = 0; r < out; ++r) {
+    double* g = grad->row(r);
+    for (int b = 0; b < batch; ++b) {
+      const double d = dz.row(b)[r];
+      if (d == 0.0) continue;
+      const double* x_row = x.row(b);
+      for (int j = row_begin[b]; j < row_begin[b + 1]; ++j) {
+        g[cols[j]] += d * x_row[cols[j]];
+      }
+    }
+  }
+}
+
+}  // namespace
+
 void Mlp::BackwardBatch(BatchTape* tape, const Matrix& grad_output,
-                        bool accumulate_param_grads, Matrix* grad_input) {
+                        bool accumulate_param_grads, Matrix* grad_input,
+                        int input_begin) {
   DRLSTREAM_CHECK(tape != nullptr);
   DRLSTREAM_CHECK_EQ(tape->pre.size(), layers_.size());
   const int batch = tape->input.rows();
@@ -223,9 +271,13 @@ void Mlp::BackwardBatch(BatchTape* tape, const Matrix& grad_output,
       }
     }
     if (accumulate_param_grads) {
-      const Matrix& layer_input =
-          (i == 0) ? tape->input : tape->post[i - 1];
-      AddScaledOuterBatch(dzi, layer_input, 1.0, &layer.grad_weights);
+      if (i == 0) {
+        AddOuterBatchOverNonzeros(dzi, tape->input, &tape->nonzero,
+                                  &tape->nonzero_begin, &layer.grad_weights);
+      } else {
+        AddScaledOuterBatch(dzi, tape->post[i - 1], 1.0,
+                            &layer.grad_weights);
+      }
       // Sample index advances in the outer loop so each bias gradient
       // accumulates in batch order, like successive Backward() calls.
       for (int b = 0; b < batch; ++b) {
@@ -236,7 +288,7 @@ void Mlp::BackwardBatch(BatchTape* tape, const Matrix& grad_output,
     if (i > 0) {
       MatMul(dzi, layer.weights, &tape->dz[i - 1]);
     } else if (grad_input != nullptr) {
-      MatMul(dzi, layer.weights, grad_input);
+      MatMul(dzi, layer.weights, grad_input, input_begin);
     }
   }
 }
@@ -285,13 +337,19 @@ void Mlp::SoftUpdateFrom(const Mlp& source, double tau) {
     Linear& dst = layers_[i];
     const Linear& src = source.layers_[i];
     DRLSTREAM_CHECK(dst.weights.SameShape(src.weights));
-    // nn::SoftUpdateTransposed repeats these two elementwise steps on
-    // transposed copies; keep the two in step.
     dst.weights.Scale(1.0 - tau);
     dst.weights.AddScaled(src.weights, tau);
     for (size_t r = 0; r < dst.bias.size(); ++r) {
       dst.bias[r] = tau * src.bias[r] + (1.0 - tau) * dst.bias[r];
     }
+  }
+  // The column copy takes W0's two elementwise steps from the source's
+  // copy, element for element, so it stays W0^T bit for bit without a
+  // transpose. A stale copy is left to its next reader.
+  if (!cols_stale_) {
+    const Matrix& src_cols = source.first_layer_columns();
+    cols_.Scale(1.0 - tau);
+    cols_.AddScaled(src_cols, tau);
   }
 }
 
@@ -304,6 +362,8 @@ void Mlp::CopyFrom(const Mlp& source) {
     dst.weights = src.weights;
     dst.bias = src.bias;
   }
+  cols_ = source.first_layer_columns();
+  cols_stale_ = false;
 }
 
 size_t Mlp::ParameterCount() const {
@@ -366,6 +426,7 @@ StatusOr<Mlp> Mlp::Load(const std::string& path) {
     for (int r = 0; r < out; ++r) in >> layer.bias[r];
     if (!in.good()) return Status::IoError("truncated model file " + path);
   }
+  Transpose(net.layers_.front().weights, &net.cols_);
   return net;
 }
 

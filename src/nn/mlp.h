@@ -56,14 +56,19 @@ struct Tape {
 class Mlp;
 
 /// Workspace + tape for the batched (whole-minibatch) forward/backward
-/// passes: all buffers are preallocated on first use and reused, so
-/// steady-state training steps perform zero heap allocations. One tape per
-/// concurrent minibatch.
+/// passes. Every buffer is sized on first use and only ever grows, so once
+/// a tape has run the largest batch it sees (the matrices in Prepare, the
+/// nonzero index lists in the first parameter-gradient BackwardBatch),
+/// reusing it allocates nothing. One tape per concurrent minibatch.
 struct BatchTape {
   Matrix input;              // batch x in_dim, filled by the caller
   std::vector<Matrix> pre;   // per layer: batch x out_dim, z = Wx + b
   std::vector<Matrix> post;  // per layer: batch x out_dim, y = act(z)
   std::vector<Matrix> dz;    // backward scratch, same shapes as post
+  /// BackwardBatch's first-layer scratch: the columns of input row b that
+  /// are nonzero are nonzero[nonzero_begin[b] .. nonzero_begin[b + 1]).
+  std::vector<int> nonzero;
+  std::vector<int> nonzero_begin;
 
   /// Sizes every buffer for `net` at `batch` rows (reallocates only when
   /// the shape grows) and returns the input matrix to fill, one sample
@@ -75,6 +80,20 @@ struct BatchTape {
 /// paper's networks (2 hidden layers of 64 and 32 tanh units). Supports
 /// gradient accumulation across a minibatch, soft target-network updates
 /// (theta' := tau*theta + (1-tau)*theta'), and file serialization.
+///
+/// The network keeps a column-major copy of its first layer, W0^T
+/// (first_layer_columns), for the sparse first-layer products of the
+/// batched passes and the decision paths: the agents' inputs are one-hot
+/// assignment matrices, mostly zeros. Construction and Load build it,
+/// CopyFrom copies it and SoftUpdateFrom updates it with the weights' own
+/// elementwise steps, so it stays W0^T bit for bit. Every other write
+/// (Adam::Step, or anything through the non-const layer(0)) marks it
+/// stale, and the next reader transposes W0 again. A reference from the
+/// non-const layer(0) must therefore not be written through after a read
+/// of the copy; take it again. That refresh writes the copy from a const
+/// method, so the first read after such a write must not race another read
+/// of the same network; a network written only through construction, Load,
+/// CopyFrom and SoftUpdateFrom is never stale.
 class Mlp {
  public:
   /// Builds an MLP with `sizes` = {in, h1, ..., out} and one activation per
@@ -96,8 +115,8 @@ class Mlp {
                                      std::vector<double>* z) const;
 
   /// The rest of the allocation-free Forward once the first layer's product
-  /// is known: *z holds W0 * input (say, from kernels::FoldColumns over a
-  /// transposed copy of W0). Adds layer 0's bias, activates, and runs the
+  /// is known: *z holds W0 * input (say, from kernels::FoldColumns over
+  /// first_layer_columns()). Adds layer 0's bias, activates, and runs the
   /// layers above; returns the output, which lives in *x. Forward(input,
   /// x, z) is MatVec into *z followed by this.
   const std::vector<double>& FinishForward(std::vector<double>* x,
@@ -114,27 +133,30 @@ class Mlp {
                                const std::vector<double>& grad_output);
 
   /// Batched forward pass over tape->input (one sample per row, filled by
-  /// the caller after tape->Prepare(*this, batch)): one GEMM per layer
-  /// instead of `batch` MatVecs. Returns the output matrix (batch x
-  /// out_dim), which lives in the tape. Matches per-row Forward() results
-  /// bitwise (identical accumulation order).
+  /// the caller after tape->Prepare(*this, batch)). Layer 0 folds, per
+  /// row, the columns of first_layer_columns() whose inputs are nonzero
+  /// (kernels::FoldColumns); each layer above is one GEMM. Returns the
+  /// output matrix (batch x out_dim), which lives in the tape. Matches
+  /// per-row Forward() bitwise, except that a NaN or +-Inf first-layer
+  /// weight whose input is 0 does not reach the output (FoldColumns'
+  /// non-finite rule).
   const Matrix& ForwardBatch(BatchTape* tape) const;
-
-  /// ForwardBatch once the first layer's product is known: tape->pre[0]
-  /// holds W0 * x for every input row x (batch x out_dim of layer 0), as
-  /// FinishForward's *z does for one sample.
-  const Matrix& FinishForwardBatch(BatchTape* tape) const;
 
   /// Batched backward pass for the whole minibatch recorded in `tape`:
   /// `grad_output` holds dL/dOutput, one sample per row. When
   /// `accumulate_param_grads` is true, parameter gradients accumulate (+=)
-  /// exactly as `batch` successive Backward() calls in row order. When
-  /// `grad_input` is non-null it receives dL/dInput (batch x in_dim);
+  /// as `batch` successive Backward() calls in row order; layer 0's weight
+  /// gradient receives x[b][c] * dz[b][r] only where both are nonzero,
+  /// which adds what Backward adds except the +-0 products of zero inputs
+  /// (and the NaN of a zero input times a non-finite dz). When `grad_input`
+  /// is non-null it receives dL/dInput for the inputs from `input_begin`
+  /// on (batch x (in_dim - input_begin)), each element Backward's bits;
   /// pass accumulate_param_grads = false for input-gradient-only passes
-  /// (e.g. the DDPG actor update through the critic).
+  /// (e.g. the DDPG actor update through the critic, which reads only the
+  /// action inputs).
   void BackwardBatch(BatchTape* tape, const Matrix& grad_output,
                      bool accumulate_param_grads = true,
-                     Matrix* grad_input = nullptr);
+                     Matrix* grad_input = nullptr, int input_begin = 0);
 
   /// Zeroes the accumulated gradients, allocating them on first use.
   void ZeroGrad();
@@ -150,8 +172,18 @@ class Mlp {
   void CopyFrom(const Mlp& source);
 
   int num_layers() const { return static_cast<int>(layers_.size()); }
-  Linear& layer(int i) { return layers_[i]; }
+  /// Mutable access; layer 0's marks first_layer_columns() stale, so read
+  /// through a const Mlp& where nothing is written.
+  Linear& layer(int i) {
+    if (i == 0) cols_stale_ = true;
+    return layers_[i];
+  }
   const Linear& layer(int i) const { return layers_[i]; }
+
+  /// W0^T (input_dim x layer 0's out_dim): row i is the weight column
+  /// input i selects, contiguous, as kernels::FoldColumns reads it.
+  /// Transposes W0 first if a write left the copy stale.
+  const Matrix& first_layer_columns() const;
 
   int input_dim() const { return layers_.front().in_dim(); }
   int output_dim() const { return layers_.back().out_dim(); }
@@ -168,6 +200,9 @@ class Mlp {
   void AllocateGrads();
 
   std::vector<Linear> layers_;
+  /// first_layer_columns()'s copy, and whether a write has outdated it.
+  mutable Matrix cols_;
+  mutable bool cols_stale_ = false;
 };
 
 }  // namespace drlstream::nn

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "nn/kernels.h"
+
 namespace drlstream::nn {
 namespace {
 
@@ -24,33 +26,23 @@ void Adam::Step(Mlp* net) {
   EnsureSlots(*net, &m_weights_, &m_bias_);
   EnsureSlots(*net, &v_weights_, &v_bias_);
   ++step_count_;
-  const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(step_count_));
-  const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(step_count_));
+  const kernels::AdamCoefficients coefficients = {
+      learning_rate_,
+      beta1_,
+      beta2_,
+      epsilon_,
+      1.0 - std::pow(beta1_, static_cast<double>(step_count_)),
+      1.0 - std::pow(beta2_, static_cast<double>(step_count_))};
+  const kernels::AdamStepFn adam_step = kernels::ResolveAdamStep();
   for (int i = 0; i < net->num_layers(); ++i) {
-    Linear& layer = net->layer(i);
+    Linear& layer = net->layer(i);  // layer 0: marks the column copy stale
     DRLSTREAM_CHECK(layer.grad_weights.SameShape(layer.weights));
-    Matrix& m_w = m_weights_[i];
-    Matrix& v_w = v_weights_[i];
-    for (size_t k = 0; k < layer.weights.size(); ++k) {
-      const double g = layer.grad_weights.data()[k];
-      double& m = m_w.data()[k];
-      double& v = v_w.data()[k];
-      m = beta1_ * m + (1.0 - beta1_) * g;
-      v = beta2_ * v + (1.0 - beta2_) * g * g;
-      layer.weights.data()[k] -=
-          learning_rate_ * (m / bc1) / (std::sqrt(v / bc2) + epsilon_);
-    }
-    std::vector<double>& m_b = m_bias_[i];
-    std::vector<double>& v_b = v_bias_[i];
-    for (size_t k = 0; k < layer.bias.size(); ++k) {
-      const double g = layer.grad_bias[k];
-      double& m = m_b[k];
-      double& v = v_b[k];
-      m = beta1_ * m + (1.0 - beta1_) * g;
-      v = beta2_ * v + (1.0 - beta2_) * g * g;
-      layer.bias[k] -=
-          learning_rate_ * (m / bc1) / (std::sqrt(v / bc2) + epsilon_);
-    }
+    adam_step(layer.weights.data(), m_weights_[i].data(),
+              v_weights_[i].data(), layer.grad_weights.data(),
+              static_cast<int>(layer.weights.size()), coefficients);
+    adam_step(layer.bias.data(), m_bias_[i].data(), v_bias_[i].data(),
+              layer.grad_bias.data(), static_cast<int>(layer.bias.size()),
+              coefficients);
   }
 }
 

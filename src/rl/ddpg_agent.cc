@@ -96,32 +96,11 @@ DdpgAgent::DdpgAgent(const StateEncoder& encoder, DdpgConfig config)
 
   actor_opt_ = std::make_unique<nn::Adam>(config_.actor_learning_rate);
   critic_opt_ = std::make_unique<nn::Adam>(config_.critic_learning_rate);
-
-  TransposeFirstLayers();
-}
-
-void DdpgAgent::TransposeFirstLayers() {
-  online_cols_stale_ = true;
-  RefreshOnlineCols();
-  nn::Transpose(actor_target_->layer(0).weights, &actor_target_cols_);
-  nn::Transpose(critic_target_->layer(0).weights, &critic_target_cols_);
-}
-
-void DdpgAgent::RefreshOnlineCols() const {
-  if (!online_cols_stale_) return;
-  nn::Transpose(actor_->layer(0).weights, &actor_cols_);
-  nn::Transpose(critic_->layer(0).weights, &critic_cols_);
-  online_cols_stale_ = false;
 }
 
 void DdpgAgent::SoftUpdateTargets() {
   actor_target_->SoftUpdateFrom(*actor_, config_.tau);
   critic_target_->SoftUpdateFrom(*critic_, config_.tau);
-  nn::SoftUpdateTransposed(actor_->layer(0).weights, config_.tau,
-                           &actor_target_cols_);
-  nn::SoftUpdateTransposed(critic_->layer(0).weights, config_.tau,
-                           &critic_target_cols_);
-  online_cols_stale_ = true;
 }
 
 std::vector<double> DdpgAgent::ProtoAction(const State& state) const {
@@ -136,16 +115,13 @@ double DdpgAgent::QValue(const State& state,
 std::vector<double> DdpgAgent::CandidateQValues(
     const State& state, const std::vector<sched::Schedule>& actions) const {
   if (actions.empty()) return {};
-  RefreshOnlineCols();
   miqp::KnnResult candidates;
   candidates.actions = actions;
   miqp::ComputeDeviations(&candidates);
-  return ScoreCandidates(*critic_, critic_cols_, encoder_.EncodeState(state),
-                         candidates);
+  return ScoreCandidates(*critic_, encoder_.EncodeState(state), candidates);
 }
 
 void DdpgAgent::StatePreactivation(const nn::Mlp& critic,
-                                   const nn::Matrix& cols,
                                    const double* state_encoded,
                                    double* z) const {
   const nn::Linear& first = critic.layer(0);
@@ -153,13 +129,13 @@ void DdpgAgent::StatePreactivation(const nn::Mlp& critic,
   // The leading state_dim rows of W0^T are the state columns; FoldColumns
   // equals MatVec over them bit for bit, so z matches the dense pass's
   // state-part dot products.
-  nn::kernels::FoldColumns(cols.data(), state_encoded, encoder_.state_dim(),
-                           h, z);
+  nn::kernels::FoldColumns(critic.first_layer_columns().data(),
+                           state_encoded, encoder_.state_dim(), h, z);
   for (int r = 0; r < h; ++r) z[r] += first.bias[r];
 }
 
 void DdpgAgent::CandidateQValuesFromZ(
-    const nn::Mlp& critic, const nn::Matrix& cols, const double* z_state,
+    const nn::Mlp& critic, const double* z_state,
     const miqp::KnnResult& candidates, ScoreScratch* scratch,
     std::vector<double>* q_out) const {
   const std::vector<sched::Schedule>& actions = candidates.actions;
@@ -172,7 +148,8 @@ void DdpgAgent::CandidateQValuesFromZ(
   const nn::kernels::SumRowsFn sum_rows = nn::kernels::ResolveSumRows();
   // One-hot action: each executor contributes the weight column of its
   // machine, a contiguous row of W0^T after the state rows.
-  const double* action_cols = cols.row(encoder_.state_dim());
+  const double* action_cols =
+      critic.first_layer_columns().row(encoder_.state_dim());
   const auto column = [&](int executor, int machine) {
     return action_cols + (static_cast<size_t>(executor) * m + machine) * h;
   };
@@ -294,17 +271,16 @@ void DdpgAgent::CandidateQValuesFromZ(
 }
 
 std::vector<double> DdpgAgent::ScoreCandidates(
-    const nn::Mlp& critic, const nn::Matrix& cols,
-    const std::vector<double>& state_encoded,
+    const nn::Mlp& critic, const std::vector<double>& state_encoded,
     const miqp::KnnResult& candidates) const {
   DRLSTREAM_CHECK_EQ(static_cast<int>(state_encoded.size()),
                      encoder_.state_dim());
   std::vector<double> z_state(critic.layer(0).out_dim());
-  StatePreactivation(critic, cols, state_encoded.data(), z_state.data());
+  StatePreactivation(critic, state_encoded.data(), z_state.data());
   std::vector<double> q_values;
   q_values.reserve(candidates.actions.size());
   ScoreScratch scratch;
-  CandidateQValuesFromZ(critic, cols, z_state.data(), candidates, &scratch,
+  CandidateQValuesFromZ(critic, z_state.data(), candidates, &scratch,
                         &q_values);
   return q_values;
 }
@@ -321,18 +297,20 @@ std::string DdpgAgent::Describe() const {
 
 Status DdpgAgent::SelectActionInto(const State& state, double epsilon,
                                    Rng* rng, PolicyAction* out) const {
-  RefreshOnlineCols();
   DecisionWorkspace& ws = decide_ws_;
+  const nn::Mlp& actor = *actor_;
+  const nn::Mlp& critic = *critic_;
   const int state_dim = encoder_.state_dim();
   ws.state_enc.resize(state_dim);
   encoder_.EncodeStateInto(state, ws.state_enc.data());
   {
     obs::ScopedPhase phase(Metrics().actor_forward_us, "actor_forward");
     // The first layer adds only the columns the one-hot state selects.
-    ws.fwd_z.resize(actor_->layer(0).out_dim());
-    nn::kernels::FoldColumns(actor_cols_.data(), ws.state_enc.data(),
-                             state_dim, actor_cols_.cols(), ws.fwd_z.data());
-    actor_->FinishForward(&ws.fwd_x, &ws.fwd_z);  // proto in fwd_x
+    const nn::Matrix& cols = actor.first_layer_columns();
+    ws.fwd_z.resize(cols.cols());
+    nn::kernels::FoldColumns(cols.data(), ws.state_enc.data(), state_dim,
+                             cols.cols(), ws.fwd_z.data());
+    actor.FinishForward(&ws.fwd_x, &ws.fwd_z);  // proto in fwd_x
   }
   // Exploration policy (line 9): with probability epsilon, perturb the
   // proto-action with uniform noise I in [0,1]^{N*M}.
@@ -348,13 +326,12 @@ Status DdpgAgent::SelectActionInto(const State& state, double epsilon,
   obs::ScopedPhase phase(Metrics().critic_score_us, "critic_score");
   // First-layer pre-activation of the state part (shared by candidates),
   // then the trie gather and the tiny upper layers over all candidates.
-  ws.z_state.resize(critic_cols_.cols());
-  StatePreactivation(*critic_, critic_cols_, ws.state_enc.data(),
-                     ws.z_state.data());
+  ws.z_state.resize(critic.layer(0).out_dim());
+  StatePreactivation(critic, ws.state_enc.data(), ws.z_state.data());
   ws.q_values.clear();
   ws.q_values.reserve(ws.candidates.actions.size());
-  CandidateQValuesFromZ(*critic_, critic_cols_, ws.z_state.data(),
-                        ws.candidates, &ws.score, &ws.q_values);
+  CandidateQValuesFromZ(critic, ws.z_state.data(), ws.candidates, &ws.score,
+                        &ws.q_values);
   int best = 0;
   int worst = 0;
   for (size_t c = 1; c < ws.q_values.size(); ++c) {
@@ -403,28 +380,24 @@ void DdpgAgent::Observe(Transition transition) {
 void DdpgAgent::ComputeTargetsParallel(
     const std::vector<const Transition*>& batch) {
   const int h = static_cast<int>(batch.size());
-  const int state_dim = encoder_.state_dim();
   const int action_dim = encoder_.action_dim();
+  const nn::Mlp& critic_target = *critic_target_;
 
   // Target-actor proto-actions for all next states: the first layer folds
   // the columns each one-hot next state selects, the layers above run one
   // GEMM each.
-  nn::Matrix* x_next = trainer_.PrepareStateBatch(
+  const nn::Matrix* x_next = trainer_.PrepareStateBatch(
       *actor_target_, &target_actor_tape_, batch, /*next_states=*/true);
-  const nn::kernels::FoldColumnsFn fold = nn::kernels::ResolveFoldColumns();
-  for (int i = 0; i < h; ++i) {
-    fold(actor_target_cols_.data(), x_next->row(i), state_dim,
-         actor_target_cols_.cols(), target_actor_tape_.pre[0].row(i));
-  }
   const nn::Matrix& proto_next =
-      actor_target_->FinishForwardBatch(&target_actor_tape_);
+      actor_target_->ForwardBatch(&target_actor_tape_);
 
   // Target-critic first-layer state-part pre-activations. The
-  // per-candidate scoring below only adds action columns on top.
-  z_state_next_.Resize(h, critic_target_cols_.cols());
+  // per-candidate scoring below only adds action columns on top. This
+  // serial pass reads the target critic's column copy first, so the
+  // parallel scorers only ever find it fresh.
+  z_state_next_.Resize(h, critic_target.layer(0).out_dim());
   for (int i = 0; i < h; ++i) {
-    StatePreactivation(*critic_target_, critic_target_cols_, x_next->row(i),
-                       z_state_next_.row(i));
+    StatePreactivation(critic_target, x_next->row(i), z_state_next_.row(i));
   }
 
   // y_i = r_i + gamma * max_{a in A_{i+1,K}} Q'(s_{i+1}, a), where
@@ -460,8 +433,7 @@ void DdpgAgent::ComputeTargetsParallel(
     std::vector<double>& q_values = target_q_[worker];
     q_values.clear();
     q_values.reserve(candidates.actions.size());
-    CandidateQValuesFromZ(*critic_target_, critic_target_cols_,
-                          z_state_next_.row(i), candidates,
+    CandidateQValuesFromZ(critic_target, z_state_next_.row(i), candidates,
                           &target_score_[worker], &q_values);
     double max_q = q_values[0];
     for (size_t c = 1; c < q_values.size(); ++c) {
@@ -483,7 +455,7 @@ void DdpgAgent::ComputeTargetsParallel(
 double DdpgAgent::TrainStep() {
   if (trainer_.empty()) return 0.0;
   obs::ScopedPhase step_phase(Metrics().train_step_us, "train_step");
-  const std::vector<const Transition*> batch = trainer_.SampleBatch();
+  const std::vector<const Transition*>& batch = trainer_.SampleBatch();
   const double inv_h = 1.0 / config_.minibatch_size;
   const int state_dim = encoder_.state_dim();
   const int action_dim = encoder_.action_dim();
@@ -541,16 +513,17 @@ double DdpgAgent::TrainStep() {
                 dst + state_dim);
     }
     critic_->ForwardBatch(&critic_through_tape_);
-    // dQ/d(input) of the critic; parameter grads are not accumulated.
+    // dQ/da of the critic: the input gradient's action columns only;
+    // parameter grads are not accumulated.
     critic_grad_out_.Resize(v, 1);
     critic_grad_out_.Fill(1.0);
     critic_->BackwardBatch(&critic_through_tape_, critic_grad_out_,
                            /*accumulate_param_grads=*/false,
-                           &critic_grad_in_);
+                           &critic_grad_in_, /*input_begin=*/state_dim);
     // Gradient *ascent* on Q: feed -dQ/da as the actor's output loss grad.
     actor_grad_out_.Resize(v, action_dim);
     for (int row = 0; row < v; ++row) {
-      const double* dq = critic_grad_in_.row(row) + state_dim;
+      const double* dq = critic_grad_in_.row(row);
       double* g = actor_grad_out_.row(row);
       for (int k = 0; k < action_dim; ++k) g[k] = -dq[k] * inv_h;
     }
@@ -570,7 +543,7 @@ double DdpgAgent::TrainStep() {
 
 double DdpgAgent::TrainStepReference() {
   if (trainer_.empty()) return 0.0;
-  const std::vector<const Transition*> batch = trainer_.SampleBatch();
+  const std::vector<const Transition*>& batch = trainer_.SampleBatch();
   const double inv_h = 1.0 / config_.minibatch_size;
 
   // ---- Targets, one transition at a time ----
@@ -593,9 +566,8 @@ double DdpgAgent::TrainStepReference() {
       continue;
     }
     ++valid;
-    const std::vector<double> q_values =
-        ScoreCandidates(*critic_target_, critic_target_cols_,
-                        encoder_.EncodeState(t->next_state), *candidates_or);
+    const std::vector<double> q_values = ScoreCandidates(
+        *critic_target_, encoder_.EncodeState(t->next_state), *candidates_or);
     const double max_next_q =
         *std::max_element(q_values.begin(), q_values.end());
     target_values_[i] = t->reward + config_.gamma * max_next_q;
@@ -682,7 +654,6 @@ Status DdpgAgent::Load(const std::string& prefix) {
   actor_target_->CopyFrom(actor);
   critic_->CopyFrom(critic);
   critic_target_->CopyFrom(critic);
-  TransposeFirstLayers();
   return Status::OK();
 }
 

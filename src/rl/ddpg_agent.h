@@ -180,43 +180,30 @@ class DdpgAgent : public Policy {
 
   /// z = the critic's first-layer pre-activation for an encoded state with
   /// an all-zero action part: W0's state columns folded over the state
-  /// (FoldColumns over `cols`, the critic's W0^T), plus the bias.
-  void StatePreactivation(const nn::Mlp& critic, const nn::Matrix& cols,
-                          const double* state_encoded, double* z) const;
+  /// (FoldColumns over the critic's first_layer_columns()), plus the bias.
+  void StatePreactivation(const nn::Mlp& critic, const double* state_encoded,
+                          double* z) const;
 
   /// Q(state, a) under `critic` for every candidate a (the state part of
   /// the first layer computed once, then CandidateQValuesFromZ).
   std::vector<double> ScoreCandidates(const nn::Mlp& critic,
-                                      const nn::Matrix& cols,
                                       const std::vector<double>& state_encoded,
                                       const miqp::KnnResult& candidates) const;
 
   /// Candidate scoring given the first-layer state-part pre-activation
-  /// z_state (h entries, bias included): a one-hot action adds one weight
-  /// column of `cols` (the critic's W0^T) per executor. Appends one Q per
+  /// z_state (h entries, bias included): a one-hot action adds one row of
+  /// the critic's first_layer_columns() per executor. Appends one Q per
   /// candidate action to q_out, assembling the candidates in *scratch; the
   /// candidates' deviation rows order the shared gather. Thread-safe for
-  /// distinct scratches: touches only its arguments and read-only weights.
-  void CandidateQValuesFromZ(const nn::Mlp& critic, const nn::Matrix& cols,
-                             const double* z_state,
+  /// distinct scratches once the critic's column copy is fresh (a serial
+  /// read refreshes it): touches only its arguments and read-only weights.
+  void CandidateQValuesFromZ(const nn::Mlp& critic, const double* z_state,
                              const miqp::KnnResult& candidates,
                              ScoreScratch* scratch,
                              std::vector<double>* q_out) const;
 
-  /// Rebuilds all four W0^T copies from the networks' weights (after
-  /// construction and Load).
-  void TransposeFirstLayers();
-
-  /// Re-transposes the online actor's and critic's W0 if a training step
-  /// changed them since (the readers of actor_cols_ / critic_cols_ call
-  /// this first), so steps without a decision in between, as in offline
-  /// pre-training, transpose nothing.
-  void RefreshOnlineCols() const;
-
   /// Line 18 of Algorithm 1 after the optimizer steps: soft-updates both
-  /// target networks and their W0^T copies (SoftUpdateTransposed, which
-  /// keeps each copy the transpose of its network's W0 bit for bit), and
-  /// marks the online copies stale.
+  /// target networks (their column copies follow in place).
   void SoftUpdateTargets();
 
   /// Computes the TD target y_i for every sampled transition into
@@ -237,17 +224,6 @@ class DdpgAgent : public Policy {
   std::unique_ptr<nn::Mlp> critic_target_;
   std::unique_ptr<nn::Adam> actor_opt_;
   std::unique_ptr<nn::Adam> critic_opt_;
-
-  /// W0^T of each network's first layer (state_dim x h for the actors,
-  /// (state_dim + action_dim) x h for the critics): row i is the weight
-  /// column input i selects, contiguous, so FoldColumns and the candidate
-  /// gather read one row per nonzero input. The online copies are caches
-  /// that decisions refresh (RefreshOnlineCols).
-  mutable nn::Matrix actor_cols_;
-  mutable nn::Matrix critic_cols_;
-  mutable bool online_cols_stale_ = false;
-  nn::Matrix actor_target_cols_;
-  nn::Matrix critic_target_cols_;
   long knn_failures_ = 0;
 
   // Preallocated batched-training workspaces, sized on first TrainStep and
@@ -258,7 +234,7 @@ class DdpgAgent : public Policy {
   nn::BatchTape critic_through_tape_;  // critic pass inside the actor update
   nn::Matrix z_state_next_;            // H x h: target-critic state preacts
   nn::Matrix critic_grad_out_;
-  nn::Matrix critic_grad_in_;
+  nn::Matrix critic_grad_in_;          // H x action_dim: dQ/da
   nn::Matrix actor_grad_out_;
   std::vector<double> target_values_;
   std::vector<unsigned char> target_valid_;

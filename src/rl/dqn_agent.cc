@@ -246,7 +246,7 @@ void DqnAgent::Observe(Transition transition) {
 double DqnAgent::TrainStep() {
   if (trainer_.empty()) return 0.0;
   obs::ScopedPhase step_phase(TrainStepUs(), "dqn_train_step");
-  const std::vector<const Transition*> batch = trainer_.SampleBatch();
+  const std::vector<const Transition*>& batch = trainer_.SampleBatch();
   const int h = static_cast<int>(batch.size());
   const int action_dim = encoder_.action_dim();
 
@@ -287,7 +287,7 @@ double DqnAgent::TrainStep() {
 
 double DqnAgent::TrainStepReference() {
   if (trainer_.empty()) return 0.0;
-  const std::vector<const Transition*> batch = trainer_.SampleBatch();
+  const std::vector<const Transition*>& batch = trainer_.SampleBatch();
 
   q_net_->ZeroGrad();
   double total_loss = 0.0;

@@ -53,8 +53,9 @@ void OffPolicyTrainer::Observe(Transition transition) {
   replay_.Add(std::move(transition));
 }
 
-std::vector<const Transition*> OffPolicyTrainer::SampleBatch() {
-  return replay_.Sample(options_.minibatch_size, &rng_);
+const std::vector<const Transition*>& OffPolicyTrainer::SampleBatch() {
+  replay_.Sample(options_.minibatch_size, &rng_, &batch_);
+  return batch_;
 }
 
 bool OffPolicyTrainer::TickTargetSync(int period) {

@@ -49,8 +49,10 @@ class OffPolicyTrainer {
   void Observe(Transition transition);
 
   /// Samples one minibatch (uniform with replacement) using the trainer's
-  /// RNG. Requires a non-empty buffer.
-  std::vector<const Transition*> SampleBatch();
+  /// RNG. Requires a non-empty buffer. The batch lives in the trainer and
+  /// is overwritten by the next call, so steady-state sampling allocates
+  /// nothing.
+  const std::vector<const Transition*>& SampleBatch();
 
   /// Counts one training step; true when the target network is due for a
   /// hard sync (every `period` steps).
@@ -89,6 +91,7 @@ class OffPolicyTrainer {
   Options options_;
   Rng rng_;
   ReplayBuffer replay_;
+  std::vector<const Transition*> batch_;  // SampleBatch's reused result
   long train_steps_ = 0;
 };
 

@@ -18,16 +18,14 @@ void ReplayBuffer::Add(Transition transition) {
   next_ = (next_ + 1) % capacity_;
 }
 
-std::vector<const Transition*> ReplayBuffer::Sample(size_t count,
-                                                    Rng* rng) const {
+void ReplayBuffer::Sample(size_t count, Rng* rng,
+                          std::vector<const Transition*>* out) const {
   DRLSTREAM_CHECK(!buffer_.empty());
-  std::vector<const Transition*> out;
-  out.reserve(count);
+  out->clear();
   for (size_t i = 0; i < count; ++i) {
-    out.push_back(&buffer_[rng->UniformInt(
+    out->push_back(&buffer_[rng->UniformInt(
         0, static_cast<int>(buffer_.size()) - 1)]);
   }
-  return out;
 }
 
 }  // namespace drlstream::rl

@@ -31,8 +31,10 @@ class ReplayBuffer {
   void Add(Transition transition);
 
   /// Uniformly samples `count` transitions (with replacement, like the
-  /// paper's minibatch sampling). Requires a non-empty buffer.
-  std::vector<const Transition*> Sample(size_t count, Rng* rng) const;
+  /// paper's minibatch sampling) into *out, replacing its contents; a
+  /// reused *out allocates nothing. Requires a non-empty buffer.
+  void Sample(size_t count, Rng* rng,
+              std::vector<const Transition*>* out) const;
 
   size_t size() const { return buffer_.size(); }
   size_t capacity() const { return capacity_; }

@@ -4,7 +4,9 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <utility>
 
@@ -241,7 +243,11 @@ class DriftGenerator final : public SteppedGenerator {
 class TraceReplayGenerator final : public WorkloadGenerator {
  public:
   explicit TraceReplayGenerator(std::vector<RateChangeOp> ops)
-      : ops_(std::move(ops)) {}
+      : ops_(std::move(ops)) {
+    for (size_t i = 0; i < ops_.size(); ++i) {
+      (ops_[i].spout < 0 ? all_spouts_ : named_[ops_[i].spout]).push_back(i);
+    }
+  }
 
   std::string name() const override { return "trace_replay"; }
   std::string Describe() const override {
@@ -257,12 +263,15 @@ class TraceReplayGenerator final : public WorkloadGenerator {
 
   double MultiplierAt(int, int spout, double time_ms) const override {
     // Latest applicable op at or before the query time wins (same tie
-    // semantics as FaultPlan spout shocks: later in the list wins).
-    for (auto op = FirstAfter(time_ms); op != ops_.begin();) {
-      --op;
-      if (op->spout < 0 || op->spout == spout) return op->multiplier;
+    // semantics as FaultPlan spout shocks: later in the list wins): the
+    // later, in trace order, of the latest all-spout op and the spout's
+    // own latest op.
+    long latest = LatestAtOrBefore(all_spouts_, time_ms);
+    const auto named = named_.find(spout);
+    if (named != named_.end()) {
+      latest = std::max(latest, LatestAtOrBefore(named->second, time_ms));
     }
-    return 1.0;
+    return latest < 0 ? 1.0 : ops_[latest].multiplier;
   }
 
  private:
@@ -272,7 +281,21 @@ class TraceReplayGenerator final : public WorkloadGenerator {
         [](double t, const RateChangeOp& op) { return t < op.time_ms; });
   }
 
+  /// The last of `indices` (positions in ops_, ascending) whose op is at or
+  /// before time_ms; -1 when there is none.
+  long LatestAtOrBefore(const std::vector<size_t>& indices,
+                        double time_ms) const {
+    const auto next = std::upper_bound(
+        indices.begin(), indices.end(), time_ms,
+        [this](double t, size_t i) { return t < ops_[i].time_ms; });
+    return next == indices.begin() ? -1 : static_cast<long>(*std::prev(next));
+  }
+
   std::vector<RateChangeOp> ops_;  // sorted ascending by time
+  std::vector<size_t> all_spouts_;  // positions of the ops with spout < 0
+  /// Positions of each named spout's own ops, so memory stays one entry
+  /// per op however many spouts a trace names.
+  std::map<int, std::vector<size_t>> named_;
 };
 
 class ComposeGenerator final : public WorkloadGenerator {

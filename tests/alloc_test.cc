@@ -6,7 +6,9 @@
 // the control loop calls them once per scheduling decision and the paper's
 // 20-minute runs make thousands. The simulator's event loop, which runs
 // every offline sample and online epoch, must stay (almost) off the heap
-// once its queues, pools and tables have grown to their working size.
+// once its queues, pools and tables have grown to their working size. So
+// must both agents' training steps, which offline pre-training and every
+// online epoch run back to back.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +17,7 @@
 
 #include "common/alloc_hooks.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "rl/ddpg_agent.h"
 #include "rl/dqn_agent.h"
 #include "rl/policy.h"
@@ -129,6 +132,78 @@ TEST(AllocTest, DqnGreedyActionIntoIsAllocationFreeAfterWarmup) {
     ASSERT_TRUE(agent.GreedyActionInto(state, &out).ok());
   });
   EXPECT_EQ(allocs, 0u);
+}
+
+/// A random transition between two random states, as replay holds them.
+rl::Transition MakeTransition(int n, int m, int spouts, Rng* rng) {
+  rl::Transition t;
+  t.state = MakeState(n, m, spouts, rng);
+  t.next_state = MakeState(n, m, spouts, rng);
+  t.action_assignments = t.next_state.assignments;
+  t.move_index = rng->UniformInt(0, n * m - 1);
+  t.reward = rng->Uniform(-3.0, 0.0);
+  return t;
+}
+
+/// Sets the global pool's size for one test and restores it after.
+class ScopedThreadCount {
+ public:
+  explicit ScopedThreadCount(int threads) : saved_(GlobalThreadCount()) {
+    SetGlobalThreadCount(threads);
+  }
+  ~ScopedThreadCount() { SetGlobalThreadCount(saved_); }
+
+ private:
+  int saved_;
+};
+
+// The training steps, run back to back as offline pre-training runs them,
+// sample into the trainer's reused minibatch and keep every pass's buffers,
+// the first layers' nonzero lists included, in preallocated workspaces.
+// The counters see the calling thread only. DDPG's target phase keeps one
+// scratch per pool worker, grown on the worker's first task, and which
+// worker runs which task depends on timing; at one thread the caller runs
+// them all, so its scratch is warm after the first step. The pool's own
+// share, ParallelFor, is pinned at four threads below.
+TEST(AllocTest, DdpgTrainStepIsAllocationFreeAfterWarmup) {
+  const ScopedThreadCount threads(1);
+  const int n = 20, m = 5;
+  rl::StateEncoder encoder(n, m, 2, 900.0);
+  rl::DdpgConfig config;
+  config.knn_k = 8;
+  rl::DdpgAgent agent(encoder, config);
+  Rng rng(8);
+  for (int i = 0; i < 64; ++i) agent.Observe(MakeTransition(n, m, 2, &rng));
+  const size_t allocs = SteadyStateAllocs(4, 16, [&] { agent.TrainStep(); });
+  EXPECT_EQ(allocs, 0u);
+}
+
+TEST(AllocTest, DqnTrainStepIsAllocationFreeAfterWarmup) {
+  const int n = 20, m = 5;
+  rl::StateEncoder encoder(n, m, 2, 900.0);
+  rl::DqnAgent agent(encoder, rl::DqnConfig{});
+  Rng rng(9);
+  for (int i = 0; i < 64; ++i) agent.Observe(MakeTransition(n, m, 2, &rng));
+  const size_t allocs = SteadyStateAllocs(4, 16, [&] { agent.TrainStep(); });
+  EXPECT_EQ(allocs, 0u);
+}
+
+TEST(AllocTest, ParallelForAllocatesNothing) {
+  // A closure too large for std::function's inline buffer, on a pool with
+  // background workers: the pool references the closure and reuses its
+  // one job record.
+  ThreadPool pool(4);
+  std::vector<double> out(64);
+  const double a = 1.5, b = 2.5, c = 3.5, d = 4.5;
+  const auto body = [&out, a, b, c, d](int i, int) {
+    out[i] = a * i + b + c + d;
+  };
+  static_assert(sizeof(body) > 2 * sizeof(void*));
+  const auto fill = [&] {
+    pool.ParallelFor(static_cast<int>(out.size()), body);
+  };
+  EXPECT_EQ(SteadyStateAllocs(2, 64, fill), 0u);
+  EXPECT_EQ(out[10], 25.5);
 }
 
 /// Runs `app` (seed 7, round-robin) for two simulated seconds of warm-up;

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "gradient_check.h"
@@ -12,6 +17,8 @@
 
 namespace drlstream::nn {
 namespace {
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
 
 // ---------------------------------------------------------------------------
 // Matrix
@@ -230,24 +237,21 @@ TEST(MlpTest, SoftUpdateInterpolates) {
   EXPECT_NEAR(b.layer(0).weights.At(0, 0), 0.25 * wa + 0.75 * wb, 1e-12);
 }
 
-TEST(MlpTest, SoftUpdateTransposedKeepsTheTransposeBitwise) {
-  // A transposed copy of a target network's first layer, soft-updated from
-  // the source's row-major weights, stays the transpose of the target's
-  // own soft-updated weights.
+TEST(MlpTest, SoftUpdateKeepsTheColumnCopyBitwise) {
+  // SoftUpdateFrom applies W0's two elementwise steps to the target's
+  // column copy in place, reading the source's copy, so the copy stays the
+  // transpose of the target's own soft-updated weights bit for bit.
   Rng rng(21);
   Mlp source({7, 5, 1}, {Activation::kTanh, Activation::kIdentity}, &rng);
   Mlp target({7, 5, 1}, {Activation::kTanh, Activation::kIdentity}, &rng);
-  Matrix target_t;
-  Transpose(target.layer(0).weights, &target_t);
-  for (double tau : {0.01, 0.3, 1.0}) {
-    target.SoftUpdateFrom(source, tau);
-    SoftUpdateTransposed(source.layer(0).weights, tau, &target_t);
-  }
-  ASSERT_EQ(target_t.rows(), 7);
-  ASSERT_EQ(target_t.cols(), 5);
+  for (double tau : {0.01, 0.3, 1.0}) target.SoftUpdateFrom(source, tau);
+  const Mlp& updated = target;
+  const Matrix& cols = updated.first_layer_columns();
+  ASSERT_EQ(cols.rows(), 7);
+  ASSERT_EQ(cols.cols(), 5);
   for (int r = 0; r < 5; ++r) {
     for (int c = 0; c < 7; ++c) {
-      EXPECT_EQ(target_t.At(c, r), target.layer(0).weights.At(r, c))
+      EXPECT_EQ(Bits(cols.At(c, r)), Bits(updated.layer(0).weights.At(r, c)))
           << "(" << r << ", " << c << ")";
     }
   }
@@ -565,6 +569,163 @@ TEST(MlpBatchTest, BackwardBatchMatchesPerRowBackward) {
       EXPECT_NEAR(grad_in.At(i, c), want_grad_in.At(i, c), 1e-12);
     }
   }
+}
+
+TEST(MlpBatchTest, FirstLayerMatchesTheDenseKernelsOnSparseRows) {
+  // Layer 0 of the batched passes reads only nonzero inputs. Against the
+  // dense kernels (MatTMul forward, AddScaledOuterBatch weight gradient,
+  // MatMul input gradient) on one-hot, +-0, all-zero and dense rows, with
+  // a nonzero starting gradient, it agrees bit for bit. A NaN input makes
+  // its row's z and dz NaN; the NaN reaches the weight gradient in the
+  // columns of that row's nonzero inputs only.
+  constexpr int k = 13, h = 6, out = 3, batch = 6, nan_row = 5;
+  constexpr int input_begin = 5;
+  Rng rng(22);
+  Mlp net({k, h, out}, {Activation::kTanh, Activation::kIdentity}, &rng);
+  BatchTape tape;
+  Matrix* x = tape.Prepare(net, batch);
+  x->Zero();
+  for (int c : {1, 6, 12}) x->At(0, c) = 1.0;  // one-hot, one in Dot's tail
+  for (int c = 0; c < k; c += 2) x->At(1, c) = -0.0;
+  x->At(1, 3) = 1.0;
+  x->At(1, 10) = 2.5;
+  for (int c = 0; c < k; ++c) x->At(2, c) = rng.Uniform(-1.0, 1.0);
+  // Row 3 stays all +0.
+  for (int c = 0; c < k; ++c) x->At(4, c) = rng.Uniform(-1.0, 1.0);
+  x->At(4, 5) = -0.0;
+  x->At(4, 7) = 0.0;
+  for (int c : {2, 9}) x->At(nan_row, c) = 1.0;
+  x->At(nan_row, 4) = std::nan("");
+
+  net.ZeroGrad();
+  Matrix& grad = net.layer(0).grad_weights;
+  for (size_t p = 0; p < grad.size(); ++p) {
+    grad.data()[p] = rng.Uniform(-1.0, 1.0);
+  }
+  Matrix want_grad = grad;
+  net.ForwardBatch(&tape);
+  Matrix grad_out(batch, out);
+  for (size_t p = 0; p < grad_out.size(); ++p) {
+    grad_out.data()[p] = rng.Uniform(-1.0, 1.0);
+  }
+  Matrix grad_in;
+  net.BackwardBatch(&tape, grad_out, /*accumulate_param_grads=*/true,
+                    &grad_in, input_begin);
+
+  const Linear& first = std::as_const(net).layer(0);
+  Matrix z;
+  MatTMul(*x, first.weights, &z);
+  for (int b = 0; b < batch; ++b) {
+    for (int r = 0; r < h; ++r) {
+      const double got = tape.pre[0].At(b, r);
+      if (b == nan_row) {
+        EXPECT_TRUE(std::isnan(got)) << "r=" << r;
+      } else {
+        EXPECT_EQ(Bits(got), Bits(z.At(b, r) + first.bias[r]))
+            << "(" << b << ", " << r << ")";
+      }
+    }
+  }
+
+  // The finite rows through the dense kernel, then the NaN row's columns.
+  Matrix finite_dz(nan_row, h);
+  Matrix finite_x(nan_row, k);
+  for (int b = 0; b < nan_row; ++b) {
+    for (int r = 0; r < h; ++r) finite_dz.At(b, r) = tape.dz[0].At(b, r);
+    for (int c = 0; c < k; ++c) finite_x.At(b, c) = x->At(b, c);
+  }
+  AddScaledOuterBatch(finite_dz, finite_x, 1.0, &want_grad);
+  for (int r = 0; r < h; ++r) {
+    ASSERT_TRUE(std::isnan(tape.dz[0].At(nan_row, r)));
+    for (int c = 0; c < k; ++c) {
+      const double got = first.grad_weights.At(r, c);
+      if (x->At(nan_row, c) != 0.0) {
+        EXPECT_TRUE(std::isnan(got)) << "(" << r << ", " << c << ")";
+      } else {
+        EXPECT_EQ(Bits(got), Bits(want_grad.At(r, c)))
+            << "(" << r << ", " << c << ")";
+      }
+    }
+  }
+
+  Matrix want_grad_in;
+  MatMul(tape.dz[0], first.weights, &want_grad_in);
+  ASSERT_EQ(grad_in.rows(), batch);
+  ASSERT_EQ(grad_in.cols(), k - input_begin);
+  for (int b = 0; b < batch; ++b) {
+    for (int c = 0; c < k - input_begin; ++c) {
+      const double got = grad_in.At(b, c);
+      const double want = want_grad_in.At(b, input_begin + c);
+      if (b == nan_row) {
+        EXPECT_TRUE(std::isnan(got)) << "c=" << c;
+      } else {
+        EXPECT_EQ(Bits(got), Bits(want)) << "(" << b << ", " << c << ")";
+      }
+    }
+  }
+}
+
+TEST(MlpBatchTest, ColumnCopyIsNeverReadStale) {
+  // After each public way of changing a network, ForwardBatch, which reads
+  // the first layer's column copy, equals per-row Forward, which reads W0,
+  // bit for bit. Dense rows make any stale column show.
+  const std::vector<int> sizes = {9, 8, 2};
+  const std::vector<Activation> acts = {Activation::kTanh,
+                                        Activation::kIdentity};
+  Rng rng(23);
+  Mlp net(sizes, acts, &rng);
+  Mlp other(sizes, acts, &rng);
+  constexpr int batch = 4;
+  Matrix rows(batch, sizes[0]);
+  for (size_t p = 0; p < rows.size(); ++p) {
+    rows.data()[p] = rng.Uniform(-1.0, 1.0);
+  }
+  BatchTape tape;
+  const auto expect_fresh = [&](const Mlp& n, const std::string& after) {
+    Matrix* x = tape.Prepare(n, batch);
+    *x = rows;
+    const Matrix& y = n.ForwardBatch(&tape);
+    for (int b = 0; b < batch; ++b) {
+      const std::vector<double> want =
+          n.Forward(std::vector<double>(rows.row(b), rows.row(b) + sizes[0]));
+      for (int j = 0; j < sizes.back(); ++j) {
+        EXPECT_EQ(Bits(y.At(b, j)), Bits(want[j]))
+            << "after " << after << ": (" << b << ", " << j << ")";
+      }
+    }
+  };
+  const auto train_once = [&](Adam* adam) {
+    net.ZeroGrad();
+    Tape t;
+    net.Forward(std::vector<double>(rows.row(0), rows.row(0) + sizes[0]), &t);
+    net.Backward(t, {1.0, -1.0});
+    adam->Step(&net);
+  };
+  expect_fresh(net, "construction");
+  Adam adam(0.05);
+  train_once(&adam);
+  expect_fresh(net, "Adam::Step");
+  other.SoftUpdateFrom(net, 0.3);
+  expect_fresh(other, "SoftUpdateFrom");
+  train_once(&adam);  // net's copy stale: the soft update refreshes it
+  other.SoftUpdateFrom(net, 0.3);
+  expect_fresh(other, "SoftUpdateFrom a stale source");
+  expect_fresh(net, "a soft update read the source");
+  train_once(&adam);
+  other.CopyFrom(net);
+  expect_fresh(other, "CopyFrom a stale source");
+  other.layer(0).weights.At(1, 1) = -2.0;
+  other.SoftUpdateFrom(net, 0.5);
+  expect_fresh(other, "SoftUpdateFrom into a stale copy");
+  const std::string path = testing::TempDir() + "/mlp_columns.txt";
+  ASSERT_TRUE(net.Save(path).ok());
+  StatusOr<Mlp> loaded = Mlp::Load(path);
+  ASSERT_TRUE(loaded.ok());
+  expect_fresh(*loaded, "Load");
+  net.layer(0).weights.At(3, 2) = 0.75;
+  expect_fresh(net, "a layer(0).weights write");
+  net.layer(0).bias[5] = -1.0;
+  expect_fresh(net, "a layer(0).bias write");
 }
 
 TEST(MlpBatchTest, TapeReusePerformsNoReallocationOnSameShape) {

@@ -97,8 +97,11 @@ TEST(ReplayBufferTest, SamplesUniformly) {
   for (int i = 0; i < 100; ++i) buffer.Add(MakeTransition(i));
   Rng rng(3);
   std::vector<int> counts(100, 0);
+  std::vector<const Transition*> batch;
   for (int round = 0; round < 200; ++round) {
-    for (const Transition* t : buffer.Sample(32, &rng)) {
+    buffer.Sample(32, &rng, &batch);
+    ASSERT_EQ(batch.size(), 32u);
+    for (const Transition* t : batch) {
       ++counts[static_cast<int>(t->reward)];
     }
   }

@@ -77,6 +77,38 @@ TEST(SimdKernelTest, AxpyBitIdenticalToScalar) {
   }
 }
 
+TEST(SimdKernelTest, AdamStepBitIdenticalToScalarAtEveryLength) {
+  // Three steps at every length from 0 to 67, so each tail length (0-3
+  // elements after the four-wide body) runs on moments the kernel wrote.
+  // Gradients include zeros and tiny values, whose second moments reach
+  // the subnormals.
+  if (!Avx2Available()) GTEST_SKIP() << "AVX2 unavailable on this host";
+  Rng rng(25);
+  for (int n = 0; n <= 67; ++n) {
+    std::vector<double> w = RandomVec(n, &rng);
+    std::vector<double> m(n, 0.0);
+    std::vector<double> v(n, 0.0);
+    std::vector<double> w_avx = w, m_avx = m, v_avx = v;
+    for (int step = 1; step <= 3; ++step) {
+      std::vector<double> g = RandomVec(n, &rng);
+      for (int i = 0; i < n; i += 5) g[i] = 0.0;
+      for (int i = 2; i < n; i += 7) g[i] *= 1e-160;
+      const nn::kernels::AdamCoefficients c = {
+          1e-3 * step, 0.9, 0.999, 1e-8, 1.0 - std::pow(0.9, step),
+          1.0 - std::pow(0.999, step)};
+      nn::kernels::AdamStepScalar(w.data(), m.data(), v.data(), g.data(), n,
+                                  c);
+      nn::kernels::AdamStepAvx2(w_avx.data(), m_avx.data(), v_avx.data(),
+                                g.data(), n, c);
+      for (int i = 0; i < n; ++i) {
+        ASSERT_EQ(Bits(w[i]), Bits(w_avx[i])) << "n=" << n << " i=" << i;
+        ASSERT_EQ(Bits(m[i]), Bits(m_avx[i])) << "n=" << n << " i=" << i;
+        ASSERT_EQ(Bits(v[i]), Bits(v_avx[i])) << "n=" << n << " i=" << i;
+      }
+    }
+  }
+}
+
 /// Lengths around every tail case of the four-lane folds and the 32-wide
 /// SumRows blocks, plus the critic's state (~1000) and state+action
 /// (~2000) widths at CQ-large scale.

@@ -364,6 +364,39 @@ TEST(TraceReplayTest, QueriesMatchALinearScan) {
   }
 }
 
+// A long trace that names spout 0 alone, with a few all-spout ops mixed in
+// and ties at equal times: spout 0 and the never-named spouts 1 and 7 read
+// what a scan of the whole trace reads.
+TEST(TraceReplayTest, ATraceNamingOneSpoutMatchesALinearScan) {
+  Rng rng(12);
+  std::vector<RateChangeOp> ops;
+  double time = 0.0;
+  for (int i = 0; i < 4000; ++i) {
+    if (!rng.Bernoulli(0.2)) time += rng.Uniform(0.0, 50.0);
+    ops.push_back({time, rng.Bernoulli(0.05) ? -1 : 0, rng.Uniform(0.0, 3.0)});
+  }
+  auto trace = workload::MakeTraceReplay(ops);
+  ASSERT_TRUE(trace.ok()) << trace.status().ToString();
+  std::vector<double> queries = {0.0, time + 1.0};
+  for (size_t i = 0; i < ops.size(); i += 7) {
+    queries.push_back(ops[i].time_ms);
+    queries.push_back(std::nextafter(ops[i].time_ms, 0.0));
+    queries.push_back(ops[i].time_ms + 0.25);
+  }
+  for (double t : queries) {
+    for (int spout : {0, 1, 7}) {
+      double factor = 1.0;
+      for (const RateChangeOp& op : ops) {
+        if (op.time_ms <= t && (op.spout < 0 || op.spout == spout)) {
+          factor = op.multiplier;
+        }
+      }
+      ASSERT_EQ((*trace)->MultiplierAt(0, spout, t), factor)
+          << "t " << t << " spout " << spout;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Registry
 
